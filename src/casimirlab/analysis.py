@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.stats import t as student_t
 
 from .electrostatics import gamma_over_c
@@ -37,6 +37,7 @@ __all__ = [
     "ComparisonReport",
     "fit_parabolas",
     "fit_v0_line",
+    "CalibrationFit",
     "fit_calibration",
     "calibrate",
     "extract_gradients",
@@ -59,8 +60,6 @@ class ParabolaSeries:
     sigma_v0: np.ndarray
     gamma: np.ndarray         # rad s^-1 V^-2, minus the quadratic coefficient
     sigma_gamma: np.ndarray
-    apex: np.ndarray          # rad/s, apex ordinate = -C F'(a)
-    sigma_apex: np.ndarray
 
 
 def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
@@ -96,7 +95,6 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
     cov12 = xtx_inv[0, 1] * s2                # cov(c2, c1)
     gamma = -c2
     v0 = -c1 / (2.0 * c2)
-    apex = coef[2] - c1 * c1 / (4.0 * c2)
 
     # delta-method propagation for v0 = -c1/(2 c2)
     dv0_dc1 = -1.0 / (2.0 * c2)
@@ -106,20 +104,6 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
         + dv0_dc2 * dv0_dc2 * var[0]
         + 2.0 * dv0_dc1 * dv0_dc2 * cov12
     )
-    # apex = c0 - c1^2/(4 c2)
-    da_dc0 = 1.0
-    da_dc1 = -c1 / (2.0 * c2)
-    da_dc2 = c1 * c1 / (4.0 * c2 * c2)
-    cov02 = xtx_inv[0, 2] * s2
-    cov01 = xtx_inv[1, 2] * s2
-    var_apex = (
-        da_dc0 * da_dc0 * var[2]
-        + da_dc1 * da_dc1 * var[1]
-        + da_dc2 * da_dc2 * var[0]
-        + 2.0 * da_dc0 * da_dc1 * cov01
-        + 2.0 * da_dc0 * da_dc2 * cov02
-        + 2.0 * da_dc1 * da_dc2 * cov12
-    )
 
     return ParabolaSeries(
         z_rel=grid.z_rel.copy(),
@@ -127,8 +111,6 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
         sigma_v0=np.sqrt(np.maximum(var_v0, 0.0)),
         gamma=gamma,
         sigma_gamma=np.sqrt(np.maximum(var[0], 0.0)),
-        apex=apex,
-        sigma_apex=np.sqrt(np.maximum(var_apex, 0.0)),
     )
 
 
@@ -191,35 +173,74 @@ class CalibrationResult:
     line: V0LineFit
     R: float
     window_fits: list[WindowFit] = field(default_factory=list)
+    # run statistics of the fit; calibration_text leaves them out
+    chi2_dof: float = math.nan
+    gamma_evals: int = 0
+    scan_fallback: bool = False
 
     @property
     def separations(self) -> np.ndarray:
         return self.z0 + self.z_rel
 
 
-def _best_c(z_rel, gamma, weights, R, z0):
-    g = gamma_over_c(z0 + z_rel, R)
-    num = float((weights * gamma * g).sum())
-    den = float((weights * g * g).sum())
-    c = num / den
-    resid = gamma - c * g
-    return c, float((weights * resid * resid).sum()), g
+_Z0_RTOL = 1e-10      # Gauss-Newton stops once the z0 step falls below this, relative
+_MAX_STEPS = 50
 
 
-def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)):
+class CalibrationFit(NamedTuple):
+    """fit_calibration result; unpacks like a tuple, in this order."""
+
+    c_cal: float
+    z0: float
+    sigma_c: float
+    sigma_z0: float
+    window_fits: list[WindowFit]
+    chi2_dof: float           # weighted residual sum of squares per degree of freedom
+    gamma_evals: int          # gamma_over_c evaluations the fit made
+    scan_fallback: bool       # the seeded bracket missed and the full-range scan ran
+
+
+def _project(gamma, weights, g):
+    """Weighted least-squares C of the model C g, and the residual."""
+    wg = weights * g
+    c = float(wg @ gamma) / float(wg @ g)
+    return c, gamma - c * g
+
+
+def _gauss_newton(z_rel, gamma, weights, R, z0, lo, hi):
+    """Variable-projection Gauss-Newton on z0, clamped to [lo, hi].
+
+    C is the weighted projection at every z0; the step uses the projected
+    Jacobian -C (g' - <w g g'>/<w g g> g).  C, the cost, g and g' belong to
+    the returned z0, the last point evaluated.
+    Returns (z0, c, rss, g, dg, evaluations, converged strictly inside).
+    """
+    z0 = float(z0)
+    for k in range(1, _MAX_STEPS + 1):
+        g, dg = gamma_over_c(z0 + z_rel, R, slope=True)
+        c, r = _project(gamma, weights, g)
+        p = dg - float((weights * g) @ dg) / float((weights * g) @ g) * g
+        step = float((weights * p) @ r) / (c * float((weights * p) @ p))
+        new = float(min(max(z0 + step, lo), hi))
+        converged = abs(new - z0) <= _Z0_RTOL * z0
+        if converged or k == _MAX_STEPS:
+            return z0, c, float(weights @ (r * r)), g, dg, k, converged and lo < z0 < hi
+        z0 = new
+
+
+def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> CalibrationFit:
     """Fit the exact electrostatic coefficient over (C, z0).
 
     The model gamma(z0 + z_rel) is linear in C, so the fit separates: for
     each closest-approach candidate the optimal C is a weighted projection,
-    and only z0 is searched numerically (coarse bracket, then bounded
-    scalar minimisation).
-
-    Returns (c_cal, z0, sigma_c, sigma_z0, window_fits).
+    and z0 follows from Gauss-Newton steps with the analytic slope of the
+    series, started at a proximity-limit seed inside a bracket around it.
+    If the steps reach the bracket edge, a full-range scan picks a new start.
     """
     z_rel = np.asarray(z_rel, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if z_rel.size < 100:
-        raise ValidityDomainError("calibration fit needs at least 100 separations")
+    if z_rel.size < 100 or not np.all(np.isfinite(gamma)):
+        raise ValidityDomainError("calibration fit needs at least 100 separations, finite gamma")
     sigma_gamma = np.asarray(sigma_gamma, dtype=float)
     if np.all(sigma_gamma > 0):
         weights = 1.0 / (sigma_gamma * sigma_gamma)
@@ -230,94 +251,65 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)):
     if not (0 < lo < hi <= 10e-6):
         raise ValidityDomainError(f"z0 bounds {z0_bounds} escape (0, 10 um]")
 
-    def cost(z0):
-        return _best_c(z_rel, gamma, weights, R, z0)[1]
-
     # Proximity-limit seed: gamma ~ 1/a^2 gives z0 from the ratio of two
-    # samples; a generous bracket around it is scanned, with a full-range
-    # fallback when the seed lands badly.
+    # samples; Gauss-Newton runs in a generous bracket around it.
     k = z_rel.size // 2
     ratio = math.sqrt(max(gamma[0] / gamma[k], 1.0 + 1e-12))
     guess = min(max(z_rel[k] / (ratio - 1.0), lo), hi) if ratio > 1 else hi
-    scan = np.geomspace(max(lo, 0.4 * guess), min(hi, 2.5 * guess), 24)
-    costs = np.array([cost(z) for z in scan])
-    i_best = int(np.argmin(costs))
-    if i_best == 0 or i_best == scan.size - 1:
-        scan = np.geomspace(lo, hi, 80)
-        costs = np.array([cost(z) for z in scan])
-        i_best = int(np.argmin(costs))
-    if i_best == 0 or i_best == scan.size - 1:
-        raise FitConvergenceError(
-            f"calibration cost minimised at the z0 search boundary "
-            f"({scan[i_best] * 1e9:.1f} nm); residual {costs[i_best]:.3e}"
-        )
-    res = minimize_scalar(
-        cost, bounds=(scan[i_best - 1], scan[i_best + 1]), method="bounded",
-        options={"xatol": 1e-14},
+    z0, c_cal, rss, g, dg, evals, inside = _gauss_newton(
+        z_rel, gamma, weights, R, guess, max(lo, 0.4 * guess), min(hi, 2.5 * guess)
     )
-    if not res.success:
-        raise FitConvergenceError(f"z0 minimisation failed: {res.message}")
-    z0 = float(res.x)
-    c_cal, rss, g = _best_c(z_rel, gamma, weights, R, z0)
+    scan_fallback = not inside
+    if scan_fallback:
+        scan = np.geomspace(lo, hi, 80)
+        costs = [float(weights @ _project(gamma, weights, gamma_over_c(z + z_rel, R))[1] ** 2)
+                 for z in scan]
+        evals += scan.size
+        i_best = int(np.argmin(costs))
+        if i_best == 0 or i_best == scan.size - 1:
+            raise FitConvergenceError(
+                f"calibration cost minimised at the z0 search boundary "
+                f"({scan[i_best] * 1e9:.1f} nm); residual {costs[i_best]:.3e}"
+            )
+        z0, c_cal, rss, g, dg, n, inside = _gauss_newton(
+            z_rel, gamma, weights, R, scan[i_best], scan[i_best - 1], scan[i_best + 1]
+        )
+        evals += n
+        if not inside:
+            raise FitConvergenceError(f"z0 Gauss-Newton failed near {z0 * 1e9:.1f} nm")
 
-    # Gauss-Newton covariance at the optimum.
-    h = 5e-12
-    g_p = gamma_over_c(z0 + h + z_rel, R)
-    g_m = gamma_over_c(z0 - h + z_rel, R)
-    dg = c_cal * (g_p - g_m) / (2.0 * h)
-    jac = np.column_stack([g, dg])
-    jtj = jac.T @ (weights[:, None] * jac)
-    s2 = rss / max(z_rel.size - 2, 1)
-    cov = np.linalg.inv(jtj) * s2
+    # Gauss-Newton covariance at the optimum, from the analytic Jacobian.
+    jac = np.column_stack([g, c_cal * dg])
+    chi2_dof = rss / max(z_rel.size - 2, 1)
+    cov = np.linalg.inv(jac.T @ (weights[:, None] * jac)) * chi2_dof
 
     window_fits = []
-    quarters = np.array_split(np.arange(z_rel.size), 4)
-    for idx in quarters:
-        if idx.size < 20:
-            continue
-        zw, gw, ww = z_rel[idx], gamma[idx], weights[idx]
-
-        def wcost(z0w):
-            gwm = gamma_over_c(z0w + zw, R)
-            num = float((ww * gw * gwm).sum())
-            den = float((ww * gwm * gwm).sum())
-            r = gw - (num / den) * gwm
-            return float((ww * r * r).sum())
-
-        wres = minimize_scalar(
-            wcost, bounds=(max(lo, z0 - 30e-9), z0 + 30e-9), method="bounded",
-            options={"xatol": 1e-13},
+    for idx in np.array_split(np.arange(z_rel.size), 4):
+        z0w, cw, *_, n, _ = _gauss_newton(
+            z_rel[idx], gamma[idx], weights[idx], R, z0, max(lo, z0 - 30e-9), z0 + 30e-9
         )
-        z0w = float(wres.x)
-        gwm = gamma_over_c(z0w + zw, R)
-        cw = float((ww * gw * gwm).sum() / (ww * gwm * gwm).sum())
-        window_fits.append(
-            WindowFit(z_rel_lo=float(zw[0]), z_rel_hi=float(zw[-1]), c_cal=cw, z0=z0w)
-        )
+        evals += n
+        window_fits.append(WindowFit(float(z_rel[idx[0]]), float(z_rel[idx[-1]]), cw, z0w))
 
-    return c_cal, z0, math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0)), window_fits
+    return CalibrationFit(
+        c_cal, z0, math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0)),
+        window_fits, chi2_dof, evals, scan_fallback,
+    )
 
 
 def calibrate(grid: MeasurementGrid) -> CalibrationResult:
     """Full calibration chain: parabolas, (C, z0) fit, V0 straight line."""
     par = fit_parabolas(grid)
-    c_cal, z0, sigma_c, sigma_z0, window_fits = fit_calibration(
-        par.z_rel, par.gamma, par.sigma_gamma, grid.geometry.R
-    )
-    line = fit_v0_line(z0 + par.z_rel, par.v0)
+    fit = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, grid.geometry.R)
     return CalibrationResult(
         z_rel=par.z_rel,
         v0=par.v0,
         sigma_v0=par.sigma_v0,
         gamma=par.gamma,
         sigma_gamma=par.sigma_gamma,
-        c_cal=c_cal,
-        sigma_c=sigma_c,
-        z0=z0,
-        sigma_z0=sigma_z0,
-        line=line,
+        line=fit_v0_line(fit.z0 + par.z_rel, par.v0),
         R=grid.geometry.R,
-        window_fits=window_fits,
+        **fit._asdict(),
     )
 
 

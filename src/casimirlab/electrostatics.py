@@ -8,6 +8,7 @@ for the sphere-plate capacitance, parameterised by cosh(kappa) = 1 + a/R.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -108,101 +109,107 @@ class FrequencyShiftModel:
             )
 
 
-_BLOCK = 512
+# n-blocks keep their temporaries cache-resident, and never above 512 x points
+_BLOCK_ELEMENTS = 1 << 15
 _MAX_TERMS = 4_000_000
 
 
-def _sum_many(kappas: np.ndarray, tol: float) -> np.ndarray:
-    """Image-series sum for an array of kappa values.
+def _coth_csch(x):
+    """coth(x) and csch(x) from exp(-x), free of overflow and cancellation."""
+    em = np.exp(-x)
+    d = -np.expm1(-2.0 * x)
+    return (1.0 + em * em) / d, 2.0 * em / d
 
-    Terms are csch(n k) { n coth(n k) [n coth(n k) - coth k] - csch^2 k
-    + n^2 csch^2(n k) }; they decay like e^{-n kappa}, so summation runs in
-    blocks until three consecutive increments per entry fall below
-    tol * |partial sum|.
+
+def _terms(n, kappa, slope=False):
+    """Image-series terms t_n(kappa), and dt_n/dkappa with slope (else None).
+
+    t_n = csch(n k) B_n, B_n = A (A - coth k) - csch^2 k + P, A = n coth(n k), P = (n csch(n k))^2;
+    dt_n/dk = csch(n k) [P (coth k - 4 A) + csch^2 k (A + 2 coth k) - A B_n].
+    Every t_n >= 0: it is proportional to the second a-derivative of
+    sinh k / sinh(n k) = 1 / U_{n-1}(1 + a/R), which is convex for a > 0.
     """
-    kappas = np.asarray(kappas, dtype=float)
-    em = np.exp(-kappas)
-    d = -np.expm1(-2.0 * kappas)
-    coth_k = (1.0 + em * em) / d
-    csch2_k = (2.0 * em / d) ** 2
-    # terms decay like e^{-n kappa}; scaling the per-term threshold by the
-    # geometric factor keeps the whole discarded tail below tol * |sum|
-    tail_factor = -np.expm1(-kappas)
-
-    total = np.zeros_like(kappas)
-    consec = np.zeros_like(kappas, dtype=int)
-    active = np.ones_like(kappas, dtype=bool)
-    n0 = 1
-    while n0 <= _MAX_TERMS:
-        n = np.arange(n0, n0 + _BLOCK, dtype=float)
-        x = kappas[active][:, None] * n[None, :]
-        em_n = np.exp(-x)
-        d_n = -np.expm1(-2.0 * x)
-        coth_n = (1.0 + em_n * em_n) / d_n
-        csch_n = 2.0 * em_n / d_n
-        ncoth = n[None, :] * coth_n
-        terms = csch_n * (
-            ncoth * (ncoth - coth_k[active][:, None])
-            - csch2_k[active][:, None]
-            + (n[None, :] * csch_n) ** 2
-        )
-
-        sub = total[active]
-        sub_consec = consec[active]
-        thr = tol * tail_factor[active]
-        done = np.zeros(sub.shape, dtype=bool)
-        for j in range(terms.shape[1]):
-            t = terms[:, j]
-            sub = sub + np.where(done, 0.0, t)
-            small = np.abs(t) < thr * np.abs(sub)
-            small &= sub != 0.0
-            sub_consec = np.where(done, sub_consec, np.where(small, sub_consec + 1, 0))
-            done |= sub_consec >= 3
-            if done.all():
-                break
-        total[active] = sub
-        consec[active] = sub_consec
-        still = ~done
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-        if not active.any():
-            return total
-        n0 += _BLOCK
-    raise NumericsError("electrostatic image series did not converge")
+    coth_k, csch_k = _coth_csch(kappa)
+    coth_n, csch_n = _coth_csch(n * kappa)
+    csch2_k = csch_k * csch_k
+    a = n * coth_n
+    p = (n * csch_n) ** 2
+    b = a * (a - coth_k) - csch2_k + p
+    if not slope:
+        return csch_n * b, None
+    return csch_n * b, csch_n * (p * (coth_k - 4.0 * a) + csch2_k * (a + 2.0 * coth_k) - a * b)
 
 
-def _kappa(a: float, R: float) -> float:
+def _term_count(kappas: np.ndarray, tol: float) -> int:
+    """Smallest N whose omitted tail sum_{n>N} t_n is below tol * S at every kappa.
+
+    For n > N, t_n <= K n^2 q^n with q = e^{-k}, K = 2 (coth^2 + csch^2)(N k) / (1 - e^{-2 N k}),
+    so with r = ((N+2)/(N+1))^2 q < 1 the tail is at most K (N+1)^2 q^{N+1} / (1 - r).
+    S is at least its term at n = 2/k, where n^2 q^n peaks; the bound falls with N.
+    """
+    floor = tol * _terms(np.maximum(2.0, np.round(2.0 / kappas)), kappas)[0]
+
+    def enough(n):
+        coth_u, csch_u = _coth_csch(n * kappas)
+        r = ((n + 2.0) / (n + 1.0)) ** 2 * np.exp(-kappas)
+        tail = (2.0 * (coth_u**2 + csch_u**2) / -np.expm1(-2.0 * n * kappas)
+                * np.exp(2.0 * math.log(n + 1.0) - (n + 1.0) * kappas))
+        return bool(np.all((r < 1.0) & (tail <= floor * (1.0 - r))))
+
+    hi = 2
+    while not enough(hi):
+        if hi > _MAX_TERMS:
+            raise NumericsError("electrostatic image series needs more than 4e6 terms")
+        hi *= 2
+    return hi // 2 + bisect.bisect_left(range(hi // 2, hi + 1), True, key=enough)
+
+
+def _kappa(a, R: float):
     """arccosh(1 + a/R) evaluated without cancellation for small a/R."""
-    x = a / R
-    if x < 1e-9:
+    x = np.asarray(a, dtype=float) / R
+    if np.any(x < 1e-9):
         raise PrecisionError(
-            f"a/R = {x:.2e} < 1e-9 loses all digits in kappa; use the "
+            f"a/R = {np.min(x):.2e} < 1e-9 loses all digits in kappa; use the "
             "proximity asymptote C pi eps0 R / a^2 instead"
         )
-    return math.log1p(x + math.sqrt(x * (x + 2.0)))
+    return np.log1p(x + np.sqrt(x * (x + 2.0)))
 
 
-def gamma_over_c(a, R: float, tol: float = 1e-10):
+def gamma_over_c(a, R: float, tol: float = 1e-10, slope: bool = False):
     """gamma / C, i.e. the calibration-independent electrostatic coefficient.
 
     Vectorised over a; used directly by the calibration fit where C is a
-    free linear parameter.
+    free linear parameter.  With slope=True returns (gamma / C, its
+    derivative in a), both from the same series terms.
     """
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a_arr <= 0) or not R > 0:
-        raise ValueError("a and R must be positive")
-    kappas = np.array([_kappa(ai, R) for ai in a_arr])
-    s = _sum_many(kappas, tol)
-    out = 2.0 * math.pi * EPSILON_0 / np.sqrt(a_arr * (2.0 * R + a_arr)) * s
-    return float(out[0]) if np.ndim(a) == 0 else out
+    if not (np.all(a_arr > 0) and np.all(np.isfinite(a_arr))) or not R > 0:
+        raise ValueError("a and R must be positive and finite")
+    kappas = _kappa(a_arr, R)
+    n_terms = _term_count(kappas, tol)
+    cols = min(512, max(1, _BLOCK_ELEMENTS // kappas.size))
+    s, ds = np.zeros_like(kappas), np.zeros_like(kappas)
+    for n0 in range(1, n_terms + 1, cols):
+        n = np.arange(n0, min(n0 + cols, n_terms + 1), dtype=float)
+        t, dt = _terms(n, kappas[:, None], slope)
+        s += t.sum(axis=1)
+        if slope:
+            ds += dt.sum(axis=1)
+    root = np.sqrt(a_arr * (2.0 * R + a_arr))      # R sinh(kappa) = 1 / (dkappa/da)
+    g = 2.0 * math.pi * EPSILON_0 / root * s
+    scalar = np.ndim(a) == 0
+    if not slope:
+        return float(g[0]) if scalar else g
+    dg = 2.0 * math.pi * EPSILON_0 / root**2 * (ds - s * (R + a_arr) / root)
+    return (float(g[0]), float(dg[0])) if scalar else (g, dg)
 
 
 def gamma_coefficient(a: float, R: float, c_cal: float, tol: float = 1e-10) -> float:
     """Electrostatic frequency-shift coefficient gamma in rad s^-1 V^-2.
 
     Evaluates the exact sphere-plate image series with
-    cosh(kappa) = 1 + a/R, terminating once three consecutive increments
-    fall below tol relative to the partial sum.
+    cosh(kappa) = 1 + a/R over a term count whose omitted tail is bounded
+    by tol relative to the sum.
 
     Parameters
     ----------
@@ -213,7 +220,7 @@ def gamma_coefficient(a: float, R: float, c_cal: float, tol: float = 1e-10) -> f
     c_cal : float
         Calibration constant omega_0/(2k) in s/kg.
     tol : float
-        Relative series-termination threshold.
+        Relative bound on the omitted series tail.
     """
     return c_cal * gamma_over_c(a, R, tol)
 

@@ -1,0 +1,6 @@
+"""Suite-wide settings: property tests run the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")

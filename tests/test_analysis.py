@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirlab.analysis import (
     calibrate,
@@ -18,7 +20,12 @@ from casimirlab.analysis import (
     gradient_series_text,
     load_gradient_series,
 )
-from casimirlab.errors import DegenerateFitError, GridAlignmentError
+from casimirlab.errors import (
+    DegenerateFitError,
+    FitConvergenceError,
+    GridAlignmentError,
+    ValidityDomainError,
+)
 from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
 from casimirlab.vexp import (
     V0Law,
@@ -169,6 +176,63 @@ class TestCalibrationFit:
     def test_needs_enough_separations(self):
         with pytest.raises(Exception):
             fit_calibration(np.arange(10) * 1e-9, np.ones(10), np.ones(10), 43e-6)
+
+    def test_non_finite_gamma_rejected(self, set1_grid):
+        _, geom, grid = set1_grid
+        par = fit_parabolas(grid)
+        gamma = par.gamma.copy()
+        gamma[7] = np.nan
+        with pytest.raises(ValidityDomainError):
+            fit_calibration(par.z_rel, gamma, par.sigma_gamma, geom.R)
+
+    def test_seed_outside_basin_falls_back_to_full_scan(self, set1_grid):
+        _, geom, grid = set1_grid
+        par = fit_parabolas(grid)
+        # a first sample barely above the midpoint one puts the proximity
+        # seed at the 10 um bound; its huge sigma keeps it out of the fit
+        sigma = par.sigma_gamma.copy()
+        sigma[0] = 1e6 * par.gamma[0]
+        reference = fit_calibration(par.z_rel, par.gamma, sigma, geom.R)
+        assert not reference.scan_fallback
+        gamma = par.gamma.copy()
+        gamma[0] = gamma[gamma.size // 2] * (1.0 + 1e-9)
+        fit = fit_calibration(par.z_rel, gamma, sigma, geom.R)
+        assert fit.scan_fallback
+        assert fit.z0 == pytest.approx(reference.z0, abs=1e-3 * reference.sigma_z0)
+        assert fit.c_cal == pytest.approx(reference.c_cal, rel=1e-6)
+
+    def test_minimum_at_z0_bound_raises(self, set1_grid):
+        spec, geom, grid = set1_grid
+        par = fit_parabolas(grid)
+        with pytest.raises(FitConvergenceError):
+            fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R,
+                            z0_bounds=(spec.z0_true + 40e-9, 10e-6))
+
+    def test_run_statistics(self):
+        spec, geom = reference_campaign(1)
+        calib = calibrate(synthesize_campaign(spec, geom, seed=42))
+        assert 1 <= calib.gamma_evals <= 30
+        assert not calib.scan_fallback
+        assert calib.chi2_dof == pytest.approx(1.0, abs=0.2)
+        text = calibration_text(calib)
+        for token in ("chi2", "gamma_evals", "scan_fallback"):
+            assert token not in text
+
+    @settings(max_examples=6)
+    @given(dv=st.floats(-0.05, 0.05), seed=st.integers(0, 2**16))
+    def test_voltage_shift_equivariance(self, dv, seed):
+        spec, geom = short_campaign()
+        shifted_spec = dataclasses.replace(
+            spec,
+            voltages=tuple(v + dv for v in spec.voltages),
+            v0_law=V0Law(spec.v0_law.slope, spec.v0_law.intercept + dv),
+        )
+        calib = calibrate(synthesize_campaign(spec, geom, seed=seed))
+        shifted = calibrate(synthesize_campaign(shifted_spec, geom, seed=seed))
+        assert shifted.c_cal == pytest.approx(calib.c_cal, rel=1e-9)
+        assert shifted.z0 == pytest.approx(calib.z0, rel=1e-9)
+        assert shifted.line.law.intercept == pytest.approx(
+            calib.line.law.intercept + dv, abs=1e-9)
 
     def test_z0_bounds_domain_error(self, set1_grid):
         from casimirlab.errors import ValidityDomainError

@@ -35,6 +35,30 @@ def capacitance(a, R, n_terms=200000):
     return 4.0 * math.pi * EPSILON_0 * R * math.sinh(kappa) * total
 
 
+def gamma_over_c_long_sum(a, R, dps=50):
+    """gamma/C = 2 pi eps0 f''(y) / R with f(y) = sum_n sinh k / sinh(n k), cosh k = 1 + y.
+
+    The capacitance sum runs to 1e-dps relative in extended precision and
+    is differentiated twice by a central difference of relative step 1e-12.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        def f(y):
+            kappa = mp.acosh(1 + y)
+            sk, total, n = mp.sinh(kappa), mp.mpf(0), 1
+            while True:
+                term = sk / mp.sinh(n * kappa)
+                total += term
+                if term < mp.mpf(10) ** -dps * total:
+                    return total
+                n += 1
+
+        y = mp.mpf(a) / mp.mpf(R)
+        h = y * mp.mpf("1e-12")
+        f2 = (f(y + h) - 2 * f(y) + f(y - h)) / (h * h)
+        return float(2 * mp.pi * mp.mpf(EPSILON_0) * f2 / mp.mpf(R))
+
+
 def gamma_fd_oracle(a, R, c_cal):
     """gamma = (C/2) d2C_cap/da2 by Richardson-extrapolated differences."""
     def second(h):
@@ -122,10 +146,41 @@ class TestGammaCoefficient:
     def test_precision_guard(self):
         with pytest.raises(PrecisionError):
             gamma_coefficient(1e-10 * R_SPHERE, R_SPHERE, C_CAL)
+        with pytest.raises(PrecisionError):
+            gamma_over_c(np.array([0.01, 1e-10, 0.02]) * R_SPHERE, R_SPHERE)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             gamma_over_c(-1e-9, R_SPHERE)
+        with pytest.raises(ValueError):
+            gamma_over_c(np.array([300e-9, 0.0]), R_SPHERE)
+        with pytest.raises(ValueError):
+            gamma_over_c(300e-9, 0.0)
+
+    @pytest.fixture(scope="class")
+    def long_sums(self):
+        return {ratio: gamma_over_c_long_sum(ratio * R_SPHERE, R_SPHERE)
+                for ratio in (3e-4, 1e-3, 5.7e-3, 0.03)}
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_tol_met_against_long_sum(self, long_sums, tol):
+        for ratio, reference in long_sums.items():
+            got = gamma_over_c(ratio * R_SPHERE, R_SPHERE, tol=tol)
+            assert abs(got / reference - 1.0) <= tol, (ratio, tol)
+
+    def test_slope_matches_central_difference(self):
+        a = np.array([3e-4, 1e-3, 5.7e-3, 0.03]) * R_SPHERE
+        g, dg = gamma_over_c(a, R_SPHERE, tol=1e-14, slope=True)
+        assert np.array_equal(g, gamma_over_c(a, R_SPHERE, tol=1e-14))
+        h = 1e-3 * a
+        fd = (gamma_over_c(a - 2 * h, R_SPHERE, tol=1e-14)
+              - 8.0 * gamma_over_c(a - h, R_SPHERE, tol=1e-14)
+              + 8.0 * gamma_over_c(a + h, R_SPHERE, tol=1e-14)
+              - gamma_over_c(a + 2 * h, R_SPHERE, tol=1e-14)) / (12.0 * h)
+        assert np.all(np.abs(dg / fd - 1.0) <= 1e-7)
+        g1, dg1 = gamma_over_c(float(a[1]), R_SPHERE, tol=1e-14, slope=True)
+        assert isinstance(g1, float) and isinstance(dg1, float)
+        assert (g1, dg1) == pytest.approx((g[1], dg[1]), rel=1e-12)
 
 
 class TestFrequencyShift:
