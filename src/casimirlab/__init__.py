@@ -25,7 +25,6 @@ from .lifshitz import (  # noqa: F401
     IDEAL_METAL,
     IdealMetal,
     MatsubaraCache,
-    MatsubaraSpectrum,
     PressureResult,
     ReflectionPair,
     casimir_pressure,

@@ -440,10 +440,11 @@ class ComparisonReport:
 
 
 def default_windows(a_lo: float, a_hi: float, width: float = 100e-9):
-    """Contiguous windows aligned to multiples of the width."""
+    """Contiguous windows aligned to multiples of the width, clipped to
+    [a_lo, a_hi] so that each label states the range its verdict covers."""
     k0 = math.floor(a_lo / width)
     k1 = math.ceil(a_hi / width - 1e-12)
-    return [(k * width, min((k + 1) * width, a_hi)) for k in range(k0, k1)]
+    return [(max(k * width, a_lo), min((k + 1) * width, a_hi)) for k in range(k0, k1)]
 
 
 def compare(

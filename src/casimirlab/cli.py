@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .errors import CasimirLabError, ConfigError
 from .force_model import BetaTable, Geometry, pressure_to_gradient_sweep
-from .lifshitz import pressure_sweep, pressure_sweep_text
+from .lifshitz import pressure_sweep_text
 from .vexp import (
     CampaignSpec,
     V0Law,
@@ -163,8 +163,7 @@ def _cmd_theory(args, cp):
         lines.append("  ".join(row))
     _write(out, "theory_gradients.txt", "\n".join(lines) + "\n")
 
-    pressures = {tag: pressure_sweep(model, grid, geometry.temperature, tol)
-                 for tag, model in models.items()}
+    pressures = {tag: (s.pressures, s.pressure_truncations) for tag, s in sweeps.items()}
     _write(out, "theory_pressures.txt", manifest + pressure_sweep_text(grid, pressures))
     print(f"wrote {out / 'theory_gradients.txt'} and {out / 'theory_pressures.txt'}")
     return 0

@@ -117,7 +117,9 @@ class ForceGradient:
     """Force-gradient value at one separation.
 
     value is the plotted channel in N/m (positive = attractive); pressure
-    is the underlying signed plate-plate pressure in Pa (negative).
+    is the underlying signed plate-plate pressure in Pa (negative).  The
+    thermal-sum truncation bound is given for both: in N/m for the value,
+    in Pa for the pressure.
     """
 
     value: float
@@ -126,6 +128,7 @@ class ForceGradient:
     roughness_factor: float
     beta_clamped: bool
     truncation_error_estimate: float
+    pressure_truncation: float
 
     @property
     def magnitude(self) -> float:
@@ -165,6 +168,7 @@ def force_gradient(
         roughness_factor=rough,
         beta_clamped=clamped,
         truncation_error_estimate=2.0 * np.pi * geometry.R * rough * res.truncation_error_estimate,
+        pressure_truncation=res.truncation_error_estimate,
     )
 
 
@@ -175,7 +179,8 @@ class GradientSweep:
     separations: np.ndarray       # m, sorted
     values: np.ndarray            # N/m, positive = attractive
     pressures: np.ndarray         # Pa
-    truncation_estimates: np.ndarray
+    truncation_estimates: np.ndarray  # N/m
+    pressure_truncations: np.ndarray  # Pa
     beta_clamped: np.ndarray      # bool per row
     model_label: str
     geometry: Geometry
@@ -222,18 +227,21 @@ def pressure_to_gradient_sweep(
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
     trunc = np.empty_like(grid)
+    p_trunc = np.empty_like(grid)
     clamped = np.zeros(grid.size, dtype=bool)
     for i, a in enumerate(grid):
         fg = force_gradient(model, geometry, beta, float(a), tol, cache=cache)
         values[i] = fg.value
         pressures[i] = fg.pressure
         trunc[i] = fg.truncation_error_estimate
+        p_trunc[i] = fg.pressure_truncation
         clamped[i] = fg.beta_clamped
     return GradientSweep(
         separations=grid,
         values=values,
         pressures=pressures,
         truncation_estimates=trunc,
+        pressure_truncations=p_trunc,
         beta_clamped=clamped,
         model_label=model.label(),
         geometry=geometry,

@@ -15,7 +15,6 @@ declared extrapolation tag, never inferred numerically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ from .optics import PermittivityModel
 
 __all__ = [
     "matsubara_frequency",
-    "matsubara_frequencies",
-    "MatsubaraSpectrum",
     "ReflectionPair",
     "IdealMetal",
     "IDEAL_METAL",
@@ -57,23 +54,6 @@ def matsubara_frequency(l: int, temperature: float) -> float:
     return 2.0 * math.pi * K_B * temperature * l / HBAR
 
 
-def matsubara_frequencies(l_max: int, temperature: float) -> np.ndarray:
-    """Frequencies xi_l for l = 0 .. l_max as an array."""
-    return matsubara_frequency(1, temperature) * np.arange(l_max + 1, dtype=float)
-
-
-@dataclass(frozen=True)
-class MatsubaraSpectrum:
-    """Thermal frequency ladder: xi_l = 2 pi k_B T l / hbar for l = 0 .. max_index."""
-
-    temperature: float
-    max_index: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return matsubara_frequencies(self.max_index, self.temperature)
-
-
 @dataclass(frozen=True)
 class ReflectionPair:
     """Fresnel reflection amplitudes at an imaginary frequency."""
@@ -94,6 +74,38 @@ class IdealMetal:
 IDEAL_METAL = IdealMetal()
 
 
+def _fresnel(eps, q, w):
+    """r_TM, r_TE at a finite imaginary frequency xi = w c.
+
+    q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector and eps the
+    permittivity at xi; arrays broadcast.
+    """
+    k = np.sqrt(q * q + (eps - 1.0) * w * w)
+    return (eps * q - k) / (eps * q + k), (q - k) / (q + k)
+
+
+def _tagged_reflection(model, k_perp):
+    """r_TM, r_TE fixed by the model's declared tag rather than by eps.
+
+    'drude' and 'plasma' give the xi = 0 limit: (1, 0), or a TE response
+    kept through the plasma frequency.  'ideal' gives (1, -1), which the
+    perfect reflector has at every frequency.  Any other model raises
+    AmbiguousZeroTermError.
+    """
+    tag = getattr(model, "zero_tag", "")
+    if tag == "ideal":
+        return 1.0, -1.0
+    if tag == "drude":
+        return 1.0, 0.0
+    if tag == "plasma":
+        s = np.sqrt(k_perp * k_perp + (model.omega_p / C_LIGHT) ** 2)
+        return 1.0, (k_perp - s) / (k_perp + s)
+    raise AmbiguousZeroTermError(
+        f"model {model!r} declares no zero-frequency tag; "
+        "choose a drude- or plasma-tagged extrapolation"
+    )
+
+
 def reflection_coefficients(model, xi: float, k_perp: float) -> ReflectionPair:
     """Reflection amplitudes r_TM, r_TE at imaginary frequency xi.
 
@@ -101,7 +113,8 @@ def reflection_coefficients(model, xi: float, k_perp: float) -> ReflectionPair:
     q = (k_perp^2 + xi^2/c^2)^1/2 and k = (k_perp^2 + eps xi^2/c^2)^1/2.
     At xi = 0 the model's zero-frequency tag decides the limit:
     'drude' gives (1, 0); 'plasma' keeps a TE response through the plasma
-    frequency; the ideal surrogate returns (1, -1).
+    frequency; the ideal surrogate returns (1, -1).  This is a scalar view
+    of the kernels the pressure integrands use.
 
     Parameters
     ----------
@@ -115,23 +128,12 @@ def reflection_coefficients(model, xi: float, k_perp: float) -> ReflectionPair:
         raise ValueError("xi must be >= 0")
     if not k_perp > 0:
         raise ValueError("k_perp must be positive")
-    if isinstance(model, IdealMetal):
-        return ReflectionPair(1.0, -1.0)
-    if xi == 0.0:
-        tag = getattr(model, "zero_tag", "")
-        if tag == "drude":
-            return ReflectionPair(1.0, 0.0)
-        if tag == "plasma":
-            s = math.hypot(k_perp, model.omega_p / C_LIGHT)
-            return ReflectionPair(1.0, (k_perp - s) / (k_perp + s))
-        raise AmbiguousZeroTermError(
-            f"model {model!r} declares no zero-frequency tag; "
-            "choose a drude- or plasma-tagged extrapolation"
-        )
-    eps = model.epsilon(xi)
-    q = math.hypot(k_perp, xi / C_LIGHT)
-    k = math.sqrt(k_perp * k_perp + eps * (xi / C_LIGHT) ** 2)
-    return ReflectionPair((eps * q - k) / (eps * q + k), (q - k) / (q + k))
+    if isinstance(model, IdealMetal) or xi == 0.0:
+        r_tm, r_te = _tagged_reflection(model, k_perp)
+    else:
+        w = xi / C_LIGHT
+        r_tm, r_te = _fresnel(model.epsilon(xi), math.hypot(k_perp, w), w)
+    return ReflectionPair(float(r_tm), float(r_te))
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (standard nodes).
@@ -173,45 +175,20 @@ def _mode_occupancy(r2, y):
     return out
 
 
-def _r2_arrays(model, xi, eps, y, a):
-    """Squared reflection coefficients on the y nodes.
-
-    xi and eps broadcast against y; xi = 0 rows must not be passed here
-    (see _zero_integrand).
-    """
-    q = y / (2.0 * a)
-    w = xi / C_LIGHT
-    k = np.sqrt(q * q + (eps - 1.0) * w * w)
-    r_tm = (eps * q - k) / (eps * q + k)
-    r_te = (q - k) / (q + k)
-    return r_tm * r_tm, r_te * r_te
+def _integrand(r_tm, r_te, y):
+    """y^2 summed over polarisations of the mode occupancy at amplitude r."""
+    return y * y * (_mode_occupancy(r_tm * r_tm, y) + _mode_occupancy(r_te * r_te, y))
 
 
 def _finite_integrand(y, xi, eps, a):
-    r_tm2, r_te2 = _r2_arrays(None, xi, eps, y, a)
-    return y * y * (_mode_occupancy(r_tm2, y) + _mode_occupancy(r_te2, y))
+    """Integrand of a term with xi > 0; xi and eps broadcast against y."""
+    return _integrand(*_fresnel(eps, y / (2.0 * a), xi / C_LIGHT), y)
 
 
-def _ideal_integrand(y):
-    return 2.0 * y * y * _mode_occupancy(np.ones_like(y), y)
-
-
-def _zero_integrand(model, y, a):
-    tag = getattr(model, "zero_tag", "")
-    if tag == "ideal":
-        return _ideal_integrand(y)
-    if tag == "drude":
-        return y * y * _mode_occupancy(np.ones_like(y), y)
-    if tag == "plasma":
-        k_perp = y / (2.0 * a)
-        s = np.sqrt(k_perp * k_perp + (model.omega_p / C_LIGHT) ** 2)
-        r_te = (k_perp - s) / (k_perp + s)
-        tm = _mode_occupancy(np.ones_like(y), y)
-        return y * y * (tm + _mode_occupancy(r_te * r_te, y))
-    raise AmbiguousZeroTermError(
-        f"model {model!r} declares no zero-frequency tag; "
-        "choose a drude- or plasma-tagged extrapolation"
-    )
+def _tagged_integrand(model, y, a):
+    """Integrand with the reflection fixed by the model's tag (the l = 0
+    term, and every term of the ideal reflector)."""
+    return _integrand(*_tagged_reflection(model, y / (2.0 * a)), y)
 
 
 def _panels_integrate(f, y_start, edges_rel):
@@ -267,7 +244,7 @@ def _integrate_terms(f_for, y_start, tol, context=""):
 
 def _zero_term(model, a, tol):
     def f_for(_rows):
-        return lambda y: _zero_integrand(model, y, a)
+        return lambda y: _tagged_integrand(model, y, a)
 
     return float(_integrate_terms(f_for, np.zeros(1), tol, context=f"(l=0, a={a})")[0])
 
@@ -277,7 +254,7 @@ def _finite_terms(model, a, ls, xi1, tol, cache=None):
     xi = xi1 * ls
     if isinstance(model, IdealMetal):
         def f_for(rows):
-            return lambda y: _ideal_integrand(y)
+            return lambda y: _tagged_integrand(model, y, a)
     else:
         if cache is not None:
             eps = cache.eps_for(ls)
@@ -343,9 +320,6 @@ def _tail_bound(y1, last_l):
     return envelope * (y1 * y1 * s2 + 2.0 * y1 * s1 + 2.0 * s0)
 
 
-_CHUNK = 64
-
-
 def casimir_pressure(
     model,
     a: float,
@@ -353,8 +327,6 @@ def casimir_pressure(
     tol: float = 1e-9,
     *,
     with_breakdown: bool = False,
-    parallel: bool = False,
-    max_workers: int | None = None,
     cache: MatsubaraCache | None = None,
 ) -> PressureResult:
     """Casimir pressure between parallel plates at separation a.
@@ -368,16 +340,15 @@ def casimir_pressure(
     temperature : float
         Temperature in K.
     tol : float
-        Relative accuracy target, within [1e-12, 1e-4].  The thermal sum
-        stops once three consecutive terms contribute less than tol/10
-        relative to the running total, with a hard cap on the index from
-        the exponential decay e^{2 a q_l}.
+        Relative accuracy target, within [1e-12, 1e-4].  Terms l = 1 ..
+        ceil(20 / y_1) are integrated, where the cap y_l <= 20 follows from
+        the exponential decay e^{2 a q_l}; the thermal sum then stops once
+        three consecutive terms contribute less than tol/10 relative to the
+        running total.  At tol <= ~1e-8 the cap ends the sum first
+        (stopped_by = "cap"), so tol is not met there: at tol = 1e-9 the
+        sum is 6e-9 to 2.1e-8 relative off a long-sum reference.
     with_breakdown : bool
         Also return per-term contributions in Pa.
-    parallel : bool
-        Evaluate thermal terms in a thread pool.  The summation is
-        performed with exact (fsum) accumulation over the identical term
-        values, so serial and parallel results agree to the last bit.
     cache : MatsubaraCache, optional
         Shared permittivity cache for separation sweeps.
 
@@ -399,40 +370,8 @@ def casimir_pressure(
     l_cap = max(1, math.ceil(20.0 / y1))
 
     i_zero = _zero_term(model, a, tol)
-
-    def chunk_values(l_lo, l_hi):
-        ls = np.arange(l_lo, l_hi + 1)
-        return _finite_terms(model, a, ls, xi1, tol, cache=cache)
-
-    if parallel:
-        bounds = [(lo, min(lo + _CHUNK - 1, l_cap)) for lo in range(1, l_cap + 1, _CHUNK)]
-        if cache is not None:
-            cache.eps_for(np.array([l_cap]))  # pre-extend once; cache growth is not thread-safe
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(lambda b: chunk_values(*b), bounds))
-        all_terms = np.concatenate(parts)
-        kept, stopped_by = _scan_stop(i_zero, all_terms, tol)
-    else:
-        kept_list: list[np.ndarray] = []
-        stopped_by = "cap"
-        running = 0.5 * i_zero
-        consec = 0
-        done = False
-        for lo in range(1, l_cap + 1, _CHUNK):
-            hi = min(lo + _CHUNK - 1, l_cap)
-            vals = chunk_values(lo, hi)
-            for j, v in enumerate(vals):
-                running += v
-                consec = consec + 1 if abs(v) < (tol / 10.0) * abs(running) else 0
-                if consec == 3:
-                    kept_list.append(vals[: j + 1])
-                    stopped_by = "tol"
-                    done = True
-                    break
-            if done:
-                break
-            kept_list.append(vals)
-        kept = np.concatenate(kept_list) if kept_list else np.empty(0)
+    terms = _finite_terms(model, a, np.arange(1, l_cap + 1), xi1, tol, cache=cache)
+    kept, stopped_by = _scan_stop(i_zero, terms, tol)
 
     total = math.fsum([0.5 * i_zero] + kept.tolist())
     prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
@@ -452,7 +391,7 @@ def casimir_pressure(
 
 
 def _scan_stop(i_zero, terms, tol):
-    """Apply the serial stopping rule to a precomputed term sequence."""
+    """Keep terms up to the third consecutive one below tol/10 of the running sum."""
     running = 0.5 * i_zero
     consec = 0
     for j, v in enumerate(terms):
@@ -463,7 +402,7 @@ def _scan_stop(i_zero, terms, tol):
     return terms, "cap"
 
 
-def pressure_sweep(model, separations, temperature=293.15, tol=1e-9, parallel=False):
+def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):
     """Pressure over a separation grid with a shared permittivity cache.
 
     Returns (pressures, truncation_estimates) as arrays aligned with
@@ -476,9 +415,7 @@ def pressure_sweep(model, separations, temperature=293.15, tol=1e-9, parallel=Fa
     p = np.empty_like(separations)
     trunc = np.empty_like(separations)
     for i, a in enumerate(separations):
-        res = casimir_pressure(
-            model, float(a), temperature, tol, parallel=parallel, cache=cache
-        )
+        res = casimir_pressure(model, float(a), temperature, tol, cache=cache)
         p[i] = res.pressure
         trunc[i] = res.truncation_error_estimate
     return p, trunc

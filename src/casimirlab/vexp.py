@@ -292,10 +292,14 @@ def save_grid(grid: MeasurementGrid, path) -> None:
 
 
 def load_grid(path) -> MeasurementGrid:
-    """Read a grid written by save_grid."""
+    """Read a grid written by save_grid.
+
+    Every row's a_nm must equal z0_true_m + grid_step_m * j to within
+    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.
+    """
     meta: dict[str, str] = {}
-    blocks: list[list[float]] = []
-    current: list[float] | None = None
+    blocks: list[list[tuple[float, float]]] = []
+    current: list[tuple[float, float]] | None = None
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line:
@@ -311,7 +315,11 @@ def load_grid(path) -> MeasurementGrid:
             continue
         if current is None:
             raise ConfigError(f"{path}: data before first block header")
-        current.append(float(line.split()[1]))
+        try:
+            a_nm, shift = map(float, line.split())
+        except ValueError:
+            raise ConfigError(f"{path}: malformed data row {line!r}") from None
+        current.append((a_nm, shift))
 
     try:
         spec = CampaignSpec(
@@ -345,13 +353,18 @@ def load_grid(path) -> MeasurementGrid:
     if len(blocks) != n_v * n_rep:
         raise ConfigError(f"{path}: expected {n_v * n_rep} blocks, found {len(blocks)}")
     n_sep = len(blocks[0])
-    shifts = np.empty((n_v, n_rep, n_sep))
-    k = 0
-    for vi in range(n_v):
-        for rep in range(n_rep):
-            if len(blocks[k]) != n_sep:
-                raise ConfigError(f"{path}: ragged blocks")
-            shifts[vi, rep] = blocks[k]
-            k += 1
+    if any(len(b) != n_sep for b in blocks):
+        raise ConfigError(f"{path}: ragged blocks")
+    data = np.array(blocks).reshape(n_v, n_rep, n_sep, 2)
     z_rel = spec.grid_step * np.arange(n_sep)
+    expected_nm = (spec.z0_true + z_rel) * 1e9
+    bad = np.argwhere(np.abs(data[..., 0] - expected_nm) > 1e-6)
+    if bad.size:
+        vi, rep, j = bad[0]
+        raise ConfigError(
+            f"{path}: block voltage_index = {vi} repetition = {rep}, row {j}: "
+            f"a_nm = {data[vi, rep, j, 0]:.6f}, but z0_true_m + grid_step_m * {j} "
+            f"gives {expected_nm[j]:.6f}"
+        )
+    shifts = data[..., 1].copy()
     return MeasurementGrid(z_rel=z_rel, shifts=shifts, spec=spec, geometry=geometry, seed=seed)

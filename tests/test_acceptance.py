@@ -22,7 +22,7 @@ from casimirlab.analysis import (
 from casimirlab.constants import C_LIGHT, EPSILON_0, HBAR, K_B
 from casimirlab.electrostatics import calibration_constant, gamma_coefficient, gamma_over_c
 from casimirlab.force_model import BetaTable, Geometry, force_gradient, pressure_to_gradient_sweep
-from casimirlab.lifshitz import IDEAL_METAL, casimir_pressure
+from casimirlab.lifshitz import IDEAL_METAL, MatsubaraCache, casimir_pressure, pressure_sweep
 from casimirlab.optics import AU_DRUDE, Drude, Plasma
 from casimirlab.vexp import model_for_tag, reference_campaign, synthesize_campaign
 
@@ -219,16 +219,24 @@ def test_criterion_09_numerical_robustness():
     g1 = gamma_over_c(500e-9, R_SPHERE, tol=1e-10)
     g2 = gamma_over_c(500e-9, R_SPHERE, tol=5e-11)
     gamma_ok = abs(g2 - g1) <= 1e-10 * abs(g1)
-    worst_par = 0.0
-    for a in (300e-9, 800e-9):
-        for model in (DRUDE, PLASMA, IDEAL_METAL):
-            ps = casimir_pressure(model, a, 293.15, 1e-9, parallel=False).pressure
-            pp = casimir_pressure(model, a, 293.15, 1e-9, parallel=True).pressure
-            worst_par = max(worst_par, abs(pp / ps - 1.0))
-    ok = worst_tol <= 1.0 and gamma_ok and worst_par <= 1e-12
+    worst_sweep, same_terms = 0.0, True
+    seps = [300e-9, 800e-9]
+    for model in (DRUDE, PLASMA, IDEAL_METAL):
+        swept, swept_trunc = pressure_sweep(model, seps, 293.15, 1e-9)
+        grad = pressure_to_gradient_sweep(model, Geometry(R=R_SPHERE), BetaTable(), seps, 1e-9)
+        cache = MatsubaraCache(model, 293.15)
+        for i, a in enumerate(seps):
+            fresh = casimir_pressure(model, a, 293.15, 1e-9)
+            cached = casimir_pressure(model, a, 293.15, 1e-9, cache=cache)
+            for p in (swept[i], grad.pressures[i], cached.pressure):
+                worst_sweep = max(worst_sweep, abs(p / fresh.pressure - 1.0))
+            # the truncation bound is strictly decreasing in the term count
+            same_terms &= cached.n_terms == fresh.n_terms and (
+                swept_trunc[i] == grad.pressure_truncations[i] == fresh.truncation_error_estimate)
+    ok = worst_tol <= 1.0 and gamma_ok and worst_sweep <= 1e-12 and same_terms
     report(9, ok, f"halving tolerances moves F' by {worst_tol:.3f} x the original tol "
-                  f"(need <= 1); parallel vs serial thermal sum rel dev {worst_par:.1e} "
-                  f"(need <= 1e-12)")
+                  f"(need <= 1); shared-cache sweeps vs fresh per-point thermal sum rel dev "
+                  f"{worst_sweep:.1e} (need <= 1e-12), equal term counts: {same_terms}")
 
 
 def test_criterion_10_roughness_factor():

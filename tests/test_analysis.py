@@ -411,9 +411,9 @@ class TestCompare:
 
     def test_default_windows_alignment(self):
         wins = default_windows(248e-9, 951e-9)
-        assert wins[0][0] == pytest.approx(200e-9)
-        assert wins[-1][1] == pytest.approx(951e-9)
-        widths = [hi - lo for lo, hi in wins[:-1]]
+        assert wins[0] == (248e-9, pytest.approx(300e-9))
+        assert wins[-1] == (pytest.approx(900e-9), 951e-9)
+        widths = [hi - lo for lo, hi in wins[1:-1]]
         assert np.allclose(widths, 100e-9)
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from casimirlab.cli import main
+from casimirlab.lifshitz import casimir_pressure
+from casimirlab.vexp import model_for_tag
 
 
 def run(args):
@@ -77,6 +79,24 @@ class TestTheory:
         a, fd, fp, *_ = (float(tok) for tok in rows[0].split())
         assert a == 250.0
         assert fp > fd > 0
+
+    def test_pressures_match_per_point_evaluation(self, tmp_path):
+        # theory_pressures.txt is written from the gradient sweeps; every
+        # row must still equal a per-point pressure at the command's tol
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[theory]\na_start_nm = 250\na_stop_nm = 950\na_step_nm = 35\ntol = 1e-8\n")
+        out = tmp_path / "r"
+        assert run(["theory", "--config", cfg, "--out", out, "--model", "both"]) == 0
+        text = (out / "theory_pressures.txt").read_text()
+        assert "# columns: a_nm  P_drude_Pa  P_plasma_Pa  trunc_drude_Pa  trunc_plasma_Pa" in text
+        rows = read_rows(out / "theory_pressures.txt")
+        assert len(rows) == 21
+        for row in rows:
+            a_nm, *cols = row.split()
+            res = [casimir_pressure(model_for_tag(tag), float(a_nm) * 1e-9, 293.15, 1e-8)
+                   for tag in ("drude", "plasma")]
+            want = [f"{r.pressure:.9e}" for r in res] + [f"{r.truncation_error_estimate:.3e}" for r in res]
+            assert cols == want, a_nm
 
 
 class TestPipeline:

@@ -7,10 +7,10 @@ from scipy.special import zeta
 
 from casimirlab.constants import C_LIGHT, HBAR, K_B, ev_to_rad_per_s
 from casimirlab.errors import AmbiguousZeroTermError, ValidityDomainError
+from casimirlab.force_model import BetaTable, Geometry, pressure_to_gradient_sweep
 from casimirlab.lifshitz import (
     IDEAL_METAL,
     MatsubaraCache,
-    MatsubaraSpectrum,
     casimir_pressure,
     matsubara_frequency,
     pressure_sweep,
@@ -40,13 +40,6 @@ class TestMatsubara:
     def test_linearity_in_index(self):
         x1 = matsubara_frequency(1, T_LAB)
         assert matsubara_frequency(10, T_LAB) == pytest.approx(10.0 * x1, rel=1e-15)
-
-    def test_spectrum_object(self):
-        sp = MatsubaraSpectrum(temperature=T_LAB, max_index=5)
-        f = sp.frequencies
-        assert f[0] == 0.0
-        assert np.all(np.diff(f) > 0)
-        assert np.allclose(np.diff(f), f[1])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -213,12 +206,23 @@ class TestPressureProperties:
             oracle = _kperp_term_oracle(DRUDE, l, a, T_LAB)
             assert res.term_breakdown[l] == pytest.approx(oracle, rel=1e-8)
 
-    def test_parallel_matches_serial_summation(self):
+    def test_sweeps_match_per_point_summation(self):
+        # both sweeps share one permittivity cache across separations; each
+        # point must still match a fresh evaluation, term count included
+        # (the truncation bound is strictly decreasing in the term count)
+        seps = [300e-9, 800e-9]
         for model in (DRUDE, PLASMA, IDEAL_METAL):
-            serial = casimir_pressure(model, 350e-9, T_LAB, 1e-9, parallel=False)
-            thread = casimir_pressure(model, 350e-9, T_LAB, 1e-9, parallel=True)
-            assert thread.pressure == pytest.approx(serial.pressure, rel=1e-12)
-            assert thread.n_terms == serial.n_terms
+            swept, swept_trunc = pressure_sweep(model, seps, T_LAB, 1e-9)
+            grad = pressure_to_gradient_sweep(model, Geometry(R=43.466e-6), BetaTable(), seps, 1e-9)
+            cache = MatsubaraCache(model, T_LAB)
+            for i, a in enumerate(seps):
+                fresh = casimir_pressure(model, a, T_LAB, 1e-9)
+                cached = casimir_pressure(model, a, T_LAB, 1e-9, cache=cache)
+                assert cached.n_terms == fresh.n_terms
+                for p in (swept[i], grad.pressures[i], cached.pressure):
+                    assert p == pytest.approx(fresh.pressure, rel=1e-12, abs=0)
+                assert swept_trunc[i] == fresh.truncation_error_estimate
+                assert grad.pressure_truncations[i] == fresh.truncation_error_estimate
 
     def test_truncation_estimate_bounds_tail(self):
         # loosely-converged run must sit within its own truncation bound of

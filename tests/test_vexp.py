@@ -186,3 +186,20 @@ class TestSerialization:
         assert "# columns: a_nm  delta_omega_rad_s" in text
         n_blocks = text.count("# block ")
         assert n_blocks == 21 * spec.repetitions
+
+    def test_separation_column_must_match_grid(self, tmp_path):
+        spec, geom = short_campaign()
+        path = tmp_path / "grid.txt"
+        save_grid(synthesize_campaign(spec, geom, seed=9), path)
+        lines = path.read_text().splitlines()
+        # shift one separation of the last block by 1 pm; the shift stays put
+        i = len(lines) - 3
+        a_nm, shift = lines[i].split()
+        lines[i] = f"{float(a_nm) + 1e-3:.6f} {shift}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="a_nm"):
+            load_grid(path)
+        lines[i] = a_nm
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="malformed"):
+            load_grid(path)
