@@ -2,7 +2,7 @@
 
 Subpackages by concern: optics (imaginary-axis permittivity), lifshitz
 (plate-plate pressure), force_model (sphere-plate gradient), electrostatics
-(cantilever response and the exact image-series coefficient), vexp
+(calibration constant and the exact image-series coefficient), vexp
 (synthetic measurement campaigns), analysis (calibration, error budget and
 the confidence-band exclusion test), cli (command-line front end).
 """
@@ -19,7 +19,6 @@ from .optics import (  # noqa: F401
     PermittivityModel,
     Plasma,
     Tabulated,
-    eval_permittivity,
 )
 from .lifshitz import (  # noqa: F401
     IDEAL_METAL,
@@ -41,14 +40,9 @@ from .force_model import (  # noqa: F401
     pressure_to_gradient_sweep,
 )
 from .electrostatics import (  # noqa: F401
-    CantileverSpec,
-    FrequencyShiftModel,
-    amplitude_limit,
     calibration_constant,
-    frequency_shift,
     gamma_coefficient,
     gamma_over_c,
-    spring_constant,
 )
 from .vexp import (  # noqa: F401
     CampaignSpec,

@@ -371,7 +371,10 @@ def combine_gradient_series(series_list, grid=None) -> GradientSeries:
 
     Per-set series are linearly resampled onto the common separations
     (default: integer nanometres covering the intersection); means average,
-    and the combined total error is the mean of the per-set totals.
+    and the combined total error is the mean of the per-set totals.  A grid
+    point past either end of a series takes that end's value with a
+    UserWarning when it lies within the series' largest step, and raises
+    GridAlignmentError further out.
     """
     if not series_list:
         raise ValueError("no series to combine")
@@ -383,6 +386,18 @@ def combine_gradient_series(series_list, grid=None) -> GradientSeries:
             raise GridAlignmentError("series do not overlap")
         grid = np.arange(lo_nm, hi_nm + 1) * 1e-9
     grid = np.asarray(grid, dtype=float)
+    for k, s in enumerate(series_list):
+        past = max(np.max(s.separations[0] - grid, initial=0.0),
+                   np.max(grid - s.separations[-1], initial=0.0))
+        if past > 0.0:
+            step = np.max(np.diff(s.separations), initial=0.0)
+            if past > step:
+                raise GridAlignmentError(
+                    f"grid reaches {past * 1e9:.3f} nm past series {k}, beyond its "
+                    f"largest step of {step * 1e9:.3f} nm"
+                )
+            warnings.warn(f"series {k} held at its end value {past * 1e9:.3f} nm past "
+                          "its data", stacklevel=2)
 
     def resample(s, values):
         return np.interp(grid, s.separations, values)

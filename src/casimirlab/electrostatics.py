@@ -1,41 +1,28 @@
-"""Cantilever mechanics and the exact sphere-plate electrostatic response.
+"""Calibration constant and the exact sphere-plate electrostatic coefficient.
 
-The frequency shift of the oscillating cantilever in the linear regime is
-delta_omega = -gamma(a) (V - V0)^2 - C F'(a) with C = omega_0 / (2 k); the
-electrostatic coefficient gamma follows from the exact image-charge series
-for the sphere-plate capacitance, parameterised by cosh(kappa) = 1 + a/R.
+In the linear regime the frequency shift of the oscillating cantilever is
+delta_omega = -gamma(a) (V - V0)^2 - C F'(a) with C = omega_0 / (2 k);
+vexp.synthesize_campaign writes that law and analysis.extract_gradients
+inverts it.  The coefficient gamma follows from the exact image-charge
+series for the sphere-plate capacitance, parameterised by
+cosh(kappa) = 1 + a/R.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import EPSILON_0
-from .errors import ModelError, NumericsError, PrecisionError, ValidityDomainError
+from .errors import NumericsError, PrecisionError
 
 __all__ = [
-    "CantileverSpec",
-    "FrequencyShiftModel",
-    "spring_constant",
     "calibration_constant",
-    "amplitude_limit",
     "gamma_coefficient",
     "gamma_over_c",
-    "frequency_shift",
 ]
-
-
-def spring_constant(width: float, thickness: float, length: float, youngs_modulus: float) -> float:
-    """Rectangular-beam spring constant w v^3 Y / (4 L^3) in N/m."""
-    for name, val in (("width", width), ("thickness", thickness),
-                      ("length", length), ("youngs_modulus", youngs_modulus)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    return width * thickness**3 * youngs_modulus / (4.0 * length**3)
 
 
 def calibration_constant(k: float, omega0: float) -> float:
@@ -45,68 +32,6 @@ def calibration_constant(k: float, omega0: float) -> float:
     if not omega0 > 0:
         raise ValueError(f"resonant frequency must be positive, got {omega0}")
     return omega0 / (2.0 * k)
-
-
-@dataclass(frozen=True)
-class CantileverSpec:
-    """Cantilever beam parameters; dimensions optional when k is measured."""
-
-    k: float                    # N/m
-    omega0: float               # rad/s
-    width: float | None = None
-    thickness: float | None = None
-    length: float | None = None
-    youngs_modulus: float | None = None
-
-    def __post_init__(self):
-        if not self.k > 0 or not self.omega0 > 0:
-            raise ModelError("k and omega0 must be positive")
-        dims = (self.width, self.thickness, self.length, self.youngs_modulus)
-        if all(d is not None for d in dims):
-            k_beam = spring_constant(*dims)
-            if abs(k_beam - self.k) > 0.01 * self.k:
-                raise ModelError(
-                    f"beam dimensions give k = {k_beam:.4g} N/m, inconsistent "
-                    f"with stated k = {self.k:.4g} N/m beyond 1%"
-                )
-
-    @property
-    def calibration(self) -> float:
-        return calibration_constant(self.k, self.omega0)
-
-
-def amplitude_limit(closest_approach: float) -> float:
-    """Largest oscillation amplitude keeping the shift linear, by regime.
-
-    20 nm is safe when the closest approach stays above 600 nm, 10 nm above
-    250 nm; smaller approaches are outside the validated linear regime.
-    """
-    if closest_approach >= 600e-9:
-        return 20e-9
-    if closest_approach >= 250e-9:
-        return 10e-9
-    raise ValidityDomainError(
-        f"no validated linearity limit below 250 nm closest approach "
-        f"(got {closest_approach * 1e9:.0f} nm)"
-    )
-
-
-@dataclass(frozen=True)
-class FrequencyShiftModel:
-    """Linear frequency-shift response with an amplitude validity guard."""
-
-    calibration: float        # C = omega0/(2k), s/kg
-    amplitude: float          # m
-    linearity_limit: float    # m
-
-    def __post_init__(self):
-        if not self.calibration > 0:
-            raise ModelError("calibration constant must be positive")
-        if self.amplitude > self.linearity_limit:
-            raise ValidityDomainError(
-                f"amplitude {self.amplitude * 1e9:.1f} nm exceeds the linear-regime "
-                f"limit {self.linearity_limit * 1e9:.1f} nm"
-            )
 
 
 # n-blocks keep their temporaries cache-resident, and never above 512 x points
@@ -224,12 +149,3 @@ def gamma_coefficient(a: float, R: float, c_cal: float, tol: float = 1e-10) -> f
     """
     return c_cal * gamma_over_c(a, R, tol)
 
-
-def frequency_shift(a: float, v: float, v0: float, gamma_fn, fprime_fn, c_cal: float) -> float:
-    """Linear-regime shift -gamma(a) (V - V0)^2 - C F'(a) in rad/s.
-
-    gamma_fn and fprime_fn map separation to the electrostatic coefficient
-    and the force gradient (positive = attractive).
-    """
-    dv = v - v0
-    return -gamma_fn(a) * dv * dv - c_cal * fprime_fn(a)

@@ -101,9 +101,6 @@ class BetaTable:
         interp = _pchip_for(knots)
         return float(interp(min(max(a, a_lo), a_hi))), clamped
 
-    def source(self) -> str:
-        return "zero" if not (self.drude or self.plasma) else "knots"
-
 
 @lru_cache(maxsize=16)
 def _pchip_for(knots):
@@ -129,10 +126,6 @@ class ForceGradient:
     beta_clamped: bool
     truncation_error_estimate: float
     pressure_truncation: float
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 def force_gradient(
@@ -182,28 +175,6 @@ class GradientSweep:
     truncation_estimates: np.ndarray  # N/m
     pressure_truncations: np.ndarray  # Pa
     beta_clamped: np.ndarray      # bool per row
-    model_label: str
-    geometry: Geometry
-    beta_source: str
-
-    def to_text(self) -> str:
-        g = self.geometry
-        lines = [
-            "# sphere-plate Casimir force-gradient sweep",
-            f"# model = {self.model_label}",
-            f"# R_um = {g.R * 1e6:.6g}",
-            f"# delta_s_nm = {g.delta_s * 1e9:.6g}",
-            f"# delta_p_nm = {g.delta_p * 1e9:.6g}",
-            f"# temperature_K = {g.temperature:.6g}",
-            f"# beta_source = {self.beta_source}",
-            "# columns: a_nm  Fgrad_uN_per_m  P_Pa  trunc_uN_per_m  beta_clamped",
-        ]
-        for i, a in enumerate(self.separations):
-            lines.append(
-                f"{a * 1e9:.3f}  {self.values[i] * 1e6:.9e}  {self.pressures[i]:.9e}  "
-                f"{self.truncation_estimates[i] * 1e6:.3e}  {int(self.beta_clamped[i])}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def pressure_to_gradient_sweep(
@@ -243,7 +214,4 @@ def pressure_to_gradient_sweep(
         truncation_estimates=trunc,
         pressure_truncations=p_trunc,
         beta_clamped=clamped,
-        model_label=model.label(),
-        geometry=geometry,
-        beta_source=beta.source(),
     )

@@ -67,9 +67,6 @@ class IdealMetal:
 
     zero_tag = "ideal"
 
-    def label(self) -> str:
-        return "ideal"
-
 
 IDEAL_METAL = IdealMetal()
 

@@ -14,15 +14,12 @@ and the frequency, so instances are safe to share between workers.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import ev_to_rad_per_s
-from .errors import ConfigError, DivergentAtZeroError, ModelError
+from .errors import DivergentAtZeroError, ModelError
 
 __all__ = [
     "DrudeParams",
@@ -32,9 +29,6 @@ __all__ = [
     "Drude",
     "Plasma",
     "Tabulated",
-    "eval_permittivity",
-    "load_optical_table",
-    "load_model",
     "AU_DRUDE",
     "AU_CORE_OSCILLATORS",
 ]
@@ -114,6 +108,12 @@ class OpticalTable:
             raise ModelError(f"unknown extrapolation tag {self.extrapolation!r}")
 
 
+def _require_positive(xi, name):
+    if np.any(xi <= 0):
+        raise DivergentAtZeroError(
+            f"{name} permittivity is defined for xi > 0 only; it diverges as xi -> 0")
+
+
 class PermittivityModel:
     """Common interface: epsilon(xi) for xi > 0 plus a zero-frequency tag.
 
@@ -130,9 +130,6 @@ class PermittivityModel:
     def omega_p(self) -> float:
         raise NotImplementedError
 
-    def label(self) -> str:
-        return type(self).__name__.lower()
-
 
 @dataclass(frozen=True)
 class Drude(PermittivityModel):
@@ -148,15 +145,11 @@ class Drude(PermittivityModel):
 
     def epsilon(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0):
-            raise DivergentAtZeroError("drude permittivity diverges at xi = 0")
+        _require_positive(xi, "drude")
         g = self.params.relaxation_rate
         wp = self.params.omega_p
         eps = 1.0 + wp * wp / (xi * (xi + g)) + _oscillator_sum(self.oscillators, xi)
         return float(eps) if eps.ndim == 0 else eps
-
-    def label(self) -> str:
-        return "drude"
 
 
 @dataclass(frozen=True)
@@ -173,14 +166,10 @@ class Plasma(PermittivityModel):
 
     def epsilon(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0):
-            raise DivergentAtZeroError("plasma permittivity diverges at xi = 0")
+        _require_positive(xi, "plasma")
         wp = self.params.omega_p
         eps = 1.0 + (wp / xi) ** 2 + _oscillator_sum(self.oscillators, xi)
         return float(eps) if eps.ndim == 0 else eps
-
-    def label(self) -> str:
-        return "plasma"
 
 
 @dataclass(frozen=True)
@@ -189,7 +178,7 @@ class Tabulated(PermittivityModel):
 
     The table covers [w_min, w_max]; below w_min the tagged low-frequency
     extrapolation contributes.  For the 'drude' tag that is the dispersion
-    integral of the analytic Drude absorption over [0, w_min]; for the
+    integral of the analytic Drude absorption over [0, w_min], in closed form; for the
     'plasma' tag the free-electron part enters in closed form as wp^2/xi^2
     (the table then holds only the bound-electron absorption).
     """
@@ -204,13 +193,9 @@ class Tabulated(PermittivityModel):
     def omega_p(self) -> float:
         return self.table.drude.omega_p
 
-    def label(self) -> str:
-        return f"table+{self.table.extrapolation}"
-
     def epsilon(self, xi):
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if np.any(xi_arr <= 0):
-            raise DivergentAtZeroError("tabulated metal permittivity diverges at xi = 0")
+        _require_positive(xi_arr, "tabulated metal")
         eps = 1.0 + self._table_integral(xi_arr) + self._extrapolation_part(xi_arr)
         return float(eps[0]) if np.ndim(xi) == 0 else eps
 
@@ -253,33 +238,15 @@ class Tabulated(PermittivityModel):
         wp = self.table.drude.omega_p
         g = self.table.drude.relaxation_rate
         w_min = ev_to_rad_per_s(self.table.photon_energies[0])
-        # (2/pi) int_0^{w_min} w ImepsD(w)/(w^2+xi^2) dw with
-        # ImepsD = wp^2 g / (w (w^2 + g^2)); smooth, adaptive quadrature.
-        out = np.empty_like(xi)
-        for i, x in enumerate(xi):
-            val, _ = quad(
-                lambda w: 1.0 / ((w * w + g * g) * (w * w + x * x)),
-                0.0,
-                w_min,
-                epsabs=0.0,
-                epsrel=1e-9,
-                limit=200,
-            )
-            out[i] = (2.0 / math.pi) * wp * wp * g * val
-        return out
-
-
-def eval_permittivity(model: PermittivityModel, xi):
-    """Evaluate eps(i xi) for xi > 0 in rad/s; raises on a divergent zero limit."""
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0):
-        raise ValueError("xi must be >= 0")
-    if np.any(xi_arr == 0):
-        raise DivergentAtZeroError(
-            "eps(i*0) diverges for metallic models; the zero-frequency term "
-            "is handled through the model's zero_tag"
-        )
-    return model.epsilon(xi)
+        # (2/pi) int_0^W w ImepsD(w)/(w^2+xi^2) dw with ImepsD = wp^2 g / (w (w^2 + g^2))
+        # and W = w_min is (2/pi) wp^2 g [atan(W/g)/g - atan(W/xi)/xi] / (xi^2 - g^2).
+        # With atan(W/g) - atan(W/xi) = atan(u), u = W (xi - g) / d, d = g xi + W^2,
+        # it becomes the form below, which does not cancel at xi = g.
+        d = g * xi + w_min * w_min
+        u = w_min * (xi - g) / d
+        atan_u_over_u = np.divide(np.arctan(u), u, out=np.ones_like(u), where=u != 0.0)
+        bracket = math.atan2(w_min, g) + g * w_min / d * atan_u_over_u
+        return (2.0 / math.pi) * wp * wp * bracket / (xi * (xi + g))
 
 
 # Default gold-like parameters.  Free-electron energies are the standard
@@ -296,80 +263,3 @@ AU_CORE_OSCILLATORS = (
     Oscillator(strength=2.0148, resonance_energy=13.32, width_energy=2.214),
 )
 
-
-def load_optical_table(path, extrapolation: str, drude: DrudeParams) -> OpticalTable:
-    """Read a two-column (photon energy [eV], Im eps) text table; '#' comments."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.size == 0:
-        raise ModelError(f"empty optical table: {path}")
-    if data.shape[1] != 2:
-        raise ModelError(f"optical table must have two columns, got {data.shape[1]}")
-    return OpticalTable(
-        photon_energies=tuple(float(v) for v in data[:, 0]),
-        im_epsilon=tuple(float(v) for v in data[:, 1]),
-        extrapolation=extrapolation,
-        drude=drude,
-    )
-
-
-_KEYVAL = re.compile(r"^\s*([A-Za-z_][\w.]*)\s*=\s*(.*?)\s*$")
-
-
-def load_model(path) -> PermittivityModel:
-    """Build a model from a plain-text key-value definition file.
-
-    Recognised keys: variant (drude | plasma | drude+oscillators |
-    plasma+oscillators | table), plasma_energy_ev, relaxation_energy_ev,
-    oscillator (repeatable: "strength resonance_ev width_ev"),
-    table_file, extrapolation.  Lines starting with '#' are comments.
-    """
-    path = Path(path)
-    keys: dict[str, str] = {}
-    oscillators: list[Oscillator] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _KEYVAL.match(line)
-        if not m:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = m.group(1), m.group(2)
-        if key == "oscillator":
-            parts = value.split()
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: oscillator needs 3 numbers")
-            oscillators.append(Oscillator(*(float(p) for p in parts)))
-        else:
-            keys[key] = value
-
-    variant = keys.get("variant")
-    if variant is None:
-        raise ConfigError(f"{path}: missing 'variant'")
-
-    def _params():
-        try:
-            return DrudeParams(
-                plasma_energy=float(keys["plasma_energy_ev"]),
-                relaxation_energy=float(keys.get("relaxation_energy_ev", "0")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing {exc.args[0]}") from None
-
-    if variant in ("drude", "drude+oscillators"):
-        return Drude(_params(), tuple(oscillators))
-    if variant in ("plasma", "plasma+oscillators"):
-        return Plasma(_params(), tuple(oscillators))
-    if variant == "table":
-        if "table_file" not in keys:
-            raise ConfigError(f"{path}: table variant needs table_file")
-        table_path = Path(keys["table_file"])
-        if not table_path.is_absolute():
-            table_path = path.parent / table_path
-        return Tabulated(
-            load_optical_table(
-                table_path,
-                extrapolation=keys.get("extrapolation", "drude"),
-                drude=_params(),
-            )
-        )
-    raise ConfigError(f"{path}: unknown variant {variant!r}")

@@ -162,14 +162,15 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     For every (voltage, repetition) stream the dense-approach shift is
     delta_omega = -gamma(a) (V - V0(a))^2 - C_true F'(a) + noise with
     V0(a) the linear law and noise ~ N(0, freq_systematic); the stream is
-    then interpolated onto the grid_step separations.  Bit-identical for
-    identical (spec, geometry, seed).
+    then interpolated onto the grid_step separations.  With a non-zero
+    drift_per_stream, stream k = 21 * repetition + voltage_index reads the
+    truth curves k * drift_per_stream further along the approach; the noise
+    draw does not depend on it.  Bit-identical for identical
+    (spec, geometry, seed).
     """
     z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
     a_fine = spec.z0_true + z_fine
     v0_fine = spec.v0_law.v0(a_fine)
-    base = -gamma_fine[None, :] * (np.asarray(spec.voltages)[:, None] - v0_fine[None, :]) ** 2
-    base = base - spec.c_true * fprime_fine[None, :]
 
     n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
     z_grid = spec.grid_step * np.arange(n_grid)
@@ -177,18 +178,17 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
         raise ValidityDomainError("analysis grid escapes the sampled approach")
 
     shifts = np.empty((21, spec.repetitions, n_grid))
-    for vi in range(21):
+    for vi, v in enumerate(spec.voltages):
         for rep in range(spec.repetitions):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, rep)))
-            stream = base[vi] + rng.normal(0.0, spec.freq_systematic, z_fine.size)
-            if spec.drift_per_stream != 0.0:
-                off = spec.drift_per_stream * (rep * 21 + vi)
-                v = spec.voltages[vi]
+            off = spec.drift_per_stream * (rep * 21 + vi)
+            g, f, v0 = gamma_fine, fprime_fine, v0_fine
+            if off != 0.0:
                 g = np.interp(z_fine + off, z_fine, gamma_fine)
                 f = np.interp(z_fine + off, z_fine, fprime_fine)
                 v0 = spec.v0_law.v0(a_fine + off)
-                stream = -g * (v - v0) ** 2 - spec.c_true * f \
-                    + rng.normal(0.0, spec.freq_systematic, z_fine.size)
+            stream = -g * (v - v0) ** 2 - spec.c_true * f \
+                + rng.normal(0.0, spec.freq_systematic, z_fine.size)
             shifts[vi, rep] = np.interp(z_grid, z_fine, stream)
     return MeasurementGrid(z_rel=z_grid, shifts=shifts, spec=spec, geometry=geometry, seed=seed)
 

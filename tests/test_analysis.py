@@ -332,6 +332,24 @@ class TestCombination:
         with pytest.raises(GridAlignmentError):
             combine_gradient_series([s, far])
 
+    def test_point_within_one_step_past_series_warns(self, set1_grid):
+        _, _, grid = set1_grid
+        s = extract_gradients(grid, calibrate(grid))
+        step = np.max(np.diff(s.separations))
+        common = np.append(s.separations[-5:], s.separations[-1] + 0.5 * step)
+        with pytest.warns(UserWarning, match=r"series 0 .* past"):
+            combined = combine_gradient_series([s], grid=common)
+        assert combined.mean[-1] == s.mean[-1]
+
+    def test_point_beyond_one_step_past_series_raises(self, set1_grid):
+        _, _, grid = set1_grid
+        s = extract_gradients(grid, calibrate(grid))
+        step = np.max(np.diff(s.separations))
+        for common in (np.append(s.separations[0] - 1.5 * step, s.separations[:5]),
+                       np.append(s.separations[-5:], s.separations[-1] + 1.5 * step)):
+            with pytest.raises(GridAlignmentError, match="series 0"):
+                combine_gradient_series([s, s], grid=common)
+
 
 @pytest.fixture(scope="module")
 def compared(set1_grid):

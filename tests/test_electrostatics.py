@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 
 from casimirlab.constants import EPSILON_0
-from casimirlab.electrostatics import (
-    CantileverSpec,
-    FrequencyShiftModel,
-    amplitude_limit,
-    calibration_constant,
-    frequency_shift,
-    gamma_coefficient,
-    gamma_over_c,
-    spring_constant,
-)
-from casimirlab.errors import ModelError, PrecisionError, ValidityDomainError
+from casimirlab.electrostatics import calibration_constant, gamma_coefficient, gamma_over_c
+from casimirlab.errors import PrecisionError
 
 R_SPHERE = 43.466e-6
 C_CAL = 6.485e5
@@ -70,15 +61,6 @@ def gamma_fd_oracle(a, R, c_cal):
 
 
 class TestCantilever:
-    def test_spring_constant_scalings(self):
-        k = spring_constant(3e-5, 1e-6, 3e-4, 1.69e11)
-        assert spring_constant(3e-5, 2e-6, 3e-4, 1.69e11) == pytest.approx(8 * k, rel=1e-12)
-        assert spring_constant(3e-5, 1e-6, 6e-4, 1.69e11) == pytest.approx(k / 8, rel=1e-12)
-        s = 1.7
-        assert spring_constant(s * 3e-5, s * 1e-6, s * 3e-4, 1.69e11) == pytest.approx(
-            s * k, rel=1e-12
-        )
-
     def test_calibration_constant_value(self):
         # the measured soft-cantilever parameters
         c = calibration_constant(0.007353, 0.9444e4)
@@ -89,22 +71,6 @@ class TestCantilever:
         c = calibration_constant(0.01, 1e4)
         assert calibration_constant(0.02, 1e4) == pytest.approx(c / 2, rel=1e-14)
         assert calibration_constant(0.01, 2e4) == pytest.approx(2 * c, rel=1e-14)
-
-    def test_cantilever_spec_consistency_guard(self):
-        dims = dict(width=3e-5, thickness=1e-6, length=3e-4, youngs_modulus=1.69e11)
-        k = spring_constant(**dims)
-        CantileverSpec(k=k * 1.005, omega0=1e4, **dims)
-        with pytest.raises(ModelError):
-            CantileverSpec(k=k * 1.05, omega0=1e4, **dims)
-
-    def test_amplitude_guard(self):
-        assert amplitude_limit(700e-9) == 20e-9
-        assert amplitude_limit(300e-9) == 10e-9
-        with pytest.raises(ValidityDomainError):
-            amplitude_limit(200e-9)
-        FrequencyShiftModel(calibration=C_CAL, amplitude=10e-9, linearity_limit=10e-9)
-        with pytest.raises(ValidityDomainError):
-            FrequencyShiftModel(calibration=C_CAL, amplitude=21e-9, linearity_limit=20e-9)
 
 
 class TestGammaCoefficient:
@@ -182,40 +148,3 @@ class TestGammaCoefficient:
         assert isinstance(g1, float) and isinstance(dg1, float)
         assert (g1, dg1) == pytest.approx((g[1], dg[1]), rel=1e-12)
 
-
-class TestFrequencyShift:
-    def setup_method(self):
-        self.gamma_fn = lambda a: gamma_coefficient(a, R_SPHERE, C_CAL)
-        self.fprime_fn = lambda a: 3.3e-5 * (250e-9 / a) ** 4  # smooth stand-in
-
-    def test_apex_equals_casimir_channel(self):
-        a, v0 = 400e-9, 0.0107
-        dw = frequency_shift(a, v0, v0, self.gamma_fn, self.fprime_fn, C_CAL)
-        assert dw == pytest.approx(-C_CAL * self.fprime_fn(a), rel=1e-14)
-
-    def test_parabola_symmetry(self):
-        a, v0 = 500e-9, 0.002
-        for u in (0.01, 0.033):
-            up = frequency_shift(a, v0 + u, v0, self.gamma_fn, self.fprime_fn, C_CAL)
-            dn = frequency_shift(a, v0 - u, v0, self.gamma_fn, self.fprime_fn, C_CAL)
-            assert up == pytest.approx(dn, rel=1e-14)
-
-    def test_equal_shift_pair_midpoint_recovers_v0(self):
-        a, v0, u = 600e-9, 0.0079, 0.021
-        v1, v2 = v0 - u, v0 + u
-        s1 = frequency_shift(a, v1, v0, self.gamma_fn, self.fprime_fn, C_CAL)
-        s2 = frequency_shift(a, v2, v0, self.gamma_fn, self.fprime_fn, C_CAL)
-        assert s1 == pytest.approx(s2, rel=1e-14)
-        assert (v1 + v2) / 2.0 == pytest.approx(v0, rel=1e-14)
-
-    def test_downward_parabola_with_apex_at_v0(self):
-        a, v0 = 450e-9, 0.005
-        v = np.linspace(-0.05, 0.06, 23)
-        dw = np.array([
-            frequency_shift(a, vi, v0, self.gamma_fn, self.fprime_fn, C_CAL) for vi in v
-        ])
-        coef = np.polyfit(v, dw, 2)
-        assert coef[0] == pytest.approx(-self.gamma_fn(a), rel=1e-9)
-        assert -coef[1] / (2 * coef[0]) == pytest.approx(v0, abs=1e-12)
-        apex = np.polyval(coef, -coef[1] / (2 * coef[0]))
-        assert apex == pytest.approx(-C_CAL * self.fprime_fn(a), rel=1e-9)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from casimirlab.constants import ev_to_rad_per_s
-from casimirlab.errors import ConfigError, DivergentAtZeroError, ModelError
+from casimirlab.errors import DivergentAtZeroError, ModelError
 from casimirlab.optics import (
     AU_CORE_OSCILLATORS,
     AU_DRUDE,
@@ -12,9 +15,6 @@ from casimirlab.optics import (
     Oscillator,
     Plasma,
     Tabulated,
-    eval_permittivity,
-    load_model,
-    load_optical_table,
 )
 
 EV = ev_to_rad_per_s(1.0)
@@ -39,13 +39,13 @@ def synthetic_drude_table(n=3000, lo=1e-4, hi=2e3):
 class TestEvaluation:
     def test_plasma_at_own_plasma_frequency_is_two(self):
         model = Plasma(DrudeParams(9.0, 0.0))
-        assert eval_permittivity(model, 9.0 * EV) == pytest.approx(2.0, rel=1e-14)
+        assert model.epsilon(9.0 * EV) == pytest.approx(2.0, rel=1e-14)
 
     def test_drude_at_relaxation_energy(self):
         # 1 + 81 / (0.035 * 0.070) from the stated free-electron parameters
         model = Drude(AU_DRUDE)
         expected = 1.0 + 81.0 / (0.035 * 0.070)
-        assert eval_permittivity(model, 0.035 * EV) == pytest.approx(expected, rel=1e-12)
+        assert model.epsilon(0.035 * EV) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("model", [
         Drude(AU_DRUDE),
@@ -68,11 +68,14 @@ class TestEvaluation:
     def test_zero_frequency_raises(self):
         for model in (Drude(AU_DRUDE), Plasma(AU_DRUDE), Tabulated(synthetic_drude_table(50))):
             with pytest.raises(DivergentAtZeroError):
-                eval_permittivity(model, 0.0)
+                model.epsilon(0.0)
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            eval_permittivity(Drude(AU_DRUDE), -1.0)
+        for model in (Drude(AU_DRUDE), Plasma(AU_DRUDE), Tabulated(synthetic_drude_table(50))):
+            with pytest.raises(DivergentAtZeroError, match="xi > 0"):
+                model.epsilon(-1.0)
+            with pytest.raises(DivergentAtZeroError, match="xi > 0"):
+                model.epsilon(np.array([1.0, -1.0]) * EV)
 
 
 class TestInvariants:
@@ -143,61 +146,28 @@ class TestValidation:
             Oscillator(strength=1.0, resonance_energy=0.0, width_energy=0.1)
 
 
-class TestFileLoading:
-    def test_optical_table_file(self, tmp_path):
-        path = tmp_path / "au.dat"
-        path.write_text("# photon_energy_ev  im_eps\n0.5 10.0\n1.0 4.0\n2.0 1.0\n")
-        table = load_optical_table(path, "drude", AU_DRUDE)
-        assert table.photon_energies == (0.5, 1.0, 2.0)
-        assert table.im_epsilon == (10.0, 4.0, 1.0)
 
-    def test_model_config_drude(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text(
-            "# gold, free electrons only\n"
-            "variant = drude\n"
-            "plasma_energy_ev = 9.0\n"
-            "relaxation_energy_ev = 0.035\n"
-        )
-        model = load_model(path)
-        assert isinstance(model, Drude)
-        assert model.params == AU_DRUDE
+class TestDrudeExtrapolation:
+    @pytest.mark.parametrize("w_min_ev", [1e-4, 1e-2, 0.5])
+    def test_closed_form_matches_quadrature(self, w_min_ev):
+        # (2/pi) wp^2 g int_0^W dw / ((w^2 + g^2)(w^2 + xi^2)) by adaptive quadrature
+        table = synthetic_drude_table(20, lo=w_min_ev)
+        model = Tabulated(table)
+        wp, g = AU_DRUDE.omega_p, AU_DRUDE.relaxation_rate
+        w_min = ev_to_rad_per_s(table.photon_energies[0])
 
-    def test_model_config_with_oscillators(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text(
-            "variant = plasma+oscillators\n"
-            "plasma_energy_ev = 9.0\n"
-            "oscillator = 2.0 3.0 0.5\n"
-            "oscillator = 1.0 5.0 1.0\n"
-        )
-        model = load_model(path)
-        assert isinstance(model, Plasma)
-        assert len(model.oscillators) == 2
-        assert model.oscillators[0] == Oscillator(2.0, 3.0, 0.5)
+        def reference(xi):
+            val, _ = quad(lambda w: 1.0 / ((w * w + g * g) * (w * w + xi * xi)), 0.0, w_min,
+                          epsabs=0.0, epsrel=1e-12, limit=200)
+            return (2.0 / math.pi) * wp * wp * g * val
 
-    def test_model_config_table(self, tmp_path):
-        (tmp_path / "au.dat").write_text("0.5 10.0\n1.0 4.0\n")
-        path = tmp_path / "model.cfg"
-        path.write_text(
-            "variant = table\n"
-            "table_file = au.dat\n"
-            "extrapolation = plasma\n"
-            "plasma_energy_ev = 9.0\n"
-            "relaxation_energy_ev = 0.035\n"
-        )
-        model = load_model(path)
-        assert isinstance(model, Tabulated)
-        assert model.zero_tag == "plasma"
+        xi = np.concatenate([np.geomspace(1e10, 1e19, 37), [g, g * (1 - 1e-12), g * (1 + 1e-12)]])
+        got = model._extrapolation_part(xi)
+        ref = np.array([reference(x) for x in xi])
+        assert np.all(np.abs(got / ref - 1.0) <= 1e-12)
 
-    def test_model_config_errors(self, tmp_path):
-        path = tmp_path / "model.cfg"
-        path.write_text("variant = nosuch\nplasma_energy_ev = 9.0\n")
-        with pytest.raises(ConfigError):
-            load_model(path)
-        path.write_text("plasma_energy_ev = 9.0\n")
-        with pytest.raises(ConfigError):
-            load_model(path)
-        path.write_text("variant = drude\n???\n")
-        with pytest.raises(ConfigError):
-            load_model(path)
+    def test_vanishing_relaxation_gives_plasma_term(self):
+        table = OpticalTable((0.5, 1.0), (0.0, 0.0), "drude", DrudeParams(9.0, 0.0))
+        xi = np.geomspace(1e12, 1e17, 11)
+        expect = (AU_DRUDE.omega_p / xi) ** 2
+        assert Tabulated(table)._extrapolation_part(xi) == pytest.approx(expect, rel=1e-14)

@@ -152,6 +152,20 @@ class TestSynthesis:
         assert np.allclose(g0.shifts[0, 0], g1.shifts[0, 0], rtol=0, atol=1e-12)
         assert not np.allclose(g0.shifts[20, 0], g1.shifts[20, 0])
 
+    def test_drift_leaves_noise_draws_unchanged(self):
+        spec, geom = short_campaign(repetitions=2)
+        assert spec.freq_systematic > 0.0
+        drifting = dataclasses.replace(spec, drift_per_stream=0.05e-9)
+        plain = synthesize_campaign(spec, geom, seed=5)
+        drift = synthesize_campaign(drifting, geom, seed=5)
+        assert np.array_equal(plain.shifts[0, 0], drift.shifts[0, 0])
+        # every later stream carries the same noise as without drift
+        quiet = dataclasses.replace(spec, freq_systematic=0.0)
+        noise = plain.shifts - synthesize_campaign(quiet, geom, seed=5).shifts
+        drift_noise = drift.shifts - synthesize_campaign(
+            dataclasses.replace(drifting, freq_systematic=0.0), geom, seed=5).shifts
+        assert np.allclose(drift_noise, noise, rtol=0, atol=1e-12)
+
 
 class TestTruthCurves:
     def test_gamma_curve_matches_direct_evaluation(self):
