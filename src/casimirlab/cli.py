@@ -265,12 +265,23 @@ def _cmd_pipeline(args, cp):
     base_seed = args.seed if args.seed is not None else cp.getint("pipeline", "seed", fallback=0)
     tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
 
+    campaigns = [reference_campaign(n, truth) for n in sets]
+    # every set is compared against one theory curve, so the sets must share
+    # the physical geometry; validity bounds may differ
+    first = campaigns[0][1]
+    for n, (_, geometry) in zip(sets, campaigns):
+        for name in ("R", "delta_s", "delta_p", "temperature"):
+            if getattr(geometry, name) != getattr(first, name):
+                raise ConfigError(
+                    f"set {n} has {name} = {getattr(geometry, name)!r} but set "
+                    f"{sets[0]} has {getattr(first, name)!r}; the pipeline compares "
+                    "all sets against one theory curve"
+                )
+
     manifest_steps = []
     series_list = []
-    geometry = None
-    for n in sets:
+    for n, (spec, geometry) in zip(sets, campaigns):
         seed = base_seed + n  # per-set seed rule, recorded in the manifest
-        spec, geometry = reference_campaign(n, truth)
         grid = synthesize_campaign(spec, geometry, seed)
         gpath = out / f"grid_set{n}_seed{seed}.txt"
         out.mkdir(parents=True, exist_ok=True)

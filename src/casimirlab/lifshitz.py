@@ -161,20 +161,23 @@ _WG = np.array([
 _PANEL_EDGES = np.array([0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, 17.0, 23.0, 30.0, 40.0, 60.0])
 
 
-def _mode_occupancy(r2, y):
-    """r^2 e^-y / (1 - r^2 e^-y), stable for r^2 near 1 and small y."""
-    out = np.zeros_like(y)
+def _mode_occupancy(r2, y, em):
+    """r^2 e^-y / (1 - r^2 e^-y), stable for r^2 near 1 and small y; em = e^-y."""
     pos = r2 > 0.0
+    if np.all(pos):
+        return r2 * em / -np.expm1(np.log(r2) - y)
+    out = np.zeros_like(y)
     if np.any(pos):
         logr2 = np.log(np.where(pos, r2, 1.0))
         denom = -np.expm1(logr2 - y)
-        np.copyto(out, r2 * np.exp(-y) / denom, where=pos)
+        np.copyto(out, r2 * em / denom, where=pos)
     return out
 
 
 def _integrand(r_tm, r_te, y):
     """y^2 summed over polarisations of the mode occupancy at amplitude r."""
-    return y * y * (_mode_occupancy(r_tm * r_tm, y) + _mode_occupancy(r_te * r_te, y))
+    em = np.exp(-y)
+    return y * y * (_mode_occupancy(r_tm * r_tm, y, em) + _mode_occupancy(r_te * r_te, y, em))
 
 
 def _finite_integrand(y, xi, eps, a):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from casimirlab import cli
 from casimirlab.cli import main
 from casimirlab.lifshitz import casimir_pressure
 from casimirlab.vexp import model_for_tag
@@ -162,6 +165,23 @@ class TestPipeline:
 
 
 class TestErrors:
+    def test_pipeline_rejects_sets_with_different_geometry(self, tmp_path, monkeypatch, capsys):
+        preset = cli.reference_campaign
+
+        def campaign(n, truth="plasma"):
+            spec, geometry = preset(n, truth)
+            if n == 2:
+                geometry = dataclasses.replace(geometry, R=40e-6)
+            return spec, geometry
+
+        monkeypatch.setattr(cli, "reference_campaign", campaign)
+        cfg = tmp_path / "two.ini"
+        cfg.write_text("[pipeline]\nsets = 1,2\n")
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "set 2 has R" in err and "set 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run(["theory", "--config", tmp_path / "nope.ini", "--out", tmp_path]) == 2
 

@@ -1,8 +1,10 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
+from casimirlab import electrostatics
 from casimirlab.constants import EPSILON_0
 from casimirlab.electrostatics import calibration_constant, gamma_coefficient, gamma_over_c
 from casimirlab.errors import PrecisionError
@@ -148,3 +150,44 @@ class TestGammaCoefficient:
         assert isinstance(g1, float) and isinstance(dg1, float)
         assert (g1, dg1) == pytest.approx((g[1], dg[1]), rel=1e-12)
 
+
+
+def doubling_bisect_term_count(kappas, tol):
+    """The image-series term count found by doubling N from 2, then bisecting.
+
+    The same tail bound as electrostatics._term_count, searched without
+    its closed-form starting point.
+    """
+    floor = tol * electrostatics._terms(np.maximum(2.0, np.round(2.0 / kappas)), kappas)[0]
+
+    def enough(n):
+        coth_u, csch_u = electrostatics._coth_csch(n * kappas)
+        r = ((n + 2.0) / (n + 1.0)) ** 2 * np.exp(-kappas)
+        tail = (2.0 * (coth_u**2 + csch_u**2) / -np.expm1(-2.0 * n * kappas)
+                * np.exp(2.0 * math.log(n + 1.0) - (n + 1.0) * kappas))
+        return bool(np.all((r < 1.0) & (tail <= floor * (1.0 - r))))
+
+    hi = 2
+    while not enough(hi):
+        hi *= 2
+    return hi // 2 + bisect.bisect_left(range(hi // 2, hi + 1), True, key=enough)
+
+
+class TestTermCount:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_calibration_grids_match_doubling_search(self, tol):
+        # the z0 bracket of the fit, [0.4, 2.5] x z0, over the preset grids
+        for z0, span in ((248.0e-9, 702e-9), (234.4e-9, 716e-9), (571.9e-9, 728.1e-9)):
+            for scale in (0.4, 1.0, 2.5):
+                a = scale * z0 + np.arange(0.0, span + 0.5e-9, 1e-9)
+                kappas = electrostatics._kappa(a, R_SPHERE)
+                assert electrostatics._term_count(kappas, tol) == \
+                    doubling_bisect_term_count(kappas, tol), (z0, scale, tol)
+
+    def test_random_kappa_sets_match_doubling_search(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            kappas = np.exp(rng.uniform(math.log(1e-4), math.log(3.0), rng.integers(1, 40)))
+            tol = 10.0 ** rng.uniform(-15.0, 1.0)
+            assert electrostatics._term_count(kappas, tol) == \
+                doubling_bisect_term_count(kappas, tol), (kappas.min(), kappas.max(), tol)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,67 @@ class TestSynthesis:
         drift_noise = drift.shifts - synthesize_campaign(
             dataclasses.replace(drifting, freq_systematic=0.0), geom, seed=5).shifts
         assert np.allclose(drift_noise, noise, rtol=0, atol=1e-12)
+
+
+def dense_lattice_synthesis(spec, seed, z_fine, gamma_fine, fprime_fine):
+    """Synthesis that builds every stream at every sample_step lattice point.
+
+    The reference for synthesize_campaign, which builds the streams and the
+    truth curves only where the interpolation onto the grid reads them.
+    """
+    a_fine = spec.z0_true + z_fine
+    v0_fine = spec.v0_law.v0(a_fine)
+    n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
+    z_grid = spec.grid_step * np.arange(n_grid)
+    shifts = np.empty((21, spec.repetitions, n_grid))
+    for vi, v in enumerate(spec.voltages):
+        for rep in range(spec.repetitions):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, rep)))
+            off = spec.drift_per_stream * (rep * 21 + vi)
+            g, f, v0 = gamma_fine, fprime_fine, v0_fine
+            if off != 0.0:
+                g = np.interp(z_fine + off, z_fine, gamma_fine)
+                f = np.interp(z_fine + off, z_fine, fprime_fine)
+                v0 = spec.v0_law.v0(a_fine + off)
+            stream = -g * (v - v0) ** 2 - spec.c_true * f \
+                + rng.normal(0.0, spec.freq_systematic, z_fine.size)
+            shifts[vi, rep] = np.interp(z_grid, z_fine, stream)
+    return shifts
+
+
+class TestSparseSampling:
+    @pytest.fixture(scope="class")
+    def dense_truth(self):
+        spec, geom = short_campaign()
+        n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
+        z_fine = spec.sample_step * np.arange(n_fine + 1)
+        a_fine = spec.z0_true + z_fine
+        gamma_fine = spec.c_true * gamma_over_c(a_fine, geom.R)
+        fprime_fine = pressure_to_gradient_sweep(
+            model_for_tag(spec.truth_tag), geom, BetaTable(), a_fine
+        ).values
+        return z_fine, gamma_fine, fprime_fine
+
+    @pytest.mark.parametrize("drift, repetitions", [
+        (0.0, 1), (0.05e-9, 1), (-0.02e-9, 1), (0.3e-9, 2),
+    ])
+    def test_bit_identical_to_dense_lattice(self, dense_truth, drift, repetitions):
+        spec, geom = short_campaign(drift_per_stream=drift, repetitions=repetitions)
+        assert spec.freq_systematic > 0.0
+        grid = synthesize_campaign(spec, geom, seed=8)
+        assert np.array_equal(grid.shifts, dense_lattice_synthesis(spec, 8, *dense_truth))
+
+    def test_truth_read_only_at_grid_brackets(self, dense_truth):
+        spec, geom = short_campaign()
+        z_rel, gamma, fprime = truth_curves(spec, geom)
+        n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
+        assert z_rel.size <= 2 * n_grid + 2
+        assert z_rel.size == gamma.size == fprime.size
+        z_fine, gamma_fine, fprime_fine = dense_truth
+        idx = np.searchsorted(z_fine, z_rel)
+        assert np.array_equal(z_fine[idx], z_rel)
+        assert np.array_equal(gamma_fine[idx], gamma)
+        assert np.array_equal(fprime_fine[idx], fprime)
 
 
 class TestTruthCurves:
