@@ -25,11 +25,9 @@ from .lifshitz import (  # noqa: F401
     IdealMetal,
     MatsubaraCache,
     PressureResult,
-    ReflectionPair,
     casimir_pressure,
     matsubara_frequency,
     pressure_sweep,
-    reflection_coefficients,
 )
 from .force_model import (  # noqa: F401
     BetaTable,
@@ -37,6 +35,7 @@ from .force_model import (  # noqa: F401
     Geometry,
     GradientSweep,
     force_gradient,
+    gradient_curve,
     pressure_to_gradient_sweep,
 )
 from .electrostatics import (  # noqa: F401

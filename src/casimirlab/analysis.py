@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .electrostatics import gamma_over_c
 from .errors import (
@@ -351,7 +351,7 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
         sd = flat.std(axis=0, ddof=1)
         n_eff = flat.shape[0]
 
-    t67 = float(student_t.ppf(0.5 + 0.67 / 2.0, n_eff - 1))
+    t67 = float(stdtrit(n_eff - 1, 0.5 + 0.67 / 2.0))
     random_error = t67 * sd / math.sqrt(n_eff)
     systematic = grid.spec.freq_systematic / calib.c_cal
     systematic_error = np.full_like(mean, systematic)

@@ -29,7 +29,7 @@ from .analysis import (
     load_gradient_series,
 )
 from .errors import CasimirLabError, ConfigError
-from .force_model import BetaTable, Geometry, pressure_to_gradient_sweep
+from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
 from .lifshitz import pressure_sweep_text
 from .vexp import (
     CampaignSpec,
@@ -221,7 +221,7 @@ def _compare_series(args, cp, series, geometry, tol):
     combined = combine_gradient_series(series_list, grid=common)
     models = _models(args.model)
     theory = {
-        tag: pressure_to_gradient_sweep(model, geometry, BetaTable(), common, tol).values
+        tag: gradient_curve(model, geometry, BetaTable(), common, tol).values
         for tag, model in models.items()
     }
     cfg = TheoryErrorConfig(

@@ -2,18 +2,18 @@
 
 All internal computation is SI.  Public interfaces quote energies in eV and
 angular frequencies in rad/s; the conversions below are the single
-authoritative place for the constants involved (CODATA / exact SI-2019
-values, taken from scipy.constants: hbar = 1.054571817e-34 J s,
-k_B = 1.380649e-23 J/K, c = 299792458 m/s, e = 1.602176634e-19 C).
+authoritative place for the constants involved.  k_B, c and e are exact
+in the SI since 2019; hbar is h / (2 pi) in double precision with the exact
+h = 6.62607015e-34 J s; epsilon_0 is the CODATA 2022 value.  Each literal
+is the repr scipy.constants gives, written out so that importing the
+package does not import scipy.constants.
 """
 
-from scipy.constants import (
-    Boltzmann as K_B,
-    c as C_LIGHT,
-    elementary_charge as E_CHARGE,
-    epsilon_0 as EPSILON_0,
-    hbar as HBAR,
-)
+K_B = 1.380649e-23                # J/K
+C_LIGHT = 299792458.0             # m/s
+E_CHARGE = 1.602176634e-19        # C
+EPSILON_0 = 8.8541878188e-12      # F/m
+HBAR = 1.0545718176461565e-34     # J s
 
 __all__ = [
     "K_B",

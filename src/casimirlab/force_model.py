@@ -5,6 +5,11 @@ aspect term beta(a, R) a / R and by the second-order rms roughness factor
 1 + 10 (ds^2 + dp^2) / a^2.  Pressure is negative for attraction; the
 gradient reported here is the positive plotted quantity (attractive force
 gradient > 0), i.e. the sign flip lives entirely in the -2 pi R prefactor.
+
+pressure_to_gradient_sweep evaluates the thermal sum at every grid point;
+gradient_curve interpolates P(a) a^4, which is analytic in ln a, from
+Chebyshev-Lobatto nodes (L. N. Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013).
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import ValidityDomainError
+from .errors import NumericsError, ValidityDomainError
 from .lifshitz import MatsubaraCache, casimir_pressure
 from .optics import PermittivityModel
 
@@ -25,6 +29,7 @@ __all__ = [
     "ForceGradient",
     "GradientSweep",
     "force_gradient",
+    "gradient_curve",
     "pressure_to_gradient_sweep",
 ]
 
@@ -104,6 +109,8 @@ class BetaTable:
 
 @lru_cache(maxsize=16)
 def _pchip_for(knots):
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.array([k[0] for k in knots])
     ys = np.array([k[1] for k in knots])
     return PchipInterpolator(xs, ys)
@@ -189,11 +196,7 @@ def pressure_to_gradient_sweep(
     Matsubara permittivity evaluations are shared across separations
     through a single cache.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValidityDomainError("empty separation grid")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidityDomainError("separation grid must be strictly increasing")
+    grid = _checked_grid(grid)
     cache = MatsubaraCache(model, geometry.temperature)
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
@@ -215,3 +218,137 @@ def pressure_to_gradient_sweep(
         pressure_truncations=p_trunc,
         beta_clamped=clamped,
     )
+
+
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValidityDomainError("empty separation grid")
+    if np.any(np.diff(grid) <= 0):
+        raise ValidityDomainError("separation grid must be strictly increasing")
+    return grid
+
+
+# gradient_curve starts from 2n = 32 Chebyshev-Lobatto intervals and doubles
+# n until the n- and 2n-interval interpolants agree, up to 2n = 256.
+_CURVE_INTERVALS = 32
+_CURVE_MAX_INTERVALS = 256
+
+
+def gradient_curve(
+    model: PermittivityModel,
+    geometry: Geometry,
+    beta: BetaTable,
+    grid,
+    tol: float = 1e-9,
+) -> GradientSweep:
+    """pressure_to_gradient_sweep interpolated from Chebyshev nodes.
+
+    P(a) a^4 is evaluated with casimir_pressure at the 2n + 1
+    Chebyshev-Lobatto nodes in ln a over [grid[0], grid[-1]] (n = 16 first)
+    and interpolated onto the grid; beta and the roughness factor are applied
+    per point afterwards.  The curve is accepted when the interpolants on the
+    n + 1 and 2n + 1 nodes agree at every point to max(tol, worst relative
+    truncation of a node) times the value; otherwise n doubles, and past
+    2n = 256 NumericsError is raised.  Each point's pressure truncation is
+    sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4, with l_i the
+    Lagrange basis of the 2n + 1 nodes: the node truncations carried through
+    the interpolation (at most the Lebesgue constant, < 3.3 for 2n = 32,
+    times the largest) plus the interpolation error estimate, plus a
+    rounding allowance of the interpolation.  The gradient truncation is
+    that times 2 pi R times the roughness factor.
+    """
+    grid = _checked_grid(grid)
+    geometry.check_separation(float(grid[0]))
+    geometry.check_separation(float(grid[-1]))
+    cache = MatsubaraCache(model, geometry.temperature)
+
+    def evaluate(separations):
+        res = [casimir_pressure(model, float(a), geometry.temperature, tol, cache=cache)
+               for a in separations]
+        return (np.array([r.pressure for r in res]),
+                np.array([r.truncation_error_estimate for r in res]))
+
+    if grid.size == 1:
+        pressures, p_trunc = evaluate(grid)
+    else:
+        pressures, p_trunc = _interpolated_pressures(evaluate, grid, tol)
+
+    b, clamped = map(np.array, zip(*(beta.beta(model.zero_tag, float(a)) for a in grid)))
+    rough = geometry.roughness_factor(grid)
+    values = -2.0 * np.pi * geometry.R * (1.0 + b * grid / geometry.R) * rough * pressures
+    return GradientSweep(
+        separations=grid,
+        values=values,
+        pressures=pressures,
+        truncation_estimates=2.0 * np.pi * geometry.R * rough * p_trunc,
+        pressure_truncations=p_trunc,
+        beta_clamped=clamped,
+    )
+
+
+def _interpolated_pressures(evaluate, grid, tol):
+    """(P, truncation bound) on grid from P a^4 at Chebyshev-Lobatto nodes in ln a."""
+    t = np.log(grid)
+    span = t[-1] - t[0]
+    # exactly -1 and +1 at the grid ends, which are nodes
+    x = ((t - t[0]) - (t[-1] - t)) / span
+
+    def separations(nodes):
+        return np.exp(t[0] + 0.5 * span * (nodes + 1.0))
+
+    m = _CURVE_INTERVALS
+    nodes = _lobatto_points(m)
+    a = separations(nodes)
+    a[0], a[-1] = grid[-1], grid[0]
+    p, trunc = evaluate(a)
+    while True:
+        f = p * a**4
+        fine = _lagrange_basis(nodes, x)
+        p_fine = fine @ f
+        gap = np.abs(_lagrange_basis(nodes[::2], x) @ f[::2] - p_fine)
+        if np.all(gap <= max(tol, float(np.max(trunc / np.abs(p)))) * np.abs(p_fine)):
+            break
+        if m >= _CURVE_MAX_INTERVALS:
+            raise NumericsError(
+                f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm is not "
+                f"resolved by {m + 1} Chebyshev nodes"
+            )
+        m *= 2
+        new = _lobatto_points(m)[1::2]
+        a_new = separations(new)
+        p_new, trunc_new = evaluate(a_new)
+        nodes, a = _interleave(nodes, new), _interleave(a, a_new)
+        p, trunc = _interleave(p, p_new), _interleave(trunc, trunc_new)
+    # node truncations through the basis, the n-against-2n gap, and the
+    # rounding of the barycentric formula, (3 m + 4) u sum_i |l_i f_i|
+    # (N. J. Higham, IMA J. Numer. Anal. 24, 547 (2004))
+    abs_basis = np.abs(fine)
+    rounding = (3 * m + 4) * np.finfo(float).eps * (abs_basis @ np.abs(f))
+    bound = (abs_basis @ (trunc * a**4) + gap + rounding) / grid**4
+    return p_fine / grid**4, bound
+
+
+def _lobatto_points(m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto points on [-1, 1], from +1 down to -1."""
+    return np.sin(0.5 * np.pi * (m - 2 * np.arange(m + 1)) / m)
+
+
+def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form)."""
+    w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    d = x[:, None] - nodes[None, :]
+    hit = d == 0.0
+    c = w / np.where(hit, 1.0, d)
+    basis = c / c.sum(axis=1, keepdims=True)
+    at_node = hit.any(axis=1)
+    basis[at_node] = hit[at_node]
+    return basis
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    out = np.empty(even.size + odd.size)
+    out[0::2] = even
+    out[1::2] = odd
+    return out

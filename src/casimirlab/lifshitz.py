@@ -25,10 +25,8 @@ from .optics import PermittivityModel
 
 __all__ = [
     "matsubara_frequency",
-    "ReflectionPair",
     "IdealMetal",
     "IDEAL_METAL",
-    "reflection_coefficients",
     "PressureResult",
     "MatsubaraCache",
     "casimir_pressure",
@@ -52,14 +50,6 @@ def matsubara_frequency(l: int, temperature: float) -> float:
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     return 2.0 * math.pi * K_B * temperature * l / HBAR
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    """Fresnel reflection amplitudes at an imaginary frequency."""
-
-    r_tm: float
-    r_te: float
 
 
 class IdealMetal:
@@ -101,36 +91,6 @@ def _tagged_reflection(model, k_perp):
         f"model {model!r} declares no zero-frequency tag; "
         "choose a drude- or plasma-tagged extrapolation"
     )
-
-
-def reflection_coefficients(model, xi: float, k_perp: float) -> ReflectionPair:
-    """Reflection amplitudes r_TM, r_TE at imaginary frequency xi.
-
-    For xi > 0 these are (eps q - k)/(eps q + k) and (q - k)/(q + k) with
-    q = (k_perp^2 + xi^2/c^2)^1/2 and k = (k_perp^2 + eps xi^2/c^2)^1/2.
-    At xi = 0 the model's zero-frequency tag decides the limit:
-    'drude' gives (1, 0); 'plasma' keeps a TE response through the plasma
-    frequency; the ideal surrogate returns (1, -1).  This is a scalar view
-    of the kernels the pressure integrands use.
-
-    Parameters
-    ----------
-    model : PermittivityModel or IdealMetal
-    xi : float
-        Imaginary frequency in rad/s, >= 0.
-    k_perp : float
-        In-plane wavevector magnitude in 1/m, > 0.
-    """
-    if xi < 0:
-        raise ValueError("xi must be >= 0")
-    if not k_perp > 0:
-        raise ValueError("k_perp must be positive")
-    if isinstance(model, IdealMetal) or xi == 0.0:
-        r_tm, r_te = _tagged_reflection(model, k_perp)
-    else:
-        w = xi / C_LIGHT
-        r_tm, r_te = _fresnel(model.epsilon(xi), math.hypot(k_perp, w), w)
-    return ReflectionPair(float(r_tm), float(r_te))
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule (standard nodes).

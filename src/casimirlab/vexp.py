@@ -4,10 +4,12 @@ Synthesises frequency-shift grids the way the real acquisition works: for
 each applied voltage and repetition the shift is sampled densely along the
 approach (sample_step), carries Gaussian noise at the instrument's quoted
 frequency-shift error, and is then linearly interpolated onto the 1 nm
-analysis grid.  Only the samples that interpolation reads are computed:
-the two bracketing each grid point.  Generation is deterministic for a
-fixed seed; per-stream randomness is split by the counter rule
-SeedSequence(seed, spawn_key=(voltage_index, repetition)).
+analysis grid.  The truth curves cover the whole approach lattice (F' is
+interpolated from Chebyshev nodes); each stream is built only at the
+samples that interpolation reads, the two bracketing each grid point.
+Generation is deterministic for a fixed seed; per-stream randomness is
+split by the counter rule SeedSequence(seed, spawn_key=(voltage_index,
+repetition)).
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from .electrostatics import gamma_over_c
 from .errors import ConfigError, ModelError, ValidityDomainError
-from .force_model import BetaTable, Geometry, pressure_to_gradient_sweep
+# pressure_to_gradient_sweep is not called here; bench/tests/test_bench_tracing.py
+# checks that the layer tracer rebinds it in this module too
+from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep  # noqa: F401
 from .optics import AU_DRUDE, Drude, PermittivityModel, Plasma
 
 __all__ = [
@@ -134,61 +138,36 @@ class MeasurementGrid:
         return np.asarray(self.spec.voltages, dtype=float)
 
 
-def _brackets(z_fine: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sorted lattice indices of the pairs np.interp(x, z_fine, ...) reads.
-
-    A point in [z_fine[j], z_fine[j + 1]) reads samples j and j + 1; a point
-    past either end reads the end sample.
-    """
-    j = np.searchsorted(z_fine, x, side="right") - 1
-    return np.unique(np.clip(np.concatenate([j, j + 1]), 0, z_fine.size - 1))
-
-
 def _lattice(spec: CampaignSpec):
     """The approach lattice, the analysis grid and the lattice samples read.
 
-    Returns (z_fine, z_grid, stream_idx, truth_idx).  Each stream is read
-    only at the pairs bracketing a grid point (stream_idx).  The truth
-    curves are read there, and with a drift also at the pairs bracketing
-    every drifted stream sample plus both lattice ends (truth_idx).
+    Returns (z_fine, z_grid, stream_idx).  np.interp reads each stream only
+    at the pair bracketing a grid point: a point in [z_fine[j],
+    z_fine[j + 1]) reads samples j and j + 1 (stream_idx, sorted).
     """
     n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
     z_fine = spec.sample_step * np.arange(n_fine + 1)
     n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
     z_grid = spec.grid_step * np.arange(n_grid)
-    stream_idx = _brackets(z_fine, z_grid)
-    truth_idx = stream_idx
-    if spec.drift_per_stream != 0.0:
-        offsets = spec.drift_per_stream * np.arange(21 * spec.repetitions)
-        drifted = (z_fine[stream_idx][None, :] + offsets[:, None]).ravel()
-        truth_idx = np.union1d(stream_idx, np.append(_brackets(z_fine, drifted), [0, n_fine]))
-    return z_fine, z_grid, stream_idx, truth_idx
+    j = np.searchsorted(z_fine, z_grid, side="right") - 1
+    stream_idx = np.unique(np.clip(np.concatenate([j, j + 1]), 0, n_fine))
+    return z_fine, z_grid, stream_idx
 
 
 @lru_cache(maxsize=32)
 def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
-    z_fine, _, _, truth_idx = _lattice(spec)
+    z_fine = _lattice(spec)[0]
     a_fine = spec.z0_true + z_fine
-    geometry.check_separation(float(a_fine[0]))
-    geometry.check_separation(float(a_fine[-1]))
-    # the series term count depends on the whole point set, so gamma is
-    # evaluated on the full lattice and then read at the truth samples
-    gamma_fine = spec.c_true * gamma_over_c(a_fine, geometry.R)
-    sweep = pressure_to_gradient_sweep(
-        model_for_tag(spec.truth_tag), geometry, BetaTable(), a_fine[truth_idx]
-    )
-    return z_fine[truth_idx], gamma_fine[truth_idx], sweep.values
+    fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, BetaTable(), a_fine).values
+    return z_fine, spec.c_true * gamma_over_c(a_fine, geometry.R), fprime
 
 
 def truth_curves(spec: CampaignSpec, geometry: Geometry):
-    """Noiseless gamma(a) and F'(a) at the approach samples the synthesis reads.
+    """Noiseless gamma(a) and F'(a) on the approach lattice.
 
-    Returns (z_rel, gamma, fprime) on the sample_step lattice, restricted
-    to the samples that the linear interpolation onto the grid_step
-    analysis grid reads (with a drift, also those the drifted streams
-    read); np.interp over them equals np.interp over the full lattice at
-    those points.  Cached per campaign so repeated seeds reuse the
-    expensive theory evaluation.
+    Returns (z_rel, gamma, fprime) at every sample_step lattice point.
+    F' comes from force_model.gradient_curve.  Cached per campaign so
+    repeated seeds reuse the theory evaluation.
     """
     return _truth_curves_cached(spec, geometry)
 
@@ -206,15 +185,14 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     lattice but is built only at the samples the interpolation reads.
     Bit-identical for identical (spec, geometry, seed).
     """
-    z_truth, gamma_truth, fprime_truth = truth_curves(spec, geometry)
-    z_fine, z_grid, stream_idx, truth_idx = _lattice(spec)
+    z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
+    _, z_grid, stream_idx = _lattice(spec)
     if z_grid[-1] > z_fine[-1]:
         raise ValidityDomainError("analysis grid escapes the sampled approach")
 
     z = z_fine[stream_idx]
     a = spec.z0_true + z
-    at_stream = np.searchsorted(truth_idx, stream_idx)
-    gamma, fprime, v0_a = gamma_truth[at_stream], fprime_truth[at_stream], spec.v0_law.v0(a)
+    gamma, fprime, v0_a = gamma_fine[stream_idx], fprime_fine[stream_idx], spec.v0_law.v0(a)
 
     shifts = np.empty((21, spec.repetitions, z_grid.size))
     for vi, v in enumerate(spec.voltages):
@@ -223,8 +201,8 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
             off = spec.drift_per_stream * (rep * 21 + vi)
             g, f, v0 = gamma, fprime, v0_a
             if off != 0.0:
-                g = np.interp(z + off, z_truth, gamma_truth)
-                f = np.interp(z + off, z_truth, fprime_truth)
+                g = np.interp(z + off, z_fine, gamma_fine)
+                f = np.interp(z + off, z_fine, fprime_fine)
                 v0 = spec.v0_law.v0(a + off)
             noise = rng.normal(0.0, spec.freq_systematic, z_fine.size)[stream_idx]
             stream = -g * (v - v0) ** 2 - spec.c_true * f + noise

@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import casimirlab
 from casimirlab import cli
 from casimirlab.cli import main
 from casimirlab.lifshitz import casimir_pressure
@@ -162,6 +167,18 @@ class TestPipeline:
         run(["pipeline", "--config", short_pipeline_config, "--out", out2, "--tol", "1e-7"])
         for name in ("comparison.txt", "manifest.txt", "gradients_combined.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        # a fresh interpreter, so that no other test's imports count
+        src = str(Path(casimirlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, casimirlab.cli; print(' '.join(m for m in "
+                "('scipy.stats', 'scipy.interpolate', 'scipy.constants') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == ""
 
 
 class TestErrors:

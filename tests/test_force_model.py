@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casimirlab.errors import ValidityDomainError
+from casimirlab import force_model
+from casimirlab.errors import NumericsError, ValidityDomainError
 from casimirlab.force_model import (
     BetaTable,
     Geometry,
     force_gradient,
+    gradient_curve,
     pressure_to_gradient_sweep,
 )
-from casimirlab.lifshitz import casimir_pressure
+from casimirlab.lifshitz import PressureResult, casimir_pressure
 from casimirlab.optics import AU_DRUDE, Drude, Plasma
+from casimirlab.vexp import model_for_tag, reference_campaign
 
 DRUDE = Drude(AU_DRUDE)
 PLASMA = Plasma(AU_DRUDE)
@@ -116,6 +119,106 @@ class TestSweep:
             pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, [])
         with pytest.raises(ValidityDomainError):
             pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, [500e-9, 400e-9])
+
+
+def preset_lattice(n):
+    """Approach lattice of campaign preset n, as the synthesis samples it."""
+    spec, geom = reference_campaign(n)
+    n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
+    return spec.z0_true + spec.sample_step * np.arange(n_fine + 1), geom
+
+
+def fake_pressure(shape):
+    """casimir_pressure stand-in with P a^4 = -shape(ln a) and no truncation;
+    its calls are counted in .calls."""
+    def fake(model, a, temperature=293.15, tol=1e-9, **kwargs):
+        fake.calls += 1
+        return PressureResult(-shape(math.log(a)) / a**4, 0.0, 1, "tol")
+
+    fake.calls = 0
+    return fake
+
+
+GRID_07 = (250 + np.arange(701)) * 1e-9
+GRID_08 = (600 + np.arange(701)) * 1e-9
+
+
+class TestGradientCurve:
+    @pytest.mark.parametrize("tag", ["drude", "plasma"])
+    @pytest.mark.parametrize("case", ["preset1", "preset2", "preset3", "preset4",
+                                      "250-950nm", "600-1300nm"])
+    def test_within_reported_bound_of_per_point_sweep(self, case, tag):
+        if case.startswith("preset"):
+            grid, geom = preset_lattice(int(case[-1]))
+            # every ninth lattice sample keeps the per-point reference cheap
+            pick = np.arange(0, grid.size, 9)
+        else:
+            grid, geom = (GRID_07, GEOM) if case == "250-950nm" else (GRID_08, WIDE)
+            pick = np.arange(grid.size)
+        model = model_for_tag(tag)
+        curve = gradient_curve(model, geom, NO_BETA, grid)
+        ref = pressure_to_gradient_sweep(model, geom, NO_BETA, grid[pick])
+        assert np.all(np.abs(curve.values[pick] - ref.values) <= curve.truncation_estimates[pick])
+        assert np.all(np.abs(curve.pressures[pick] - ref.pressures)
+                      <= curve.pressure_truncations[pick])
+        assert np.all(curve.truncation_estimates <= 5e-7 * curve.values)
+        assert not curve.beta_clamped.any()
+
+    def test_smooth_curve_takes_33_pressure_calls(self, monkeypatch):
+        fake = fake_pressure(lambda t: 2.0 + math.tanh(t + 14.5))
+        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
+        assert fake.calls == 33
+        exact = np.array([2.0 + math.tanh(math.log(a) + 14.5) for a in GRID_07]) / GRID_07**4
+        assert np.all(np.abs(-curve.pressures - exact) <= curve.pressure_truncations)
+
+    def test_refines_a_curve_that_16_nodes_miss(self, monkeypatch):
+        # sin(30 ln a) turns about six times over 250-950 nm: the first
+        # 17-/33-node check fails and the nodes double, reusing the old ones
+        def shape(t):
+            return 2.0 + math.sin(30.0 * t)
+
+        fake = fake_pressure(shape)
+        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07, tol=1e-9)
+        assert fake.calls == 129
+        exact = np.array([shape(math.log(a)) for a in GRID_07]) / GRID_07**4
+        assert np.all(np.abs(-curve.pressures - exact) <= curve.pressure_truncations)
+        assert np.all(curve.pressure_truncations <= 1e-9 * exact)
+
+    def test_kink_raises(self, monkeypatch):
+        # |ln a - ln 600 nm| has a kink that no polynomial resolves to 1e-9
+        mid = math.log(600e-9)
+        fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
+        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        with pytest.raises(NumericsError, match="Chebyshev"):
+            gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
+        assert fake.calls == 257
+
+    def test_one_point_grid(self):
+        a = 400e-9
+        curve = gradient_curve(DRUDE, GEOM, NO_BETA, [a])
+        point = force_gradient(DRUDE, GEOM, NO_BETA, a)
+        assert curve.values.shape == (1,)
+        assert abs(curve.values[0] - point.value) <= curve.truncation_estimates[0]
+        assert curve.truncation_estimates[0] == point.truncation_error_estimate
+
+    def test_beta_applied_per_point(self):
+        grid = np.linspace(300e-9, 900e-9, 61)
+        table = BetaTable(drude=((400e-9, 1.0), (600e-9, 2.0), (800e-9, 1.5)))
+        plain = gradient_curve(DRUDE, GEOM, NO_BETA, grid)
+        corrected = gradient_curve(DRUDE, GEOM, table, grid)
+        per_point = [table.beta("drude", a) for a in grid]
+        b = np.array([bc[0] for bc in per_point])
+        assert np.allclose(corrected.values, plain.values * (1.0 + b * grid / GEOM.R),
+                           rtol=1e-14, atol=0)
+        assert np.array_equal(corrected.beta_clamped, [bc[1] for bc in per_point])
+        assert np.array_equal(corrected.truncation_estimates, plain.truncation_estimates)
+
+    def test_bad_grids_rejected(self):
+        for grid in ([], [500e-9, 400e-9], [240e-9, 500e-9], [500e-9, 960e-9]):
+            with pytest.raises(ValidityDomainError):
+                gradient_curve(DRUDE, GEOM, NO_BETA, grid)
 
 
 class TestGeometryValidation:

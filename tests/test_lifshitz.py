@@ -6,16 +6,17 @@ from scipy.integrate import quad
 from scipy.special import zeta
 
 from casimirlab.constants import C_LIGHT, HBAR, K_B, ev_to_rad_per_s
-from casimirlab.errors import AmbiguousZeroTermError, ValidityDomainError
+from casimirlab.errors import AmbiguousZeroTermError, DivergentAtZeroError, ValidityDomainError
 from casimirlab.force_model import BetaTable, Geometry, pressure_to_gradient_sweep
 from casimirlab.lifshitz import (
     IDEAL_METAL,
     MatsubaraCache,
+    _fresnel,
+    _tagged_reflection,
     casimir_pressure,
     matsubara_frequency,
     pressure_sweep,
     pressure_sweep_text,
-    reflection_coefficients,
 )
 from casimirlab.optics import AU_DRUDE, Drude, Plasma
 
@@ -63,46 +64,62 @@ class _Untagged:
         return 2.0
 
 
+def fresnel_at(eps, xi, k_perp):
+    """_fresnel at imaginary frequency xi and in-plane wavevector k_perp."""
+    w = xi / C_LIGHT
+    return _fresnel(eps, math.hypot(k_perp, w), w)
+
+
 class TestReflection:
     def test_drude_zero_frequency(self):
         for k in (1e5, 1e6, 1e7):
-            r = reflection_coefficients(DRUDE, 0.0, k)
-            assert r.r_tm == 1.0
-            assert r.r_te == 0.0
+            assert _tagged_reflection(DRUDE, k) == (1.0, 0.0)
 
     def test_plasma_zero_frequency(self):
         k = 2e6
-        r = reflection_coefficients(PLASMA, 0.0, k)
+        r_tm, r_te = _tagged_reflection(PLASMA, k)
         s = math.hypot(k, PLASMA.omega_p / C_LIGHT)
-        assert r.r_tm == 1.0
-        assert r.r_te == pytest.approx((k - s) / (k + s), rel=1e-14)
-        assert -1.0 < r.r_te < 0.0
+        assert r_tm == 1.0
+        assert r_te == pytest.approx((k - s) / (k + s), rel=1e-14)
+        assert -1.0 < r_te < 0.0
 
     def test_ideal_metal_limit_of_large_eps(self):
         xi = ev_to_rad_per_s(0.2)
-        r = reflection_coefficients(_HugeEps(), xi, 1e6)
-        assert r.r_tm == pytest.approx(1.0, abs=1e-6)
-        assert r.r_te == pytest.approx(-1.0, abs=1e-6)
-        ideal = reflection_coefficients(IDEAL_METAL, xi, 1e6)
-        assert (ideal.r_tm, ideal.r_te) == (1.0, -1.0)
+        r_tm, r_te = fresnel_at(_HugeEps().epsilon(xi), xi, 1e6)
+        assert r_tm == pytest.approx(1.0, abs=1e-6)
+        assert r_te == pytest.approx(-1.0, abs=1e-6)
+        assert _tagged_reflection(IDEAL_METAL, 1e6) == (1.0, -1.0)
 
     def test_untagged_zero_term_is_ambiguous(self):
         with pytest.raises(AmbiguousZeroTermError):
-            reflection_coefficients(_Untagged(), 0.0, 1e6)
+            _tagged_reflection(_Untagged(), 1e6)
 
     def test_magnitudes_bounded(self):
         for model in (DRUDE, PLASMA):
             for xi_ev in (1e-3, 0.16, 3.0, 50.0):
+                xi = ev_to_rad_per_s(xi_ev)
                 for k in (1e4, 1e6, 1e8):
-                    r = reflection_coefficients(model, ev_to_rad_per_s(xi_ev), k)
-                    assert abs(r.r_tm) <= 1.0
-                    assert abs(r.r_te) <= 1.0
+                    r_tm, r_te = fresnel_at(model.epsilon(xi), xi, k)
+                    assert abs(r_tm) <= 1.0
+                    assert abs(r_te) <= 1.0
+
+    def test_normal_incidence(self):
+        # k_perp = 0: r_TM = -r_TE = (sqrt(eps) - 1) / (sqrt(eps) + 1)
+        xi = ev_to_rad_per_s(0.16)
+        eps = DRUDE.epsilon(xi)
+        r_tm, r_te = fresnel_at(eps, xi, 0.0)
+        n = math.sqrt(eps)
+        assert r_tm == pytest.approx((n - 1.0) / (n + 1.0), rel=1e-14)
+        assert r_te == pytest.approx(-(n - 1.0) / (n + 1.0), rel=1e-14)
 
     def test_preconditions(self):
+        # the kernel takes eps(xi) from a model, and both the Matsubara
+        # index and the models reject a negative argument
         with pytest.raises(ValueError):
-            reflection_coefficients(DRUDE, -1.0, 1e6)
-        with pytest.raises(ValueError):
-            reflection_coefficients(DRUDE, 1e14, 0.0)
+            matsubara_frequency(-1, T_LAB)
+        for model in (DRUDE, PLASMA):
+            with pytest.raises(DivergentAtZeroError):
+                model.epsilon(-1e14)
 
 
 class TestPressureOracles:

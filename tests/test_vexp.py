@@ -171,8 +171,8 @@ class TestSynthesis:
 def dense_lattice_synthesis(spec, seed, z_fine, gamma_fine, fprime_fine):
     """Synthesis that builds every stream at every sample_step lattice point.
 
-    The reference for synthesize_campaign, which builds the streams and the
-    truth curves only where the interpolation onto the grid reads them.
+    The reference for synthesize_campaign, which builds each stream only
+    where the interpolation onto the grid reads it.
     """
     a_fine = spec.z0_true + z_fine
     v0_fine = spec.v0_law.v0(a_fine)
@@ -198,13 +198,9 @@ class TestSparseSampling:
     @pytest.fixture(scope="class")
     def dense_truth(self):
         spec, geom = short_campaign()
+        z_fine, gamma_fine, fprime_fine = truth_curves(spec, geom)
         n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
-        z_fine = spec.sample_step * np.arange(n_fine + 1)
-        a_fine = spec.z0_true + z_fine
-        gamma_fine = spec.c_true * gamma_over_c(a_fine, geom.R)
-        fprime_fine = pressure_to_gradient_sweep(
-            model_for_tag(spec.truth_tag), geom, BetaTable(), a_fine
-        ).values
+        assert np.array_equal(z_fine, spec.sample_step * np.arange(n_fine + 1))
         return z_fine, gamma_fine, fprime_fine
 
     @pytest.mark.parametrize("drift, repetitions", [
@@ -215,18 +211,6 @@ class TestSparseSampling:
         assert spec.freq_systematic > 0.0
         grid = synthesize_campaign(spec, geom, seed=8)
         assert np.array_equal(grid.shifts, dense_lattice_synthesis(spec, 8, *dense_truth))
-
-    def test_truth_read_only_at_grid_brackets(self, dense_truth):
-        spec, geom = short_campaign()
-        z_rel, gamma, fprime = truth_curves(spec, geom)
-        n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
-        assert z_rel.size <= 2 * n_grid + 2
-        assert z_rel.size == gamma.size == fprime.size
-        z_fine, gamma_fine, fprime_fine = dense_truth
-        idx = np.searchsorted(z_fine, z_rel)
-        assert np.array_equal(z_fine[idx], z_rel)
-        assert np.array_equal(gamma_fine[idx], gamma)
-        assert np.array_equal(fprime_fine[idx], fprime)
 
 
 class TestTruthCurves:
