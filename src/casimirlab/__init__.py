@@ -2,20 +2,20 @@
 
 Subpackages by concern: optics (imaginary-axis permittivity), lifshitz
 (plate-plate pressure), force_model (sphere-plate gradient), electrostatics
-(calibration constant and the exact image-series coefficient), vexp
-(synthetic measurement campaigns), analysis (calibration, error budget and
-the confidence-band exclusion test), cli (command-line front end).
+(calibration constant and the exact image-series coefficient), chebyshev
+(the interpolation in ln a that the theory curves and the gamma/C table
+share), vexp (synthetic measurement campaigns), analysis (calibration,
+error budget and the confidence-band exclusion test), cli (command-line
+front end).
 """
 
 __version__ = "0.1.0"
 
 from .optics import (  # noqa: F401
-    AU_CORE_OSCILLATORS,
     AU_DRUDE,
     Drude,
     DrudeParams,
     OpticalTable,
-    Oscillator,
     PermittivityModel,
     Plasma,
     Tabulated,
@@ -39,6 +39,7 @@ from .force_model import (  # noqa: F401
     pressure_to_gradient_sweep,
 )
 from .electrostatics import (  # noqa: F401
+    GammaTable,
     calibration_constant,
     gamma_coefficient,
     gamma_over_c,

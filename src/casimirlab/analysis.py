@@ -6,6 +6,11 @@ gradients are then extracted channel by channel, averaged with a 67%
 confidence budget, and compared against theory through the confidence-band
 exclusion rule (an interval is excluded when more than 33% of the
 difference points fall outside the band).
+
+The fit and the extraction each read gamma/C from one
+electrostatics.GammaTable, so the image series runs only at the table's
+nodes.  The 67% budget's Student t quantile is computed here from the
+incomplete beta function, which keeps scipy out of the import.
 """
 
 from __future__ import annotations
@@ -13,16 +18,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import stdtrit
-
-from .electrostatics import gamma_over_c
+# gamma_over_c is not called here; bench/tests/test_bench_tracing.py checks
+# that the layer tracer rebinds it in this module too
+from .electrostatics import GammaTable, gamma_over_c  # noqa: F401
 from .errors import (
     DegenerateFitError,
     FitConvergenceError,
     GridAlignmentError,
+    NumericsError,
     ValidityDomainError,
 )
 from .vexp import MeasurementGrid, V0Law
@@ -196,7 +203,7 @@ class CalibrationFit(NamedTuple):
     sigma_z0: float
     window_fits: list[WindowFit]
     chi2_dof: float           # weighted residual sum of squares per degree of freedom
-    gamma_evals: int          # gamma_over_c evaluations the fit made
+    gamma_evals: int          # gamma/C table evaluations; the series runs only at its nodes
     scan_fallback: bool       # the seeded bracket missed and the full-range scan ran
 
 
@@ -207,7 +214,7 @@ def _project(gamma, weights, g):
     return c, gamma - c * g
 
 
-def _gauss_newton(z_rel, gamma, weights, R, z0, lo, hi):
+def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
     """Variable-projection Gauss-Newton on z0, clamped to [lo, hi].
 
     C is the weighted projection at every z0; the step uses the projected
@@ -217,7 +224,7 @@ def _gauss_newton(z_rel, gamma, weights, R, z0, lo, hi):
     """
     z0 = float(z0)
     for k in range(1, _MAX_STEPS + 1):
-        g, dg = gamma_over_c(z0 + z_rel, R, slope=True)
+        g, dg = table(z0 + z_rel, slope=True)
         c, r = _project(gamma, weights, g)
         p = dg - float((weights * g) @ dg) / float((weights * g) @ g) * g
         step = float((weights * p) @ r) / (c * float((weights * p) @ p))
@@ -228,6 +235,9 @@ def _gauss_newton(z_rel, gamma, weights, R, z0, lo, hi):
         z0 = new
 
 
+_WINDOW_HALF_WIDTH = 30e-9   # z0 bracket of the window refits
+
+
 def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> CalibrationFit:
     """Fit the exact electrostatic coefficient over (C, z0).
 
@@ -236,6 +246,9 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     and z0 follows from Gauss-Newton steps with the analytic slope of the
     series, started at a proximity-limit seed inside a bracket around it.
     If the steps reach the bracket edge, a full-range scan picks a new start.
+    Every evaluation reads one GammaTable over all the separations the fit
+    can reach: z0 in the bounds, and up to 30 nm past them in the window
+    refits.
     """
     z_rel = np.asarray(z_rel, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -250,6 +263,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     lo, hi = z0_bounds
     if not (0 < lo < hi <= 10e-6):
         raise ValidityDomainError(f"z0 bounds {z0_bounds} escape (0, 10 um]")
+    table = GammaTable(lo + z_rel.min(), hi + _WINDOW_HALF_WIDTH + z_rel.max(), R)
 
     # Proximity-limit seed: gamma ~ 1/a^2 gives z0 from the ratio of two
     # samples; Gauss-Newton runs in a generous bracket around it.
@@ -257,12 +271,12 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     ratio = math.sqrt(max(gamma[0] / gamma[k], 1.0 + 1e-12))
     guess = min(max(z_rel[k] / (ratio - 1.0), lo), hi) if ratio > 1 else hi
     z0, c_cal, rss, g, dg, evals, inside = _gauss_newton(
-        z_rel, gamma, weights, R, guess, max(lo, 0.4 * guess), min(hi, 2.5 * guess)
+        z_rel, gamma, weights, table, guess, max(lo, 0.4 * guess), min(hi, 2.5 * guess)
     )
     scan_fallback = not inside
     if scan_fallback:
         scan = np.geomspace(lo, hi, 80)
-        costs = [float(weights @ _project(gamma, weights, gamma_over_c(z + z_rel, R))[1] ** 2)
+        costs = [float(weights @ _project(gamma, weights, table(z + z_rel))[1] ** 2)
                  for z in scan]
         evals += scan.size
         i_best = int(np.argmin(costs))
@@ -272,7 +286,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
                 f"({scan[i_best] * 1e9:.1f} nm); residual {costs[i_best]:.3e}"
             )
         z0, c_cal, rss, g, dg, n, inside = _gauss_newton(
-            z_rel, gamma, weights, R, scan[i_best], scan[i_best - 1], scan[i_best + 1]
+            z_rel, gamma, weights, table, scan[i_best], scan[i_best - 1], scan[i_best + 1]
         )
         evals += n
         if not inside:
@@ -286,7 +300,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     window_fits = []
     for idx in np.array_split(np.arange(z_rel.size), 4):
         z0w, cw, *_, n, _ = _gauss_newton(
-            z_rel[idx], gamma[idx], weights[idx], R, z0, max(lo, z0 - 30e-9), z0 + 30e-9
+            z_rel[idx], gamma[idx], weights[idx], table, z0,
+            max(lo, z0 - _WINDOW_HALF_WIDTH), z0 + _WINDOW_HALF_WIDTH
         )
         evals += n
         window_fits.append(WindowFit(float(z_rel[idx[0]]), float(z_rel[idx[-1]]), cw, z0w))
@@ -329,13 +344,14 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     """Invert the shift model per channel and average at 67% confidence.
 
     F' = [-delta_omega - gamma_hat(a) (V_i - V0_hat(a))^2] / C_hat with the
-    calibrated analytic gamma and the straight-line V0; the random error is
-    the Student-scaled standard error over the 21 x repetitions channels,
-    the systematic error is the quoted frequency-shift error divided by C,
-    and the two combine in quadrature.
+    calibrated analytic gamma, read from one GammaTable over the calibrated
+    separations, and the straight-line V0; the random error is the
+    Student-scaled standard error over the 21 x repetitions channels, the
+    systematic error is the quoted frequency-shift error divided by C, and
+    the two combine in quadrature.
     """
     a = calib.separations
-    gamma_hat = calib.c_cal * gamma_over_c(a, calib.R)
+    gamma_hat = calib.c_cal * GammaTable(a.min(), a.max(), calib.R)(a)
     v0_hat = calib.line.v0(a)
     v = grid.voltages[:, None, None]
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal
@@ -343,15 +359,17 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
 
     if not np.all(np.isfinite(flat)):
         warnings.warn("dropping non-finite channels at some separations", stacklevel=2)
+        n_eff = int(np.isfinite(flat).sum(axis=0).min())
+        if n_eff < 2:
+            raise DegenerateFitError("a separation has fewer than 2 finite channels")
         mean = np.nanmean(flat, axis=0)
         sd = np.nanstd(flat, axis=0, ddof=1)
-        n_eff = np.isfinite(flat).sum(axis=0).min()
     else:
         mean = flat.mean(axis=0)
         sd = flat.std(axis=0, ddof=1)
         n_eff = flat.shape[0]
 
-    t67 = float(stdtrit(n_eff - 1, 0.5 + 0.67 / 2.0))
+    t67 = _t_quantile(0.5 + 0.67 / 2.0, n_eff - 1)
     random_error = t67 * sd / math.sqrt(n_eff)
     systematic = grid.spec.freq_systematic / calib.c_cal
     systematic_error = np.full_like(mean, systematic)
@@ -364,6 +382,83 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
         total_error=total,
         n_channels=int(n_eff),
     )
+
+
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+# Stirling coefficients B_2k / (2k (2k - 1)), k = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+@lru_cache(maxsize=64)
+def _t_quantile(q: float, df: int) -> float:
+    """Quantile of Student's t distribution with df degrees of freedom, 0.5 < q < 1.
+
+    With y = t^2 / (df + t^2) the distribution function is
+    F(t) = 1/2 + I_y(1/2, df/2) / 2 for t >= 0, I the regularized incomplete
+    beta function.  F is concave for t > 0, so Newton steps from t = 0 rise
+    monotonically to the root; they stop once a step is below 1e-8 t, which
+    leaves an error of order 1e-16 t.
+    """
+    b = 0.5 * df
+    log_beta = _LOG_SQRT_PI + _log_gamma_ratio(b)      # ln B(1/2, df/2)
+    t = 0.0
+    for _ in range(50):
+        log_1py = math.log1p(t * t / df)                # -ln(1 - y), free of cancellation
+        pdf = math.exp(-log_beta - 0.5 * math.log(df) - (b + 0.5) * log_1py)
+        step = (q - 0.5 - 0.5 * _beta_half(t, df, b, log_beta, log_1py)) / pdf
+        t += step
+        if step <= 1e-8 * t:
+            return t
+    raise NumericsError(f"Student t quantile {q} for {df} degrees of freedom did not converge")
+
+
+def _log_gamma_ratio(b: float) -> float:
+    """ln Gamma(b) - ln Gamma(b + 1/2).
+
+    Above b = 10 it comes from the difference of the Stirling series, whose
+    omitted term is below 1e-16 there; the difference of two math.lgamma
+    values would lose their size, 1e5 at b = 1.5e4, times the rounding.
+    """
+    if b < 10.0:
+        return math.lgamma(b) - math.lgamma(b + 0.5)
+
+    def series(z):
+        return sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+
+    return -0.5 * math.log(b) + (0.5 - b * math.log1p(0.5 / b)) + series(b) - series(b + 0.5)
+
+
+def _beta_half(t, df, b, log_beta, log_1py) -> float:
+    """I_y(1/2, b) at y = t^2 / (df + t^2), 1 - y = df / (df + t^2), by continued fraction.
+
+    The prefactor y^(1/2) (1 - y)^b / B(1/2, b) takes ln(1 - y) = -log1p(t^2/df),
+    exact to rounding where the naive logarithm, times b, would not be.  The
+    fraction converges fast below y = (a + 1) / (a + b + 2) for I_y(a, b);
+    above it the symmetry I_y(1/2, b) = 1 - I_{1-y}(b, 1/2) applies.
+    """
+    if t == 0.0:
+        return 0.0
+    y, y_c = t * t / (df + t * t), df / (df + t * t)
+    front = math.exp(0.5 * math.log(y) - b * log_1py - log_beta)
+    if y < 1.5 / (b + 2.5):
+        return front * _beta_fraction(0.5, b, y) / 0.5
+    return 1.0 - front * _beta_fraction(b, 0.5, y_c) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.4)."""
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 200):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            h *= d * c
+        if abs(d * c - 1.0) <= 4e-16:
+            return h
+    raise NumericsError(f"incomplete beta fraction did not converge at a = {a}, b = {b}")
 
 
 def combine_gradient_series(series_list, grid=None) -> GradientSeries:

@@ -64,6 +64,13 @@ def _getfloat(cp, section, key, default):
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+def _getint(cp, section, key, default):
+    try:
+        return cp.getint(section, key, fallback=default)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
 def _geometry(cp) -> Geometry:
     sec = "geometry"
     return Geometry(
@@ -80,7 +87,7 @@ def _geometry(cp) -> Geometry:
 def _campaign(cp, truth_override=None):
     sec = "campaign"
     if cp.has_option(sec, "preset"):
-        n = cp.getint(sec, "preset")
+        n = _getint(cp, sec, "preset", None)
         truth = truth_override or cp.get(sec, "truth", fallback="plasma")
         return reference_campaign(n, truth), n
     if not cp.has_section(sec):
@@ -111,6 +118,10 @@ def _theory_grid(cp, args):
     start = _getfloat(cp, sec, "a_start_nm", 250.0)
     stop = _getfloat(cp, sec, "a_stop_nm", 950.0)
     step = _getfloat(cp, sec, "a_step_nm", 1.0)
+    if not step > 0:
+        raise ConfigError(f"[{sec}] a_step_nm must be positive, got {step}")
+    if not stop >= start:
+        raise ConfigError(f"[{sec}] a_stop_nm = {stop} lies below a_start_nm = {start}")
     n = int(round((stop - start) / step)) + 1
     return (start + step * np.arange(n)) * 1e-9
 
@@ -172,7 +183,7 @@ def _cmd_theory(args, cp):
 def _cmd_synth(args, cp):
     out = Path(args.out)
     (spec, geometry), n = _campaign(cp, truth_override=None)
-    seed = args.seed if args.seed is not None else cp.getint("campaign", "seed", fallback=0)
+    seed = args.seed if args.seed is not None else _getint(cp, "campaign", "seed", 0)
     grid = synthesize_campaign(spec, geometry, seed)
     name = f"grid_set{n}_seed{seed}.txt" if n else f"grid_seed{seed}.txt"
     out.mkdir(parents=True, exist_ok=True)
@@ -207,11 +218,15 @@ def _parse_intervals(cp):
     out = []
     for part in spec.replace(";", ",").split(","):
         lo, _, hi = part.partition(":")
-        out.append((float(lo) * 1e-9, float(hi) * 1e-9))
+        try:
+            out.append((float(lo) * 1e-9, float(hi) * 1e-9))
+        except ValueError:
+            raise ConfigError(f"[compare] intervals: {part.strip()!r} is not lo:hi in nm") from None
     return out
 
 
 def _compare_series(args, cp, series, geometry, tol):
+    intervals = _parse_intervals(cp)
     series_list = series if isinstance(series, list) else [series]
     lo = _getfloat(cp, "compare", "grid_start_nm",
                    max(s.separations[0] for s in series_list) * 1e9)
@@ -228,7 +243,6 @@ def _compare_series(args, cp, series, geometry, tol):
         optical_fraction=_getfloat(cp, "compare", "optical_fraction", 0.005),
         delta_z=_getfloat(cp, "compare", "delta_z_nm", 0.5) * 1e-9,
     )
-    intervals = _parse_intervals(cp)
     if intervals is None:
         width = _getfloat(cp, "compare", "window_nm", 100.0) * 1e-9
         from .analysis import default_windows
@@ -260,9 +274,12 @@ def _cmd_compare(args, cp):
 
 def _cmd_pipeline(args, cp):
     out = Path(args.out)
-    sets = [int(s) for s in cp.get("pipeline", "sets", fallback="1").split(",")]
+    try:
+        sets = [int(s) for s in cp.get("pipeline", "sets", fallback="1").split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"[pipeline] sets: {exc}") from None
     truth = cp.get("pipeline", "truth", fallback="plasma")
-    base_seed = args.seed if args.seed is not None else cp.getint("pipeline", "seed", fallback=0)
+    base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
     tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
 
     campaigns = [reference_campaign(n, truth) for n in sets]

@@ -6,6 +6,13 @@ vexp.synthesize_campaign writes that law and analysis.extract_gradients
 inverts it.  The coefficient gamma follows from the exact image-charge
 series for the sphere-plate capacitance, parameterised by
 cosh(kappa) = 1 + a/R.
+
+gamma_over_c sums that series directly.  GammaTable interpolates it from
+Chebyshev nodes in ln a, where a^2 gamma/C is analytic: the calibration fit
+and the gradient extraction evaluate gamma/C at hundreds of separations
+some twenty times per set, so they build one table and run the series only
+at its nodes.  The synthetic truth (vexp) keeps the direct series, so the
+fit is checked against an independent evaluation.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ import math
 import numpy as np
 
 from .constants import EPSILON_0
-from .errors import NumericsError, PrecisionError
+from .chebyshev import lagrange_basis, nested_nodes, unit
+from .errors import NumericsError, PrecisionError, ValidityDomainError
 
 __all__ = [
+    "GammaTable",
     "calibration_constant",
     "gamma_coefficient",
     "gamma_over_c",
@@ -151,6 +160,51 @@ def gamma_over_c(a, R: float, tol: float = 1e-10, slope: bool = False):
         return float(g[0]) if scalar else g
     dg = 2.0 * math.pi * EPSILON_0 / root**2 * (ds - s * (R + a_arr) / root)
     return (float(g[0]), float(dg[0])) if scalar else (g, dg)
+
+
+class GammaTable:
+    """gamma / C and its slope over [lo, hi], interpolated from the image series.
+
+    gamma_over_c(..., slope=True) runs at nested Chebyshev-Lobatto nodes in
+    ln a over [lo, hi], at tol / 1000 so that neither the node errors carried
+    through the interpolation nor the slope series, whose terms fall off one
+    power of n slower, come near tol.  a^2 gamma/C and a^3 (d gamma/da)/C
+    are interpolated in barycentric form.  The nodes double (33 first) until
+    the interpolants on n + 1 and 2n + 1 nodes agree to tol relative, for
+    values and slopes, halfway in angle between every pair of neighbouring
+    nodes; past 257 nodes NumericsError is raised.  A call at any point
+    outside [lo, hi] raises ValidityDomainError instead of extrapolating.
+    """
+
+    def __init__(self, lo: float, hi: float, R: float, tol: float = 1e-10):
+        if not 0 < lo < hi < math.inf:
+            raise ValueError(f"table range [{lo}, {hi}] must satisfy 0 < lo < hi < inf")
+        self.lo, self.hi = float(lo), float(hi)
+
+        def evaluate(a):
+            g, dg = gamma_over_c(a, R, 1e-3 * tol, slope=True)
+            return np.array([a * a * g, a**3 * dg])
+
+        def converged(x, f):
+            m = x.size - 1
+            mid = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+            fine = f @ lagrange_basis(x, mid).T
+            coarse = f[:, ::2] @ lagrange_basis(x[::2], mid).T
+            return bool(np.all(np.abs(coarse - fine) <= tol * np.abs(fine)))
+
+        self._x, self._f = nested_nodes(
+            self.lo, self.hi, evaluate, converged,
+            f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
+
+    def __call__(self, a, slope: bool = False):
+        """gamma / C at the separations a, and with slope=True its derivative in a."""
+        a = np.asarray(a, dtype=float)
+        if not np.all((a >= self.lo) & (a <= self.hi)):
+            raise ValidityDomainError(
+                f"separations {np.min(a) * 1e9:.3f}..{np.max(a) * 1e9:.3f} nm leave the "
+                f"gamma/C table over [{self.lo * 1e9:.3f}, {self.hi * 1e9:.3f}] nm")
+        g, dg = self._f @ lagrange_basis(self._x, unit(a, self.lo, self.hi)).T
+        return (g / (a * a), dg / a**3) if slope else g / (a * a)
 
 
 def gamma_coefficient(a: float, R: float, c_cal: float, tol: float = 1e-10) -> float:

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, ValidityDomainError
+from .chebyshev import lagrange_basis, nested_nodes, unit
+from .errors import ValidityDomainError
 from .lifshitz import MatsubaraCache, casimir_pressure
 from .optics import PermittivityModel
 
@@ -229,12 +230,6 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-# gradient_curve starts from 2n = 32 Chebyshev-Lobatto intervals and doubles
-# n until the n- and 2n-interval interpolants agree, up to 2n = 256.
-_CURVE_INTERVALS = 32
-_CURVE_MAX_INTERVALS = 256
-
-
 def gradient_curve(
     model: PermittivityModel,
     geometry: Geometry,
@@ -289,66 +284,30 @@ def gradient_curve(
 
 def _interpolated_pressures(evaluate, grid, tol):
     """(P, truncation bound) on grid from P a^4 at Chebyshev-Lobatto nodes in ln a."""
-    t = np.log(grid)
-    span = t[-1] - t[0]
-    # exactly -1 and +1 at the grid ends, which are nodes
-    x = ((t - t[0]) - (t[-1] - t)) / span
+    x = unit(grid, grid[0], grid[-1])
 
-    def separations(nodes):
-        return np.exp(t[0] + 0.5 * span * (nodes + 1.0))
+    def scaled(a):
+        p, trunc = evaluate(a)
+        return np.array([p * a**4, trunc * a**4])
 
-    m = _CURVE_INTERVALS
-    nodes = _lobatto_points(m)
-    a = separations(nodes)
-    a[0], a[-1] = grid[-1], grid[0]
-    p, trunc = evaluate(a)
-    while True:
-        f = p * a**4
-        fine = _lagrange_basis(nodes, x)
+    def interpolants(nodes, f):
+        fine = lagrange_basis(nodes, x)
         p_fine = fine @ f
-        gap = np.abs(_lagrange_basis(nodes[::2], x) @ f[::2] - p_fine)
-        if np.all(gap <= max(tol, float(np.max(trunc / np.abs(p)))) * np.abs(p_fine)):
-            break
-        if m >= _CURVE_MAX_INTERVALS:
-            raise NumericsError(
-                f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm is not "
-                f"resolved by {m + 1} Chebyshev nodes"
-            )
-        m *= 2
-        new = _lobatto_points(m)[1::2]
-        a_new = separations(new)
-        p_new, trunc_new = evaluate(a_new)
-        nodes, a = _interleave(nodes, new), _interleave(a, a_new)
-        p, trunc = _interleave(p, p_new), _interleave(trunc, trunc_new)
+        return fine, p_fine, np.abs(lagrange_basis(nodes[::2], x) @ f[::2] - p_fine)
+
+    def converged(nodes, values):
+        f, trunc = values
+        _, p_fine, gap = interpolants(nodes, f)
+        return bool(np.all(gap <= max(tol, float(np.max(trunc / np.abs(f)))) * np.abs(p_fine)))
+
+    nodes, (f, trunc) = nested_nodes(
+        grid[0], grid[-1], scaled, converged,
+        f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm")
+    fine, p_fine, gap = interpolants(nodes, f)
     # node truncations through the basis, the n-against-2n gap, and the
     # rounding of the barycentric formula, (3 m + 4) u sum_i |l_i f_i|
     # (N. J. Higham, IMA J. Numer. Anal. 24, 547 (2004))
     abs_basis = np.abs(fine)
-    rounding = (3 * m + 4) * np.finfo(float).eps * (abs_basis @ np.abs(f))
-    bound = (abs_basis @ (trunc * a**4) + gap + rounding) / grid**4
+    rounding = (3 * (nodes.size - 1) + 4) * np.finfo(float).eps * (abs_basis @ np.abs(f))
+    bound = (abs_basis @ trunc + gap + rounding) / grid**4
     return p_fine / grid**4, bound
-
-
-def _lobatto_points(m: int) -> np.ndarray:
-    """The m + 1 Chebyshev-Lobatto points on [-1, 1], from +1 down to -1."""
-    return np.sin(0.5 * np.pi * (m - 2 * np.arange(m + 1)) / m)
-
-
-def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form)."""
-    w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
-    d = x[:, None] - nodes[None, :]
-    hit = d == 0.0
-    c = w / np.where(hit, 1.0, d)
-    basis = c / c.sum(axis=1, keepdims=True)
-    at_node = hit.any(axis=1)
-    basis[at_node] = hit[at_node]
-    return basis
-
-
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    out = np.empty(even.size + odd.size)
-    out[0::2] = even
-    out[1::2] = odd
-    return out

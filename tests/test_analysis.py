@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 
+from casimirlab import vexp
 from casimirlab.analysis import (
+    _t_quantile,
     calibrate,
     calibration_text,
     combine_gradient_series,
@@ -20,6 +23,7 @@ from casimirlab.analysis import (
     gradient_series_text,
     load_gradient_series,
 )
+from casimirlab.electrostatics import gamma_over_c
 from casimirlab.errors import (
     DegenerateFitError,
     FitConvergenceError,
@@ -151,6 +155,17 @@ class TestCalibrationFit:
         assert calib.z0 == pytest.approx(spec.z0_true, abs=2e-12)
         assert calib.c_cal == pytest.approx(spec.c_true, rel=1e-7)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_noiseless_series_recovery(self, n):
+        # gamma from the direct series, read back through the fit's table
+        spec, geom = reference_campaign(n)
+        z_rel = vexp._lattice(spec)[1]
+        gamma = spec.c_true * gamma_over_c(spec.z0_true + z_rel, geom.R)
+        fit = fit_calibration(z_rel, gamma, np.ones_like(gamma), geom.R)
+        assert abs(fit.c_cal / spec.c_true - 1.0) <= 1e-9
+        assert abs(fit.z0 / spec.z0_true - 1.0) <= 1e-9
+        assert not fit.scan_fallback
+
     def test_set3_round_trip(self):
         spec, geom = reference_campaign(3)
         grid = synthesize_campaign(spec, geom, seed=21)
@@ -265,6 +280,10 @@ class TestExtraction:
         with pytest.warns(UserWarning):
             series = extract_gradients(holed, calib)
         assert np.all(np.isfinite(series.mean))
+        # one channel left gives no standard error
+        holed.shifts[1:, :, 10] = np.nan
+        with pytest.warns(UserWarning), pytest.raises(DegenerateFitError):
+            extract_gradients(holed, calib)
 
     def test_error_budget_composition(self, set1_grid):
         spec, _, grid = set1_grid
@@ -304,6 +323,13 @@ class TestExtraction:
         mean_total = total / n_seeds
         assert np.all(np.abs(bias) <= 0.1 * mean_total + 3.5 * se)
         assert np.abs(bias).mean() <= 0.1 * mean_total.mean()
+
+
+class TestStudentQuantile:
+    def test_matches_scipy_for_every_df_to_30000(self):
+        df = np.arange(1, 30001)
+        ours = np.array([_t_quantile(0.835, int(k)) for k in df])
+        assert np.all(np.abs(ours / stdtrit(df, 0.835) - 1.0) <= 1e-13)
 
 
 class TestCombination:

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import casimirlab
 from casimirlab import cli
+from casimirlab.analysis import GradientSeries, gradient_series_text
 from casimirlab.cli import main
 from casimirlab.lifshitz import casimir_pressure
 from casimirlab.vexp import model_for_tag
@@ -174,8 +176,8 @@ class TestImport:
         # a fresh interpreter, so that no other test's imports count
         src = str(Path(casimirlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, casimirlab.cli; print(' '.join(m for m in "
-                "('scipy.stats', 'scipy.interpolate', 'scipy.constants') if m in sys.modules))")
+        code = ("import sys, casimirlab.cli; print(' '.join(m for m in ('scipy.stats', "
+                "'scipy.interpolate', 'scipy.constants', 'scipy.special') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == ""
@@ -219,3 +221,30 @@ class TestErrors:
         assert run(["theory", "--config", cfg, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert "r_um" in err
+
+    @pytest.mark.parametrize("command, ini", [
+        ("theory", "[theory]\na_step_nm = 0\n"),
+        ("theory", "[theory]\na_start_nm = 500\na_stop_nm = 400\n"),
+        ("pipeline", "[pipeline]\nsets = 1,x\n"),
+        ("pipeline", "[pipeline]\nseed = x\n"),
+        ("synth", "[campaign]\npreset = 1\nseed = x\n"),
+    ], ids=["theory-zero-step", "theory-stop-below-start", "pipeline-sets", "pipeline-seed",
+            "campaign-seed"])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, ini):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_compare_interval_is_a_config_error(self, tmp_path, capsys):
+        a = np.arange(300, 401) * 1e-9
+        ones = np.ones_like(a)
+        gradients = tmp_path / "gradients.txt"
+        gradients.write_text(gradient_series_text(GradientSeries(a, ones, ones, ones, ones, 21)))
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[compare]\nintervals = 300:x\n")
+        assert run(["compare", "--gradients", gradients, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert "intervals" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from casimirlab import electrostatics
+from casimirlab import electrostatics, vexp
 from casimirlab.constants import EPSILON_0
-from casimirlab.electrostatics import calibration_constant, gamma_coefficient, gamma_over_c
-from casimirlab.errors import PrecisionError
+from casimirlab.electrostatics import (
+    GammaTable,
+    calibration_constant,
+    gamma_coefficient,
+    gamma_over_c,
+)
+from casimirlab.errors import NumericsError, PrecisionError, ValidityDomainError
 
 R_SPHERE = 43.466e-6
 C_CAL = 6.485e5
@@ -191,3 +196,52 @@ class TestTermCount:
             tol = 10.0 ** rng.uniform(-15.0, 1.0)
             assert electrostatics._term_count(kappas, tol) == \
                 doubling_bisect_term_count(kappas, tol), (kappas.min(), kappas.max(), tol)
+
+
+def preset_separations(n):
+    """The absolute separations of preset n's analysis grid."""
+    spec, _ = vexp.reference_campaign(n)
+    return spec.z0_true + vexp._lattice(spec)[1]
+
+
+class TestGammaTable:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    @pytest.mark.parametrize("case", ["preset1", "preset2", "preset3", "preset4",
+                                      "wide", "wide-small-R"])
+    def test_within_tol_of_the_series(self, case, tol):
+        R = 1e-6 if case == "wide-small-R" else R_SPHERE
+        if case.startswith("preset"):
+            a = preset_separations(int(case[-1]))
+        else:
+            # the reach of a calibration fit with the default z0 bounds;
+            # a/R runs up to 10.7 for the small sphere
+            a = np.geomspace(50e-9, 10.73e-6, 1500)
+        g, dg = GammaTable(a[0], a[-1], R, tol)(a, slope=True)
+        ref, ref_slope = gamma_over_c(a, R, tol=1e-14, slope=True)
+        assert np.all(np.abs(g - ref) <= tol * ref)
+        assert np.all(np.abs(dg - ref_slope) <= tol * np.abs(ref_slope))
+        assert np.array_equal(g, GammaTable(a[0], a[-1], R, tol)(a))
+
+    def test_kink_doubles_the_nodes_then_raises(self, monkeypatch):
+        # |ln a - ln 1 um| has a kink that no polynomial resolves to 1e-10
+        sizes = []
+
+        def kinked(a, R, tol, slope):
+            sizes.append(a.size)
+            t = np.log(a / 1e-6)
+            return (1.0 + np.abs(t)) / a**2, (np.sign(t) - 2.0 * (1.0 + np.abs(t))) / a**3
+
+        monkeypatch.setattr(electrostatics, "gamma_over_c", kinked)
+        with pytest.raises(NumericsError, match="Chebyshev"):
+            GammaTable(100e-9, 10e-6, R_SPHERE)
+        assert sizes == [33, 32, 64, 128]
+
+    def test_points_outside_the_range_raise(self):
+        table = GammaTable(200e-9, 900e-9, R_SPHERE)
+        assert table(np.array([200e-9, 900e-9])) == pytest.approx(
+            gamma_over_c(np.array([200e-9, 900e-9]), R_SPHERE), rel=1e-10)
+        for a in (200e-9 * (1 - 1e-12), 900e-9 * (1 + 1e-12), math.nan):
+            with pytest.raises(ValidityDomainError):
+                table(np.array([500e-9, a]))
+        with pytest.raises(ValueError):
+            GammaTable(900e-9, 200e-9, R_SPHERE)
