@@ -84,7 +84,7 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
 
     x = np.column_stack([v * v, v, np.ones_like(v)])
     xtx_inv = np.linalg.inv(x.T @ x)
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+    coef = xtx_inv @ (x.T @ y)
     resid = y - x @ coef
     dof = v.size - 3
     s2 = (resid * resid).sum(axis=0) / dof

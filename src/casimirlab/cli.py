@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .errors import CasimirLabError, ConfigError
 from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
-from .lifshitz import pressure_sweep_text
+from .lifshitz import TOL_RANGE, pressure_sweep_text
 from .vexp import (
     CampaignSpec,
     V0Law,
@@ -113,6 +113,15 @@ def _campaign(cp, truth_override=None):
     return (spec, _geometry(cp)), 0
 
 
+def _tol(args, cp):
+    """Thermal-sum tolerance from --tol, else [theory] tol, checked before any work."""
+    tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ConfigError(f"tol = {tol} lies outside [{lo:g}, {hi:g}]")
+    return tol
+
+
 def _theory_grid(cp, args):
     sec = "theory"
     start = _getfloat(cp, sec, "a_start_nm", 250.0)
@@ -148,7 +157,7 @@ def _cmd_theory(args, cp):
     out = Path(args.out)
     grid = _theory_grid(cp, args)
     geometry = _geometry(cp)
-    tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
+    tol = _tol(args, cp)
     models = _models(args.model)
     manifest = _manifest("theory", {
         "model": args.model,
@@ -255,9 +264,9 @@ def _cmd_compare(args, cp):
     out = Path(args.out)
     if not args.gradients:
         raise ConfigError("compare needs --gradients <file> [<file> ...]")
+    tol = _tol(args, cp)
     series = [load_gradient_series(p) for p in args.gradients]
     geometry = _geometry(cp)
-    tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
     report, _ = _compare_series(args, cp, series, geometry, tol)
     manifest = _manifest("compare", {
         "gradients": " ".join(Path(p).name for p in args.gradients),
@@ -280,7 +289,7 @@ def _cmd_pipeline(args, cp):
         raise ConfigError(f"[pipeline] sets: {exc}") from None
     truth = cp.get("pipeline", "truth", fallback="plasma")
     base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
-    tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
+    tol = _tol(args, cp)
 
     campaigns = [reference_campaign(n, truth) for n in sets]
     # every set is compared against one theory curve, so the sets must share

@@ -6,10 +6,15 @@ The pressure is evaluated as the primed Matsubara sum
 
 computed here in the dimensionless variable y = 2 a q_l, so that each term
 becomes (1 / 8 a^3) int_{y_l}^inf y^2 sum_pol [r^-2 e^y - 1]^-1 dy with
-y_l = 2 a xi_l / c.  Every term is integrated with an adaptive, vectorised
-Gauss-Kronrod scheme; the exponential tail beyond the last panel is below
-double precision.  The zero-frequency term is dispatched on the model's
-declared extrapolation tag, never inferred numerically.
+y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
+count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
+all of them are integrated in one vectorised pass over a node template in
+t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), and a
+term whose error estimate misses tol/2 of its value falls back to adaptive
+Gauss-Kronrod panel bisection (Bordag, Klimchitskaya, Mohideen and
+Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the sum).  The
+zero-frequency term is dispatched on the model's declared extrapolation tag,
+never inferred numerically.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "IDEAL_METAL",
     "PressureResult",
     "MatsubaraCache",
+    "TOL_RANGE",
     "casimir_pressure",
     "pressure_sweep",
     "pressure_sweep_text",
@@ -116,57 +122,110 @@ _WG = np.array([
     0.129484966168870,
 ])
 
-# Relative panel edges for y - y_l; the integrand decays like e^-y so the
-# mass beyond the last edge is below double precision relative to the term.
+# Fallback panel edges for t = y - y_l; the integrand decays like e^-t, so
+# the mass beyond the last edge is below double precision relative to the term.
 _PANEL_EDGES = np.array([0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, 17.0, 23.0, 30.0, 40.0, 60.0])
 
 
-def _mode_occupancy(r2, y, em):
-    """r^2 e^-y / (1 - r^2 e^-y), stable for r^2 near 1 and small y; em = e^-y."""
-    pos = r2 > 0.0
-    if np.all(pos):
-        return r2 * em / -np.expm1(np.log(r2) - y)
-    out = np.zeros_like(y)
-    if np.any(pos):
-        logr2 = np.log(np.where(pos, r2, 1.0))
-        denom = -np.expm1(logr2 - y)
-        np.copyto(out, r2 * em / denom, where=pos)
-    return out
+def _gauss_laguerre(n):
+    """Nodes x and weights w e^x of the n-point rule for int_0^inf e^-x f(x) dx.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre polynomials (diagonal 2k + 1, off-diagonal k), the weights the
+    squared first components of its eigenvectors.
+    """
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
+    return x, v[0] ** 2 * np.exp(x)
+
+
+def _node_template():
+    """Nodes in t = y - y_l shared by every term, and their weight matrix.
+
+    15-point Gauss-Kronrod panels on [0, 0.5, 1.5, 3.5, 7] resolve the start
+    of a term, where the occupancy pole at y = ln r^2 <= 0 lies within y_l;
+    from t = 7 on, where the integrand is e^-t times a slowly varying factor,
+    a 20-point Gauss-Laguerre rule takes the rest, and a 14-point one checks
+    it.  values @ weights gives, per row, the integral in column 0 and in the
+    other columns the Kronrod-minus-Gauss difference of each panel and the
+    GL20-minus-GL14 difference, whose absolute sum is the error estimate.
+    """
+    edges = np.array([0.0, 0.5, 1.5, 3.5, 7.0])
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    n_panel = _XGK.size * half.size
+    x20, w20 = _gauss_laguerre(20)
+    x14, w14 = _gauss_laguerre(14)
+    nodes = np.concatenate([(mid[:, None] + half[:, None] * _XGK).ravel(),
+                            edges[-1] + x20, edges[-1] + x14])
+    weights = np.zeros((nodes.size, half.size + 2))
+    for p in range(half.size):
+        rows = slice(p * _XGK.size, (p + 1) * _XGK.size)
+        weights[rows, 0] = half[p] * _WGK
+        weights[rows, 1 + p] = half[p] * _WGK
+        weights[rows, 1 + p][1::2] -= half[p] * _WG
+    laguerre = slice(n_panel, n_panel + x20.size)
+    weights[laguerre, 0] = w20
+    weights[laguerre, -1] = w20
+    weights[laguerre.stop:, -1] = -w14
+    return nodes, weights
+
+
+_T_NODES, _T_WEIGHTS = _node_template()
 
 
 def _integrand(r_tm, r_te, y):
-    """y^2 summed over polarisations of the mode occupancy at amplitude r."""
-    em = np.exp(-y)
-    return y * y * (_mode_occupancy(r_tm * r_tm, y, em) + _mode_occupancy(r_te * r_te, y, em))
+    """y^2 summed over polarisations of the mode occupancy r^2 e^-y / (1 - r^2 e^-y).
+
+    The denominator is formed as (1 - r^2) - r^2 (e^-y - 1), a sum of two
+    non-negative parts, so it keeps full precision for r^2 near 1 and small y.
+    """
+    neg_y = -y
+    em = np.exp(neg_y)
+    em1 = np.expm1(neg_y)
+    total = 0.0
+    for r in (r_tm, r_te):
+        r2 = r * r
+        total = total + r2 * em / ((1.0 - r2) - r2 * em1)
+    return y * y * total
 
 
-def _finite_integrand(y, xi, eps, a):
-    """Integrand of a term with xi > 0; xi and eps broadcast against y."""
-    return _integrand(*_fresnel(eps, y / (2.0 * a), xi / C_LIGHT), y)
+def _reflections(model, a, y_l, eps, y):
+    """r_TM, r_TE on y, one row per term with lower limit y_l[i].
+
+    A row with y_l = 0 is the l = 0 term and takes the model's tagged
+    reflection; the others take the Fresnel coefficients at eps[i], in the
+    variables y = 2 a q and y_l = 2 a xi_l / c.
+    """
+    if isinstance(model, IdealMetal):
+        return _tagged_reflection(model, y)
+    r_tm, r_te = _fresnel(eps[:, None], y, y_l[:, None])
+    if y_l[0] == 0.0:
+        r_tm[0], r_te[0] = _tagged_reflection(model, y[0] / (2.0 * a))
+    return r_tm, r_te
 
 
-def _tagged_integrand(model, y, a):
-    """Integrand with the reflection fixed by the model's tag (the l = 0
-    term, and every term of the ideal reflector)."""
-    return _integrand(*_tagged_reflection(model, y / (2.0 * a)), y)
+def _template_integrate(model, a, y_l, eps):
+    """Every term on the node template: (integrals, error estimates)."""
+    y = y_l[:, None] + _T_NODES
+    out = _integrand(*_reflections(model, a, y_l, eps, y), y) @ _T_WEIGHTS
+    return out[:, 0], np.abs(out[:, 1:]).sum(axis=1)
 
 
 def _panels_integrate(f, y_start, edges_rel):
-    """Gauss-Kronrod panels on [y_start + e_i, y_start + e_i+1] for each term.
+    """Gauss-Kronrod panels on [y_start + e_i, y_start + e_i+1] for one term.
 
-    f maps an array of y values (n_terms, n_panels, 15) to integrand values;
-    returns per-term integral and error estimate, both shape (n_terms,).
+    f maps a row of y values (1, n_panels * 15) to integrand values;
+    returns the integral and its error estimate.
     """
-    lo = y_start[:, None] + edges_rel[None, :-1]
-    hi = y_start[:, None] + edges_rel[None, 1:]
-    mid = 0.5 * (lo + hi)
+    lo = y_start + edges_rel[:-1]
+    hi = y_start + edges_rel[1:]
     half = 0.5 * (hi - lo)
-    y = mid[:, :, None] + half[:, :, None] * _XGK
-    vals = f(y)
-    kron = (vals * _WGK).sum(axis=2) * half
-    gauss = (vals[:, :, 1::2] * _WG).sum(axis=2) * half
-    err = np.abs(kron - gauss).sum(axis=1)
-    return kron.sum(axis=1), err
+    y = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+    vals = f(y.reshape(1, -1)).reshape(y.shape)
+    kron = (vals * _WGK).sum(axis=1) * half
+    gauss = (vals[:, 1::2] * _WG).sum(axis=1) * half
+    return float(kron.sum()), float(np.abs(kron - gauss).sum())
 
 
 def _refine_edges(edges_rel):
@@ -177,57 +236,30 @@ def _refine_edges(edges_rel):
     return out
 
 
-def _integrate_terms(f_for, y_start, tol, context=""):
-    """Adaptively integrate many exponential-tail terms at once.
+def _integrate_terms(model, a, y_l, eps, tol):
+    """Integrals I_l of the terms with lower limits y_l, each to tol relative.
 
-    f_for(y) evaluates the integrand on node array y of shape
-    (n_terms, n_panels, 15) where row i belongs to term i.  Rows whose
-    Kronrod error estimate exceeds the target are re-integrated on
-    bisected panels, individually, until convergence.
+    All terms go through the node template in one batch; a term whose error
+    estimate exceeds tol of its value is re-integrated on bisected panels
+    until it converges.
     """
-    vals, errs = _panels_integrate(f_for(np.arange(y_start.size)), y_start, _PANEL_EDGES)
-    target = tol / 10.0
-    bad = errs > np.maximum(target * np.abs(vals), 1e-300)
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            edges = _PANEL_EDGES
-            for _ in range(8):
-                edges = _refine_edges(edges)
-                v, e = _panels_integrate(f_for(np.array([i])), y_start[i : i + 1], edges)
-                if e[0] <= max(target * abs(v[0]), 1e-300):
-                    vals[i] = v[0]
-                    break
-            else:
-                raise NumericsError(f"wavevector quadrature failed to converge {context}")
-    return vals
+    vals, errs = _template_integrate(model, a, y_l, eps)
+    for i in np.nonzero(errs > tol * vals)[0]:
+        rows = slice(i, i + 1)
 
+        def f(y):
+            return _integrand(*_reflections(model, a, y_l[rows], eps[rows], y), y)
 
-def _zero_term(model, a, tol):
-    def f_for(_rows):
-        return lambda y: _tagged_integrand(model, y, a)
-
-    return float(_integrate_terms(f_for, np.zeros(1), tol, context=f"(l=0, a={a})")[0])
-
-
-def _finite_terms(model, a, ls, xi1, tol, cache=None):
-    """Integrals I_l for an array of positive Matsubara indices."""
-    xi = xi1 * ls
-    if isinstance(model, IdealMetal):
-        def f_for(rows):
-            return lambda y: _tagged_integrand(model, y, a)
-    else:
-        if cache is not None:
-            eps = cache.eps_for(ls)
+        edges = _PANEL_EDGES
+        for _ in range(9):
+            v, e = _panels_integrate(f, y_l[i], edges)
+            if e <= max(tol * abs(v), 1e-300):
+                vals[i] = v
+                break
+            edges = _refine_edges(edges)
         else:
-            eps = np.atleast_1d(model.epsilon(xi))
-
-        def f_for(rows):
-            e = eps[rows][:, None, None]
-            x = xi[rows][:, None, None]
-            return lambda y: _finite_integrand(y, x, e, a)
-
-    y_start = 2.0 * a * xi / C_LIGHT
-    return _integrate_terms(f_for, y_start, tol, context=f"(l={ls[0]}..{ls[-1]}, a={a})")
+            raise NumericsError(f"wavevector quadrature failed to converge (l={i}, a={a})")
+    return vals
 
 
 class MatsubaraCache:
@@ -255,7 +287,9 @@ class PressureResult:
 
     pressure is negative for attraction; term_breakdown, when requested,
     holds the primed-sum contributions in Pa (index 0 is the half-weighted
-    zero term); truncation_error_estimate bounds the discarded thermal tail.
+    zero term); truncation_error_estimate bounds the discarded thermal tail;
+    n_terms is the last Matsubara index kept and stopped_by the rule that set
+    it ("tol": the tail bound).
     """
 
     pressure: float
@@ -263,6 +297,12 @@ class PressureResult:
     n_terms: int
     stopped_by: str
     term_breakdown: np.ndarray | None = None
+
+
+_ZETA3 = 1.2020569031595942
+
+# the relative tolerances casimir_pressure accepts
+TOL_RANGE = (1e-12, 1e-4)
 
 
 def _tail_bound(y1, last_l):
@@ -278,6 +318,31 @@ def _tail_bound(y1, last_l):
     s2 = xm * (x * (1.0 + x) / one**3 + 2.0 * m * x / one**2 + m * m / one)
     envelope = 2.0 / (1.0 - min(xm, 0.5))
     return envelope * (y1 * y1 * s2 + 2.0 * y1 * s1 + 2.0 * s0)
+
+
+def _term_count(y1, target):
+    """Smallest L >= 1 with _tail_bound(y1, L) <= target.
+
+    With Y = y1 (L + 1) and x = e^-y1 the bound is, exactly,
+    env e^-Y P(Y) / (1 - x), P(Y) = Y^2 + 2 (1 + u) Y + c, u = y1 x / (1 - x),
+    c = y1^2 x (1 + x) / (1 - x)^2 + 2 u + 2, and env -> 2 from above.  A few
+    fixed-point steps Y = ln(2 P(Y) / ((1 - x) target)) put L within a term
+    or so of the answer, and the bound itself, which falls with L, settles it.
+    """
+    x = math.exp(-y1)
+    one = 1.0 - x
+    u = y1 * x / one
+    c = y1 * y1 * x * (1.0 + x) / one**2 + 2.0 * u + 2.0
+    scale = 2.0 / (one * target)
+    big_y = 0.0
+    for _ in range(5):
+        big_y = math.log(scale * (big_y * big_y + 2.0 * (1.0 + u) * big_y + c))
+    n = max(1, math.ceil(big_y / y1) - 1)
+    while _tail_bound(y1, n) > target:
+        n += 1
+    while n > 1 and _tail_bound(y1, n - 1) <= target:
+        n -= 1
+    return n
 
 
 def casimir_pressure(
@@ -300,13 +365,16 @@ def casimir_pressure(
     temperature : float
         Temperature in K.
     tol : float
-        Relative accuracy target, within [1e-12, 1e-4].  Terms l = 1 ..
-        ceil(20 / y_1) are integrated, where the cap y_l <= 20 follows from
-        the exponential decay e^{2 a q_l}; the thermal sum then stops once
-        three consecutive terms contribute less than tol/10 relative to the
-        running total.  At tol <= ~1e-8 the cap ends the sum first
-        (stopped_by = "cap"), so tol is not met there: at tol = 1e-9 the
-        sum is 6e-9 to 2.1e-8 relative off a long-sum reference.
+        Relative accuracy target, within [1e-12, 1e-4], split evenly between
+        the discarded thermal tail and the quadrature.  The sum keeps terms
+        l = 1 .. L with L the smallest count whose tail bound is at most
+        (tol/2) zeta(3), which is at most tol/2 of the sum because every term
+        is non-negative and half the l = 0 term alone is at least zeta(3)
+        (r_TM = 1 at xi = 0); stopped_by is then "tol".  Every term is
+        integrated to tol/2 of its value in one pass over a shared template
+        of 94 nodes in y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre
+        beyond); a term whose error estimate misses that goes through
+        adaptive panel bisection.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
@@ -320,46 +388,30 @@ def casimir_pressure(
         raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
     if cache is not None and (cache.model is not model or cache.temperature != temperature):
         raise ValueError("cache was built for a different model or temperature")
 
     xi1 = matsubara_frequency(1, temperature)
     y1 = 2.0 * a * xi1 / C_LIGHT
-    l_cap = max(1, math.ceil(20.0 / y1))
+    n_terms = _term_count(y1, 0.5 * tol * _ZETA3)
+    ls = np.arange(n_terms + 1)
+    # eps[0] stands in for the l = 0 row, whose reflection comes from the tag
+    eps = np.ones(n_terms + 1)
+    if not isinstance(model, IdealMetal):
+        eps[1:] = cache.eps_for(ls[1:]) if cache is not None else model.epsilon(xi1 * ls[1:])
+    terms = _integrate_terms(model, a, y1 * ls, eps, 0.5 * tol)
+    terms[0] *= 0.5
 
-    i_zero = _zero_term(model, a, tol)
-    terms = _finite_terms(model, a, np.arange(1, l_cap + 1), xi1, tol, cache=cache)
-    kept, stopped_by = _scan_stop(i_zero, terms, tol)
-
-    total = math.fsum([0.5 * i_zero] + kept.tolist())
     prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
-    tail = abs(prefactor) * _tail_bound(y1, kept.size)
-
-    breakdown = None
-    if with_breakdown:
-        breakdown = prefactor * np.concatenate([[0.5 * i_zero], kept])
-
     return PressureResult(
-        pressure=prefactor * total,
-        truncation_error_estimate=tail,
-        n_terms=int(kept.size),
-        stopped_by=stopped_by,
-        term_breakdown=breakdown,
+        pressure=prefactor * math.fsum(terms.tolist()),
+        truncation_error_estimate=abs(prefactor) * _tail_bound(y1, n_terms),
+        n_terms=n_terms,
+        stopped_by="tol",
+        term_breakdown=prefactor * terms if with_breakdown else None,
     )
-
-
-def _scan_stop(i_zero, terms, tol):
-    """Keep terms up to the third consecutive one below tol/10 of the running sum."""
-    running = 0.5 * i_zero
-    consec = 0
-    for j, v in enumerate(terms):
-        running += v
-        consec = consec + 1 if abs(v) < (tol / 10.0) * abs(running) else 0
-        if consec == 3:
-            return terms[: j + 1], "tol"
-    return terms, "cap"
 
 
 def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):

@@ -112,6 +112,20 @@ class TestParabolas:
         assert np.allclose(par_shifted.v0, par.v0 + dv, rtol=0, atol=1e-9)
         assert np.allclose(par_shifted.gamma, par.gamma, rtol=1e-9)
 
+    @pytest.mark.parametrize("preset", [1, 2, 3, 4])
+    def test_normal_equations_match_lstsq(self, preset):
+        # the fit solves its normal equations with the 3 x 3 inverse; on the
+        # preset designs (cond(X) <= 1.6e3) that must agree with an
+        # orthogonal-factorisation least-squares solve
+        spec, geom = reference_campaign(preset)
+        grid = synthesize_campaign(spec, geom, seed=11)
+        par = fit_parabolas(grid)
+        v = np.repeat(grid.voltages, grid.shifts.shape[1])
+        x = np.column_stack([v * v, v, np.ones_like(v)])
+        (c2, c1, _), *_ = np.linalg.lstsq(x, grid.shifts.reshape(v.size, -1), rcond=None)
+        assert np.max(np.abs(par.gamma / -c2 - 1.0)) <= 1e-12
+        assert np.max(np.abs(par.v0 / (-c1 / (2.0 * c2)) - 1.0)) <= 1e-12
+
 
 class TestV0Line:
     def test_constant_series(self):

@@ -248,3 +248,32 @@ class TestErrors:
                     "--out", tmp_path / "out"]) == 2
         assert "intervals" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, tol_flag, ini", [
+        ("theory", "1e-2", ""),
+        ("theory", None, "[theory]\ntol = 1e-13\n"),
+        ("compare", "nan", ""),
+        ("compare", None, "[theory]\ntol = 0\n"),
+        ("pipeline", "-1", ""),
+        ("pipeline", None, "[theory]\ntol = nan\n"),
+    ], ids=["theory-flag", "theory-config", "compare-flag", "compare-config",
+            "pipeline-flag", "pipeline-config"])
+    def test_tol_outside_range_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 command, tol_flag, ini):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation ran before tol was checked")
+
+        for name in ("pressure_to_gradient_sweep", "gradient_curve", "synthesize_campaign",
+                     "load_gradient_series"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = tmp_path / "tol.ini"
+        cfg.write_text(ini)
+        args = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "compare":
+            args += ["--gradients", tmp_path / "gradients.txt"]
+        if tol_flag is not None:
+            args += ["--tol", tol_flag]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "tol" in err
+        assert not (tmp_path / "out").exists()

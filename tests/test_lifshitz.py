@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from casimirlab import lifshitz
 from casimirlab.constants import C_LIGHT, HBAR, K_B, ev_to_rad_per_s
 from casimirlab.errors import AmbiguousZeroTermError, DivergentAtZeroError, ValidityDomainError
 from casimirlab.force_model import BetaTable, Geometry, pressure_to_gradient_sweep
@@ -13,6 +14,7 @@ from casimirlab.lifshitz import (
     MatsubaraCache,
     _fresnel,
     _tagged_reflection,
+    _tail_bound,
     casimir_pressure,
     matsubara_frequency,
     pressure_sweep,
@@ -277,3 +279,159 @@ class TestPressureProperties:
         assert "trunc_drude_Pa" in text
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(rows) == 2
+
+
+# Long-sum oracle: every term of the primed sum up to y_l >= 70, each on 55
+# twenty-point Gauss-Legendre panels out to y_l + 80, with the reflection
+# coefficients and the occupancy written out here rather than taken from the
+# package's kernel.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_ORACLE_EDGES = np.concatenate([[0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
+                                np.arange(2.0, 20.0), np.arange(20.0, 82.0, 2.0)])
+
+
+def _long_sum_pressure(model, a, temperature):
+    y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
+    y_l = y1 * np.arange(math.ceil(70.0 / y1) + 1)
+    lo, hi = _ORACLE_EDGES[:-1], _ORACLE_EDGES[1:]
+    t = ((0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _GL_X).ravel()
+    w = ((0.5 * (hi - lo))[:, None] * _GL_W).ravel()
+    y = y_l[:, None] + t
+    if model is IDEAL_METAL:
+        r_tm, r_te = np.ones_like(y), -np.ones_like(y)
+    else:
+        eps = np.ones_like(y_l)
+        eps[1:] = model.epsilon(y_l[1:] * C_LIGHT / (2.0 * a))
+        eps = eps[:, None]
+        k = np.sqrt(y * y + (eps - 1.0) * y_l[:, None] ** 2)
+        r_tm = (eps * y - k) / (eps * y + k)
+        r_te = (y - k) / (y + k)
+        r_tm[0] = 1.0
+        if model.zero_tag == "drude":
+            r_te[0] = 0.0
+        else:
+            s = np.hypot(y[0], 2.0 * a * model.omega_p / C_LIGHT)
+            r_te[0] = (y[0] - s) / (y[0] + s)
+    with np.errstate(divide="ignore"):
+        f = y * y * (1.0 / (np.exp(y) / r_tm**2 - 1.0) + 1.0 / (np.exp(y) / r_te**2 - 1.0))
+    terms = f @ w
+    terms[0] *= 0.5
+    return -K_B * temperature / (8.0 * math.pi * a**3) * math.fsum(terms.tolist())
+
+
+def _ideal_closed_form_pressure(a, temperature):
+    """Ideal reflector: int_{y_l}^inf 2 y^2 / (e^y - 1) dy summed as
+    2 sum_k e^{-k y_l} (y_l^2 / k + 2 y_l / k^2 + 2 / k^3), to k y_l >= 80."""
+    y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
+    ls = np.arange(1, math.ceil(80.0 / y1) + 1)
+    counts = np.ceil(80.0 / (ls * y1)).astype(int)
+    y0 = np.repeat(ls * y1, counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1.0
+    parts = 2.0 * np.exp(-k * y0) * (y0 * y0 / k + 2.0 * y0 / k**2 + 2.0 / k**3)
+    total = math.fsum([2.0 * zeta(3)] + parts.tolist())
+    return -K_B * temperature / (8.0 * math.pi * a**3) * total
+
+
+def _terms(model, a, temperature, n_terms):
+    """Lower limits y_l and permittivities of the rows l = 0 .. n_terms."""
+    xi1 = matsubara_frequency(1, temperature)
+    ls = np.arange(n_terms + 1)
+    eps = np.ones(n_terms + 1)
+    if model is not IDEAL_METAL:
+        eps[1:] = model.epsilon(xi1 * ls[1:])
+    return 2.0 * a * xi1 / C_LIGHT * ls, eps
+
+
+TOLS = (1e-4, 1e-6, 1e-9, 1e-12)
+
+
+class TestToleranceMet:
+    def test_oracles_agree_for_the_ideal_reflector(self):
+        for a in (250e-9, 1e-6):
+            quad_sum = _long_sum_pressure(IDEAL_METAL, a, T_LAB)
+            assert quad_sum == pytest.approx(_ideal_closed_form_pressure(a, T_LAB), rel=1e-14)
+
+    @pytest.mark.parametrize("model", [DRUDE, PLASMA], ids=["drude", "plasma"])
+    def test_metal_within_tol_of_long_sum(self, model):
+        for a in np.geomspace(50e-9, 20e-6, 9):
+            ref = _long_sum_pressure(model, a, T_LAB)
+            for tol in TOLS:
+                res = casimir_pressure(model, a, T_LAB, tol)
+                assert abs(res.pressure - ref) <= tol * abs(ref), (a, tol)
+                assert res.stopped_by == "tol"
+
+    def test_ideal_reflector_at_10_K_within_tol_of_closed_form(self):
+        for a in np.linspace(250e-9, 1300e-9, 5):
+            ref = _ideal_closed_form_pressure(a, 10.0)
+            for tol in TOLS:
+                p = casimir_pressure(IDEAL_METAL, a, 10.0, tol).pressure
+                assert abs(p - ref) <= tol * abs(ref), (a, tol)
+
+    @pytest.mark.parametrize("model", [DRUDE, PLASMA, IDEAL_METAL],
+                             ids=["drude", "plasma", "ideal"])
+    @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
+    def test_template_rows_within_their_estimates(self, model, temperature):
+        # each row of the node template against Kronrod panels of the same
+        # integrand, bisected from 88 panels out to t = 60 until converged
+        for a in (50e-9, 250e-9, 1e-6, 20e-6):
+            # the first (up to) 40 rows a tol 1e-12 sum keeps
+            n_terms = casimir_pressure(model, a, temperature, 1e-12).n_terms
+            y_l, eps = _terms(model, a, temperature, min(n_terms, 40))
+            vals, errs = lifshitz._template_integrate(model, a, y_l, eps)
+            for i in range(y_l.size):
+                def f(y, rows=slice(i, i + 1)):
+                    return lifshitz._integrand(
+                        *lifshitz._reflections(model, a, y_l[rows], eps[rows], y), y)
+
+                edges = lifshitz._PANEL_EDGES
+                for _ in range(3):
+                    edges = lifshitz._refine_edges(edges)
+                for _ in range(6):
+                    ref, ref_err = lifshitz._panels_integrate(f, y_l[i], edges)
+                    if ref_err <= 1e-13 * ref:
+                        break
+                    edges = lifshitz._refine_edges(edges)
+                assert ref_err <= 1e-13 * ref
+                assert abs(vals[i] - ref) <= errs[i], (a, i)
+
+    def test_fallback_rows_still_meet_tol(self, monkeypatch):
+        # at 50 nm and tol 1e-12 the first drude terms miss their share on
+        # the template and go through panel bisection
+        fallback = []
+        bisect = lifshitz._panels_integrate
+        monkeypatch.setattr(lifshitz, "_panels_integrate",
+                            lambda *args: fallback.append(1) or bisect(*args))
+        a, tol = 50e-9, 1e-12
+        p = casimir_pressure(DRUDE, a, T_LAB, tol).pressure
+        assert fallback
+        ref = _long_sum_pressure(DRUDE, a, T_LAB)
+        assert abs(p - ref) <= tol * abs(ref)
+
+    def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
+        passes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda *args: passes.append(1) or kernel(*args))
+        grid = np.concatenate([np.arange(250, 951), np.arange(600, 1301)]) * 1e-9
+        for model in (DRUDE, PLASMA):
+            cache = MatsubaraCache(model, T_LAB)
+            for a in grid:
+                casimir_pressure(model, float(a), T_LAB, 1e-9, cache=cache)
+        assert len(passes) == 2 * grid.size
+
+    def test_short_separation_count_comes_from_the_tail_bound(self, monkeypatch):
+        # at short range the count is the smallest L whose tail bound is
+        # (tol/2) zeta(3), below ceil(20 / y_1), and all L + 1 rows take one
+        # 94-node pass
+        nodes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, y: nodes.append(y.size) or kernel(r_tm, r_te, y))
+        a, tol = 50e-9, 1e-4
+        res = casimir_pressure(DRUDE, a, T_LAB, tol)
+        y1 = 2.0 * a * matsubara_frequency(1, T_LAB) / C_LIGHT
+        target = 0.5 * tol * zeta(3)
+        assert _tail_bound(y1, res.n_terms) <= target < _tail_bound(y1, res.n_terms - 1)
+        assert res.n_terms < math.ceil(20.0 / y1)
+        assert nodes == [94 * (res.n_terms + 1)]
+        assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
