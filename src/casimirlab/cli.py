@@ -24,6 +24,7 @@ from .analysis import (
     combine_gradient_series,
     compare,
     comparison_text,
+    default_windows,
     extract_gradients,
     gradient_series_text,
     load_gradient_series,
@@ -254,8 +255,6 @@ def _compare_series(args, cp, series, geometry, tol):
     )
     if intervals is None:
         width = _getfloat(cp, "compare", "window_nm", 100.0) * 1e-9
-        from .analysis import default_windows
-
         intervals = default_windows(float(common[0]), float(common[-1]), width)
     return compare(combined, theory, cfg, windows=intervals), combined
 

@@ -9,16 +9,17 @@ becomes (1 / 8 a^3) int_{y_l}^inf y^2 sum_pol [r^-2 e^y - 1]^-1 dy with
 y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
 all of them are integrated in one vectorised pass over a node template in
-t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), and a
-term whose error estimate misses tol/2 of its value falls back to adaptive
-Gauss-Kronrod panel bisection (Bordag, Klimchitskaya, Mohideen and
-Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the sum).  The
-zero-frequency term is dispatched on the model's declared extrapolation tag,
-never inferred numerically.
+t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), and the
+terms whose error estimate misses tol/2 of their value are redone together on
+the same template with its panels bisected, once more per pass (Bordag,
+Klimchitskaya, Mohideen and Mostepanenko, Advances in the Casimir Effect,
+OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
+declared extrapolation tag, never inferred numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,11 +123,6 @@ _WG = np.array([
     0.129484966168870,
 ])
 
-# Fallback panel edges for t = y - y_l; the integrand decays like e^-t, so
-# the mass beyond the last edge is below double precision relative to the term.
-_PANEL_EDGES = np.array([0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, 17.0, 23.0, 30.0, 40.0, 60.0])
-
-
 def _gauss_laguerre(n):
     """Nodes x and weights w e^x of the n-point rule for int_0^inf e^-x f(x) dx.
 
@@ -139,18 +135,22 @@ def _gauss_laguerre(n):
     return x, v[0] ** 2 * np.exp(x)
 
 
-def _node_template():
+@functools.cache
+def _node_template(depth):
     """Nodes in t = y - y_l shared by every term, and their weight matrix.
 
-    15-point Gauss-Kronrod panels on [0, 0.5, 1.5, 3.5, 7] resolve the start
-    of a term, where the occupancy pole at y = ln r^2 <= 0 lies within y_l;
-    from t = 7 on, where the integrand is e^-t times a slowly varying factor,
-    a 20-point Gauss-Laguerre rule takes the rest, and a 14-point one checks
-    it.  values @ weights gives, per row, the integral in column 0 and in the
-    other columns the Kronrod-minus-Gauss difference of each panel and the
-    GL20-minus-GL14 difference, whose absolute sum is the error estimate.
+    15-point Gauss-Kronrod panels on [0, 0.5, 1.5, 3.5, 7], each bisected
+    depth times, resolve the start of a term, where the occupancy pole at
+    y = ln r^2 <= 0 lies within y_l; from t = 7 on, where the integrand is
+    e^-t times a slowly varying factor, a 20-point Gauss-Laguerre rule takes
+    the rest, and a 14-point one checks it.  values @ weights gives, per row,
+    the integral in column 0 and in the other columns the Kronrod-minus-Gauss
+    difference of each panel and the GL20-minus-GL14 difference, whose
+    absolute sum is the error estimate.
     """
     edges = np.array([0.0, 0.5, 1.5, 3.5, 7.0])
+    for _ in range(depth):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     n_panel = _XGK.size * half.size
@@ -169,9 +169,6 @@ def _node_template():
     weights[laguerre, -1] = w20
     weights[laguerre.stop:, -1] = -w14
     return nodes, weights
-
-
-_T_NODES, _T_WEIGHTS = _node_template()
 
 
 def _integrand(r_tm, r_te, y):
@@ -205,61 +202,32 @@ def _reflections(model, a, y_l, eps, y):
     return r_tm, r_te
 
 
-def _template_integrate(model, a, y_l, eps):
-    """Every term on the node template: (integrals, error estimates)."""
-    y = y_l[:, None] + _T_NODES
-    out = _integrand(*_reflections(model, a, y_l, eps, y), y) @ _T_WEIGHTS
+def _template_integrate(model, a, y_l, eps, depth=0):
+    """Every term on the node template of that depth: (integrals, error estimates)."""
+    nodes, weights = _node_template(depth)
+    y = y_l[:, None] + nodes
+    out = _integrand(*_reflections(model, a, y_l, eps, y), y) @ weights
     return out[:, 0], np.abs(out[:, 1:]).sum(axis=1)
-
-
-def _panels_integrate(f, y_start, edges_rel):
-    """Gauss-Kronrod panels on [y_start + e_i, y_start + e_i+1] for one term.
-
-    f maps a row of y values (1, n_panels * 15) to integrand values;
-    returns the integral and its error estimate.
-    """
-    lo = y_start + edges_rel[:-1]
-    hi = y_start + edges_rel[1:]
-    half = 0.5 * (hi - lo)
-    y = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
-    vals = f(y.reshape(1, -1)).reshape(y.shape)
-    kron = (vals * _WGK).sum(axis=1) * half
-    gauss = (vals[:, 1::2] * _WG).sum(axis=1) * half
-    return float(kron.sum()), float(np.abs(kron - gauss).sum())
-
-
-def _refine_edges(edges_rel):
-    mids = 0.5 * (edges_rel[:-1] + edges_rel[1:])
-    out = np.empty(edges_rel.size + mids.size)
-    out[0::2] = edges_rel
-    out[1::2] = mids
-    return out
 
 
 def _integrate_terms(model, a, y_l, eps, tol):
     """Integrals I_l of the terms with lower limits y_l, each to tol relative.
 
-    All terms go through the node template in one batch; a term whose error
-    estimate exceeds tol of its value is re-integrated on bisected panels
-    until it converges.
+    All terms go through the node template in one batch; the terms whose
+    error estimate exceeds tol of their value (or 1e-300, for a term that
+    underflows) go through it again in one batch, in ascending l so that a
+    missed l = 0 row keeps its tagged reflection, with the panels bisected
+    once more each time, up to 8 times.
     """
-    vals, errs = _template_integrate(model, a, y_l, eps)
-    for i in np.nonzero(errs > tol * vals)[0]:
-        rows = slice(i, i + 1)
-
-        def f(y):
-            return _integrand(*_reflections(model, a, y_l[rows], eps[rows], y), y)
-
-        edges = _PANEL_EDGES
-        for _ in range(9):
-            v, e = _panels_integrate(f, y_l[i], edges)
-            if e <= max(tol * abs(v), 1e-300):
-                vals[i] = v
-                break
-            edges = _refine_edges(edges)
-        else:
-            raise NumericsError(f"wavevector quadrature failed to converge (l={i}, a={a})")
-    return vals
+    vals = np.empty_like(y_l)
+    rows = np.arange(y_l.size)
+    for depth in range(9):
+        v, e = _template_integrate(model, a, y_l[rows], eps[rows], depth)
+        vals[rows] = v
+        rows = rows[e > np.maximum(tol * v, 1e-300)]
+        if rows.size == 0:
+            return vals
+    raise NumericsError(f"wavevector quadrature failed to converge (l={rows[0]}, a={a})")
 
 
 class MatsubaraCache:
@@ -373,8 +341,9 @@ def casimir_pressure(
         (r_TM = 1 at xi = 0); stopped_by is then "tol".  Every term is
         integrated to tol/2 of its value in one pass over a shared template
         of 94 nodes in y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre
-        beyond); a term whose error estimate misses that goes through
-        adaptive panel bisection.
+        beyond); the terms whose error estimate misses that are redone
+        together on the template with its panels bisected, up to 8 times,
+        and NumericsError is raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
@@ -387,9 +356,9 @@ def casimir_pressure(
     if not (50e-9 <= a <= 20e-6):
         raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
     if not temperature > 0:
-        raise ValueError("temperature must be positive")
+        raise ValidityDomainError(f"temperature must be positive, got {temperature}")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
+        raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
     if cache is not None and (cache.model is not model or cache.temperature != temperature):
         raise ValueError("cache was built for a different model or temperature")
 

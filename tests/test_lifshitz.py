@@ -7,7 +7,12 @@ from scipy.special import zeta
 
 from casimirlab import lifshitz
 from casimirlab.constants import C_LIGHT, HBAR, K_B, ev_to_rad_per_s
-from casimirlab.errors import AmbiguousZeroTermError, DivergentAtZeroError, ValidityDomainError
+from casimirlab.errors import (
+    AmbiguousZeroTermError,
+    DivergentAtZeroError,
+    NumericsError,
+    ValidityDomainError,
+)
 from casimirlab.force_model import BetaTable, Geometry, pressure_to_gradient_sweep
 from casimirlab.lifshitz import (
     IDEAL_METAL,
@@ -263,9 +268,9 @@ class TestPressureProperties:
             casimir_pressure(DRUDE, 10e-9, T_LAB)
         with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-3, T_LAB)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-6, T_LAB, tol=1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-6, -1.0)
 
     def test_sweep_text_layout(self):
@@ -371,41 +376,62 @@ class TestToleranceMet:
                              ids=["drude", "plasma", "ideal"])
     @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
     def test_template_rows_within_their_estimates(self, model, temperature):
-        # each row of the node template against Kronrod panels of the same
-        # integrand, bisected from 88 panels out to t = 60 until converged
+        # each row of the 94-node template against the same row on the
+        # template bisected deeper and deeper, until that reference converges
         for a in (50e-9, 250e-9, 1e-6, 20e-6):
             # the first (up to) 40 rows a tol 1e-12 sum keeps
             n_terms = casimir_pressure(model, a, temperature, 1e-12).n_terms
             y_l, eps = _terms(model, a, temperature, min(n_terms, 40))
             vals, errs = lifshitz._template_integrate(model, a, y_l, eps)
             for i in range(y_l.size):
-                def f(y, rows=slice(i, i + 1)):
-                    return lifshitz._integrand(
-                        *lifshitz._reflections(model, a, y_l[rows], eps[rows], y), y)
-
-                edges = lifshitz._PANEL_EDGES
-                for _ in range(3):
-                    edges = lifshitz._refine_edges(edges)
-                for _ in range(6):
-                    ref, ref_err = lifshitz._panels_integrate(f, y_l[i], edges)
-                    if ref_err <= 1e-13 * ref:
+                rows = slice(i, i + 1)
+                for depth in range(1, 9):
+                    ref, ref_err = lifshitz._template_integrate(
+                        model, a, y_l[rows], eps[rows], depth)
+                    if ref_err[0] <= 1e-13 * ref[0]:
                         break
-                    edges = lifshitz._refine_edges(edges)
-                assert ref_err <= 1e-13 * ref
-                assert abs(vals[i] - ref) <= errs[i], (a, i)
+                assert ref_err[0] <= 1e-13 * ref[0], (a, i)
+                assert abs(vals[i] - ref[0]) <= errs[i], (a, i)
 
     def test_fallback_rows_still_meet_tol(self, monkeypatch):
         # at 50 nm and tol 1e-12 the first drude terms miss their share on
-        # the template and go through panel bisection
-        fallback = []
-        bisect = lifshitz._panels_integrate
-        monkeypatch.setattr(lifshitz, "_panels_integrate",
-                            lambda *args: fallback.append(1) or bisect(*args))
+        # the 94-node template and are redone on bisected panels
+        refined = []
+        integrate = lifshitz._template_integrate
+
+        def spy(model, a, y_l, eps, depth=0):
+            if depth >= 1:
+                refined.append(y_l.size)
+            return integrate(model, a, y_l, eps, depth)
+
+        monkeypatch.setattr(lifshitz, "_template_integrate", spy)
         a, tol = 50e-9, 1e-12
         p = casimir_pressure(DRUDE, a, T_LAB, tol).pressure
-        assert fallback
+        assert refined
         ref = _long_sum_pressure(DRUDE, a, T_LAB)
         assert abs(p - ref) <= tol * abs(ref)
+
+    def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
+        # at 10 K and 50 nm the first 63 drude rows miss on the 94-node
+        # template; they are redone together, one pass per bisection depth
+        passes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda *args: passes.append(1) or kernel(*args))
+        casimir_pressure(DRUDE, 50e-9, 10.0, 1e-9)
+        assert len(passes) <= 9
+
+    def test_unresolved_row_raises(self, monkeypatch):
+        # a jump in the integrand at a non-dyadic t is missed at every depth
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, y: kernel(r_tm, r_te, y) * (1.0 + (y > 0.3)))
+        try:
+            with pytest.raises(NumericsError, match=r"l=0, a=1e-06"):
+                casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
+        finally:
+            # the deepest templates hold some 160 MB
+            lifshitz._node_template.cache_clear()
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
         passes = []
