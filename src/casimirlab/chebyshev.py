@@ -3,66 +3,95 @@
 P(a) a^4 for the Casimir pressure and a^2 gamma/C for the image series are
 analytic in ln a, so their interpolants on Chebyshev-Lobatto nodes in ln a
 converge geometrically (L. N. Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013).  The nodes are nested: doubling the
-interval count keeps every node and adds one between each pair, so a
-refinement reuses all the values already computed.
+Approximation Practice, SIAM 2013).  Interpolant is the one rule for both:
+
+* nodes: the 2n + 1 Chebyshev-Lobatto nodes in ln a over [lo, hi], n = 16
+  first.  Doubling n keeps every node, so a refinement reuses every value
+  already computed; past 257 nodes NumericsError is raised.
+* convergence: for every row of values, the interpolants on the n + 1 and
+  the 2n + 1 nodes agree to tol relative halfway in angle between every
+  pair of neighbouring nodes.
+* evaluation: barycentric, at separations in [lo, hi] only; a point outside,
+  or NaN, raises ValidityDomainError instead of extrapolating.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, ValidityDomainError
 
-__all__ = ["lagrange_basis", "nested_nodes", "unit"]
+__all__ = ["Interpolant"]
 
 # start from 2n = 32 intervals; double n until converged, up to 2n = 256
 _INTERVALS = 32
 _MAX_INTERVALS = 256
 
 
-def unit(a, lo, hi) -> np.ndarray:
-    """Separations a as x = ((ln a - ln lo) - (ln hi - ln a)) / ln(hi/lo), on [-1, 1].
+class Interpolant:
+    """The rows of evaluate(a) over [lo, hi], interpolated by the rule above.
 
-    lo and hi map to exactly -1 and +1.
+    evaluate(a) returns one row per quantity and one column per separation
+    a; it runs on the first 33 nodes, then on the new nodes of each
+    doubling.  what names the curve in errors.  The columns of values follow
+    nodes and separations, from hi down to lo (both exact).
     """
-    t = np.log(a)
-    t_lo, t_hi = np.log(lo), np.log(hi)
-    return ((t - t_lo) - (t_hi - t)) / (t_hi - t_lo)
+
+    def __init__(self, lo, hi, evaluate, tol: float, what: str):
+        if not 0 < lo < hi < math.inf:
+            raise ValueError(f"interpolation range [{lo}, {hi}] must satisfy 0 < lo < hi < inf")
+        self.lo, self.hi, self.what = float(lo), float(hi), what
+        m = _INTERVALS
+        self.nodes = _lobatto_points(m)
+        self.separations = self._separations(self.nodes)
+        self.separations[[0, -1]] = hi, lo
+        self.values = evaluate(self.separations)
+        while not self._converged(tol):
+            if m >= _MAX_INTERVALS:
+                raise NumericsError(f"{what} is not resolved by {m + 1} Chebyshev nodes")
+            m *= 2
+            new = _lobatto_points(m)[1::2]
+            a = self._separations(new)
+            self.nodes = _interleave(self.nodes, new)
+            self.separations = _interleave(self.separations, a)
+            self.values = _interleave(self.values, evaluate(a))
+
+    def __call__(self, a, coarse: bool = False) -> np.ndarray:
+        """The rows at the separations a, on every second node with coarse."""
+        return self._at(self._unit(a), coarse)
+
+    def basis(self, a) -> np.ndarray:
+        """Lagrange basis l_i(a) of the nodes, one row per separation a."""
+        return _lagrange_basis(self.nodes, self._unit(a))
+
+    def _at(self, x, coarse=False):
+        step = 2 if coarse else 1
+        return self.values[:, ::step] @ _lagrange_basis(self.nodes[::step], x).T
+
+    def _converged(self, tol):
+        m = self.nodes.size - 1
+        mid = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        fine = self._at(mid)
+        return bool(np.all(np.abs(self._at(mid, coarse=True) - fine) <= tol * np.abs(fine)))
+
+    def _separations(self, x):
+        t_lo, t_hi = np.log(self.lo), np.log(self.hi)
+        return np.exp(t_lo + 0.5 * (t_hi - t_lo) * (x + 1.0))
+
+    def _unit(self, a):
+        """x = ((ln a - ln lo) - (ln hi - ln a)) / ln(hi/lo): lo and hi map to exactly -1 and +1."""
+        a = np.asarray(a, dtype=float)
+        if not np.all((a >= self.lo) & (a <= self.hi)):
+            raise ValidityDomainError(
+                f"separations {np.min(a) * 1e9:.3f}..{np.max(a) * 1e9:.3f} nm leave the "
+                f"interpolant of {self.what}")
+        t, t_lo, t_hi = np.log(a), np.log(self.lo), np.log(self.hi)
+        return ((t - t_lo) - (t_hi - t)) / (t_hi - t_lo)
 
 
-def nested_nodes(lo, hi, evaluate, converged, what: str):
-    """Values of evaluate at nested Chebyshev-Lobatto nodes in ln a over [lo, hi].
-
-    evaluate(a) returns an array whose last axis runs over the separations
-    a.  converged(x, values) is asked after every evaluation, with the node
-    abscissae x on [-1, 1] from +1 down to -1 (ln a linear in x); it should
-    compare the interpolants on the nodes x[::2] and x.  Starting from 33
-    nodes, the interval count doubles until converged accepts; past 257
-    nodes NumericsError names what.  The end nodes are exactly hi and lo.
-    Returns (x, values).
-    """
-    t_lo, t_hi = np.log(lo), np.log(hi)
-    span = t_hi - t_lo
-
-    def separations(nodes):
-        return np.exp(t_lo + 0.5 * span * (nodes + 1.0))
-
-    m = _INTERVALS
-    x = _lobatto_points(m)
-    a = separations(x)
-    a[0], a[-1] = hi, lo
-    values = evaluate(a)
-    while not converged(x, values):
-        if m >= _MAX_INTERVALS:
-            raise NumericsError(f"{what} is not resolved by {m + 1} Chebyshev nodes")
-        m *= 2
-        new = _lobatto_points(m)[1::2]
-        x, values = _interleave(x, new), _interleave(values, evaluate(separations(new)))
-    return x, values
-
-
-def lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form)."""
     w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5

@@ -85,11 +85,11 @@ def _geometry(cp) -> Geometry:
     )
 
 
-def _campaign(cp, truth_override=None):
+def _campaign(cp):
     sec = "campaign"
+    truth = cp.get(sec, "truth", fallback="plasma")
     if cp.has_option(sec, "preset"):
         n = _getint(cp, sec, "preset", None)
-        truth = truth_override or cp.get(sec, "truth", fallback="plasma")
         return reference_campaign(n, truth), n
     if not cp.has_section(sec):
         raise ConfigError("synth needs a [campaign] section (preset or explicit fields)")
@@ -103,7 +103,7 @@ def _campaign(cp, truth_override=None):
                 cp.getfloat(sec, "v0_slope_mv_per_nm"),
                 cp.getfloat(sec, "v0_intercept_mv"),
             ),
-            truth_tag=truth_override or cp.get(sec, "truth", fallback="plasma"),
+            truth_tag=truth,
             amplitude=cp.getfloat(sec, "amplitude_nm") * 1e-9,
             freq_systematic=cp.getfloat(sec, "freq_systematic_rad_s"),
             max_z_rel=cp.getfloat(sec, "max_z_rel_nm") * 1e-9,
@@ -123,7 +123,7 @@ def _tol(args, cp):
     return tol
 
 
-def _theory_grid(cp, args):
+def _theory_grid(cp):
     sec = "theory"
     start = _getfloat(cp, sec, "a_start_nm", 250.0)
     stop = _getfloat(cp, sec, "a_stop_nm", 950.0)
@@ -156,7 +156,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def _cmd_theory(args, cp):
     out = Path(args.out)
-    grid = _theory_grid(cp, args)
+    grid = _theory_grid(cp)
     geometry = _geometry(cp)
     tol = _tol(args, cp)
     models = _models(args.model)
@@ -192,7 +192,7 @@ def _cmd_theory(args, cp):
 
 def _cmd_synth(args, cp):
     out = Path(args.out)
-    (spec, geometry), n = _campaign(cp, truth_override=None)
+    (spec, geometry), n = _campaign(cp)
     seed = args.seed if args.seed is not None else _getint(cp, "campaign", "seed", 0)
     grid = synthesize_campaign(spec, geometry, seed)
     name = f"grid_set{n}_seed{seed}.txt" if n else f"grid_seed{seed}.txt"
@@ -221,27 +221,40 @@ def _cmd_calibrate(args, cp):
     return 0
 
 
-def _parse_intervals(cp):
-    spec = cp.get("compare", "intervals", fallback="").strip()
-    if not spec:
-        return None
-    out = []
-    for part in spec.replace(";", ",").split(","):
+def _compare_settings(cp):
+    """[compare] intervals, window, error model and grid bounds (nm, or None), checked
+    before any work: a value that would give no verdict or a wrong band is a config error."""
+    sec = "compare"
+    width = _getfloat(cp, sec, "window_nm", 100.0)
+    fraction = _getfloat(cp, sec, "optical_fraction", 0.005)
+    delta_z = _getfloat(cp, sec, "delta_z_nm", 0.5)
+    start, stop = (_getfloat(cp, sec, f"grid_{end}_nm", None) for end in ("start", "stop"))
+    for bad, what in ((not width > 0, f"window_nm = {width} must be positive"),
+                      (not fraction >= 0, f"optical_fraction = {fraction} must be >= 0"),
+                      (not delta_z >= 0, f"delta_z_nm = {delta_z} must be >= 0"),
+                      (None not in (start, stop) and not stop > start,
+                       f"grid_stop_nm = {stop} must lie above grid_start_nm = {start}")):
+        if bad:
+            raise ConfigError(f"[{sec}] {what}")
+    spec = cp.get(sec, "intervals", fallback="").strip()
+    intervals = [] if spec else None
+    for part in spec.replace(";", ",").split(",") if spec else ():
         lo, _, hi = part.partition(":")
         try:
-            out.append((float(lo) * 1e-9, float(hi) * 1e-9))
+            lo, hi = float(lo), float(hi)
         except ValueError:
-            raise ConfigError(f"[compare] intervals: {part.strip()!r} is not lo:hi in nm") from None
-    return out
+            raise ConfigError(f"[{sec}] intervals: {part.strip()!r} is not lo:hi in nm") from None
+        if not lo < hi:
+            raise ConfigError(f"[{sec}] intervals: {part.strip()!r} needs lo < hi")
+        intervals.append((lo * 1e-9, hi * 1e-9))
+    errors = TheoryErrorConfig(optical_fraction=fraction, delta_z=delta_z * 1e-9)
+    return intervals, width * 1e-9, errors, (start, stop)
 
 
-def _compare_series(args, cp, series, geometry, tol):
-    intervals = _parse_intervals(cp)
-    series_list = series if isinstance(series, list) else [series]
-    lo = _getfloat(cp, "compare", "grid_start_nm",
-                   max(s.separations[0] for s in series_list) * 1e9)
-    hi = _getfloat(cp, "compare", "grid_stop_nm",
-                   min(s.separations[-1] for s in series_list) * 1e9)
+def _compare_series(args, settings, series_list, geometry, tol):
+    intervals, width, errors, (lo, hi) = settings
+    lo = max(s.separations[0] for s in series_list) * 1e9 if lo is None else lo
+    hi = min(s.separations[-1] for s in series_list) * 1e9 if hi is None else hi
     common = np.arange(int(np.ceil(lo)), int(np.floor(hi)) + 1) * 1e-9
     combined = combine_gradient_series(series_list, grid=common)
     models = _models(args.model)
@@ -249,14 +262,16 @@ def _compare_series(args, cp, series, geometry, tol):
         tag: gradient_curve(model, geometry, BetaTable(), common, tol).values
         for tag, model in models.items()
     }
-    cfg = TheoryErrorConfig(
-        optical_fraction=_getfloat(cp, "compare", "optical_fraction", 0.005),
-        delta_z=_getfloat(cp, "compare", "delta_z_nm", 0.5) * 1e-9,
-    )
     if intervals is None:
-        width = _getfloat(cp, "compare", "window_nm", 100.0) * 1e-9
         intervals = default_windows(float(common[0]), float(common[-1]), width)
-    return compare(combined, theory, cfg, windows=intervals), combined
+    return compare(combined, theory, errors, windows=intervals), combined
+
+
+def _print_verdicts(report):
+    for label, wins in report.windows.items():
+        for w in wins:
+            print(f"{label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict} "
+                  f"({w.fraction_outside:.1%} outside)")
 
 
 def _cmd_compare(args, cp):
@@ -264,18 +279,15 @@ def _cmd_compare(args, cp):
     if not args.gradients:
         raise ConfigError("compare needs --gradients <file> [<file> ...]")
     tol = _tol(args, cp)
+    settings = _compare_settings(cp)
     series = [load_gradient_series(p) for p in args.gradients]
-    geometry = _geometry(cp)
-    report, _ = _compare_series(args, cp, series, geometry, tol)
+    report, _ = _compare_series(args, settings, series, _geometry(cp), tol)
     manifest = _manifest("compare", {
         "gradients": " ".join(Path(p).name for p in args.gradients),
         "model": args.model,
     })
     path = _write(out, "comparison.txt", manifest + comparison_text(report))
-    for label, wins in report.windows.items():
-        for w in wins:
-            print(f"{label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict} "
-                  f"({w.fraction_outside:.1%} outside)")
+    _print_verdicts(report)
     print(f"wrote {path}")
     return 0
 
@@ -289,6 +301,7 @@ def _cmd_pipeline(args, cp):
     truth = cp.get("pipeline", "truth", fallback="plasma")
     base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
     tol = _tol(args, cp)
+    settings = _compare_settings(cp)
 
     campaigns = [reference_campaign(n, truth) for n in sets]
     # every set is compared against one theory curve, so the sets must share
@@ -323,7 +336,7 @@ def _cmd_pipeline(args, cp):
             f"set {n}: seed = {seed}, C = {calib.c_cal:.6e}, z0_nm = {calib.z0 * 1e9:.4f}"
         )
 
-    report, combined = _compare_series(args, cp, series_list, geometry, tol)
+    report, combined = _compare_series(args, settings, series_list, geometry, tol)
     man = _manifest("pipeline", {
         "sets": ",".join(str(n) for n in sets),
         "truth": truth,
@@ -340,10 +353,7 @@ def _cmd_pipeline(args, cp):
                 f"# verdict {label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict}"
             )
     _write(out, "manifest.txt", "\n".join(lines) + "\n")
-    for label, wins in report.windows.items():
-        for w in wins:
-            print(f"{label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict} "
-                  f"({w.fraction_outside:.1%} outside)")
+    _print_verdicts(report)
     return 0
 
 
@@ -354,19 +364,23 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("theory", "emit Drude/plasma force-gradient and pressure sweeps"),
-        ("synth", "synthesise a virtual measurement campaign"),
-        ("calibrate", "run the electrostatic calibration on a grid file"),
-        ("compare", "confidence-band comparison of gradients against theory"),
-        ("pipeline", "synth + calibrate + compare, chained with a manifest"),
+    # each command takes only the flags it reads
+    for name, flags, help_text in (
+        ("theory", "model tol", "emit Drude/plasma force-gradient and pressure sweeps"),
+        ("synth", "seed", "synthesise a virtual measurement campaign"),
+        ("calibrate", "", "run the electrostatic calibration on a grid file"),
+        ("compare", "model tol", "confidence-band comparison of gradients against theory"),
+        ("pipeline", "seed model tol", "synth + calibrate + compare, chained with a manifest"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--model", choices=_MODEL_CHOICES, default="both")
-        p.add_argument("--tol", type=float, default=None)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None)
+        if "model" in flags:
+            p.add_argument("--model", choices=_MODEL_CHOICES, default="both")
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=None)
         if name == "calibrate":
             p.add_argument("--grid", default=None, help="measurement-grid file")
         if name == "compare":

@@ -7,12 +7,13 @@ inverts it.  The coefficient gamma follows from the exact image-charge
 series for the sphere-plate capacitance, parameterised by
 cosh(kappa) = 1 + a/R.
 
-gamma_over_c sums that series directly.  GammaTable interpolates it from
-Chebyshev nodes in ln a, where a^2 gamma/C is analytic: the calibration fit
-and the gradient extraction evaluate gamma/C at hundreds of separations
-some twenty times per set, so they build one table and run the series only
-at its nodes.  The synthetic truth (vexp) keeps the direct series, so the
-fit is checked against an independent evaluation.
+gamma_over_c sums that series directly.  GammaTable interpolates a^2
+gamma/C, which is analytic in ln a, with chebyshev.Interpolant, the rule
+the theory curves follow too: the calibration fit and the gradient
+extraction evaluate gamma/C at hundreds of separations some twenty times
+per set, so they build one table and run the series only at its nodes.
+The synthetic truth (vexp) keeps the direct series, so the fit is checked
+against an independent evaluation.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 import numpy as np
 
 from .constants import EPSILON_0
-from .chebyshev import lagrange_basis, nested_nodes, unit
-from .errors import NumericsError, PrecisionError, ValidityDomainError
+from .chebyshev import Interpolant
+from .errors import NumericsError, PrecisionError
 
 __all__ = [
     "GammaTable",
@@ -165,45 +166,25 @@ def gamma_over_c(a, R: float, tol: float = 1e-10, slope: bool = False):
 class GammaTable:
     """gamma / C and its slope over [lo, hi], interpolated from the image series.
 
-    gamma_over_c(..., slope=True) runs at nested Chebyshev-Lobatto nodes in
-    ln a over [lo, hi], at tol / 1000 so that neither the node errors carried
-    through the interpolation nor the slope series, whose terms fall off one
-    power of n slower, come near tol.  a^2 gamma/C and a^3 (d gamma/da)/C
-    are interpolated in barycentric form.  The nodes double (33 first) until
-    the interpolants on n + 1 and 2n + 1 nodes agree to tol relative, for
-    values and slopes, halfway in angle between every pair of neighbouring
-    nodes; past 257 nodes NumericsError is raised.  A call at any point
-    outside [lo, hi] raises ValidityDomainError instead of extrapolating.
+    A chebyshev.Interpolant of a^2 gamma/C and a^3 (d gamma/da)/C, accepted
+    at tol relative for values and slopes alike, from gamma_over_c(...,
+    slope=True) at its nodes.  The series runs at tol / 1000, so that
+    neither the node errors carried through the interpolation nor the slope
+    series, whose terms fall off one power of n slower, come near tol.
     """
 
     def __init__(self, lo: float, hi: float, R: float, tol: float = 1e-10):
-        if not 0 < lo < hi < math.inf:
-            raise ValueError(f"table range [{lo}, {hi}] must satisfy 0 < lo < hi < inf")
-        self.lo, self.hi = float(lo), float(hi)
-
         def evaluate(a):
             g, dg = gamma_over_c(a, R, 1e-3 * tol, slope=True)
             return np.array([a * a * g, a**3 * dg])
 
-        def converged(x, f):
-            m = x.size - 1
-            mid = np.cos(np.pi * (np.arange(m) + 0.5) / m)
-            fine = f @ lagrange_basis(x, mid).T
-            coarse = f[:, ::2] @ lagrange_basis(x[::2], mid).T
-            return bool(np.all(np.abs(coarse - fine) <= tol * np.abs(fine)))
-
-        self._x, self._f = nested_nodes(
-            self.lo, self.hi, evaluate, converged,
-            f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
+        self._curve = Interpolant(lo, hi, evaluate, tol,
+                                  f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
 
     def __call__(self, a, slope: bool = False):
         """gamma / C at the separations a, and with slope=True its derivative in a."""
         a = np.asarray(a, dtype=float)
-        if not np.all((a >= self.lo) & (a <= self.hi)):
-            raise ValidityDomainError(
-                f"separations {np.min(a) * 1e9:.3f}..{np.max(a) * 1e9:.3f} nm leave the "
-                f"gamma/C table over [{self.lo * 1e9:.3f}, {self.hi * 1e9:.3f}] nm")
-        g, dg = self._f @ lagrange_basis(self._x, unit(a, self.lo, self.hi)).T
+        g, dg = self._curve(a)
         return (g / (a * a), dg / a**3) if slope else g / (a * a)
 
 

@@ -7,9 +7,9 @@ gradient reported here is the positive plotted quantity (attractive force
 gradient > 0), i.e. the sign flip lives entirely in the -2 pi R prefactor.
 
 pressure_to_gradient_sweep evaluates the thermal sum at every grid point;
-gradient_curve interpolates P(a) a^4, which is analytic in ln a, from
-Chebyshev-Lobatto nodes (L. N. Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013).
+gradient_curve interpolates P(a) a^4, which is analytic in ln a, with
+chebyshev.Interpolant, the rule the gamma/C table of the calibration
+follows too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import lagrange_basis, nested_nodes, unit
+from .chebyshev import Interpolant
 from .errors import ValidityDomainError
 from .lifshitz import MatsubaraCache, casimir_pressure
 from .optics import PermittivityModel
@@ -239,35 +239,43 @@ def gradient_curve(
 ) -> GradientSweep:
     """pressure_to_gradient_sweep interpolated from Chebyshev nodes.
 
-    P(a) a^4 is evaluated with casimir_pressure at the 2n + 1
-    Chebyshev-Lobatto nodes in ln a over [grid[0], grid[-1]] (n = 16 first)
-    and interpolated onto the grid; beta and the roughness factor are applied
-    per point afterwards.  The curve is accepted when the interpolants on the
-    n + 1 and 2n + 1 nodes agree at every point to max(tol, worst relative
-    truncation of a node) times the value; otherwise n doubles, and past
-    2n = 256 NumericsError is raised.  Each point's pressure truncation is
-    sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4, with l_i the
-    Lagrange basis of the 2n + 1 nodes: the node truncations carried through
-    the interpolation (at most the Lebesgue constant, < 3.3 for 2n = 32,
-    times the largest) plus the interpolation error estimate, plus a
-    rounding allowance of the interpolation.  The gradient truncation is
-    that times 2 pi R times the roughness factor.
+    P(a) a^4 is a chebyshev.Interpolant over [grid[0], grid[-1]], accepted
+    at tol, with casimir_pressure at its nodes; beta and the roughness
+    factor are applied per point afterwards.  Each point's pressure
+    truncation is sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4,
+    with l_i the Lagrange basis of the 2n + 1 nodes: the node truncations
+    carried through the interpolation (at most the Lebesgue constant,
+    < 3.3 for 2n = 32, times the largest) plus the interpolation error
+    estimate, plus a rounding allowance of the interpolation.  The gradient
+    truncation is that times 2 pi R times the roughness factor.  A one-point
+    grid is the per-point sweep.
     """
     grid = _checked_grid(grid)
+    if grid.size == 1:
+        return pressure_to_gradient_sweep(model, geometry, beta, grid, tol)
     geometry.check_separation(float(grid[0]))
     geometry.check_separation(float(grid[-1]))
     cache = MatsubaraCache(model, geometry.temperature)
+    node_truncs = {}
 
-    def evaluate(separations):
-        res = [casimir_pressure(model, float(a), geometry.temperature, tol, cache=cache)
-               for a in separations]
-        return (np.array([r.pressure for r in res]),
-                np.array([r.truncation_error_estimate for r in res]))
+    def evaluate(a):
+        res = [casimir_pressure(model, float(s), geometry.temperature, tol, cache=cache)
+               for s in a]
+        node_truncs.update(zip(a, np.array([r.truncation_error_estimate for r in res]) * a**4))
+        return (np.array([r.pressure for r in res]) * a**4)[None]
 
-    if grid.size == 1:
-        pressures, p_trunc = evaluate(grid)
-    else:
-        pressures, p_trunc = _interpolated_pressures(evaluate, grid, tol)
+    curve = Interpolant(grid[0], grid[-1], evaluate, tol,
+                        f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm")
+    trunc = np.array([node_truncs[s] for s in curve.separations])
+    (p_fine,), (p_coarse,) = curve(grid), curve(grid, coarse=True)
+    # node truncations through the basis, the n-against-2n gap, and the
+    # rounding of the barycentric formula, (3 m + 4) u sum_i |l_i f_i|
+    # (N. J. Higham, IMA J. Numer. Anal. 24, 547 (2004))
+    abs_basis = np.abs(curve.basis(grid))
+    rounding = ((3 * (curve.nodes.size - 1) + 4) * np.finfo(float).eps
+                * (abs_basis @ np.abs(curve.values[0])))
+    p_trunc = (abs_basis @ trunc + np.abs(p_coarse - p_fine) + rounding) / grid**4
+    pressures = p_fine / grid**4
 
     b, clamped = map(np.array, zip(*(beta.beta(model.zero_tag, float(a)) for a in grid)))
     rough = geometry.roughness_factor(grid)
@@ -280,34 +288,3 @@ def gradient_curve(
         pressure_truncations=p_trunc,
         beta_clamped=clamped,
     )
-
-
-def _interpolated_pressures(evaluate, grid, tol):
-    """(P, truncation bound) on grid from P a^4 at Chebyshev-Lobatto nodes in ln a."""
-    x = unit(grid, grid[0], grid[-1])
-
-    def scaled(a):
-        p, trunc = evaluate(a)
-        return np.array([p * a**4, trunc * a**4])
-
-    def interpolants(nodes, f):
-        fine = lagrange_basis(nodes, x)
-        p_fine = fine @ f
-        return fine, p_fine, np.abs(lagrange_basis(nodes[::2], x) @ f[::2] - p_fine)
-
-    def converged(nodes, values):
-        f, trunc = values
-        _, p_fine, gap = interpolants(nodes, f)
-        return bool(np.all(gap <= max(tol, float(np.max(trunc / np.abs(f)))) * np.abs(p_fine)))
-
-    nodes, (f, trunc) = nested_nodes(
-        grid[0], grid[-1], scaled, converged,
-        f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm")
-    fine, p_fine, gap = interpolants(nodes, f)
-    # node truncations through the basis, the n-against-2n gap, and the
-    # rounding of the barycentric formula, (3 m + 4) u sum_i |l_i f_i|
-    # (N. J. Higham, IMA J. Numer. Anal. 24, 547 (2004))
-    abs_basis = np.abs(fine)
-    rounding = (3 * (nodes.size - 1) + 4) * np.finfo(float).eps * (abs_basis @ np.abs(f))
-    bound = (abs_basis @ trunc + gap + rounding) / grid**4
-    return p_fine / grid**4, bound

@@ -53,9 +53,9 @@ def matsubara_frequency(l: int, temperature: float) -> float:
         Temperature in K, > 0.
     """
     if l < 0:
-        raise ValueError(f"Matsubara index must be >= 0, got {l}")
+        raise ValidityDomainError(f"Matsubara index must be >= 0, got {l}")
     if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+        raise ValidityDomainError(f"temperature must be positive, got {temperature}")
     return 2.0 * math.pi * K_B * temperature * l / HBAR
 
 
@@ -355,8 +355,6 @@ def casimir_pressure(
     """
     if not (50e-9 <= a <= 20e-6):
         raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
-    if not temperature > 0:
-        raise ValidityDomainError(f"temperature must be positive, got {temperature}")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
     if cache is not None and (cache.model is not model or cache.temperature != temperature):

@@ -277,3 +277,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "tol" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "pipeline"])
+    @pytest.mark.parametrize("ini, key", [
+        ("window_nm = 0\n", "window_nm"),
+        ("window_nm = -100\n", "window_nm"),
+        ("intervals = 300:250\n", "intervals"),
+        ("optical_fraction = -1\n", "optical_fraction"),
+        ("delta_z_nm = -5\n", "delta_z_nm"),
+        ("grid_start_nm = 900\ngrid_stop_nm = 300\n", "grid_stop_nm"),
+    ], ids=["zero-window", "negative-window", "reversed-interval", "negative-optical-fraction",
+            "negative-delta-z", "reversed-grid"])
+    def test_compare_value_without_a_verdict_is_a_config_error(self, tmp_path, capsys,
+                                                               monkeypatch, command, ini, key):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation ran before [compare] was checked")
+
+        for name in ("synthesize_campaign", "load_gradient_series", "gradient_curve"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = tmp_path / "compare.ini"
+        cfg.write_text("[compare]\n" + ini)
+        args = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "compare":
+            args += ["--gradients", tmp_path / "gradients.txt"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("theory", "--seed"), ("calibrate", "--seed"), ("compare", "--seed"),
+        ("synth", "--model"), ("calibrate", "--model"), ("synth", "--tol"), ("calibrate", "--tol"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, command, flag):
+        value = {"--seed": "5", "--model": "drude", "--tol": "1e-8"}[flag]
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()

@@ -195,6 +195,16 @@ class TestGradientCurve:
             gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
         assert fake.calls == 257
 
+    def test_kink_raises_on_a_two_point_grid(self, monkeypatch):
+        # both grid points are end nodes, but the curve is judged between the
+        # nodes, not at the grid points, so the kink is found as on GRID_07
+        mid = math.log(600e-9)
+        fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
+        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        with pytest.raises(NumericsError, match="Chebyshev"):
+            gradient_curve(DRUDE, GEOM, NO_BETA, [250e-9, 950e-9])
+        assert fake.calls == 257
+
     def test_one_point_grid(self):
         a = 400e-9
         curve = gradient_curve(DRUDE, GEOM, NO_BETA, [a])

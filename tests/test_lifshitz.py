@@ -50,9 +50,9 @@ class TestMatsubara:
         assert matsubara_frequency(10, T_LAB) == pytest.approx(10.0 * x1, rel=1e-15)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityDomainError):
             matsubara_frequency(-1, T_LAB)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityDomainError):
             matsubara_frequency(1, 0.0)
 
 
@@ -122,7 +122,7 @@ class TestReflection:
     def test_preconditions(self):
         # the kernel takes eps(xi) from a model, and both the Matsubara
         # index and the models reject a negative argument
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidityDomainError):
             matsubara_frequency(-1, T_LAB)
         for model in (DRUDE, PLASMA):
             with pytest.raises(DivergentAtZeroError):
@@ -272,6 +272,10 @@ class TestPressureProperties:
             casimir_pressure(DRUDE, 1e-6, T_LAB, tol=1e-2)
         with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-6, -1.0)
+
+    def test_sweep_rejects_a_bad_temperature_like_a_single_pressure(self):
+        with pytest.raises(ValidityDomainError, match="temperature"):
+            pressure_sweep(DRUDE, np.array([500e-9, 600e-9]), -1.0)
 
     def test_sweep_text_layout(self):
         grid = np.array([500e-9, 600e-9])
