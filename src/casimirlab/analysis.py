@@ -50,6 +50,7 @@ __all__ = [
     "extract_gradients",
     "combine_gradient_series",
     "default_windows",
+    "window_mask",
     "compare",
     "calibration_text",
     "comparison_text",
@@ -557,6 +558,12 @@ def default_windows(a_lo: float, a_hi: float, width: float = 100e-9):
     return [(max(k * width, a_lo), min((k + 1) * width, a_hi)) for k in range(k0, k1)]
 
 
+def window_mask(a, lo: float, hi: float) -> np.ndarray:
+    """The points of the ascending grid a that the window [lo, hi) holds; a
+    window that reaches the last point holds it too."""
+    return (a >= lo) & ((a <= hi) if hi >= a[-1] else (a < hi))
+
+
 def compare(
     series: GradientSeries,
     theory: dict[str, np.ndarray],
@@ -590,10 +597,7 @@ def compare(
         outside = np.abs(d) > band
         wlist = []
         for lo, hi in windows:
-            if hi >= a[-1]:
-                mask = (a >= lo) & (a <= hi)
-            else:
-                mask = (a >= lo) & (a < hi)
+            mask = window_mask(a, lo, hi)
             n = int(mask.sum())
             if n == 0:
                 continue

@@ -28,8 +28,9 @@ from .analysis import (
     extract_gradients,
     gradient_series_text,
     load_gradient_series,
+    window_mask,
 )
-from .errors import CasimirLabError, ConfigError
+from .errors import CasimirLabError, ConfigError, ValidityDomainError
 from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
 from .lifshitz import TOL_RANGE, pressure_sweep_text
 from .vexp import (
@@ -252,10 +253,34 @@ def _compare_settings(cp):
 
 
 def _compare_series(args, settings, series_list, geometry, tol):
-    intervals, width, errors, (lo, hi) = settings
-    lo = max(s.separations[0] for s in series_list) * 1e9 if lo is None else lo
-    hi = min(s.separations[-1] for s in series_list) * 1e9 if hi is None else hi
+    """Combine the series on the common grid and compare them with theory.
+
+    A grid end not set in [compare] follows the series' overlap, clipped to
+    the geometry's range (a_min, a_max, a/R < max_aspect) with a printed
+    note; a set end outside that range is an error.  A [compare] interval
+    that holds no grid point is a config error.
+    """
+    intervals, width, errors, (start, stop) = settings
+    lo = max(s.separations[0] for s in series_list) * 1e9 if start is None else start
+    hi = min(s.separations[-1] for s in series_list) * 1e9 if stop is None else stop
     common = np.arange(int(np.ceil(lo)), int(np.floor(hi)) + 1) * 1e-9
+    inside = np.ones(common.size, dtype=bool)
+    if start is None:
+        inside &= geometry.a_min <= common
+    if stop is None:
+        inside &= (common <= geometry.a_max) & (common / geometry.R < geometry.max_aspect)
+    if not inside.all():
+        if not inside.any():
+            raise ValidityDomainError(
+                f"the series overlap [{lo:.1f}, {hi:.1f}] nm lies outside the geometry's range")
+        common = common[inside]
+        print(f"compare grid clipped to the geometry's range: "
+              f"[{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
+    for w_lo, w_hi in intervals or ():
+        if not window_mask(common, w_lo, w_hi).any():
+            raise ConfigError(
+                f"[compare] intervals: {w_lo * 1e9:g}:{w_hi * 1e9:g} nm holds no point of the "
+                f"compared grid [{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
     combined = combine_gradient_series(series_list, grid=common)
     models = _models(args.model)
     theory = {

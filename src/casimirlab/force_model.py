@@ -195,10 +195,11 @@ def pressure_to_gradient_sweep(
     """Vectorised force_gradient over a sorted separation grid.
 
     Matsubara permittivity evaluations are shared across separations
-    through a single cache.
+    through a single cache, which also integrates the thermal sums of each
+    block of grid points in one pass (lifshitz.MatsubaraCache).
     """
     grid = _checked_grid(grid)
-    cache = MatsubaraCache(model, geometry.temperature)
+    cache = MatsubaraCache(model, geometry.temperature, grid)
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
     trunc = np.empty_like(grid)
@@ -255,10 +256,10 @@ def gradient_curve(
         return pressure_to_gradient_sweep(model, geometry, beta, grid, tol)
     geometry.check_separation(float(grid[0]))
     geometry.check_separation(float(grid[-1]))
-    cache = MatsubaraCache(model, geometry.temperature)
     node_truncs = {}
 
     def evaluate(a):
+        cache = MatsubaraCache(model, geometry.temperature, a)
         res = [casimir_pressure(model, float(s), geometry.temperature, tol, cache=cache)
                for s in a]
         node_truncs.update(zip(a, np.array([r.truncation_error_estimate for r in res]) * a**4))

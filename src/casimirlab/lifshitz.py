@@ -15,6 +15,14 @@ the same template with its panels bisected, once more per pass (Bordag,
 Klimchitskaya, Mohideen and Mostepanenko, Advances in the Casimir Effect,
 OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
 declared extrapolation tag, never inferred numerically.
+
+A sweep gives its MatsubaraCache the separations in call order; the first
+pressure of a block then integrates the terms of the separations after it
+in the same pass, up to _PASS_ELEMENTS rows x nodes, and the next pressures
+take their stored terms.  A pass allocates its planes of rows x nodes once
+(two buffers) and computes in them in place, with the same IEEE operations
+in the same order as before, and every pressure of a sweep is bit-identical
+to one computed alone.
 """
 
 from __future__ import annotations
@@ -68,14 +76,25 @@ class IdealMetal:
 IDEAL_METAL = IdealMetal()
 
 
-def _fresnel(eps, q, w):
+def _fresnel(eps, q, w, out=None):
     """r_TM, r_TE at a finite imaginary frequency xi = w c.
 
     q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector and eps the
-    permittivity at xi; arrays broadcast.
+    permittivity at xi; arrays broadcast.  The coefficients are written into
+    out[0] and out[1], with out[2] as scratch; out, of three planes of the
+    broadcast shape, is allocated when not given.
     """
-    k = np.sqrt(q * q + (eps - 1.0) * w * w)
-    return (eps * q - k) / (eps * q + k), (q - k) / (q + k)
+    if out is None:
+        out = np.empty((3,) + np.broadcast_shapes(np.shape(eps), np.shape(q), np.shape(w)))
+    r_tm, r_te, k = out[0, ...], out[1, ...], out[2, ...]
+    np.add(np.multiply(q, q, out=k), (eps - 1.0) * w * w, out=k)
+    np.sqrt(k, out=k)
+    eps_q = np.multiply(eps, q, out=r_te)
+    np.subtract(eps_q, k, out=r_tm)
+    np.divide(r_tm, np.add(eps_q, k, out=r_te), out=r_tm)
+    np.subtract(q, k, out=r_te)
+    np.divide(r_te, np.add(q, k, out=k), out=r_te)
+    return r_tm, r_te
 
 
 def _tagged_reflection(model, k_perp):
@@ -176,68 +195,130 @@ def _integrand(r_tm, r_te, y):
 
     The denominator is formed as (1 - r^2) - r^2 (e^-y - 1), a sum of two
     non-negative parts, so it keeps full precision for r^2 near 1 and small y.
+    Works in place: the result is returned in r_tm, r_te is overwritten, y
+    is only read, and the scratch is one array of four planes.
     """
-    neg_y = -y
-    em = np.exp(neg_y)
-    em1 = np.expm1(neg_y)
-    total = 0.0
-    for r in (r_tm, r_te):
-        r2 = r * r
-        total = total + r2 * em / ((1.0 - r2) - r2 * em1)
-    return y * y * total
+    em, em1, num, den = np.empty((4,) + y.shape)
+    np.negative(y, out=em1)
+    np.exp(em1, out=em)
+    np.expm1(em1, out=em1)
+    for r2 in (r_tm, r_te):
+        np.multiply(r2, r2, out=r2)
+        np.multiply(r2, em, out=num)
+        np.multiply(r2, em1, out=den)
+        np.subtract(np.subtract(1.0, r2, out=r2), den, out=den)
+        np.divide(num, den, out=r2)
+    np.add(r_tm, r_te, out=r_tm)
+    return np.multiply(np.multiply(y, y, out=num), r_tm, out=r_tm)
 
 
-def _reflections(model, a, y_l, eps, y):
-    """r_TM, r_TE on y, one row per term with lower limit y_l[i].
+def _reflections(model, a, y_l, eps, y, out):
+    """r_TM, r_TE on y into out[0], out[1] (out[2] is scratch), one row per
+    term with lower limit y_l[i] at separation a[i].
 
-    A row with y_l = 0 is the l = 0 term and takes the model's tagged
+    A row with y_l = 0 is an l = 0 term and takes the model's tagged
     reflection; the others take the Fresnel coefficients at eps[i], in the
     variables y = 2 a q and y_l = 2 a xi_l / c.
     """
+    r_tm, r_te = out[0], out[1]
     if isinstance(model, IdealMetal):
-        return _tagged_reflection(model, y)
-    r_tm, r_te = _fresnel(eps[:, None], y, y_l[:, None])
-    if y_l[0] == 0.0:
-        r_tm[0], r_te[0] = _tagged_reflection(model, y[0] / (2.0 * a))
+        r_tm[...], r_te[...] = _tagged_reflection(model, y)
+        return r_tm, r_te
+    _fresnel(eps[:, None], y, y_l[:, None], out)
+    zero = y_l == 0.0
+    if zero.any():
+        r_tm[zero], r_te[zero] = _tagged_reflection(model, y[zero] / (2.0 * a[zero, None]))
     return r_tm, r_te
 
 
 def _template_integrate(model, a, y_l, eps, depth=0):
-    """Every term on the node template of that depth: (integrals, error estimates)."""
+    """Every row on the node template of that depth: (integrals, error estimates).
+
+    Row i has lower limit y_l[i] and permittivity eps[i] at separation a, one
+    value for every row or one per row.  y and the reflections share one
+    buffer of four planes.
+    """
     nodes, weights = _node_template(depth)
-    y = y_l[:, None] + nodes
-    out = _integrand(*_reflections(model, a, y_l, eps, y), y) @ weights
+    buf = np.empty((4, y_l.size, nodes.size))
+    y = np.add(y_l[:, None], nodes, out=buf[0])
+    r_tm, r_te = _reflections(model, np.broadcast_to(a, y_l.shape), y_l, eps, y, buf[1:])
+    out = _integrand(r_tm, r_te, y) @ weights
     return out[:, 0], np.abs(out[:, 1:]).sum(axis=1)
 
 
-def _integrate_terms(model, a, y_l, eps, tol):
-    """Integrals I_l of the terms with lower limits y_l, each to tol relative.
+# rows x nodes of the template pass that takes the terms of several
+# separations together (buffers of about 1.5 MB); a separation whose terms
+# alone hold more takes its pass alone
+_PASS_ELEMENTS = 24_000
 
-    All terms go through the node template in one batch; the terms whose
-    error estimate exceeds tol of their value (or 1e-300, for a term that
-    underflows) go through it again in one batch, in ascending l so that a
-    missed l = 0 row keeps its tagged reflection, with the panels bisected
-    once more each time, up to 8 times.
+
+def _integrate_terms(model, a, y1, n_terms, eps, tol):
+    """Integrals I_l, l = 0 .. n_terms[j], of each separation a[j], each to tol relative.
+
+    y1[j] = 2 a[j] xi_1 / c and eps[l - 1] is the permittivity at xi_l.  The
+    rows of every separation go through the node template in one pass; the
+    rows whose error estimate exceeds tol of their value (or 1e-300, for a
+    row that underflows) go through it again with the panels bisected once
+    more each time, up to 8 times.  Returns, per separation, its integrals
+    and the first l that still misses after depth 8, or None.
     """
-    vals = np.empty_like(y_l)
-    rows = np.arange(y_l.size)
+    counts = np.asarray(n_terms) + 1
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    ls = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
+    y_l = np.repeat(y1, counts) * ls
+    # 1 stands in for the l = 0 rows, whose reflection comes from the tag
+    eps = np.concatenate([[1.0], eps])[ls]
+    a = np.repeat(a, counts)
+    vals = np.empty(ls.size)
+    passes = [np.arange(ls.size)]
     for depth in range(9):
-        v, e = _template_integrate(model, a, y_l[rows], eps[rows], depth)
-        vals[rows] = v
-        rows = rows[e > np.maximum(tol * v, 1e-300)]
-        if rows.size == 0:
-            return vals
-    raise NumericsError(f"wavevector quadrature failed to converge (l={rows[0]}, a={a})")
+        missed = []
+        for rows in passes:
+            v, e = _template_integrate(model, a[rows], y_l[rows], eps[rows], depth)
+            vals[rows] = v
+            missed.append(rows[e > np.maximum(tol * v, 1e-300)])
+        # each separation's missed rows take a pass of their own, as they
+        # would alone: on the wider weight matrices of the bisected
+        # templates the BLAS product of a row can change in its last bit
+        # with the number of rows beside it
+        missed = np.concatenate(missed)
+        passes = [p for p in np.split(missed, np.searchsorted(missed, starts[1:-1]))
+                  if p.size] if missed.size else []
+        if not passes:
+            break
+    failed = {int(np.searchsorted(starts, p[0], side="right")) - 1: int(ls[p[0]]) for p in passes}
+    return [(vals[lo:hi], failed.get(j)) for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))]
+
+
+def _in_domain(a):
+    """Whether casimir_pressure accepts separation a (in m)."""
+    return 50e-9 <= a <= 20e-6
 
 
 class MatsubaraCache:
-    """Caches eps(i xi_l) for one (model, T) so sweeps reuse evaluations."""
+    """eps(i xi_l) for one (model, T), shared by the pressures of a sweep, and
+    the sweep's read-ahead.
 
-    def __init__(self, model: PermittivityModel, temperature: float):
+    separations lists the separations casimir_pressure will be called with,
+    in call order.  The call for the next of them integrates its terms
+    together with those of the separations that follow it, as many as one
+    template pass of _PASS_ELEMENTS rows x nodes holds (at least its own),
+    and stores theirs with their term counts; the calls for those only take
+    them.  A call for any other separation or tol, or with the list used
+    up, integrates its own terms alone.  A separation outside the accepted
+    range ends a block.  Refined rows take one pass per separation, as they
+    would alone, so every pressure is bit-identical to one computed alone.
+    """
+
+    def __init__(self, model: PermittivityModel, temperature: float, separations=()):
         self.model = model
         self.temperature = temperature
         self._xi1 = matsubara_frequency(1, temperature)
         self._eps = np.empty(0)
+        self._ahead = [float(a) for a in separations]
+        self._next = 0
+        self._stored = {}
+        self._counted = (None, None, 0.0, 0)
 
     def eps_for(self, ls: np.ndarray) -> np.ndarray:
         need = int(ls.max())
@@ -247,6 +328,42 @@ class MatsubaraCache:
             new_eps = np.atleast_1d(self.model.epsilon(self._xi1 * new_ls))
             self._eps = np.concatenate([self._eps, new_eps])
         return self._eps[ls - 1]
+
+    def _count(self, a, tol):
+        """y_1 and the term count L of separation a at tol.
+
+        The last one is kept: a block that stops before a separation has
+        counted it, and the next block starts there.
+        """
+        if self._counted[:2] != (a, tol):
+            y1 = 2.0 * a * self._xi1 / C_LIGHT
+            self._counted = (a, tol, y1, _term_count(y1, 0.5 * tol * _ZETA3))
+        return self._counted[2:]
+
+    def _terms(self, a, tol):
+        """(y_1, L, integrals I_0 .. I_L, first unconverged l or None) of separation a."""
+        stored = self._stored.pop((a, tol), None)
+        if stored is not None:
+            return stored
+        block = [(a, *self._count(a, tol))]
+        if self._next < len(self._ahead) and self._ahead[self._next] == a:
+            self._next += 1
+            rows, limit = block[0][2] + 1, _PASS_ELEMENTS // _node_template(0)[0].size
+            while self._next < len(self._ahead) and _in_domain(self._ahead[self._next]):
+                b = self._ahead[self._next]
+                y1, n = self._count(b, tol)
+                if rows + n + 1 > limit:
+                    break
+                block.append((b, y1, n))
+                rows += n + 1
+                self._next += 1
+        seps, y1s, counts = zip(*block)
+        top = np.arange(1, max(counts) + 1)
+        eps = np.ones(top.size) if isinstance(self.model, IdealMetal) else self.eps_for(top)
+        results = _integrate_terms(self.model, seps, y1s, counts, eps, 0.5 * tol)
+        for b, y1, n, res in zip(seps[1:], y1s[1:], counts[1:], results[1:]):
+            self._stored[(b, tol)] = (y1, n, *res)
+        return (y1s[0], counts[0], *results[0])
 
 
 @dataclass
@@ -343,32 +460,33 @@ def casimir_pressure(
         of 94 nodes in y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre
         beyond); the terms whose error estimate misses that are redone
         together on the template with its panels bisected, up to 8 times,
-        and NumericsError is raised if any still misses.
+        and NumericsError, naming the first such l and a, is raised if any
+        still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
-        Shared permittivity cache for separation sweeps.
+        Shared permittivity cache of a sweep.  Built with the sweep's
+        separations, it integrates the terms of the next separations in
+        this call's pass and hands them to their calls; the result is the
+        same bit for bit.  Without a cache, the call is the one-separation
+        case of the same pass.
 
     Returns
     -------
     PressureResult
     """
-    if not (50e-9 <= a <= 20e-6):
+    if not _in_domain(a):
         raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
-    if cache is not None and (cache.model is not model or cache.temperature != temperature):
+    if cache is None:
+        cache = MatsubaraCache(model, temperature)
+    elif cache.model is not model or cache.temperature != temperature:
         raise ValueError("cache was built for a different model or temperature")
 
-    xi1 = matsubara_frequency(1, temperature)
-    y1 = 2.0 * a * xi1 / C_LIGHT
-    n_terms = _term_count(y1, 0.5 * tol * _ZETA3)
-    ls = np.arange(n_terms + 1)
-    # eps[0] stands in for the l = 0 row, whose reflection comes from the tag
-    eps = np.ones(n_terms + 1)
-    if not isinstance(model, IdealMetal):
-        eps[1:] = cache.eps_for(ls[1:]) if cache is not None else model.epsilon(xi1 * ls[1:])
-    terms = _integrate_terms(model, a, y1 * ls, eps, 0.5 * tol)
+    y1, n_terms, terms, failed = cache._terms(a, tol)
+    if failed is not None:
+        raise NumericsError(f"wavevector quadrature failed to converge (l={failed}, a={a})")
     terms[0] *= 0.5
 
     prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
@@ -382,15 +500,14 @@ def casimir_pressure(
 
 
 def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):
-    """Pressure over a separation grid with a shared permittivity cache.
+    """Pressure over a separation grid with a shared permittivity cache that
+    reads ahead along the grid (see MatsubaraCache).
 
     Returns (pressures, truncation_estimates) as arrays aligned with
     separations.
     """
     separations = np.asarray(separations, dtype=float)
-    cache = None
-    if isinstance(model, PermittivityModel):
-        cache = MatsubaraCache(model, temperature)
+    cache = MatsubaraCache(model, temperature, separations)
     p = np.empty_like(separations)
     trunc = np.empty_like(separations)
     for i, a in enumerate(separations):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -315,3 +316,73 @@ class TestErrors:
             run([command, flag, value, "--out", tmp_path / "out"])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+
+def series_file(path, a_nm):
+    a = np.asarray(a_nm) * 1e-9
+    ones = np.ones_like(a)
+    path.write_text(gradient_series_text(GradientSeries(a, ones, ones, ones, ones, 21)))
+    return path
+
+
+class TestCompareGrid:
+    def test_default_grid_is_clipped_to_the_geometry(self, tmp_path, capsys):
+        # a series from 248.06 nm, as a set-1 campaign gives, against the
+        # default geometry: a_min 250 nm, a/R < 0.022 below 956.25 nm
+        gradients = series_file(tmp_path / "g.txt", 248.06 + np.arange(713))
+        assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 0
+        out = capsys.readouterr().out
+        assert "compare grid clipped to the geometry's range: [250, 956] nm" in out
+        assert "drude [250, 300] nm" in out and "[900, 956] nm" in out
+
+    def test_set_grid_end_outside_the_geometry_still_errors(self, tmp_path, capsys):
+        gradients = series_file(tmp_path / "g.txt", 248.06 + np.arange(713))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[compare]\ngrid_start_nm = 249\ngrid_stop_nm = 900\n")
+        assert run(["compare", "--gradients", gradients, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 1
+        assert "separation 249.0 nm outside [250, 2000] nm" in capsys.readouterr().err
+
+    def test_series_outside_the_geometry_errors(self, tmp_path, capsys):
+        gradients = series_file(tmp_path / "g.txt", np.arange(100, 201) + 0.5)
+        assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 1
+        assert "overlap [100.5, 200.5] nm lies outside the geometry's range" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "pipeline"])
+    def test_interval_without_grid_points_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[pipeline]\nsets = 1\n[compare]\nintervals = 300:350, 2000:3000\n")
+        args = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "compare":
+            args += ["--gradients", series_file(tmp_path / "g.txt", np.arange(300, 400) + 0.5)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "config error: [compare] intervals: 2000:3000 nm holds no point" in err
+        assert ("[301, 399] nm" if command == "compare" else "[249, 950] nm") in err
+        assert not (tmp_path / "out" / "comparison.txt").exists()
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path, monkeypatch):
+        # the README's CLI block as written: its config files, then each
+        # command in order, every one exiting 0
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        lines = iter(block.splitlines())
+        commands = []
+        for line in lines:
+            if line.startswith("cat > "):
+                body = []
+                for body_line in lines:
+                    if body_line == "EOF":
+                        break
+                    body.append(body_line)
+                Path(line.split()[2]).write_text("\n".join(body) + "\n")
+            elif line.startswith("casimirlab "):
+                args = shlex.split(line)[1:]
+                commands.append(args[0])
+                assert main(args) == 0, line
+        assert commands == ["theory", "synth", "calibrate", "compare", "pipeline"]
+        assert "sets = 1,2,3" in Path("pipe.ini").read_text()

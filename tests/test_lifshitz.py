@@ -465,3 +465,114 @@ class TestToleranceMet:
         assert res.n_terms < math.ceil(20.0 / y1)
         assert nodes == [94 * (res.n_terms + 1)]
         assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
+
+
+BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600, 1301) * 1e-9}
+
+
+def _blocks(n_terms):
+    """Read-ahead blocks of a sweep with these term counts, packed as the
+    cache packs them: whole separations, at most _PASS_ELEMENTS elements of
+    94 nodes per row, or one separation that alone holds more."""
+    limit = lifshitz._PASS_ELEMENTS // 94
+    blocks, rows = 0, limit + 1
+    for n in n_terms:
+        if rows + n + 1 > limit:
+            blocks, rows = blocks + 1, 0
+        rows += n + 1
+    return blocks
+
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    @pytest.mark.parametrize("model", [DRUDE, PLASMA], ids=["drude", "plasma"])
+    @pytest.mark.parametrize("grid", list(BENCH_GRIDS), ids=list(BENCH_GRIDS))
+    def test_sweeps_equal_per_point_bit_for_bit(self, grid, model, tol):
+        seps = BENCH_GRIDS[grid]
+        swept, swept_trunc = pressure_sweep(model, seps, T_LAB, tol)
+        geometry = Geometry(R=43.466e-6, a_min=250e-9, max_aspect=0.0306)
+        grad = pressure_to_gradient_sweep(model, geometry, BetaTable(), seps, tol)
+        alone = [casimir_pressure(model, float(a), T_LAB, tol) for a in seps]
+        for p in (swept, grad.pressures):
+            assert p.tolist() == [r.pressure for r in alone]
+        for t in (swept_trunc, grad.pressure_truncations):
+            assert t.tolist() == [r.truncation_error_estimate for r in alone]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    def test_ideal_reflector_at_10_K_sweep_equals_per_point(self, tol):
+        # up to 1.3-2 um a 10 K sum alone holds more rows than a block; from
+        # 5 um on, two to nine separations share one
+        seps = np.concatenate([np.arange(250, 1301, 75) * 1e-9, np.linspace(5e-6, 20e-6, 31)])
+        swept, swept_trunc = pressure_sweep(IDEAL_METAL, seps, 10.0, tol)
+        alone = [casimir_pressure(IDEAL_METAL, float(a), 10.0, tol) for a in seps]
+        assert swept.tolist() == [r.pressure for r in alone]
+        assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
+        assert _blocks([r.n_terms for r in alone]) < seps.size - 20
+
+    def test_a_sweep_takes_one_integrand_pass_per_block(self, monkeypatch):
+        seps = BENCH_GRIDS["250-950"]
+        n_terms = [casimir_pressure(DRUDE, float(a), T_LAB, 1e-9).n_terms for a in seps]
+        rows = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, y: rows.append(y.shape) or kernel(r_tm, r_te, y))
+        pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
+        assert len(rows) == _blocks(n_terms) < seps.size / 5
+        assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
+        assert max(r * nodes for r, nodes in rows) <= lifshitz._PASS_ELEMENTS
+
+    def test_deep_refinement_peak_memory_is_no_higher_than_per_point(self):
+        # at 10 K and tol 1e-9 the low drude rows near 50 nm refine to depth
+        # 5-6; the sweep's own bookkeeping (its separations, results and
+        # read-ahead list) takes a few hundred bytes, while one pass over the
+        # refined rows of two separations would take megabytes more
+        import tracemalloc
+
+        seps = [50e-9, 50.5e-9, 51e-9]
+        casimir_pressure(DRUDE, seps[0], 10.0, 1e-9)  # builds the node templates
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                out = run()
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        def per_point():
+            cache = MatsubaraCache(DRUDE, 10.0)
+            return [casimir_pressure(DRUDE, a, 10.0, 1e-9, cache=cache).pressure for a in seps]
+
+        per_point_peak, alone = peak(per_point)
+        sweep_peak, (swept, _) = peak(lambda: pressure_sweep(DRUDE, seps, 10.0, 1e-9))
+        assert swept.tolist() == alone
+        assert sweep_peak <= per_point_peak + 65536
+
+    def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
+        # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
+        # block also holds 900-904 nm, which converge
+        seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
+        alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
+        y1 = 2.0 * 902e-9 * matsubara_frequency(1, T_LAB) / C_LIGHT
+        target = 10 * y1
+        shapes = []
+        kernel = lifshitz._integrand
+
+        def jump(r_tm, r_te, y):
+            shapes.append(y.shape)
+            own = np.abs(y[:, :1] - target) < 5e-3
+            return kernel(r_tm, r_te, y) * (1.0 + (own & (y > target + 0.3)))
+
+        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        try:
+            cache = MatsubaraCache(DRUDE, T_LAB, seps)
+            got = [casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache).pressure for a in seps[:2]]
+            with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+                casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
+            with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+                pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
+        finally:
+            # the deepest templates hold some 160 MB
+            lifshitz._node_template.cache_clear()
+        assert shapes[0] == (sum(r.n_terms + 1 for r in alone), 94)
+        assert got == [r.pressure for r in alone[:2]]
