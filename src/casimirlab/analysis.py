@@ -462,6 +462,16 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise NumericsError(f"incomplete beta fraction did not converge at a = {a}, b = {b}")
 
 
+def _whole_nm_grid(lo_nm: float, hi_nm: float) -> np.ndarray:
+    """The whole nanometres in [lo_nm, hi_nm], as separations in m.
+
+    The ends are rounded to 1e-6 nm before ceil and floor, so an end on a
+    whole nanometre keeps its point when the conversion to nm leaves a
+    rounding error (300e-9 * 1e9 = 300.00000000000006).
+    """
+    return np.arange(math.ceil(round(lo_nm, 6)), math.floor(round(hi_nm, 6)) + 1) * 1e-9
+
+
 def combine_gradient_series(series_list, grid=None) -> GradientSeries:
     """Cross-set mean on a common grid.
 
@@ -475,12 +485,10 @@ def combine_gradient_series(series_list, grid=None) -> GradientSeries:
     if not series_list:
         raise ValueError("no series to combine")
     if grid is None:
-        lo = max(s.separations[0] for s in series_list)
-        hi = min(s.separations[-1] for s in series_list)
-        lo_nm, hi_nm = math.ceil(lo * 1e9), math.floor(hi * 1e9)
-        if hi_nm <= lo_nm:
+        grid = _whole_nm_grid(max(s.separations[0] for s in series_list) * 1e9,
+                              min(s.separations[-1] for s in series_list) * 1e9)
+        if grid.size < 2:
             raise GridAlignmentError("series do not overlap")
-        grid = np.arange(lo_nm, hi_nm + 1) * 1e-9
     grid = np.asarray(grid, dtype=float)
     for k, s in enumerate(series_list):
         past = max(np.max(s.separations[0] - grid, initial=0.0),

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     TheoryErrorConfig,
+    _whole_nm_grid,
     calibrate,
     calibration_text,
     combine_gradient_series,
@@ -263,7 +264,7 @@ def _compare_series(args, settings, series_list, geometry, tol):
     intervals, width, errors, (start, stop) = settings
     lo = max(s.separations[0] for s in series_list) * 1e9 if start is None else start
     hi = min(s.separations[-1] for s in series_list) * 1e9 if stop is None else stop
-    common = np.arange(int(np.ceil(lo)), int(np.floor(hi)) + 1) * 1e-9
+    common = _whole_nm_grid(lo, hi)
     inside = np.ones(common.size, dtype=bool)
     if start is None:
         inside &= geometry.a_min <= common

@@ -20,9 +20,8 @@ A sweep gives its MatsubaraCache the separations in call order; the first
 pressure of a block then integrates the terms of the separations after it
 in the same pass, up to _PASS_ELEMENTS rows x nodes, and the next pressures
 take their stored terms.  A pass allocates its planes of rows x nodes once
-(two buffers) and computes in them in place, with the same IEEE operations
-in the same order as before, and every pressure of a sweep is bit-identical
-to one computed alone.
+(two buffers), computes in them in place and reduces each row alone, so
+every pressure of a sweep is bit-identical to one computed alone.
 """
 
 from __future__ import annotations
@@ -136,10 +135,11 @@ _WGK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
+# the embedded 7-point Gauss weights on the Kronrod nodes they share, 0 on the others
 _WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
+    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0, 0.381830050505119, 0.0,
+    0.417959183673469, 0.0, 0.381830050505119, 0.0, 0.279705391489277, 0.0,
+    0.129484966168870, 0.0,
 ])
 
 def _gauss_laguerre(n):
@@ -156,38 +156,29 @@ def _gauss_laguerre(n):
 
 @functools.cache
 def _node_template(depth):
-    """Nodes in t = y - y_l shared by every term, and their weight matrix.
+    """Nodes in t = y - y_l shared by every term, their weights w and d, and
+    the panel count.
 
     15-point Gauss-Kronrod panels on [0, 0.5, 1.5, 3.5, 7], each bisected
     depth times, resolve the start of a term, where the occupancy pole at
     y = ln r^2 <= 0 lies within y_l; from t = 7 on, where the integrand is
     e^-t times a slowly varying factor, a 20-point Gauss-Laguerre rule takes
-    the rest, and a 14-point one checks it.  values @ weights gives, per row,
-    the integral in column 0 and in the other columns the Kronrod-minus-Gauss
-    difference of each panel and the GL20-minus-GL14 difference, whose
-    absolute sum is the error estimate.
+    the rest, and a 14-point one checks it.  The nodes run panel by panel,
+    15 each, then GL20 and GL14.  w gives the integral (Kronrod, then GL20,
+    0 on GL14) and d each panel's Kronrod-minus-Gauss difference, then
+    GL20 minus GL14; both are linear in the panel count.
     """
     edges = np.array([0.0, 0.5, 1.5, 3.5, 7.0])
     for _ in range(depth):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    n_panel = _XGK.size * half.size
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     x20, w20 = _gauss_laguerre(20)
     x14, w14 = _gauss_laguerre(14)
-    nodes = np.concatenate([(mid[:, None] + half[:, None] * _XGK).ravel(),
-                            edges[-1] + x20, edges[-1] + x14])
-    weights = np.zeros((nodes.size, half.size + 2))
-    for p in range(half.size):
-        rows = slice(p * _XGK.size, (p + 1) * _XGK.size)
-        weights[rows, 0] = half[p] * _WGK
-        weights[rows, 1 + p] = half[p] * _WGK
-        weights[rows, 1 + p][1::2] -= half[p] * _WG
-    laguerre = slice(n_panel, n_panel + x20.size)
-    weights[laguerre, 0] = w20
-    weights[laguerre, -1] = w20
-    weights[laguerre.stop:, -1] = -w14
-    return nodes, weights
+    nodes = np.concatenate([(mid + half * _XGK).ravel(), edges[-1] + x20, edges[-1] + x14])
+    w = np.concatenate([(half * _WGK).ravel(), w20, np.zeros(x14.size)])
+    d = np.concatenate([(half * _WGK - half * _WG).ravel(), w20, -w14])
+    return nodes, w, d, half.size
 
 
 def _integrand(r_tm, r_te, y):
@@ -236,14 +227,19 @@ def _template_integrate(model, a, y_l, eps, depth=0):
 
     Row i has lower limit y_l[i] and permittivity eps[i] at separation a, one
     value for every row or one per row.  y and the reflections share one
-    buffer of four planes.
+    buffer of four planes.  The estimate sums the absolute differences d
+    gives; both results reduce each row alone, whatever rows are beside it.
     """
-    nodes, weights = _node_template(depth)
+    nodes, w, d, n_panels = _node_template(depth)
     buf = np.empty((4, y_l.size, nodes.size))
     y = np.add(y_l[:, None], nodes, out=buf[0])
     r_tm, r_te = _reflections(model, np.broadcast_to(a, y_l.shape), y_l, eps, y, buf[1:])
-    out = _integrand(r_tm, r_te, y) @ weights
-    return out[:, 0], np.abs(out[:, 1:]).sum(axis=1)
+    f = _integrand(r_tm, r_te, y)
+    n = n_panels * _XGK.size
+    panels = np.vecdot(f[:, :n].reshape(y_l.size, n_panels, _XGK.size),
+                       d[:n].reshape(n_panels, _XGK.size))
+    tail = np.vecdot(f[:, n:], d[n:])
+    return np.vecdot(f, w), np.abs(panels).sum(axis=1) + np.abs(tail)
 
 
 # rows x nodes of the template pass that takes the terms of several
@@ -256,11 +252,11 @@ def _integrate_terms(model, a, y1, n_terms, eps, tol):
     """Integrals I_l, l = 0 .. n_terms[j], of each separation a[j], each to tol relative.
 
     y1[j] = 2 a[j] xi_1 / c and eps[l - 1] is the permittivity at xi_l.  The
-    rows of every separation go through the node template in one pass; the
+    rows of all separations go through the node template in one pass; the
     rows whose error estimate exceeds tol of their value (or 1e-300, for a
-    row that underflows) go through it again with the panels bisected once
-    more each time, up to 8 times.  Returns, per separation, its integrals
-    and the first l that still misses after depth 8, or None.
+    row that underflows) go through it again together, with the panels
+    bisected once more each time, up to 8 times.  Returns, per separation,
+    its integrals and the first l that still misses after depth 8, or None.
     """
     counts = np.asarray(n_terms) + 1
     starts = np.concatenate([[0], np.cumsum(counts)])
@@ -270,23 +266,16 @@ def _integrate_terms(model, a, y1, n_terms, eps, tol):
     eps = np.concatenate([[1.0], eps])[ls]
     a = np.repeat(a, counts)
     vals = np.empty(ls.size)
-    passes = [np.arange(ls.size)]
+    rows = np.arange(ls.size)
     for depth in range(9):
-        missed = []
-        for rows in passes:
-            v, e = _template_integrate(model, a[rows], y_l[rows], eps[rows], depth)
-            vals[rows] = v
-            missed.append(rows[e > np.maximum(tol * v, 1e-300)])
-        # each separation's missed rows take a pass of their own, as they
-        # would alone: on the wider weight matrices of the bisected
-        # templates the BLAS product of a row can change in its last bit
-        # with the number of rows beside it
-        missed = np.concatenate(missed)
-        passes = [p for p in np.split(missed, np.searchsorted(missed, starts[1:-1]))
-                  if p.size] if missed.size else []
-        if not passes:
+        v, e = _template_integrate(model, a[rows], y_l[rows], eps[rows], depth)
+        vals[rows] = v
+        rows = rows[e > np.maximum(tol * v, 1e-300)]
+        if not rows.size:
             break
-    failed = {int(np.searchsorted(starts, p[0], side="right")) - 1: int(ls[p[0]]) for p in passes}
+    # rows ascend, so a separation's first missed row is its first l
+    seps, first = np.unique(np.searchsorted(starts, rows, side="right") - 1, return_index=True)
+    failed = dict(zip(seps.tolist(), ls[rows[first]].tolist()))
     return [(vals[lo:hi], failed.get(j)) for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))]
 
 
@@ -306,8 +295,9 @@ class MatsubaraCache:
     and stores theirs with their term counts; the calls for those only take
     them.  A call for any other separation or tol, or with the list used
     up, integrates its own terms alone.  A separation outside the accepted
-    range ends a block.  Refined rows take one pass per separation, as they
-    would alone, so every pressure is bit-identical to one computed alone.
+    range ends a block.  The missed rows of a block are refined together;
+    every row is integrated by reductions over itself alone, so every
+    pressure is bit-identical to one computed alone.
     """
 
     def __init__(self, model: PermittivityModel, temperature: float, separations=()):

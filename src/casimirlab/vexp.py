@@ -88,7 +88,6 @@ class CampaignSpec:
     repetitions: int = 1
     sample_step: float = 0.14e-9  # m
     grid_step: float = 1.0e-9     # m
-    drift_per_stream: float = 0.0 # m of separation drift per applied-voltage stream
 
     def __post_init__(self):
         if len(self.voltages) != 21:
@@ -178,11 +177,9 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     For every (voltage, repetition) stream the dense-approach shift is
     delta_omega = -gamma(a) (V - V0(a))^2 - C_true F'(a) + noise with
     V0(a) the linear law and noise ~ N(0, freq_systematic); the stream is
-    then interpolated onto the grid_step separations.  With a non-zero
-    drift_per_stream, stream k = 21 * repetition + voltage_index reads the
-    truth curves k * drift_per_stream further along the approach; the noise
-    draw does not depend on it.  Each stream draws noise for the whole
-    lattice but is built only at the samples the interpolation reads.
+    then interpolated onto the grid_step separations.  Each stream draws
+    noise for the whole lattice but is built only at the samples the
+    interpolation reads.
     Bit-identical for identical (spec, geometry, seed).
     """
     z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
@@ -191,21 +188,15 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
         raise ValidityDomainError("analysis grid escapes the sampled approach")
 
     z = z_fine[stream_idx]
-    a = spec.z0_true + z
-    gamma, fprime, v0_a = gamma_fine[stream_idx], fprime_fine[stream_idx], spec.v0_law.v0(a)
+    gamma, fprime = gamma_fine[stream_idx], fprime_fine[stream_idx]
+    v0_a = spec.v0_law.v0(spec.z0_true + z)
 
     shifts = np.empty((21, spec.repetitions, z_grid.size))
     for vi, v in enumerate(spec.voltages):
         for rep in range(spec.repetitions):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, rep)))
-            off = spec.drift_per_stream * (rep * 21 + vi)
-            g, f, v0 = gamma, fprime, v0_a
-            if off != 0.0:
-                g = np.interp(z + off, z_fine, gamma_fine)
-                f = np.interp(z + off, z_fine, fprime_fine)
-                v0 = spec.v0_law.v0(a + off)
             noise = rng.normal(0.0, spec.freq_systematic, z_fine.size)[stream_idx]
-            stream = -g * (v - v0) ** 2 - spec.c_true * f + noise
+            stream = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + noise
             shifts[vi, rep] = np.interp(z_grid, z, stream)
     return MeasurementGrid(z_rel=z_grid, shifts=shifts, spec=spec, geometry=geometry, seed=seed)
 
@@ -288,7 +279,6 @@ def save_grid(grid: MeasurementGrid, path) -> None:
         f"# sample_step_m = {spec.sample_step!r}",
         f"# grid_step_m = {spec.grid_step!r}",
         f"# max_z_rel_m = {spec.max_z_rel!r}",
-        f"# drift_per_stream_m = {spec.drift_per_stream!r}",
         "# voltages_V = " + " ".join(repr(v) for v in spec.voltages),
         f"# R_m = {g.R!r}",
         f"# delta_s_m = {g.delta_s!r}",
@@ -312,7 +302,10 @@ def load_grid(path) -> MeasurementGrid:
     """Read a grid written by save_grid.
 
     Every row's a_nm must equal z0_true_m + grid_step_m * j to within
-    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.
+    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A
+    drift_per_stream_m line, which older files carry, must read 0.0: a
+    grid synthesised with a separation drift cannot be rebuilt as a
+    CampaignSpec, and loading it raises ConfigError.
     """
     meta: dict[str, str] = {}
     blocks: list[list[tuple[float, float]]] = []
@@ -351,8 +344,10 @@ def load_grid(path) -> MeasurementGrid:
             sample_step=float(meta["sample_step_m"]),
             grid_step=float(meta["grid_step_m"]),
             max_z_rel=float(meta["max_z_rel_m"]),
-            drift_per_stream=float(meta["drift_per_stream_m"]),
         )
+        if float(meta.get("drift_per_stream_m", 0.0)) != 0.0:
+            raise ConfigError(f"{path}: drift_per_stream_m = {meta['drift_per_stream_m']} "
+                              "is not supported; only a zero drift can be loaded")
         geometry = Geometry(
             R=float(meta["R_m"]),
             delta_s=float(meta["delta_s_m"]),

@@ -9,6 +9,7 @@ from scipy.special import stdtrit
 
 from casimirlab import vexp
 from casimirlab.analysis import (
+    GradientSeries,
     _t_quantile,
     calibrate,
     calibration_text,
@@ -371,6 +372,13 @@ class TestCombination:
         far.separations = s.separations + 1e-6
         with pytest.raises(GridAlignmentError):
             combine_gradient_series([s, far])
+
+    def test_default_grid_keeps_whole_nanometre_ends(self):
+        a = np.arange(300, 401) * 1e-9
+        assert a[0] * 1e9 > 300.0
+        ones = np.ones_like(a)
+        combined = combine_gradient_series([GradientSeries(a, ones, ones, ones, ones, 21)])
+        assert combined.separations.tolist() == a.tolist()
 
     def test_point_within_one_step_past_series_warns(self, set1_grid):
         _, _, grid = set1_grid

@@ -349,6 +349,13 @@ class TestCompareGrid:
         assert "overlap [100.5, 200.5] nm lies outside the geometry's range" in \
             capsys.readouterr().err
 
+    def test_series_on_whole_nanometres_keeps_its_ends(self, tmp_path, capsys):
+        # read back from text, 300 nm is 3e-7 m, and 3e-7 * 1e9 lies above 300
+        gradients = series_file(tmp_path / "g.txt", np.arange(300, 401))
+        assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 0
+        out = capsys.readouterr().out
+        assert "drude [300, 400] nm" in out and "clipped" not in out
+
     @pytest.mark.parametrize("command", ["compare", "pipeline"])
     def test_interval_without_grid_points_is_a_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "c.ini"

@@ -576,3 +576,61 @@ class TestSweepBlocks:
             lifshitz._node_template.cache_clear()
         assert shapes[0] == (sum(r.n_terms + 1 for r in alone), 94)
         assert got == [r.pressure for r in alone[:2]]
+
+
+class TestRowLocalQuadrature:
+    @pytest.mark.parametrize("model", [DRUDE, PLASMA, IDEAL_METAL],
+                             ids=["drude", "plasma", "ideal"])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_a_row_has_the_same_bits_in_every_packing(self, model, depth):
+        # the rows l = 0 .. 12 of three separations, each alone, all side by
+        # side, reversed, and odd rows before even ones
+        seps = (50e-9, 250e-9, 1e-6)
+        parts = [_terms(model, a, T_LAB, 12) for a in seps]
+        y_l = np.concatenate([y for y, _ in parts])
+        eps = np.concatenate([e for _, e in parts])
+        a = np.repeat(seps, 13)
+        n = y_l.size
+        alone = [lifshitz._template_integrate(model, a[i], y_l[i:i + 1], eps[i:i + 1], depth)
+                 for i in range(n)]
+        for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
+            vals, errs = lifshitz._template_integrate(model, a[order], y_l[order], eps[order],
+                                                      depth)
+            assert vals.tolist() == [alone[i][0][0] for i in order]
+            assert errs.tolist() == [alone[i][1][0] for i in order]
+
+    def test_rows_missed_in_two_separations_refine_in_one_pass(self, monkeypatch):
+        # row l = 3 of 900 nm and row l = 7 of 903 nm jump at t = 0.25, the
+        # first panel edge of depth 1; both share the block of 900-904 nm
+        seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
+        xi1 = matsubara_frequency(1, T_LAB)
+        targets = [3 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
+        shapes, hits = [], []
+        kernel = lifshitz._integrand
+
+        def jump(r_tm, r_te, y):
+            shapes.append(y.shape)
+            out = kernel(r_tm, r_te, y)
+            hits.append(0)
+            for target in targets:
+                own = (y[:, :1] > target) & (y[:, :1] < target + 3e-3)
+                hits[-1] += int(own.sum())
+                out *= 1.0 + (own & (y > target + 0.25))
+            return out
+
+        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
+        assert len(shapes) == len(seps) + 2
+        shapes.clear()
+        hits.clear()
+        swept, swept_trunc = pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
+        assert swept.tolist() == [r.pressure for r in alone]
+        assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
+        assert shapes == [(sum(r.n_terms + 1 for r in alone), 94), (2, 154)]
+        assert hits == [2, 2]
+
+    def test_deepest_template_is_linear_in_its_panels(self):
+        nodes, w, d, n_panels = lifshitz._node_template(8)
+        assert n_panels == 1024
+        assert nodes.size == w.size == d.size == 15 * 1024 + 34
+        assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
