@@ -7,10 +7,11 @@ confidence budget, and compared against theory through the confidence-band
 exclusion rule (an interval is excluded when more than 33% of the
 difference points fall outside the band).
 
-The fit and the extraction each read gamma/C from one
-electrostatics.GammaTable, so the image series runs only at the table's
-nodes.  The 67% budget's Student t quantile is computed here from the
-incomplete beta function, which keeps scipy out of the import.
+The fit and the extraction read gamma/C from one electrostatics.GammaTable
+per fit range, built once per process (_gamma_table), so the image series
+runs only at the table's nodes, and not at all for a set whose range an
+earlier set already had.  The 67% budget's Student t quantile is computed
+here from the incomplete beta function, which keeps scipy out of the import.
 """
 
 from __future__ import annotations
@@ -237,9 +238,26 @@ def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
 
 
 _WINDOW_HALF_WIDTH = 30e-9   # z0 bracket of the window refits
+_Z0_BOUNDS = (50e-9, 10e-6)  # default z0 search range of fit_calibration
 
 
-def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> CalibrationFit:
+@lru_cache(maxsize=16)
+def _gamma_table(lo: float, hi: float, R: float) -> GammaTable:
+    """The GammaTable over [lo, hi] for radius R, built once per key."""
+    return GammaTable(lo, hi, R)
+
+
+def _fit_table(z_rel, R, z0_bounds=_Z0_BOUNDS) -> GammaTable:
+    """The table over every separation a fit of z_rel in z0_bounds reaches.
+
+    That is z0 in the bounds, and up to 30 nm past them in the window refits.
+    """
+    lo, hi = z0_bounds
+    return _gamma_table(float(lo + z_rel.min()),
+                        float(hi + _WINDOW_HALF_WIDTH + z_rel.max()), float(R))
+
+
+def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> CalibrationFit:
     """Fit the exact electrostatic coefficient over (C, z0).
 
     The model gamma(z0 + z_rel) is linear in C, so the fit separates: for
@@ -247,9 +265,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     and z0 follows from Gauss-Newton steps with the analytic slope of the
     series, started at a proximity-limit seed inside a bracket around it.
     If the steps reach the bracket edge, a full-range scan picks a new start.
-    Every evaluation reads one GammaTable over all the separations the fit
-    can reach: z0 in the bounds, and up to 30 nm past them in the window
-    refits.
+    Every evaluation reads the one GammaTable of the fit range (_fit_table),
+    which extract_gradients reads too; a range met before reuses its table.
     """
     z_rel = np.asarray(z_rel, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -264,7 +281,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=(50e-9, 10e-6)) -> C
     lo, hi = z0_bounds
     if not (0 < lo < hi <= 10e-6):
         raise ValidityDomainError(f"z0 bounds {z0_bounds} escape (0, 10 um]")
-    table = GammaTable(lo + z_rel.min(), hi + _WINDOW_HALF_WIDTH + z_rel.max(), R)
+    table = _fit_table(z_rel, R, z0_bounds)
 
     # Proximity-limit seed: gamma ~ 1/a^2 gives z0 from the ratio of two
     # samples; Gauss-Newton runs in a generous bracket around it.
@@ -345,14 +362,17 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     """Invert the shift model per channel and average at 67% confidence.
 
     F' = [-delta_omega - gamma_hat(a) (V_i - V0_hat(a))^2] / C_hat with the
-    calibrated analytic gamma, read from one GammaTable over the calibrated
-    separations, and the straight-line V0; the random error is the
+    calibrated analytic gamma, read from the calibration's table (that of
+    the default z0 bounds, widened to the calibrated z0 if it lies outside
+    them), and the straight-line V0; the random error is the
     Student-scaled standard error over the 21 x repetitions channels, the
     systematic error is the quoted frequency-shift error divided by C, and
     the two combine in quadrature.
     """
     a = calib.separations
-    gamma_hat = calib.c_cal * GammaTable(a.min(), a.max(), calib.R)(a)
+    lo, hi = _Z0_BOUNDS
+    table = _fit_table(calib.z_rel, calib.R, (min(lo, calib.z0), max(hi, calib.z0)))
+    gamma_hat = calib.c_cal * table(a)
     v0_hat = calib.line.v0(a)
     v = grid.voltages[:, None, None]
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal

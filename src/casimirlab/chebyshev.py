@@ -92,16 +92,25 @@ class Interpolant:
 
 
 def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form)."""
+    """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form).
+
+    The weights w_i / (x - x_i) and their row-normalisation are formed in
+    the one (x, nodes) array; a row whose x is a node takes the unit vector
+    of that node.
+    """
     w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5
     d = x[:, None] - nodes[None, :]
     hit = d == 0.0
-    c = w / np.where(hit, 1.0, d)
-    basis = c / c.sum(axis=1, keepdims=True)
-    at_node = hit.any(axis=1)
-    basis[at_node] = hit[at_node]
-    return basis
+    any_hit = bool(hit.any())
+    if any_hit:
+        d[hit] = 1.0
+    np.divide(w, d, out=d)
+    d /= d.sum(axis=1, keepdims=True)
+    if any_hit:
+        at_node = hit.any(axis=1)
+        d[at_node] = hit[at_node]
+    return d
 
 
 def _lobatto_points(m: int) -> np.ndarray:

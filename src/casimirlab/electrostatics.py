@@ -11,7 +11,11 @@ gamma_over_c sums that series directly.  GammaTable interpolates a^2
 gamma/C, which is analytic in ln a, with chebyshev.Interpolant, the rule
 the theory curves follow too: the calibration fit and the gradient
 extraction evaluate gamma/C at hundreds of separations some twenty times
-per set, so they build one table and run the series only at its nodes.
+per set, so the series runs only at a table's nodes.  The rule is one
+table per fit range: analysis builds it once per process for each range
+(z0 bounds, relative separations, R), the extraction reads the fit's
+table, and a later set with the same range builds none.  GammaTable itself
+keeps no memo.
 The synthetic truth (vexp) keeps the direct series, so the fit is checked
 against an independent evaluation.
 """

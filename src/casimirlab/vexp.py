@@ -137,12 +137,14 @@ class MeasurementGrid:
         return np.asarray(self.spec.voltages, dtype=float)
 
 
+@lru_cache(maxsize=32)
 def _lattice(spec: CampaignSpec):
     """The approach lattice, the analysis grid and the lattice samples read.
 
-    Returns (z_fine, z_grid, stream_idx).  np.interp reads each stream only
-    at the pair bracketing a grid point: a point in [z_fine[j],
-    z_fine[j + 1]) reads samples j and j + 1 (stream_idx, sorted).
+    Returns (z_fine, z_grid, stream_idx), read-only and built once per
+    spec.  np.interp reads each stream only at the pair bracketing a grid
+    point: a point in [z_fine[j], z_fine[j + 1]) reads samples j and j + 1
+    (stream_idx, sorted).
     """
     n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
     z_fine = spec.sample_step * np.arange(n_fine + 1)
@@ -150,6 +152,8 @@ def _lattice(spec: CampaignSpec):
     z_grid = spec.grid_step * np.arange(n_grid)
     j = np.searchsorted(z_fine, z_grid, side="right") - 1
     stream_idx = np.unique(np.clip(np.concatenate([j, j + 1]), 0, n_fine))
+    for arr in (z_fine, z_grid, stream_idx):
+        arr.flags.writeable = False
     return z_fine, z_grid, stream_idx
 
 
@@ -198,7 +202,8 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
             noise = rng.normal(0.0, spec.freq_systematic, z_fine.size)[stream_idx]
             stream = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + noise
             shifts[vi, rep] = np.interp(z_grid, z, stream)
-    return MeasurementGrid(z_rel=z_grid, shifts=shifts, spec=spec, geometry=geometry, seed=seed)
+    return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts, spec=spec, geometry=geometry,
+                           seed=seed)
 
 
 def _varied_plus_fixed(lo: float, hi: float, fixed: float) -> tuple[float, ...]:
@@ -305,7 +310,8 @@ def load_grid(path) -> MeasurementGrid:
     1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A
     drift_per_stream_m line, which older files carry, must read 0.0: a
     grid synthesised with a separation drift cannot be rebuilt as a
-    CampaignSpec, and loading it raises ConfigError.
+    CampaignSpec, and loading it raises ConfigError.  A missing metadata
+    key, or a value that does not convert, raises ConfigError naming it.
     """
     meta: dict[str, str] = {}
     blocks: list[list[tuple[float, float]]] = []
@@ -331,35 +337,40 @@ def load_grid(path) -> MeasurementGrid:
             raise ConfigError(f"{path}: malformed data row {line!r}") from None
         current.append((a_nm, shift))
 
-    try:
-        spec = CampaignSpec(
-            voltages=tuple(float(v) for v in meta["voltages_V"].split()),
-            z0_true=float(meta["z0_true_m"]),
-            c_true=float(meta["c_true"]),
-            v0_law=V0Law(float(meta["v0_slope_V_per_m"]), float(meta["v0_intercept_V"])),
-            truth_tag=meta["truth_tag"],
-            amplitude=float(meta["amplitude_m"]),
-            freq_systematic=float(meta["freq_systematic_rad_s"]),
-            repetitions=int(meta["repetitions"]),
-            sample_step=float(meta["sample_step_m"]),
-            grid_step=float(meta["grid_step_m"]),
-            max_z_rel=float(meta["max_z_rel_m"]),
-        )
-        if float(meta.get("drift_per_stream_m", 0.0)) != 0.0:
-            raise ConfigError(f"{path}: drift_per_stream_m = {meta['drift_per_stream_m']} "
-                              "is not supported; only a zero drift can be loaded")
-        geometry = Geometry(
-            R=float(meta["R_m"]),
-            delta_s=float(meta["delta_s_m"]),
-            delta_p=float(meta["delta_p_m"]),
-            temperature=float(meta["temperature_K"]),
-            max_aspect=float(meta["max_aspect"]),
-            a_min=float(meta["a_min_m"]),
-            a_max=float(meta["a_max_m"]),
-        )
-        seed = int(meta["seed"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing metadata key {exc.args[0]}") from None
+    def value(key, convert=float):
+        try:
+            return convert(meta[key])
+        except KeyError:
+            raise ConfigError(f"{path}: missing metadata key {key}") from None
+        except ValueError:
+            raise ConfigError(f"{path}: malformed metadata value {key} = {meta[key]!r}") from None
+
+    spec = CampaignSpec(
+        voltages=value("voltages_V", lambda v: tuple(map(float, v.split()))),
+        z0_true=value("z0_true_m"),
+        c_true=value("c_true"),
+        v0_law=V0Law(value("v0_slope_V_per_m"), value("v0_intercept_V")),
+        truth_tag=value("truth_tag", str),
+        amplitude=value("amplitude_m"),
+        freq_systematic=value("freq_systematic_rad_s"),
+        repetitions=value("repetitions", int),
+        sample_step=value("sample_step_m"),
+        grid_step=value("grid_step_m"),
+        max_z_rel=value("max_z_rel_m"),
+    )
+    if "drift_per_stream_m" in meta and value("drift_per_stream_m") != 0.0:
+        raise ConfigError(f"{path}: drift_per_stream_m = {meta['drift_per_stream_m']} "
+                          "is not supported; only a zero drift can be loaded")
+    geometry = Geometry(
+        R=value("R_m"),
+        delta_s=value("delta_s_m"),
+        delta_p=value("delta_p_m"),
+        temperature=value("temperature_K"),
+        max_aspect=value("max_aspect"),
+        a_min=value("a_min_m"),
+        a_max=value("a_max_m"),
+    )
+    seed = value("seed", int)
 
     n_v, n_rep = 21, spec.repetitions
     if len(blocks) != n_v * n_rep:

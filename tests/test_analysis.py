@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtrit
 
-from casimirlab import vexp
+from casimirlab import analysis, electrostatics, vexp
 from casimirlab.analysis import (
     GradientSeries,
     _t_quantile,
@@ -338,6 +338,58 @@ class TestExtraction:
         mean_total = total / n_seeds
         assert np.all(np.abs(bias) <= 0.1 * mean_total + 3.5 * se)
         assert np.abs(bias).mean() <= 0.1 * mean_total.mean()
+
+
+class TestSharedGammaTable:
+    def test_series_runs_at_one_tables_nodes_then_not_at_all(self, monkeypatch):
+        spec, geom = short_campaign()
+        evaluated = []
+
+        def spy(a, *args, **kwargs):
+            evaluated.append(np.array(a, dtype=float))
+            return gamma_over_c(a, *args, **kwargs)
+
+        analysis._gamma_table.cache_clear()
+        monkeypatch.setattr(electrostatics, "gamma_over_c", spy)
+        grid = synthesize_campaign(spec, geom, seed=3)
+        calib = calibrate(grid)
+        extract_gradients(grid, calib)
+        nodes = analysis._fit_table(calib.z_rel, calib.R)._curve.separations
+        assert np.array_equal(np.sort(np.concatenate(evaluated)), np.sort(nodes))
+
+        # a second seed of the same preset finds its range's table built
+        evaluated.clear()
+        grid = synthesize_campaign(spec, geom, seed=4)
+        extract_gradients(grid, calibrate(grid))
+        assert evaluated == []
+
+    def test_extraction_reads_the_calibrations_table(self, set1_grid, monkeypatch):
+        _, geom, grid = set1_grid
+        calib = calibrate(grid)
+        reads = []
+        table_call = electrostatics.GammaTable.__call__
+
+        def spy(table, a, slope=False):
+            out = table_call(table, a, slope)
+            reads.append((table, np.array(a), out))
+            return out
+
+        monkeypatch.setattr(electrostatics.GammaTable, "__call__", spy)
+        extract_gradients(grid, calib)
+        [(table, a, g)] = reads
+        assert table is analysis._fit_table(calib.z_rel, geom.R)
+        assert np.array_equal(a, calib.separations)
+        ref = gamma_over_c(a, geom.R, tol=1e-14)
+        assert np.all(np.abs(g - ref) <= 1e-10 * ref)
+
+    def test_z0_outside_the_default_bounds_widens_the_table(self, set1_grid):
+        _, geom, grid = set1_grid
+        calib = calibrate(grid)
+        for z0 in (40e-9, 10.2e-6):
+            moved = dataclasses.replace(calib, z0=z0)
+            series = extract_gradients(grid, moved)
+            assert np.array_equal(series.separations, moved.separations)
+            assert np.all(np.isfinite(series.mean))
 
 
 class TestStudentQuantile:

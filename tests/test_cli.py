@@ -13,7 +13,7 @@ from casimirlab import cli
 from casimirlab.analysis import GradientSeries, gradient_series_text
 from casimirlab.cli import main
 from casimirlab.lifshitz import casimir_pressure
-from casimirlab.vexp import model_for_tag
+from casimirlab.vexp import model_for_tag, reference_campaign, save_grid, synthesize_campaign
 
 
 def run(args):
@@ -236,6 +236,22 @@ class TestErrors:
         cfg.write_text(ini)
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, bad", [("seed", "eight"), ("repetitions", "1.5"),
+                                          ("R_m", "big"), ("voltages_V", "0.1 x")])
+    def test_malformed_grid_metadata_is_a_config_error(self, tmp_path, capsys, key, bad):
+        spec, geometry = reference_campaign(1)
+        grid = synthesize_campaign(dataclasses.replace(spec, max_z_rel=150e-9), geometry, 8)
+        path = tmp_path / "grid.txt"
+        save_grid(grid, path)
+        lines = path.read_text().splitlines()
+        [i] = [i for i, line in enumerate(lines) if line.startswith(f"# {key} = ")]
+        lines[i] = f"# {key} = {bad}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["calibrate", "--grid", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and repr(bad) in err
         assert not (tmp_path / "out").exists()
 
     def test_non_numeric_compare_interval_is_a_config_error(self, tmp_path, capsys):

@@ -430,12 +430,8 @@ class TestToleranceMet:
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
                             lambda r_tm, r_te, y: kernel(r_tm, r_te, y) * (1.0 + (y > 0.3)))
-        try:
-            with pytest.raises(NumericsError, match=r"l=0, a=1e-06"):
-                casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
-        finally:
-            # the deepest templates hold some 160 MB
-            lifshitz._node_template.cache_clear()
+        with pytest.raises(NumericsError, match=r"l=0, a=1e-06"):
+            casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
         passes = []
@@ -564,16 +560,12 @@ class TestSweepBlocks:
             return kernel(r_tm, r_te, y) * (1.0 + (own & (y > target + 0.3)))
 
         monkeypatch.setattr(lifshitz, "_integrand", jump)
-        try:
-            cache = MatsubaraCache(DRUDE, T_LAB, seps)
-            got = [casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache).pressure for a in seps[:2]]
-            with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
-                casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
-            with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
-                pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        finally:
-            # the deepest templates hold some 160 MB
-            lifshitz._node_template.cache_clear()
+        cache = MatsubaraCache(DRUDE, T_LAB, seps)
+        got = [casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache).pressure for a in seps[:2]]
+        with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+            casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
+        with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+            pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert shapes[0] == (sum(r.n_terms + 1 for r in alone), 94)
         assert got == [r.pressure for r in alone[:2]]
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from casimirlab import vexp
 from casimirlab.electrostatics import gamma_over_c
 from casimirlab.errors import ConfigError, ModelError, ValidityDomainError
 from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
@@ -179,6 +180,18 @@ class TestSparseSampling:
         assert spec.freq_systematic > 0.0
         grid = synthesize_campaign(spec, geom, seed=8)
         assert np.array_equal(grid.shifts, dense_lattice_synthesis(spec, 8, *dense_truth))
+
+    def test_lattice_is_built_once_and_read_only(self):
+        spec, geom = short_campaign()
+        lattice = vexp._lattice(spec)
+        assert vexp._lattice(dataclasses.replace(spec)) is lattice
+        for arr in lattice:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        # a grid owns its separations
+        first = synthesize_campaign(spec, geom, seed=8)
+        first.z_rel[0] = 1.0
+        assert synthesize_campaign(spec, geom, seed=8).z_rel[0] == 0.0
 
 
 class TestTruthCurves:
