@@ -367,7 +367,9 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     them), and the straight-line V0; the random error is the
     Student-scaled standard error over the 21 x repetitions channels, the
     systematic error is the quoted frequency-shift error divided by C, and
-    the two combine in quadrature.
+    the two combine in quadrature.  A non-finite channel is dropped at its
+    separation, which then takes the Student factor and sqrt(n) of its own
+    finite count; n_channels is the smallest count.
     """
     a = calib.separations
     lo, hi = _Z0_BOUNDS
@@ -378,20 +380,23 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal
     flat = f.reshape(-1, a.size)
 
-    if not np.all(np.isfinite(flat)):
+    q67 = 0.5 + 0.67 / 2.0
+    finite = np.isfinite(flat)
+    if not finite.all():
         warnings.warn("dropping non-finite channels at some separations", stacklevel=2)
-        n_eff = int(np.isfinite(flat).sum(axis=0).min())
-        if n_eff < 2:
+        n_eff = finite.sum(axis=0)
+        if n_eff.min() < 2:
             raise DegenerateFitError("a separation has fewer than 2 finite channels")
         mean = np.nanmean(flat, axis=0)
         sd = np.nanstd(flat, axis=0, ddof=1)
+        t67 = np.array([_t_quantile(q67, n - 1) for n in n_eff.tolist()])
     else:
         mean = flat.mean(axis=0)
         sd = flat.std(axis=0, ddof=1)
         n_eff = flat.shape[0]
+        t67 = _t_quantile(q67, n_eff - 1)
 
-    t67 = _t_quantile(0.5 + 0.67 / 2.0, n_eff - 1)
-    random_error = t67 * sd / math.sqrt(n_eff)
+    random_error = t67 * sd / np.sqrt(n_eff)
     systematic = grid.spec.freq_systematic / calib.c_cal
     systematic_error = np.full_like(mean, systematic)
     total = np.hypot(random_error, systematic_error)
@@ -401,7 +406,7 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
         random_error=random_error,
         systematic_error=systematic_error,
         total_error=total,
-        n_channels=int(n_eff),
+        n_channels=int(np.min(n_eff)),
     )
 
 

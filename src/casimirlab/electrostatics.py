@@ -85,9 +85,7 @@ def _term_count(kappas: np.ndarray, tol: float) -> int:
     For n > N, t_n <= K n^2 q^n with q = e^{-k}, K = 2 (coth^2 + csch^2)(N k) / (1 - e^{-2 N k}),
     so with r = ((N+2)/(N+1))^2 q < 1 the tail is at most K (N+1)^2 q^{N+1} / (1 - r).
     S is at least its term at n = 2/k, where n^2 q^n peaks; the bound falls with N.
-    The search gallops from m = N + 1 solving 2 m^2 q^m = floor (1 - q) at
-    each kappa; K >= 2 and r > q place that start at or below the answer,
-    within 2 on the calibration grids.
+    The search doubles N from 1 until the bound holds, then bisects.
     """
     floor = tol * _terms(np.maximum(2.0, np.round(2.0 / kappas)), kappas)[0]
 
@@ -98,32 +96,12 @@ def _term_count(kappas: np.ndarray, tol: float) -> int:
                 * np.exp(2.0 * math.log(n + 1.0) - (n + 1.0) * kappas))
         return bool(np.all((r < 1.0) & (tail <= floor * (1.0 - r))))
 
-    target = floor * -np.expm1(-kappas)
-    start = _MAX_TERMS
-    if np.all(target > 0.0):
-        # m = (ln 2 + 2 ln m - ln target) / k contracts by 2 / (m k) < 1 on
-        # the falling branch m > 2 / k; three steps from below settle it
-        rhs = math.log(2.0) - np.log(target)
-        m = np.maximum(rhs, 2.0) / kappas
-        for _ in range(3):
-            m = np.maximum(rhs + 2.0 * np.log(m), 2.0) / kappas
-        start = int(min(_MAX_TERMS, max(1.0, math.ceil(float(m.max())) - 1)))
-    step = 1
-    if enough(start):
-        hi, lo = start, start - 1
-        while lo > 0 and enough(lo):
-            hi, step = lo, 2 * step
-            lo = max(0, hi - step)
-    else:
-        lo = start
-        while True:
-            if lo >= _MAX_TERMS:
-                raise NumericsError(
-                    f"electrostatic image series needs more than {_MAX_TERMS} terms")
-            hi = min(lo + step, _MAX_TERMS)
-            if enough(hi):
-                break
-            lo, step = hi, 2 * step
+    lo, hi = 0, 1
+    while not enough(hi):
+        if hi >= _MAX_TERMS:
+            raise NumericsError(
+                f"electrostatic image series needs more than {_MAX_TERMS} terms")
+        lo, hi = hi, min(2 * hi, _MAX_TERMS)
     return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=enough)
 
 

@@ -194,9 +194,10 @@ def pressure_to_gradient_sweep(
 ) -> GradientSweep:
     """Vectorised force_gradient over a sorted separation grid.
 
-    Matsubara permittivity evaluations are shared across separations
-    through a single cache, which also integrates the thermal sums of each
-    block of grid points in one pass (lifshitz.MatsubaraCache).
+    The thermal sums are computed as one batch per sweep
+    (lifshitz.MatsubaraCache): the first grid point's pressure computes
+    every point's, so a sweep whose geometry check fails at a later point
+    has already summed all of them.
     """
     grid = _checked_grid(grid)
     cache = MatsubaraCache(model, geometry.temperature, grid)

@@ -16,12 +16,14 @@ Klimchitskaya, Mohideen and Mostepanenko, Advances in the Casimir Effect,
 OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
 declared extrapolation tag, never inferred numerically.
 
-A sweep gives its MatsubaraCache the separations in call order; the first
-pressure of a block then integrates the terms of the separations after it
-in the same pass, up to _PASS_ELEMENTS rows x nodes, and the next pressures
-take their stored terms.  A pass allocates its planes of rows x nodes once
-(two buffers), computes in them in place and reduces each row alone, so
-every pressure of a sweep is bit-identical to one computed alone.
+Every pressure comes from one batch function, _pressures: it evaluates eps
+once for a list of separations and integrates their terms in passes of
+whole separations, up to _PASS_ELEMENTS rows x nodes each.  A sweep gives
+its MatsubaraCache its separations; its first pressure computes the whole
+batch, and the next pressures take their results.  A pass allocates its
+planes of rows x nodes once (two buffers), computes in them in place and
+reduces each row alone, so every pressure of a sweep is bit-identical to
+one computed alone.
 """
 
 from __future__ import annotations
@@ -285,75 +287,33 @@ def _in_domain(a):
 
 
 class MatsubaraCache:
-    """eps(i xi_l) for one (model, T), shared by the pressures of a sweep, and
-    the sweep's read-ahead.
+    """The pressures of one sweep at one (model, T), computed in one batch.
 
-    separations lists the separations casimir_pressure will be called with,
-    in call order.  The call for the next of them integrates its terms
-    together with those of the separations that follow it, as many as one
-    template pass of _PASS_ELEMENTS rows x nodes holds (at least its own),
-    and stores theirs with their term counts; the calls for those only take
-    them.  A call for any other separation or tol, or with the list used
-    up, integrates its own terms alone.  A separation outside the accepted
-    range ends a block.  The missed rows of a block are refined together;
-    every row is integrated by reductions over itself alone, so every
+    separations lists the separations casimir_pressure will be called with.
+    The first call for one of them computes all of them (those in the
+    accepted range) at that call's tol in one _pressures batch, and each
+    later call for one of them takes its own result from the memo.  A call
+    for any other separation or tol, or with_breakdown, is computed alone.
+    Every row is integrated by reductions over itself alone, so every
     pressure is bit-identical to one computed alone.
     """
 
     def __init__(self, model: PermittivityModel, temperature: float, separations=()):
         self.model = model
         self.temperature = temperature
-        self._xi1 = matsubara_frequency(1, temperature)
-        self._eps = np.empty(0)
-        self._ahead = [float(a) for a in separations]
-        self._next = 0
-        self._stored = {}
-        self._counted = (None, None, 0.0, 0)
+        self._listed = [float(a) for a in separations if _in_domain(a)]
+        self._results = {}
 
-    def eps_for(self, ls: np.ndarray) -> np.ndarray:
-        need = int(ls.max())
-        have = self._eps.size
-        if need > have:
-            new_ls = np.arange(have + 1, need + 1, dtype=float)
-            new_eps = np.atleast_1d(self.model.epsilon(self._xi1 * new_ls))
-            self._eps = np.concatenate([self._eps, new_eps])
-        return self._eps[ls - 1]
-
-    def _count(self, a, tol):
-        """y_1 and the term count L of separation a at tol.
-
-        The last one is kept: a block that stops before a separation has
-        counted it, and the next block starts there.
-        """
-        if self._counted[:2] != (a, tol):
-            y1 = 2.0 * a * self._xi1 / C_LIGHT
-            self._counted = (a, tol, y1, _term_count(y1, 0.5 * tol * _ZETA3))
-        return self._counted[2:]
-
-    def _terms(self, a, tol):
-        """(y_1, L, integrals I_0 .. I_L, first unconverged l or None) of separation a."""
-        stored = self._stored.pop((a, tol), None)
-        if stored is not None:
-            return stored
-        block = [(a, *self._count(a, tol))]
-        if self._next < len(self._ahead) and self._ahead[self._next] == a:
-            self._next += 1
-            rows, limit = block[0][2] + 1, _PASS_ELEMENTS // _node_template(0)[0].size
-            while self._next < len(self._ahead) and _in_domain(self._ahead[self._next]):
-                b = self._ahead[self._next]
-                y1, n = self._count(b, tol)
-                if rows + n + 1 > limit:
-                    break
-                block.append((b, y1, n))
-                rows += n + 1
-                self._next += 1
-        seps, y1s, counts = zip(*block)
-        top = np.arange(1, max(counts) + 1)
-        eps = np.ones(top.size) if isinstance(self.model, IdealMetal) else self.eps_for(top)
-        results = _integrate_terms(self.model, seps, y1s, counts, eps, 0.5 * tol)
-        for b, y1, n, res in zip(seps[1:], y1s[1:], counts[1:], results[1:]):
-            self._stored[(b, tol)] = (y1, n, *res)
-        return (y1s[0], counts[0], *results[0])
+    def result(self, a, tol, with_breakdown=False):
+        """_pressures of separation a alone, or its result from the sweep's batch."""
+        if not with_breakdown:
+            if a in self._listed:
+                batch = _pressures(self.model, self.temperature, self._listed, tol)
+                self._results = {(b, tol): res for b, res in zip(self._listed, batch)}
+                self._listed = []
+            if (a, tol) in self._results:
+                return self._results.pop((a, tol))
+        return _pressures(self.model, self.temperature, [a], tol, with_breakdown)[0]
 
 
 @dataclass
@@ -420,6 +380,49 @@ def _term_count(y1, target):
     return n
 
 
+def _pressures(model, temperature, separations, tol, with_breakdown=False):
+    """The PressureResult of each separation, in order, or the first l whose
+    quadrature missed tol/2 at that separation.
+
+    Each separation keeps the terms l = 0 .. L of its tail-bound count; eps is
+    evaluated once, at xi_1 .. xi_L of the largest L.  The separations are
+    packed greedily, whole and in order, into template passes of at most
+    _PASS_ELEMENTS rows x nodes (at least one separation per pass), and each
+    pass is summed before the next starts.
+    """
+    seps = [float(a) for a in separations]
+    xi1 = matsubara_frequency(1, temperature)
+    y1s = [2.0 * a * xi1 / C_LIGHT for a in seps]
+    counts = [_term_count(y1, 0.5 * tol * _ZETA3) for y1 in y1s]
+    top = np.arange(1, max(counts) + 1, dtype=float)
+    eps = np.ones(top.size) if isinstance(model, IdealMetal) else \
+        np.atleast_1d(model.epsilon(xi1 * top))
+    limit = _PASS_ELEMENTS // _node_template(0)[0].size
+    starts, rows = [], limit
+    for j, n in enumerate(counts):
+        if rows + n + 1 > limit:
+            starts.append(j)
+            rows = 0
+        rows += n + 1
+    results = []
+    for lo, hi in zip(starts, starts[1:] + [len(seps)]):
+        passed = _integrate_terms(model, seps[lo:hi], y1s[lo:hi], counts[lo:hi], eps, 0.5 * tol)
+        for a, y1, n, (terms, failed) in zip(seps[lo:hi], y1s[lo:hi], counts[lo:hi], passed):
+            if failed is not None:
+                results.append(failed)
+                continue
+            terms[0] *= 0.5
+            prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
+            results.append(PressureResult(
+                pressure=prefactor * math.fsum(terms.tolist()),
+                truncation_error_estimate=abs(prefactor) * _tail_bound(y1, n),
+                n_terms=n,
+                stopped_by="tol",
+                term_breakdown=prefactor * terms if with_breakdown else None,
+            ))
+    return results
+
+
 def casimir_pressure(
     model,
     a: float,
@@ -455,11 +458,10 @@ def casimir_pressure(
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
-        Shared permittivity cache of a sweep.  Built with the sweep's
-        separations, it integrates the terms of the next separations in
-        this call's pass and hands them to their calls; the result is the
-        same bit for bit.  Without a cache, the call is the one-separation
-        case of the same pass.
+        Memo of a sweep.  Built with the sweep's separations, it computes all
+        of them in one batch at the first call for one of them and hands each
+        later call its own result; the result is the same bit for bit.
+        Without a cache, the call is the one-separation case of the batch.
 
     Returns
     -------
@@ -474,24 +476,15 @@ def casimir_pressure(
     elif cache.model is not model or cache.temperature != temperature:
         raise ValueError("cache was built for a different model or temperature")
 
-    y1, n_terms, terms, failed = cache._terms(a, tol)
-    if failed is not None:
-        raise NumericsError(f"wavevector quadrature failed to converge (l={failed}, a={a})")
-    terms[0] *= 0.5
-
-    prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
-    return PressureResult(
-        pressure=prefactor * math.fsum(terms.tolist()),
-        truncation_error_estimate=abs(prefactor) * _tail_bound(y1, n_terms),
-        n_terms=n_terms,
-        stopped_by="tol",
-        term_breakdown=prefactor * terms if with_breakdown else None,
-    )
+    res = cache.result(a, tol, with_breakdown)
+    if not isinstance(res, PressureResult):
+        raise NumericsError(f"wavevector quadrature failed to converge (l={res}, a={a})")
+    return res
 
 
 def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):
-    """Pressure over a separation grid with a shared permittivity cache that
-    reads ahead along the grid (see MatsubaraCache).
+    """Pressure over a separation grid, computed as one batch per sweep (see
+    MatsubaraCache).
 
     Returns (pressures, truncation_estimates) as arrays aligned with
     separations.

@@ -162,7 +162,10 @@ def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
     z_fine = _lattice(spec)[0]
     a_fine = spec.z0_true + z_fine
     fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, BetaTable(), a_fine).values
-    return z_fine, spec.c_true * gamma_over_c(a_fine, geometry.R), fprime
+    gamma = spec.c_true * gamma_over_c(a_fine, geometry.R)
+    for arr in (gamma, fprime):
+        arr.flags.writeable = False
+    return z_fine, gamma, fprime
 
 
 def truth_curves(spec: CampaignSpec, geometry: Geometry):
@@ -170,7 +173,7 @@ def truth_curves(spec: CampaignSpec, geometry: Geometry):
 
     Returns (z_rel, gamma, fprime) at every sample_step lattice point.
     F' comes from force_model.gradient_curve.  Cached per campaign so
-    repeated seeds reuse the theory evaluation.
+    repeated seeds reuse the theory evaluation; the arrays are read-only.
     """
     return _truth_curves_cached(spec, geometry)
 

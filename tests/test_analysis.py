@@ -300,6 +300,30 @@ class TestExtraction:
         with pytest.warns(UserWarning), pytest.raises(DegenerateFitError):
             extract_gradients(holed, calib)
 
+    def test_each_separation_takes_its_own_channel_count(self, set1_grid):
+        # one channel dropped at index 10: the other separations keep all 21
+        # channels and their all-finite errors bit for bit; index 10 takes
+        # df = 19 and sqrt(20)
+        _, _, grid = set1_grid
+        calib = calibrate(grid)
+        full = extract_gradients(grid, calib)
+        holed = dataclasses.replace(grid, shifts=grid.shifts.copy())
+        holed.shifts[3, 0, 10] = np.nan
+        with pytest.warns(UserWarning):
+            series = extract_gradients(holed, calib)
+        rest = np.arange(full.mean.size) != 10
+        for name in ("mean", "random_error", "total_error"):
+            assert getattr(series, name)[rest].tolist() == getattr(full, name)[rest].tolist()
+        assert series.n_channels == 20
+        # the 20 kept channels' squared deviations, from the 21-channel
+        # mean and deviation less the dropped channel, 20 (m21 - m20) off
+        q = 0.5 + 0.67 / 2.0
+        m21, m20 = full.mean[10], series.mean[10]
+        sd21 = full.random_error[10] * math.sqrt(21) / _t_quantile(q, 20)
+        ss20 = 20 * sd21**2 - (20 * (m21 - m20)) ** 2 * 21 / 20
+        expected = _t_quantile(q, 19) * math.sqrt(ss20 / 19) / math.sqrt(20)
+        assert series.random_error[10] == pytest.approx(expected, rel=1e-9)
+
     def test_error_budget_composition(self, set1_grid):
         spec, _, grid = set1_grid
         calib = calibrate(grid)

@@ -519,8 +519,8 @@ class TestSweepBlocks:
 
     def test_deep_refinement_peak_memory_is_no_higher_than_per_point(self):
         # at 10 K and tol 1e-9 the low drude rows near 50 nm refine to depth
-        # 5-6; the sweep's own bookkeeping (its separations, results and
-        # read-ahead list) takes a few hundred bytes, while one pass over the
+        # 5-6; the sweep's own bookkeeping (its separations and memo of
+        # results) takes a few hundred bytes, while one pass over the
         # refined rows of two separations would take megabytes more
         import tracemalloc
 
@@ -626,3 +626,56 @@ class TestRowLocalQuadrature:
         assert n_panels == 1024
         assert nodes.size == w.size == d.size == 15 * 1024 + 34
         assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
+
+
+class TestSweepMemo:
+    def test_later_listed_calls_make_no_pass(self, monkeypatch):
+        seps = BENCH_GRIDS["600-1300"][:40]
+        alone = [casimir_pressure(PLASMA, float(a), T_LAB, 1e-9) for a in seps]
+        passes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda *args: passes.append(1) or kernel(*args))
+        cache = MatsubaraCache(PLASMA, T_LAB, seps)
+        first = casimir_pressure(PLASMA, float(seps[0]), T_LAB, 1e-9, cache=cache)
+        n_first = len(passes)
+        assert n_first == _blocks([r.n_terms for r in alone])
+        rest = [casimir_pressure(PLASMA, float(a), T_LAB, 1e-9, cache=cache) for a in seps[1:]]
+        assert len(passes) == n_first
+        assert [first] + rest == alone
+        # a repeated call, or one at another tol, is computed alone
+        casimir_pressure(PLASMA, float(seps[1]), T_LAB, 1e-9, cache=cache)
+        casimir_pressure(PLASMA, float(seps[2]), T_LAB, 1e-8, cache=cache)
+        assert len(passes) == n_first + 2
+
+    def test_breakdown_through_a_listed_cache_equals_one_alone(self):
+        seps = [300e-9, 301e-9, 302e-9]
+        cache = MatsubaraCache(DRUDE, T_LAB, seps)
+        for a in (seps[1], seps[0]):
+            got = casimir_pressure(DRUDE, a, T_LAB, 1e-9, with_breakdown=True, cache=cache)
+            ref = casimir_pressure(DRUDE, a, T_LAB, 1e-9, with_breakdown=True)
+            assert got.pressure == ref.pressure
+            assert got.truncation_error_estimate == ref.truncation_error_estimate
+            assert got.term_breakdown.tolist() == ref.term_breakdown.tolist()
+        plain = [casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache) for a in seps]
+        assert plain == [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
+        assert all(r.term_breakdown is None for r in plain)
+
+    def test_listed_separation_outside_the_range_raises_at_its_own_call(self, monkeypatch):
+        seps = [400e-9, 30e-9, 401e-9, 25e-6, 402e-9]
+        inside = [a for a in seps if lifshitz._in_domain(a)]
+        alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in inside]
+        shapes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, y: shapes.append(y.shape) or kernel(r_tm, r_te, y))
+        cache = MatsubaraCache(DRUDE, T_LAB, seps)
+        got = []
+        for a in seps:
+            if lifshitz._in_domain(a):
+                got.append(casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache))
+            else:
+                with pytest.raises(ValidityDomainError):
+                    casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
+        assert got == alone
+        assert shapes == [(sum(r.n_terms + 1 for r in alone), 94)]

@@ -193,6 +193,15 @@ class TestSparseSampling:
         first.z_rel[0] = 1.0
         assert synthesize_campaign(spec, geom, seed=8).z_rel[0] == 0.0
 
+    def test_truth_curves_are_read_only(self):
+        spec, geom = short_campaign()
+        first = synthesize_campaign(spec, geom, seed=3)
+        _, gamma, fprime = truth_curves(spec, geom)
+        for arr in (gamma, fprime):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+        assert np.array_equal(synthesize_campaign(spec, geom, seed=3).shifts, first.shifts)
+
 
 class TestTruthCurves:
     def test_gamma_curve_matches_direct_evaluation(self):
