@@ -20,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 # that the layer tracer rebinds it in this module too
 from .electrostatics import GammaTable, gamma_over_c  # noqa: F401
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     FitConvergenceError,
     GridAlignmentError,
@@ -210,10 +212,11 @@ class CalibrationFit(NamedTuple):
 
 
 def _project(gamma, weights, g):
-    """Weighted least-squares C of the model C g, and the residual."""
+    """Weighted least-squares C of the model C g, the residual r and the cost sum w r^2."""
     wg = weights * g
     c = float(wg @ gamma) / float(wg @ g)
-    return c, gamma - c * g
+    r = gamma - c * g
+    return c, r, float(weights @ (r * r))
 
 
 def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
@@ -227,13 +230,13 @@ def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
     z0 = float(z0)
     for k in range(1, _MAX_STEPS + 1):
         g, dg = table(z0 + z_rel, slope=True)
-        c, r = _project(gamma, weights, g)
+        c, r, rss = _project(gamma, weights, g)
         p = dg - float((weights * g) @ dg) / float((weights * g) @ g) * g
         step = float((weights * p) @ r) / (c * float((weights * p) @ p))
         new = float(min(max(z0 + step, lo), hi))
         converged = abs(new - z0) <= _Z0_RTOL * z0
         if converged or k == _MAX_STEPS:
-            return z0, c, float(weights @ (r * r)), g, dg, k, converged and lo < z0 < hi
+            return z0, c, rss, g, dg, k, converged and lo < z0 < hi
         z0 = new
 
 
@@ -294,8 +297,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     scan_fallback = not inside
     if scan_fallback:
         scan = np.geomspace(lo, hi, 80)
-        costs = [float(weights @ _project(gamma, weights, table(z + z_rel))[1] ** 2)
-                 for z in scan]
+        costs = [_project(gamma, weights, table(z + z_rel))[2] for z in scan]
         evals += scan.size
         i_best = int(np.argmin(costs))
         if i_best == 0 or i_best == scan.size - 1:
@@ -487,33 +489,17 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise NumericsError(f"incomplete beta fraction did not converge at a = {a}, b = {b}")
 
 
-def _whole_nm_grid(lo_nm: float, hi_nm: float) -> np.ndarray:
-    """The whole nanometres in [lo_nm, hi_nm], as separations in m.
+def combine_gradient_series(series_list, grid) -> GradientSeries:
+    """Cross-set mean on the common grid given (cli._compare_series builds it).
 
-    The ends are rounded to 1e-6 nm before ceil and floor, so an end on a
-    whole nanometre keeps its point when the conversion to nm leaves a
-    rounding error (300e-9 * 1e9 = 300.00000000000006).
-    """
-    return np.arange(math.ceil(round(lo_nm, 6)), math.floor(round(hi_nm, 6)) + 1) * 1e-9
-
-
-def combine_gradient_series(series_list, grid=None) -> GradientSeries:
-    """Cross-set mean on a common grid.
-
-    Per-set series are linearly resampled onto the common separations
-    (default: integer nanometres covering the intersection); means average,
-    and the combined total error is the mean of the per-set totals.  A grid
+    Per-set series are linearly resampled onto the grid; means average, and
+    the combined total error is the mean of the per-set totals.  A grid
     point past either end of a series takes that end's value with a
     UserWarning when it lies within the series' largest step, and raises
     GridAlignmentError further out.
     """
     if not series_list:
         raise ValueError("no series to combine")
-    if grid is None:
-        grid = _whole_nm_grid(max(s.separations[0] for s in series_list) * 1e9,
-                              min(s.separations[-1] for s in series_list) * 1e9)
-        if grid.size < 2:
-            raise GridAlignmentError("series do not overlap")
     grid = np.asarray(grid, dtype=float)
     for k, s in enumerate(series_list):
         past = max(np.max(s.separations[0] - grid, initial=0.0),
@@ -693,20 +679,25 @@ def gradient_series_text(series: GradientSeries) -> str:
 
 
 def load_gradient_series(path) -> GradientSeries:
-    """Read a series written by gradient_series_text (plus any manifest lines)."""
+    """Read a gradient_series_text file; ConfigError if unreadable or a number is malformed."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', exc)}") from None
     n_channels = 0
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for line in map(str.strip, text.splitlines()):
+        if not line:
+            continue
+        try:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("n_channels"):
                     n_channels = int(body.split("=")[1])
                 continue
             rows.append([float(tok) for tok in line.split()])
+        except ValueError:
+            raise ConfigError(f"{path}: malformed number in {line!r}") from None
     data = np.asarray(rows)
     if data.ndim != 2 or data.shape[1] != 5:
         raise GridAlignmentError(f"{path}: expected 5 columns")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     TheoryErrorConfig,
-    _whole_nm_grid,
     calibrate,
     calibration_text,
     combine_gradient_series,
@@ -31,9 +31,9 @@ from .analysis import (
     load_gradient_series,
     window_mask,
 )
-from .errors import CasimirLabError, ConfigError, ValidityDomainError
+from .errors import CasimirLabError, ConfigError, GridAlignmentError, ValidityDomainError
 from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
-from .lifshitz import TOL_RANGE, pressure_sweep_text
+from .lifshitz import TOL_RANGE
 from .vexp import (
     CampaignSpec,
     V0Law,
@@ -156,6 +156,25 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _theory_text(header: str, grid, name: str, unit: str, by_tag: dict) -> str:
+    """Both theory files' rows: a in nm (%.3f), each model's values (%.9e), then its
+    truncations (%.3e), two spaces apart; by_tag maps a tag to (values, truncations)."""
+    cols = ["a_nm"] + [f"{name}_{t}_{unit}" for t in by_tag] + [f"trunc_{t}_{unit}" for t in by_tag]
+    lines = [header.rstrip("\n"), "# columns: " + "  ".join(cols)]
+    for i, a in enumerate(grid):
+        row = [f"{a * 1e9:.3f}"]
+        row += [f"{values[i]:.9e}" for values, _ in by_tag.values()]
+        row += [f"{truncs[i]:.3e}" for _, truncs in by_tag.values()]
+        lines.append("  ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _seed(seed: int, what: str) -> int:
+    if seed < 0:  # numpy's SeedSequence takes no negative seed
+        raise ConfigError(f"{what} is {seed}; a seed must be >= 0")
+    return seed
+
+
 def _cmd_theory(args, cp):
     out = Path(args.out)
     grid = _theory_grid(cp)
@@ -176,18 +195,11 @@ def _cmd_theory(args, cp):
         tag: pressure_to_gradient_sweep(model, geometry, BetaTable(), grid, tol)
         for tag, model in models.items()
     }
-    lines = [manifest.rstrip("\n")]
-    cols = ["a_nm"] + [f"Fgrad_{t}_uN_per_m" for t in sweeps] + [f"trunc_{t}_uN_per_m" for t in sweeps]
-    lines.append("# columns: " + "  ".join(cols))
-    for i, a in enumerate(grid):
-        row = [f"{a * 1e9:.3f}"]
-        row += [f"{sweeps[t].values[i] * 1e6:.9e}" for t in sweeps]
-        row += [f"{sweeps[t].truncation_estimates[i] * 1e6:.3e}" for t in sweeps]
-        lines.append("  ".join(row))
-    _write(out, "theory_gradients.txt", "\n".join(lines) + "\n")
-
-    pressures = {tag: (s.pressures, s.pressure_truncations) for tag, s in sweeps.items()}
-    _write(out, "theory_pressures.txt", manifest + pressure_sweep_text(grid, pressures))
+    grads = {t: (s.values * 1e6, s.truncation_estimates * 1e6) for t, s in sweeps.items()}
+    _write(out, "theory_gradients.txt", _theory_text(manifest, grid, "Fgrad", "uN_per_m", grads))
+    pressures = {t: (s.pressures, s.pressure_truncations) for t, s in sweeps.items()}
+    header = manifest + "# plate-plate Casimir pressure sweep"
+    _write(out, "theory_pressures.txt", _theory_text(header, grid, "P", "Pa", pressures))
     print(f"wrote {out / 'theory_gradients.txt'} and {out / 'theory_pressures.txt'}")
     return 0
 
@@ -195,7 +207,7 @@ def _cmd_theory(args, cp):
 def _cmd_synth(args, cp):
     out = Path(args.out)
     (spec, geometry), n = _campaign(cp)
-    seed = args.seed if args.seed is not None else _getint(cp, "campaign", "seed", 0)
+    seed = _seed(_getint(cp, "campaign", "seed", 0) if args.seed is None else args.seed, "seed")
     grid = synthesize_campaign(spec, geometry, seed)
     name = f"grid_set{n}_seed{seed}.txt" if n else f"grid_seed{seed}.txt"
     out.mkdir(parents=True, exist_ok=True)
@@ -254,17 +266,19 @@ def _compare_settings(cp):
 
 
 def _compare_series(args, settings, series_list, geometry, tol):
-    """Combine the series on the common grid and compare them with theory.
+    """Build the compared grid, its one definition, and compare the series on it.
 
     A grid end not set in [compare] follows the series' overlap, clipped to
     the geometry's range (a_min, a_max, a/R < max_aspect) with a printed
-    note; a set end outside that range is an error.  A [compare] interval
+    note; a set end outside that range is an error, and so is a grid of
+    fewer than 2 points (the band's F'' needs two).  A [compare] interval
     that holds no grid point is a config error.
     """
     intervals, width, errors, (start, stop) = settings
     lo = max(s.separations[0] for s in series_list) * 1e9 if start is None else start
     hi = min(s.separations[-1] for s in series_list) * 1e9 if stop is None else stop
-    common = _whole_nm_grid(lo, hi)
+    # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
+    common = np.arange(math.ceil(round(lo, 6)), math.floor(round(hi, 6)) + 1) * 1e-9
     inside = np.ones(common.size, dtype=bool)
     if start is None:
         inside &= geometry.a_min <= common
@@ -277,6 +291,9 @@ def _compare_series(args, settings, series_list, geometry, tol):
         common = common[inside]
         print(f"compare grid clipped to the geometry's range: "
               f"[{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
+    if common.size < 2:
+        raise GridAlignmentError(f"the compared grid over [{lo:g}, {hi:g}] nm holds {common.size} "
+                                 "whole-nanometre point(s); the band's F'' needs at least 2")
     for w_lo, w_hi in intervals or ():
         if not window_mask(common, w_lo, w_hi).any():
             raise ConfigError(
@@ -326,6 +343,7 @@ def _cmd_pipeline(args, cp):
         raise ConfigError(f"[pipeline] sets: {exc}") from None
     truth = cp.get("pipeline", "truth", fallback="plasma")
     base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
+    seeds = [_seed(base_seed + n, f"set {n}'s seed") for n in sets]  # recorded in the manifest
     tol = _tol(args, cp)
     settings = _compare_settings(cp)
 
@@ -344,8 +362,7 @@ def _cmd_pipeline(args, cp):
 
     manifest_steps = []
     series_list = []
-    for n, (spec, geometry) in zip(sets, campaigns):
-        seed = base_seed + n  # per-set seed rule, recorded in the manifest
+    for n, seed, (spec, geometry) in zip(sets, seeds, campaigns):
         grid = synthesize_campaign(spec, geometry, seed)
         gpath = out / f"grid_set{n}_seed{seed}.txt"
         out.mkdir(parents=True, exist_ok=True)

@@ -130,7 +130,6 @@ class ForceGradient:
     value: float
     pressure: float
     beta_value: float
-    roughness_factor: float
     beta_clamped: bool
     truncation_error_estimate: float
     pressure_truncation: float
@@ -144,7 +143,7 @@ def force_gradient(
     tol: float = 1e-9,
     cache: MatsubaraCache | None = None,
 ) -> ForceGradient:
-    """Sphere-plate force gradient -2 pi R [1 + beta a/R] [roughness] P(a).
+    """Sphere-plate force gradient -2 pi R [1 + beta a/R] [roughness] P(a) (_proximity).
 
     Parameters
     ----------
@@ -160,17 +159,24 @@ def force_gradient(
     geometry.check_separation(a)
     res = casimir_pressure(model, a, geometry.temperature, tol, cache=cache)
     b, clamped = beta.beta(model.zero_tag, a)
-    rough = geometry.roughness_factor(a)
-    value = -2.0 * np.pi * geometry.R * (1.0 + b * a / geometry.R) * rough * res.pressure
+    value, trunc = _proximity(geometry, a, b, res.pressure, res.truncation_error_estimate)
     return ForceGradient(
         value=float(value),
         pressure=res.pressure,
         beta_value=b,
-        roughness_factor=rough,
         beta_clamped=clamped,
-        truncation_error_estimate=2.0 * np.pi * geometry.R * rough * res.truncation_error_estimate,
+        truncation_error_estimate=trunc,
         pressure_truncation=res.truncation_error_estimate,
     )
+
+
+def _proximity(geometry: Geometry, a, b, pressure, truncation):
+    """(-2 pi R [1 + b a/R] [roughness] P, 2 pi R [roughness] trunc), in plain
+    arithmetic for floats and arrays alike."""
+    rough = geometry.roughness_factor(a)
+    two_pi_r = 2.0 * np.pi * geometry.R
+    return (-two_pi_r * (1.0 + b * a / geometry.R) * rough * pressure,
+            two_pi_r * rough * truncation)
 
 
 @dataclass
@@ -242,14 +248,14 @@ def gradient_curve(
     """pressure_to_gradient_sweep interpolated from Chebyshev nodes.
 
     P(a) a^4 is a chebyshev.Interpolant over [grid[0], grid[-1]], accepted
-    at tol, with casimir_pressure at its nodes; beta and the roughness
-    factor are applied per point afterwards.  Each point's pressure
+    at tol, with casimir_pressure at its nodes; force_gradient's prefactor
+    (_proximity) is applied per point afterwards.  Each point's pressure
     truncation is sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4,
     with l_i the Lagrange basis of the 2n + 1 nodes: the node truncations
     carried through the interpolation (at most the Lebesgue constant,
     < 3.3 for 2n = 32, times the largest) plus the interpolation error
     estimate, plus a rounding allowance of the interpolation.  The gradient
-    truncation is that times 2 pi R times the roughness factor.  A one-point
+    truncation is that times _proximity's 2 pi R [roughness].  A one-point
     grid is the per-point sweep.
     """
     grid = _checked_grid(grid)
@@ -280,13 +286,12 @@ def gradient_curve(
     pressures = p_fine / grid**4
 
     b, clamped = map(np.array, zip(*(beta.beta(model.zero_tag, float(a)) for a in grid)))
-    rough = geometry.roughness_factor(grid)
-    values = -2.0 * np.pi * geometry.R * (1.0 + b * grid / geometry.R) * rough * pressures
+    values, g_trunc = _proximity(geometry, grid, b, pressures, p_trunc)
     return GradientSweep(
         separations=grid,
         values=values,
         pressures=pressures,
-        truncation_estimates=2.0 * np.pi * geometry.R * rough * p_trunc,
+        truncation_estimates=g_trunc,
         pressure_truncations=p_trunc,
         beta_clamped=clamped,
     )

@@ -47,7 +47,6 @@ __all__ = [
     "TOL_RANGE",
     "casimir_pressure",
     "pressure_sweep",
-    "pressure_sweep_text",
 ]
 
 
@@ -498,20 +497,3 @@ def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):
         p[i] = res.pressure
         trunc[i] = res.truncation_error_estimate
     return p, trunc
-
-
-def pressure_sweep_text(separations, by_label: dict) -> str:
-    """Two-model sweep as '#'-commented column text.
-
-    by_label maps a model label to (pressures, truncation_estimates).
-    """
-    labels = list(by_label)
-    lines = ["# plate-plate Casimir pressure sweep"]
-    cols = ["a_nm"] + [f"P_{lab}_Pa" for lab in labels] + [f"trunc_{lab}_Pa" for lab in labels]
-    lines.append("# columns: " + "  ".join(cols))
-    for i, a in enumerate(np.asarray(separations, dtype=float)):
-        row = [f"{a * 1e9:.3f}"]
-        row += [f"{by_label[lab][0][i]:.9e}" for lab in labels]
-        row += [f"{by_label[lab][1][i]:.3e}" for lab in labels]
-        lines.append("  ".join(row))
-    return "\n".join(lines) + "\n"

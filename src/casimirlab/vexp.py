@@ -314,12 +314,16 @@ def load_grid(path) -> MeasurementGrid:
     drift_per_stream_m line, which older files carry, must read 0.0: a
     grid synthesised with a separation drift cannot be rebuilt as a
     CampaignSpec, and loading it raises ConfigError.  A missing metadata
-    key, or a value that does not convert, raises ConfigError naming it.
+    key, a value that does not convert or an unreadable file raises ConfigError.
     """
     meta: dict[str, str] = {}
     blocks: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] | None = None
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', exc)}") from None
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue

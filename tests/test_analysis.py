@@ -9,7 +9,6 @@ from scipy.special import stdtrit
 
 from casimirlab import analysis, electrostatics, vexp
 from casimirlab.analysis import (
-    GradientSeries,
     _t_quantile,
     calibrate,
     calibration_text,
@@ -439,22 +438,6 @@ class TestCombination:
         )
         assert np.allclose(combined.total_error, expect, rtol=1e-12)
         assert combined.n_channels == 42
-
-    def test_non_overlapping_series_rejected(self, set1_grid):
-        _, _, grid = set1_grid
-        calib = calibrate(grid)
-        s = extract_gradients(grid, calib)
-        far = dataclasses.replace(s)
-        far.separations = s.separations + 1e-6
-        with pytest.raises(GridAlignmentError):
-            combine_gradient_series([s, far])
-
-    def test_default_grid_keeps_whole_nanometre_ends(self):
-        a = np.arange(300, 401) * 1e-9
-        assert a[0] * 1e9 > 300.0
-        ones = np.ones_like(a)
-        combined = combine_gradient_series([GradientSeries(a, ones, ones, ones, ones, 21)])
-        assert combined.separations.tolist() == a.tolist()
 
     def test_point_within_one_step_past_series_warns(self, set1_grid):
         _, _, grid = set1_grid

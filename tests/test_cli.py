@@ -322,6 +322,46 @@ class TestErrors:
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, seed_flag, ini, message", [
+        ("synth", "-1", "[campaign]\npreset = 1\n", "seed is -1"),
+        ("synth", None, "[campaign]\npreset = 1\nseed = -2\n", "seed is -2"),
+        # set 4's seed is 1, set 1's is -2: no set may run before the check
+        ("pipeline", "-3", "[pipeline]\nsets = 4,1\n", "set 1's seed is -2"),
+    ], ids=["synth-flag", "campaign-config", "pipeline-flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, seed_flag, ini,
+                                             message):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(ini)
+        args = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if seed_flag is not None:
+            args += ["--seed", seed_flag]
+        assert run(args) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [("calibrate", "--grid"), ("compare", "--gradients")])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"# n_channels = 21\n\xc0\n", "'utf-8' codec can't decode byte 0xc0"),
+    ], ids=["missing", "not-utf8"])
+    def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, command, flag,
+                                                     content, message):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert run([command, flag, path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_gradient_row_is_a_config_error(self, tmp_path, capsys):
+        gradients = series_file(tmp_path / "g.txt", np.arange(300, 401))
+        gradients.write_text(gradients.read_text() + "1 2 x 4 5\n")
+        assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 2
+        assert f"config error: {gradients}: malformed number in '1 2 x 4 5'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("theory", "--seed"), ("calibrate", "--seed"), ("compare", "--seed"),
         ("synth", "--model"), ("calibrate", "--model"), ("synth", "--tol"), ("calibrate", "--tol"),
@@ -371,6 +411,27 @@ class TestCompareGrid:
         assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 0
         out = capsys.readouterr().out
         assert "drude [300, 400] nm" in out and "clipped" not in out
+
+    def test_series_that_do_not_overlap_error(self, tmp_path, capsys):
+        files = [series_file(tmp_path / "a.txt", np.arange(300, 401)),
+                 series_file(tmp_path / "b.txt", np.arange(500, 601))]
+        assert run(["compare", "--gradients", *files, "--out", tmp_path / "out"]) == 1
+        assert "error: the compared grid over [500, 400] nm holds 0 whole-nanometre point(s)" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "pipeline"])
+    def test_one_point_grid_errors(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[pipeline]\nsets = 1\nseed = 7\n"
+                       "[compare]\ngrid_start_nm = 600\ngrid_stop_nm = 600.5\n")
+        args = [command, "--config", cfg, "--out", tmp_path / "out"]
+        if command == "compare":
+            args += ["--gradients", series_file(tmp_path / "g.txt", np.arange(300, 901))]
+        assert run(args) == 1
+        assert ("error: the compared grid over [600, 600.5] nm holds 1 whole-nanometre point(s); "
+                "the band's F'' needs at least 2") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "comparison.txt").exists()
 
     @pytest.mark.parametrize("command", ["compare", "pipeline"])
     def test_interval_without_grid_points_is_a_config_error(self, tmp_path, capsys, command):

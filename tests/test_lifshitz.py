@@ -23,7 +23,6 @@ from casimirlab.lifshitz import (
     casimir_pressure,
     matsubara_frequency,
     pressure_sweep,
-    pressure_sweep_text,
 )
 from casimirlab.optics import AU_DRUDE, Drude, Plasma
 
@@ -231,20 +230,21 @@ class TestPressureProperties:
             assert res.term_breakdown[l] == pytest.approx(oracle, rel=1e-8)
 
     def test_sweeps_match_per_point_summation(self):
-        # both sweeps share one permittivity cache across separations; each
-        # point must still match a fresh evaluation, term count included
-        # (the truncation bound is strictly decreasing in the term count)
+        # each sweep, and a cache listing the sweep's separations, computes
+        # every point in one batch; each point must still equal a fresh
+        # evaluation bit for bit, term count included (the truncation bound
+        # is strictly decreasing in the term count)
         seps = [300e-9, 800e-9]
         for model in (DRUDE, PLASMA, IDEAL_METAL):
             swept, swept_trunc = pressure_sweep(model, seps, T_LAB, 1e-9)
             grad = pressure_to_gradient_sweep(model, Geometry(R=43.466e-6), BetaTable(), seps, 1e-9)
-            cache = MatsubaraCache(model, T_LAB)
+            cache = MatsubaraCache(model, T_LAB, seps)
             for i, a in enumerate(seps):
                 fresh = casimir_pressure(model, a, T_LAB, 1e-9)
                 cached = casimir_pressure(model, a, T_LAB, 1e-9, cache=cache)
                 assert cached.n_terms == fresh.n_terms
                 for p in (swept[i], grad.pressures[i], cached.pressure):
-                    assert p == pytest.approx(fresh.pressure, rel=1e-12, abs=0)
+                    assert p == fresh.pressure
                 assert swept_trunc[i] == fresh.truncation_error_estimate
                 assert grad.pressure_truncations[i] == fresh.truncation_error_estimate
 
@@ -257,8 +257,9 @@ class TestPressureProperties:
             + 1e-5 * abs(tight.pressure)
 
     def test_cache_reuse_matches_fresh_evaluation(self):
-        cache = MatsubaraCache(DRUDE, T_LAB)
-        for a in (300e-9, 600e-9, 900e-9):
+        seps = (300e-9, 600e-9, 900e-9)
+        cache = MatsubaraCache(DRUDE, T_LAB, seps)
+        for a in seps:
             fresh = casimir_pressure(DRUDE, a, T_LAB, 1e-9)
             cached = casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
             assert cached.pressure == fresh.pressure
@@ -276,18 +277,6 @@ class TestPressureProperties:
     def test_sweep_rejects_a_bad_temperature_like_a_single_pressure(self):
         with pytest.raises(ValidityDomainError, match="temperature"):
             pressure_sweep(DRUDE, np.array([500e-9, 600e-9]), -1.0)
-
-    def test_sweep_text_layout(self):
-        grid = np.array([500e-9, 600e-9])
-        by_label = {
-            "drude": pressure_sweep(DRUDE, grid, T_LAB, 1e-7),
-            "plasma": pressure_sweep(PLASMA, grid, T_LAB, 1e-7),
-        }
-        text = pressure_sweep_text(grid, by_label)
-        assert "a_nm" in text and "P_drude_Pa" in text and "P_plasma_Pa" in text
-        assert "trunc_drude_Pa" in text
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert len(rows) == 2
 
 
 # Long-sum oracle: every term of the primed sum up to y_l >= 70, each on 55
