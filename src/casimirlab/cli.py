@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .errors import CasimirLabError, ConfigError, GridAlignmentError, ValidityDomainError
 from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
-from .lifshitz import TOL_RANGE
+from .lifshitz import TOL_RANGE, MatsubaraCache
 from .vexp import (
     CampaignSpec,
     V0Law,
@@ -161,10 +161,10 @@ def _theory_text(header: str, grid, name: str, unit: str, by_tag: dict) -> str:
     truncations (%.3e), two spaces apart; by_tag maps a tag to (values, truncations)."""
     cols = ["a_nm"] + [f"{name}_{t}_{unit}" for t in by_tag] + [f"trunc_{t}_{unit}" for t in by_tag]
     lines = [header.rstrip("\n"), "# columns: " + "  ".join(cols)]
-    for i, a in enumerate(grid):
-        row = [f"{a * 1e9:.3f}"]
-        row += [f"{values[i]:.9e}" for values, _ in by_tag.values()]
-        row += [f"{truncs[i]:.3e}" for _, truncs in by_tag.values()]
+    values = [v.tolist() for v, _ in by_tag.values()]
+    truncs = [t.tolist() for _, t in by_tag.values()]
+    for i, a in enumerate((grid * 1e9).tolist()):
+        row = [f"{a:.3f}"] + [f"{v[i]:.9e}" for v in values] + [f"{t[i]:.3e}" for t in truncs]
         lines.append("  ".join(row))
     return "\n".join(lines) + "\n"
 
@@ -191,8 +191,10 @@ def _cmd_theory(args, cp):
         "temperature_k": geometry.temperature,
     })
 
+    # one batch computes every selected model's thermal sums
+    cache = MatsubaraCache(tuple(models.values()), geometry.temperature, grid)
     sweeps = {
-        tag: pressure_to_gradient_sweep(model, geometry, BetaTable(), grid, tol)
+        tag: pressure_to_gradient_sweep(model, geometry, BetaTable(), grid, tol, cache)
         for tag, model in models.items()
     }
     grads = {t: (s.values * 1e6, s.truncation_estimates * 1e6) for t, s in sweeps.items()}
@@ -265,16 +267,17 @@ def _compare_settings(cp):
     return intervals, width * 1e-9, errors, (start, stop)
 
 
-def _compare_series(args, settings, series_list, geometry, tol):
-    """Build the compared grid, its one definition, and compare the series on it.
+def _compared_grid(settings, series_list, geometry):
+    """The compared grid, its one definition.
 
     A grid end not set in [compare] follows the series' overlap, clipped to
     the geometry's range (a_min, a_max, a/R < max_aspect) with a printed
     note; a set end outside that range is an error, and so is a grid of
     fewer than 2 points (the band's F'' needs two).  A [compare] interval
-    that holds no grid point is a config error.
+    that holds no grid point is a config error.  With both ends set, the
+    grid needs neither the series nor the geometry.
     """
-    intervals, width, errors, (start, stop) = settings
+    intervals, _, _, (start, stop) = settings
     lo = max(s.separations[0] for s in series_list) * 1e9 if start is None else start
     hi = min(s.separations[-1] for s in series_list) * 1e9 if stop is None else stop
     # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
@@ -299,6 +302,13 @@ def _compare_series(args, settings, series_list, geometry, tol):
             raise ConfigError(
                 f"[compare] intervals: {w_lo * 1e9:g}:{w_hi * 1e9:g} nm holds no point of the "
                 f"compared grid [{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
+    return common
+
+
+def _compare_series(args, settings, series_list, geometry, tol):
+    """Compare the series on the compared grid (_compared_grid)."""
+    intervals, width, errors, _ = settings
+    common = _compared_grid(settings, series_list, geometry)
     combined = combine_gradient_series(series_list, grid=common)
     models = _models(args.model)
     theory = {
@@ -341,6 +351,10 @@ def _cmd_pipeline(args, cp):
         sets = [int(s) for s in cp.get("pipeline", "sets", fallback="1").split(",")]
     except ValueError as exc:
         raise ConfigError(f"[pipeline] sets: {exc}") from None
+    for n in sets:
+        if sets.count(n) > 1:
+            raise ConfigError(f"[pipeline] sets: set {n} is listed more than once; "
+                              "each set is synthesised once and combined as independent data")
     truth = cp.get("pipeline", "truth", fallback="plasma")
     base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
     seeds = [_seed(base_seed + n, f"set {n}'s seed") for n in sets]  # recorded in the manifest
@@ -359,11 +373,14 @@ def _cmd_pipeline(args, cp):
                     f"{sets[0]} has {getattr(first, name)!r}; the pipeline compares "
                     "all sets against one theory curve"
                 )
+    geometry = campaigns[-1][1]
+    if None not in settings[3]:
+        _compared_grid(settings, (), geometry)  # both ends set: check it before any work
 
     manifest_steps = []
     series_list = []
-    for n, seed, (spec, geometry) in zip(sets, seeds, campaigns):
-        grid = synthesize_campaign(spec, geometry, seed)
+    for n, seed, (spec, set_geometry) in zip(sets, seeds, campaigns):
+        grid = synthesize_campaign(spec, set_geometry, seed)
         gpath = out / f"grid_set{n}_seed{seed}.txt"
         out.mkdir(parents=True, exist_ok=True)
         save_grid(grid, gpath)

@@ -1,7 +1,7 @@
-"""Physical constants and unit conversions.
+"""Physical constants and the eV to rad/s conversion.
 
 All internal computation is SI.  Public interfaces quote energies in eV and
-angular frequencies in rad/s; the conversions below are the single
+angular frequencies in rad/s; the conversion below is the single
 authoritative place for the constants involved.  k_B, c and e are exact
 in the SI since 2019; hbar is h / (2 pi) in double precision with the exact
 h = 6.62607015e-34 J s; epsilon_0 is the CODATA 2022 value.  Each literal
@@ -22,15 +22,9 @@ __all__ = [
     "EPSILON_0",
     "HBAR",
     "ev_to_rad_per_s",
-    "rad_per_s_to_ev",
 ]
 
 
 def ev_to_rad_per_s(energy_ev):
     """Convert a photon energy in eV to an angular frequency in rad/s."""
     return energy_ev * (E_CHARGE / HBAR)
-
-
-def rad_per_s_to_ev(omega):
-    """Convert an angular frequency in rad/s to a photon energy in eV."""
-    return omega * (HBAR / E_CHARGE)

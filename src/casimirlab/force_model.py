@@ -197,16 +197,22 @@ def pressure_to_gradient_sweep(
     beta: BetaTable,
     grid,
     tol: float = 1e-9,
+    cache: MatsubaraCache | None = None,
 ) -> GradientSweep:
     """Vectorised force_gradient over a sorted separation grid.
 
     The thermal sums are computed as one batch per sweep
     (lifshitz.MatsubaraCache): the first grid point's pressure computes
     every point's, so a sweep whose geometry check fails at a later point
-    has already summed all of them.
+    has already summed all of them.  cache, when given, is a
+    MatsubaraCache built at the geometry's temperature over this grid for
+    this model and possibly others (as force_gradient takes it): the sweeps
+    of all its models then share one batch, whose first pressure computes
+    every model's, and each sweep is bit-identical to one with its own.
     """
     grid = _checked_grid(grid)
-    cache = MatsubaraCache(model, geometry.temperature, grid)
+    if cache is None:
+        cache = MatsubaraCache(model, geometry.temperature, grid)
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
     trunc = np.empty_like(grid)

@@ -16,14 +16,18 @@ Klimchitskaya, Mohideen and Mostepanenko, Advances in the Casimir Effect,
 OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
 declared extrapolation tag, never inferred numerically.
 
-Every pressure comes from one batch function, _pressures: it evaluates eps
-once for a list of separations and integrates their terms in passes of
-whole separations, up to _PASS_ELEMENTS rows x nodes each.  A sweep gives
-its MatsubaraCache its separations; its first pressure computes the whole
-batch, and the next pressures take their results.  A pass allocates its
-planes of rows x nodes once (two buffers), computes in them in place and
-reduces each row alone, so every pressure of a sweep is bit-identical to
-one computed alone.
+Every pressure comes from one batch function, _pressures: it evaluates each
+model's eps once for a list of separations and integrates their terms in
+passes of whole separations, up to _PASS_ELEMENTS rows x nodes each, that
+all its models share.  A sweep gives its MatsubaraCache its separations and
+one model or several; its first pressure computes the whole batch for every
+model, and the next pressures take their results.  A pass computes the
+planes that do not depend on the model (y, y^2, e^-y, expm1(-y)) once, then
+each model's reflections and integrand in turn, in place, and reduces each
+row alone; a model's missed rows are refined on their own.  Every pass of a
+batch computes in one workspace, allocated once for the largest pass, so
+every pressure of a sweep, of any model, is bit-identical to one computed
+alone.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
 from .errors import AmbiguousZeroTermError, NumericsError, ValidityDomainError
-from .optics import PermittivityModel
 
 __all__ = [
     "matsubara_frequency",
@@ -182,18 +185,29 @@ def _node_template(depth):
     return nodes, w, d, half.size
 
 
-def _integrand(r_tm, r_te, y):
+def _shared_planes(y_l, nodes, out):
+    """The planes every model's integrand reads, into out[0] .. out[3]: y = y_l
+    + t on the template nodes, y^2, e^-y and expm1(-y), one row per term."""
+    y, y2, em, em1 = out
+    np.add(y_l[:, None], nodes, out=y)
+    np.multiply(y, y, out=y2)
+    np.negative(y, out=em1)
+    np.exp(em1, out=em)
+    np.expm1(em1, out=em1)
+    return y, y2, em, em1
+
+
+def _integrand(r_tm, r_te, shared, scratch):
     """y^2 summed over polarisations of the mode occupancy r^2 e^-y / (1 - r^2 e^-y).
 
     The denominator is formed as (1 - r^2) - r^2 (e^-y - 1), a sum of two
     non-negative parts, so it keeps full precision for r^2 near 1 and small y.
-    Works in place: the result is returned in r_tm, r_te is overwritten, y
-    is only read, and the scratch is one array of four planes.
+    shared holds the planes (y, y^2, e^-y, expm1(-y)) of _shared_planes and
+    is only read.  Works in place: the result is returned in r_tm, r_te is
+    overwritten, and scratch is two planes.
     """
-    em, em1, num, den = np.empty((4,) + y.shape)
-    np.negative(y, out=em1)
-    np.exp(em1, out=em)
-    np.expm1(em1, out=em1)
+    _, y2, em, em1 = shared
+    num, den = scratch
     for r2 in (r_tm, r_te):
         np.multiply(r2, r2, out=r2)
         np.multiply(r2, em, out=num)
@@ -201,7 +215,7 @@ def _integrand(r_tm, r_te, y):
         np.subtract(np.subtract(1.0, r2, out=r2), den, out=den)
         np.divide(num, den, out=r2)
     np.add(r_tm, r_te, out=r_tm)
-    return np.multiply(np.multiply(y, y, out=num), r_tm, out=r_tm)
+    return np.multiply(y2, r_tm, out=r_tm)
 
 
 def _reflections(model, a, y_l, eps, y, out):
@@ -223,61 +237,109 @@ def _reflections(model, a, y_l, eps, y, out):
     return r_tm, r_te
 
 
-def _template_integrate(model, a, y_l, eps, depth=0):
-    """Every row on the node template of that depth: (integrals, error estimates).
+class _Workspace:
+    """The one buffer every template pass of a batch computes in: eight planes
+    of rows x nodes, four shared by the models (_shared_planes) and four that
+    each model reuses in turn for its reflections and integrand.  It is
+    allocated at the size it is given and grown, the old buffer dropped
+    first, only when a pass needs more."""
 
-    Row i has lower limit y_l[i] and permittivity eps[i] at separation a, one
-    value for every row or one per row.  y and the reflections share one
-    buffer of four planes.  The estimate sums the absolute differences d
-    gives; both results reduce each row alone, whatever rows are beside it.
+    def __init__(self, elements=0):
+        self._buf = np.empty(8 * elements)
+
+    def planes(self, rows, nodes):
+        size = 8 * rows * nodes
+        if self._buf.size < size:
+            self._buf = None
+            self._buf = np.empty(size)
+        return self._buf[:size].reshape(8, rows, nodes)
+
+
+def _template_integrate(models, a, y_l, eps, depth=0, work=None):
+    """Every row on the node template of that depth, for each model: a list of
+    (integrals, error estimates), one pair per model.
+
+    Row i has lower limit y_l[i] at separation a, one value for every row or
+    one per row, and eps[m][i] is its permittivity for models[m].  The shared
+    planes are computed once; each model then takes its reflections and
+    integrand in the other four planes of the workspace (a fresh one when
+    none is given).  The estimate sums the absolute differences d gives;
+    both results reduce each row alone, whatever rows are beside it.
     """
     nodes, w, d, n_panels = _node_template(depth)
-    buf = np.empty((4, y_l.size, nodes.size))
-    y = np.add(y_l[:, None], nodes, out=buf[0])
-    r_tm, r_te = _reflections(model, np.broadcast_to(a, y_l.shape), y_l, eps, y, buf[1:])
-    f = _integrand(r_tm, r_te, y)
+    planes = (work or _Workspace()).planes(y_l.size, nodes.size)
+    shared = _shared_planes(y_l, nodes, planes[:4])
+    a = np.broadcast_to(a, y_l.shape)
     n = n_panels * _XGK.size
-    panels = np.vecdot(f[:, :n].reshape(y_l.size, n_panels, _XGK.size),
-                       d[:n].reshape(n_panels, _XGK.size))
-    tail = np.vecdot(f[:, n:], d[n:])
-    return np.vecdot(f, w), np.abs(panels).sum(axis=1) + np.abs(tail)
+    out = []
+    for model, eps_m in zip(models, eps):
+        r_tm, r_te = _reflections(model, a, y_l, eps_m, shared[0], planes[4:7])
+        f = _integrand(r_tm, r_te, shared, planes[6:])
+        panels = np.vecdot(f[:, :n].reshape(y_l.size, n_panels, _XGK.size),
+                           d[:n].reshape(n_panels, _XGK.size))
+        tail = np.vecdot(f[:, n:], d[n:])
+        out.append((np.vecdot(f, w), np.abs(panels).sum(axis=1) + np.abs(tail)))
+    return out
 
 
 # rows x nodes of the template pass that takes the terms of several
-# separations together (buffers of about 1.5 MB); a separation whose terms
-# alone hold more takes its pass alone
+# separations together (a workspace of about 1.5 MB); a separation whose
+# terms alone hold more takes its pass alone
 _PASS_ELEMENTS = 24_000
 
 
-def _integrate_terms(model, a, y1, n_terms, eps, tol):
-    """Integrals I_l, l = 0 .. n_terms[j], of each separation a[j], each to tol relative.
+def _pass_pressures(models, temperature, a, y1, n_terms, eps, tol, work, with_breakdown):
+    """For each model, the PressureResult of each separation a[j] of one
+    template pass, or the first l whose integral missed tol relative.
 
-    y1[j] = 2 a[j] xi_1 / c and eps[l - 1] is the permittivity at xi_l.  The
-    rows of all separations go through the node template in one pass; the
-    rows whose error estimate exceeds tol of their value (or 1e-300, for a
-    row that underflows) go through it again together, with the panels
-    bisected once more each time, up to 8 times.  Returns, per separation,
-    its integrals and the first l that still misses after depth 8, or None.
+    The integrals I_l, l = 0 .. n_terms[j], have y1[j] = 2 a[j] xi_1 / c,
+    and eps[m][l - 1] is the permittivity of models[m] at xi_l.  The rows of
+    all separations go through the node template in one pass shared by the
+    models; each model's rows whose error estimate exceeds tol of their
+    value (or 1e-300, for a row that underflows) go through it again
+    together, with the panels bisected once more each time, up to 8 times.
+    A separation with a row that still misses after depth 8 gives that
+    row's l.
     """
     counts = np.asarray(n_terms) + 1
     starts = np.concatenate([[0], np.cumsum(counts)])
     ls = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
     y_l = np.repeat(y1, counts) * ls
     # 1 stands in for the l = 0 rows, whose reflection comes from the tag
-    eps = np.concatenate([[1.0], eps])[ls]
-    a = np.repeat(a, counts)
-    vals = np.empty(ls.size)
-    rows = np.arange(ls.size)
-    for depth in range(9):
-        v, e = _template_integrate(model, a[rows], y_l[rows], eps[rows], depth)
-        vals[rows] = v
-        rows = rows[e > np.maximum(tol * v, 1e-300)]
-        if not rows.size:
-            break
-    # rows ascend, so a separation's first missed row is its first l
-    seps, first = np.unique(np.searchsorted(starts, rows, side="right") - 1, return_index=True)
-    failed = dict(zip(seps.tolist(), ls[rows[first]].tolist()))
-    return [(vals[lo:hi], failed.get(j)) for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))]
+    eps = [np.concatenate([[1.0], e])[ls] for e in eps]
+    rows_a = np.repeat(a, counts)
+    results = []
+    for model, eps_m, (vals, e) in zip(models, eps, _template_integrate(models, rows_a, y_l, eps,
+                                                                        0, work)):
+        rows = np.flatnonzero(e > np.maximum(tol * vals, 1e-300))
+        for depth in range(1, 9):
+            if not rows.size:
+                break
+            [(v, e)] = _template_integrate([model], rows_a[rows], y_l[rows], [eps_m[rows]],
+                                           depth, work)
+            vals[rows] = v
+            rows = rows[e > np.maximum(tol * v, 1e-300)]
+        # rows ascend, so a separation's first missed row is its first l
+        seps, first = np.unique(np.searchsorted(starts, rows, side="right") - 1,
+                                return_index=True)
+        failed = dict(zip(seps.tolist(), ls[rows[first]].tolist()))
+        out = []
+        for j, (a_j, y1_j, n) in enumerate(zip(a, y1, n_terms)):
+            if j in failed:
+                out.append(failed[j])
+                continue
+            terms = vals[starts[j]:starts[j + 1]]
+            terms[0] *= 0.5
+            prefactor = -K_B * temperature / (8.0 * math.pi * a_j**3)
+            out.append(PressureResult(
+                pressure=prefactor * math.fsum(terms.tolist()),
+                truncation_error_estimate=abs(prefactor) * _tail_bound(y1_j, n),
+                n_terms=n,
+                stopped_by="tol",
+                term_breakdown=prefactor * terms if with_breakdown else None,
+            ))
+        results.append(out)
+    return results
 
 
 def _in_domain(a):
@@ -286,33 +348,36 @@ def _in_domain(a):
 
 
 class MatsubaraCache:
-    """The pressures of one sweep at one (model, T), computed in one batch.
+    """The pressures of one sweep at one T, for one model or several, computed
+    in one batch.
 
-    separations lists the separations casimir_pressure will be called with.
-    The first call for one of them computes all of them (those in the
-    accepted range) at that call's tol in one _pressures batch, and each
-    later call for one of them takes its own result from the memo.  A call
-    for any other separation or tol, or with_breakdown, is computed alone.
+    models is one model or a sequence of them; separations lists the
+    separations casimir_pressure will be called with.  The first call for
+    one of them computes all of them (those in the accepted range) for every
+    model at that call's tol in one _pressures batch, and each later call
+    for one of them takes its own model's result from the memo.  A call for
+    any other separation or tol, or with_breakdown, is computed alone.
     Every row is integrated by reductions over itself alone, so every
     pressure is bit-identical to one computed alone.
     """
 
-    def __init__(self, model: PermittivityModel, temperature: float, separations=()):
-        self.model = model
+    def __init__(self, models, temperature: float, separations=()):
+        self.models = tuple(models) if isinstance(models, (list, tuple)) else (models,)
         self.temperature = temperature
         self._listed = [float(a) for a in separations if _in_domain(a)]
         self._results = {}
 
-    def result(self, a, tol, with_breakdown=False):
+    def result(self, model, a, tol, with_breakdown=False):
         """_pressures of separation a alone, or its result from the sweep's batch."""
         if not with_breakdown:
             if a in self._listed:
-                batch = _pressures(self.model, self.temperature, self._listed, tol)
-                self._results = {(b, tol): res for b, res in zip(self._listed, batch)}
+                batch = _pressures(self.models, self.temperature, self._listed, tol)
+                self._results = {(id(m), b, tol): res for m, results in zip(self.models, batch)
+                                 for b, res in zip(self._listed, results)}
                 self._listed = []
-            if (a, tol) in self._results:
-                return self._results.pop((a, tol))
-        return _pressures(self.model, self.temperature, [a], tol, with_breakdown)[0]
+            if (id(model), a, tol) in self._results:
+                return self._results.pop((id(model), a, tol))
+        return _pressures([model], self.temperature, [a], tol, with_breakdown)[0][0]
 
 
 @dataclass
@@ -379,46 +444,41 @@ def _term_count(y1, target):
     return n
 
 
-def _pressures(model, temperature, separations, tol, with_breakdown=False):
-    """The PressureResult of each separation, in order, or the first l whose
-    quadrature missed tol/2 at that separation.
+def _pressures(models, temperature, separations, tol, with_breakdown=False):
+    """For each model, the PressureResult of each separation, in order, or the
+    first l whose quadrature missed tol/2 at that separation.
 
-    Each separation keeps the terms l = 0 .. L of its tail-bound count; eps is
-    evaluated once, at xi_1 .. xi_L of the largest L.  The separations are
-    packed greedily, whole and in order, into template passes of at most
-    _PASS_ELEMENTS rows x nodes (at least one separation per pass), and each
-    pass is summed before the next starts.
+    Each separation keeps the terms l = 0 .. L of its tail-bound count; each
+    model's eps is evaluated once, at xi_1 .. xi_L of the largest L.  The
+    separations are packed greedily, whole and in order, into template
+    passes of at most _PASS_ELEMENTS rows x nodes (at least one separation
+    per pass), which every model shares; each pass is summed before the next
+    starts, and all of them compute in one workspace, sized for the largest
+    pass.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
     y1s = [2.0 * a * xi1 / C_LIGHT for a in seps]
     counts = [_term_count(y1, 0.5 * tol * _ZETA3) for y1 in y1s]
     top = np.arange(1, max(counts) + 1, dtype=float)
-    eps = np.ones(top.size) if isinstance(model, IdealMetal) else \
-        np.atleast_1d(model.epsilon(xi1 * top))
-    limit = _PASS_ELEMENTS // _node_template(0)[0].size
-    starts, rows = [], limit
+    eps = [np.ones(top.size) if isinstance(model, IdealMetal) else
+           np.atleast_1d(model.epsilon(xi1 * top)) for model in models]
+    nodes = _node_template(0)[0].size
+    limit = _PASS_ELEMENTS // nodes
+    starts, rows, widest = [], limit, 0
     for j, n in enumerate(counts):
         if rows + n + 1 > limit:
             starts.append(j)
             rows = 0
         rows += n + 1
-    results = []
+        widest = max(widest, rows)
+    work = _Workspace(widest * nodes)
+    results = [[] for _ in models]
     for lo, hi in zip(starts, starts[1:] + [len(seps)]):
-        passed = _integrate_terms(model, seps[lo:hi], y1s[lo:hi], counts[lo:hi], eps, 0.5 * tol)
-        for a, y1, n, (terms, failed) in zip(seps[lo:hi], y1s[lo:hi], counts[lo:hi], passed):
-            if failed is not None:
-                results.append(failed)
-                continue
-            terms[0] *= 0.5
-            prefactor = -K_B * temperature / (8.0 * math.pi * a**3)
-            results.append(PressureResult(
-                pressure=prefactor * math.fsum(terms.tolist()),
-                truncation_error_estimate=abs(prefactor) * _tail_bound(y1, n),
-                n_terms=n,
-                stopped_by="tol",
-                term_breakdown=prefactor * terms if with_breakdown else None,
-            ))
+        for out, passed in zip(results, _pass_pressures(
+                models, temperature, seps[lo:hi], y1s[lo:hi], counts[lo:hi], eps, 0.5 * tol,
+                work, with_breakdown)):
+            out += passed
     return results
 
 
@@ -457,10 +517,12 @@ def casimir_pressure(
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
-        Memo of a sweep.  Built with the sweep's separations, it computes all
-        of them in one batch at the first call for one of them and hands each
-        later call its own result; the result is the same bit for bit.
-        Without a cache, the call is the one-separation case of the batch.
+        Memo of a sweep, built at this temperature for this model, alone or
+        with others.  Built with the sweep's separations, it computes all of
+        them for all of its models in one batch at the first call for one of
+        them and hands each later call its own model's result; the result is
+        the same bit for bit.  Without a cache, the call is the
+        one-separation, one-model case of the batch.
 
     Returns
     -------
@@ -472,10 +534,10 @@ def casimir_pressure(
         raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
     if cache is None:
         cache = MatsubaraCache(model, temperature)
-    elif cache.model is not model or cache.temperature != temperature:
-        raise ValueError("cache was built for a different model or temperature")
+    elif cache.temperature != temperature or not any(m is model for m in cache.models):
+        raise ValueError("cache was built for other models or a different temperature")
 
-    res = cache.result(a, tol, with_breakdown)
+    res = cache.result(model, a, tol, with_breakdown)
     if not isinstance(res, PressureResult):
         raise NumericsError(f"wavevector quadrature failed to converge (l={res}, a={a})")
     return res

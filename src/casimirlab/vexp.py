@@ -297,12 +297,11 @@ def save_grid(grid: MeasurementGrid, path) -> None:
         f"# a_max_m = {g.a_max!r}",
         "# columns: a_nm  delta_omega_rad_s",
     ]
-    a_nm = grid.separations * 1e9
-    for vi in range(grid.shifts.shape[0]):
-        for rep in range(grid.shifts.shape[1]):
+    a_nm = [f"{a:.6f}" for a in (grid.separations * 1e9).tolist()]
+    for vi, reps in enumerate(grid.shifts.tolist()):
+        for rep, shifts in enumerate(reps):
             lines.append(f"# block voltage_index = {vi} repetition = {rep}")
-            for j in range(grid.z_rel.size):
-                lines.append(f"{a_nm[j]:.6f} {float(grid.shifts[vi, rep, j])!r}")
+            lines += [f"{a} {s!r}" for a, s in zip(a_nm, shifts)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -91,6 +91,23 @@ class TestTheory:
         assert a == 250.0
         assert fp > fd > 0
 
+    def test_both_models_columns_equal_single_model_runs(self, tmp_path):
+        # one batch computes both models' sums; each model's columns must
+        # equal those of a run for that model alone
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[theory]\na_start_nm = 250\na_stop_nm = 950\na_step_nm = 7\n")
+        outs = {}
+        for model in ("both", "drude", "plasma"):
+            outs[model] = tmp_path / model
+            assert run(["theory", "--config", cfg, "--out", outs[model], "--model", model]) == 0
+        for name in ("theory_gradients.txt", "theory_pressures.txt"):
+            both = [row.split() for row in read_rows(outs["both"] / name)]
+            assert len(both) == 101
+            assert [[a, d, td] for a, d, _, td, _ in both] == \
+                [row.split() for row in read_rows(outs["drude"] / name)]
+            assert [[a, p, tp] for a, _, p, _, tp in both] == \
+                [row.split() for row in read_rows(outs["plasma"] / name)]
+
     def test_pressures_match_per_point_evaluation(self, tmp_path):
         # theory_pressures.txt is written from the gradient sweeps; every
         # row must still equal a per-point pressure at the command's tol
@@ -200,6 +217,14 @@ class TestErrors:
         assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert "set 2 has R" in err and "set 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_pipeline_rejects_a_repeated_set(self, tmp_path, capsys):
+        cfg = tmp_path / "repeat.ini"
+        cfg.write_text("[pipeline]\nsets = 1,1\nseed = 7\n")
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "config error: [pipeline] sets: set 1 is listed more than once" \
+            in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -432,6 +457,23 @@ class TestCompareGrid:
         assert ("error: the compared grid over [600, 600.5] nm holds 1 whole-nanometre point(s); "
                 "the band's F'' needs at least 2") in capsys.readouterr().err
         assert not (tmp_path / "out" / "comparison.txt").exists()
+
+    @pytest.mark.parametrize("compare_ini, code, message", [
+        ("grid_start_nm = 300\ngrid_stop_nm = 300.5\n", 1,
+         "error: the compared grid over [300, 300.5] nm holds 1 whole-nanometre point(s)"),
+        ("grid_start_nm = 300\ngrid_stop_nm = 900\nintervals = 950:1000\n", 2,
+         "config error: [compare] intervals: 950:1000 nm holds no point"),
+    ], ids=["one-point", "interval"])
+    def test_pipeline_checks_a_set_grid_before_any_set(self, tmp_path, capsys, compare_ini,
+                                                       code, message):
+        # both grid ends set in [compare]: the grid is known before synthesis
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[pipeline]\nsets = 1\nseed = 7\n[compare]\n" + compare_ini)
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["compare", "pipeline"])
     def test_interval_without_grid_points_is_a_config_error(self, tmp_path, capsys, command):

@@ -375,12 +375,12 @@ class TestToleranceMet:
             # the first (up to) 40 rows a tol 1e-12 sum keeps
             n_terms = casimir_pressure(model, a, temperature, 1e-12).n_terms
             y_l, eps = _terms(model, a, temperature, min(n_terms, 40))
-            vals, errs = lifshitz._template_integrate(model, a, y_l, eps)
+            [(vals, errs)] = lifshitz._template_integrate([model], a, y_l, [eps])
             for i in range(y_l.size):
                 rows = slice(i, i + 1)
                 for depth in range(1, 9):
-                    ref, ref_err = lifshitz._template_integrate(
-                        model, a, y_l[rows], eps[rows], depth)
+                    [(ref, ref_err)] = lifshitz._template_integrate(
+                        [model], a, y_l[rows], [eps[rows]], depth)
                     if ref_err[0] <= 1e-13 * ref[0]:
                         break
                 assert ref_err[0] <= 1e-13 * ref[0], (a, i)
@@ -392,10 +392,10 @@ class TestToleranceMet:
         refined = []
         integrate = lifshitz._template_integrate
 
-        def spy(model, a, y_l, eps, depth=0):
+        def spy(models, a, y_l, eps, depth=0, work=None):
             if depth >= 1:
                 refined.append(y_l.size)
-            return integrate(model, a, y_l, eps, depth)
+            return integrate(models, a, y_l, eps, depth, work)
 
         monkeypatch.setattr(lifshitz, "_template_integrate", spy)
         a, tol = 50e-9, 1e-12
@@ -418,7 +418,8 @@ class TestToleranceMet:
         # a jump in the integrand at a non-dyadic t is missed at every depth
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
-                            lambda r_tm, r_te, y: kernel(r_tm, r_te, y) * (1.0 + (y > 0.3)))
+                            lambda r_tm, r_te, shared, scratch:
+                            kernel(r_tm, r_te, shared, scratch) * (1.0 + (shared[0] > 0.3)))
         with pytest.raises(NumericsError, match=r"l=0, a=1e-06"):
             casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
@@ -441,7 +442,8 @@ class TestToleranceMet:
         nodes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
-                            lambda r_tm, r_te, y: nodes.append(y.size) or kernel(r_tm, r_te, y))
+                            lambda r_tm, r_te, shared, scratch:
+                            nodes.append(shared[0].size) or kernel(r_tm, r_te, shared, scratch))
         a, tol = 50e-9, 1e-4
         res = casimir_pressure(DRUDE, a, T_LAB, tol)
         y1 = 2.0 * a * matsubara_frequency(1, T_LAB) / C_LIGHT
@@ -500,7 +502,8 @@ class TestSweepBlocks:
         rows = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
-                            lambda r_tm, r_te, y: rows.append(y.shape) or kernel(r_tm, r_te, y))
+                            lambda r_tm, r_te, shared, scratch:
+                            rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert len(rows) == _blocks(n_terms) < seps.size / 5
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
@@ -543,10 +546,11 @@ class TestSweepBlocks:
         shapes = []
         kernel = lifshitz._integrand
 
-        def jump(r_tm, r_te, y):
+        def jump(r_tm, r_te, shared, scratch):
+            y = shared[0]
             shapes.append(y.shape)
             own = np.abs(y[:, :1] - target) < 5e-3
-            return kernel(r_tm, r_te, y) * (1.0 + (own & (y > target + 0.3)))
+            return kernel(r_tm, r_te, shared, scratch) * (1.0 + (own & (y > target + 0.3)))
 
         monkeypatch.setattr(lifshitz, "_integrand", jump)
         cache = MatsubaraCache(DRUDE, T_LAB, seps)
@@ -572,11 +576,12 @@ class TestRowLocalQuadrature:
         eps = np.concatenate([e for _, e in parts])
         a = np.repeat(seps, 13)
         n = y_l.size
-        alone = [lifshitz._template_integrate(model, a[i], y_l[i:i + 1], eps[i:i + 1], depth)
+        alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
+                                              depth)[0]
                  for i in range(n)]
         for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
-            vals, errs = lifshitz._template_integrate(model, a[order], y_l[order], eps[order],
-                                                      depth)
+            [(vals, errs)] = lifshitz._template_integrate([model], a[order], y_l[order],
+                                                          [eps[order]], depth)
             assert vals.tolist() == [alone[i][0][0] for i in order]
             assert errs.tolist() == [alone[i][1][0] for i in order]
 
@@ -589,9 +594,10 @@ class TestRowLocalQuadrature:
         shapes, hits = [], []
         kernel = lifshitz._integrand
 
-        def jump(r_tm, r_te, y):
+        def jump(r_tm, r_te, shared, scratch):
+            y = shared[0]
             shapes.append(y.shape)
-            out = kernel(r_tm, r_te, y)
+            out = kernel(r_tm, r_te, shared, scratch)
             hits.append(0)
             for target in targets:
                 own = (y[:, :1] > target) & (y[:, :1] < target + 3e-3)
@@ -657,7 +663,8 @@ class TestSweepMemo:
         shapes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
-                            lambda r_tm, r_te, y: shapes.append(y.shape) or kernel(r_tm, r_te, y))
+                            lambda r_tm, r_te, shared, scratch:
+                            shapes.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         cache = MatsubaraCache(DRUDE, T_LAB, seps)
         got = []
         for a in seps:
@@ -668,3 +675,88 @@ class TestSweepMemo:
                     casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
         assert got == alone
         assert shapes == [(sum(r.n_terms + 1 for r in alone), 94)]
+
+
+def _refined_rows(monkeypatch):
+    """Spy on the template passes: (model, depth, y_l) of every refinement pass."""
+    refined = []
+    integrate = lifshitz._template_integrate
+
+    def spy(models, a, y_l, eps, depth=0, work=None):
+        if depth >= 1:
+            refined.extend((m, depth, y_l.tolist()) for m in models)
+        return integrate(models, a, y_l, eps, depth, work)
+
+    monkeypatch.setattr(lifshitz, "_template_integrate", spy)
+    return refined
+
+
+class TestModelsShareOneBatch:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("grid", list(BENCH_GRIDS), ids=list(BENCH_GRIDS))
+    def test_two_model_batch_equals_single_model_batches_at_293_K(self, grid, tol):
+        seps = BENCH_GRIDS[grid][::7][:40]
+        both = lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, tol)
+        assert both == [lifshitz._pressures([m], T_LAB, seps, tol)[0] for m in (DRUDE, PLASMA)]
+        assert all(isinstance(r, lifshitz.PressureResult) for results in both for r in results)
+
+    def test_two_model_batch_equals_single_model_batches_at_10_K(self, monkeypatch):
+        # near 50 nm at 10 K the low rows of both models refine, drude's and
+        # plasma's on different rows; each model's are refined on their own
+        seps = [50e-9, 50.5e-9]
+        alone = [lifshitz._pressures([m], 10.0, seps, 1e-9)[0] for m in (DRUDE, PLASMA)]
+        refined = _refined_rows(monkeypatch)
+        assert lifshitz._pressures([DRUDE, PLASMA], 10.0, seps, 1e-9) == alone
+        rows = {m: {(d, tuple(y)) for model, d, y in refined if model is m} for m in (DRUDE, PLASMA)}
+        assert rows[DRUDE] and rows[PLASMA] and rows[DRUDE] != rows[PLASMA]
+
+    def test_shared_planes_are_computed_once_per_block(self, monkeypatch):
+        seps = BENCH_GRIDS["250-950"][:120]
+        alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
+                 for m in (DRUDE, PLASMA)}
+        calls = {"shared": 0, "integrand": 0}
+        shared, integrand = lifshitz._shared_planes, lifshitz._integrand
+
+        def count(name, kernel):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or kernel(*args)
+
+        monkeypatch.setattr(lifshitz, "_shared_planes", count("shared", shared))
+        monkeypatch.setattr(lifshitz, "_integrand", count("integrand", integrand))
+        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
+        got = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9, cache=cache) for a in seps]
+               for m in (DRUDE, PLASMA)}
+        assert got == alone
+        blocks = _blocks([r.n_terms for r in alone[DRUDE]])
+        assert calls == {"shared": blocks, "integrand": 2 * blocks}
+
+    def test_a_model_outside_the_cache_is_rejected(self):
+        cache = MatsubaraCache(DRUDE, T_LAB, [300e-9])
+        with pytest.raises(ValueError, match="other models"):
+            casimir_pressure(PLASMA, 300e-9, T_LAB, cache=cache)
+        with pytest.raises(ValueError, match="temperature"):
+            casimir_pressure(DRUDE, 300e-9, 10.0, cache=cache)
+
+    def test_two_model_peak_memory_is_one_workspace(self):
+        # at 10 K and 50 nm one pass holds 12,775 rows x 94 nodes in eight
+        # planes (77 MB); the second model reuses the first model's four
+        # planes, and adds only its own row vectors (its permittivities on
+        # the terms and on the rows, and its integrals and estimates, 8 bytes
+        # each per row) to the peak
+        import tracemalloc
+
+        a, tol = 50e-9, 1e-9
+        rows = casimir_pressure(DRUDE, a, 10.0, tol).n_terms + 1  # builds the node templates
+
+        def peak(models):
+            tracemalloc.start()
+            try:
+                cache = MatsubaraCache(models, 10.0, [a])
+                out = [casimir_pressure(m, a, 10.0, tol, cache=cache) for m in models]
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        (drude_peak, drude), (plasma_peak, plasma) = peak([DRUDE]), peak([PLASMA])
+        both_peak, both = peak([DRUDE, PLASMA])
+        assert both == drude + plasma
+        assert both_peak <= max(drude_peak, plasma_peak) + 65536 + 4 * 8 * rows
