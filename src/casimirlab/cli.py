@@ -160,12 +160,11 @@ def _theory_text(header: str, grid, name: str, unit: str, by_tag: dict) -> str:
     """Both theory files' rows: a in nm (%.3f), each model's values (%.9e), then its
     truncations (%.3e), two spaces apart; by_tag maps a tag to (values, truncations)."""
     cols = ["a_nm"] + [f"{name}_{t}_{unit}" for t in by_tag] + [f"trunc_{t}_{unit}" for t in by_tag]
+    row = "  ".join(["%.3f"] + ["%.9e"] * len(by_tag) + ["%.3e"] * len(by_tag))
+    columns = ([(grid * 1e9).tolist()] + [v.tolist() for v, _ in by_tag.values()]
+               + [t.tolist() for _, t in by_tag.values()])
     lines = [header.rstrip("\n"), "# columns: " + "  ".join(cols)]
-    values = [v.tolist() for v, _ in by_tag.values()]
-    truncs = [t.tolist() for _, t in by_tag.values()]
-    for i, a in enumerate((grid * 1e9).tolist()):
-        row = [f"{a:.3f}"] + [f"{v[i]:.9e}" for v in values] + [f"{t[i]:.3e}" for t in truncs]
-        lines.append("  ".join(row))
+    lines += [row % values for values in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ computed here in the dimensionless variable y = 2 a q_l, so that each term
 becomes (1 / 8 a^3) int_{y_l}^inf y^2 sum_pol [r^-2 e^y - 1]^-1 dy with
 y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
-all of them are integrated in one vectorised pass over a node template in
+all of them are integrated by vectorised passes over a node template in
 t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), and the
 terms whose error estimate misses tol/2 of their value are redone together on
 the same template with its panels bisected, once more per pass (Bordag,
@@ -17,17 +17,18 @@ OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
 declared extrapolation tag, never inferred numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
-model's eps once for a list of separations and integrates their terms in
-passes of whole separations, up to _PASS_ELEMENTS rows x nodes each, that
-all its models share.  A sweep gives its MatsubaraCache its separations and
-one model or several; its first pressure computes the whole batch for every
-model, and the next pressures take their results.  A pass computes the
-planes that do not depend on the model (y, y^2, e^-y, expm1(-y)) once, then
-each model's reflections and integrand in turn, in place, and reduces each
-row alone; a model's missed rows are refined on their own.  Every pass of a
-batch computes in one workspace, allocated once for the largest pass, so
-every pressure of a sweep, of any model, is bit-identical to one computed
-alone.
+model's eps once for a list of separations and runs the rows (separation,
+term) of all of them, in order, through the template in fixed blocks of
+_PASS_ELEMENTS rows x nodes that all its models share; a separation may span
+several blocks, and is summed as soon as its last row is integrated.  A
+sweep gives its MatsubaraCache its separations and one model or several; its
+first pressure computes the whole batch for every model, and the next
+pressures take their results.  A block computes the planes that do not
+depend on the model (y, y^2, e^-y, expm1(-y)) and finds its l = 0 rows once,
+then each model's reflections and integrand in turn, in place, and reduces
+each row alone; a model's missed rows are refined on their own.  Every block
+of a batch computes in one workspace, so every pressure of a sweep, of any
+model, is bit-identical to one computed alone.
 """
 
 from __future__ import annotations
@@ -79,18 +80,19 @@ class IdealMetal:
 IDEAL_METAL = IdealMetal()
 
 
-def _fresnel(eps, q, w, out=None):
+def _fresnel(eps, q, w, out=None, q2=None):
     """r_TM, r_TE at a finite imaginary frequency xi = w c.
 
-    q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector and eps the
-    permittivity at xi; arrays broadcast.  The coefficients are written into
-    out[0] and out[1], with out[2] as scratch; out, of three planes of the
-    broadcast shape, is allocated when not given.
+    q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector, q2 its square
+    when already formed, and eps the permittivity at xi; arrays broadcast.
+    The coefficients are written into out[0] and out[1], with out[2] as
+    scratch; out, of three planes of the broadcast shape, is allocated when
+    not given.
     """
     if out is None:
         out = np.empty((3,) + np.broadcast_shapes(np.shape(eps), np.shape(q), np.shape(w)))
     r_tm, r_te, k = out[0, ...], out[1, ...], out[2, ...]
-    np.add(np.multiply(q, q, out=k), (eps - 1.0) * w * w, out=k)
+    np.add(np.multiply(q, q, out=k) if q2 is None else q2, (eps - 1.0) * w * w, out=k)
     np.sqrt(k, out=k)
     eps_q = np.multiply(eps, q, out=r_te)
     np.subtract(eps_q, k, out=r_tm)
@@ -218,21 +220,22 @@ def _integrand(r_tm, r_te, shared, scratch):
     return np.multiply(y2, r_tm, out=r_tm)
 
 
-def _reflections(model, a, y_l, eps, y, out):
-    """r_TM, r_TE on y into out[0], out[1] (out[2] is scratch), one row per
-    term with lower limit y_l[i] at separation a[i].
+def _reflections(model, a, y_l, eps, zero, shared, out):
+    """r_TM, r_TE on the shared planes' y into out[0], out[1] (out[2] is
+    scratch), one row per term with lower limit y_l[i] at separation a[i].
 
-    A row with y_l = 0 is an l = 0 term and takes the model's tagged
-    reflection; the others take the Fresnel coefficients at eps[i], in the
-    variables y = 2 a q and y_l = 2 a xi_l / c.
+    The rows listed in zero are the l = 0 terms (y_l = 0) and take the
+    model's tagged reflection; the others take the Fresnel coefficients at
+    eps[i], in the variables y = 2 a q and y_l = 2 a xi_l / c, with q^2 read
+    from the shared y^2.
     """
+    y, y2 = shared[0], shared[1]
     r_tm, r_te = out[0], out[1]
     if isinstance(model, IdealMetal):
         r_tm[...], r_te[...] = _tagged_reflection(model, y)
         return r_tm, r_te
-    _fresnel(eps[:, None], y, y_l[:, None], out)
-    zero = y_l == 0.0
-    if zero.any():
+    _fresnel(eps[:, None], y, y_l[:, None], out, y2)
+    if zero.size:
         r_tm[zero], r_te[zero] = _tagged_reflection(model, y[zero] / (2.0 * a[zero, None]))
     return r_tm, r_te
 
@@ -261,85 +264,27 @@ def _template_integrate(models, a, y_l, eps, depth=0, work=None):
 
     Row i has lower limit y_l[i] at separation a, one value for every row or
     one per row, and eps[m][i] is its permittivity for models[m].  The shared
-    planes are computed once; each model then takes its reflections and
-    integrand in the other four planes of the workspace (a fresh one when
-    none is given).  The estimate sums the absolute differences d gives;
-    both results reduce each row alone, whatever rows are beside it.
+    planes and the l = 0 rows are found once; each model then takes its
+    reflections and integrand in the other four planes of the workspace (a
+    fresh one when none is given).  The estimate sums the absolute
+    differences d gives; both results reduce each row alone, whatever rows
+    are beside it.
     """
     nodes, w, d, n_panels = _node_template(depth)
     planes = (work or _Workspace()).planes(y_l.size, nodes.size)
     shared = _shared_planes(y_l, nodes, planes[:4])
     a = np.broadcast_to(a, y_l.shape)
+    zero = np.flatnonzero(y_l == 0.0)
     n = n_panels * _XGK.size
     out = []
     for model, eps_m in zip(models, eps):
-        r_tm, r_te = _reflections(model, a, y_l, eps_m, shared[0], planes[4:7])
+        r_tm, r_te = _reflections(model, a, y_l, eps_m, zero, shared, planes[4:7])
         f = _integrand(r_tm, r_te, shared, planes[6:])
         panels = np.vecdot(f[:, :n].reshape(y_l.size, n_panels, _XGK.size),
                            d[:n].reshape(n_panels, _XGK.size))
         tail = np.vecdot(f[:, n:], d[n:])
         out.append((np.vecdot(f, w), np.abs(panels).sum(axis=1) + np.abs(tail)))
     return out
-
-
-# rows x nodes of the template pass that takes the terms of several
-# separations together (a workspace of about 1.5 MB); a separation whose
-# terms alone hold more takes its pass alone
-_PASS_ELEMENTS = 24_000
-
-
-def _pass_pressures(models, temperature, a, y1, n_terms, eps, tol, work, with_breakdown):
-    """For each model, the PressureResult of each separation a[j] of one
-    template pass, or the first l whose integral missed tol relative.
-
-    The integrals I_l, l = 0 .. n_terms[j], have y1[j] = 2 a[j] xi_1 / c,
-    and eps[m][l - 1] is the permittivity of models[m] at xi_l.  The rows of
-    all separations go through the node template in one pass shared by the
-    models; each model's rows whose error estimate exceeds tol of their
-    value (or 1e-300, for a row that underflows) go through it again
-    together, with the panels bisected once more each time, up to 8 times.
-    A separation with a row that still misses after depth 8 gives that
-    row's l.
-    """
-    counts = np.asarray(n_terms) + 1
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    ls = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
-    y_l = np.repeat(y1, counts) * ls
-    # 1 stands in for the l = 0 rows, whose reflection comes from the tag
-    eps = [np.concatenate([[1.0], e])[ls] for e in eps]
-    rows_a = np.repeat(a, counts)
-    results = []
-    for model, eps_m, (vals, e) in zip(models, eps, _template_integrate(models, rows_a, y_l, eps,
-                                                                        0, work)):
-        rows = np.flatnonzero(e > np.maximum(tol * vals, 1e-300))
-        for depth in range(1, 9):
-            if not rows.size:
-                break
-            [(v, e)] = _template_integrate([model], rows_a[rows], y_l[rows], [eps_m[rows]],
-                                           depth, work)
-            vals[rows] = v
-            rows = rows[e > np.maximum(tol * v, 1e-300)]
-        # rows ascend, so a separation's first missed row is its first l
-        seps, first = np.unique(np.searchsorted(starts, rows, side="right") - 1,
-                                return_index=True)
-        failed = dict(zip(seps.tolist(), ls[rows[first]].tolist()))
-        out = []
-        for j, (a_j, y1_j, n) in enumerate(zip(a, y1, n_terms)):
-            if j in failed:
-                out.append(failed[j])
-                continue
-            terms = vals[starts[j]:starts[j + 1]]
-            terms[0] *= 0.5
-            prefactor = -K_B * temperature / (8.0 * math.pi * a_j**3)
-            out.append(PressureResult(
-                pressure=prefactor * math.fsum(terms.tolist()),
-                truncation_error_estimate=abs(prefactor) * _tail_bound(y1_j, n),
-                n_terms=n,
-                stopped_by="tol",
-                term_breakdown=prefactor * terms if with_breakdown else None,
-            ))
-        results.append(out)
-    return results
 
 
 def _in_domain(a):
@@ -354,11 +299,12 @@ class MatsubaraCache:
     models is one model or a sequence of them; separations lists the
     separations casimir_pressure will be called with.  The first call for
     one of them computes all of them (those in the accepted range) for every
-    model at that call's tol in one _pressures batch, and each later call
-    for one of them takes its own model's result from the memo.  A call for
-    any other separation or tol, or with_breakdown, is computed alone.
-    Every row is integrated by reductions over itself alone, so every
-    pressure is bit-identical to one computed alone.
+    model at that call's tol in one _pressures batch, whose template blocks
+    cut across separations, and each later call for one of them takes its
+    own model's result from the memo.  A call for any other separation or
+    tol, or with_breakdown, is computed alone.  Every row is integrated by
+    reductions over itself alone, so every pressure is bit-identical to one
+    computed alone, whichever blocks its rows fell in.
     """
 
     def __init__(self, models, temperature: float, separations=()):
@@ -419,15 +365,26 @@ def _tail_bound(y1, last_l):
     return envelope * (y1 * y1 * s2 + 2.0 * y1 * s1 + 2.0 * s0)
 
 
-def _term_count(y1, target):
+def _term_count(y1, target, start=0):
     """Smallest L >= 1 with _tail_bound(y1, L) <= target.
 
-    With Y = y1 (L + 1) and x = e^-y1 the bound is, exactly,
-    env e^-Y P(Y) / (1 - x), P(Y) = Y^2 + 2 (1 + u) Y + c, u = y1 x / (1 - x),
-    c = y1^2 x (1 + x) / (1 - x)^2 + 2 u + 2, and env -> 2 from above.  A few
-    fixed-point steps Y = ln(2 P(Y) / ((1 - x) target)) put L within a term
-    or so of the answer, and the bound itself, which falls with L, settles it.
+    The bound falls with L, so single steps from any L settle it, and the
+    count does not depend on where they start.  A start (a nearby
+    separation's count) is stepped from directly when it lies within 8
+    terms.  Otherwise, with Y = y1 (L + 1) and x = e^-y1 the bound is,
+    exactly, env e^-Y P(Y) / (1 - x), P(Y) = Y^2 + 2 (1 + u) Y + c,
+    u = y1 x / (1 - x), c = y1^2 x (1 + x) / (1 - x)^2 + 2 u + 2, and
+    env -> 2 from above; a few fixed-point steps Y = ln(2 P(Y) / ((1 - x)
+    target)) put L within a term or so of the answer first.
     """
+    n = max(1, start)
+    for _ in range(8 if start else 0):
+        if _tail_bound(y1, n) > target:
+            n += 1
+        elif n > 1 and _tail_bound(y1, n - 1) <= target:
+            n -= 1
+        else:
+            return n
     x = math.exp(-y1)
     one = 1.0 - x
     u = y1 * x / one
@@ -444,41 +401,83 @@ def _term_count(y1, target):
     return n
 
 
+# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, in a
+# workspace of about 1.5 MB
+_PASS_ELEMENTS = 24_000
+
+
 def _pressures(models, temperature, separations, tol, with_breakdown=False):
     """For each model, the PressureResult of each separation, in order, or the
     first l whose quadrature missed tol/2 at that separation.
 
-    Each separation keeps the terms l = 0 .. L of its tail-bound count; each
-    model's eps is evaluated once, at xi_1 .. xi_L of the largest L.  The
-    separations are packed greedily, whole and in order, into template
-    passes of at most _PASS_ELEMENTS rows x nodes (at least one separation
-    per pass), which every model shares; each pass is summed before the next
-    starts, and all of them compute in one workspace, sized for the largest
-    pass.
+    Each separation keeps the terms l = 0 .. L of its tail-bound count, each
+    count started from the one before; each model's eps is evaluated once, at
+    xi_1 .. xi_L of the largest L.  The rows (separation j, term l) of the
+    batch run in order through the node template in blocks of
+    _PASS_ELEMENTS // 94 rows that every model shares, one separation
+    spanning as many blocks as its rows fill.  In a block, a model's rows
+    whose error estimate exceeds tol/2 of their value (or 1e-300, for a row
+    that underflows) go through again together, with the panels bisected
+    once more each time, up to 8 times; a row that still misses names its l.
+    A separation is summed as soon as its last row is integrated, and its
+    values dropped.  Every block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
     y1s = [2.0 * a * xi1 / C_LIGHT for a in seps]
-    counts = [_term_count(y1, 0.5 * tol * _ZETA3) for y1 in y1s]
+    counts, n = [], 0
+    for y1 in y1s:
+        n = _term_count(y1, 0.5 * tol * _ZETA3, n)
+        counts.append(n)
     top = np.arange(1, max(counts) + 1, dtype=float)
-    eps = [np.ones(top.size) if isinstance(model, IdealMetal) else
-           np.atleast_1d(model.epsilon(xi1 * top)) for model in models]
+    # 1 stands in for the l = 0 rows, whose reflection comes from the tag
+    eps = [np.append(1.0, np.ones(top.size) if isinstance(model, IdealMetal) else
+                     model.epsilon(xi1 * top)) for model in models]
+    ends = np.cumsum([n + 1 for n in counts])
+    starts, a_j, y1_j = ends - np.asarray(counts) - 1, np.array(seps), np.array(y1s)
     nodes = _node_template(0)[0].size
-    limit = _PASS_ELEMENTS // nodes
-    starts, rows, widest = [], limit, 0
-    for j, n in enumerate(counts):
-        if rows + n + 1 > limit:
-            starts.append(j)
-            rows = 0
-        rows += n + 1
-        widest = max(widest, rows)
-    work = _Workspace(widest * nodes)
-    results = [[] for _ in models]
-    for lo, hi in zip(starts, starts[1:] + [len(seps)]):
-        for out, passed in zip(results, _pass_pressures(
-                models, temperature, seps[lo:hi], y1s[lo:hi], counts[lo:hi], eps, 0.5 * tol,
-                work, with_breakdown)):
-            out += passed
+    block = _PASS_ELEMENTS // nodes
+    work = _Workspace(min(ends[-1], block) * nodes)
+    results, failed = [[] for _ in models], [{} for _ in models]
+    held = [np.empty(0)] * len(models)  # the values of the rows of separations not yet summed
+    j = 0
+    for lo in range(0, ends[-1], block):
+        hi = min(lo + block, ends[-1])
+        sep = np.searchsorted(ends, np.arange(lo, hi), side="right")
+        ls = np.arange(lo, hi) - starts[sep]
+        y_l = y1_j[sep] * ls
+        passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps], 0, work)
+        for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
+            rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
+            for depth in range(1, 9):
+                if not rows.size:
+                    break
+                [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
+                                               [eps_m[ls[rows]]], depth, work)
+                vals[rows] = v
+                rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
+            # rows ascend, so a separation's first missed row is its first l
+            for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
+                failed[m].setdefault(j_row, l)
+            held[m] = np.concatenate([held[m], vals])
+        while j < len(seps) and ends[j] <= hi:
+            n = counts[j]
+            prefactor = -K_B * temperature / (8.0 * math.pi * seps[j]**3)
+            bound = abs(prefactor) * _tail_bound(y1s[j], n)
+            for m, out in enumerate(results):
+                terms, held[m] = held[m][:n + 1], held[m][n + 1:]
+                if j in failed[m]:
+                    out.append(failed[m].pop(j))
+                    continue
+                terms[0] *= 0.5
+                out.append(PressureResult(
+                    pressure=prefactor * math.fsum(terms.tolist()),
+                    truncation_error_estimate=bound,
+                    n_terms=n,
+                    stopped_by="tol",
+                    term_breakdown=prefactor * terms if with_breakdown else None,
+                ))
+            j += 1
     return results
 
 
@@ -508,12 +507,12 @@ def casimir_pressure(
         (tol/2) zeta(3), which is at most tol/2 of the sum because every term
         is non-negative and half the l = 0 term alone is at least zeta(3)
         (r_TM = 1 at xi = 0); stopped_by is then "tol".  Every term is
-        integrated to tol/2 of its value in one pass over a shared template
-        of 94 nodes in y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre
-        beyond); the terms whose error estimate misses that are redone
-        together on the template with its panels bisected, up to 8 times,
-        and NumericsError, naming the first such l and a, is raised if any
-        still misses.
+        integrated to tol/2 of its value on a shared template of 94 nodes in
+        y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), in
+        blocks of up to 255 terms; the terms of a block whose error estimate
+        misses that are redone together on the template with its panels
+        bisected, up to 8 times, and NumericsError, naming the first such l
+        and a, is raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional

@@ -406,13 +406,14 @@ class TestToleranceMet:
 
     def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
         # at 10 K and 50 nm the first 63 drude rows miss on the 94-node
-        # template; they are redone together, one pass per bisection depth
+        # template; they lie in the first block and are redone together, one
+        # pass per bisection depth
         passes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
                             lambda *args: passes.append(1) or kernel(*args))
-        casimir_pressure(DRUDE, 50e-9, 10.0, 1e-9)
-        assert len(passes) <= 9
+        res = casimir_pressure(DRUDE, 50e-9, 10.0, 1e-9)
+        assert len(passes) <= _blocks([res.n_terms]) + 8
 
     def test_unresolved_row_raises(self, monkeypatch):
         # a jump in the integrand at a non-dyadic t is missed at every depth
@@ -454,20 +455,35 @@ class TestToleranceMet:
         assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
 
 
+class TestTermCount:
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
+    def test_counts_started_from_the_last_equal_cold_counts(self, temperature, order):
+        # a dense stretch, where neighbours' counts lie a few terms apart,
+        # and a sparse one, where they jump by up to thousands
+        seps = np.concatenate([np.geomspace(50e-9, 20e-6, 60), np.arange(250, 331) * 1e-9])
+        seps = {"ascending": np.sort(seps), "descending": np.sort(seps)[::-1],
+                "shuffled": np.random.default_rng(3).permutation(seps)}[order]
+        y1s = 2.0 * seps * matsubara_frequency(1, temperature) / C_LIGHT
+        for tol in TOLS:
+            target = 0.5 * tol * zeta(3)
+            n = 0
+            for y1 in y1s.tolist():
+                cold = lifshitz._term_count(y1, target)
+                assert _tail_bound(y1, cold) <= target
+                assert cold == 1 or _tail_bound(y1, cold - 1) > target
+                n = lifshitz._term_count(y1, target, n)
+                assert n == cold
+
+
 BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600, 1301) * 1e-9}
 
 
 def _blocks(n_terms):
-    """Read-ahead blocks of a sweep with these term counts, packed as the
-    cache packs them: whole separations, at most _PASS_ELEMENTS elements of
-    94 nodes per row, or one separation that alone holds more."""
-    limit = lifshitz._PASS_ELEMENTS // 94
-    blocks, rows = 0, limit + 1
-    for n in n_terms:
-        if rows + n + 1 > limit:
-            blocks, rows = blocks + 1, 0
-        rows += n + 1
-    return blocks
+    """Template blocks of a sweep with these term counts, cut as the batch
+    cuts them: its rows in order, _PASS_ELEMENTS elements of 94 nodes per
+    row to a block, a separation spanning as many blocks as its rows fill."""
+    return math.ceil(sum(n + 1 for n in n_terms) / (lifshitz._PASS_ELEMENTS // 94))
 
 
 class TestSweepBlocks:
@@ -487,14 +503,15 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-4])
     def test_ideal_reflector_at_10_K_sweep_equals_per_point(self, tol):
-        # up to 1.3-2 um a 10 K sum alone holds more rows than a block; from
-        # 5 um on, two to nine separations share one
+        # up to 1.3-2 um a 10 K sum alone holds more rows than a block and
+        # spans several; from 5 um on, two to nine separations share one
         seps = np.concatenate([np.arange(250, 1301, 75) * 1e-9, np.linspace(5e-6, 20e-6, 31)])
         swept, swept_trunc = pressure_sweep(IDEAL_METAL, seps, 10.0, tol)
         alone = [casimir_pressure(IDEAL_METAL, float(a), 10.0, tol) for a in seps]
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
-        assert _blocks([r.n_terms for r in alone]) < seps.size - 20
+        n_terms = [r.n_terms for r in alone]
+        assert _blocks(n_terms) < sum(_blocks([n]) for n in n_terms) - 20
 
     def test_a_sweep_takes_one_integrand_pass_per_block(self, monkeypatch):
         seps = BENCH_GRIDS["250-950"]
@@ -535,6 +552,26 @@ class TestSweepBlocks:
         sweep_peak, (swept, _) = peak(lambda: pressure_sweep(DRUDE, seps, 10.0, 1e-9))
         assert swept.tolist() == alone
         assert sweep_peak <= per_point_peak + 65536
+
+    def test_a_separation_split_by_a_block_boundary_equals_per_point(self, monkeypatch):
+        # the first rows of 250-261 nm fill a 255-row block and run on into
+        # the next; the separation across the cut is summed from both
+        seps = BENCH_GRIDS["250-950"][:12]
+        alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
+                 for m in (DRUDE, PLASMA)}
+        ends = np.cumsum([r.n_terms + 1 for r in alone[DRUDE]])
+        block = lifshitz._PASS_ELEMENTS // 94
+        assert any(end - r.n_terms - 1 < block < end for end, r in zip(ends, alone[DRUDE]))
+        shapes = []
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, shared, scratch:
+                            shapes.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
+        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
+        for m in (DRUDE, PLASMA):
+            got = [casimir_pressure(m, float(a), T_LAB, 1e-9, cache=cache) for a in seps]
+            assert got == alone[m]
+        assert shapes[::2] == [(block, 94)] * (ends[-1] // block) + [(ends[-1] % block, 94)]
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
         # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
@@ -736,12 +773,29 @@ class TestModelsShareOneBatch:
         with pytest.raises(ValueError, match="temperature"):
             casimir_pressure(DRUDE, 300e-9, 10.0, cache=cache)
 
+    def test_low_temperature_batch_holds_one_block(self):
+        # at 10 K and 50 nm both models' 12,775 rows run through 51 blocks
+        # of 255 rows, and the rows' values are held until the sum: well
+        # under the 79 MB of one pass over all the rows
+        import tracemalloc
+
+        a = 50e-9
+        alone = [casimir_pressure(m, a, 10.0, 1e-9) for m in (DRUDE, PLASMA)]
+        tracemalloc.start()
+        try:
+            both = lifshitz._pressures([DRUDE, PLASMA], 10.0, [a], 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [results[0] for results in both] == alone
+        assert peak < 8e6
+
     def test_two_model_peak_memory_is_one_workspace(self):
-        # at 10 K and 50 nm one pass holds 12,775 rows x 94 nodes in eight
-        # planes (77 MB); the second model reuses the first model's four
-        # planes, and adds only its own row vectors (its permittivities on
-        # the terms and on the rows, and its integrals and estimates, 8 bytes
-        # each per row) to the peak
+        # at 10 K and 50 nm the 12,775 rows run in 51 blocks of 255 rows x
+        # 94 nodes in eight planes (1.5 MB); the second model reuses the
+        # first model's four planes, and adds only its own row vectors (its
+        # permittivities on the terms, and its held integrals, 8 bytes each
+        # per row) to the peak
         import tracemalloc
 
         a, tol = 50e-9, 1e-9
