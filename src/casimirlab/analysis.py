@@ -212,11 +212,15 @@ class CalibrationFit(NamedTuple):
 
 
 def _project(gamma, weights, g):
-    """Weighted least-squares C of the model C g, the residual r and the cost sum w r^2."""
+    """Weighted least-squares C of the model C g, the residual r and the cost sum w r^2.
+
+    Also returns w g and <w g g>, which the Gauss-Newton step reuses.
+    """
     wg = weights * g
-    c = float(wg @ gamma) / float(wg @ g)
+    wgg = float(wg @ g)
+    c = float(wg @ gamma) / wgg
     r = gamma - c * g
-    return c, r, float(weights @ (r * r))
+    return c, r, float(weights @ (r * r)), wg, wgg
 
 
 def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
@@ -230,9 +234,10 @@ def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
     z0 = float(z0)
     for k in range(1, _MAX_STEPS + 1):
         g, dg = table(z0 + z_rel, slope=True)
-        c, r, rss = _project(gamma, weights, g)
-        p = dg - float((weights * g) @ dg) / float((weights * g) @ g) * g
-        step = float((weights * p) @ r) / (c * float((weights * p) @ p))
+        c, r, rss, wg, wgg = _project(gamma, weights, g)
+        p = dg - float(wg @ dg) / wgg * g
+        wp = weights * p
+        step = float(wp @ r) / (c * float(wp @ p))
         new = float(min(max(z0 + step, lo), hi))
         converged = abs(new - z0) <= _Z0_RTOL * z0
         if converged or k == _MAX_STEPS:

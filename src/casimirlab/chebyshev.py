@@ -43,6 +43,8 @@ class Interpolant:
         if not 0 < lo < hi < math.inf:
             raise ValueError(f"interpolation range [{lo}, {hi}] must satisfy 0 < lo < hi < inf")
         self.lo, self.hi, self.what = float(lo), float(hi), what
+        self._ln_lo, self._ln_hi = np.log(self.lo), np.log(self.hi)
+        self._ln_span = self._ln_hi - self._ln_lo
         m = _INTERVALS
         self.nodes = _lobatto_points(m)
         self.separations = self._separations(self.nodes)
@@ -77,8 +79,7 @@ class Interpolant:
         return bool(np.all(np.abs(self._at(mid, coarse=True) - fine) <= tol * np.abs(fine)))
 
     def _separations(self, x):
-        t_lo, t_hi = np.log(self.lo), np.log(self.hi)
-        return np.exp(t_lo + 0.5 * (t_hi - t_lo) * (x + 1.0))
+        return np.exp(self._ln_lo + 0.5 * self._ln_span * (x + 1.0))
 
     def _unit(self, a):
         """x = ((ln a - ln lo) - (ln hi - ln a)) / ln(hi/lo): lo and hi map to exactly -1 and +1."""
@@ -87,8 +88,8 @@ class Interpolant:
             raise ValidityDomainError(
                 f"separations {np.min(a) * 1e9:.3f}..{np.max(a) * 1e9:.3f} nm leave the "
                 f"interpolant of {self.what}")
-        t, t_lo, t_hi = np.log(a), np.log(self.lo), np.log(self.hi)
-        return ((t - t_lo) - (t_hi - t)) / (t_hi - t_lo)
+        t = np.log(a)
+        return ((t - self._ln_lo) - (self._ln_hi - t)) / self._ln_span
 
 
 def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ each applied voltage and repetition the shift is sampled densely along the
 approach (sample_step), carries Gaussian noise at the instrument's quoted
 frequency-shift error, and is then linearly interpolated onto the 1 nm
 analysis grid.  The truth curves cover the whole approach lattice (F' is
-interpolated from Chebyshev nodes); each stream is built only at the
-samples that interpolation reads, the two bracketing each grid point.
-Generation is deterministic for a fixed seed; per-stream randomness is
-split by the counter rule SeedSequence(seed, spawn_key=(voltage_index,
-repetition)).
+interpolated from Chebyshev nodes); each stream is built, and draws its
+noise, only at the samples that interpolation reads, the two bracketing
+each grid point: draw k of a stream is the noise of its k-th read sample
+in ascending order.  Generation is deterministic for a fixed seed;
+per-stream randomness is split by the counter rule
+SeedSequence(seed, spawn_key=(voltage_index, repetition)).
 """
 
 from __future__ import annotations
@@ -92,14 +93,21 @@ class CampaignSpec:
     def __post_init__(self):
         if len(self.voltages) != 21:
             raise ModelError(f"campaign needs exactly 21 voltages, got {len(self.voltages)}")
+        for name in ("sample_step", "grid_step", "max_z_rel"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("freq_systematic", "amplitude"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
         if self.repetitions < 1:
             raise ModelError("repetitions must be >= 1")
         if self.sample_step > self.grid_step:
             raise ModelError("sample_step must not exceed grid_step")
         if self.truth_tag not in ("drude", "plasma"):
             raise ModelError(f"unknown truth tag {self.truth_tag!r}")
-        if not self.z0_true > 0 or not self.max_z_rel > 0:
-            raise ModelError("z0_true and max_z_rel must be positive")
+        if not self.z0_true > 0:
+            raise ModelError("z0_true must be positive")
 
 
 def model_for_tag(tag: str) -> PermittivityModel:
@@ -184,9 +192,11 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     For every (voltage, repetition) stream the dense-approach shift is
     delta_omega = -gamma(a) (V - V0(a))^2 - C_true F'(a) + noise with
     V0(a) the linear law and noise ~ N(0, freq_systematic); the stream is
-    then interpolated onto the grid_step separations.  Each stream draws
-    noise for the whole lattice but is built only at the samples the
-    interpolation reads.
+    then interpolated onto the grid_step separations.  A stream is built
+    only at the lattice samples the interpolation reads, and its noise is
+    drawn only there: draw k of the stream's own generator is the noise of
+    its k-th read sample.  The streams of a set form one (stream, read
+    sample) array, voltage-major.
     Bit-identical for identical (spec, geometry, seed).
     """
     z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
@@ -198,15 +208,16 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     gamma, fprime = gamma_fine[stream_idx], fprime_fine[stream_idx]
     v0_a = spec.v0_law.v0(spec.z0_true + z)
 
-    shifts = np.empty((21, spec.repetitions, z_grid.size))
-    for vi, v in enumerate(spec.voltages):
-        for rep in range(spec.repetitions):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, rep)))
-            noise = rng.normal(0.0, spec.freq_systematic, z_fine.size)[stream_idx]
-            stream = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + noise
-            shifts[vi, rep] = np.interp(z_grid, z, stream)
-    return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts, spec=spec, geometry=geometry,
-                           seed=seed)
+    n_rep = spec.repetitions
+    noise = np.empty((21 * n_rep, z.size))
+    for row, out in enumerate(noise):
+        ss = np.random.SeedSequence(seed, spawn_key=divmod(row, n_rep))
+        np.random.default_rng(ss).standard_normal(out=out)
+    v = np.repeat(np.asarray(spec.voltages), n_rep)[:, None]
+    streams = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + spec.freq_systematic * noise
+    shifts = np.array([np.interp(z_grid, z, stream) for stream in streams])
+    return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts.reshape(21, n_rep, z_grid.size),
+                           spec=spec, geometry=geometry, seed=seed)
 
 
 def _varied_plus_fixed(lo: float, hi: float, fixed: float) -> tuple[float, ...]:

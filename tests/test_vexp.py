@@ -79,6 +79,28 @@ class TestSpecValidation:
         with pytest.raises(ModelError):
             dataclasses.replace(spec, sample_step=2e-9)
 
+    @staticmethod
+    def _rejects(field, values):
+        spec, _ = reference_campaign(1)
+        for value in values:
+            with pytest.raises(ModelError, match=field):
+                dataclasses.replace(spec, **{field: value})
+
+    def test_freq_systematic_finite_non_negative(self):
+        self._rejects("freq_systematic", [-0.055, math.nan, math.inf])
+
+    def test_amplitude_finite_non_negative(self):
+        self._rejects("amplitude", [-10e-9, math.nan, math.inf])
+
+    def test_sample_step_finite_positive(self):
+        self._rejects("sample_step", [0.0, -0.14e-9, math.nan])
+
+    def test_grid_step_finite_positive(self):
+        self._rejects("grid_step", [math.nan, math.inf])
+
+    def test_max_z_rel_finite_positive(self):
+        self._rejects("max_z_rel", [math.inf, 0.0, math.nan])
+
     def test_range_escaping_validity_errors_before_generation(self):
         spec, geom = short_campaign(z0_true=100e-9)
         with pytest.raises(ValidityDomainError):
@@ -150,17 +172,24 @@ def dense_lattice_synthesis(spec, seed, z_fine, gamma_fine, fprime_fine):
     """Synthesis that builds every stream at every sample_step lattice point.
 
     The reference for synthesize_campaign, which builds each stream only
-    where the interpolation onto the grid reads it.
+    where the interpolation onto the grid reads it.  The deterministic
+    shift covers the whole lattice; draw k of a stream's generator is added
+    at its k-th read sample, the samples bracketing a grid point, and the
+    stream is interpolated from the dense lattice.
     """
     v0_fine = spec.v0_law.v0(spec.z0_true + z_fine)
     n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
     z_grid = spec.grid_step * np.arange(n_grid)
+    j = np.searchsorted(z_fine, z_grid, side="right") - 1
+    read = np.unique(np.concatenate([j, j + 1]))
+    assert read[-1] < z_fine.size
     shifts = np.empty((21, spec.repetitions, n_grid))
     for vi, v in enumerate(spec.voltages):
         for rep in range(spec.repetitions):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, rep)))
-            stream = -gamma_fine * (v - v0_fine) ** 2 - spec.c_true * fprime_fine \
-                + rng.normal(0.0, spec.freq_systematic, z_fine.size)
+            noise = np.zeros(z_fine.size)
+            noise[read] = spec.freq_systematic * rng.standard_normal(read.size)
+            stream = -gamma_fine * (v - v0_fine) ** 2 - spec.c_true * fprime_fine + noise
             shifts[vi, rep] = np.interp(z_grid, z_fine, stream)
     return shifts
 
@@ -180,6 +209,30 @@ class TestSparseSampling:
         assert spec.freq_systematic > 0.0
         grid = synthesize_campaign(spec, geom, seed=8)
         assert np.array_equal(grid.shifts, dense_lattice_synthesis(spec, 8, *dense_truth))
+
+    def test_stream_rebuilt_from_its_own_spawn_key(self):
+        spec, geom = short_campaign(repetitions=3)
+        grid = synthesize_campaign(spec, geom, seed=5)
+        z_fine, gamma_fine, fprime_fine = truth_curves(spec, geom)
+        _, z_grid, stream_idx = vexp._lattice(spec)
+        z, gamma, fprime = z_fine[stream_idx], gamma_fine[stream_idx], fprime_fine[stream_idx]
+        vi, rep = 13, 2
+        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(vi, rep)))
+        noise = spec.freq_systematic * rng.standard_normal(z.size)
+        v0_a = spec.v0_law.v0(spec.z0_true + z)
+        stream = -gamma * (spec.voltages[vi] - v0_a) ** 2 - spec.c_true * fprime + noise
+        assert np.array_equal(grid.shifts[vi, rep], np.interp(z_grid, z, stream))
+
+    def test_noiseless_spec_equals_dense_deterministic_model(self, dense_truth):
+        spec, geom = short_campaign(freq_systematic=0.0, repetitions=2)
+        z_fine, gamma_fine, fprime_fine = dense_truth
+        v0_fine = spec.v0_law.v0(spec.z0_true + z_fine)
+        grid = synthesize_campaign(spec, geom, seed=8)
+        for vi, v in enumerate(spec.voltages):
+            dense = -gamma_fine * (v - v0_fine) ** 2 - spec.c_true * fprime_fine
+            expected = np.interp(grid.z_rel, z_fine, dense)
+            for rep in range(spec.repetitions):
+                assert np.array_equal(grid.shifts[vi, rep], expected)
 
     def test_lattice_is_built_once_and_read_only(self):
         spec, geom = short_campaign()
