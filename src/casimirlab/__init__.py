@@ -5,8 +5,8 @@ Subpackages by concern: optics (imaginary-axis permittivity), lifshitz
 (calibration constant and the exact image-series coefficient), chebyshev
 (the interpolation in ln a that the theory curves and the gamma/C table
 share), vexp (synthetic measurement campaigns), analysis (calibration,
-error budget and the confidence-band exclusion test), cli (command-line
-front end).
+error budget and the confidence-band exclusion test), textio (the one
+text format of every file written or read), cli (command-line front end).
 """
 
 __version__ = "0.1.0"

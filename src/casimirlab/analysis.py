@@ -20,15 +20,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from . import textio
 # gamma_over_c is not called here; bench/tests/test_bench_tracing.py checks
 # that the layer tracer rebinds it in this module too
 from .electrostatics import GammaTable, gamma_over_c  # noqa: F401
 from .errors import (
-    ConfigError,
     DegenerateFitError,
     FitConvergenceError,
     GridAlignmentError,
@@ -640,100 +640,56 @@ def compare(
 
 
 def calibration_text(calib: CalibrationResult) -> str:
-    """CalibrationResult as '#'-commented text (fit summary + V0/gamma table)."""
-    lines = [
-        "# electrostatic calibration",
-        f"# c_cal_s_per_kg = {calib.c_cal!r}",
-        f"# sigma_c_s_per_kg = {calib.sigma_c!r}",
-        f"# z0_nm = {calib.z0 * 1e9!r}",
-        f"# sigma_z0_nm = {calib.sigma_z0 * 1e9!r}",
-        f"# v0_slope_mv_per_nm = {calib.line.law.slope_mv_per_nm!r}",
-        f"# v0_intercept_mv = {calib.line.law.intercept_mv!r}",
-        f"# v0_mean_mv = {calib.line.mean_v0 * 1e3!r}",
-        f"# R_um = {calib.R * 1e6!r}",
-    ]
-    for w in calib.window_fits:
-        lines.append(
-            f"# window {w.z_rel_lo * 1e9:.1f}..{w.z_rel_hi * 1e9:.1f} nm: "
-            f"C = {w.c_cal:.6e}, z0 = {w.z0 * 1e9:.3f} nm"
-        )
-    lines.append("# columns: a_nm  V0_mV  sigma_V0_mV  gamma  sigma_gamma")
-    a_nm = calib.separations * 1e9
-    for i in range(calib.z_rel.size):
-        lines.append(
-            f"{a_nm[i]:.3f}  {calib.v0[i] * 1e3:.6f}  {calib.sigma_v0[i] * 1e3:.6f}  "
-            f"{calib.gamma[i]:.9e}  {calib.sigma_gamma[i]:.3e}"
-        )
-    return "\n".join(lines) + "\n"
+    """CalibrationResult as textio text (fit summary + V0/gamma table)."""
+    windows = [f"window {w.z_rel_lo * 1e9:.1f}..{w.z_rel_hi * 1e9:.1f} nm: "
+               f"C = {w.c_cal:.6e}, z0 = {w.z0 * 1e9:.3f} nm" for w in calib.window_fits]
+    return textio.header("electrostatic calibration", {
+        "c_cal_s_per_kg": calib.c_cal,
+        "sigma_c_s_per_kg": calib.sigma_c,
+        "z0_nm": calib.z0 * 1e9,
+        "sigma_z0_nm": calib.sigma_z0 * 1e9,
+        "v0_slope_mv_per_nm": calib.line.law.slope_mv_per_nm,
+        "v0_intercept_mv": calib.line.law.intercept_mv,
+        "v0_mean_mv": calib.line.mean_v0 * 1e3,
+        "R_um": calib.R * 1e6,
+    }, windows) + textio.table(
+        ("a_nm", "V0_mV", "sigma_V0_mV", "gamma", "sigma_gamma"), "%.3f  %.6f  %.6f  %.9e  %.3e",
+        (calib.separations * 1e9, calib.v0 * 1e3, calib.sigma_v0 * 1e3, calib.gamma,
+         calib.sigma_gamma))
 
 
 def gradient_series_text(series: GradientSeries) -> str:
-    lines = [
-        "# extracted force-gradient series",
-        f"# n_channels = {series.n_channels}",
-        "# columns: a_nm  Fgrad_uN_per_m  random_uN_per_m  systematic_uN_per_m  total_uN_per_m",
-    ]
-    for i, a in enumerate(series.separations):
-        lines.append(
-            f"{a * 1e9:.3f}  {float(series.mean[i] * 1e6)!r}  "
-            f"{float(series.random_error[i] * 1e6)!r}  "
-            f"{float(series.systematic_error[i] * 1e6)!r}  "
-            f"{float(series.total_error[i] * 1e6)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = (series.separations * 1e9, series.mean * 1e6, series.random_error * 1e6,
+               series.systematic_error * 1e6, series.total_error * 1e6)
+    return textio.header("extracted force-gradient series", {"n_channels": series.n_channels}) \
+        + textio.table(("a_nm", "Fgrad_uN_per_m", "random_uN_per_m", "systematic_uN_per_m",
+                        "total_uN_per_m"), "%.3f  %r  %r  %r  %r", columns)
 
 
 def load_gradient_series(path) -> GradientSeries:
-    """Read a gradient_series_text file; ConfigError if unreadable or a number is malformed."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {getattr(exc, 'strerror', exc)}") from None
-    n_channels = 0
-    rows = []
-    for line in map(str.strip, text.splitlines()):
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n_channels"):
-                    n_channels = int(body.split("=")[1])
-                continue
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError:
-            raise ConfigError(f"{path}: malformed number in {line!r}") from None
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise GridAlignmentError(f"{path}: expected 5 columns")
+    """Read a gradient_series_text file; textio.read's errors are ConfigErrors."""
+    text = textio.read(path, 5)
+    data = np.concatenate(text.groups)
     return GradientSeries(
         separations=data[:, 0] * 1e-9,
         mean=data[:, 1] * 1e-6,
         random_error=data[:, 2] * 1e-6,
         systematic_error=data[:, 3] * 1e-6,
         total_error=data[:, 4] * 1e-6,
-        n_channels=n_channels,
+        n_channels=text.value("n_channels", int),
     )
 
 
 def comparison_text(report: ComparisonReport) -> str:
     labels = list(report.differences)
-    lines = ["# experiment-theory comparison"]
+    windows = [f"window {label} {w.lo * 1e9:.0f}..{w.hi * 1e9:.0f} nm: n = {w.n_points}, "
+               f"outside = {w.fraction_outside:.3f}, {w.verdict}"
+               for label in labels for w in report.windows[label]]
+    names = ["a_nm"]
+    columns = [report.separations * 1e9]
     for label in labels:
-        for w in report.windows[label]:
-            lines.append(
-                f"# window {label} {w.lo * 1e9:.0f}..{w.hi * 1e9:.0f} nm: "
-                f"n = {w.n_points}, outside = {w.fraction_outside:.3f}, {w.verdict}"
-            )
-    cols = ["a_nm"]
-    for label in labels:
-        cols += [f"d_{label}_uN_per_m", f"band_{label}_uN_per_m"]
-    lines.append("# columns: " + "  ".join(cols))
-    a_nm = report.separations * 1e9
-    for i in range(a_nm.size):
-        row = [f"{a_nm[i]:.3f}"]
-        for label in labels:
-            row.append(f"{report.differences[label][i] * 1e6:.6e}")
-            row.append(f"{report.band[label][i] * 1e6:.6e}")
-        lines.append("  ".join(row))
-    return "\n".join(lines) + "\n"
+        names += [f"d_{label}_uN_per_m", f"band_{label}_uN_per_m"]
+        columns += [report.differences[label] * 1e6, report.band[label] * 1e6]
+    row = "  ".join(["%.3f"] + ["%.6e"] * (2 * len(labels)))
+    return textio.header("experiment-theory comparison", notes=windows) \
+        + textio.table(names, row, columns)

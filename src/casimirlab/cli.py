@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, textio
 from .analysis import (
     TheoryErrorConfig,
     calibrate,
@@ -61,10 +61,15 @@ def _read_config(path) -> configparser.ConfigParser:
 
 
 def _getfloat(cp, section, key, default):
+    """[section] key, or default if it is unset; a value that is not a finite number is a
+    config error."""
     try:
-        return cp.getfloat(section, key, fallback=default)
+        value = cp.getfloat(section, key, fallback=default)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {value} must be finite")
+    return value
 
 
 def _getint(cp, section, key, default):
@@ -143,17 +148,8 @@ def _models(selection):
     return {tag: model_for_tag(tag) for tag in tags}
 
 
-def _manifest(command: str, params: dict) -> str:
-    lines = [f"# casimirlab {__version__}", f"# command = {command}"]
-    lines += [f"# {k} = {v}" for k, v in params.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
+def _manifest(command: str, params: dict, notes=()) -> str:
+    return textio.header(f"casimirlab {__version__}", {"command": command, **params}, notes)
 
 
 def _theory_text(header: str, grid, name: str, unit: str, by_tag: dict) -> str:
@@ -161,11 +157,8 @@ def _theory_text(header: str, grid, name: str, unit: str, by_tag: dict) -> str:
     truncations (%.3e), two spaces apart; by_tag maps a tag to (values, truncations)."""
     cols = ["a_nm"] + [f"{name}_{t}_{unit}" for t in by_tag] + [f"trunc_{t}_{unit}" for t in by_tag]
     row = "  ".join(["%.3f"] + ["%.9e"] * len(by_tag) + ["%.3e"] * len(by_tag))
-    columns = ([(grid * 1e9).tolist()] + [v.tolist() for v, _ in by_tag.values()]
-               + [t.tolist() for _, t in by_tag.values()])
-    lines = [header.rstrip("\n"), "# columns: " + "  ".join(cols)]
-    lines += [row % values for values in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    columns = [grid * 1e9] + [v for v, _ in by_tag.values()] + [t for _, t in by_tag.values()]
+    return header + textio.table(cols, row, columns)
 
 
 def _seed(seed: int, what: str) -> int:
@@ -180,7 +173,7 @@ def _cmd_theory(args, cp):
     geometry = _geometry(cp)
     tol = _tol(args, cp)
     models = _models(args.model)
-    manifest = _manifest("theory", {
+    params = {
         "model": args.model,
         "a_start_nm": f"{grid[0] * 1e9:g}",
         "a_stop_nm": f"{grid[-1] * 1e9:g}",
@@ -188,7 +181,7 @@ def _cmd_theory(args, cp):
         "tol": tol,
         "r_um": f"{geometry.R * 1e6:g}",
         "temperature_k": geometry.temperature,
-    })
+    }
 
     # one batch computes every selected model's thermal sums
     cache = MatsubaraCache(tuple(models.values()), geometry.temperature, grid)
@@ -197,10 +190,11 @@ def _cmd_theory(args, cp):
         for tag, model in models.items()
     }
     grads = {t: (s.values * 1e6, s.truncation_estimates * 1e6) for t, s in sweeps.items()}
-    _write(out, "theory_gradients.txt", _theory_text(manifest, grid, "Fgrad", "uN_per_m", grads))
+    textio.write(out / "theory_gradients.txt",
+                 _theory_text(_manifest("theory", params), grid, "Fgrad", "uN_per_m", grads))
     pressures = {t: (s.pressures, s.pressure_truncations) for t, s in sweeps.items()}
-    header = manifest + "# plate-plate Casimir pressure sweep"
-    _write(out, "theory_pressures.txt", _theory_text(header, grid, "P", "Pa", pressures))
+    header = _manifest("theory", params, ["plate-plate Casimir pressure sweep"])
+    textio.write(out / "theory_pressures.txt", _theory_text(header, grid, "P", "Pa", pressures))
     print(f"wrote {out / 'theory_gradients.txt'} and {out / 'theory_pressures.txt'}")
     return 0
 
@@ -211,7 +205,6 @@ def _cmd_synth(args, cp):
     seed = _seed(_getint(cp, "campaign", "seed", 0) if args.seed is None else args.seed, "seed")
     grid = synthesize_campaign(spec, geometry, seed)
     name = f"grid_set{n}_seed{seed}.txt" if n else f"grid_seed{seed}.txt"
-    out.mkdir(parents=True, exist_ok=True)
     save_grid(grid, out / name)
     print(f"wrote {out / name}")
     return 0
@@ -226,8 +219,8 @@ def _cmd_calibrate(args, cp):
     series = extract_gradients(grid, calib)
     stem = Path(args.grid).stem
     manifest = _manifest("calibrate", {"grid": Path(args.grid).name, "seed": grid.seed})
-    _write(out, f"calibration_{stem}.txt", manifest + calibration_text(calib))
-    _write(out, f"gradients_{stem}.txt", manifest + gradient_series_text(series))
+    textio.write(out / f"calibration_{stem}.txt", manifest + calibration_text(calib))
+    textio.write(out / f"gradients_{stem}.txt", manifest + gradient_series_text(series))
     print(
         f"C = {calib.c_cal:.6e} +/- {calib.sigma_c:.2e} s/kg, "
         f"z0 = {calib.z0 * 1e9:.3f} +/- {calib.sigma_z0 * 1e9:.3f} nm, "
@@ -259,8 +252,8 @@ def _compare_settings(cp):
             lo, hi = float(lo), float(hi)
         except ValueError:
             raise ConfigError(f"[{sec}] intervals: {part.strip()!r} is not lo:hi in nm") from None
-        if not lo < hi:
-            raise ConfigError(f"[{sec}] intervals: {part.strip()!r} needs lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"[{sec}] intervals: {part.strip()!r} needs finite lo < hi")
         intervals.append((lo * 1e-9, hi * 1e-9))
     errors = TheoryErrorConfig(optical_fraction=fraction, delta_z=delta_z * 1e-9)
     return intervals, width * 1e-9, errors, (start, stop)
@@ -335,10 +328,10 @@ def _cmd_compare(args, cp):
     series = [load_gradient_series(p) for p in args.gradients]
     report, _ = _compare_series(args, settings, series, _geometry(cp), tol)
     manifest = _manifest("compare", {
-        "gradients": " ".join(Path(p).name for p in args.gradients),
+        "gradients": tuple(Path(p).name for p in args.gradients),
         "model": args.model,
     })
-    path = _write(out, "comparison.txt", manifest + comparison_text(report))
+    path = textio.write(out / "comparison.txt", manifest + comparison_text(report))
     _print_verdicts(report)
     print(f"wrote {path}")
     return 0
@@ -380,38 +373,33 @@ def _cmd_pipeline(args, cp):
     series_list = []
     for n, seed, (spec, set_geometry) in zip(sets, seeds, campaigns):
         grid = synthesize_campaign(spec, set_geometry, seed)
-        gpath = out / f"grid_set{n}_seed{seed}.txt"
-        out.mkdir(parents=True, exist_ok=True)
-        save_grid(grid, gpath)
+        save_grid(grid, out / f"grid_set{n}_seed{seed}.txt")
         calib = calibrate(grid)
         series = extract_gradients(grid, calib)
         series_list.append(series)
         man = _manifest("pipeline-step", {
             "set": n, "seed": seed, "truth": truth, "tol": tol,
         })
-        _write(out, f"calibration_set{n}.txt", man + calibration_text(calib))
-        _write(out, f"gradients_set{n}.txt", man + gradient_series_text(series))
+        textio.write(out / f"calibration_set{n}.txt", man + calibration_text(calib))
+        textio.write(out / f"gradients_set{n}.txt", man + gradient_series_text(series))
         manifest_steps.append(
             f"set {n}: seed = {seed}, C = {calib.c_cal:.6e}, z0_nm = {calib.z0 * 1e9:.4f}"
         )
 
     report, combined = _compare_series(args, settings, series_list, geometry, tol)
-    man = _manifest("pipeline", {
+    params = {
         "sets": ",".join(str(n) for n in sets),
         "truth": truth,
         "base_seed": base_seed,
         "model": args.model,
         "tol": tol,
-    })
-    _write(out, "comparison.txt", man + comparison_text(report))
-    _write(out, "gradients_combined.txt", man + gradient_series_text(combined))
-    lines = [man.rstrip("\n")] + [f"# {s}" for s in manifest_steps]
-    for label, wins in report.windows.items():
-        for w in wins:
-            lines.append(
-                f"# verdict {label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict}"
-            )
-    _write(out, "manifest.txt", "\n".join(lines) + "\n")
+    }
+    man = _manifest("pipeline", params)
+    textio.write(out / "comparison.txt", man + comparison_text(report))
+    textio.write(out / "gradients_combined.txt", man + gradient_series_text(combined))
+    verdicts = [f"verdict {label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict}"
+                for label, wins in report.windows.items() for w in wins]
+    textio.write(out / "manifest.txt", _manifest("pipeline", params, manifest_steps + verdicts))
     _print_verdicts(report)
     return 0
 

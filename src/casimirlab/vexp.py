@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .electrostatics import gamma_over_c
 from .errors import ConfigError, ModelError, ValidityDomainError
 # pressure_to_gradient_sweep is not called here; bench/tests/test_bench_tracing.py
@@ -279,115 +279,66 @@ def reference_campaign(n: int, truth_tag: str = "plasma") -> tuple[CampaignSpec,
     return spec, geometry
 
 
+# The grid header: each key with the field it holds, of the grid, its spec,
+# the spec's v0_law or the geometry, and the field's type, in file order.
+# Values stay in SI at full precision, so load_grid rebuilds the exact spec;
+# only the data columns use nm.
+_GRID_HEADER = {
+    "seed": ("grid", "seed", int),
+    "z0_true_m": ("spec", "z0_true", float),
+    "c_true": ("spec", "c_true", float),
+    "v0_slope_V_per_m": ("v0_law", "slope", float),
+    "v0_intercept_V": ("v0_law", "intercept", float),
+    "truth_tag": ("spec", "truth_tag", str),
+    "amplitude_m": ("spec", "amplitude", float),
+    "freq_systematic_rad_s": ("spec", "freq_systematic", float),
+    "repetitions": ("spec", "repetitions", int),
+    "sample_step_m": ("spec", "sample_step", float),
+    "grid_step_m": ("spec", "grid_step", float),
+    "max_z_rel_m": ("spec", "max_z_rel", float),
+    "voltages_V": ("spec", "voltages", lambda v: tuple(map(float, v.split()))),
+    "R_m": ("geometry", "R", float),
+    "delta_s_m": ("geometry", "delta_s", float),
+    "delta_p_m": ("geometry", "delta_p", float),
+    "temperature_K": ("geometry", "temperature", float),
+    "max_aspect": ("geometry", "max_aspect", float),
+    "a_min_m": ("geometry", "a_min", float),
+    "a_max_m": ("geometry", "a_max", float),
+}
+
+
 def save_grid(grid: MeasurementGrid, path) -> None:
-    """Write a grid as '#'-commented text, one block per (voltage, repetition)."""
-    spec, g = grid.spec, grid.geometry
-    # metadata stays in SI with full-precision reprs so load_grid
-    # reconstructs the exact spec; only the data columns use nm
-    lines = [
-        "# casimirlab measurement grid v1",
-        f"# seed = {grid.seed}",
-        f"# z0_true_m = {spec.z0_true!r}",
-        f"# c_true = {spec.c_true!r}",
-        f"# v0_slope_V_per_m = {spec.v0_law.slope!r}",
-        f"# v0_intercept_V = {spec.v0_law.intercept!r}",
-        f"# truth_tag = {spec.truth_tag}",
-        f"# amplitude_m = {spec.amplitude!r}",
-        f"# freq_systematic_rad_s = {spec.freq_systematic!r}",
-        f"# repetitions = {spec.repetitions}",
-        f"# sample_step_m = {spec.sample_step!r}",
-        f"# grid_step_m = {spec.grid_step!r}",
-        f"# max_z_rel_m = {spec.max_z_rel!r}",
-        "# voltages_V = " + " ".join(repr(v) for v in spec.voltages),
-        f"# R_m = {g.R!r}",
-        f"# delta_s_m = {g.delta_s!r}",
-        f"# delta_p_m = {g.delta_p!r}",
-        f"# temperature_K = {g.temperature!r}",
-        f"# max_aspect = {g.max_aspect!r}",
-        f"# a_min_m = {g.a_min!r}",
-        f"# a_max_m = {g.a_max!r}",
-        "# columns: a_nm  delta_omega_rad_s",
-    ]
-    a_nm = [f"{a:.6f}" for a in (grid.separations * 1e9).tolist()]
-    for vi, reps in enumerate(grid.shifts.tolist()):
-        for rep, shifts in enumerate(reps):
-            lines.append(f"# block voltage_index = {vi} repetition = {rep}")
-            lines += [f"{a} {s!r}" for a, s in zip(a_nm, shifts)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a grid as textio text, one block per (voltage, repetition)."""
+    owners = dict(grid=grid, spec=grid.spec, v0_law=grid.spec.v0_law, geometry=grid.geometry)
+    params = {key: getattr(owners[owner], name) for key, (owner, name, _) in _GRID_HEADER.items()}
+    a_nm = grid.separations * 1e9
+    blocks = {f"voltage_index = {vi} repetition = {rep}": (a_nm, shifts)
+              for vi, reps in enumerate(grid.shifts) for rep, shifts in enumerate(reps)}
+    textio.write(path, textio.header("casimirlab measurement grid v1", params)
+                 + textio.table(("a_nm", "delta_omega_rad_s"), "%.6f %r", blocks=blocks))
 
 
 def load_grid(path) -> MeasurementGrid:
-    """Read a grid written by save_grid.
+    """Read a grid written by save_grid; textio.read's errors are ConfigErrors.
 
     Every row's a_nm must equal z0_true_m + grid_step_m * j to within
     1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A
     drift_per_stream_m line, which older files carry, must read 0.0: a
     grid synthesised with a separation drift cannot be rebuilt as a
-    CampaignSpec, and loading it raises ConfigError.  A missing metadata
-    key, a value that does not convert or an unreadable file raises ConfigError.
+    CampaignSpec, and loading it raises ConfigError.
     """
-    meta: dict[str, str] = {}
-    blocks: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] | None = None
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {getattr(exc, 'strerror', exc)}") from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("block"):
-                current = []
-                blocks.append(current)
-            elif "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if current is None:
-            raise ConfigError(f"{path}: data before first block header")
-        try:
-            a_nm, shift = map(float, line.split())
-        except ValueError:
-            raise ConfigError(f"{path}: malformed data row {line!r}") from None
-        current.append((a_nm, shift))
-
-    def value(key, convert=float):
-        try:
-            return convert(meta[key])
-        except KeyError:
-            raise ConfigError(f"{path}: missing metadata key {key}") from None
-        except ValueError:
-            raise ConfigError(f"{path}: malformed metadata value {key} = {meta[key]!r}") from None
-
-    spec = CampaignSpec(
-        voltages=value("voltages_V", lambda v: tuple(map(float, v.split()))),
-        z0_true=value("z0_true_m"),
-        c_true=value("c_true"),
-        v0_law=V0Law(value("v0_slope_V_per_m"), value("v0_intercept_V")),
-        truth_tag=value("truth_tag", str),
-        amplitude=value("amplitude_m"),
-        freq_systematic=value("freq_systematic_rad_s"),
-        repetitions=value("repetitions", int),
-        sample_step=value("sample_step_m"),
-        grid_step=value("grid_step_m"),
-        max_z_rel=value("max_z_rel_m"),
-    )
-    if "drift_per_stream_m" in meta and value("drift_per_stream_m") != 0.0:
-        raise ConfigError(f"{path}: drift_per_stream_m = {meta['drift_per_stream_m']} "
+    text = textio.read(path, 2)
+    head, *blocks = text.groups
+    if head.size:
+        raise ConfigError(f"{path}: data before first block header")
+    fields = {"grid": {}, "spec": {}, "v0_law": {}, "geometry": {}}
+    for key, (owner, name, convert) in _GRID_HEADER.items():
+        fields[owner][name] = text.value(key, convert)
+    spec = CampaignSpec(v0_law=V0Law(**fields["v0_law"]), **fields["spec"])
+    if "drift_per_stream_m" in text.meta and text.value("drift_per_stream_m") != 0.0:
+        raise ConfigError(f"{path}: drift_per_stream_m = {text.meta['drift_per_stream_m']} "
                           "is not supported; only a zero drift can be loaded")
-    geometry = Geometry(
-        R=value("R_m"),
-        delta_s=value("delta_s_m"),
-        delta_p=value("delta_p_m"),
-        temperature=value("temperature_K"),
-        max_aspect=value("max_aspect"),
-        a_min=value("a_min_m"),
-        a_max=value("a_max_m"),
-    )
-    seed = value("seed", int)
+    geometry = Geometry(**fields["geometry"])
 
     n_v, n_rep = 21, spec.repetitions
     if len(blocks) != n_v * n_rep:
@@ -407,4 +358,5 @@ def load_grid(path) -> MeasurementGrid:
             f"gives {expected_nm[j]:.6f}"
         )
     shifts = data[..., 1].copy()
-    return MeasurementGrid(z_rel=z_rel, shifts=shifts, spec=spec, geometry=geometry, seed=seed)
+    return MeasurementGrid(z_rel=z_rel, shifts=shifts, spec=spec, geometry=geometry,
+                           **fields["grid"])

@@ -254,8 +254,12 @@ class TestErrors:
         ("pipeline", "[pipeline]\nsets = 1,x\n"),
         ("pipeline", "[pipeline]\nseed = x\n"),
         ("synth", "[campaign]\npreset = 1\nseed = x\n"),
+        ("theory", "[theory]\na_start_nm = -inf\n"),
+        ("theory", "[theory]\na_stop_nm = inf\n"),
+        ("theory", "[theory]\na_step_nm = inf\n"),
     ], ids=["theory-zero-step", "theory-stop-below-start", "pipeline-sets", "pipeline-seed",
-            "campaign-seed"])
+            "campaign-seed", "theory-infinite-start", "theory-infinite-stop",
+            "theory-infinite-step"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, ini):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(ini)
@@ -328,8 +332,16 @@ class TestErrors:
         ("optical_fraction = -1\n", "optical_fraction"),
         ("delta_z_nm = -5\n", "delta_z_nm"),
         ("grid_start_nm = 900\ngrid_stop_nm = 300\n", "grid_stop_nm"),
+        ("window_nm = inf\n", "window_nm"),
+        ("optical_fraction = inf\n", "optical_fraction"),
+        ("delta_z_nm = inf\n", "delta_z_nm"),
+        ("grid_start_nm = nan\n", "grid_start_nm"),
+        ("grid_stop_nm = inf\n", "grid_stop_nm"),
+        ("intervals = 300:inf\n", "intervals"),
     ], ids=["zero-window", "negative-window", "reversed-interval", "negative-optical-fraction",
-            "negative-delta-z", "reversed-grid"])
+            "negative-delta-z", "reversed-grid", "infinite-window", "infinite-optical-fraction",
+            "infinite-delta-z", "nan-grid-start", "infinite-grid-stop",
+            "infinite-interval"])
     def test_compare_value_without_a_verdict_is_a_config_error(self, tmp_path, capsys,
                                                                monkeypatch, command, ini, key):
         def no_work(*args, **kwargs):
@@ -385,6 +397,21 @@ class TestErrors:
         assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 2
         assert f"config error: {gradients}: malformed number in '1 2 x 4 5'" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [l.replace("# n_channels =", "# n_channels") for l in lines],
+         "missing metadata line '# n_channels = ...'"),
+        (lambda lines: lines[:-1] + [lines[-1].rsplit(maxsplit=1)[0]],
+         "malformed number in '400.000  1000000.0  1000000.0  1000000.0'; a row holds 5 numbers"),
+        (lambda lines: [l if l.startswith("#") else l.rsplit(maxsplit=1)[0] for l in lines],
+         "malformed number in '300.000  1000000.0  1000000.0  1000000.0'; a row holds 5 numbers"),
+    ], ids=["n-channels-without-equals", "one-row-of-four", "every-row-of-four"])
+    def test_malformed_gradient_file_is_a_config_error(self, tmp_path, capsys, edit, message):
+        gradients = series_file(tmp_path / "g.txt", np.arange(300, 401))
+        gradients.write_text("\n".join(edit(gradients.read_text().splitlines())) + "\n")
+        assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 2
+        assert f"config error: {gradients}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [

@@ -29,3 +29,18 @@ def test_package_reexports_exist():
         module = importlib.import_module(f"casimirlab.{module_name}")
         assert attr in getattr(module, "__all__", ()), f"{attr} not in casimirlab.{module_name}.__all__"
         assert getattr(casimirlab, attr) is getattr(module, attr)
+
+
+def test_only_textio_reads_writes_or_makes_directories():
+    """Every file the package reads or writes goes through casimirlab.textio."""
+    calls = []
+    for path in sorted(Path(casimirlab.__file__).parent.glob("*.py")):
+        if path.stem == "textio":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("read_text", "write_text", "open", "mkdir"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"file access outside textio: {calls}"
