@@ -11,8 +11,16 @@ Approximation Practice, SIAM 2013).  Interpolant is the one rule for both:
 * convergence: for every row of values, the interpolants on the n + 1 and
   the 2n + 1 nodes agree to tol relative halfway in angle between every
   pair of neighbouring nodes.
-* evaluation: barycentric, at separations in [lo, hi] only; a point outside,
-  or NaN, raises ValidityDomainError instead of extrapolating.
+* evaluation: the second ("true") barycentric formula
+  p(x) = sum_j w_j f_j / (x_j - x) / sum_j w_j / (x_j - x) of the 2n + 1
+  nodes or of every second node (J.-P. Berrut and L. N. Trefethen, SIAM
+  Rev. 46, 501 (2004)): every row and the denominator come from one matrix
+  product over a (nodes, points) array of 1 / (x_j - x), and a point on a
+  node reads that node's values exactly.  basis() returns the explicit
+  Lagrange basis instead, for error propagation through the interpolation
+  (force_model.gradient_curve takes its bound and its values from it).
+  Only separations in [lo, hi] are read; a point outside, or NaN, raises
+  ValidityDomainError instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -61,16 +69,31 @@ class Interpolant:
             self.values = _interleave(self.values, evaluate(a))
 
     def __call__(self, a, coarse: bool = False) -> np.ndarray:
-        """The rows at the separations a, on every second node with coarse."""
+        """The rows at the separations a (one row per quantity, then a's shape), on
+        every second node with coarse."""
         return self._at(self._unit(a), coarse)
 
-    def basis(self, a) -> np.ndarray:
-        """Lagrange basis l_i(a) of the nodes, one row per separation a."""
-        return _lagrange_basis(self.nodes, self._unit(a))
+    def basis(self, a, coarse: bool = False) -> np.ndarray:
+        """Lagrange basis l_i(a) of the nodes (every second with coarse), one row per a."""
+        return _lagrange_basis(self.nodes[::2 if coarse else 1], self._unit(a))
 
     def _at(self, x, coarse=False):
+        """The second barycentric formula at the points x (see the module docstring)."""
         step = 2 if coarse else 1
-        return self.values[:, ::step] @ _lagrange_basis(self.nodes[::step], x).T
+        nodes = self.nodes[::step]
+        w = _weights(nodes.size)
+        c = np.subtract.outer(nodes, x.ravel())
+        hit = c == 0.0
+        any_hit = bool(hit.any())
+        if any_hit:
+            c[hit] = 1.0
+        np.reciprocal(c, out=c)
+        if any_hit:
+            # a point on node k reads w_k f_k / w_k = f_k: w_k is +-1 or +-1/2
+            at_node = hit.any(axis=0)
+            c[:, at_node] = hit[:, at_node]
+        sums = np.vstack([self.values[:, ::step] * w, w]) @ c
+        return (sums[:-1] / sums[-1]).reshape(-1, *x.shape)
 
     def _converged(self, tol):
         m = self.nodes.size - 1
@@ -99,8 +122,7 @@ def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     the one (x, nodes) array; a row whose x is a node takes the unit vector
     of that node.
     """
-    w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
+    w = _weights(nodes.size)
     d = x[:, None] - nodes[None, :]
     hit = d == 0.0
     any_hit = bool(hit.any())
@@ -112,6 +134,13 @@ def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         at_node = hit.any(axis=1)
         d[at_node] = hit[at_node]
     return d
+
+
+def _weights(n: int) -> np.ndarray:
+    """Barycentric weights of n Chebyshev-Lobatto points: (-1)^j, halved at both ends."""
+    w = np.where(np.arange(n) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def _lobatto_points(m: int) -> np.ndarray:

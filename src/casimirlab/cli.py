@@ -72,6 +72,20 @@ def _getfloat(cp, section, key, default):
     return value
 
 
+def _getfloats(cp, section, key, default):
+    """[section] key as space-separated finite numbers, or default if it is unset."""
+    text = cp.get(section, key, fallback=None)
+    if text is None:
+        return default
+    try:
+        values = tuple(float(v) for v in text.split())
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"[{section}] {key} = {text} must be finite")
+    return values
+
+
 def _getint(cp, section, key, default):
     try:
         return cp.getint(section, key, fallback=default)
@@ -100,24 +114,23 @@ def _campaign(cp):
         return reference_campaign(n, truth), n
     if not cp.has_section(sec):
         raise ConfigError("synth needs a [campaign] section (preset or explicit fields)")
-    try:
-        voltages = tuple(float(v) for v in cp.get(sec, "voltages_v").split())
-        spec = CampaignSpec(
-            voltages=voltages,
-            z0_true=cp.getfloat(sec, "z0_nm") * 1e-9,
-            c_true=cp.getfloat(sec, "c_s_per_kg"),
-            v0_law=V0Law.from_mv(
-                cp.getfloat(sec, "v0_slope_mv_per_nm"),
-                cp.getfloat(sec, "v0_intercept_mv"),
-            ),
-            truth_tag=truth,
-            amplitude=cp.getfloat(sec, "amplitude_nm") * 1e-9,
-            freq_systematic=cp.getfloat(sec, "freq_systematic_rad_s"),
-            max_z_rel=cp.getfloat(sec, "max_z_rel_nm") * 1e-9,
-            repetitions=cp.getint(sec, "repetitions", fallback=1),
-        )
-    except (configparser.NoOptionError, ValueError) as exc:
-        raise ConfigError(f"[campaign]: {exc}") from None
+
+    def need(key, get=_getfloat):
+        if not cp.has_option(sec, key):
+            raise ConfigError(f"[{sec}] {key} is required without a preset")
+        return get(cp, sec, key, None)
+
+    spec = CampaignSpec(
+        voltages=need("voltages_v", _getfloats),
+        z0_true=need("z0_nm") * 1e-9,
+        c_true=need("c_s_per_kg"),
+        v0_law=V0Law.from_mv(need("v0_slope_mv_per_nm"), need("v0_intercept_mv")),
+        truth_tag=truth,
+        amplitude=need("amplitude_nm") * 1e-9,
+        freq_systematic=need("freq_systematic_rad_s"),
+        max_z_rel=need("max_z_rel_nm") * 1e-9,
+        repetitions=_getint(cp, sec, "repetitions", 1),
+    )
     return (spec, _geometry(cp)), 0
 
 

@@ -153,6 +153,8 @@ class GammaTable:
     slope=True) at its nodes.  The series runs at tol / 1000, so that
     neither the node errors carried through the interpolation nor the slope
     series, whose terms fall off one power of n slower, come near tol.
+    A call evaluates both rows by the second barycentric formula, one
+    (nodes, points) array and one matrix product for values and slopes.
     """
 
     def __init__(self, lo: float, hi: float, R: float, tol: float = 1e-10):

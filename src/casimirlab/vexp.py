@@ -150,9 +150,9 @@ def _lattice(spec: CampaignSpec):
     """The approach lattice, the analysis grid and the lattice samples read.
 
     Returns (z_fine, z_grid, stream_idx), read-only and built once per
-    spec.  np.interp reads each stream only at the pair bracketing a grid
-    point: a point in [z_fine[j], z_fine[j + 1]) reads samples j and j + 1
-    (stream_idx, sorted).
+    spec.  The linear interpolation onto the grid reads each stream only
+    at the pair bracketing a grid point: a point in [z_fine[j], z_fine[j +
+    1]) reads samples j and j + 1 (stream_idx, sorted).
     """
     n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
     z_fine = spec.sample_step * np.arange(n_fine + 1)
@@ -196,7 +196,8 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     only at the lattice samples the interpolation reads, and its noise is
     drawn only there: draw k of the stream's own generator is the noise of
     its k-th read sample.  The streams of a set form one (stream, read
-    sample) array, voltage-major.
+    sample) array, voltage-major, interpolated onto the grid in one pass
+    (_interp_rows, bit for bit np.interp of each row).
     Bit-identical for identical (spec, geometry, seed).
     """
     z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
@@ -215,9 +216,27 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
         np.random.default_rng(ss).standard_normal(out=out)
     v = np.repeat(np.asarray(spec.voltages), n_rep)[:, None]
     streams = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + spec.freq_systematic * noise
-    shifts = np.array([np.interp(z_grid, z, stream) for stream in streams])
+    shifts = _interp_rows(z_grid, z, streams)
     return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts.reshape(21, n_rep, z_grid.size),
                            spec=spec, geometry=geometry, seed=seed)
+
+
+def _interp_rows(x, xp, fp):
+    """np.interp(x, xp, row) for every row of fp in one pass, bit for bit.
+
+    x lies in [xp[0], xp[-1]].  A point in (xp[j], xp[j + 1]) takes
+    slope * (x - xp[j]) + fp[j], the slope (fp[j + 1] - fp[j]) /
+    (xp[j + 1] - xp[j]); a point on a sample takes its value exactly, as
+    np.interp does.
+    """
+    last = xp.size - 1
+    j = np.searchsorted(xp, x, side="right") - 1
+    i = np.minimum(j, last - 1)
+    left = fp[:, i]
+    out = (fp[:, i + 1] - left) / (xp[i + 1] - xp[i]) * (x - xp[i]) + left
+    exact = (j == last) | (xp[j] == x)
+    out[:, exact] = fp[:, j[exact]]
+    return out
 
 
 def _varied_plus_fixed(lo: float, hi: float, fixed: float) -> tuple[float, ...]:

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from casimirlab.chebyshev import _lagrange_basis, _lobatto_points
+from casimirlab.chebyshev import Interpolant, _lagrange_basis, _lobatto_points
 
 
 def lagrange_basis_oracle(nodes, x):
@@ -35,3 +37,72 @@ class TestLagrangeBasis:
         basis = _lagrange_basis(nodes, x)
         assert np.array_equal(basis, lagrange_basis_oracle(nodes, x))
         assert np.allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+LO, HI = 200e-9, 900e-9
+
+
+def runge_rows(a):
+    """A Runge row and a row of another size, in x = the unit ln-a coordinate of [LO, HI]."""
+    x = np.log(a / np.sqrt(LO * HI)) / (0.5 * np.log(HI / LO))
+    return np.array([1.0 / (1.0 + 4.0 * x * x), 1e-3 * np.exp(x) * (2.0 + np.cos(3.0 * x))])
+
+
+class TestBarycentricEvaluation:
+    @pytest.fixture(scope="class")
+    def curves(self):
+        # the tolerance sets the node count: 2n = 32, 64 and 128
+        return {m: Interpolant(LO, HI, runge_rows, tol, "test rows")
+                for m, tol in ((32, 1e-2), (64, 1e-5), (128, 1e-8))}
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("m", [32, 64, 128])
+    def test_agrees_with_the_explicit_basis(self, curves, m, coarse):
+        curve = curves[m]
+        assert curve.nodes.size == m + 1
+        rng = np.random.default_rng(m)
+        nodes = curve.separations[::2 if coarse else 1]
+        # both ends, an interior node, and separations between the nodes
+        between = np.clip(np.exp(rng.uniform(np.log(LO), np.log(HI), 700)), LO, HI)
+        a = np.concatenate([[HI, LO, nodes[nodes.size // 3]], between])
+        values = curve.values[:, ::2 if coarse else 1]
+        expect = values @ curve.basis(a, coarse=coarse).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curve(a, coarse=coarse)
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
+        assert np.array_equal(got[:, :2], values[:, [0, -1]])
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("m", [32, 64, 128])
+    def test_node_hits_return_node_values_exactly(self, curves, m, coarse):
+        curve = curves[m]
+        step = 2 if coarse else 1
+        x = curve.nodes[::step]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curve._at(x, coarse)
+            mixed = curve._at(np.concatenate([x[3:4], [0.123]]), coarse)
+        assert np.array_equal(got, curve.values[:, ::step])
+        assert np.array_equal(mixed[:, 0], curve.values[:, 3 * step])
+
+    @pytest.mark.parametrize("m", [32, 64, 128])
+    def test_coarse_basis_is_that_of_every_second_node(self, curves, m):
+        curve = curves[m]
+        a = np.linspace(curve.lo, curve.hi, 101)
+        assert np.array_equal(curve.basis(a, coarse=True),
+                              _lagrange_basis(curve.nodes[::2], curve._unit(a)))
+
+    def test_scalar_separation_reads_as_a_one_point_array(self, curves):
+        curve = curves[32]
+        a = np.array([HI, LO, 0.5 * (LO + HI)])
+        rows = curve(a)
+        for k, ak in enumerate(a):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = curve(float(ak))
+            assert got.shape == (2,)
+            assert np.allclose(got, rows[:, k], rtol=1e-14, atol=0)
+        assert np.array_equal(curve(HI), curve.values[:, 0])
+        assert np.array_equal(curve(LO), curve.values[:, -1])

@@ -376,6 +376,27 @@ class TestErrors:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["z0_nm", "c_s_per_kg", "max_z_rel_nm",
+                                     "v0_slope_mv_per_nm", "voltages_v"])
+    def test_non_finite_explicit_campaign_number_is_a_config_error(self, tmp_path, capsys, key):
+        spec, _ = reference_campaign(1)
+        fields = {
+            "voltages_v": " ".join(map(str, spec.voltages)),
+            "z0_nm": spec.z0_true * 1e9,
+            "c_s_per_kg": spec.c_true,
+            "v0_slope_mv_per_nm": spec.v0_law.slope_mv_per_nm,
+            "v0_intercept_mv": spec.v0_law.intercept_mv,
+            "amplitude_nm": spec.amplitude * 1e9,
+            "freq_systematic_rad_s": spec.freq_systematic,
+            "max_z_rel_nm": 150,
+        }
+        fields[key] = "0.01 " * 20 + "inf" if key == "voltages_v" else "inf"
+        cfg = tmp_path / "campaign.ini"
+        cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: [campaign] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [("calibrate", "--grid"), ("compare", "--gradients")])
     @pytest.mark.parametrize("content, message", [
         (None, "No such file or directory"),

@@ -234,6 +234,15 @@ class TestSparseSampling:
             for rep in range(spec.repetitions):
                 assert np.array_equal(grid.shifts[vi, rep], expected)
 
+    def test_rows_interpolate_as_np_interp(self):
+        rng = np.random.default_rng(4)
+        xp = np.cumsum(rng.uniform(0.1, 1.0, 40))
+        fp = rng.normal(size=(5, xp.size)) * np.logspace(-3, 3, 5)[:, None]
+        # both ends, every fifth sample and points between samples
+        x = np.sort(np.concatenate([xp[::5], xp[[0, -1]], rng.uniform(xp[0], xp[-1], 300)]))
+        rows = vexp._interp_rows(x, xp, fp)
+        assert np.array_equal(rows, [np.interp(x, xp, f) for f in fp])
+
     def test_lattice_is_built_once_and_read_only(self):
         spec, geom = short_campaign()
         lattice = vexp._lattice(spec)
