@@ -31,7 +31,13 @@ from .analysis import (
     load_gradient_series,
     window_mask,
 )
-from .errors import CasimirLabError, ConfigError, GridAlignmentError, ValidityDomainError
+from .errors import (
+    CasimirLabError,
+    ConfigError,
+    GridAlignmentError,
+    ModelError,
+    ValidityDomainError,
+)
 from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
 from .lifshitz import TOL_RANGE, MatsubaraCache
 from .vexp import (
@@ -120,17 +126,20 @@ def _campaign(cp):
             raise ConfigError(f"[{sec}] {key} is required without a preset")
         return get(cp, sec, key, None)
 
-    spec = CampaignSpec(
-        voltages=need("voltages_v", _getfloats),
-        z0_true=need("z0_nm") * 1e-9,
-        c_true=need("c_s_per_kg"),
-        v0_law=V0Law.from_mv(need("v0_slope_mv_per_nm"), need("v0_intercept_mv")),
-        truth_tag=truth,
-        amplitude=need("amplitude_nm") * 1e-9,
-        freq_systematic=need("freq_systematic_rad_s"),
-        max_z_rel=need("max_z_rel_nm") * 1e-9,
-        repetitions=_getint(cp, sec, "repetitions", 1),
-    )
+    try:
+        spec = CampaignSpec(
+            voltages=need("voltages_v", _getfloats),
+            z0_true=need("z0_nm") * 1e-9,
+            c_true=need("c_s_per_kg"),
+            v0_law=V0Law.from_mv(need("v0_slope_mv_per_nm"), need("v0_intercept_mv")),
+            truth_tag=truth,
+            amplitude=need("amplitude_nm") * 1e-9,
+            freq_systematic=need("freq_systematic_rad_s"),
+            max_z_rel=need("max_z_rel_nm") * 1e-9,
+            repetitions=_getint(cp, sec, "repetitions", 1),
+        )
+    except ModelError as exc:  # a well-formed value the campaign cannot take
+        raise ConfigError(f"[{sec}] {exc}") from None
     return (spec, _geometry(cp)), 0
 
 

@@ -1,10 +1,17 @@
 """Sphere-plate Casimir force gradient from the plate-plate pressure.
 
-The proximity-force result -2 pi R P(a) is corrected by the first-order
-aspect term beta(a, R) a / R and by the second-order rms roughness factor
-1 + 10 (ds^2 + dp^2) / a^2.  Pressure is negative for attraction; the
-gradient reported here is the positive plotted quantity (attractive force
-gradient > 0), i.e. the sign flip lives entirely in the -2 pi R prefactor.
+The proximity-force approximation, with the second-order rms roughness
+factor, gives F'(a) = -2 pi R [1 + 10 (ds^2 + dp^2) / a^2] P(a).
+Geometry.max_aspect bounds a/R where it is applied: 0.022 by default, 0.0306
+for the large-amplitude set 4.  The curvature correction 1 + beta a/R of the
+derivative expansion (G. Bimonte, T. Emig and M. Kardar, Appl. Phys. Lett.
+100, 074110 (2012); L. P. Teo, Phys. Rev. D 88, 045019 (2013)) is left out:
+it would be a 1-2 % change at a/R <= 0.025, shared by the synthesis and by
+compare, so the compared differences would only scale by it.
+
+Pressure is negative for attraction; the gradient reported here is the
+positive plotted quantity (attractive force gradient > 0), i.e. the sign
+flip lives entirely in the -2 pi R prefactor.
 
 pressure_to_gradient_sweep evaluates the thermal sum at every grid point;
 gradient_curve interpolates P(a) a^4, which is analytic in ln a, with
@@ -15,7 +22,6 @@ follows too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,9 +45,10 @@ __all__ = [
 class Geometry:
     """Sphere-plate geometry and environment.
 
-    max_aspect bounds a/R for the first-order-corrected proximity formula;
-    a_min/a_max bound the separation range the formula is applied over.
-    Both are overridable for campaigns probing the edges of that domain.
+    max_aspect bounds a/R for the proximity-force approximation (0.022 by
+    default, 0.0306 for set 4); a_min/a_max bound the separation range it is
+    applied over.  Both are overridable for campaigns probing the edges of
+    that domain.
     """
 
     R: float                      # sphere radius, m
@@ -73,48 +80,14 @@ class Geometry:
         if a / self.R >= self.max_aspect:
             raise ValidityDomainError(
                 f"a/R = {a / self.R:.4f} >= {self.max_aspect} invalidates the "
-                "first-order proximity correction"
+                "proximity-force approximation"
             )
 
 
 @dataclass(frozen=True)
 class BetaTable:
-    """First-order proximity-correction knots (a, beta) per response tag.
-
-    Empty knot tuples mean beta = 0.  Evaluation uses monotone piecewise
-    cubic interpolation, clamped to the knot range; a clamped evaluation is
-    flagged to the caller.
-    """
-
-    drude: tuple[tuple[float, float], ...] = ()
-    plasma: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        for knots in (self.drude, self.plasma):
-            a_vals = [k[0] for k in knots]
-            if any(b <= a for a, b in zip(a_vals, a_vals[1:])):
-                raise ValidityDomainError("beta knots must be sorted by separation")
-
-    def beta(self, tag: str, a: float) -> tuple[float, bool]:
-        """Return (beta(a), clamped) for the given response tag."""
-        knots = getattr(self, tag, ())
-        if not knots:
-            return 0.0, False
-        if len(knots) == 1:
-            return knots[0][1], a != knots[0][0]
-        a_lo, a_hi = knots[0][0], knots[-1][0]
-        clamped = not (a_lo <= a <= a_hi)
-        interp = _pchip_for(knots)
-        return float(interp(min(max(a, a_lo), a_hi))), clamped
-
-
-@lru_cache(maxsize=16)
-def _pchip_for(knots):
-    from scipy.interpolate import PchipInterpolator
-
-    xs = np.array([k[0] for k in knots])
-    ys = np.array([k[1] for k in knots])
-    return PchipInterpolator(xs, ys)
+    """Placeholder for the curvature correction beta, which is left out (see
+    the module docstring); it carries nothing."""
 
 
 @dataclass
@@ -129,8 +102,6 @@ class ForceGradient:
 
     value: float
     pressure: float
-    beta_value: float
-    beta_clamped: bool
     truncation_error_estimate: float
     pressure_truncation: float
 
@@ -143,7 +114,7 @@ def force_gradient(
     tol: float = 1e-9,
     cache: MatsubaraCache | None = None,
 ) -> ForceGradient:
-    """Sphere-plate force gradient -2 pi R [1 + beta a/R] [roughness] P(a) (_proximity).
+    """Sphere-plate force gradient -2 pi R [roughness] P(a) (_proximity).
 
     Parameters
     ----------
@@ -152,31 +123,27 @@ def force_gradient(
     geometry : Geometry
         Sphere radius, roughness and temperature; also the validity bounds.
     beta : BetaTable
-        First-order proximity correction; an empty table means beta = 0.
+        Placeholder; carries nothing.
     a : float
         Absolute sphere-plate separation in m.
     """
     geometry.check_separation(a)
     res = casimir_pressure(model, a, geometry.temperature, tol, cache=cache)
-    b, clamped = beta.beta(model.zero_tag, a)
-    value, trunc = _proximity(geometry, a, b, res.pressure, res.truncation_error_estimate)
+    value, trunc = _proximity(geometry, a, res.pressure, res.truncation_error_estimate)
     return ForceGradient(
         value=float(value),
         pressure=res.pressure,
-        beta_value=b,
-        beta_clamped=clamped,
         truncation_error_estimate=trunc,
         pressure_truncation=res.truncation_error_estimate,
     )
 
 
-def _proximity(geometry: Geometry, a, b, pressure, truncation):
-    """(-2 pi R [1 + b a/R] [roughness] P, 2 pi R [roughness] trunc), in plain
-    arithmetic for floats and arrays alike."""
+def _proximity(geometry: Geometry, a, pressure, truncation):
+    """(-2 pi R [roughness] P, 2 pi R [roughness] trunc), in plain arithmetic
+    for floats and arrays alike."""
     rough = geometry.roughness_factor(a)
     two_pi_r = 2.0 * np.pi * geometry.R
-    return (-two_pi_r * (1.0 + b * a / geometry.R) * rough * pressure,
-            two_pi_r * rough * truncation)
+    return -two_pi_r * rough * pressure, two_pi_r * rough * truncation
 
 
 @dataclass
@@ -188,7 +155,6 @@ class GradientSweep:
     pressures: np.ndarray         # Pa
     truncation_estimates: np.ndarray  # N/m
     pressure_truncations: np.ndarray  # Pa
-    beta_clamped: np.ndarray      # bool per row
 
 
 def pressure_to_gradient_sweep(
@@ -201,46 +167,47 @@ def pressure_to_gradient_sweep(
 ) -> GradientSweep:
     """Vectorised force_gradient over a sorted separation grid.
 
-    The thermal sums are computed as one batch per sweep
+    Every grid point is checked against the geometry first; then the
+    thermal sums are computed as one batch per sweep
     (lifshitz.MatsubaraCache): the first grid point's pressure computes
-    every point's, so a sweep whose geometry check fails at a later point
-    has already summed all of them.  cache, when given, is a
+    every point's.  beta carries nothing.  cache, when given, is a
     MatsubaraCache built at the geometry's temperature over this grid for
     this model and possibly others (as force_gradient takes it): the sweeps
     of all its models then share one batch, whose first pressure computes
     every model's, and each sweep is bit-identical to one with its own.
     """
-    grid = _checked_grid(grid)
+    grid = _checked_grid(grid, geometry)
     if cache is None:
         cache = MatsubaraCache(model, geometry.temperature, grid)
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
     trunc = np.empty_like(grid)
     p_trunc = np.empty_like(grid)
-    clamped = np.zeros(grid.size, dtype=bool)
     for i, a in enumerate(grid):
         fg = force_gradient(model, geometry, beta, float(a), tol, cache=cache)
         values[i] = fg.value
         pressures[i] = fg.pressure
         trunc[i] = fg.truncation_error_estimate
         p_trunc[i] = fg.pressure_truncation
-        clamped[i] = fg.beta_clamped
     return GradientSweep(
         separations=grid,
         values=values,
         pressures=pressures,
         truncation_estimates=trunc,
         pressure_truncations=p_trunc,
-        beta_clamped=clamped,
     )
 
 
-def _checked_grid(grid) -> np.ndarray:
+def _checked_grid(grid, geometry: Geometry) -> np.ndarray:
+    """grid as a float array; an empty or unsorted grid raises, and so does
+    its first point outside the geometry's domain (check_separation)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValidityDomainError("empty separation grid")
     if np.any(np.diff(grid) <= 0):
         raise ValidityDomainError("separation grid must be strictly increasing")
+    for a in grid.tolist():
+        geometry.check_separation(a)
     return grid
 
 
@@ -265,13 +232,11 @@ def gradient_curve(
     p_n and p_2n are the node values times the same explicit basis
     (Interpolant.basis), not the Interpolant's barycentric sums: the curve
     is the synthetic truth of vexp, and the calibration tests read its last
-    bits.  A one-point grid is the per-point sweep.
+    bits.  A one-point grid is the per-point sweep.  beta carries nothing.
     """
-    grid = _checked_grid(grid)
+    grid = _checked_grid(grid, geometry)
     if grid.size == 1:
         return pressure_to_gradient_sweep(model, geometry, beta, grid, tol)
-    geometry.check_separation(float(grid[0]))
-    geometry.check_separation(float(grid[-1]))
     node_truncs = {}
 
     def evaluate(a):
@@ -296,13 +261,11 @@ def gradient_curve(
     p_trunc = (abs_basis @ trunc + np.abs(p_coarse - p_fine) + rounding) / grid**4
     pressures = p_fine / grid**4
 
-    b, clamped = map(np.array, zip(*(beta.beta(model.zero_tag, float(a)) for a in grid)))
-    values, g_trunc = _proximity(geometry, grid, b, pressures, p_trunc)
+    values, g_trunc = _proximity(geometry, grid, pressures, p_trunc)
     return GradientSweep(
         separations=grid,
         values=values,
         pressures=pressures,
         truncation_estimates=g_trunc,
         pressure_truncations=p_trunc,
-        beta_clamped=clamped,
     )

@@ -194,8 +194,8 @@ class TestImport:
         # a fresh interpreter, so that no other test's imports count
         src = str(Path(casimirlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, casimirlab.cli; print(' '.join(m for m in ('scipy.stats', "
-                "'scipy.interpolate', 'scipy.constants', 'scipy.special') if m in sys.modules))")
+        code = ("import sys, casimirlab.cli; "
+                "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == ""
@@ -395,6 +395,30 @@ class TestErrors:
         cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
         assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: [campaign] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("voltages_v", "0.1 0.2", "campaign needs exactly 21 voltages, got 2"),
+        ("max_z_rel_nm", "-5", "max_z_rel must be finite and positive"),
+    ])
+    def test_invalid_explicit_campaign_value_is_a_config_error(self, tmp_path, capsys, key,
+                                                               value, message):
+        spec, _ = reference_campaign(1)
+        fields = {
+            "voltages_v": " ".join(map(str, spec.voltages)),
+            "z0_nm": spec.z0_true * 1e9,
+            "c_s_per_kg": spec.c_true,
+            "v0_slope_mv_per_nm": spec.v0_law.slope_mv_per_nm,
+            "v0_intercept_mv": spec.v0_law.intercept_mv,
+            "amplitude_nm": spec.amplitude * 1e9,
+            "freq_systematic_rad_s": spec.freq_systematic,
+            "max_z_rel_nm": 150,
+            key: value,
+        }
+        cfg = tmp_path / "campaign.ini"
+        cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: [campaign] {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [("calibrate", "--grid"), ("compare", "--gradients")])

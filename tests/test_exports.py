@@ -44,3 +44,19 @@ def test_only_textio_reads_writes_or_makes_directories():
                 if name in ("read_text", "write_text", "open", "mkdir"):
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert not calls, f"file access outside textio: {calls}"
+
+
+def test_no_module_imports_scipy():
+    """The package needs only numpy at run time; scipy is a test dependency."""
+    imports = []
+    for path in sorted(Path(casimirlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {n}" for n in names
+                        if n.split(".")[0] == "scipy"]
+    assert not imports, f"scipy imported by the package: {imports}"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casimirlab import force_model
+from casimirlab import force_model, lifshitz
 from casimirlab.errors import NumericsError, ValidityDomainError
 from casimirlab.force_model import (
     BetaTable,
@@ -26,6 +26,22 @@ NO_BETA = BetaTable()
 # a/R up to 0.0306 reaches 1300 nm, as in the large-amplitude campaign
 WIDE = Geometry(R=43.466e-6, delta_s=1.13e-9, delta_p=1.08e-9, max_aspect=0.0306)
 SEPARATION = st.floats(250e-9, 1300e-9)
+# a/R passes GEOM's max_aspect (0.022) first at 957 nm, a/R = 0.0220
+PAST_ASPECT = (900 + np.arange(101)) * 1e-9
+
+
+@pytest.fixture()
+def batches(monkeypatch):
+    """The lifshitz._pressures batches run while the test runs."""
+    calls = []
+    batch = lifshitz._pressures
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(lifshitz, "_pressures", spy)
+    return calls
 
 
 class TestRoughness:
@@ -61,38 +77,6 @@ class TestForceGradient:
         wide = Geometry(R=43.466e-6, a_min=230e-9)
         assert force_gradient(DRUDE, wide, NO_BETA, 240e-9).value > 0
 
-    def test_beta_correction_enters_linearly(self):
-        a = 500e-9
-        base = force_gradient(DRUDE, BARE, NO_BETA, a)
-        table = BetaTable(drude=((250e-9, 2.0), (1000e-9, 2.0)))
-        corr = force_gradient(DRUDE, BARE, table, a)
-        assert corr.value == pytest.approx(base.value * (1.0 + 2.0 * a / BARE.R), rel=1e-12)
-        assert not corr.beta_clamped
-
-    def test_beta_clamped_outside_knots(self):
-        table = BetaTable(drude=((400e-9, 1.0), (600e-9, 2.0)))
-        fg = force_gradient(DRUDE, BARE, table, 300e-9)
-        assert fg.beta_clamped
-        assert fg.beta_value == 1.0
-
-    def test_beta_tag_dispatch(self):
-        table = BetaTable(drude=((250e-9, 1.0), (1000e-9, 1.0)))
-        fd = force_gradient(DRUDE, BARE, table, 500e-9)
-        fp = force_gradient(PLASMA, BARE, table, 500e-9)
-        assert fd.beta_value == 1.0
-        assert fp.beta_value == 0.0  # no plasma knots -> beta = 0
-
-    def test_beta_interpolation_continuity(self):
-        knots = tuple((a * 1e-9, 1.0 + 0.5 * math.sin(a / 80.0)) for a in (300, 450, 600, 800))
-        table = BetaTable(drude=knots)
-        a = np.linspace(300e-9, 800e-9, 400)
-        vals = np.array([table.beta("drude", x)[0] for x in a])
-        assert np.all(np.abs(np.diff(vals)) < 0.02)
-
-    def test_unsorted_beta_knots_rejected(self):
-        with pytest.raises(ValidityDomainError):
-            BetaTable(drude=((600e-9, 1.0), (400e-9, 2.0)))
-
 
 class TestSweep:
     def test_single_point_degenerate_sweep(self):
@@ -114,11 +98,15 @@ class TestSweep:
         sp = pressure_to_gradient_sweep(PLASMA, GEOM, NO_BETA, grid)
         assert np.all(sp.values > sd.values)
 
-    def test_bad_grids_rejected(self):
+    def test_bad_grids_rejected(self, batches):
         with pytest.raises(ValidityDomainError):
             pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, [])
         with pytest.raises(ValidityDomainError):
             pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, [500e-9, 400e-9])
+        # the whole grid is checked before any thermal sum
+        with pytest.raises(ValidityDomainError, match=r"a/R = 0\.0220 "):
+            pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, PAST_ASPECT)
+        assert not batches
 
 
 def preset_lattice(n):
@@ -162,7 +150,6 @@ class TestGradientCurve:
         assert np.all(np.abs(curve.pressures[pick] - ref.pressures)
                       <= curve.pressure_truncations[pick])
         assert np.all(curve.truncation_estimates <= 5e-7 * curve.values)
-        assert not curve.beta_clamped.any()
 
     def test_smooth_curve_takes_33_pressure_calls(self, monkeypatch):
         fake = fake_pressure(lambda t: 2.0 + math.tanh(t + 14.5))
@@ -213,22 +200,14 @@ class TestGradientCurve:
         assert abs(curve.values[0] - point.value) <= curve.truncation_estimates[0]
         assert curve.truncation_estimates[0] == point.truncation_error_estimate
 
-    def test_beta_applied_per_point(self):
-        grid = np.linspace(300e-9, 900e-9, 61)
-        table = BetaTable(drude=((400e-9, 1.0), (600e-9, 2.0), (800e-9, 1.5)))
-        plain = gradient_curve(DRUDE, GEOM, NO_BETA, grid)
-        corrected = gradient_curve(DRUDE, GEOM, table, grid)
-        per_point = [table.beta("drude", a) for a in grid]
-        b = np.array([bc[0] for bc in per_point])
-        assert np.allclose(corrected.values, plain.values * (1.0 + b * grid / GEOM.R),
-                           rtol=1e-14, atol=0)
-        assert np.array_equal(corrected.beta_clamped, [bc[1] for bc in per_point])
-        assert np.array_equal(corrected.truncation_estimates, plain.truncation_estimates)
-
-    def test_bad_grids_rejected(self):
+    def test_bad_grids_rejected(self, batches):
         for grid in ([], [500e-9, 400e-9], [240e-9, 500e-9], [500e-9, 960e-9]):
             with pytest.raises(ValidityDomainError):
                 gradient_curve(DRUDE, GEOM, NO_BETA, grid)
+        # the first point past max_aspect is named, before any thermal sum
+        with pytest.raises(ValidityDomainError, match=r"a/R = 0\.0220 "):
+            gradient_curve(DRUDE, GEOM, NO_BETA, PAST_ASPECT)
+        assert not batches
 
 
 class TestGeometryValidation:
