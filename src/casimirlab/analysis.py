@@ -16,6 +16,7 @@ here from the incomplete beta function, which keeps scipy out of the import.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -207,7 +208,7 @@ class CalibrationFit(NamedTuple):
     sigma_z0: float
     window_fits: list[WindowFit]
     chi2_dof: float           # weighted residual sum of squares per degree of freedom
-    gamma_evals: int          # gamma/C table evaluations; the series runs only at its nodes
+    gamma_evals: int          # gamma/C table reads; one read serves every running window
     scan_fallback: bool       # the seeded bracket missed and the full-range scan ran
 
 
@@ -223,26 +224,47 @@ def _project(gamma, weights, g):
     return c, r, float(weights @ (r * r)), wg, wgg
 
 
-def _gauss_newton(z_rel, gamma, weights, table, z0, lo, hi):
-    """Variable-projection Gauss-Newton on z0, clamped to [lo, hi].
+def _gauss_newton(windows, table):
+    """Variable-projection Gauss-Newton on z0, for each window in lockstep.
 
-    C is the weighted projection at every z0; the step uses the projected
-    Jacobian -C (g' - <w g g'>/<w g g> g).  C, the cost, g and g' belong to
-    the returned z0, the last point evaluated.
-    Returns (z0, c, rss, g, dg, evaluations, converged strictly inside).
+    windows holds one (z_rel, gamma, weights, z0, lo, hi) per window: its
+    data, its start and the bracket its z0 is clamped to.  C is the weighted
+    projection at every z0; the step uses the projected Jacobian
+    -C (g' - <w g g'>/<w g g> g).  Each step reads the table once, at the
+    joined separations z0 + z_rel of every window still running, and that
+    read serves them all; cut at the windows' bounds, it gives every window
+    the numbers a run on its own would.  A window drops out once its step
+    converges or at _MAX_STEPS; its C, cost, g and g' belong to its
+    returned z0, the last point evaluated.
+    Returns one (z0, c, rss, g, dg, converged strictly inside) per window,
+    and the number of table reads.
     """
-    z0 = float(z0)
-    for k in range(1, _MAX_STEPS + 1):
-        g, dg = table(z0 + z_rel, slope=True)
-        c, r, rss, wg, wgg = _project(gamma, weights, g)
-        p = dg - float(wg @ dg) / wgg * g
-        wp = weights * p
-        step = float(wp @ r) / (c * float(wp @ p))
-        new = float(min(max(z0 + step, lo), hi))
-        converged = abs(new - z0) <= _Z0_RTOL * z0
-        if converged or k == _MAX_STEPS:
-            return z0, c, rss, g, dg, k, converged and lo < z0 < hi
-        z0 = new
+    z0 = [float(w[3]) for w in windows]
+    out = [None] * len(windows)
+    running = list(range(len(windows)))
+    reads = 0
+    while running:
+        reads += 1
+        ends = list(itertools.accumulate(windows[i][0].size for i in running))
+        g_all, dg_all = table(np.concatenate([z0[i] + windows[i][0] for i in running]),
+                              slope=True, cuts=ends[:-1])
+        still = []
+        for i, start, end in zip(running, [0, *ends], ends):
+            g, dg = g_all[start:end], dg_all[start:end]
+            _, gamma, weights, _, lo, hi = windows[i]
+            c, r, rss, wg, wgg = _project(gamma, weights, g)
+            p = dg - float(wg @ dg) / wgg * g
+            wp = weights * p
+            step = float(wp @ r) / (c * float(wp @ p))
+            new = float(min(max(z0[i] + step, lo), hi))
+            converged = abs(new - z0[i]) <= _Z0_RTOL * z0[i]
+            if converged or reads == _MAX_STEPS:
+                out[i] = (z0[i], c, rss, g, dg, converged and lo < z0[i] < hi)
+            else:
+                z0[i] = new
+                still.append(i)
+        running = still
+    return out, reads
 
 
 _WINDOW_HALF_WIDTH = 30e-9   # z0 bracket of the window refits
@@ -296,8 +318,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     k = z_rel.size // 2
     ratio = math.sqrt(max(gamma[0] / gamma[k], 1.0 + 1e-12))
     guess = min(max(z_rel[k] / (ratio - 1.0), lo), hi) if ratio > 1 else hi
-    z0, c_cal, rss, g, dg, evals, inside = _gauss_newton(
-        z_rel, gamma, weights, table, guess, max(lo, 0.4 * guess), min(hi, 2.5 * guess)
+    [(z0, c_cal, rss, g, dg, inside)], evals = _gauss_newton(
+        [(z_rel, gamma, weights, guess, max(lo, 0.4 * guess), min(hi, 2.5 * guess))], table
     )
     scan_fallback = not inside
     if scan_fallback:
@@ -310,8 +332,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
                 f"calibration cost minimised at the z0 search boundary "
                 f"({scan[i_best] * 1e9:.1f} nm); residual {costs[i_best]:.3e}"
             )
-        z0, c_cal, rss, g, dg, n, inside = _gauss_newton(
-            z_rel, gamma, weights, table, scan[i_best], scan[i_best - 1], scan[i_best + 1]
+        [(z0, c_cal, rss, g, dg, inside)], n = _gauss_newton(
+            [(z_rel, gamma, weights, scan[i_best], scan[i_best - 1], scan[i_best + 1])], table
         )
         evals += n
         if not inside:
@@ -322,14 +344,14 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     chi2_dof = rss / max(z_rel.size - 2, 1)
     cov = np.linalg.inv(jac.T @ (weights[:, None] * jac)) * chi2_dof
 
-    window_fits = []
-    for idx in np.array_split(np.arange(z_rel.size), 4):
-        z0w, cw, *_, n, _ = _gauss_newton(
-            z_rel[idx], gamma[idx], weights[idx], table, z0,
-            max(lo, z0 - _WINDOW_HALF_WIDTH), z0 + _WINDOW_HALF_WIDTH
-        )
-        evals += n
-        window_fits.append(WindowFit(float(z_rel[idx[0]]), float(z_rel[idx[-1]]), cw, z0w))
+    splits = np.array_split(np.arange(z_rel.size), 4)
+    fits, n = _gauss_newton(
+        [(z_rel[idx], gamma[idx], weights[idx], z0,
+          max(lo, z0 - _WINDOW_HALF_WIDTH), z0 + _WINDOW_HALF_WIDTH) for idx in splits], table
+    )
+    evals += n
+    window_fits = [WindowFit(float(z_rel[idx[0]]), float(z_rel[idx[-1]]), cw, z0w)
+                   for idx, (z0w, cw, *_) in zip(splits, fits)]
 
     return CalibrationFit(
         c_cal, z0, math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0)),

@@ -15,10 +15,11 @@ Approximation Practice, SIAM 2013).  Interpolant is the one rule for both:
   p(x) = sum_j w_j f_j / (x_j - x) / sum_j w_j / (x_j - x) of the 2n + 1
   nodes or of every second node (J.-P. Berrut and L. N. Trefethen, SIAM
   Rev. 46, 501 (2004)): every row and the denominator come from one matrix
-  product over a (nodes, points) array of 1 / (x_j - x), and a point on a
-  node reads that node's values exactly.  basis() returns the explicit
-  Lagrange basis instead, for error propagation through the interpolation
-  (force_model.gradient_curve takes its bound and its values from it).
+  product of [values w; w], built once per node set, with a (nodes, points)
+  array of 1 / (x_j - x), and a point on a node reads that node's values
+  exactly.  basis() returns the explicit Lagrange basis instead, for error
+  propagation through the interpolation (force_model.gradient_curve takes
+  its bound and its values from it).
   Only separations in [lo, hi] are read; a point outside, or NaN, raises
   ValidityDomainError instead of extrapolating.
 """
@@ -58,6 +59,7 @@ class Interpolant:
         self.separations = self._separations(self.nodes)
         self.separations[[0, -1]] = hi, lo
         self.values = evaluate(self.separations)
+        self._set_sums()
         while not self._converged(tol):
             if m >= _MAX_INTERVALS:
                 raise NumericsError(f"{what} is not resolved by {m + 1} Chebyshev nodes")
@@ -67,22 +69,39 @@ class Interpolant:
             self.nodes = _interleave(self.nodes, new)
             self.separations = _interleave(self.separations, a)
             self.values = _interleave(self.values, evaluate(a))
+            self._set_sums()
 
-    def __call__(self, a, coarse: bool = False) -> np.ndarray:
+    def __call__(self, a, coarse: bool = False, cuts=()) -> np.ndarray:
         """The rows at the separations a (one row per quantity, then a's shape), on
-        every second node with coarse."""
-        return self._at(self._unit(a), coarse)
+        every second node with coarse.
+
+        cuts splits a flat a at those indices into parts whose rows are bit for
+        bit those of a call on each part alone.
+        """
+        return self._at(self._unit(a), coarse, cuts)
 
     def basis(self, a, coarse: bool = False) -> np.ndarray:
         """Lagrange basis l_i(a) of the nodes (every second with coarse), one row per a."""
         return _lagrange_basis(self.nodes[::2 if coarse else 1], self._unit(a))
 
-    def _at(self, x, coarse=False):
-        """The second barycentric formula at the points x (see the module docstring)."""
-        step = 2 if coarse else 1
-        nodes = self.nodes[::step]
-        w = _weights(nodes.size)
-        c = np.subtract.outer(nodes, x.ravel())
+    def _set_sums(self):
+        """[values w; w] of the second barycentric formula, for all nodes and every second.
+
+        Built once per node set: _at multiplies it by the (nodes, points) array of 1 / (x_j - x).
+        """
+        self._sums = {}
+        for coarse, step in ((False, 1), (True, 2)):
+            w = _weights(self.nodes[::step].size)
+            self._sums[coarse] = np.vstack([self.values[:, ::step] * w, w])
+
+    def _at(self, x, coarse=False, cuts=()):
+        """The second barycentric formula at the points x (see the module docstring).
+
+        The matrix product runs once per part of x split at cuts: BLAS can
+        compute the last columns of a product with another kernel, so the bits
+        of a column depend on how many columns share its product.
+        """
+        c = np.subtract.outer(self.nodes[::2 if coarse else 1], x.ravel())
         hit = c == 0.0
         any_hit = bool(hit.any())
         if any_hit:
@@ -92,7 +111,9 @@ class Interpolant:
             # a point on node k reads w_k f_k / w_k = f_k: w_k is +-1 or +-1/2
             at_node = hit.any(axis=0)
             c[:, at_node] = hit[:, at_node]
-        sums = np.vstack([self.values[:, ::step] * w, w]) @ c
+        ends = [0, *cuts, c.shape[1]]
+        sums = np.concatenate([self._sums[coarse] @ c[:, i:j] for i, j in zip(ends, ends[1:])],
+                              axis=1)
         return (sums[:-1] / sums[-1]).reshape(-1, *x.shape)
 
     def _converged(self, tol):

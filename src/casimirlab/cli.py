@@ -99,17 +99,41 @@ def _getint(cp, section, key, default):
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+# the config key of each field that Geometry and CampaignSpec check
+_KEYS = {
+    "geometry": {"R": "r_um", "delta_s": "delta_s_nm", "delta_p": "delta_p_nm",
+                 "temperature": "temperature_k"},
+    "campaign": {"voltages": "voltages_v", "z0_true": "z0_nm", "amplitude": "amplitude_nm",
+                 "freq_systematic": "freq_systematic_rad_s", "max_z_rel": "max_z_rel_nm",
+                 "repetitions": "repetitions", "truth_tag": "truth"},
+}
+
+
+def _refused(cp, section, exc):
+    """The ConfigError for a well-formed [section] value the model refuses.
+
+    It names the key and the value as written, when the refused field has one.
+    """
+    key = _KEYS[section].get(exc.field)
+    if key is None or not cp.has_option(section, key):
+        return ConfigError(f"[{section}] {exc}")
+    return ConfigError(f"[{section}] {key} = {cp.get(section, key)}: {exc}")
+
+
 def _geometry(cp) -> Geometry:
     sec = "geometry"
-    return Geometry(
-        R=_getfloat(cp, sec, "r_um", 43.466) * 1e-6,
-        delta_s=_getfloat(cp, sec, "delta_s_nm", 1.13) * 1e-9,
-        delta_p=_getfloat(cp, sec, "delta_p_nm", 1.08) * 1e-9,
-        temperature=_getfloat(cp, sec, "temperature_k", 293.15),
-        max_aspect=_getfloat(cp, sec, "max_aspect", 0.022),
-        a_min=_getfloat(cp, sec, "a_min_nm", 250.0) * 1e-9,
-        a_max=_getfloat(cp, sec, "a_max_nm", 2000.0) * 1e-9,
-    )
+    try:
+        return Geometry(
+            R=_getfloat(cp, sec, "r_um", 43.466) * 1e-6,
+            delta_s=_getfloat(cp, sec, "delta_s_nm", 1.13) * 1e-9,
+            delta_p=_getfloat(cp, sec, "delta_p_nm", 1.08) * 1e-9,
+            temperature=_getfloat(cp, sec, "temperature_k", 293.15),
+            max_aspect=_getfloat(cp, sec, "max_aspect", 0.022),
+            a_min=_getfloat(cp, sec, "a_min_nm", 250.0) * 1e-9,
+            a_max=_getfloat(cp, sec, "a_max_nm", 2000.0) * 1e-9,
+        )
+    except ValidityDomainError as exc:  # a well-formed value the geometry cannot take
+        raise _refused(cp, sec, exc) from None
 
 
 def _campaign(cp):
@@ -139,7 +163,7 @@ def _campaign(cp):
             repetitions=_getint(cp, sec, "repetitions", 1),
         )
     except ModelError as exc:  # a well-formed value the campaign cannot take
-        raise ConfigError(f"[{sec}] {exc}") from None
+        raise _refused(cp, sec, exc) from None
     return (spec, _geometry(cp)), 0
 
 

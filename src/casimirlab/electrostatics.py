@@ -10,7 +10,7 @@ cosh(kappa) = 1 + a/R.
 gamma_over_c sums that series directly.  GammaTable interpolates a^2
 gamma/C, which is analytic in ln a, with chebyshev.Interpolant, the rule
 the theory curves follow too: the calibration fit and the gradient
-extraction evaluate gamma/C at hundreds of separations some twenty times
+extraction evaluate gamma/C at hundreds of separations some ten times
 per set, so the series runs only at a table's nodes.  The rule is one
 table per fit range: analysis builds it once per process for each range
 (z0 bounds, relative separations, R), the extraction reads the fit's
@@ -165,10 +165,14 @@ class GammaTable:
         self._curve = Interpolant(lo, hi, evaluate, tol,
                                   f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
 
-    def __call__(self, a, slope: bool = False):
-        """gamma / C at the separations a, and with slope=True its derivative in a."""
+    def __call__(self, a, slope: bool = False, cuts=()):
+        """gamma / C at the separations a, and with slope=True its derivative in a.
+
+        cuts splits a flat a into parts read as if each were read alone
+        (chebyshev.Interpolant.__call__).
+        """
         a = np.asarray(a, dtype=float)
-        g, dg = self._curve(a)
+        g, dg = self._curve(a, cuts=cuts)
         return (g / (a * a), dg / a**3) if slope else g / (a * a)
 
 

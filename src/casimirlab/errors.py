@@ -1,8 +1,17 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
 
 class CasimirLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    field, when given, names the dataclass field whose value was refused.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class ModelError(CasimirLabError):

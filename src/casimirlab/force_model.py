@@ -61,11 +61,12 @@ class Geometry:
 
     def __post_init__(self):
         if not self.R > 0:
-            raise ValidityDomainError(f"sphere radius must be positive, got {self.R}")
-        if self.delta_s < 0 or self.delta_p < 0:
-            raise ValidityDomainError("rms roughness must be >= 0")
+            raise ValidityDomainError(f"sphere radius must be positive, got {self.R}", field="R")
+        for name in ("delta_s", "delta_p"):
+            if getattr(self, name) < 0:
+                raise ValidityDomainError("rms roughness must be >= 0", field=name)
         if not self.temperature > 0:
-            raise ValidityDomainError("temperature must be positive")
+            raise ValidityDomainError("temperature must be positive", field="temperature")
 
     def roughness_factor(self, a: float) -> float:
         """1 + 10 (delta_s^2 + delta_p^2) / a^2."""

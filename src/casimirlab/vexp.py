@@ -92,22 +92,24 @@ class CampaignSpec:
 
     def __post_init__(self):
         if len(self.voltages) != 21:
-            raise ModelError(f"campaign needs exactly 21 voltages, got {len(self.voltages)}")
+            raise ModelError(f"campaign needs exactly 21 voltages, got {len(self.voltages)}",
+                             field="voltages")
         for name in ("sample_step", "grid_step", "max_z_rel"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}",
+                                 field=name)
         for name in ("freq_systematic", "amplitude"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
+                                 f"got {getattr(self, name)}", field=name)
         if self.repetitions < 1:
-            raise ModelError("repetitions must be >= 1")
+            raise ModelError("repetitions must be >= 1", field="repetitions")
         if self.sample_step > self.grid_step:
-            raise ModelError("sample_step must not exceed grid_step")
+            raise ModelError("sample_step must not exceed grid_step", field="sample_step")
         if self.truth_tag not in ("drude", "plasma"):
-            raise ModelError(f"unknown truth tag {self.truth_tag!r}")
+            raise ModelError(f"unknown truth tag {self.truth_tag!r}", field="truth_tag")
         if not self.z0_true > 0:
-            raise ModelError("z0_true must be positive")
+            raise ModelError("z0_true must be positive", field="z0_true")
 
 
 def model_for_tag(tag: str) -> PermittivityModel:

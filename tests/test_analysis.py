@@ -363,6 +363,88 @@ class TestExtraction:
         assert np.abs(bias).mean() <= 0.1 * mean_total.mean()
 
 
+def window_refits_alone(grid, calib):
+    """Each quarter window's refit run on its own through _gauss_newton: (idx, fit, reads)."""
+    par = fit_parabolas(grid)
+    assert np.all(par.sigma_gamma > 0)
+    weights = 1.0 / (par.sigma_gamma * par.sigma_gamma)
+    table = analysis._fit_table(par.z_rel, calib.R)
+    z0, half = calib.z0, analysis._WINDOW_HALF_WIDTH
+    alone = []
+    for idx in np.array_split(np.arange(par.z_rel.size), 4):
+        [fit], reads = analysis._gauss_newton(
+            [(par.z_rel[idx], par.gamma[idx], weights[idx], z0,
+              max(analysis._Z0_BOUNDS[0], z0 - half), z0 + half)], table)
+        alone.append((idx, fit, reads))
+    return alone
+
+
+def count_table_reads(monkeypatch):
+    """A list that grows by one entry per GammaTable read."""
+    reads = []
+    table_call = electrostatics.GammaTable.__call__
+
+    def spy(table, a, *args, **kwargs):
+        reads.append(np.size(a))
+        return table_call(table, a, *args, **kwargs)
+
+    monkeypatch.setattr(electrostatics.GammaTable, "__call__", spy)
+    return reads
+
+
+class TestLockstepWindows:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_window_matches_its_refit_alone(self, n, seed):
+        spec, geom = reference_campaign(n)
+        grid = synthesize_campaign(spec, geom, seed=seed)
+        calib = calibrate(grid)
+        for window, (idx, fit, _) in zip(calib.window_fits, window_refits_alone(grid, calib),
+                                         strict=True):
+            z0w, cw, *_ = fit
+            assert window == analysis.WindowFit(float(calib.z_rel[idx[0]]),
+                                                float(calib.z_rel[idx[-1]]), cw, z0w)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_read_per_step_serves_every_window(self, n, monkeypatch):
+        spec, geom = reference_campaign(n)
+        grid = synthesize_campaign(spec, geom, seed=5)
+        runs = []
+        gauss_newton = analysis._gauss_newton
+
+        def spy(windows, table):
+            out, reads = gauss_newton(windows, table)
+            runs.append((len(windows), reads))
+            return out, reads
+
+        monkeypatch.setattr(analysis, "_gauss_newton", spy)
+        reads = count_table_reads(monkeypatch)
+        calib = calibrate(grid)
+        assert [k for k, _ in runs] == [1, 4]
+        [(_, main_steps), (_, window_reads)] = runs
+        monkeypatch.undo()
+        steps = [k for _, _, k in window_refits_alone(grid, calib)]
+        assert window_reads == max(steps)
+        assert len(reads) == calib.gamma_evals == main_steps + max(steps)
+        assert len(reads) < main_steps + sum(steps)
+        # each window read joins the windows still running
+        sizes = [idx.size for idx in np.array_split(np.arange(calib.z_rel.size), 4)]
+        assert reads[main_steps:] == [sum(size for size, k in zip(sizes, steps) if k >= t)
+                                      for t in range(1, window_reads + 1)]
+
+    def test_gamma_evals_count_the_scan_fallbacks_reads(self, set1_grid, monkeypatch):
+        _, geom, grid = set1_grid
+        par = fit_parabolas(grid)
+        sigma = par.sigma_gamma.copy()
+        sigma[0] = 1e6 * par.gamma[0]
+        gamma = par.gamma.copy()
+        gamma[0] = gamma[gamma.size // 2] * (1.0 + 1e-9)
+        reads = count_table_reads(monkeypatch)
+        fit = fit_calibration(par.z_rel, gamma, sigma, geom.R)
+        assert fit.scan_fallback
+        assert fit.gamma_evals == len(reads)
+
+
 class TestSharedGammaTable:
     def test_series_runs_at_one_tables_nodes_then_not_at_all(self, monkeypatch):
         spec, geom = short_campaign()

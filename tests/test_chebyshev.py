@@ -6,6 +6,20 @@ import pytest
 from casimirlab.chebyshev import Interpolant, _lagrange_basis, _lobatto_points
 
 
+def barycentric_oracle(nodes, values, x):
+    """The second barycentric formula, its weights and sums rebuilt from nodes and values."""
+    w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    c = np.subtract.outer(nodes, x)
+    hit = c == 0.0
+    c[hit] = 1.0
+    np.reciprocal(c, out=c)
+    at_node = hit.any(axis=0)
+    c[:, at_node] = hit[:, at_node]
+    sums = np.vstack([values * w, w]) @ c
+    return sums[:-1] / sums[-1]
+
+
 def lagrange_basis_oracle(nodes, x):
     """The barycentric basis written out with a fresh array per step."""
     w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
@@ -86,6 +100,32 @@ class TestBarycentricEvaluation:
             mixed = curve._at(np.concatenate([x[3:4], [0.123]]), coarse)
         assert np.array_equal(got, curve.values[:, ::step])
         assert np.array_equal(mixed[:, 0], curve.values[:, 3 * step])
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_sums_built_once_match_the_final_nodes(self, curves, m, coarse):
+        # the curve doubled past 33 nodes, so its sums were rebuilt after construction began
+        curve = curves[m]
+        step = 2 if coarse else 1
+        nodes = curve.nodes[::step]
+        x = np.concatenate([nodes[[0, -1, nodes.size // 3]],
+                            np.random.default_rng(m).uniform(-1.0, 1.0, 500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curve._at(x, coarse)
+        assert np.array_equal(got, barycentric_oracle(nodes, curve.values[:, ::step], x))
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_cut_parts_read_as_if_alone(self, curves, coarse):
+        # part sizes with every remainder mod 8, where BLAS may switch kernels
+        curve = curves[64]
+        rng = np.random.default_rng(5)
+        parts = [np.exp(rng.uniform(np.log(LO), np.log(HI), n))
+                 for n in (176, 175, 9, 12, 1, 44, 703)]
+        cuts = np.cumsum([p.size for p in parts[:-1]])
+        joined = curve(np.concatenate(parts), coarse=coarse, cuts=cuts)
+        alone = np.hstack([curve(p, coarse=coarse) for p in parts])
+        assert np.array_equal(joined, alone)
 
     @pytest.mark.parametrize("m", [32, 64, 128])
     def test_coarse_basis_is_that_of_every_second_node(self, curves, m):

@@ -418,7 +418,18 @@ class TestErrors:
         cfg = tmp_path / "campaign.ini"
         cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
         assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert f"config error: [campaign] {message}" in capsys.readouterr().err
+        assert f"config error: [campaign] {key} = {value}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, message", [
+        ("r_um", "sphere radius must be positive"),
+        ("delta_s_nm", "rms roughness must be >= 0"),
+    ])
+    def test_invalid_geometry_value_is_a_config_error(self, tmp_path, capsys, key, message):
+        cfg = tmp_path / "geometry.ini"
+        cfg.write_text(f"[geometry]\n{key} = -1\n")
+        assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: [geometry] {key} = -1: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [("calibrate", "--grid"), ("compare", "--gradients")])
