@@ -294,7 +294,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     each closest-approach candidate the optimal C is a weighted projection,
     and z0 follows from Gauss-Newton steps with the analytic slope of the
     series, started at a proximity-limit seed inside a bracket around it.
-    If the steps reach the bracket edge, a full-range scan picks a new start.
+    If the steps reach the bracket edge, a full-range scan picks a new start;
+    it reads the table once for all its candidates, cut per candidate.
     Every evaluation reads the one GammaTable of the fit range (_fit_table),
     which extract_gradients reads too; a range met before reuses its table.
     """
@@ -324,8 +325,10 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     scan_fallback = not inside
     if scan_fallback:
         scan = np.geomspace(lo, hi, 80)
-        costs = [_project(gamma, weights, table(z + z_rel))[2] for z in scan]
-        evals += scan.size
+        g_scan = table(np.concatenate([z + z_rel for z in scan]),
+                       cuts=range(z_rel.size, scan.size * z_rel.size, z_rel.size))
+        costs = [_project(gamma, weights, g)[2] for g in np.split(g_scan, scan.size)]
+        evals += 1
         i_best = int(np.argmin(costs))
         if i_best == 0 or i_best == scan.size - 1:
             raise FitConvergenceError(

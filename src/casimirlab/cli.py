@@ -102,10 +102,12 @@ def _getint(cp, section, key, default):
 # the config key of each field that Geometry and CampaignSpec check
 _KEYS = {
     "geometry": {"R": "r_um", "delta_s": "delta_s_nm", "delta_p": "delta_p_nm",
-                 "temperature": "temperature_k"},
+                 "temperature": "temperature_k", "a_min": "a_min_nm", "a_max": "a_max_nm",
+                 "max_aspect": "max_aspect"},
     "campaign": {"voltages": "voltages_v", "z0_true": "z0_nm", "amplitude": "amplitude_nm",
                  "freq_systematic": "freq_systematic_rad_s", "max_z_rel": "max_z_rel_nm",
                  "repetitions": "repetitions", "truth_tag": "truth"},
+    "pipeline": {"truth_tag": "truth"},
 }
 
 
@@ -139,11 +141,6 @@ def _geometry(cp) -> Geometry:
 def _campaign(cp):
     sec = "campaign"
     truth = cp.get(sec, "truth", fallback="plasma")
-    if cp.has_option(sec, "preset"):
-        n = _getint(cp, sec, "preset", None)
-        return reference_campaign(n, truth), n
-    if not cp.has_section(sec):
-        raise ConfigError("synth needs a [campaign] section (preset or explicit fields)")
 
     def need(key, get=_getfloat):
         if not cp.has_option(sec, key):
@@ -151,6 +148,11 @@ def _campaign(cp):
         return get(cp, sec, key, None)
 
     try:
+        if cp.has_option(sec, "preset"):
+            n = _getint(cp, sec, "preset", None)
+            return reference_campaign(n, truth), n
+        if not cp.has_section(sec):
+            raise ConfigError("synth needs a [campaign] section (preset or explicit fields)")
         spec = CampaignSpec(
             voltages=need("voltages_v", _getfloats),
             z0_true=need("z0_nm") * 1e-9,
@@ -399,18 +401,12 @@ def _cmd_pipeline(args, cp):
     tol = _tol(args, cp)
     settings = _compare_settings(cp)
 
-    campaigns = [reference_campaign(n, truth) for n in sets]
-    # every set is compared against one theory curve, so the sets must share
-    # the physical geometry; validity bounds may differ
-    first = campaigns[0][1]
-    for n, (_, geometry) in zip(sets, campaigns):
-        for name in ("R", "delta_s", "delta_p", "temperature"):
-            if getattr(geometry, name) != getattr(first, name):
-                raise ConfigError(
-                    f"set {n} has {name} = {getattr(geometry, name)!r} but set "
-                    f"{sets[0]} has {getattr(first, name)!r}; the pipeline compares "
-                    "all sets against one theory curve"
-                )
+    try:
+        campaigns = [reference_campaign(n, truth) for n in sets]
+    except ModelError as exc:
+        raise _refused(cp, "pipeline", exc) from None
+    # every preset shares the physical geometry (R, roughness, T), so one theory
+    # curve serves all the sets; only the validity bounds differ
     geometry = campaigns[-1][1]
     if None not in settings[3]:
         _compared_grid(settings, (), geometry)  # both ends set: check it before any work

@@ -22,7 +22,6 @@ against an independent evaluation.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .constants import EPSILON_0
 from .chebyshev import Interpolant
 from .errors import NumericsError, PrecisionError
+from .lifshitz import _smallest_count
 
 __all__ = [
     "GammaTable",
@@ -85,7 +85,7 @@ def _term_count(kappas: np.ndarray, tol: float) -> int:
     For n > N, t_n <= K n^2 q^n with q = e^{-k}, K = 2 (coth^2 + csch^2)(N k) / (1 - e^{-2 N k}),
     so with r = ((N+2)/(N+1))^2 q < 1 the tail is at most K (N+1)^2 q^{N+1} / (1 - r).
     S is at least its term at n = 2/k, where n^2 q^n peaks; the bound falls with N.
-    The search doubles N from 1 until the bound holds, then bisects.
+    lifshitz._smallest_count searches N from 1, up to _MAX_TERMS.
     """
     floor = tol * _terms(np.maximum(2.0, np.round(2.0 / kappas)), kappas)[0]
 
@@ -96,13 +96,10 @@ def _term_count(kappas: np.ndarray, tol: float) -> int:
                 * np.exp(2.0 * math.log(n + 1.0) - (n + 1.0) * kappas))
         return bool(np.all((r < 1.0) & (tail <= floor * (1.0 - r))))
 
-    lo, hi = 0, 1
-    while not enough(hi):
-        if hi >= _MAX_TERMS:
-            raise NumericsError(
-                f"electrostatic image series needs more than {_MAX_TERMS} terms")
-        lo, hi = hi, min(2 * hi, _MAX_TERMS)
-    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=enough)
+    n = _smallest_count(enough, 1, _MAX_TERMS)
+    if n is None:
+        raise NumericsError(f"electrostatic image series needs more than {_MAX_TERMS} terms")
+    return n
 
 
 def _kappa(a, R: float):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .chebyshev import Interpolant
 from .errors import ValidityDomainError
-from .lifshitz import MatsubaraCache, casimir_pressure
+from .lifshitz import MatsubaraCache, casimir_pressure, pressure_sweep
 from .optics import PermittivityModel
 
 __all__ = [
@@ -65,8 +65,12 @@ class Geometry:
         for name in ("delta_s", "delta_p"):
             if getattr(self, name) < 0:
                 raise ValidityDomainError("rms roughness must be >= 0", field=name)
-        if not self.temperature > 0:
-            raise ValidityDomainError("temperature must be positive", field="temperature")
+        for name in ("temperature", "a_min", "max_aspect"):
+            if not getattr(self, name) > 0:
+                raise ValidityDomainError(f"{name} must be positive", field=name)
+        if not self.a_min < self.a_max:
+            raise ValidityDomainError(f"a_min = {self.a_min * 1e9:g} nm must lie below "
+                                      f"a_max = {self.a_max * 1e9:g} nm", field="a_min")
 
     def roughness_factor(self, a: float) -> float:
         """1 + 10 (delta_s^2 + delta_p^2) / a^2."""
@@ -222,7 +226,7 @@ def gradient_curve(
     """pressure_to_gradient_sweep interpolated from Chebyshev nodes.
 
     P(a) a^4 is a chebyshev.Interpolant over [grid[0], grid[-1]], accepted
-    at tol, with casimir_pressure at its nodes; force_gradient's prefactor
+    at tol, with pressure_sweep at its nodes; force_gradient's prefactor
     (_proximity) is applied per point afterwards.  Each point's pressure
     truncation is sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4,
     with l_i the Lagrange basis of the 2n + 1 nodes: the node truncations
@@ -241,11 +245,9 @@ def gradient_curve(
     node_truncs = {}
 
     def evaluate(a):
-        cache = MatsubaraCache(model, geometry.temperature, a)
-        res = [casimir_pressure(model, float(s), geometry.temperature, tol, cache=cache)
-               for s in a]
-        node_truncs.update(zip(a, np.array([r.truncation_error_estimate for r in res]) * a**4))
-        return (np.array([r.pressure for r in res]) * a**4)[None]
+        pressures, truncs = pressure_sweep(model, a, geometry.temperature, tol)
+        node_truncs.update(zip(a, truncs * a**4))
+        return (pressures * a**4)[None]
 
     curve = Interpolant(grid[0], grid[-1], evaluate, tol,
                         f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm")

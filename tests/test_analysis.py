@@ -443,6 +443,8 @@ class TestLockstepWindows:
         fit = fit_calibration(par.z_rel, gamma, sigma, geom.R)
         assert fit.scan_fallback
         assert fit.gamma_evals == len(reads)
+        # the 80 scan candidates are read together, once
+        assert reads.count(80 * par.z_rel.size) == 1
 
 
 class TestSharedGammaTable:

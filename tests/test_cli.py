@@ -202,23 +202,6 @@ class TestImport:
 
 
 class TestErrors:
-    def test_pipeline_rejects_sets_with_different_geometry(self, tmp_path, monkeypatch, capsys):
-        preset = cli.reference_campaign
-
-        def campaign(n, truth="plasma"):
-            spec, geometry = preset(n, truth)
-            if n == 2:
-                geometry = dataclasses.replace(geometry, R=40e-6)
-            return spec, geometry
-
-        monkeypatch.setattr(cli, "reference_campaign", campaign)
-        cfg = tmp_path / "two.ini"
-        cfg.write_text("[pipeline]\nsets = 1,2\n")
-        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert "set 2 has R" in err and "set 1" in err
-        assert not (tmp_path / "out").exists()
-
     def test_pipeline_rejects_a_repeated_set(self, tmp_path, capsys):
         cfg = tmp_path / "repeat.ini"
         cfg.write_text("[pipeline]\nsets = 1,1\nseed = 7\n")
@@ -424,12 +407,28 @@ class TestErrors:
     @pytest.mark.parametrize("key, message", [
         ("r_um", "sphere radius must be positive"),
         ("delta_s_nm", "rms roughness must be >= 0"),
+        ("max_aspect", "max_aspect must be positive"),
+        ("a_min_nm", "a_min = 700 nm must lie below a_max = 300 nm"),
     ])
     def test_invalid_geometry_value_is_a_config_error(self, tmp_path, capsys, key, message):
+        # a_min_nm = 700 is refused against a_max_nm = 300, the other keys at -1
+        value, other = ("700", "a_max_nm = 300\n") if key == "a_min_nm" else ("-1", "")
         cfg = tmp_path / "geometry.ini"
-        cfg.write_text(f"[geometry]\n{key} = -1\n")
+        cfg.write_text(f"[geometry]\n{key} = {value}\n{other}")
         assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert f"config error: [geometry] {key} = -1: {message}" in capsys.readouterr().err
+        assert f"config error: [geometry] {key} = {value}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section, ini", [
+        ("synth", "campaign", "preset = 1"),
+        ("pipeline", "pipeline", "sets = 1"),
+    ])
+    def test_unknown_truth_tag_is_a_config_error(self, tmp_path, capsys, command, section, ini):
+        cfg = tmp_path / "truth.ini"
+        cfg.write_text(f"[{section}]\n{ini}\ntruth = foo\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: [{section}] truth = foo: unknown truth tag 'foo'" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [("calibrate", "--grid"), ("compare", "--gradients")])

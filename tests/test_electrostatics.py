@@ -198,6 +198,14 @@ class TestTermCount:
                 doubling_bisect_term_count(kappas, tol), (kappas.min(), kappas.max(), tol)
 
 
+class TestTermCap:
+    def test_series_past_the_term_cap_raises(self, monkeypatch):
+        # 288 terms at 300 nm, against a cap of 8
+        monkeypatch.setattr(electrostatics, "_MAX_TERMS", 8)
+        with pytest.raises(NumericsError, match="image series needs more than 8 terms"):
+            gamma_over_c(300e-9, R_SPHERE)
+
+
 def preset_separations(n):
     """The absolute separations of preset n's analysis grid."""
     spec, _ = vexp.reference_campaign(n)

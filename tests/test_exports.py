@@ -60,3 +60,28 @@ def test_no_module_imports_scipy():
             imports += [f"{path.name}:{node.lineno} {n}" for n in names
                         if n.split(".")[0] == "scipy"]
     assert not imports, f"scipy imported by the package: {imports}"
+
+
+# Imported but unused: bench/tests/test_bench_tracing.py checks that the layer
+# tracer rebinds these names in these modules, so they stay until the
+# benchmark stops asking for them (ROADMAP item 7).
+KEPT_FOR_BENCH = {("analysis", "gamma_over_c"), ("vexp", "pressure_to_gradient_sweep")}
+
+
+def test_no_unused_module_imports():
+    """Every module-level import is used in its module or named in its __all__.
+
+    The package's own imports are its exports (test_package_reexports_exist).
+    """
+    unused = set()
+    for path in sorted(Path(casimirlab.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(importlib.import_module(f"casimirlab.{path.stem}"), "__all__", ()))
+        unused |= {(path.stem, name) for name in bound if name not in used}
+    assert unused == KEPT_FOR_BENCH

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casimirlab import force_model, lifshitz
+from casimirlab import lifshitz
 from casimirlab.errors import NumericsError, ValidityDomainError
 from casimirlab.force_model import (
     BetaTable,
@@ -117,8 +117,9 @@ def preset_lattice(n):
 
 
 def fake_pressure(shape):
-    """casimir_pressure stand-in with P a^4 = -shape(ln a) and no truncation;
-    its calls are counted in .calls."""
+    """lifshitz.casimir_pressure stand-in, which gradient_curve's pressure_sweep
+    calls at each node, with P a^4 = -shape(ln a) and no truncation; its
+    calls are counted in .calls."""
     def fake(model, a, temperature=293.15, tol=1e-9, **kwargs):
         fake.calls += 1
         return PressureResult(-shape(math.log(a)) / a**4, 0.0, 1, "tol")
@@ -153,7 +154,7 @@ class TestGradientCurve:
 
     def test_smooth_curve_takes_33_pressure_calls(self, monkeypatch):
         fake = fake_pressure(lambda t: 2.0 + math.tanh(t + 14.5))
-        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
         curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
         assert fake.calls == 33
         exact = np.array([2.0 + math.tanh(math.log(a) + 14.5) for a in GRID_07]) / GRID_07**4
@@ -166,7 +167,7 @@ class TestGradientCurve:
             return 2.0 + math.sin(30.0 * t)
 
         fake = fake_pressure(shape)
-        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
         curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07, tol=1e-9)
         assert fake.calls == 129
         exact = np.array([shape(math.log(a)) for a in GRID_07]) / GRID_07**4
@@ -177,7 +178,7 @@ class TestGradientCurve:
         # |ln a - ln 600 nm| has a kink that no polynomial resolves to 1e-9
         mid = math.log(600e-9)
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
-        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
             gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
         assert fake.calls == 257
@@ -187,7 +188,7 @@ class TestGradientCurve:
         # nodes, not at the grid points, so the kink is found as on GRID_07
         mid = math.log(600e-9)
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
-        monkeypatch.setattr(force_model, "casimir_pressure", fake)
+        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
             gradient_curve(DRUDE, GEOM, NO_BETA, [250e-9, 950e-9])
         assert fake.calls == 257
@@ -218,6 +219,19 @@ class TestGeometryValidation:
             Geometry(R=1e-5, delta_s=-1e-9)
         with pytest.raises(ValidityDomainError):
             Geometry(R=1e-5, temperature=0.0)
+
+    @pytest.mark.parametrize("bounds, field", [
+        ({"a_min": 0.0}, "a_min"),
+        ({"a_min": -250e-9}, "a_min"),
+        ({"a_min": 700e-9, "a_max": 300e-9}, "a_min"),
+        ({"a_min": 300e-9, "a_max": 300e-9}, "a_min"),
+        ({"max_aspect": 0.0}, "max_aspect"),
+        ({"max_aspect": -1.0}, "max_aspect"),
+    ])
+    def test_bad_bounds_name_their_field(self, bounds, field):
+        with pytest.raises(ValidityDomainError) as info:
+            Geometry(R=1e-5, **bounds)
+        assert info.value.field == field
 
 
 class TestProperties:

@@ -476,6 +476,42 @@ class TestTermCount:
                 assert n == cold
 
 
+class TestSmallestCount:
+    @staticmethod
+    def step(threshold, calls):
+        """The step predicate n >= threshold, logging each n it is called with."""
+        def enough(n):
+            calls.append(n)
+            return n >= threshold
+        return enough
+
+    def test_equals_a_linear_scan_from_any_start(self):
+        rng = np.random.default_rng(29)
+        thresholds = [1, 2, 3, *rng.integers(1, 100, 20).tolist(),
+                      *rng.integers(1_000, 6_000, 6).tolist()]
+        for threshold in thresholds:
+            calls = []
+            enough = self.step(threshold, calls)
+            scan = next(n for n in range(1, threshold + 1) if enough(n))
+            # below, at and above the threshold, one term away and thousands away
+            for start in {0, 1, threshold - 1, threshold, threshold + 1, threshold + 2,
+                          threshold - 2_500, threshold + 4_000,
+                          int(rng.integers(0, 12_000))}:
+                calls.clear()
+                assert lifshitz._smallest_count(enough, start) == scan, (threshold, start)
+                assert min(calls) >= 1
+                if abs(start - threshold) <= 1 and start >= 1:
+                    assert len(calls) <= 3, (threshold, start, calls)
+
+    def test_most_caps_the_gallop(self):
+        for threshold in (1, 7, 64, 65, 1_000):
+            for most in (1, 6, 7, 64, 100, 1 << 22):
+                calls = []
+                found = lifshitz._smallest_count(self.step(threshold, calls), 1, most)
+                assert found == (threshold if threshold <= most else None), (threshold, most)
+                assert max(calls) <= most
+
+
 BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600, 1301) * 1e-9}
 
 

@@ -67,6 +67,15 @@ class TestPresets:
         with pytest.raises(ConfigError):
             reference_campaign(9)
 
+    def test_presets_share_the_physical_geometry(self):
+        # pipeline compares every set against one theory curve, built with the
+        # last set's geometry; only the validity bounds may differ
+        reference = vexp.reference_geometry()
+        for n in (1, 2, 3, 4):
+            _, geom = reference_campaign(n)
+            for name in ("R", "delta_s", "delta_p", "temperature"):
+                assert getattr(geom, name) == getattr(reference, name), (n, name)
+
 
 class TestSpecValidation:
     def test_wrong_voltage_count(self):
