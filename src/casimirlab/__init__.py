@@ -36,6 +36,7 @@ from .force_model import (  # noqa: F401
     GradientSweep,
     force_gradient,
     gradient_curve,
+    gradient_sweeps,
     pressure_to_gradient_sweep,
 )
 from .electrostatics import (  # noqa: F401

@@ -38,8 +38,14 @@ from .errors import (
     ModelError,
     ValidityDomainError,
 )
-from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep
-from .lifshitz import TOL_RANGE, MatsubaraCache
+from .force_model import (  # noqa: F401  (pressure_to_gradient_sweep: see ROADMAP item 7)
+    BetaTable,
+    Geometry,
+    gradient_curve,
+    gradient_sweeps,
+    pressure_to_gradient_sweep,
+)
+from .lifshitz import TOL_RANGE
 from .vexp import (
     CampaignSpec,
     V0Law,
@@ -99,10 +105,11 @@ def _getint(cp, section, key, default):
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
-# the config key of each field that Geometry and CampaignSpec check
+# the config key of each field that Geometry and CampaignSpec check; a_min is
+# refused alone or against a_max, so either key may be the one written
 _KEYS = {
     "geometry": {"R": "r_um", "delta_s": "delta_s_nm", "delta_p": "delta_p_nm",
-                 "temperature": "temperature_k", "a_min": "a_min_nm", "a_max": "a_max_nm",
+                 "temperature": "temperature_k", "a_min": ("a_min_nm", "a_max_nm"),
                  "max_aspect": "max_aspect"},
     "campaign": {"voltages": "voltages_v", "z0_true": "z0_nm", "amplitude": "amplitude_nm",
                  "freq_systematic": "freq_systematic_rad_s", "max_z_rel": "max_z_rel_nm",
@@ -114,12 +121,14 @@ _KEYS = {
 def _refused(cp, section, exc):
     """The ConfigError for a well-formed [section] value the model refuses.
 
-    It names the key and the value as written, when the refused field has one.
+    It names the key and the value as written, when the refused field has one;
+    of a field's several keys, the first that is written.
     """
-    key = _KEYS[section].get(exc.field)
-    if key is None or not cp.has_option(section, key):
+    keys = _KEYS[section].get(exc.field, ())
+    written = [k for k in ((keys,) if isinstance(keys, str) else keys) if cp.has_option(section, k)]
+    if not written:
         return ConfigError(f"[{section}] {exc}")
-    return ConfigError(f"[{section}] {key} = {cp.get(section, key)}: {exc}")
+    return ConfigError(f"[{section}] {written[0]} = {cp.get(section, written[0])}: {exc}")
 
 
 def _geometry(cp) -> Geometry:
@@ -232,11 +241,7 @@ def _cmd_theory(args, cp):
     }
 
     # one batch computes every selected model's thermal sums
-    cache = MatsubaraCache(tuple(models.values()), geometry.temperature, grid)
-    sweeps = {
-        tag: pressure_to_gradient_sweep(model, geometry, BetaTable(), grid, tol, cache)
-        for tag, model in models.items()
-    }
+    sweeps = dict(zip(models, gradient_sweeps(models.values(), geometry, grid, tol)))
     grads = {t: (s.values * 1e6, s.truncation_estimates * 1e6) for t, s in sweeps.items()}
     textio.write(out / "theory_gradients.txt",
                  _theory_text(_manifest("theory", params), grid, "Fgrad", "uN_per_m", grads))

@@ -13,10 +13,12 @@ Pressure is negative for attraction; the gradient reported here is the
 positive plotted quantity (attractive force gradient > 0), i.e. the sign
 flip lives entirely in the -2 pi R prefactor.
 
-pressure_to_gradient_sweep evaluates the thermal sum at every grid point;
-gradient_curve interpolates P(a) a^4, which is analytic in ln a, with
-chebyshev.Interpolant, the rule the gamma/C table of the calibration
-follows too.
+pressure_to_gradient_sweep evaluates the thermal sum at every grid point,
+one force_gradient per point; gradient_sweeps gives the same sweeps, bit for
+bit, for several models from the arrays of one lifshitz.pressure_sweep
+batch, with _proximity applied over the whole grid; gradient_curve
+interpolates P(a) a^4, which is analytic in ln a, with chebyshev.Interpolant,
+the rule the gamma/C table of the calibration follows too.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "GradientSweep",
     "force_gradient",
     "gradient_curve",
+    "gradient_sweeps",
     "pressure_to_gradient_sweep",
 ]
 
@@ -170,7 +173,8 @@ def pressure_to_gradient_sweep(
     tol: float = 1e-9,
     cache: MatsubaraCache | None = None,
 ) -> GradientSweep:
-    """Vectorised force_gradient over a sorted separation grid.
+    """force_gradient at every point of a sorted separation grid, one call per
+    point: the per-point path that gradient_sweeps is checked against.
 
     Every grid point is checked against the geometry first; then the
     thermal sums are computed as one batch per sweep
@@ -201,6 +205,23 @@ def pressure_to_gradient_sweep(
         truncation_estimates=trunc,
         pressure_truncations=p_trunc,
     )
+
+
+def gradient_sweeps(models, geometry: Geometry, grid, tol: float = 1e-9) -> list[GradientSweep]:
+    """pressure_to_gradient_sweep of each of models, bit for bit, from one batch.
+
+    The grid is checked against the geometry once; one
+    lifshitz.pressure_sweep computes every model's thermal sums, and
+    _proximity turns each model's pressure and truncation arrays into
+    gradients over the whole grid, with no per-point call in between.
+    """
+    grid = _checked_grid(grid, geometry)
+    sweeps = []
+    for pressures, p_trunc in pressure_sweep(list(models), grid, geometry.temperature, tol):
+        values, trunc = _proximity(geometry, grid, pressures, p_trunc)
+        sweeps.append(GradientSweep(separations=grid, values=values, pressures=pressures,
+                                    truncation_estimates=trunc, pressure_truncations=p_trunc))
+    return sweeps
 
 
 def _checked_grid(grid, geometry: Geometry) -> np.ndarray:

@@ -20,10 +20,13 @@ Every pressure comes from one batch function, _pressures: it evaluates each
 model's eps once for a list of separations and runs the rows (separation,
 term) of all of them, in order, through the template in fixed blocks of
 _PASS_ELEMENTS rows x nodes that all its models share; a separation may span
-several blocks, and is summed as soon as its last row is integrated.  A
-sweep gives its MatsubaraCache its separations and one model or several; its
-first pressure computes the whole batch for every model, and the next
-pressures take their results.  A block computes the planes that do not
+several blocks, and is summed as soon as its last row is integrated, into
+per-model arrays of pressures, tail bounds and term counts (_Batch).
+pressure_sweep hands those arrays on for one model or several, with no
+per-point object; a PressureResult is built only for a caller that asks for
+one point: casimir_pressure, alone or through a sweep's MatsubaraCache,
+whose first pressure computes the whole batch for every model and whose
+next pressures read their entries.  A block computes the planes that do not
 depend on the model (y, y^2, e^-y, expm1(-y)) and finds its l = 0 rows once,
 then each model's reflections and integrand in turn, in place, and reduces
 each row alone; a model's missed rows are refined on their own.  Every block
@@ -189,7 +192,11 @@ def _node_template(depth):
 
 def _shared_planes(y_l, nodes, out):
     """The planes every model's integrand reads, into out[0] .. out[3]: y = y_l
-    + t on the template nodes, y^2, e^-y and expm1(-y), one row per term."""
+    + t on the template nodes, y^2, e^-y and expm1(-y), one row per term.
+
+    -y is negated from the y plane: (-y_l) - t would round to the same bits
+    without reading it, but a broadcast pass over rows of 94 nodes costs more
+    than a contiguous negation."""
     y, y2, em, em1 = out
     np.add(y_l[:, None], nodes, out=y)
     np.multiply(y, y, out=y2)
@@ -300,30 +307,32 @@ class MatsubaraCache:
     separations casimir_pressure will be called with.  The first call for
     one of them computes all of them (those in the accepted range) for every
     model at that call's tol in one _pressures batch, whose template blocks
-    cut across separations, and each later call for one of them takes its
-    own model's result from the memo.  A call for any other separation or
-    tol, or with_breakdown, is computed alone.  Every row is integrated by
-    reductions over itself alone, so every pressure is bit-identical to one
-    computed alone, whichever blocks its rows fell in.
+    cut across separations, and each later call for one of them reads its
+    own model's entry of the batch's arrays, once.  A call for any other
+    separation or tol, or with_breakdown, is computed alone.  Every row is
+    integrated by reductions over itself alone, so every pressure is
+    bit-identical to one computed alone, whichever blocks its rows fell in.
     """
 
     def __init__(self, models, temperature: float, separations=()):
         self.models = tuple(models) if isinstance(models, (list, tuple)) else (models,)
         self.temperature = temperature
         self._listed = [float(a) for a in separations if _in_domain(a)]
-        self._results = {}
+        self._entries = {}
 
     def result(self, model, a, tol, with_breakdown=False):
-        """_pressures of separation a alone, or its result from the sweep's batch."""
+        """The PressureResult of separation a alone, or its entry of the sweep's
+        batch; NumericsError if a row of it missed tol/2."""
         if not with_breakdown:
             if a in self._listed:
                 batch = _pressures(self.models, self.temperature, self._listed, tol)
-                self._results = {(id(m), b, tol): res for m, results in zip(self.models, batch)
-                                 for b, res in zip(self._listed, results)}
+                self._entries = {(id(m), b, tol): (batch, i, j) for i, m in enumerate(self.models)
+                                 for j, b in enumerate(self._listed)}
                 self._listed = []
-            if (id(model), a, tol) in self._results:
-                return self._results.pop((id(model), a, tol))
-        return _pressures([model], self.temperature, [a], tol, with_breakdown)[0][0]
+            if (id(model), a, tol) in self._entries:
+                batch, i, j = self._entries.pop((id(model), a, tol))
+                return batch.result(i, j)
+        return _pressures([model], self.temperature, [a], tol, with_breakdown).result(0, 0)
 
 
 @dataclass
@@ -342,6 +351,40 @@ class PressureResult:
     n_terms: int
     stopped_by: str
     term_breakdown: np.ndarray | None = None
+
+
+@dataclass
+class _Batch:
+    """The arrays of one _pressures batch, one row per model and one column
+    per separation, in order: the pressures in Pa (NaN where a row missed),
+    the tail bounds in Pa, the first l whose quadrature missed tol/2 (-1
+    where none did), and, shared by the models, each separation's last
+    Matsubara index.  breakdowns, when asked for, holds each model's terms
+    in Pa per separation."""
+
+    separations: list
+    pressures: np.ndarray
+    truncations: np.ndarray
+    failed: np.ndarray
+    n_terms: np.ndarray
+    breakdowns: list | None = None
+
+    def missed(self, m, j):
+        """The NumericsError naming model m's first missed row at separation j."""
+        return NumericsError("wavevector quadrature failed to converge "
+                             f"(l={self.failed[m, j]}, a={self.separations[j]})")
+
+    def result(self, m, j):
+        """The PressureResult of model m at separation j; NumericsError if a row missed."""
+        if self.failed[m, j] >= 0:
+            raise self.missed(m, j)
+        return PressureResult(
+            pressure=float(self.pressures[m, j]),
+            truncation_error_estimate=float(self.truncations[m, j]),
+            n_terms=int(self.n_terms[j]),
+            stopped_by="tol",
+            term_breakdown=None if self.breakdowns is None else self.breakdowns[m][j],
+        )
 
 
 _ZETA3 = 1.2020569031595942
@@ -405,8 +448,7 @@ _PASS_ELEMENTS = 24_000
 
 
 def _pressures(models, temperature, separations, tol, with_breakdown=False):
-    """For each model, the PressureResult of each separation, in order, or the
-    first l whose quadrature missed tol/2 at that separation.
+    """Each model's pressure at each separation, in order, as one _Batch.
 
     Each separation keeps the terms l = 0 .. L of its tail-bound count, each
     count searched from the one before; each model's eps is evaluated once, at
@@ -416,9 +458,13 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     spanning as many blocks as its rows fill.  In a block, a model's rows
     whose error estimate exceeds tol/2 of their value (or 1e-300, for a row
     that underflows) go through again together, with the panels bisected
-    once more each time, up to 8 times; a row that still misses names its l.
-    A separation is summed as soon as its last row is integrated, and its
-    values dropped.  Every block computes in one workspace.
+    once more each time, up to 8 times; a row that still misses is recorded
+    as its separation's first missed l, and its pressure is NaN.  As soon as
+    a separation's last row is integrated, its terms, the l = 0 one at half
+    weight, are summed by math.fsum, so a pressure does not depend on how
+    blocks cut its rows, and its values are dropped; the sums, times each
+    separation's prefactor, and the tail bounds fill the batch's arrays at
+    the end.  Every block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
@@ -427,24 +473,30 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     for y1 in y1s:
         n = _term_count(y1, 0.5 * tol * _ZETA3, n)
         counts.append(n)
-    top = np.arange(1, max(counts) + 1, dtype=float)
+    top = np.arange(1, max(counts, default=0) + 1, dtype=float)
     # 1 stands in for the l = 0 rows, whose reflection comes from the tag
     eps = [np.append(1.0, np.ones(top.size) if isinstance(model, IdealMetal) else
                      model.epsilon(xi1 * top)) for model in models]
-    ends = np.cumsum([n + 1 for n in counts])
-    starts, a_j, y1_j = ends - np.asarray(counts) - 1, np.array(seps), np.array(y1s)
+    ends = np.cumsum([n + 1 for n in counts], dtype=int)
+    starts, a_j, y1_j = ends - np.asarray(counts, dtype=int) - 1, np.array(seps), np.array(y1s)
+    runs = list(zip(starts.tolist(), ends.tolist()))
+    total = runs[-1][1] if runs else 0
     nodes = _node_template(0)[0].size
     block = _PASS_ELEMENTS // nodes
-    work = _Workspace(min(ends[-1], block) * nodes)
-    results, failed = [[] for _ in models], [{} for _ in models]
+    work = _Workspace(min(total, block) * nodes)
+    prefactors = np.array([-K_B * temperature / (8.0 * math.pi * a**3) for a in seps])
+    failed = np.full((len(models), len(seps)), -1)
+    breakdowns = [[None] * len(seps) for _ in models] if with_breakdown else None
     held = [np.empty(0)] * len(models)  # the values of the rows of separations not yet summed
+    sums = [[] for _ in models]
     j = 0
-    for lo in range(0, ends[-1], block):
-        hi = min(lo + block, ends[-1])
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
         sep = np.searchsorted(ends, np.arange(lo, hi), side="right")
         ls = np.arange(lo, hi) - starts[sep]
         y_l = y1_j[sep] * ls
         passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps], 0, work)
+        zero = np.flatnonzero(ls == 0)
         for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
             rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
             for depth in range(1, 9):
@@ -456,27 +508,31 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
                 rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
             # rows ascend, so a separation's first missed row is its first l
             for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
-                failed[m].setdefault(j_row, l)
+                if failed[m, j_row] < 0:
+                    failed[m, j_row] = l
+            vals[zero] *= 0.5  # the primed sum's l = 0 term
             held[m] = np.concatenate([held[m], vals])
-        while j < len(seps) and ends[j] <= hi:
-            n = counts[j]
-            prefactor = -K_B * temperature / (8.0 * math.pi * seps[j]**3)
-            bound = abs(prefactor) * _tail_bound(y1s[j], n)
-            for m, out in enumerate(results):
-                terms, held[m] = held[m][:n + 1], held[m][n + 1:]
-                if j in failed[m]:
-                    out.append(failed[m].pop(j))
-                    continue
-                terms[0] *= 0.5
-                out.append(PressureResult(
-                    pressure=prefactor * math.fsum(terms.tolist()),
-                    truncation_error_estimate=bound,
-                    n_terms=n,
-                    stopped_by="tol",
-                    term_breakdown=prefactor * terms if with_breakdown else None,
-                ))
-            j += 1
-    return results
+        done = int(np.searchsorted(ends, hi, side="right"))  # separations whose rows all ran
+        if done > j:
+            base, cut = runs[j][0], runs[done - 1][1]
+            for m in range(len(models)):
+                terms, held[m] = held[m][:cut - base], held[m][cut - base:]
+                sums[m] += _fsums(terms, runs[j:done], base)
+                if with_breakdown:
+                    for i, (start, end) in enumerate(runs[j:done], start=j):
+                        breakdowns[m][i] = prefactors[i] * terms[start - base:end - base]
+            j = done
+    pressures = prefactors * np.array(sums)
+    pressures[failed >= 0] = np.nan
+    bounds = np.abs(prefactors) * [_tail_bound(y1, n) for y1, n in zip(y1s, counts)]
+    return _Batch(seps, pressures, np.tile(bounds, (len(models), 1)), failed, np.array(counts),
+                  breakdowns)
+
+
+def _fsums(values, runs, base):
+    """math.fsum of values[start - base:end - base] for each (start, end) of runs."""
+    values = values.tolist()
+    return [math.fsum(values[start - base:end - base]) for start, end in runs]
 
 
 def casimir_pressure(
@@ -526,34 +582,43 @@ def casimir_pressure(
     -------
     PressureResult
     """
-    if not _in_domain(a):
-        raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
+    _check_inputs((a,), tol)
     if cache is None:
         cache = MatsubaraCache(model, temperature)
     elif cache.temperature != temperature or not any(m is model for m in cache.models):
         raise ValueError("cache was built for other models or a different temperature")
-
-    res = cache.result(model, a, tol, with_breakdown)
-    if not isinstance(res, PressureResult):
-        raise NumericsError(f"wavevector quadrature failed to converge (l={res}, a={a})")
-    return res
+    return cache.result(model, a, tol, with_breakdown)
 
 
-def pressure_sweep(model, separations, temperature=293.15, tol=1e-9):
-    """Pressure over a separation grid, computed as one batch per sweep (see
-    MatsubaraCache).
+def _check_inputs(separations, tol):
+    """Raise ValidityDomainError for the first separation outside [50 nm, 20 um],
+    then for a tol outside TOL_RANGE."""
+    for a in separations:
+        if not _in_domain(a):
+            raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
 
-    Returns (pressures, truncation_estimates) as arrays aligned with
-    separations.
+
+def pressure_sweep(models, separations, temperature=293.15, tol=1e-9):
+    """Pressure over a separation grid for one model or several, from one
+    _pressures batch, read from its arrays.
+
+    models is one model, or a list or tuple of them as MatsubaraCache takes.
+    Returns (pressures, truncation_estimates), arrays aligned with
+    separations, for one model, and a list of such pairs, one per model, for
+    several; each is bit-identical to casimir_pressure at each separation.
+    Every separation and tol is checked before any work; if a row missed
+    tol/2, NumericsError names the first such separation in order, and its
+    first such l (of the first model that missed there).
     """
-    separations = np.asarray(separations, dtype=float)
-    cache = MatsubaraCache(model, temperature, separations)
-    p = np.empty_like(separations)
-    trunc = np.empty_like(separations)
-    for i, a in enumerate(separations):
-        res = casimir_pressure(model, float(a), temperature, tol, cache=cache)
-        p[i] = res.pressure
-        trunc[i] = res.truncation_error_estimate
-    return p, trunc
+    several = isinstance(models, (list, tuple))
+    separations = [float(a) for a in np.ravel(separations)]
+    _check_inputs(separations, tol)
+    batch = _pressures(models if several else [models], temperature, separations, tol)
+    missed = batch.failed >= 0
+    if missed.any():
+        j = int(missed.any(axis=0).argmax())
+        raise batch.missed(int(missed[:, j].argmax()), j)
+    pairs = list(zip(batch.pressures, batch.truncations))
+    return pairs if several else pairs[0]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import casimirlab
-from casimirlab import cli
+from casimirlab import cli, force_model, lifshitz
 from casimirlab.analysis import GradientSeries, gradient_series_text
 from casimirlab.cli import main
+from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
 from casimirlab.lifshitz import casimir_pressure
 from casimirlab.vexp import model_for_tag, reference_campaign, save_grid, synthesize_campaign
 
@@ -125,6 +126,90 @@ class TestTheory:
                    for tag in ("drude", "plasma")]
             want = [f"{r.pressure:.9e}" for r in res] + [f"{r.truncation_error_estimate:.3e}" for r in res]
             assert cols == want, a_nm
+
+
+# (theory config, tol): the bench's two grids, a short grid at tol 1e-12, and
+# 10 K down to 50 nm, where one separation's rows span several blocks
+ARRAY_PATH_GRIDS = {
+    "250-950": ("[theory]\na_start_nm = 250\na_stop_nm = 950\n", 1e-9),
+    "600-1300-set4": ("[theory]\na_start_nm = 600\na_stop_nm = 1300\n"
+                      "[geometry]\na_min_nm = 560\nmax_aspect = 0.0306\n", 1e-9),
+    "short-tol12": ("[theory]\na_start_nm = 250\na_stop_nm = 950\na_step_nm = 35\n", 1e-12),
+    "10K-50-60": ("[theory]\na_start_nm = 50\na_stop_nm = 60\na_step_nm = 2.5\n"
+                  "[geometry]\ntemperature_k = 10\na_min_nm = 50\n", 1e-9),
+}
+
+
+class TestTheoryArrayPath:
+    @pytest.mark.parametrize("grid", list(ARRAY_PATH_GRIDS), ids=list(ARRAY_PATH_GRIDS))
+    def test_both_models_equal_per_point_sweeps_bit_for_bit(self, tmp_path, monkeypatch, grid):
+        ini, tol = ARRAY_PATH_GRIDS[grid]
+        cfg = tmp_path / "theory.ini"
+        cfg.write_text(ini.replace("[theory]\n", f"[theory]\ntol = {tol}\n"))
+        got = []
+        sweeps = cli.gradient_sweeps
+
+        def spy(*args):
+            got.extend(sweeps(*args))
+            return got
+
+        monkeypatch.setattr(cli, "gradient_sweeps", spy)
+        out = tmp_path / "out"
+        assert run(["theory", "--config", cfg, "--out", out, "--model", "both"]) == 0
+        cp = cli._read_config(cfg)
+        geometry, seps = cli._geometry(cp), cli._theory_grid(cp)
+        want = [pressure_to_gradient_sweep(model_for_tag(tag), geometry, BetaTable(), seps, tol)
+                for tag in ("drude", "plasma")]
+        for g, w in zip(got, want, strict=True):
+            for field in ("separations", "values", "pressures", "truncation_estimates",
+                          "pressure_truncations"):
+                assert getattr(g, field).tolist() == getattr(w, field).tolist(), field
+        d, p = want
+        rows = [f"{a * 1e9:.3f}  {d.values[i] * 1e6:.9e}  {p.values[i] * 1e6:.9e}  "
+                f"{d.truncation_estimates[i] * 1e6:.3e}  {p.truncation_estimates[i] * 1e6:.3e}"
+                for i, a in enumerate(seps)]
+        assert read_rows(out / "theory_gradients.txt") == rows
+        if grid == "10K-50-60":
+            n_terms = casimir_pressure(model_for_tag("drude"), seps[0], 10.0, tol).n_terms
+            assert n_terms + 1 > 3 * (lifshitz._PASS_ELEMENTS // 94)
+
+    def test_one_batch_and_no_per_point_call(self, tmp_path, monkeypatch):
+        batches = []
+        batch = lifshitz._pressures
+
+        def spy(*args, **kwargs):
+            batches.append(args)
+            return batch(*args, **kwargs)
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("theory made a per-point call")
+
+        monkeypatch.setattr(lifshitz, "_pressures", spy)
+        for module, name in ((lifshitz, "casimir_pressure"), (force_model, "casimir_pressure"),
+                             (force_model, "force_gradient"), (cli, "pressure_to_gradient_sweep")):
+            monkeypatch.setattr(module, name, per_point)
+        cfg = tmp_path / "theory.ini"
+        cfg.write_text("[theory]\na_start_nm = 250\na_stop_nm = 950\na_step_nm = 7\n")
+        assert run(["theory", "--config", cfg, "--out", tmp_path / "out", "--model", "both"]) == 0
+        [(models, temperature, seps, tol)] = batches
+        assert [m.zero_tag for m in models] == ["drude", "plasma"]
+        assert len(seps) == 101
+
+    def test_unresolved_row_exits_1_naming_the_first_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # a jump in the integrand at a non-dyadic t is missed at every depth,
+        # first by the l = 0 row of the grid's first separation
+        kernel = lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand",
+                            lambda r_tm, r_te, shared, scratch:
+                            kernel(r_tm, r_te, shared, scratch) * (1.0 + (shared[0] > 0.3)))
+        cfg = tmp_path / "theory.ini"
+        cfg.write_text("[theory]\na_start_nm = 900\na_stop_nm = 904\n")
+        out = tmp_path / "out"
+        assert run(["theory", "--config", cfg, "--out", out, "--model", "both"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: wavevector quadrature failed to converge (l=0, a={900.0 * 1e-9})" in err
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -292,8 +377,8 @@ class TestErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computation ran before tol was checked")
 
-        for name in ("pressure_to_gradient_sweep", "gradient_curve", "synthesize_campaign",
-                     "load_gradient_series"):
+        for name in ("gradient_sweeps", "pressure_to_gradient_sweep", "gradient_curve",
+                     "synthesize_campaign", "load_gradient_series"):
             monkeypatch.setattr(cli, name, no_work)
         cfg = tmp_path / "tol.ini"
         cfg.write_text(ini)
@@ -417,6 +502,16 @@ class TestErrors:
         cfg.write_text(f"[geometry]\n{key} = {value}\n{other}")
         assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: [geometry] {key} = {value}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_bound_names_the_key_written(self, tmp_path, capsys):
+        # a_max_nm = 200 alone falls below the default a_min of 250 nm: the
+        # message names the key the config sets, not the default it meets
+        cfg = tmp_path / "geometry.ini"
+        cfg.write_text("[geometry]\na_max_nm = 200\n")
+        assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "config error: [geometry] a_max_nm = 200: a_min = 250 nm must lie below " \
+            "a_max = 200 nm" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, section, ini", [

@@ -65,7 +65,8 @@ def test_no_module_imports_scipy():
 # Imported but unused: bench/tests/test_bench_tracing.py checks that the layer
 # tracer rebinds these names in these modules, so they stay until the
 # benchmark stops asking for them (ROADMAP item 7).
-KEPT_FOR_BENCH = {("analysis", "gamma_over_c"), ("vexp", "pressure_to_gradient_sweep")}
+KEPT_FOR_BENCH = {("analysis", "gamma_over_c"), ("cli", "pressure_to_gradient_sweep"),
+                  ("vexp", "pressure_to_gradient_sweep")}
 
 
 def test_no_unused_module_imports():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casimirlab import lifshitz
+from casimirlab import force_model, lifshitz
 from casimirlab.errors import NumericsError, ValidityDomainError
 from casimirlab.force_model import (
     BetaTable,
@@ -14,7 +14,7 @@ from casimirlab.force_model import (
     gradient_curve,
     pressure_to_gradient_sweep,
 )
-from casimirlab.lifshitz import PressureResult, casimir_pressure
+from casimirlab.lifshitz import casimir_pressure
 from casimirlab.optics import AU_DRUDE, Drude, Plasma
 from casimirlab.vexp import model_for_tag, reference_campaign
 
@@ -117,12 +117,12 @@ def preset_lattice(n):
 
 
 def fake_pressure(shape):
-    """lifshitz.casimir_pressure stand-in, which gradient_curve's pressure_sweep
-    calls at each node, with P a^4 = -shape(ln a) and no truncation; its
-    calls are counted in .calls."""
-    def fake(model, a, temperature=293.15, tol=1e-9, **kwargs):
-        fake.calls += 1
-        return PressureResult(-shape(math.log(a)) / a**4, 0.0, 1, "tol")
+    """lifshitz.pressure_sweep stand-in, which gradient_curve calls on each
+    node set, with P a^4 = -shape(ln a) and no truncation; the pressures it
+    gives are counted in .calls."""
+    def fake(model, a, temperature=293.15, tol=1e-9):
+        fake.calls += len(a)
+        return np.array([-shape(math.log(x)) / x**4 for x in a]), np.zeros(len(a))
 
     fake.calls = 0
     return fake
@@ -154,7 +154,7 @@ class TestGradientCurve:
 
     def test_smooth_curve_takes_33_pressure_calls(self, monkeypatch):
         fake = fake_pressure(lambda t: 2.0 + math.tanh(t + 14.5))
-        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
+        monkeypatch.setattr(force_model, "pressure_sweep", fake)
         curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
         assert fake.calls == 33
         exact = np.array([2.0 + math.tanh(math.log(a) + 14.5) for a in GRID_07]) / GRID_07**4
@@ -167,7 +167,7 @@ class TestGradientCurve:
             return 2.0 + math.sin(30.0 * t)
 
         fake = fake_pressure(shape)
-        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
+        monkeypatch.setattr(force_model, "pressure_sweep", fake)
         curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07, tol=1e-9)
         assert fake.calls == 129
         exact = np.array([shape(math.log(a)) for a in GRID_07]) / GRID_07**4
@@ -178,7 +178,7 @@ class TestGradientCurve:
         # |ln a - ln 600 nm| has a kink that no polynomial resolves to 1e-9
         mid = math.log(600e-9)
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
-        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
+        monkeypatch.setattr(force_model, "pressure_sweep", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
             gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
         assert fake.calls == 257
@@ -188,7 +188,7 @@ class TestGradientCurve:
         # nodes, not at the grid points, so the kink is found as on GRID_07
         mid = math.log(600e-9)
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
-        monkeypatch.setattr(lifshitz, "casimir_pressure", fake)
+        monkeypatch.setattr(force_model, "pressure_sweep", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
             gradient_curve(DRUDE, GEOM, NO_BETA, [250e-9, 950e-9])
         assert fake.calls == 257

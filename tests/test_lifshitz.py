@@ -696,6 +696,27 @@ class TestRowLocalQuadrature:
         assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
 
 
+class TestSharedPlanes:
+    def test_planes_from_minus_y_bit_for_bit(self):
+        # -y feeds both e^-y and expm1(-y), which must be those of
+        # -(y_l + t) to the bit on random rows, on the l = 0 rows and on rows
+        # with y_l < 1e-3, where t dominates; (-y_l) - t rounds to the same
+        # bits, so either form of -y passes
+        rng = np.random.default_rng(24)
+        nodes = lifshitz._node_template(0)[0]
+        y_ls = [rng.uniform(0.0, 60.0, 200_000), np.zeros(255), rng.uniform(0.0, 1e-3, 5_000),
+                np.geomspace(1e-300, 1e-3, 1_000)]
+        work = lifshitz._Workspace()
+        for y_l in y_ls:
+            for rows in np.array_split(y_l, max(1, y_l.size // 5_000)):
+                y, y2, em, em1 = lifshitz._shared_planes(rows, nodes, work.planes(rows.size,
+                                                                                  nodes.size)[:4])
+                want = -(rows[:, None] + nodes)
+                assert np.array_equal(np.subtract(-rows[:, None], nodes), want)
+                assert np.array_equal(y, -want) and np.array_equal(y2, want * want)
+                assert np.array_equal(em, np.exp(want)) and np.array_equal(em1, np.expm1(want))
+
+
 class TestSweepMemo:
     def test_later_listed_calls_make_no_pass(self, monkeypatch):
         seps = BENCH_GRIDS["600-1300"][:40]
@@ -750,6 +771,12 @@ class TestSweepMemo:
         assert shapes == [(sum(r.n_terms + 1 for r in alone), 94)]
 
 
+def _results(batch):
+    """Each model's PressureResult at each separation of a _pressures batch."""
+    return [[batch.result(m, j) for j in range(len(batch.separations))]
+            for m in range(len(batch.pressures))]
+
+
 def _refined_rows(monkeypatch):
     """Spy on the template passes: (model, depth, y_l) of every refinement pass."""
     refined = []
@@ -769,17 +796,18 @@ class TestModelsShareOneBatch:
     @pytest.mark.parametrize("grid", list(BENCH_GRIDS), ids=list(BENCH_GRIDS))
     def test_two_model_batch_equals_single_model_batches_at_293_K(self, grid, tol):
         seps = BENCH_GRIDS[grid][::7][:40]
-        both = lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, tol)
-        assert both == [lifshitz._pressures([m], T_LAB, seps, tol)[0] for m in (DRUDE, PLASMA)]
+        both = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, tol))
+        assert both == [_results(lifshitz._pressures([m], T_LAB, seps, tol))[0]
+                        for m in (DRUDE, PLASMA)]
         assert all(isinstance(r, lifshitz.PressureResult) for results in both for r in results)
 
     def test_two_model_batch_equals_single_model_batches_at_10_K(self, monkeypatch):
         # near 50 nm at 10 K the low rows of both models refine, drude's and
         # plasma's on different rows; each model's are refined on their own
         seps = [50e-9, 50.5e-9]
-        alone = [lifshitz._pressures([m], 10.0, seps, 1e-9)[0] for m in (DRUDE, PLASMA)]
+        alone = [_results(lifshitz._pressures([m], 10.0, seps, 1e-9))[0] for m in (DRUDE, PLASMA)]
         refined = _refined_rows(monkeypatch)
-        assert lifshitz._pressures([DRUDE, PLASMA], 10.0, seps, 1e-9) == alone
+        assert _results(lifshitz._pressures([DRUDE, PLASMA], 10.0, seps, 1e-9)) == alone
         rows = {m: {(d, tuple(y)) for model, d, y in refined if model is m} for m in (DRUDE, PLASMA)}
         assert rows[DRUDE] and rows[PLASMA] and rows[DRUDE] != rows[PLASMA]
 
@@ -802,6 +830,43 @@ class TestModelsShareOneBatch:
         blocks = _blocks([r.n_terms for r in alone[DRUDE]])
         assert calls == {"shared": blocks, "integrand": 2 * blocks}
 
+    def test_a_batch_names_its_first_failing_separation_in_order(self, monkeypatch):
+        # plasma's row l = 3 of 901 nm and drude's row l = 10 of 902 nm jump
+        # at a non-dyadic t and miss at every depth: the two-model batch
+        # records both, and its sweep names 901 nm, the first in order,
+        # although plasma is the second model
+        seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
+        xi1 = matsubara_frequency(1, T_LAB)
+        jumps = {id(PLASMA): 3 * 2.0 * 901e-9 * xi1 / C_LIGHT,
+                 id(DRUDE): 10 * 2.0 * 902e-9 * xi1 / C_LIGHT}
+        current = []
+        reflections, kernel = lifshitz._reflections, lifshitz._integrand
+
+        def tagged(model, *args):
+            current[:] = [jumps[id(model)]]
+            return reflections(model, *args)
+
+        def jump(r_tm, r_te, shared, scratch):
+            y, [target] = shared[0], current
+            own = (y[:, :1] > target) & (y[:, :1] < target + 3e-3)
+            return kernel(r_tm, r_te, shared, scratch) * (1.0 + (own & (y > target + 0.3)))
+
+        monkeypatch.setattr(lifshitz, "_reflections", tagged)
+        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        batch = lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9)
+        assert batch.failed.tolist() == [[-1, -1, 10, -1, -1], [-1, 3, -1, -1, -1]]
+        assert np.isnan(batch.pressures).tolist() == (batch.failed >= 0).tolist()
+        with pytest.raises(NumericsError, match=r"\(l=3, a=9\.01e-07\)"):
+            pressure_sweep([DRUDE, PLASMA], seps, T_LAB, 1e-9)
+        with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+            pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
+        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
+        assert casimir_pressure(PLASMA, seps[0], T_LAB, 1e-9, cache=cache) == \
+            batch.result(1, 0)
+        with pytest.raises(NumericsError, match=r"\(l=3, a=9\.01e-07\)"):
+            casimir_pressure(PLASMA, seps[1], T_LAB, 1e-9, cache=cache)
+        assert casimir_pressure(DRUDE, seps[1], T_LAB, 1e-9, cache=cache) == batch.result(0, 1)
+
     def test_a_model_outside_the_cache_is_rejected(self):
         cache = MatsubaraCache(DRUDE, T_LAB, [300e-9])
         with pytest.raises(ValueError, match="other models"):
@@ -823,7 +888,7 @@ class TestModelsShareOneBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [results[0] for results in both] == alone
+        assert [results[0] for results in _results(both)] == alone
         assert peak < 8e6
 
     def test_two_model_peak_memory_is_one_workspace(self):
