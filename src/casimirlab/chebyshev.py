@@ -71,14 +71,13 @@ class Interpolant:
             self.values = _interleave(self.values, evaluate(a))
             self._set_sums()
 
-    def __call__(self, a, coarse: bool = False, cuts=()) -> np.ndarray:
-        """The rows at the separations a (one row per quantity, then a's shape), on
-        every second node with coarse.
+    def __call__(self, a, cuts=()) -> np.ndarray:
+        """The rows at the separations a (one row per quantity, then a's shape).
 
         cuts splits a flat a at those indices into parts whose rows are bit for
         bit those of a call on each part alone.
         """
-        return self._at(self._unit(a), coarse, cuts)
+        return self._at(self._unit(a), cuts=cuts)
 
     def basis(self, a, coarse: bool = False) -> np.ndarray:
         """Lagrange basis l_i(a) of the nodes (every second with coarse), one row per a."""

@@ -39,7 +39,6 @@ from .errors import (
     ValidityDomainError,
 )
 from .force_model import (  # noqa: F401  (pressure_to_gradient_sweep: see ROADMAP item 7)
-    BetaTable,
     Geometry,
     gradient_curve,
     gradient_sweeps,
@@ -312,19 +311,19 @@ def _compare_settings(cp):
     return intervals, width * 1e-9, errors, (start, stop)
 
 
-def _compared_grid(settings, series_list, geometry):
-    """The compared grid, its one definition.
+def _compared_grid(settings, overlap, geometry):
+    """The compared grid, its one definition, and whether the geometry clipped it.
 
-    A grid end not set in [compare] follows the series' overlap, clipped to
-    the geometry's range (a_min, a_max, a/R < max_aspect) with a printed
-    note; a set end outside that range is an error, and so is a grid of
-    fewer than 2 points (the band's F'' needs two).  A [compare] interval
-    that holds no grid point is a config error.  With both ends set, the
-    grid needs neither the series nor the geometry.
+    A grid end not set in [compare] follows overlap, the (lo, hi) in nm
+    over which the series overlap, clipped to the geometry's range (a_min,
+    a_max, a/R < max_aspect); a set end outside that range is an error, and
+    so is a grid of fewer than 2 points (the band's F'' needs two).  A
+    [compare] interval that holds no grid point is a config error.  With
+    both ends set, the grid needs neither the overlap nor the geometry.
     """
     intervals, _, _, (start, stop) = settings
-    lo = max(s.separations[0] for s in series_list) * 1e9 if start is None else start
-    hi = min(s.separations[-1] for s in series_list) * 1e9 if stop is None else stop
+    lo = overlap[0] if start is None else start
+    hi = overlap[1] if stop is None else stop
     # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
     common = np.arange(math.ceil(round(lo, 6)), math.floor(round(hi, 6)) + 1) * 1e-9
     inside = np.ones(common.size, dtype=bool)
@@ -332,13 +331,12 @@ def _compared_grid(settings, series_list, geometry):
         inside &= geometry.a_min <= common
     if stop is None:
         inside &= (common <= geometry.a_max) & (common / geometry.R < geometry.max_aspect)
-    if not inside.all():
+    clipped = not inside.all()
+    if clipped:
         if not inside.any():
             raise ValidityDomainError(
                 f"the series overlap [{lo:.1f}, {hi:.1f}] nm lies outside the geometry's range")
         common = common[inside]
-        print(f"compare grid clipped to the geometry's range: "
-              f"[{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
     if common.size < 2:
         raise GridAlignmentError(f"the compared grid over [{lo:g}, {hi:g}] nm holds {common.size} "
                                  "whole-nanometre point(s); the band's F'' needs at least 2")
@@ -347,17 +345,22 @@ def _compared_grid(settings, series_list, geometry):
             raise ConfigError(
                 f"[compare] intervals: {w_lo * 1e9:g}:{w_hi * 1e9:g} nm holds no point of the "
                 f"compared grid [{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
-    return common
+    return common, clipped
 
 
 def _compare_series(args, settings, series_list, geometry, tol):
-    """Compare the series on the compared grid (_compared_grid)."""
+    """Compare the series on the compared grid (_compared_grid) of their overlap."""
     intervals, width, errors, _ = settings
-    common = _compared_grid(settings, series_list, geometry)
+    overlap = (max(s.separations[0] for s in series_list) * 1e9,
+               min(s.separations[-1] for s in series_list) * 1e9)
+    common, clipped = _compared_grid(settings, overlap, geometry)
+    if clipped:
+        print(f"compare grid clipped to the geometry's range: "
+              f"[{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
     combined = combine_gradient_series(series_list, grid=common)
     models = _models(args.model)
     theory = {
-        tag: gradient_curve(model, geometry, BetaTable(), common, tol).values
+        tag: gradient_curve(model, geometry, common, tol).values
         for tag, model in models.items()
     }
     if intervals is None:
@@ -413,8 +416,10 @@ def _cmd_pipeline(args, cp):
     # every preset shares the physical geometry (R, roughness, T), so one theory
     # curve serves all the sets; only the validity bounds differ
     geometry = campaigns[-1][1]
-    if None not in settings[3]:
-        _compared_grid(settings, (), geometry)  # both ends set: check it before any work
+    # before any work, the compared grid as the widest overlap the geometry allows:
+    # every grid the series can give lies inside it
+    widest = (geometry.a_min * 1e9, min(geometry.a_max, geometry.max_aspect * geometry.R) * 1e9)
+    _compared_grid(settings, widest, geometry)
 
     manifest_steps = []
     series_list = []

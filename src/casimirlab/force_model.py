@@ -13,12 +13,14 @@ Pressure is negative for attraction; the gradient reported here is the
 positive plotted quantity (attractive force gradient > 0), i.e. the sign
 flip lives entirely in the -2 pi R prefactor.
 
-pressure_to_gradient_sweep evaluates the thermal sum at every grid point,
-one force_gradient per point; gradient_sweeps gives the same sweeps, bit for
-bit, for several models from the arrays of one lifshitz.pressure_sweep
-batch, with _proximity applied over the whole grid; gradient_curve
-interpolates P(a) a^4, which is analytic in ln a, with chebyshev.Interpolant,
+The package computes its gradients with gradient_sweeps, which gives the
+sweeps of several models from the arrays of one lifshitz.pressure_sweep
+batch, with _proximity applied over the whole grid, and with gradient_curve,
+which interpolates P(a) a^4, analytic in ln a, with chebyshev.Interpolant,
 the rule the gamma/C table of the calibration follows too.
+pressure_to_gradient_sweep, one force_gradient per grid point, is the
+per-point oracle that gradient_sweeps equals bit for bit; nothing in the
+package calls it.
 """
 
 from __future__ import annotations
@@ -171,23 +173,17 @@ def pressure_to_gradient_sweep(
     beta: BetaTable,
     grid,
     tol: float = 1e-9,
-    cache: MatsubaraCache | None = None,
 ) -> GradientSweep:
     """force_gradient at every point of a sorted separation grid, one call per
-    point: the per-point path that gradient_sweeps is checked against.
+    point: the per-point oracle that gradient_sweeps is checked against.
 
     Every grid point is checked against the geometry first; then the
-    thermal sums are computed as one batch per sweep
-    (lifshitz.MatsubaraCache): the first grid point's pressure computes
-    every point's.  beta carries nothing.  cache, when given, is a
-    MatsubaraCache built at the geometry's temperature over this grid for
-    this model and possibly others (as force_gradient takes it): the sweeps
-    of all its models then share one batch, whose first pressure computes
-    every model's, and each sweep is bit-identical to one with its own.
+    thermal sums are computed as one batch per sweep, in the sweep's
+    lifshitz.MatsubaraCache: the first grid point's pressure computes every
+    point's.  beta carries nothing.
     """
     grid = _checked_grid(grid, geometry)
-    if cache is None:
-        cache = MatsubaraCache(model, geometry.temperature, grid)
+    cache = MatsubaraCache(model, geometry.temperature, grid)
     values = np.empty_like(grid)
     pressures = np.empty_like(grid)
     trunc = np.empty_like(grid)
@@ -240,11 +236,10 @@ def _checked_grid(grid, geometry: Geometry) -> np.ndarray:
 def gradient_curve(
     model: PermittivityModel,
     geometry: Geometry,
-    beta: BetaTable,
     grid,
     tol: float = 1e-9,
 ) -> GradientSweep:
-    """pressure_to_gradient_sweep interpolated from Chebyshev nodes.
+    """gradient_sweeps of one model interpolated from Chebyshev nodes.
 
     P(a) a^4 is a chebyshev.Interpolant over [grid[0], grid[-1]], accepted
     at tol, with pressure_sweep at its nodes; force_gradient's prefactor
@@ -258,11 +253,11 @@ def gradient_curve(
     p_n and p_2n are the node values times the same explicit basis
     (Interpolant.basis), not the Interpolant's barycentric sums: the curve
     is the synthetic truth of vexp, and the calibration tests read its last
-    bits.  A one-point grid is the per-point sweep.  beta carries nothing.
+    bits.  A one-point grid is that point's gradient_sweeps.
     """
     grid = _checked_grid(grid, geometry)
     if grid.size == 1:
-        return pressure_to_gradient_sweep(model, geometry, beta, grid, tol)
+        return gradient_sweeps([model], geometry, grid, tol)[0]
     node_truncs = {}
 
     def evaluate(a):

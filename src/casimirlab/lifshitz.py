@@ -23,15 +23,16 @@ _PASS_ELEMENTS rows x nodes that all its models share; a separation may span
 several blocks, and is summed as soon as its last row is integrated, into
 per-model arrays of pressures, tail bounds and term counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
-per-point object; a PressureResult is built only for a caller that asks for
-one point: casimir_pressure, alone or through a sweep's MatsubaraCache,
-whose first pressure computes the whole batch for every model and whose
-next pressures read their entries.  A block computes the planes that do not
-depend on the model (y, y^2, e^-y, expm1(-y)) and finds its l = 0 rows once,
-then each model's reflections and integrand in turn, in place, and reduces
-each row alone; a model's missed rows are refined on their own.  Every block
-of a batch computes in one workspace, so every pressure of a sweep, of any
-model, is bit-identical to one computed alone.
+per-point object, and is the one way for models to share a batch.  A
+PressureResult is built only for a caller that asks for one point:
+casimir_pressure, alone or through the MatsubaraCache of one model's sweep,
+whose first pressure computes the whole batch and whose next pressures read
+their entries.  A block computes the planes that do not depend on the model
+(y, y^2, e^-y, expm1(-y)) and finds its l = 0 rows once, then each model's
+reflections and integrand in turn, in place, and reduces each row alone; a
+model's missed rows are refined on their own.  Every block of a batch
+computes in one workspace, so every pressure of a sweep, of any model, is
+bit-identical to one computed alone.
 """
 
 from __future__ import annotations
@@ -300,39 +301,35 @@ def _in_domain(a):
 
 
 class MatsubaraCache:
-    """The pressures of one sweep at one T, for one model or several, computed
-    in one batch.
+    """The pressures of one model's sweep at one T, computed in one batch.
 
-    models is one model or a sequence of them; separations lists the
-    separations casimir_pressure will be called with.  The first call for
-    one of them computes all of them (those in the accepted range) for every
-    model at that call's tol in one _pressures batch, whose template blocks
-    cut across separations, and each later call for one of them reads its
-    own model's entry of the batch's arrays, once.  A call for any other
-    separation or tol, or with_breakdown, is computed alone.  Every row is
-    integrated by reductions over itself alone, so every pressure is
-    bit-identical to one computed alone, whichever blocks its rows fell in.
+    separations lists the separations casimir_pressure will be called with.
+    The first call for one of them computes all of them (those in the
+    accepted range) at that call's tol in one _pressures batch, whose
+    template blocks cut across separations, and each later call for one of
+    them reads its entry of the batch's arrays, once.  A call for any other
+    separation or tol is computed alone.  Every row is integrated by
+    reductions over itself alone, so every pressure is bit-identical to one
+    computed alone, whichever blocks its rows fell in.
     """
 
-    def __init__(self, models, temperature: float, separations=()):
-        self.models = tuple(models) if isinstance(models, (list, tuple)) else (models,)
+    def __init__(self, model, temperature: float, separations=()):
+        self.model = model
         self.temperature = temperature
         self._listed = [float(a) for a in separations if _in_domain(a)]
         self._entries = {}
 
-    def result(self, model, a, tol, with_breakdown=False):
-        """The PressureResult of separation a alone, or its entry of the sweep's
-        batch; NumericsError if a row of it missed tol/2."""
-        if not with_breakdown:
-            if a in self._listed:
-                batch = _pressures(self.models, self.temperature, self._listed, tol)
-                self._entries = {(id(m), b, tol): (batch, i, j) for i, m in enumerate(self.models)
-                                 for j, b in enumerate(self._listed)}
-                self._listed = []
-            if (id(model), a, tol) in self._entries:
-                batch, i, j = self._entries.pop((id(model), a, tol))
-                return batch.result(i, j)
-        return _pressures([model], self.temperature, [a], tol, with_breakdown).result(0, 0)
+    def result(self, a, tol):
+        """The PressureResult of separation a: its entry of the sweep's batch, or
+        computed alone; NumericsError if a row of it missed tol/2."""
+        if a in self._listed:
+            batch = _pressures([self.model], self.temperature, self._listed, tol)
+            self._entries = {(b, tol): (batch, j) for j, b in enumerate(self._listed)}
+            self._listed = []
+        if (a, tol) in self._entries:
+            batch, j = self._entries.pop((a, tol))
+            return batch.result(0, j)
+        return _pressures([self.model], self.temperature, [a], tol).result(0, 0)
 
 
 @dataclass
@@ -571,23 +568,23 @@ def casimir_pressure(
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional
-        Memo of a sweep, built at this temperature for this model, alone or
-        with others.  Built with the sweep's separations, it computes all of
-        them for all of its models in one batch at the first call for one of
-        them and hands each later call its own model's result; the result is
-        the same bit for bit.  Without a cache, the call is the
-        one-separation, one-model case of the batch.
+        Memo of this model's sweep, built at this temperature; a cache of
+        another model or temperature raises ValueError.  Built with the
+        sweep's separations, it computes all of them in one batch at the
+        first call for one of them and hands each later call its result; the
+        result is the same bit for bit.  Without a cache, or with_breakdown,
+        the call is the one-separation, one-model case of the batch.
 
     Returns
     -------
     PressureResult
     """
     _check_inputs((a,), tol)
-    if cache is None:
-        cache = MatsubaraCache(model, temperature)
-    elif cache.temperature != temperature or not any(m is model for m in cache.models):
+    if cache is not None and (cache.model is not model or cache.temperature != temperature):
         raise ValueError("cache was built for other models or a different temperature")
-    return cache.result(model, a, tol, with_breakdown)
+    if cache is None or with_breakdown:
+        return _pressures([model], temperature, [a], tol, with_breakdown).result(0, 0)
+    return cache.result(a, tol)
 
 
 def _check_inputs(separations, tol):
@@ -604,8 +601,8 @@ def pressure_sweep(models, separations, temperature=293.15, tol=1e-9):
     """Pressure over a separation grid for one model or several, from one
     _pressures batch, read from its arrays.
 
-    models is one model, or a list or tuple of them as MatsubaraCache takes.
-    Returns (pressures, truncation_estimates), arrays aligned with
+    models is one model, or a list or tuple of them, which then share one
+    batch.  Returns (pressures, truncation_estimates), arrays aligned with
     separations, for one model, and a list of such pairs, one per model, for
     several; each is bit-identical to casimir_pressure at each separation.
     Every separation and tol is checked before any work; if a row missed

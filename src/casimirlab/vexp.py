@@ -26,7 +26,7 @@ from .electrostatics import gamma_over_c
 from .errors import ConfigError, ModelError, ValidityDomainError
 # pressure_to_gradient_sweep is not called here; bench/tests/test_bench_tracing.py
 # checks that the layer tracer rebinds it in this module too
-from .force_model import BetaTable, Geometry, gradient_curve, pressure_to_gradient_sweep  # noqa: F401
+from .force_model import Geometry, gradient_curve, pressure_to_gradient_sweep  # noqa: F401
 from .optics import AU_DRUDE, Drude, PermittivityModel, Plasma
 
 __all__ = [
@@ -171,7 +171,7 @@ def _lattice(spec: CampaignSpec):
 def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
     z_fine = _lattice(spec)[0]
     a_fine = spec.z0_true + z_fine
-    fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, BetaTable(), a_fine).values
+    fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, a_fine).values
     gamma = spec.c_true * gamma_over_c(a_fine, geometry.R)
     for arr in (gamma, fprime):
         arr.flags.writeable = False

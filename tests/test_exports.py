@@ -86,3 +86,38 @@ def test_no_unused_module_imports():
         used |= set(getattr(importlib.import_module(f"casimirlab.{path.stem}"), "__all__", ()))
         unused |= {(path.stem, name) for name in bound if name not in used}
     assert unused == KEPT_FOR_BENCH
+
+
+# The per-point oracle: pressure_to_gradient_sweep builds its sweep's
+# MatsubaraCache and calls force_gradient at each point, which calls
+# casimir_pressure.  The package computes its gradients from the batch's
+# arrays (gradient_sweeps, gradient_curve), so these calls are the only ones.
+ORACLE_CHAIN = {("pressure_to_gradient_sweep", "MatsubaraCache"),
+                ("pressure_to_gradient_sweep", "force_gradient"),
+                ("force_gradient", "casimir_pressure")}
+
+
+def _calls(node, caller, names, found):
+    """(caller, callee) of every call of one of names under node, the caller
+    being the innermost function around the call."""
+    for child in ast.iter_child_nodes(node):
+        inner = caller
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.add((caller, name))
+        _calls(child, inner, names, found)
+    return found
+
+
+def test_only_the_oracle_chain_calls_the_per_point_oracle():
+    """No production path reaches the per-point functions: in the package they
+    are called only along ORACLE_CHAIN."""
+    names = {name for pair in ORACLE_CHAIN for name in pair}
+    found = set()
+    for path in sorted(Path(casimirlab.__file__).parent.glob("*.py")):
+        _calls(ast.parse(path.read_text()), f"{path.stem} (module level)", names, found)
+    assert found == ORACLE_CHAIN

@@ -12,6 +12,7 @@ from casimirlab.force_model import (
     Geometry,
     force_gradient,
     gradient_curve,
+    gradient_sweeps,
     pressure_to_gradient_sweep,
 )
 from casimirlab.lifshitz import casimir_pressure
@@ -145,7 +146,7 @@ class TestGradientCurve:
             grid, geom = (GRID_07, GEOM) if case == "250-950nm" else (GRID_08, WIDE)
             pick = np.arange(grid.size)
         model = model_for_tag(tag)
-        curve = gradient_curve(model, geom, NO_BETA, grid)
+        curve = gradient_curve(model, geom, grid)
         ref = pressure_to_gradient_sweep(model, geom, NO_BETA, grid[pick])
         assert np.all(np.abs(curve.values[pick] - ref.values) <= curve.truncation_estimates[pick])
         assert np.all(np.abs(curve.pressures[pick] - ref.pressures)
@@ -155,7 +156,7 @@ class TestGradientCurve:
     def test_smooth_curve_takes_33_pressure_calls(self, monkeypatch):
         fake = fake_pressure(lambda t: 2.0 + math.tanh(t + 14.5))
         monkeypatch.setattr(force_model, "pressure_sweep", fake)
-        curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
+        curve = gradient_curve(DRUDE, GEOM, GRID_07)
         assert fake.calls == 33
         exact = np.array([2.0 + math.tanh(math.log(a) + 14.5) for a in GRID_07]) / GRID_07**4
         assert np.all(np.abs(-curve.pressures - exact) <= curve.pressure_truncations)
@@ -168,7 +169,7 @@ class TestGradientCurve:
 
         fake = fake_pressure(shape)
         monkeypatch.setattr(force_model, "pressure_sweep", fake)
-        curve = gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07, tol=1e-9)
+        curve = gradient_curve(DRUDE, GEOM, GRID_07, tol=1e-9)
         assert fake.calls == 129
         exact = np.array([shape(math.log(a)) for a in GRID_07]) / GRID_07**4
         assert np.all(np.abs(-curve.pressures - exact) <= curve.pressure_truncations)
@@ -180,7 +181,7 @@ class TestGradientCurve:
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
         monkeypatch.setattr(force_model, "pressure_sweep", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
-            gradient_curve(DRUDE, GEOM, NO_BETA, GRID_07)
+            gradient_curve(DRUDE, GEOM, GRID_07)
         assert fake.calls == 257
 
     def test_kink_raises_on_a_two_point_grid(self, monkeypatch):
@@ -190,24 +191,25 @@ class TestGradientCurve:
         fake = fake_pressure(lambda t: 2.0 + abs(t - mid))
         monkeypatch.setattr(force_model, "pressure_sweep", fake)
         with pytest.raises(NumericsError, match="Chebyshev"):
-            gradient_curve(DRUDE, GEOM, NO_BETA, [250e-9, 950e-9])
+            gradient_curve(DRUDE, GEOM, [250e-9, 950e-9])
         assert fake.calls == 257
 
     def test_one_point_grid(self):
-        a = 400e-9
-        curve = gradient_curve(DRUDE, GEOM, NO_BETA, [a])
-        point = force_gradient(DRUDE, GEOM, NO_BETA, a)
+        # no interpolant: the point's gradient_sweeps, bit for bit
+        curve = gradient_curve(DRUDE, GEOM, [400e-9])
+        (sweep,) = gradient_sweeps([DRUDE], GEOM, [400e-9])
         assert curve.values.shape == (1,)
-        assert abs(curve.values[0] - point.value) <= curve.truncation_estimates[0]
-        assert curve.truncation_estimates[0] == point.truncation_error_estimate
+        for field in ("separations", "values", "pressures", "truncation_estimates",
+                      "pressure_truncations"):
+            assert getattr(curve, field).tolist() == getattr(sweep, field).tolist()
 
     def test_bad_grids_rejected(self, batches):
         for grid in ([], [500e-9, 400e-9], [240e-9, 500e-9], [500e-9, 960e-9]):
             with pytest.raises(ValidityDomainError):
-                gradient_curve(DRUDE, GEOM, NO_BETA, grid)
+                gradient_curve(DRUDE, GEOM, grid)
         # the first point past max_aspect is named, before any thermal sum
         with pytest.raises(ValidityDomainError, match=r"a/R = 0\.0220 "):
-            gradient_curve(DRUDE, GEOM, NO_BETA, PAST_ASPECT)
+            gradient_curve(DRUDE, GEOM, PAST_ASPECT)
         assert not batches
 
 

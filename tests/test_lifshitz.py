@@ -603,10 +603,8 @@ class TestSweepBlocks:
         monkeypatch.setattr(lifshitz, "_integrand",
                             lambda r_tm, r_te, shared, scratch:
                             shapes.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
-        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
-        for m in (DRUDE, PLASMA):
-            got = [casimir_pressure(m, float(a), T_LAB, 1e-9, cache=cache) for a in seps]
-            assert got == alone[m]
+        got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
+        assert got == [alone[DRUDE], alone[PLASMA]]
         assert shapes[::2] == [(block, 94)] * (ends[-1] // block) + [(ends[-1] % block, 94)]
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
@@ -823,10 +821,8 @@ class TestModelsShareOneBatch:
 
         monkeypatch.setattr(lifshitz, "_shared_planes", count("shared", shared))
         monkeypatch.setattr(lifshitz, "_integrand", count("integrand", integrand))
-        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
-        got = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9, cache=cache) for a in seps]
-               for m in (DRUDE, PLASMA)}
-        assert got == alone
+        got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
+        assert got == [alone[DRUDE], alone[PLASMA]]
         blocks = _blocks([r.n_terms for r in alone[DRUDE]])
         assert calls == {"shared": blocks, "integrand": 2 * blocks}
 
@@ -860,12 +856,17 @@ class TestModelsShareOneBatch:
             pressure_sweep([DRUDE, PLASMA], seps, T_LAB, 1e-9)
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        cache = MatsubaraCache([DRUDE, PLASMA], T_LAB, seps)
+        # a model's own cache reads that model's entries of the same batch,
+        # and names its own first miss
+        cache = MatsubaraCache(PLASMA, T_LAB, seps)
         assert casimir_pressure(PLASMA, seps[0], T_LAB, 1e-9, cache=cache) == \
             batch.result(1, 0)
         with pytest.raises(NumericsError, match=r"\(l=3, a=9\.01e-07\)"):
             casimir_pressure(PLASMA, seps[1], T_LAB, 1e-9, cache=cache)
+        cache = MatsubaraCache(DRUDE, T_LAB, seps)
         assert casimir_pressure(DRUDE, seps[1], T_LAB, 1e-9, cache=cache) == batch.result(0, 1)
+        with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
+            casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
 
     def test_a_model_outside_the_cache_is_rejected(self):
         cache = MatsubaraCache(DRUDE, T_LAB, [300e-9])
@@ -873,6 +874,11 @@ class TestModelsShareOneBatch:
             casimir_pressure(PLASMA, 300e-9, T_LAB, cache=cache)
         with pytest.raises(ValueError, match="temperature"):
             casimir_pressure(DRUDE, 300e-9, 10.0, cache=cache)
+        # a cache holds one model: models share a batch only through pressure_sweep
+        both = MatsubaraCache([DRUDE, PLASMA], T_LAB, [300e-9])
+        for model in (DRUDE, PLASMA):
+            with pytest.raises(ValueError, match="other models"):
+                casimir_pressure(model, 300e-9, T_LAB, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
         # at 10 K and 50 nm both models' 12,775 rows run through 51 blocks
@@ -905,8 +911,7 @@ class TestModelsShareOneBatch:
         def peak(models):
             tracemalloc.start()
             try:
-                cache = MatsubaraCache(models, 10.0, [a])
-                out = [casimir_pressure(m, a, 10.0, tol, cache=cache) for m in models]
+                out = _results(lifshitz._pressures(models, 10.0, [a], tol))
                 return tracemalloc.get_traced_memory()[1], out
             finally:
                 tracemalloc.stop()
