@@ -30,13 +30,15 @@ from . import textio
 # that the layer tracer rebinds it in this module too
 from .electrostatics import GammaTable, gamma_over_c  # noqa: F401
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     FitConvergenceError,
     GridAlignmentError,
     NumericsError,
     ValidityDomainError,
 )
-from .vexp import MeasurementGrid, V0Law
+from .force_model import gradient_curve
+from .vexp import MeasurementGrid, V0Law, synthesize_campaign
 
 __all__ = [
     "ParabolaSeries",
@@ -56,6 +58,10 @@ __all__ = [
     "default_windows",
     "window_mask",
     "compare",
+    "CompareSettings",
+    "compare_series",
+    "PipelineRun",
+    "run_pipeline",
     "calibration_text",
     "comparison_text",
     "gradient_series_text",
@@ -117,12 +123,15 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
         + 2.0 * dv0_dc1 * dv0_dc2 * cov12
     )
 
+    # sigma_gamma = |gamma row of (X^T X)^-1 X^T| max(s, 4 eps max|shift|): the
+    # floor is the fit's rounding scale, so weights never come from rounding
+    floor = 4.0 * np.finfo(float).eps * np.abs(y).max(axis=0)
     return ParabolaSeries(
         z_rel=grid.z_rel.copy(),
         v0=v0,
         sigma_v0=np.sqrt(np.maximum(var_v0, 0.0)),
         gamma=gamma,
-        sigma_gamma=np.sqrt(np.maximum(var[0], 0.0)),
+        sigma_gamma=np.sqrt(xtx_inv[0, 0] * np.maximum(s2, floor * floor)),
     )
 
 
@@ -520,7 +529,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def combine_gradient_series(series_list, grid) -> GradientSeries:
-    """Cross-set mean on the common grid given (cli._compare_series builds it).
+    """Cross-set mean on the common grid given (compare_series builds it).
 
     Per-set series are linearly resampled onto the grid; means average, and
     the combined total error is the mean of the per-set totals.  A grid
@@ -662,6 +671,97 @@ def compare(
         verdicts[label] = wlist
 
     return ComparisonReport(separations=a, differences=diffs, band=bands, windows=verdicts)
+
+
+class CompareSettings(NamedTuple):
+    """The [compare] settings that compare_series reads."""
+
+    intervals: list | None        # (lo, hi) in m; None: default_windows of width
+    width: float                  # m
+    errors: TheoryErrorConfig
+    ends: tuple                   # grid start and stop in nm, each None where the overlap sets it
+
+
+def _compared_grid(settings: CompareSettings, overlap, geometry):
+    """The compared grid, its one definition, and whether the geometry clipped it.
+
+    A grid end not set in [compare] follows overlap, the (lo, hi) in nm
+    over which the series overlap, clipped to the geometry's range (a_min,
+    a_max, a/R < max_aspect); a set end outside that range is an error, and
+    so is a grid of fewer than 2 points (the band's F'' needs two).  A
+    [compare] interval that holds no grid point is a config error.  With
+    both ends set, the grid needs neither the overlap nor the geometry.
+    """
+    start, stop = settings.ends
+    lo = overlap[0] if start is None else start
+    hi = overlap[1] if stop is None else stop
+    # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
+    common = np.arange(math.ceil(round(lo, 6)), math.floor(round(hi, 6)) + 1) * 1e-9
+    inside = np.ones(common.size, dtype=bool)
+    if start is None:
+        inside &= geometry.a_min <= common
+    if stop is None:
+        inside &= (common <= geometry.a_max) & (common / geometry.R < geometry.max_aspect)
+    clipped = not inside.all()
+    if clipped:
+        if not inside.any():
+            raise ValidityDomainError(
+                f"the series overlap [{lo:.1f}, {hi:.1f}] nm lies outside the geometry's range")
+        common = common[inside]
+    if common.size < 2:
+        raise GridAlignmentError(f"the compared grid over [{lo:g}, {hi:g}] nm holds {common.size} "
+                                 "whole-nanometre point(s); the band's F'' needs at least 2")
+    for w_lo, w_hi in settings.intervals or ():
+        if not window_mask(common, w_lo, w_hi).any():
+            raise ConfigError(
+                f"[compare] intervals: {w_lo * 1e9:g}:{w_hi * 1e9:g} nm holds no point of the "
+                f"compared grid [{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
+    return common, clipped
+
+
+def compare_series(series_list, settings: CompareSettings, models, geometry, tol: float):
+    """The compare stage: the series combined on the compared grid of their
+    overlap (_compared_grid) and compared there with each model's
+    gradient_curve at tol.  Returns (grid, clipped, combined, report)."""
+    overlap = (max(s.separations[0] for s in series_list) * 1e9,
+               min(s.separations[-1] for s in series_list) * 1e9)
+    common, clipped = _compared_grid(settings, overlap, geometry)
+    combined = combine_gradient_series(series_list, grid=common)
+    theory = {tag: gradient_curve(model, geometry, common, tol).values
+              for tag, model in models.items()}
+    windows = settings.intervals if settings.intervals is not None else \
+        default_windows(float(common[0]), float(common[-1]), settings.width)
+    return common, clipped, combined, compare(combined, theory, settings.errors, windows=windows)
+
+
+class PipelineRun(NamedTuple):
+    """run_pipeline's result: (grid, calibration, series) per set, then compare_series'."""
+
+    sets: tuple
+    grid: np.ndarray
+    clipped: bool
+    combined: GradientSeries
+    report: ComparisonReport
+
+
+def run_pipeline(campaigns, seeds, settings, models, tol) -> PipelineRun:
+    """Synthesise, calibrate and extract each (spec, geometry) of campaigns with
+    its seed, then compare_series of all the series with the last set's
+    geometry; no file is read or written and nothing is printed.  First, before
+    any set, the compared grid is built over the widest overlap that geometry
+    allows, so a [compare] setting without a grid or a verdict fails there."""
+    # every preset shares the physical geometry (R, roughness, T), so one theory
+    # curve serves all the sets; only the validity bounds differ
+    geometry = campaigns[-1][1]
+    widest = (geometry.a_min * 1e9, min(geometry.a_max, geometry.max_aspect * geometry.R) * 1e9)
+    _compared_grid(settings, widest, geometry)
+    sets = []
+    for (spec, set_geometry), seed in zip(campaigns, seeds):
+        grid = synthesize_campaign(spec, set_geometry, seed)
+        calib = calibrate(grid)
+        sets.append((grid, calib, extract_gradients(grid, calib)))
+    return PipelineRun(tuple(sets), *compare_series([s for *_, s in sets], settings, models,
+                                                    geometry, tol))
 
 
 def calibration_text(calib: CalibrationResult) -> str:

@@ -19,28 +19,20 @@ import numpy as np
 
 from . import __version__, textio
 from .analysis import (
+    CompareSettings,
     TheoryErrorConfig,
     calibrate,
     calibration_text,
-    combine_gradient_series,
-    compare,
+    compare_series,
     comparison_text,
-    default_windows,
     extract_gradients,
     gradient_series_text,
     load_gradient_series,
-    window_mask,
+    run_pipeline,
 )
-from .errors import (
-    CasimirLabError,
-    ConfigError,
-    GridAlignmentError,
-    ModelError,
-    ValidityDomainError,
-)
+from .errors import CasimirLabError, ConfigError, ModelError, ValidityDomainError
 from .force_model import (  # noqa: F401  (pressure_to_gradient_sweep: see ROADMAP item 7)
     Geometry,
-    gradient_curve,
     gradient_sweeps,
     pressure_to_gradient_sweep,
 )
@@ -186,6 +178,10 @@ def _tol(args, cp):
     return tol
 
 
+# the most points a [theory] grid may hold (8 MB per column)
+_MAX_THEORY_POINTS = 1_000_000
+
+
 def _theory_grid(cp):
     sec = "theory"
     start = _getfloat(cp, sec, "a_start_nm", 250.0)
@@ -195,8 +191,12 @@ def _theory_grid(cp):
         raise ConfigError(f"[{sec}] a_step_nm must be positive, got {step}")
     if not stop >= start:
         raise ConfigError(f"[{sec}] a_stop_nm = {stop} lies below a_start_nm = {start}")
-    n = int(round((stop - start) / step)) + 1
-    return (start + step * np.arange(n)) * 1e-9
+    steps = (stop - start) / step  # a float, so an overflow is inf, checked before any array
+    if not steps <= _MAX_THEORY_POINTS - 1:
+        raise ConfigError(f"[{sec}] a_start_nm = {start}, a_stop_nm = {stop} and "
+                          f"a_step_nm = {step} give {steps + 1:.7g} points, over the limit "
+                          f"of {_MAX_THEORY_POINTS}")
+    return (start + step * np.arange(int(round(steps)) + 1)) * 1e-9
 
 
 def _models(selection):
@@ -308,67 +308,13 @@ def _compare_settings(cp):
             raise ConfigError(f"[{sec}] intervals: {part.strip()!r} needs finite lo < hi")
         intervals.append((lo * 1e-9, hi * 1e-9))
     errors = TheoryErrorConfig(optical_fraction=fraction, delta_z=delta_z * 1e-9)
-    return intervals, width * 1e-9, errors, (start, stop)
+    return CompareSettings(intervals, width * 1e-9, errors, (start, stop))
 
 
-def _compared_grid(settings, overlap, geometry):
-    """The compared grid, its one definition, and whether the geometry clipped it.
-
-    A grid end not set in [compare] follows overlap, the (lo, hi) in nm
-    over which the series overlap, clipped to the geometry's range (a_min,
-    a_max, a/R < max_aspect); a set end outside that range is an error, and
-    so is a grid of fewer than 2 points (the band's F'' needs two).  A
-    [compare] interval that holds no grid point is a config error.  With
-    both ends set, the grid needs neither the overlap nor the geometry.
-    """
-    intervals, _, _, (start, stop) = settings
-    lo = overlap[0] if start is None else start
-    hi = overlap[1] if stop is None else stop
-    # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
-    common = np.arange(math.ceil(round(lo, 6)), math.floor(round(hi, 6)) + 1) * 1e-9
-    inside = np.ones(common.size, dtype=bool)
-    if start is None:
-        inside &= geometry.a_min <= common
-    if stop is None:
-        inside &= (common <= geometry.a_max) & (common / geometry.R < geometry.max_aspect)
-    clipped = not inside.all()
-    if clipped:
-        if not inside.any():
-            raise ValidityDomainError(
-                f"the series overlap [{lo:.1f}, {hi:.1f}] nm lies outside the geometry's range")
-        common = common[inside]
-    if common.size < 2:
-        raise GridAlignmentError(f"the compared grid over [{lo:g}, {hi:g}] nm holds {common.size} "
-                                 "whole-nanometre point(s); the band's F'' needs at least 2")
-    for w_lo, w_hi in intervals or ():
-        if not window_mask(common, w_lo, w_hi).any():
-            raise ConfigError(
-                f"[compare] intervals: {w_lo * 1e9:g}:{w_hi * 1e9:g} nm holds no point of the "
-                f"compared grid [{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
-    return common, clipped
-
-
-def _compare_series(args, settings, series_list, geometry, tol):
-    """Compare the series on the compared grid (_compared_grid) of their overlap."""
-    intervals, width, errors, _ = settings
-    overlap = (max(s.separations[0] for s in series_list) * 1e9,
-               min(s.separations[-1] for s in series_list) * 1e9)
-    common, clipped = _compared_grid(settings, overlap, geometry)
+def _print_verdicts(grid, clipped, report):
     if clipped:
         print(f"compare grid clipped to the geometry's range: "
-              f"[{common[0] * 1e9:.0f}, {common[-1] * 1e9:.0f}] nm")
-    combined = combine_gradient_series(series_list, grid=common)
-    models = _models(args.model)
-    theory = {
-        tag: gradient_curve(model, geometry, common, tol).values
-        for tag, model in models.items()
-    }
-    if intervals is None:
-        intervals = default_windows(float(common[0]), float(common[-1]), width)
-    return compare(combined, theory, errors, windows=intervals), combined
-
-
-def _print_verdicts(report):
+              f"[{grid[0] * 1e9:.0f}, {grid[-1] * 1e9:.0f}] nm")
     for label, wins in report.windows.items():
         for w in wins:
             print(f"{label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict} "
@@ -382,13 +328,14 @@ def _cmd_compare(args, cp):
     tol = _tol(args, cp)
     settings = _compare_settings(cp)
     series = [load_gradient_series(p) for p in args.gradients]
-    report, _ = _compare_series(args, settings, series, _geometry(cp), tol)
+    grid, clipped, _, report = compare_series(series, settings, _models(args.model),
+                                              _geometry(cp), tol)
     manifest = _manifest("compare", {
         "gradients": tuple(Path(p).name for p in args.gradients),
         "model": args.model,
     })
     path = textio.write(out / "comparison.txt", manifest + comparison_text(report))
-    _print_verdicts(report)
+    _print_verdicts(grid, clipped, report)
     print(f"wrote {path}")
     return 0
 
@@ -413,32 +360,16 @@ def _cmd_pipeline(args, cp):
         campaigns = [reference_campaign(n, truth) for n in sets]
     except ModelError as exc:
         raise _refused(cp, "pipeline", exc) from None
-    # every preset shares the physical geometry (R, roughness, T), so one theory
-    # curve serves all the sets; only the validity bounds differ
-    geometry = campaigns[-1][1]
-    # before any work, the compared grid as the widest overlap the geometry allows:
-    # every grid the series can give lies inside it
-    widest = (geometry.a_min * 1e9, min(geometry.a_max, geometry.max_aspect * geometry.R) * 1e9)
-    _compared_grid(settings, widest, geometry)
+    run = run_pipeline(campaigns, seeds, settings, _models(args.model), tol)
 
     manifest_steps = []
-    series_list = []
-    for n, seed, (spec, set_geometry) in zip(sets, seeds, campaigns):
-        grid = synthesize_campaign(spec, set_geometry, seed)
+    for n, seed, (grid, calib, series) in zip(sets, seeds, run.sets):
         save_grid(grid, out / f"grid_set{n}_seed{seed}.txt")
-        calib = calibrate(grid)
-        series = extract_gradients(grid, calib)
-        series_list.append(series)
-        man = _manifest("pipeline-step", {
-            "set": n, "seed": seed, "truth": truth, "tol": tol,
-        })
+        man = _manifest("pipeline-step", {"set": n, "seed": seed, "truth": truth, "tol": tol})
         textio.write(out / f"calibration_set{n}.txt", man + calibration_text(calib))
         textio.write(out / f"gradients_set{n}.txt", man + gradient_series_text(series))
-        manifest_steps.append(
-            f"set {n}: seed = {seed}, C = {calib.c_cal:.6e}, z0_nm = {calib.z0 * 1e9:.4f}"
-        )
-
-    report, combined = _compare_series(args, settings, series_list, geometry, tol)
+        manifest_steps.append(f"set {n}: seed = {seed}, C = {calib.c_cal:.6e}, "
+                              f"z0_nm = {calib.z0 * 1e9:.4f}")
     params = {
         "sets": ",".join(str(n) for n in sets),
         "truth": truth,
@@ -447,12 +378,12 @@ def _cmd_pipeline(args, cp):
         "tol": tol,
     }
     man = _manifest("pipeline", params)
-    textio.write(out / "comparison.txt", man + comparison_text(report))
-    textio.write(out / "gradients_combined.txt", man + gradient_series_text(combined))
+    textio.write(out / "comparison.txt", man + comparison_text(run.report))
+    textio.write(out / "gradients_combined.txt", man + gradient_series_text(run.combined))
     verdicts = [f"verdict {label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict}"
-                for label, wins in report.windows.items() for w in wins]
+                for label, wins in run.report.windows.items() for w in wins]
     textio.write(out / "manifest.txt", _manifest("pipeline", params, manifest_steps + verdicts))
-    _print_verdicts(report)
+    _print_verdicts(run.grid, run.clipped, run.report)
     return 0
 
 

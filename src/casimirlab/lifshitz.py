@@ -432,11 +432,16 @@ def _smallest_count(enough, start=1, most=math.inf):
     return hi
 
 
+# the most Matsubara terms one separation may keep; the counts in use stay
+# below 30,000 (1 K at 250 nm, 10 K at 50 nm)
+_MAX_TERMS = 1 << 20
+
+
 def _term_count(y1, target, start=0):
     """Smallest L >= 1 with _tail_bound(y1, L) <= target, searched from start (a
-    nearby separation's count); the bound falls with L, so the count does
-    not depend on where the search starts."""
-    return _smallest_count(lambda n: _tail_bound(y1, n) <= target, start)
+    nearby separation's count), or None above _MAX_TERMS; the bound falls
+    with L, so the count does not depend on where the search starts."""
+    return _smallest_count(lambda n: _tail_bound(y1, n) <= target, start, _MAX_TERMS)
 
 
 # rows x nodes of a depth-0 template block: 255 rows of 94 nodes, in a
@@ -448,7 +453,8 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     """Each model's pressure at each separation, in order, as one _Batch.
 
     Each separation keeps the terms l = 0 .. L of its tail-bound count, each
-    count searched from the one before; each model's eps is evaluated once, at
+    count searched from the one before, and a count above _MAX_TERMS raises
+    NumericsError before any work; each model's eps is evaluated once, at
     xi_1 .. xi_L of the largest L.  The rows (separation j, term l) of the
     batch run in order through the node template in blocks of
     _PASS_ELEMENTS // 94 rows that every model shares, one separation
@@ -467,8 +473,11 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     xi1 = matsubara_frequency(1, temperature)
     y1s = [2.0 * a * xi1 / C_LIGHT for a in seps]
     counts, n = [], 0
-    for y1 in y1s:
+    for a, y1 in zip(seps, y1s):
         n = _term_count(y1, 0.5 * tol * _ZETA3, n)
+        if n is None:  # before any eps or row is computed
+            raise NumericsError(f"thermal sum at a={a}, T={temperature} K needs more than "
+                                f"{_MAX_TERMS} Matsubara terms")
         counts.append(n)
     top = np.arange(1, max(counts, default=0) + 1, dtype=float)
     # 1 stands in for the l = 0 rows, whose reflection comes from the tag
@@ -556,9 +565,10 @@ def casimir_pressure(
         the discarded thermal tail and the quadrature.  The sum keeps terms
         l = 0 .. L with L the smallest count >= 1 whose tail bound is at
         most (tol/2) zeta(3), found by a search on the bound itself
-        (_smallest_count); that is at most tol/2 of the sum because every
-        term is non-negative and half the l = 0 term alone is at least
-        zeta(3) (r_TM = 1 at xi = 0); stopped_by is then "tol".  Every term is
+        (_smallest_count) up to 2^20 terms (NumericsError above); that is
+        at most tol/2 of the sum because every term is non-negative and half
+        the l = 0 term alone is at least zeta(3) (r_TM = 1 at xi = 0);
+        stopped_by is then "tol".  Every term is
         integrated to tol/2 of its value on a shared template of 94 nodes in
         y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), in
         blocks of up to 255 terms; the terms of a block whose error estimate

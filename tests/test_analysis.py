@@ -169,6 +169,17 @@ class TestCalibrationFit:
         assert calib.z0 == pytest.approx(spec.z0_true, abs=2e-12)
         assert calib.c_cal == pytest.approx(spec.c_true, rel=1e-7)
 
+    def test_noiseless_c_does_not_follow_the_last_bit_of_the_shifts(self, noiseless_setup):
+        # a noiseless sigma_gamma sits on the fit's rounding floor, so the
+        # weights are equal and +-1 ulp per shift cannot move C through them
+        _, _, grid = noiseless_setup
+        c_cal = calibrate(grid).c_cal
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            towards = rng.choice([-np.inf, np.inf], size=grid.shifts.shape)
+            moved = dataclasses.replace(grid, shifts=np.nextafter(grid.shifts, towards))
+            assert calibrate(moved).c_cal == pytest.approx(c_cal, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noiseless_series_recovery(self, n):
         # gamma from the direct series, read back through the fit's table

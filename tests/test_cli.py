@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 import casimirlab
-from casimirlab import cli, force_model, lifshitz
-from casimirlab.analysis import GradientSeries, gradient_series_text
+from casimirlab import analysis, cli, force_model, lifshitz
+from casimirlab.analysis import (
+    GradientSeries,
+    calibration_text,
+    comparison_text,
+    gradient_series_text,
+)
 from casimirlab.cli import main
 from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
 from casimirlab.lifshitz import casimir_pressure
@@ -266,6 +271,51 @@ class TestPipeline:
             elif hi <= 800:
                 assert verdict == "excluded", line
 
+    def test_run_pipeline_writes_nothing_and_the_command_only_writes(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # from an empty directory, run_pipeline creates no file and prints nothing
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        settings = cli._compare_settings(cli._read_config(None))
+        result = analysis.run_pipeline([reference_campaign(1)], [6], settings,
+                                       cli._models("both"), 1e-7)
+        assert list(work.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
+        # the command runs no stage itself: it checks the config, calls
+        # run_pipeline once and writes what that returns
+        def no_stage(*args, **kwargs):
+            raise AssertionError("pipeline ran a stage outside run_pipeline")
+
+        for name in ("synthesize_campaign", "calibrate", "extract_gradients", "compare_series"):
+            monkeypatch.setattr(cli, name, no_stage)
+        calls = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args: calls.append(args) or result)
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text("[pipeline]\nsets = 1\nseed = 5\n")
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", cfg, "--out", out, "--tol", "1e-7"]) == 0
+        [(campaigns, seeds, _, models, tol)] = calls
+        assert (campaigns, seeds, list(models), tol) == ([reference_campaign(1)], [6],
+                                                         ["drude", "plasma"], 1e-7)
+        [(_, calib, series)] = result.sets
+        assert (out / "calibration_set1.txt").read_text().endswith(calibration_text(calib))
+        assert (out / "gradients_set1.txt").read_text().endswith(gradient_series_text(series))
+        assert (out / "comparison.txt").read_text().endswith(comparison_text(result.report))
+        assert (out / "gradients_combined.txt").read_text().endswith(
+            gradient_series_text(result.combined))
+
+    def test_failed_run_writes_no_file(self, tmp_path, capsys):
+        # set 4's series start near 570 nm, so a compared grid from 100 nm
+        # reaches past them; the run fails once every set is synthesised
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text("[pipeline]\nsets = 4\nseed = 7\n[compare]\ngrid_start_nm = 100\n")
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        captured = capsys.readouterr()
+        assert "error: grid reaches 472.034 nm past series 0" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, short_pipeline_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["pipeline", "--config", short_pipeline_config, "--out", out1, "--tol", "1e-7"])
@@ -335,6 +385,32 @@ class TestErrors:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_theory_grid_over_the_point_limit_is_a_config_error(self, tmp_path, capsys):
+        # 7e11 points, refused before any array is built
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[theory]\na_step_nm = 1e-9\n")
+        assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert ("config error: [theory] a_start_nm = 250.0, a_stop_nm = 950.0 and a_step_nm = "
+                "1e-09 give 7e+11 points, over the limit of 1000000") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_thermal_sum_over_the_term_cap_fails_fast(self, tmp_path):
+        # at 1 mK the 900 nm sum needs millions of terms; the count search
+        # stops at the cap before any term is computed.  A child process
+        # under a timeout, so that an unbounded sum cannot hang the suite
+        cfg = tmp_path / "cold.ini"
+        cfg.write_text("[theory]\na_start_nm = 900\na_stop_nm = 901\n"
+                       "[geometry]\ntemperature_k = 1e-3\n")
+        src = str(Path(casimirlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["theory", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        out = subprocess.run([sys.executable, "-m", "casimirlab.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=20)
+        assert out.returncode == 1
+        assert "error: thermal sum at a=9.000000000000001e-07, T=0.001 K needs more than " \
+            "1048576 Matsubara terms" in out.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, bad", [("seed", "eight"), ("repetitions", "1.5"),
                                           ("R_m", "big"), ("voltages_V", "0.1 x")])
     def test_malformed_grid_metadata_is_a_config_error(self, tmp_path, capsys, key, bad):
@@ -377,9 +453,10 @@ class TestErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computation ran before tol was checked")
 
-        for name in ("gradient_sweeps", "pressure_to_gradient_sweep", "gradient_curve",
-                     "synthesize_campaign", "load_gradient_series"):
-            monkeypatch.setattr(cli, name, no_work)
+        for module, name in ((cli, "gradient_sweeps"), (cli, "pressure_to_gradient_sweep"),
+                             (cli, "synthesize_campaign"), (cli, "load_gradient_series"),
+                             (analysis, "synthesize_campaign"), (analysis, "gradient_curve")):
+            monkeypatch.setattr(module, name, no_work)
         cfg = tmp_path / "tol.ini"
         cfg.write_text(ini)
         args = [command, "--config", cfg, "--out", tmp_path / "out"]
@@ -415,8 +492,9 @@ class TestErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computation ran before [compare] was checked")
 
-        for name in ("synthesize_campaign", "load_gradient_series", "gradient_curve"):
-            monkeypatch.setattr(cli, name, no_work)
+        for module, name in ((cli, "load_gradient_series"), (analysis, "synthesize_campaign"),
+                             (analysis, "gradient_curve")):
+            monkeypatch.setattr(module, name, no_work)
         cfg = tmp_path / "compare.ini"
         cfg.write_text("[compare]\n" + ini)
         args = [command, "--config", cfg, "--out", tmp_path / "out"]
