@@ -313,10 +313,11 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
     if z_rel.size < 100 or not np.all(np.isfinite(gamma)):
         raise ValidityDomainError("calibration fit needs at least 100 separations, finite gamma")
     sigma_gamma = np.asarray(sigma_gamma, dtype=float)
-    if np.all(sigma_gamma > 0):
-        weights = 1.0 / (sigma_gamma * sigma_gamma)
-    else:
-        weights = np.ones_like(gamma)
+    bad = np.flatnonzero(~(np.isfinite(sigma_gamma) & (sigma_gamma > 0)))
+    if bad.size:
+        raise ValidityDomainError(f"sigma_gamma[{bad[0]}] = {sigma_gamma[bad[0]]} must be "
+                                  "finite and positive")
+    weights = 1.0 / (sigma_gamma * sigma_gamma)
 
     lo, hi = z0_bounds
     if not (0 < lo < hi <= 10e-6):
@@ -408,9 +409,8 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     them), and the straight-line V0; the random error is the
     Student-scaled standard error over the 21 x repetitions channels, the
     systematic error is the quoted frequency-shift error divided by C, and
-    the two combine in quadrature.  A non-finite channel is dropped at its
-    separation, which then takes the Student factor and sqrt(n) of its own
-    finite count; n_channels is the smallest count.
+    the two combine in quadrature.  A non-finite channel raises
+    ValidityDomainError naming its separation.
     """
     a = calib.separations
     lo, hi = _Z0_BOUNDS
@@ -421,23 +421,14 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal
     flat = f.reshape(-1, a.size)
 
-    q67 = 0.5 + 0.67 / 2.0
-    finite = np.isfinite(flat)
-    if not finite.all():
-        warnings.warn("dropping non-finite channels at some separations", stacklevel=2)
-        n_eff = finite.sum(axis=0)
-        if n_eff.min() < 2:
-            raise DegenerateFitError("a separation has fewer than 2 finite channels")
-        mean = np.nanmean(flat, axis=0)
-        sd = np.nanstd(flat, axis=0, ddof=1)
-        t67 = np.array([_t_quantile(q67, n - 1) for n in n_eff.tolist()])
-    else:
-        mean = flat.mean(axis=0)
-        sd = flat.std(axis=0, ddof=1)
-        n_eff = flat.shape[0]
-        t67 = _t_quantile(q67, n_eff - 1)
-
-    random_error = t67 * sd / np.sqrt(n_eff)
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=0))
+    if bad.size:
+        raise ValidityDomainError(f"non-finite channel at separation {bad[0]} "
+                                  f"({a[bad[0]] * 1e9:.3f} nm)")
+    mean = flat.mean(axis=0)
+    sd = flat.std(axis=0, ddof=1)
+    n = flat.shape[0]
+    random_error = _t_quantile(0.5 + 0.67 / 2.0, n - 1) * sd / np.sqrt(n)
     systematic = grid.spec.freq_systematic / calib.c_cal
     systematic_error = np.full_like(mean, systematic)
     total = np.hypot(random_error, systematic_error)
@@ -447,7 +438,7 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
         random_error=random_error,
         systematic_error=systematic_error,
         total_error=total,
-        n_channels=int(np.min(n_eff)),
+        n_channels=n,
     )
 
 

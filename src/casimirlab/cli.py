@@ -50,120 +50,130 @@ from .vexp import (
 _MODEL_CHOICES = ("drude", "plasma", "both")
 
 
+# Every config key, declared once: [section] key -> (parser, default, the Geometry
+# or CampaignSpec field it feeds).  A number must be finite.  A key that feeds a
+# field is scaled to SI by its _nm or _um suffix; the others keep their unit.  A
+# default of None leaves the key unset: a campaign field without a preset is
+# required, a [compare] grid end falls back to the series.
+_SCHEMA = {
+    "geometry": {"r_um": (float, 43.466, "R"), "delta_s_nm": (float, 1.13, "delta_s"),
+                 "delta_p_nm": (float, 1.08, "delta_p"),
+                 "temperature_k": (float, 293.15, "temperature"),
+                 "max_aspect": (float, 0.022, "max_aspect"),
+                 "a_min_nm": (float, 250.0, "a_min"), "a_max_nm": (float, 2000.0, "a_max")},
+    "campaign": {"preset": (int, None, None), "truth": (str, "plasma", "truth_tag"),
+                 "seed": (int, 0, None),
+                 "voltages_v": (lambda text: tuple(map(float, text.split())), None, "voltages"),
+                 "z0_nm": (float, None, "z0_true"), "c_s_per_kg": (float, None, "c_true"),
+                 "v0_slope_mv_per_nm": (float, None, None), "v0_intercept_mv": (float, None, None),
+                 "amplitude_nm": (float, None, "amplitude"),
+                 "freq_systematic_rad_s": (float, None, "freq_systematic"),
+                 "max_z_rel_nm": (float, None, "max_z_rel"), "repetitions": (int, 1, "repetitions")},
+    "theory": {"tol": (float, 1e-9, None), "a_start_nm": (float, 250.0, None),
+               "a_stop_nm": (float, 950.0, None), "a_step_nm": (float, 1.0, None)},
+    "compare": {"window_nm": (float, 100.0, None), "optical_fraction": (float, 0.005, None),
+                "delta_z_nm": (float, 0.5, None), "grid_start_nm": (float, None, None),
+                "grid_stop_nm": (float, None, None), "intervals": (str, "", None)},
+    "pipeline": {"sets": (lambda text: tuple(map(int, text.split(","))), (1,), None),
+                 "truth": (str, "plasma", "truth_tag"), "seed": (int, 0, None)},
+}
+_SCALE = {"_nm": 1e-9, "_um": 1e-6}
+
+
+def _section(cp, section) -> dict:
+    """[section]'s values by key, parsed, and each unset key's default."""
+    values = {}
+    for key, (parse, default, _) in _SCHEMA[section].items():
+        text = cp.get(section, key, fallback=None)
+        try:
+            value = values[key] = default if text is None else parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+        numbers = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+            raise ConfigError(f"[{section}] {key} = {value if parse is float else text} "
+                              "must be finite")
+    return values
+
+
+def _fields(section, values) -> dict:
+    """The Geometry or CampaignSpec fields that [section]'s values feed, in SI."""
+    return {field: values[key] * _SCALE[key[-3:]] if key[-3:] in _SCALE else values[key]
+            for key, (_, _, field) in _SCHEMA[section].items() if field}
+
+
+def _unknown(what, name, known):
+    """The ConfigError for an unknown section or key, naming the nearest known names."""
+    from difflib import SequenceMatcher  # on this error path only
+
+    score = {k: SequenceMatcher(None, name, k).ratio() for k in known}
+    near = " or ".join(k for k in known if score[k] == max(score.values()))
+    return ConfigError(f"unknown {what} (did you mean {near}?)")
+
+
 def _read_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    """The config file at path, or none; each of its sections and keys is one that
+    _SCHEMA declares, and each value parses.  [DEFAULT] is an unknown section, as
+    configparser would copy its keys into every section."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
-            cp.read(p)
+            cp.read_string(textio.load(p), source=p)
         except configparser.Error as exc:
             raise ConfigError(f"{p}: {exc}") from None
+    for section in cp.sections():
+        if section not in _SCHEMA:
+            raise _unknown(f"[{section}]", section, _SCHEMA)
+        for key in cp[section]:
+            if key not in _SCHEMA[section]:
+                raise _unknown(f"[{section}] {key}", key, _SCHEMA[section])
+        _section(cp, section)
     return cp
-
-
-def _getfloat(cp, section, key, default):
-    """[section] key, or default if it is unset; a value that is not a finite number is a
-    config error."""
-    try:
-        value = cp.getfloat(section, key, fallback=default)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {value} must be finite")
-    return value
-
-
-def _getfloats(cp, section, key, default):
-    """[section] key as space-separated finite numbers, or default if it is unset."""
-    text = cp.get(section, key, fallback=None)
-    if text is None:
-        return default
-    try:
-        values = tuple(float(v) for v in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"[{section}] {key} = {text} must be finite")
-    return values
-
-
-def _getint(cp, section, key, default):
-    try:
-        return cp.getint(section, key, fallback=default)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
-# the config key of each field that Geometry and CampaignSpec check; a_min is
-# refused alone or against a_max, so either key may be the one written
-_KEYS = {
-    "geometry": {"R": "r_um", "delta_s": "delta_s_nm", "delta_p": "delta_p_nm",
-                 "temperature": "temperature_k", "a_min": ("a_min_nm", "a_max_nm"),
-                 "max_aspect": "max_aspect"},
-    "campaign": {"voltages": "voltages_v", "z0_true": "z0_nm", "amplitude": "amplitude_nm",
-                 "freq_systematic": "freq_systematic_rad_s", "max_z_rel": "max_z_rel_nm",
-                 "repetitions": "repetitions", "truth_tag": "truth"},
-    "pipeline": {"truth_tag": "truth"},
-}
 
 
 def _refused(cp, section, exc):
     """The ConfigError for a well-formed [section] value the model refuses.
 
     It names the key and the value as written, when the refused field has one;
-    of a field's several keys, the first that is written.
+    a_min is refused alone or against a_max, so either key may be the one
+    written, and the first written is named.
     """
-    keys = _KEYS[section].get(exc.field, ())
-    written = [k for k in ((keys,) if isinstance(keys, str) else keys) if cp.has_option(section, k)]
+    fields = ("a_min", "a_max") if exc.field == "a_min" else (exc.field,)
+    written = [key for key, (_, _, field) in _SCHEMA[section].items()
+               if field and field in fields and cp.has_option(section, key)]
     if not written:
         return ConfigError(f"[{section}] {exc}")
     return ConfigError(f"[{section}] {written[0]} = {cp.get(section, written[0])}: {exc}")
 
 
 def _geometry(cp) -> Geometry:
-    sec = "geometry"
     try:
-        return Geometry(
-            R=_getfloat(cp, sec, "r_um", 43.466) * 1e-6,
-            delta_s=_getfloat(cp, sec, "delta_s_nm", 1.13) * 1e-9,
-            delta_p=_getfloat(cp, sec, "delta_p_nm", 1.08) * 1e-9,
-            temperature=_getfloat(cp, sec, "temperature_k", 293.15),
-            max_aspect=_getfloat(cp, sec, "max_aspect", 0.022),
-            a_min=_getfloat(cp, sec, "a_min_nm", 250.0) * 1e-9,
-            a_max=_getfloat(cp, sec, "a_max_nm", 2000.0) * 1e-9,
-        )
+        return Geometry(**_fields("geometry", _section(cp, "geometry")))
     except ValidityDomainError as exc:  # a well-formed value the geometry cannot take
-        raise _refused(cp, sec, exc) from None
+        raise _refused(cp, "geometry", exc) from None
 
 
 def _campaign(cp):
     sec = "campaign"
-    truth = cp.get(sec, "truth", fallback="plasma")
-
-    def need(key, get=_getfloat):
-        if not cp.has_option(sec, key):
-            raise ConfigError(f"[{sec}] {key} is required without a preset")
-        return get(cp, sec, key, None)
-
+    v = _section(cp, sec)
+    n = v["preset"]
     try:
-        if cp.has_option(sec, "preset"):
-            n = _getint(cp, sec, "preset", None)
-            return reference_campaign(n, truth), n
+        if n is not None:
+            for key in cp.options(sec):
+                if key not in ("preset", "truth", "seed"):
+                    raise ConfigError(f"[{sec}] {key} = {cp.get(sec, key)}: a preset sets "
+                                      "every campaign value but truth and seed")
+            return reference_campaign(n, v["truth"]), n
         if not cp.has_section(sec):
             raise ConfigError("synth needs a [campaign] section (preset or explicit fields)")
-        spec = CampaignSpec(
-            voltages=need("voltages_v", _getfloats),
-            z0_true=need("z0_nm") * 1e-9,
-            c_true=need("c_s_per_kg"),
-            v0_law=V0Law.from_mv(need("v0_slope_mv_per_nm"), need("v0_intercept_mv")),
-            truth_tag=truth,
-            amplitude=need("amplitude_nm") * 1e-9,
-            freq_systematic=need("freq_systematic_rad_s"),
-            max_z_rel=need("max_z_rel_nm") * 1e-9,
-            repetitions=_getint(cp, sec, "repetitions", 1),
-        )
+        for key, value in v.items():
+            if value is None and key != "preset":
+                raise ConfigError(f"[{sec}] {key} is required without a preset")
+        v0_law = V0Law.from_mv(v["v0_slope_mv_per_nm"], v["v0_intercept_mv"])
+        spec = CampaignSpec(v0_law=v0_law, **_fields(sec, v))
     except ModelError as exc:  # a well-formed value the campaign cannot take
         raise _refused(cp, sec, exc) from None
     return (spec, _geometry(cp)), 0
@@ -171,7 +181,7 @@ def _campaign(cp):
 
 def _tol(args, cp):
     """Thermal-sum tolerance from --tol, else [theory] tol, checked before any work."""
-    tol = args.tol if args.tol is not None else _getfloat(cp, "theory", "tol", 1e-9)
+    tol = args.tol if args.tol is not None else _section(cp, "theory")["tol"]
     lo, hi = TOL_RANGE
     if not lo <= tol <= hi:
         raise ConfigError(f"tol = {tol} lies outside [{lo:g}, {hi:g}]")
@@ -184,9 +194,7 @@ _MAX_THEORY_POINTS = 1_000_000
 
 def _theory_grid(cp):
     sec = "theory"
-    start = _getfloat(cp, sec, "a_start_nm", 250.0)
-    stop = _getfloat(cp, sec, "a_stop_nm", 950.0)
-    step = _getfloat(cp, sec, "a_step_nm", 1.0)
+    start, stop, step = map(_section(cp, sec).get, ("a_start_nm", "a_stop_nm", "a_step_nm"))
     if not step > 0:
         raise ConfigError(f"[{sec}] a_step_nm must be positive, got {step}")
     if not stop >= start:
@@ -227,17 +235,17 @@ def _cmd_theory(args, cp):
     out = Path(args.out)
     grid = _theory_grid(cp)
     geometry = _geometry(cp)
+    for key, a in (("a_start_nm", grid[0]), ("a_stop_nm", grid[-1])):
+        try:  # the ends bound the grid, so no thermal sum runs on a refused one
+            geometry.check_separation(a)
+        except ValidityDomainError as exc:
+            written = cp.get("theory", key, fallback=_SCHEMA["theory"][key][1])
+            raise ConfigError(f"[theory] {key} = {written}: {exc}") from None
     tol = _tol(args, cp)
     models = _models(args.model)
-    params = {
-        "model": args.model,
-        "a_start_nm": f"{grid[0] * 1e9:g}",
-        "a_stop_nm": f"{grid[-1] * 1e9:g}",
-        "n_points": grid.size,
-        "tol": tol,
-        "r_um": f"{geometry.R * 1e6:g}",
-        "temperature_k": geometry.temperature,
-    }
+    params = {"model": args.model, "a_start_nm": f"{grid[0] * 1e9:g}",
+              "a_stop_nm": f"{grid[-1] * 1e9:g}", "n_points": grid.size, "tol": tol,
+              "r_um": f"{geometry.R * 1e6:g}", "temperature_k": geometry.temperature}
 
     # one batch computes every selected model's thermal sums
     sweeps = dict(zip(models, gradient_sweeps(models.values(), geometry, grid, tol)))
@@ -254,7 +262,7 @@ def _cmd_theory(args, cp):
 def _cmd_synth(args, cp):
     out = Path(args.out)
     (spec, geometry), n = _campaign(cp)
-    seed = _seed(_getint(cp, "campaign", "seed", 0) if args.seed is None else args.seed, "seed")
+    seed = _seed(_section(cp, "campaign")["seed"] if args.seed is None else args.seed, "seed")
     grid = synthesize_campaign(spec, geometry, seed)
     name = f"grid_set{n}_seed{seed}.txt" if n else f"grid_seed{seed}.txt"
     save_grid(grid, out / name)
@@ -285,10 +293,9 @@ def _compare_settings(cp):
     """[compare] intervals, window, error model and grid bounds (nm, or None), checked
     before any work: a value that would give no verdict or a wrong band is a config error."""
     sec = "compare"
-    width = _getfloat(cp, sec, "window_nm", 100.0)
-    fraction = _getfloat(cp, sec, "optical_fraction", 0.005)
-    delta_z = _getfloat(cp, sec, "delta_z_nm", 0.5)
-    start, stop = (_getfloat(cp, sec, f"grid_{end}_nm", None) for end in ("start", "stop"))
+    v = _section(cp, sec)
+    width, fraction, delta_z = v["window_nm"], v["optical_fraction"], v["delta_z_nm"]
+    start, stop = v["grid_start_nm"], v["grid_stop_nm"]
     for bad, what in ((not width > 0, f"window_nm = {width} must be positive"),
                       (not fraction >= 0, f"optical_fraction = {fraction} must be >= 0"),
                       (not delta_z >= 0, f"delta_z_nm = {delta_z} must be >= 0"),
@@ -296,7 +303,7 @@ def _compare_settings(cp):
                        f"grid_stop_nm = {stop} must lie above grid_start_nm = {start}")):
         if bad:
             raise ConfigError(f"[{sec}] {what}")
-    spec = cp.get(sec, "intervals", fallback="").strip()
+    spec = v["intervals"].strip()
     intervals = [] if spec else None
     for part in spec.replace(";", ",").split(",") if spec else ():
         lo, _, hi = part.partition(":")
@@ -342,16 +349,13 @@ def _cmd_compare(args, cp):
 
 def _cmd_pipeline(args, cp):
     out = Path(args.out)
-    try:
-        sets = [int(s) for s in cp.get("pipeline", "sets", fallback="1").split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"[pipeline] sets: {exc}") from None
+    v = _section(cp, "pipeline")
+    sets, truth = v["sets"], v["truth"]
     for n in sets:
         if sets.count(n) > 1:
             raise ConfigError(f"[pipeline] sets: set {n} is listed more than once; "
                               "each set is synthesised once and combined as independent data")
-    truth = cp.get("pipeline", "truth", fallback="plasma")
-    base_seed = args.seed if args.seed is not None else _getint(cp, "pipeline", "seed", 0)
+    base_seed = args.seed if args.seed is not None else v["seed"]
     seeds = [_seed(base_seed + n, f"set {n}'s seed") for n in sets]  # recorded in the manifest
     tol = _tol(args, cp)
     settings = _compare_settings(cp)
@@ -370,13 +374,8 @@ def _cmd_pipeline(args, cp):
         textio.write(out / f"gradients_set{n}.txt", man + gradient_series_text(series))
         manifest_steps.append(f"set {n}: seed = {seed}, C = {calib.c_cal:.6e}, "
                               f"z0_nm = {calib.z0 * 1e9:.4f}")
-    params = {
-        "sets": ",".join(str(n) for n in sets),
-        "truth": truth,
-        "base_seed": base_seed,
-        "model": args.model,
-        "tol": tol,
-    }
+    params = {"sets": ",".join(str(n) for n in sets), "truth": truth, "base_seed": base_seed,
+              "model": args.model, "tol": tol}
     man = _manifest("pipeline", params)
     textio.write(out / "comparison.txt", man + comparison_text(run.report))
     textio.write(out / "gradients_combined.txt", man + gradient_series_text(run.combined))

@@ -8,7 +8,8 @@
     # block <label>             grid files: each block's rows follow its line
 
 str() of a float is its shortest round-trip form, so a header value reads
-back exactly.  read() is the one loader, with one ConfigError rule.
+back exactly.  read() is the one loader of these files; it and the config
+reader take a file's text from load(), with one ConfigError rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["TextFile", "header", "table", "write", "read"]
+__all__ = ["TextFile", "header", "table", "write", "load", "read"]
 
 
 def header(title: str, params=None, notes=()) -> str:
@@ -72,12 +73,17 @@ class TextFile(NamedTuple):
                 f"{self.path}: malformed metadata value {key} = {self.meta[key]!r}") from None
 
 
-def read(path, n_columns: int) -> TextFile:
-    """Parse a file whose every row holds n_columns numbers."""
+def load(path) -> str:
+    """The text of path; a file that cannot be opened or decoded is a ConfigError."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {getattr(exc, 'strerror', exc)}") from None
+
+
+def read(path, n_columns: int) -> TextFile:
+    """Parse a file whose every row holds n_columns numbers."""
+    text = load(path)
     meta: dict[str, str] = {}
     groups: list[list[list[float]]] = [[]]
     for line in map(str.strip, text.splitlines()):

@@ -654,6 +654,78 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestConfigSchema:
+    @pytest.mark.parametrize("command, ini, message", [
+        ("theory", "[theory]\na_stpe_nm = 5\n",
+         "unknown [theory] a_stpe_nm (did you mean a_stop_nm or a_step_nm?)"),
+        ("theory", "[geomtery]\nr_um = 40\n", "unknown [geomtery] (did you mean geometry?)"),
+        ("synth", "[campaign]\npreset = 1\nrepetitions = 0\n",
+         "[campaign] repetitions = 0: a preset sets every campaign value but truth and seed"),
+        ("theory", "[theory]\na_start_nm = 249\n",
+         "[theory] a_start_nm = 249: separation 249.0 nm outside [250, 2000] nm"),
+        ("theory", "[geometry]\nr_um = 1\n", "[theory] a_start_nm = 250.0: a/R = 0.2500 >= "
+         "0.022 invalidates the proximity-force approximation"),
+        ("theory", "[theory]\na_stop_nm = 1000\n", "[theory] a_stop_nm = 1000: a/R = 0.0230"),
+        ("theory", "[DEFAULT]\nr_um = 40\n", "unknown [DEFAULT]"),
+        ("pipeline", "[pipeline]\npreset = 1\n", "unknown [pipeline] preset"),
+        ("pipeline", "[pipeline]\nsets = 1\n[theory]\na_step_nm = x\n",
+         "[theory] a_step_nm: could not convert string to float: 'x'"),
+    ], ids=["misspelled-key", "misspelled-section", "preset-with-a-field", "start-below-a-min",
+            "small-radius", "stop-over-the-aspect-bound", "default-section",
+            "key-of-another-section", "malformed-value-of-another-command"])
+    def test_config_error_names_the_section_or_key(self, tmp_path, capsys, monkeypatch,
+                                                    command, ini, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation ran before the config was checked")
+
+        for module, name in ((cli, "gradient_sweeps"), (cli, "synthesize_campaign"),
+                             (cli, "run_pipeline")):
+            monkeypatch.setattr(module, name, no_work)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_section_another_command_reads_is_allowed(self, tmp_path):
+        # a preset carries its geometry, so synth reads no [geometry]; the
+        # file still serves theory, compare and pipeline
+        cfg = tmp_path / "all.ini"
+        cfg.write_text("[campaign]\npreset = 1\nseed = 4\n[geometry]\nr_um = 1\n"
+                       "[theory]\na_stop_nm = 100\n[compare]\nwindow_nm = 50\n"
+                       "[pipeline]\nsets = 9\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "grid_set1_seed4.txt").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "{path}: Is a directory"),
+        (b"[theory]\na_stop_nm = 26\xc00\n", "{path}: 'utf-8' codec can't decode byte 0xc0"),
+        (b"[theory]\na_stop_nm = 260%\n",
+         "[theory] a_stop_nm: could not convert string to float: '260%'"),
+    ], ids=["directory", "not-utf8", "percent"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.ini"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run(["theory", "--config", path, "--out", tmp_path / "out"]) == 2
+        assert "config error: " + message.format(path=path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_theory_configs_run(self, tmp_path, monkeypatch):
+        # the two files the theory_sweep workload writes, a keyless [geometry]
+        # and one with a_min_nm and max_aspect, run as it runs them: a key
+        # missing from the schema would fail every operation of the workload
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        sweep = workloads.TheorySweep(seed=1, work=tmp_path)
+        sweep.setup()
+        for g in sweep.grids:
+            assert run(["theory", "--config", g["cfg"], "--out", g["out"], "--model", "both"]) == 0
+
+
 def series_file(path, a_nm):
     a = np.asarray(a_nm) * 1e-9
     ones = np.ones_like(a)
@@ -769,3 +841,18 @@ class TestReadme:
                 assert main(args) == 0, line
         assert commands == ["theory", "synth", "calibrate", "compare", "pipeline"]
         assert "sets = 1,2,3" in Path("pipe.ini").read_text()
+
+    def test_config_key_table_matches_the_schema(self):
+        # every row "| section | `key` | unit | `default` |" of the README's
+        # key table, "—" for a key with no default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+                for line in readme.splitlines() if line.startswith("| ")]
+        table = {(row[0], row[1]): row[3] for row in rows if row[0] in cli._SCHEMA}
+        schema = {(section, key): spec for section, keys in cli._SCHEMA.items()
+                  for key, spec in keys.items()}
+        assert list(table) == list(schema) and len(table) == 32
+        for (section, key), (parse, default, _) in schema.items():
+            written = table[section, key]
+            got = None if written == "—" else parse(written)
+            assert got == (None if default == "" else default), (section, key)
