@@ -277,7 +277,7 @@ def _gauss_newton(windows, table):
 
 
 _WINDOW_HALF_WIDTH = 30e-9   # z0 bracket of the window refits
-_Z0_BOUNDS = (50e-9, 10e-6)  # default z0 search range of fit_calibration
+_Z0_BOUNDS = (50e-9, 10e-6)  # the z0 search range of fit_calibration
 
 
 @lru_cache(maxsize=16)
@@ -286,18 +286,18 @@ def _gamma_table(lo: float, hi: float, R: float) -> GammaTable:
     return GammaTable(lo, hi, R)
 
 
-def _fit_table(z_rel, R, z0_bounds=_Z0_BOUNDS) -> GammaTable:
-    """The table over every separation a fit of z_rel in z0_bounds reaches.
+def _fit_table(z_rel, R) -> GammaTable:
+    """The table over every separation a fit of z_rel reaches.
 
-    That is z0 in the bounds, and up to 30 nm past them in the window refits.
+    That is z0 in _Z0_BOUNDS, and up to 30 nm past them in the window refits.
     """
-    lo, hi = z0_bounds
+    lo, hi = _Z0_BOUNDS
     return _gamma_table(float(lo + z_rel.min()),
                         float(hi + _WINDOW_HALF_WIDTH + z_rel.max()), float(R))
 
 
-def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> CalibrationFit:
-    """Fit the exact electrostatic coefficient over (C, z0).
+def fit_calibration(z_rel, gamma, sigma_gamma, R) -> CalibrationFit:
+    """Fit the exact electrostatic coefficient over (C, z0), z0 in _Z0_BOUNDS.
 
     The model gamma(z0 + z_rel) is linear in C, so the fit separates: for
     each closest-approach candidate the optimal C is a weighted projection,
@@ -319,10 +319,8 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R, z0_bounds=_Z0_BOUNDS) -> Calib
                                   "finite and positive")
     weights = 1.0 / (sigma_gamma * sigma_gamma)
 
-    lo, hi = z0_bounds
-    if not (0 < lo < hi <= 10e-6):
-        raise ValidityDomainError(f"z0 bounds {z0_bounds} escape (0, 10 um]")
-    table = _fit_table(z_rel, R, z0_bounds)
+    lo, hi = _Z0_BOUNDS
+    table = _fit_table(z_rel, R)
 
     # Proximity-limit seed: gamma ~ 1/a^2 gives z0 from the ratio of two
     # samples; Gauss-Newton runs in a generous bracket around it.
@@ -404,18 +402,16 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     """Invert the shift model per channel and average at 67% confidence.
 
     F' = [-delta_omega - gamma_hat(a) (V_i - V0_hat(a))^2] / C_hat with the
-    calibrated analytic gamma, read from the calibration's table (that of
-    the default z0 bounds, widened to the calibrated z0 if it lies outside
-    them), and the straight-line V0; the random error is the
+    calibrated analytic gamma, read from the calibration fit's table
+    (_fit_table; a z0 outside _Z0_BOUNDS, which no fit returns, raises its
+    ValidityDomainError), and the straight-line V0; the random error is the
     Student-scaled standard error over the 21 x repetitions channels, the
     systematic error is the quoted frequency-shift error divided by C, and
     the two combine in quadrature.  A non-finite channel raises
     ValidityDomainError naming its separation.
     """
     a = calib.separations
-    lo, hi = _Z0_BOUNDS
-    table = _fit_table(calib.z_rel, calib.R, (min(lo, calib.z0), max(hi, calib.z0)))
-    gamma_hat = calib.c_cal * table(a)
+    gamma_hat = calib.c_cal * _fit_table(calib.z_rel, calib.R)(a)
     v0_hat = calib.line.v0(a)
     v = grid.voltages[:, None, None]
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal
@@ -570,8 +566,8 @@ class TheoryErrorConfig:
     absolute-separation uncertainty.
     """
 
-    optical_fraction: float = 0.005
-    delta_z: float = 0.5e-9
+    optical_fraction: float
+    delta_z: float
 
 
 @dataclass
@@ -599,7 +595,7 @@ class ComparisonReport:
         raise KeyError(f"no window [{lo}, {hi}] in report for {label}")
 
 
-def default_windows(a_lo: float, a_hi: float, width: float = 100e-9):
+def default_windows(a_lo: float, a_hi: float, width: float):
     """Contiguous windows aligned to multiples of the width, clipped to
     [a_lo, a_hi] so that each label states the range its verdict covers."""
     k0 = math.floor(a_lo / width)
@@ -616,8 +612,8 @@ def window_mask(a, lo: float, hi: float) -> np.ndarray:
 def compare(
     series: GradientSeries,
     theory: dict[str, np.ndarray],
-    config: TheoryErrorConfig = TheoryErrorConfig(),
-    windows=None,
+    config: TheoryErrorConfig,
+    windows,
 ) -> ComparisonReport:
     """Confidence-band comparison of measured and theoretical gradients.
 
@@ -630,8 +626,6 @@ def compare(
     diffs: dict[str, np.ndarray] = {}
     bands: dict[str, np.ndarray] = {}
     verdicts: dict[str, list[WindowVerdict]] = {}
-    if windows is None:
-        windows = default_windows(float(a[0]), float(a[-1]))
 
     for label, vals in theory.items():
         vals = np.asarray(vals, dtype=float)
@@ -713,7 +707,8 @@ def _compared_grid(settings: CompareSettings, overlap, geometry):
 def compare_series(series_list, settings: CompareSettings, models, geometry, tol: float):
     """The compare stage: the series combined on the compared grid of their
     overlap (_compared_grid) and compared there with each model's
-    gradient_curve at tol.  Returns (grid, clipped, combined, report)."""
+    gradient_curve at tol.  Returns (clipped, combined, report); the grid is
+    report.separations."""
     overlap = (max(s.separations[0] for s in series_list) * 1e9,
                min(s.separations[-1] for s in series_list) * 1e9)
     common, clipped = _compared_grid(settings, overlap, geometry)
@@ -722,14 +717,13 @@ def compare_series(series_list, settings: CompareSettings, models, geometry, tol
               for tag, model in models.items()}
     windows = settings.intervals if settings.intervals is not None else \
         default_windows(float(common[0]), float(common[-1]), settings.width)
-    return common, clipped, combined, compare(combined, theory, settings.errors, windows=windows)
+    return clipped, combined, compare(combined, theory, settings.errors, windows)
 
 
 class PipelineRun(NamedTuple):
     """run_pipeline's result: (grid, calibration, series) per set, then compare_series'."""
 
     sets: tuple
-    grid: np.ndarray
     clipped: bool
     combined: GradientSeries
     report: ComparisonReport

@@ -40,6 +40,8 @@ from .lifshitz import TOL_RANGE
 from .vexp import (
     CampaignSpec,
     V0Law,
+    _grid_points,
+    _lattice,
     load_grid,
     model_for_tag,
     reference_campaign,
@@ -176,7 +178,21 @@ def _campaign(cp):
         spec = CampaignSpec(v0_law=v0_law, **_fields(sec, v))
     except ModelError as exc:  # a well-formed value the campaign cannot take
         raise _refused(cp, sec, exc) from None
-    return (spec, _geometry(cp)), 0
+    geometry = _geometry(cp)
+    near, far = spec.z0_true + _lattice(spec)[0][[0, -1]]  # where the truth curves run
+    _check_ends(cp, sec, geometry, (("z0_nm", near), ("max_z_rel_nm", far)))
+    return (spec, geometry), 0
+
+
+def _check_ends(cp, sec, geometry, ends):
+    """ConfigError naming the key and value of the first (key, a) of ends that the
+    geometry refuses; the ends bound the separations of the work that follows."""
+    for key, a in ends:
+        try:
+            geometry.check_separation(a)
+        except ValidityDomainError as exc:
+            written = cp.get(sec, key, fallback=_SCHEMA[sec][key][1])
+            raise ConfigError(f"[{sec}] {key} = {written}: {exc}") from None
 
 
 def _tol(args, cp):
@@ -204,7 +220,7 @@ def _theory_grid(cp):
         raise ConfigError(f"[{sec}] a_start_nm = {start}, a_stop_nm = {stop} and "
                           f"a_step_nm = {step} give {steps + 1:.7g} points, over the limit "
                           f"of {_MAX_THEORY_POINTS}")
-    return (start + step * np.arange(int(round(steps)) + 1)) * 1e-9
+    return (start + step * np.arange(_grid_points(stop - start, step))) * 1e-9
 
 
 def _models(selection):
@@ -235,12 +251,7 @@ def _cmd_theory(args, cp):
     out = Path(args.out)
     grid = _theory_grid(cp)
     geometry = _geometry(cp)
-    for key, a in (("a_start_nm", grid[0]), ("a_stop_nm", grid[-1])):
-        try:  # the ends bound the grid, so no thermal sum runs on a refused one
-            geometry.check_separation(a)
-        except ValidityDomainError as exc:
-            written = cp.get("theory", key, fallback=_SCHEMA["theory"][key][1])
-            raise ConfigError(f"[theory] {key} = {written}: {exc}") from None
+    _check_ends(cp, "theory", geometry, (("a_start_nm", grid[0]), ("a_stop_nm", grid[-1])))
     tol = _tol(args, cp)
     models = _models(args.model)
     params = {"model": args.model, "a_start_nm": f"{grid[0] * 1e9:g}",
@@ -318,7 +329,8 @@ def _compare_settings(cp):
     return CompareSettings(intervals, width * 1e-9, errors, (start, stop))
 
 
-def _print_verdicts(grid, clipped, report):
+def _print_verdicts(report, clipped):
+    grid = report.separations
     if clipped:
         print(f"compare grid clipped to the geometry's range: "
               f"[{grid[0] * 1e9:.0f}, {grid[-1] * 1e9:.0f}] nm")
@@ -335,14 +347,14 @@ def _cmd_compare(args, cp):
     tol = _tol(args, cp)
     settings = _compare_settings(cp)
     series = [load_gradient_series(p) for p in args.gradients]
-    grid, clipped, _, report = compare_series(series, settings, _models(args.model),
-                                              _geometry(cp), tol)
+    clipped, _, report = compare_series(series, settings, _models(args.model), _geometry(cp),
+                                        tol)
     manifest = _manifest("compare", {
         "gradients": tuple(Path(p).name for p in args.gradients),
         "model": args.model,
     })
     path = textio.write(out / "comparison.txt", manifest + comparison_text(report))
-    _print_verdicts(grid, clipped, report)
+    _print_verdicts(report, clipped)
     print(f"wrote {path}")
     return 0
 
@@ -382,7 +394,7 @@ def _cmd_pipeline(args, cp):
     verdicts = [f"verdict {label} [{w.lo * 1e9:.0f}, {w.hi * 1e9:.0f}] nm: {w.verdict}"
                 for label, wins in run.report.windows.items() for w in wins]
     textio.write(out / "manifest.txt", _manifest("pipeline", params, manifest_steps + verdicts))
-    _print_verdicts(run.grid, run.clipped, run.report)
+    _print_verdicts(run.report, run.clipped)
     return 0
 
 

@@ -13,7 +13,7 @@ the theory curves follow too: the calibration fit and the gradient
 extraction evaluate gamma/C at hundreds of separations some ten times
 per set, so the series runs only at a table's nodes.  The rule is one
 table per fit range: analysis builds it once per process for each range
-(z0 bounds, relative separations, R), the extraction reads the fit's
+(its fixed z0 range, relative separations, R), the extraction reads the fit's
 table, and a later set with the same range builds none.  GammaTable itself
 keeps no memo.
 The synthetic truth (vexp) keeps the direct series, so the fit is checked
@@ -51,6 +51,8 @@ def calibration_constant(k: float, omega0: float) -> float:
 # n-blocks keep their temporaries cache-resident, and never above 512 x points
 _BLOCK_ELEMENTS = 1 << 15
 _MAX_TERMS = 1 << 22
+# the relative accuracy of a GammaTable's values and slopes
+_TABLE_TOL = 1e-10
 
 
 def _coth_csch(x):
@@ -146,20 +148,20 @@ class GammaTable:
     """gamma / C and its slope over [lo, hi], interpolated from the image series.
 
     A chebyshev.Interpolant of a^2 gamma/C and a^3 (d gamma/da)/C, accepted
-    at tol relative for values and slopes alike, from gamma_over_c(...,
-    slope=True) at its nodes.  The series runs at tol / 1000, so that
+    at _TABLE_TOL relative for values and slopes alike, from gamma_over_c(...,
+    slope=True) at its nodes.  The series runs at _TABLE_TOL / 1000, so that
     neither the node errors carried through the interpolation nor the slope
-    series, whose terms fall off one power of n slower, come near tol.
+    series, whose terms fall off one power of n slower, come near it.
     A call evaluates both rows by the second barycentric formula, one
     (nodes, points) array and one matrix product for values and slopes.
     """
 
-    def __init__(self, lo: float, hi: float, R: float, tol: float = 1e-10):
+    def __init__(self, lo: float, hi: float, R: float):
         def evaluate(a):
-            g, dg = gamma_over_c(a, R, 1e-3 * tol, slope=True)
+            g, dg = gamma_over_c(a, R, 1e-3 * _TABLE_TOL, slope=True)
             return np.array([a * a * g, a**3 * dg])
 
-        self._curve = Interpolant(lo, hi, evaluate, tol,
+        self._curve = Interpolant(lo, hi, evaluate, _TABLE_TOL,
                                   f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
 
     def __call__(self, a, slope: bool = False, cuts=()):

@@ -84,19 +84,16 @@ class IdealMetal:
 IDEAL_METAL = IdealMetal()
 
 
-def _fresnel(eps, q, w, out=None, q2=None):
+def _fresnel(eps, q, w, out, q2):
     """r_TM, r_TE at a finite imaginary frequency xi = w c.
 
-    q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector, q2 its square
-    when already formed, and eps the permittivity at xi; arrays broadcast.
-    The coefficients are written into out[0] and out[1], with out[2] as
-    scratch; out, of three planes of the broadcast shape, is allocated when
-    not given.
+    q = (k_perp^2 + w^2)^1/2 is the vacuum normal wavevector, q2 its square,
+    and eps the permittivity at xi; arrays broadcast.  The coefficients are
+    written into out[0] and out[1], with out[2] as scratch; out holds three
+    planes of the broadcast shape.
     """
-    if out is None:
-        out = np.empty((3,) + np.broadcast_shapes(np.shape(eps), np.shape(q), np.shape(w)))
     r_tm, r_te, k = out[0, ...], out[1, ...], out[2, ...]
-    np.add(np.multiply(q, q, out=k) if q2 is None else q2, (eps - 1.0) * w * w, out=k)
+    np.add(q2, (eps - 1.0) * w * w, out=k)
     np.sqrt(k, out=k)
     eps_q = np.multiply(eps, q, out=r_te)
     np.subtract(eps_q, k, out=r_tm)
@@ -255,7 +252,7 @@ class _Workspace:
     allocated at the size it is given and grown, the old buffer dropped
     first, only when a pass needs more."""
 
-    def __init__(self, elements=0):
+    def __init__(self, elements):
         self._buf = np.empty(8 * elements)
 
     def planes(self, rows, nodes):
@@ -266,20 +263,19 @@ class _Workspace:
         return self._buf[:size].reshape(8, rows, nodes)
 
 
-def _template_integrate(models, a, y_l, eps, depth=0, work=None):
+def _template_integrate(models, a, y_l, eps, depth, work):
     """Every row on the node template of that depth, for each model: a list of
     (integrals, error estimates), one pair per model.
 
     Row i has lower limit y_l[i] at separation a, one value for every row or
     one per row, and eps[m][i] is its permittivity for models[m].  The shared
     planes and the l = 0 rows are found once; each model then takes its
-    reflections and integrand in the other four planes of the workspace (a
-    fresh one when none is given).  The estimate sums the absolute
-    differences d gives; both results reduce each row alone, whatever rows
-    are beside it.
+    reflections and integrand in the other four planes of work.  The
+    estimate sums the absolute differences d gives; both results reduce each
+    row alone, whatever rows are beside it.
     """
     nodes, w, d, n_panels = _node_template(depth)
-    planes = (work or _Workspace()).planes(y_l.size, nodes.size)
+    planes = work.planes(y_l.size, nodes.size)
     shared = _shared_planes(y_l, nodes, planes[:4])
     a = np.broadcast_to(a, y_l.shape)
     zero = np.flatnonzero(y_l == 0.0)
@@ -364,7 +360,7 @@ class _Batch:
     truncations: np.ndarray
     failed: np.ndarray
     n_terms: np.ndarray
-    breakdowns: list | None = None
+    breakdowns: list | None
 
     def missed(self, m, j):
         """The NumericsError naming model m's first missed row at separation j."""
@@ -406,7 +402,7 @@ def _tail_bound(y1, last_l):
     return envelope * (y1 * y1 * s2 + 2.0 * y1 * s1 + 2.0 * s0)
 
 
-def _smallest_count(enough, start=1, most=math.inf):
+def _smallest_count(enough, start, most):
     """Smallest n >= 1 with enough(n), or None when enough(most) is false;
     enough must stay true once it is true.
 
@@ -437,7 +433,7 @@ def _smallest_count(enough, start=1, most=math.inf):
 _MAX_TERMS = 1 << 20
 
 
-def _term_count(y1, target, start=0):
+def _term_count(y1, target, start):
     """Smallest L >= 1 with _tail_bound(y1, L) <= target, searched from start (a
     nearby separation's count), or None above _MAX_TERMS; the bound falls
     with L, so the count does not depend on where the search starts."""

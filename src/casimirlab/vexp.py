@@ -23,7 +23,7 @@ import numpy as np
 
 from . import textio
 from .electrostatics import gamma_over_c
-from .errors import ConfigError, ModelError, ValidityDomainError
+from .errors import ConfigError, ModelError
 # pressure_to_gradient_sweep is not called here; bench/tests/test_bench_tracing.py
 # checks that the layer tracer rebinds it in this module too
 from .force_model import Geometry, gradient_curve, pressure_to_gradient_sweep  # noqa: F401
@@ -147,19 +147,26 @@ class MeasurementGrid:
         return np.asarray(self.spec.voltages, dtype=float)
 
 
+def _grid_points(span: float, step: float) -> int:
+    """Points of the grid 0, step, 2 step, ... that ends within span: floor(span /
+    step) + 1, the ratio raised by 1e-9 of itself first, so that a span of a whole
+    number of steps keeps its last point when the division rounds below it."""
+    return math.floor(span / step * (1.0 + 1e-9)) + 1
+
+
 @lru_cache(maxsize=32)
 def _lattice(spec: CampaignSpec):
     """The approach lattice, the analysis grid and the lattice samples read.
 
     Returns (z_fine, z_grid, stream_idx), read-only and built once per
-    spec.  The linear interpolation onto the grid reads each stream only
-    at the pair bracketing a grid point: a point in [z_fine[j], z_fine[j +
-    1]) reads samples j and j + 1 (stream_idx, sorted).
+    spec.  The grid ends within max_z_rel (_grid_points), the lattice one
+    or two samples past it.  The linear interpolation onto the grid reads
+    each stream only at the pair bracketing a grid point: a point in
+    [z_fine[j], z_fine[j + 1]) reads samples j and j + 1 (stream_idx, sorted).
     """
     n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
     z_fine = spec.sample_step * np.arange(n_fine + 1)
-    n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
-    z_grid = spec.grid_step * np.arange(n_grid)
+    z_grid = spec.grid_step * np.arange(_grid_points(spec.max_z_rel, spec.grid_step))
     j = np.searchsorted(z_fine, z_grid, side="right") - 1
     stream_idx = np.unique(np.clip(np.concatenate([j, j + 1]), 0, n_fine))
     for arr in (z_fine, z_grid, stream_idx):
@@ -204,8 +211,6 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     """
     z_fine, gamma_fine, fprime_fine = truth_curves(spec, geometry)
     _, z_grid, stream_idx = _lattice(spec)
-    if z_grid[-1] > z_fine[-1]:
-        raise ValidityDomainError("analysis grid escapes the sampled approach")
 
     z = z_fine[stream_idx]
     gamma, fprime = gamma_fine[stream_idx], fprime_fine[stream_idx]

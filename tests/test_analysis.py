@@ -9,6 +9,7 @@ from scipy.special import stdtrit
 
 from casimirlab import analysis, electrostatics, vexp
 from casimirlab.analysis import (
+    TheoryErrorConfig,
     _t_quantile,
     calibrate,
     calibration_text,
@@ -58,6 +59,14 @@ def noiseless_setup():
 def set1_grid():
     spec, geom = short_campaign()
     return spec, geom, synthesize_campaign(spec, geom, seed=3)
+
+
+def compare_at_defaults(series, theory):
+    """compare with the [compare] defaults: 0.5 % optical error, delta_z 0.5 nm,
+    100 nm windows over the series."""
+    a = series.separations
+    return compare(series, theory, TheoryErrorConfig(0.005, 0.5e-9),
+                   default_windows(float(a[0]), float(a[-1]), 100e-9))
 
 
 class TestParabolas:
@@ -252,12 +261,12 @@ class TestCalibrationFit:
         assert fit.z0 == pytest.approx(reference.z0, abs=1e-3 * reference.sigma_z0)
         assert fit.c_cal == pytest.approx(reference.c_cal, rel=1e-6)
 
-    def test_minimum_at_z0_bound_raises(self, set1_grid):
+    def test_minimum_at_z0_bound_raises(self, set1_grid, monkeypatch):
         spec, geom, grid = set1_grid
         par = fit_parabolas(grid)
+        monkeypatch.setattr(analysis, "_Z0_BOUNDS", (spec.z0_true + 40e-9, 10e-6))
         with pytest.raises(FitConvergenceError):
-            fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R,
-                            z0_bounds=(spec.z0_true + 40e-9, 10e-6))
+            fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R)
 
     def test_run_statistics(self):
         spec, geom = reference_campaign(1)
@@ -284,15 +293,6 @@ class TestCalibrationFit:
         assert shifted.z0 == pytest.approx(calib.z0, rel=1e-9)
         assert shifted.line.law.intercept == pytest.approx(
             calib.line.law.intercept + dv, abs=1e-9)
-
-    def test_z0_bounds_domain_error(self, set1_grid):
-        from casimirlab.errors import ValidityDomainError
-
-        _, geom, grid = set1_grid
-        par = fit_parabolas(grid)
-        with pytest.raises(ValidityDomainError):
-            fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R,
-                            z0_bounds=(5e-6, 20e-6))
 
 
 class TestExtraction:
@@ -483,14 +483,13 @@ class TestSharedGammaTable:
         ref = gamma_over_c(a, geom.R, tol=1e-14)
         assert np.all(np.abs(g - ref) <= 1e-10 * ref)
 
-    def test_z0_outside_the_default_bounds_widens_the_table(self, set1_grid):
+    def test_z0_outside_the_fit_range_leaves_the_table(self, set1_grid):
+        # no fit returns such a z0: a hand-built one reads past the fit's table
         _, geom, grid = set1_grid
         calib = calibrate(grid)
         for z0 in (40e-9, 10.2e-6):
-            moved = dataclasses.replace(calib, z0=z0)
-            series = extract_gradients(grid, moved)
-            assert np.array_equal(series.separations, moved.separations)
-            assert np.all(np.isfinite(series.mean))
+            with pytest.raises(ValidityDomainError, match="leave the interpolant"):
+                extract_gradients(grid, dataclasses.replace(calib, z0=z0))
 
 
 class TestStudentQuantile:
@@ -555,20 +554,20 @@ def compared(set1_grid):
 class TestCompare:
     def test_truth_model_is_consistent_everywhere(self, compared):
         combined, theory = compared
-        report = compare(combined, theory)
+        report = compare_at_defaults(combined, theory)
         for w in report.windows["plasma"]:
             assert w.verdict == "consistent"
             assert w.fraction_outside < 0.33
 
     def test_wrong_model_is_excluded_at_close_range(self, compared):
         combined, theory = compared
-        report = compare(combined, theory)
+        report = compare_at_defaults(combined, theory)
         for w in report.windows["drude"]:
             assert w.verdict == "excluded"
 
     def test_direct_and_complementary_counting_agree(self, compared):
         combined, theory = compared
-        report = compare(combined, theory)
+        report = compare_at_defaults(combined, theory)
         for label in ("drude", "plasma"):
             d = report.differences[label]
             band = report.band[label]
@@ -602,7 +601,7 @@ class TestCompare:
             calib = calibrate(g)
             series = extract_gradients(g, calib)
             combined = combine_gradient_series([series], grid=common)
-            reports.append(compare(combined, theory))
+            reports.append(compare_at_defaults(combined, theory))
         for w0, w1 in zip(reports[0].windows["drude"], reports[1].windows["drude"]):
             assert w0.verdict == w1.verdict
             assert w0.fraction_outside == pytest.approx(w1.fraction_outside, abs=1e-12)
@@ -610,10 +609,10 @@ class TestCompare:
     def test_grid_mismatch_raises(self, compared):
         combined, theory = compared
         with pytest.raises(GridAlignmentError):
-            compare(combined, {"drude": theory["drude"][:-5]})
+            compare_at_defaults(combined, {"drude": theory["drude"][:-5]})
 
     def test_default_windows_alignment(self):
-        wins = default_windows(248e-9, 951e-9)
+        wins = default_windows(248e-9, 951e-9, 100e-9)
         assert wins[0] == (248e-9, pytest.approx(300e-9))
         assert wins[-1] == (pytest.approx(900e-9), 951e-9)
         widths = [hi - lo for lo, hi in wins[1:-1]]
@@ -653,7 +652,7 @@ class TestComparisonText:
                 model_for_tag("plasma"), geom, BetaTable(), common
             ).values
         }
-        report = compare(combined, theory)
+        report = compare_at_defaults(combined, theory)
         text = comparison_text(report)
         assert "d_plasma_uN_per_m" in text
         assert "band_plasma_uN_per_m" in text

@@ -26,6 +26,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def explicit_campaign_ini(**fields):
+    """A [campaign] of set 1's values over a 150 nm approach, with fields set as given."""
+    spec, _ = reference_campaign(1)
+    values = {
+        "voltages_v": " ".join(map(str, spec.voltages)),
+        "z0_nm": spec.z0_true * 1e9,
+        "c_s_per_kg": spec.c_true,
+        "v0_slope_mv_per_nm": spec.v0_law.slope_mv_per_nm,
+        "v0_intercept_mv": spec.v0_law.intercept_mv,
+        "amplitude_nm": spec.amplitude * 1e9,
+        "freq_systematic_rad_s": spec.freq_systematic,
+        "max_z_rel_nm": 150,
+        **fields,
+    }
+    return "[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
 def read_rows(path):
     return [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
 
@@ -88,6 +105,16 @@ class TestTheory:
             assert token in text
         rows = read_rows(out / "theory_gradients.txt")
         assert len(rows[0].split()) == 3  # a, gradient, truncation
+
+    def test_grid_ends_within_a_stop(self, tmp_path):
+        # 2.6 steps give 250-252 nm; rounding the count added 253 nm
+        cfg = tmp_path / "theory.ini"
+        cfg.write_text("[theory]\na_start_nm = 250\na_stop_nm = 252.6\ntol = 1e-7\n")
+        assert run(["theory", "--config", cfg, "--out", tmp_path]) == 0
+        text = (tmp_path / "theory_gradients.txt").read_text()
+        assert [row.split()[0] for row in read_rows(tmp_path / "theory_gradients.txt")] == \
+            ["250.000", "251.000", "252.000"]
+        assert "# a_stop_nm = 252\n" in text
 
     def test_both_models_ordered_columns(self, tmp_path, theory_config):
         out = tmp_path / "r"
@@ -525,20 +552,9 @@ class TestErrors:
     @pytest.mark.parametrize("key", ["z0_nm", "c_s_per_kg", "max_z_rel_nm",
                                      "v0_slope_mv_per_nm", "voltages_v"])
     def test_non_finite_explicit_campaign_number_is_a_config_error(self, tmp_path, capsys, key):
-        spec, _ = reference_campaign(1)
-        fields = {
-            "voltages_v": " ".join(map(str, spec.voltages)),
-            "z0_nm": spec.z0_true * 1e9,
-            "c_s_per_kg": spec.c_true,
-            "v0_slope_mv_per_nm": spec.v0_law.slope_mv_per_nm,
-            "v0_intercept_mv": spec.v0_law.intercept_mv,
-            "amplitude_nm": spec.amplitude * 1e9,
-            "freq_systematic_rad_s": spec.freq_systematic,
-            "max_z_rel_nm": 150,
-        }
-        fields[key] = "0.01 " * 20 + "inf" if key == "voltages_v" else "inf"
         cfg = tmp_path / "campaign.ini"
-        cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        cfg.write_text(explicit_campaign_ini(
+            **{key: "0.01 " * 20 + "inf" if key == "voltages_v" else "inf"}))
         assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: [campaign] {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -549,20 +565,8 @@ class TestErrors:
     ])
     def test_invalid_explicit_campaign_value_is_a_config_error(self, tmp_path, capsys, key,
                                                                value, message):
-        spec, _ = reference_campaign(1)
-        fields = {
-            "voltages_v": " ".join(map(str, spec.voltages)),
-            "z0_nm": spec.z0_true * 1e9,
-            "c_s_per_kg": spec.c_true,
-            "v0_slope_mv_per_nm": spec.v0_law.slope_mv_per_nm,
-            "v0_intercept_mv": spec.v0_law.intercept_mv,
-            "amplitude_nm": spec.amplitude * 1e9,
-            "freq_systematic_rad_s": spec.freq_systematic,
-            "max_z_rel_nm": 150,
-            key: value,
-        }
         cfg = tmp_path / "campaign.ini"
-        cfg.write_text("[campaign]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        cfg.write_text(explicit_campaign_ini(**{key: value}))
         assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: [campaign] {key} = {value}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -670,9 +674,16 @@ class TestConfigSchema:
         ("pipeline", "[pipeline]\npreset = 1\n", "unknown [pipeline] preset"),
         ("pipeline", "[pipeline]\nsets = 1\n[theory]\na_step_nm = x\n",
          "[theory] a_step_nm: could not convert string to float: 'x'"),
+        ("synth", explicit_campaign_ini(z0_nm=220),
+         "[campaign] z0_nm = 220: separation 220.0 nm outside [250, 2000] nm"),
+        ("synth", explicit_campaign_ini(z0_nm=260, max_z_rel_nm=702),
+         "[campaign] max_z_rel_nm = 702: a/R = 0.0221 >= 0.022"),
+        ("synth", explicit_campaign_ini(z0_nm=260, max_z_rel_nm=1800) + "[geometry]\nr_um = 200\n",
+         "[campaign] max_z_rel_nm = 1800: separation 2060.3 nm outside [250, 2000] nm"),
     ], ids=["misspelled-key", "misspelled-section", "preset-with-a-field", "start-below-a-min",
             "small-radius", "stop-over-the-aspect-bound", "default-section",
-            "key-of-another-section", "malformed-value-of-another-command"])
+            "key-of-another-section", "malformed-value-of-another-command",
+            "approach-below-a-min", "approach-over-the-aspect-bound", "approach-over-a-max"])
     def test_config_error_names_the_section_or_key(self, tmp_path, capsys, monkeypatch,
                                                     command, ini, message):
         def no_work(*args, **kwargs):

@@ -216,19 +216,20 @@ class TestGammaTable:
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
     @pytest.mark.parametrize("case", ["preset1", "preset2", "preset3", "preset4",
                                       "wide", "wide-small-R"])
-    def test_within_tol_of_the_series(self, case, tol):
+    def test_within_tol_of_the_series(self, case, tol, monkeypatch):
+        monkeypatch.setattr(electrostatics, "_TABLE_TOL", tol)
         R = 1e-6 if case == "wide-small-R" else R_SPHERE
         if case.startswith("preset"):
             a = preset_separations(int(case[-1]))
         else:
-            # the reach of a calibration fit with the default z0 bounds;
+            # the reach of a calibration fit over its z0 range;
             # a/R runs up to 10.7 for the small sphere
             a = np.geomspace(50e-9, 10.73e-6, 1500)
-        g, dg = GammaTable(a[0], a[-1], R, tol)(a, slope=True)
+        g, dg = GammaTable(a[0], a[-1], R)(a, slope=True)
         ref, ref_slope = gamma_over_c(a, R, tol=1e-14, slope=True)
         assert np.all(np.abs(g - ref) <= tol * ref)
         assert np.all(np.abs(dg - ref_slope) <= tol * np.abs(ref_slope))
-        assert np.array_equal(g, GammaTable(a[0], a[-1], R, tol)(a))
+        assert np.array_equal(g, GammaTable(a[0], a[-1], R)(a))
 
     def test_kink_doubles_the_nodes_then_raises(self, monkeypatch):
         # |ln a - ln 1 um| has a kink that no polynomial resolves to 1e-10

@@ -73,7 +73,8 @@ class _Untagged:
 def fresnel_at(eps, xi, k_perp):
     """_fresnel at imaginary frequency xi and in-plane wavevector k_perp."""
     w = xi / C_LIGHT
-    return _fresnel(eps, math.hypot(k_perp, w), w)
+    q = math.hypot(k_perp, w)
+    return _fresnel(eps, q, w, np.empty((3,) + np.shape(eps)), q * q)
 
 
 class TestReflection:
@@ -375,12 +376,13 @@ class TestToleranceMet:
             # the first (up to) 40 rows a tol 1e-12 sum keeps
             n_terms = casimir_pressure(model, a, temperature, 1e-12).n_terms
             y_l, eps = _terms(model, a, temperature, min(n_terms, 40))
-            [(vals, errs)] = lifshitz._template_integrate([model], a, y_l, [eps])
+            [(vals, errs)] = lifshitz._template_integrate([model], a, y_l, [eps], 0,
+                                                          lifshitz._Workspace(0))
             for i in range(y_l.size):
                 rows = slice(i, i + 1)
                 for depth in range(1, 9):
                     [(ref, ref_err)] = lifshitz._template_integrate(
-                        [model], a, y_l[rows], [eps[rows]], depth)
+                        [model], a, y_l[rows], [eps[rows]], depth, lifshitz._Workspace(0))
                     if ref_err[0] <= 1e-13 * ref[0]:
                         break
                 assert ref_err[0] <= 1e-13 * ref[0], (a, i)
@@ -392,7 +394,7 @@ class TestToleranceMet:
         refined = []
         integrate = lifshitz._template_integrate
 
-        def spy(models, a, y_l, eps, depth=0, work=None):
+        def spy(models, a, y_l, eps, depth, work):
             if depth >= 1:
                 refined.append(y_l.size)
             return integrate(models, a, y_l, eps, depth, work)
@@ -469,7 +471,7 @@ class TestTermCount:
             target = 0.5 * tol * zeta(3)
             n = 0
             for y1 in y1s.tolist():
-                cold = lifshitz._term_count(y1, target)
+                cold = lifshitz._term_count(y1, target, 0)
                 assert _tail_bound(y1, cold) <= target
                 assert cold == 1 or _tail_bound(y1, cold - 1) > target
                 n = lifshitz._term_count(y1, target, n)
@@ -498,7 +500,8 @@ class TestSmallestCount:
                           threshold - 2_500, threshold + 4_000,
                           int(rng.integers(0, 12_000))}:
                 calls.clear()
-                assert lifshitz._smallest_count(enough, start) == scan, (threshold, start)
+                assert lifshitz._smallest_count(enough, start, math.inf) == scan, \
+                    (threshold, start)
                 assert min(calls) >= 1
                 if abs(start - threshold) <= 1 and start >= 1:
                     assert len(calls) <= 3, (threshold, start, calls)
@@ -647,12 +650,13 @@ class TestRowLocalQuadrature:
         eps = np.concatenate([e for _, e in parts])
         a = np.repeat(seps, 13)
         n = y_l.size
+        work = lifshitz._Workspace(0)
         alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
-                                              depth)[0]
+                                              depth, work)[0]
                  for i in range(n)]
         for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
             [(vals, errs)] = lifshitz._template_integrate([model], a[order], y_l[order],
-                                                          [eps[order]], depth)
+                                                          [eps[order]], depth, work)
             assert vals.tolist() == [alone[i][0][0] for i in order]
             assert errs.tolist() == [alone[i][1][0] for i in order]
 
@@ -704,7 +708,7 @@ class TestSharedPlanes:
         nodes = lifshitz._node_template(0)[0]
         y_ls = [rng.uniform(0.0, 60.0, 200_000), np.zeros(255), rng.uniform(0.0, 1e-3, 5_000),
                 np.geomspace(1e-300, 1e-3, 1_000)]
-        work = lifshitz._Workspace()
+        work = lifshitz._Workspace(0)
         for y_l in y_ls:
             for rows in np.array_split(y_l, max(1, y_l.size // 5_000)):
                 y, y2, em, em1 = lifshitz._shared_planes(rows, nodes, work.planes(rows.size,
@@ -780,7 +784,7 @@ def _refined_rows(monkeypatch):
     refined = []
     integrate = lifshitz._template_integrate
 
-    def spy(models, a, y_l, eps, depth=0, work=None):
+    def spy(models, a, y_l, eps, depth, work):
         if depth >= 1:
             refined.extend((m, depth, y_l.tolist()) for m in models)
         return integrate(models, a, y_l, eps, depth, work)

@@ -264,6 +264,24 @@ class TestSparseSampling:
         first.z_rel[0] = 1.0
         assert synthesize_campaign(spec, geom, seed=8).z_rel[0] == 0.0
 
+    def test_grid_points_never_pass_the_span(self):
+        # a whole number of steps keeps its last point however the division
+        # rounds: the benchmark's 701-point theory grids, at any start, and
+        # the presets' 702-728.1 nm approaches; a part step adds no point
+        for start in np.random.default_rng(5).uniform(0.0, 1.0, 500) + [[250.0], [600.0]]:
+            assert {vexp._grid_points(stop - a, 1.0) for a, stop in zip(start, start + 700)} \
+                == {701}
+        sizes = [vexp._lattice(reference_campaign(n)[0])[1].size for n in (1, 2, 3, 4)]
+        assert sizes == [703, 711, 717, 729]
+        assert vexp._grid_points(2.6, 1.0) == 3 and vexp._grid_points(2.5, 1.0) == 3
+
+    def test_grid_ends_within_the_sampled_approach(self):
+        # 600.6 nm took 601 grid steps, past the lattice's last sample at 600.74 nm
+        spec, geom = short_campaign(z0_true=260e-9, max_z_rel=600.6e-9)
+        grid = synthesize_campaign(spec, geom, seed=7)
+        assert grid.z_rel.size == 601
+        assert grid.z_rel[-1] == pytest.approx(600e-9, abs=1e-18)
+
     def test_truth_curves_are_read_only(self):
         spec, geom = short_campaign()
         first = synthesize_campaign(spec, geom, seed=3)
