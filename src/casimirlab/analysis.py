@@ -241,10 +241,10 @@ def _gauss_newton(windows, table):
     projection at every z0; the step uses the projected Jacobian
     -C (g' - <w g g'>/<w g g> g).  Each step reads the table once, at the
     joined separations z0 + z_rel of every window still running, and that
-    read serves them all; cut at the windows' bounds, it gives every window
-    the numbers a run on its own would.  A window drops out once its step
-    converges or at _MAX_STEPS; its C, cost, g and g' belong to its
-    returned z0, the last point evaluated.
+    read serves them all; a window's numbers may differ from a run on its
+    own in the last bits only (chebyshev.Interpolant._at).  A window drops
+    out once its step converges or at _MAX_STEPS; its C, cost, g and g'
+    belong to its returned z0, the last point evaluated.
     Returns one (z0, c, rss, g, dg, converged strictly inside) per window,
     and the number of table reads.
     """
@@ -256,7 +256,7 @@ def _gauss_newton(windows, table):
         reads += 1
         ends = list(itertools.accumulate(windows[i][0].size for i in running))
         g_all, dg_all = table(np.concatenate([z0[i] + windows[i][0] for i in running]),
-                              slope=True, cuts=ends[:-1])
+                              slope=True)
         still = []
         for i, start, end in zip(running, [0, *ends], ends):
             g, dg = g_all[start:end], dg_all[start:end]
@@ -304,7 +304,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R) -> CalibrationFit:
     and z0 follows from Gauss-Newton steps with the analytic slope of the
     series, started at a proximity-limit seed inside a bracket around it.
     If the steps reach the bracket edge, a full-range scan picks a new start;
-    it reads the table once for all its candidates, cut per candidate.
+    it reads the table once for all its candidates.
     Every evaluation reads the one GammaTable of the fit range (_fit_table),
     which extract_gradients reads too; a range met before reuses its table.
     """
@@ -333,8 +333,7 @@ def fit_calibration(z_rel, gamma, sigma_gamma, R) -> CalibrationFit:
     scan_fallback = not inside
     if scan_fallback:
         scan = np.geomspace(lo, hi, 80)
-        g_scan = table(np.concatenate([z + z_rel for z in scan]),
-                       cuts=range(z_rel.size, scan.size * z_rel.size, z_rel.size))
+        g_scan = table(np.concatenate([z + z_rel for z in scan]))
         costs = [_project(gamma, weights, g)[2] for g in np.split(g_scan, scan.size)]
         evals += 1
         i_best = int(np.argmin(costs))
@@ -777,9 +776,18 @@ def gradient_series_text(series: GradientSeries) -> str:
 
 
 def load_gradient_series(path) -> GradientSeries:
-    """Read a gradient_series_text file; textio.read's errors are ConfigErrors."""
+    """Read a gradient_series_text file; textio.read's errors are ConfigErrors, and so
+    are a non-finite number and a separation not above the one before (rows from 1)."""
     text = textio.read(path, 5)
     data = np.concatenate(text.groups)
+    prev = -math.inf
+    for i, row in enumerate(data.tolist(), 1):
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}: data row {i} holds a non-finite number: {row}")
+        if row[0] <= prev:
+            raise ConfigError(f"{path}: data row {i} separation {row[0]} nm does not exceed "
+                              f"row {i - 1}'s {prev} nm; separations must increase")
+        prev = row[0]
     return GradientSeries(
         separations=data[:, 0] * 1e-9,
         mean=data[:, 1] * 1e-6,

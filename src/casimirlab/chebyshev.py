@@ -71,13 +71,9 @@ class Interpolant:
             self.values = _interleave(self.values, evaluate(a))
             self._set_sums()
 
-    def __call__(self, a, cuts=()) -> np.ndarray:
-        """The rows at the separations a (one row per quantity, then a's shape).
-
-        cuts splits a flat a at those indices into parts whose rows are bit for
-        bit those of a call on each part alone.
-        """
-        return self._at(self._unit(a), cuts=cuts)
+    def __call__(self, a) -> np.ndarray:
+        """The rows at the separations a (one row per quantity, then a's shape)."""
+        return self._at(self._unit(a))
 
     def basis(self, a, coarse: bool = False) -> np.ndarray:
         """Lagrange basis l_i(a) of the nodes (every second with coarse), one row per a."""
@@ -93,12 +89,12 @@ class Interpolant:
             w = _weights(self.nodes[::step].size)
             self._sums[coarse] = np.vstack([self.values[:, ::step] * w, w])
 
-    def _at(self, x, coarse=False, cuts=()):
+    def _at(self, x, coarse=False):
         """The second barycentric formula at the points x (see the module docstring).
 
-        The matrix product runs once per part of x split at cuts: BLAS can
-        compute the last columns of a product with another kernel, so the bits
-        of a column depend on how many columns share its product.
+        One matrix product serves every point.  BLAS can compute a product's
+        last columns with another kernel, so the last bits of a point's rows
+        may depend on the other points of the read.
         """
         c = np.subtract.outer(self.nodes[::2 if coarse else 1], x.ravel())
         hit = c == 0.0
@@ -110,9 +106,7 @@ class Interpolant:
             # a point on node k reads w_k f_k / w_k = f_k: w_k is +-1 or +-1/2
             at_node = hit.any(axis=0)
             c[:, at_node] = hit[:, at_node]
-        ends = [0, *cuts, c.shape[1]]
-        sums = np.concatenate([self._sums[coarse] @ c[:, i:j] for i, j in zip(ends, ends[1:])],
-                              axis=1)
+        sums = self._sums[coarse] @ c
         return (sums[:-1] / sums[-1]).reshape(-1, *x.shape)
 
     def _converged(self, tol):

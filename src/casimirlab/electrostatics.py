@@ -164,14 +164,10 @@ class GammaTable:
         self._curve = Interpolant(lo, hi, evaluate, _TABLE_TOL,
                                   f"a^2 gamma/C over [{lo * 1e9:.3f}, {hi * 1e9:.3f}] nm")
 
-    def __call__(self, a, slope: bool = False, cuts=()):
-        """gamma / C at the separations a, and with slope=True its derivative in a.
-
-        cuts splits a flat a into parts read as if each were read alone
-        (chebyshev.Interpolant.__call__).
-        """
+    def __call__(self, a, slope: bool = False):
+        """gamma / C at the separations a, and with slope=True its derivative in a."""
         a = np.asarray(a, dtype=float)
-        g, dg = self._curve(a, cuts=cuts)
+        g, dg = self._curve(a)
         return (g / (a * a), dg / a**3) if slope else g / (a * a)
 
 

@@ -121,7 +121,7 @@ def force_gradient(
     geometry: Geometry,
     beta: BetaTable,
     a: float,
-    tol: float = 1e-9,
+    tol: float,
     cache: MatsubaraCache | None = None,
 ) -> ForceGradient:
     """Sphere-plate force gradient -2 pi R [roughness] P(a) (_proximity).
@@ -203,7 +203,7 @@ def pressure_to_gradient_sweep(
     )
 
 
-def gradient_sweeps(models, geometry: Geometry, grid, tol: float = 1e-9) -> list[GradientSweep]:
+def gradient_sweeps(models, geometry: Geometry, grid, tol: float) -> list[GradientSweep]:
     """pressure_to_gradient_sweep of each of models, bit for bit, from one batch.
 
     The grid is checked against the geometry once; one

@@ -343,7 +343,7 @@ class PressureResult:
     truncation_error_estimate: float
     n_terms: int
     stopped_by: str
-    term_breakdown: np.ndarray | None = None
+    term_breakdown: np.ndarray | None
 
 
 @dataclass
@@ -540,8 +540,8 @@ def _fsums(values, runs, base):
 def casimir_pressure(
     model,
     a: float,
-    temperature: float = 293.15,
-    tol: float = 1e-9,
+    temperature: float,
+    tol: float,
     *,
     with_breakdown: bool = False,
     cache: MatsubaraCache | None = None,
@@ -555,7 +555,7 @@ def casimir_pressure(
     a : float
         Plate separation in m; accepted range 50 nm .. 20 um.
     temperature : float
-        Temperature in K.
+        Temperature in K, with no default: package calls pass their geometry's.
     tol : float
         Relative accuracy target, within [1e-12, 1e-4], split evenly between
         the discarded thermal tail and the quadrature.  The sum keeps terms
@@ -603,7 +603,7 @@ def _check_inputs(separations, tol):
         raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
 
 
-def pressure_sweep(models, separations, temperature=293.15, tol=1e-9):
+def pressure_sweep(models, separations, temperature, tol):
     """Pressure over a separation grid for one model or several, from one
     _pressures batch, read from its arrays.
 

@@ -287,7 +287,7 @@ _CAMPAIGNS = {
 }
 
 
-def reference_campaign(n: int, truth_tag: str = "plasma") -> tuple[CampaignSpec, Geometry]:
+def reference_campaign(n: int, truth_tag: str) -> tuple[CampaignSpec, Geometry]:
     """Campaign spec and geometry replicating measurement set n (1..4).
 
     Sets 1-3 use the small 10 nm amplitude and run up to 950 nm absolute

@@ -62,9 +62,9 @@ def runge_rows(a):
     return np.array([1.0 / (1.0 + 4.0 * x * x), 1e-3 * np.exp(x) * (2.0 + np.cos(3.0 * x))])
 
 
-def read(curve, a, coarse, cuts=()):
-    """curve(a, cuts=cuts), or the same read on every second node with coarse."""
-    return curve._at(curve._unit(a), coarse, cuts) if coarse else curve(a, cuts=cuts)
+def read(curve, a, coarse):
+    """curve(a), or the same read on every second node with coarse."""
+    return curve._at(curve._unit(a), coarse) if coarse else curve(a)
 
 
 class TestBarycentricEvaluation:
@@ -119,18 +119,6 @@ class TestBarycentricEvaluation:
             warnings.simplefilter("error")
             got = curve._at(x, coarse)
         assert np.array_equal(got, barycentric_oracle(nodes, curve.values[:, ::step], x))
-
-    @pytest.mark.parametrize("coarse", [False, True])
-    def test_cut_parts_read_as_if_alone(self, curves, coarse):
-        # part sizes with every remainder mod 8, where BLAS may switch kernels
-        curve = curves[64]
-        rng = np.random.default_rng(5)
-        parts = [np.exp(rng.uniform(np.log(LO), np.log(HI), n))
-                 for n in (176, 175, 9, 12, 1, 44, 703)]
-        cuts = np.cumsum([p.size for p in parts[:-1]])
-        joined = read(curve, np.concatenate(parts), coarse, cuts)
-        alone = np.hstack([read(curve, p, coarse) for p in parts])
-        assert np.array_equal(joined, alone)
 
     @pytest.mark.parametrize("m", [32, 64, 128])
     def test_coarse_basis_is_that_of_every_second_node(self, curves, m):

@@ -28,7 +28,7 @@ def run(args):
 
 def explicit_campaign_ini(**fields):
     """A [campaign] of set 1's values over a 150 nm approach, with fields set as given."""
-    spec, _ = reference_campaign(1)
+    spec, _ = reference_campaign(1, "plasma")
     values = {
         "voltages_v": " ".join(map(str, spec.voltages)),
         "z0_nm": spec.z0_true * 1e9,
@@ -305,7 +305,7 @@ class TestPipeline:
         work.mkdir()
         monkeypatch.chdir(work)
         settings = cli._compare_settings(cli._read_config(None))
-        result = analysis.run_pipeline([reference_campaign(1)], [6], settings,
+        result = analysis.run_pipeline([reference_campaign(1, "plasma")], [6], settings,
                                        cli._models("both"), 1e-7)
         assert list(work.iterdir()) == []
         assert capsys.readouterr() == ("", "")
@@ -323,7 +323,7 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run(["pipeline", "--config", cfg, "--out", out, "--tol", "1e-7"]) == 0
         [(campaigns, seeds, _, models, tol)] = calls
-        assert (campaigns, seeds, list(models), tol) == ([reference_campaign(1)], [6],
+        assert (campaigns, seeds, list(models), tol) == ([reference_campaign(1, "plasma")], [6],
                                                          ["drude", "plasma"], 1e-7)
         [(_, calib, series)] = result.sets
         assert (out / "calibration_set1.txt").read_text().endswith(calibration_text(calib))
@@ -441,7 +441,7 @@ class TestErrors:
     @pytest.mark.parametrize("key, bad", [("seed", "eight"), ("repetitions", "1.5"),
                                           ("R_m", "big"), ("voltages_V", "0.1 x")])
     def test_malformed_grid_metadata_is_a_config_error(self, tmp_path, capsys, key, bad):
-        spec, geometry = reference_campaign(1)
+        spec, geometry = reference_campaign(1, "plasma")
         grid = synthesize_campaign(dataclasses.replace(spec, max_z_rel=150e-9), geometry, 8)
         path = tmp_path / "grid.txt"
         save_grid(grid, path)
@@ -638,13 +638,29 @@ class TestErrors:
          "malformed number in '400.000  1000000.0  1000000.0  1000000.0'; a row holds 5 numbers"),
         (lambda lines: [l if l.startswith("#") else l.rsplit(maxsplit=1)[0] for l in lines],
          "malformed number in '300.000  1000000.0  1000000.0  1000000.0'; a row holds 5 numbers"),
-    ], ids=["n-channels-without-equals", "one-row-of-four", "every-row-of-four"])
-    def test_malformed_gradient_file_is_a_config_error(self, tmp_path, capsys, edit, message):
+        # the compared grid is interpolated from the series
+        (lambda lines: [l.replace("304.000  1000000.0", "304.000  nan") for l in lines],
+         "data row 5 holds a non-finite number: [304.0, nan, 1000000.0, 1000000.0, 1000000.0]"),
+        (lambda lines: [l[:-9] + "inf" if l.startswith("304.000") else l for l in lines],
+         "data row 5 holds a non-finite number: [304.0, 1000000.0, 1000000.0, 1000000.0, inf]"),
+        (lambda lines: [{"304.000": "305.000", "305.000": "304.000"}.get(l[:7], l[:7]) + l[7:]
+                        for l in lines],
+         "data row 6 separation 304.0 nm does not exceed row 5's 305.0 nm"),
+        (lambda lines: [l.replace("305.000", "304.000") for l in lines],
+         "data row 6 separation 304.0 nm does not exceed row 5's 304.0 nm"),
+    ], ids=["n-channels-without-equals", "one-row-of-four", "every-row-of-four", "nan", "inf",
+            "swapped-pair", "repeated-separation"])
+    def test_malformed_gradient_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       edit, message):
         gradients = series_file(tmp_path / "g.txt", np.arange(300, 401))
         gradients.write_text("\n".join(edit(gradients.read_text().splitlines())) + "\n")
+        theory = []
+        curve = analysis.gradient_curve
+        monkeypatch.setattr(analysis, "gradient_curve",
+                            lambda *args: theory.append(args) or curve(*args))
         assert run(["compare", "--gradients", gradients, "--out", tmp_path / "out"]) == 2
         assert f"config error: {gradients}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not theory and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("theory", "--seed"), ("calibrate", "--seed"), ("compare", "--seed"),

@@ -208,7 +208,7 @@ class TestTermCap:
 
 def preset_separations(n):
     """The absolute separations of preset n's analysis grid."""
-    spec, _ = vexp.reference_campaign(n)
+    spec, _ = vexp.reference_campaign(n, "plasma")
     return spec.z0_true + vexp._lattice(spec)[1]
 
 

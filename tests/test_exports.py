@@ -131,6 +131,17 @@ SET_OUTSIDE_THE_PACKAGE = {
     ("cli", "main", "argv"): "entry point; None reads sys.argv",
     ("errors", "CasimirLabError", "field"): "set through its subclasses",
 }
+# Optional parameters that every package call sets, each with the caller
+# that leaves the default in place.
+LEFT_OUTSIDE_THE_PACKAGE = {
+    ("lifshitz", "casimir_pressure", "cache"): "criterion 09 computes each pressure alone",
+    ("force_model", "force_gradient", "cache"): "criterion 09 computes each gradient alone",
+    ("lifshitz", "MatsubaraCache", "separations"): "criterion 09 lists no separations",
+    ("electrostatics", "gamma_coefficient", "tol"): "criterion 04 at the series' own tolerance",
+    ("force_model", "pressure_to_gradient_sweep", "tol"):
+        "the acceptance fixtures and the benchmark's set-up",
+    ("errors", "CasimirLabError", "field"): "raised through its subclasses",
+}
 # An instance's __call__ has no name the scan can resolve: the names the
 # package calls each one by.
 CALLED_AS = {"table": ("electrostatics", "GammaTable.__call__"),
@@ -251,3 +262,14 @@ def test_every_option_has_a_package_caller():
     assert not unset and not unused, (f"options no package call sets: {unset}; "
                                       f"private defaults no package call uses: {unused}")
     assert set(SET_OUTSIDE_THE_PACKAGE) <= optional - set_
+
+
+def test_every_option_is_left_in_place_by_some_caller():
+    """Each optional parameter of a public function keeps its default in some
+    package call, or in a caller LEFT_OUTSIDE_THE_PACKAGE names: a default
+    every caller overrides is a required argument."""
+    optional, _, left = _option_use()
+    always_set = sorted(f"{m}.{name}({p})" for m, name, p in optional - left
+                        if not _private(name) and (m, name, p) not in LEFT_OUTSIDE_THE_PACKAGE)
+    assert not always_set, f"defaults no caller leaves in place: {always_set}"
+    assert set(LEFT_OUTSIDE_THE_PACKAGE) <= optional - left

@@ -60,7 +60,7 @@ class TestRoughness:
 class TestForceGradient:
     def test_pure_proximity_when_corrections_disabled(self):
         a = 500e-9
-        fg = force_gradient(DRUDE, BARE, NO_BETA, a)
+        fg = force_gradient(DRUDE, BARE, NO_BETA, a, 1e-9)
         p = casimir_pressure(DRUDE, a, BARE.temperature, 1e-9).pressure
         assert fg.value / (-2.0 * math.pi * BARE.R) == pytest.approx(p, rel=1e-12)
         assert fg.value > 0  # attractive gradient, plotted positive
@@ -68,22 +68,22 @@ class TestForceGradient:
 
     def test_aspect_ratio_boundary(self):
         # 950 nm on the measured sphere stays just inside the domain
-        force_gradient(DRUDE, GEOM, NO_BETA, 950e-9)
+        force_gradient(DRUDE, GEOM, NO_BETA, 950e-9, 1e-9)
         with pytest.raises(ValidityDomainError):
-            force_gradient(DRUDE, GEOM, NO_BETA, 960e-9)
+            force_gradient(DRUDE, GEOM, NO_BETA, 960e-9, 1e-9)
 
     def test_separation_bounds(self):
         with pytest.raises(ValidityDomainError):
-            force_gradient(DRUDE, GEOM, NO_BETA, 240e-9)
+            force_gradient(DRUDE, GEOM, NO_BETA, 240e-9, 1e-9)
         wide = Geometry(R=43.466e-6, a_min=230e-9)
-        assert force_gradient(DRUDE, wide, NO_BETA, 240e-9).value > 0
+        assert force_gradient(DRUDE, wide, NO_BETA, 240e-9, 1e-9).value > 0
 
 
 class TestSweep:
     def test_single_point_degenerate_sweep(self):
         a = 400e-9
         sweep = pressure_to_gradient_sweep(DRUDE, GEOM, NO_BETA, [a])
-        point = force_gradient(DRUDE, GEOM, NO_BETA, a)
+        point = force_gradient(DRUDE, GEOM, NO_BETA, a, 1e-9)
         assert sweep.values[0] == pytest.approx(point.value, rel=1e-14)
 
     def test_dense_sweep_shape_and_monotonicity(self):
@@ -112,7 +112,7 @@ class TestSweep:
 
 def preset_lattice(n):
     """Approach lattice of campaign preset n, as the synthesis samples it."""
-    spec, geom = reference_campaign(n)
+    spec, geom = reference_campaign(n, "plasma")
     n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
     return spec.z0_true + spec.sample_step * np.arange(n_fine + 1), geom
 
@@ -197,7 +197,7 @@ class TestGradientCurve:
     def test_one_point_grid(self):
         # no interpolant: the point's gradient_sweeps, bit for bit
         curve = gradient_curve(DRUDE, GEOM, [400e-9])
-        (sweep,) = gradient_sweeps([DRUDE], GEOM, [400e-9])
+        (sweep,) = gradient_sweeps([DRUDE], GEOM, [400e-9], 1e-9)
         assert curve.values.shape == (1,)
         for field in ("separations", "values", "pressures", "truncation_estimates",
                       "pressure_truncations"):
@@ -239,12 +239,12 @@ class TestGeometryValidation:
 class TestProperties:
     @given(a=SEPARATION)
     def test_plasma_exceeds_drude(self, a):
-        plasma = force_gradient(PLASMA, WIDE, NO_BETA, a).value
-        assert plasma > force_gradient(DRUDE, WIDE, NO_BETA, a).value
+        plasma = force_gradient(PLASMA, WIDE, NO_BETA, a, 1e-9).value
+        assert plasma > force_gradient(DRUDE, WIDE, NO_BETA, a, 1e-9).value
 
     @pytest.mark.parametrize("model", [DRUDE, PLASMA], ids=["drude", "plasma"])
     @given(a=st.floats(250e-9, 1299e-9), gap=st.floats(1e-12, 1050e-9))
     def test_strictly_decreasing_in_separation(self, model, a, gap):
         b = min(a + gap, 1300e-9)
-        assert force_gradient(model, WIDE, NO_BETA, b).value < \
-            force_gradient(model, WIDE, NO_BETA, a).value
+        assert force_gradient(model, WIDE, NO_BETA, b, 1e-9).value < \
+            force_gradient(model, WIDE, NO_BETA, a, 1e-9).value

@@ -267,17 +267,17 @@ class TestPressureProperties:
 
     def test_domain_checks(self):
         with pytest.raises(ValidityDomainError):
-            casimir_pressure(DRUDE, 10e-9, T_LAB)
+            casimir_pressure(DRUDE, 10e-9, T_LAB, 1e-9)
         with pytest.raises(ValidityDomainError):
-            casimir_pressure(DRUDE, 1e-3, T_LAB)
+            casimir_pressure(DRUDE, 1e-3, T_LAB, 1e-9)
         with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-6, T_LAB, tol=1e-2)
         with pytest.raises(ValidityDomainError):
-            casimir_pressure(DRUDE, 1e-6, -1.0)
+            casimir_pressure(DRUDE, 1e-6, -1.0, 1e-9)
 
     def test_sweep_rejects_a_bad_temperature_like_a_single_pressure(self):
         with pytest.raises(ValidityDomainError, match="temperature"):
-            pressure_sweep(DRUDE, np.array([500e-9, 600e-9]), -1.0)
+            pressure_sweep(DRUDE, np.array([500e-9, 600e-9]), -1.0, 1e-9)
 
 
 # Long-sum oracle: every term of the primed sum up to y_l >= 70, each on 55
@@ -875,14 +875,14 @@ class TestModelsShareOneBatch:
     def test_a_model_outside_the_cache_is_rejected(self):
         cache = MatsubaraCache(DRUDE, T_LAB, [300e-9])
         with pytest.raises(ValueError, match="other models"):
-            casimir_pressure(PLASMA, 300e-9, T_LAB, cache=cache)
+            casimir_pressure(PLASMA, 300e-9, T_LAB, 1e-9, cache=cache)
         with pytest.raises(ValueError, match="temperature"):
-            casimir_pressure(DRUDE, 300e-9, 10.0, cache=cache)
+            casimir_pressure(DRUDE, 300e-9, 10.0, 1e-9, cache=cache)
         # a cache holds one model: models share a batch only through pressure_sweep
         both = MatsubaraCache([DRUDE, PLASMA], T_LAB, [300e-9])
         for model in (DRUDE, PLASMA):
             with pytest.raises(ValueError, match="other models"):
-                casimir_pressure(model, 300e-9, T_LAB, cache=both)
+                casimir_pressure(model, 300e-9, T_LAB, 1e-9, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
         # at 10 K and 50 nm both models' 12,775 rows run through 51 blocks

@@ -21,7 +21,7 @@ from casimirlab.vexp import (
 
 def short_campaign(**overrides):
     """Set-1 parameters truncated to a short approach for fast tests."""
-    spec, geom = reference_campaign(1)
+    spec, geom = reference_campaign(1, "plasma")
     fields = dict(max_z_rel=50e-9)
     fields.update(overrides)
     return dataclasses.replace(spec, **fields), geom
@@ -38,7 +38,7 @@ class TestV0Law:
 
 class TestPresets:
     def test_set1_parameters(self):
-        spec, geom = reference_campaign(1)
+        spec, geom = reference_campaign(1, "plasma")
         assert spec.z0_true == pytest.approx(248.0e-9)
         assert spec.c_true == pytest.approx(6.485e5)
         assert spec.freq_systematic == pytest.approx(5.5e-2)
@@ -51,7 +51,7 @@ class TestPresets:
         assert geom.R == pytest.approx(43.466e-6)
 
     def test_set4_parameters(self):
-        spec, geom = reference_campaign(4)
+        spec, geom = reference_campaign(4, "plasma")
         assert spec.z0_true == pytest.approx(571.9e-9)
         assert spec.c_true == pytest.approx(6.342e5)
         assert spec.freq_systematic == pytest.approx(4.0e-2)
@@ -65,32 +65,32 @@ class TestPresets:
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            reference_campaign(9)
+            reference_campaign(9, "plasma")
 
     def test_presets_share_the_physical_geometry(self):
         # pipeline compares every set against one theory curve, built with the
         # last set's geometry; only the validity bounds may differ
         reference = vexp.reference_geometry()
         for n in (1, 2, 3, 4):
-            _, geom = reference_campaign(n)
+            _, geom = reference_campaign(n, "plasma")
             for name in ("R", "delta_s", "delta_p", "temperature"):
                 assert getattr(geom, name) == getattr(reference, name), (n, name)
 
 
 class TestSpecValidation:
     def test_wrong_voltage_count(self):
-        spec, _ = reference_campaign(1)
+        spec, _ = reference_campaign(1, "plasma")
         with pytest.raises(ModelError):
             dataclasses.replace(spec, voltages=spec.voltages[:20])
 
     def test_sample_step_bound(self):
-        spec, _ = reference_campaign(1)
+        spec, _ = reference_campaign(1, "plasma")
         with pytest.raises(ModelError):
             dataclasses.replace(spec, sample_step=2e-9)
 
     @staticmethod
     def _rejects(field, values):
-        spec, _ = reference_campaign(1)
+        spec, _ = reference_campaign(1, "plasma")
         for value in values:
             with pytest.raises(ModelError, match=field):
                 dataclasses.replace(spec, **{field: value})
@@ -271,7 +271,7 @@ class TestSparseSampling:
         for start in np.random.default_rng(5).uniform(0.0, 1.0, 500) + [[250.0], [600.0]]:
             assert {vexp._grid_points(stop - a, 1.0) for a, stop in zip(start, start + 700)} \
                 == {701}
-        sizes = [vexp._lattice(reference_campaign(n)[0])[1].size for n in (1, 2, 3, 4)]
+        sizes = [vexp._lattice(reference_campaign(n, "plasma")[0])[1].size for n in (1, 2, 3, 4)]
         assert sizes == [703, 711, 717, 729]
         assert vexp._grid_points(2.6, 1.0) == 3 and vexp._grid_points(2.5, 1.0) == 3
 
