@@ -712,7 +712,7 @@ def compare_series(series_list, settings: CompareSettings, models, geometry, tol
                min(s.separations[-1] for s in series_list) * 1e9)
     common, clipped = _compared_grid(settings, overlap, geometry)
     combined = combine_gradient_series(series_list, grid=common)
-    theory = {tag: gradient_curve(model, geometry, common, tol).values
+    theory = {tag: gradient_curve(model, geometry, common, tol)
               for tag, model in models.items()}
     windows = settings.intervals if settings.intervals is not None else \
         default_windows(float(common[0]), float(common[-1]), settings.width)
@@ -777,13 +777,16 @@ def gradient_series_text(series: GradientSeries) -> str:
 
 def load_gradient_series(path) -> GradientSeries:
     """Read a gradient_series_text file; textio.read's errors are ConfigErrors, and so
-    are a non-finite number and a separation not above the one before (rows from 1)."""
+    are a non-finite number, a negative error and a separation not above the one
+    before (rows from 1)."""
     text = textio.read(path, 5)
     data = np.concatenate(text.groups)
     prev = -math.inf
     for i, row in enumerate(data.tolist(), 1):
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"{path}: data row {i} holds a non-finite number: {row}")
+        if min(row[2:]) < 0:
+            raise ConfigError(f"{path}: data row {i} holds a negative error: {row}")
         if row[0] <= prev:
             raise ConfigError(f"{path}: data row {i} separation {row[0]} nm does not exceed "
                               f"row {i - 1}'s {prev} nm; separations must increase")

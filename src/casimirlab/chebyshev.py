@@ -17,9 +17,8 @@ Approximation Practice, SIAM 2013).  Interpolant is the one rule for both:
   Rev. 46, 501 (2004)): every row and the denominator come from one matrix
   product of [values w; w], built once per node set, with a (nodes, points)
   array of 1 / (x_j - x), and a point on a node reads that node's values
-  exactly.  basis() returns the explicit Lagrange basis instead, for error
-  propagation through the interpolation (force_model.gradient_curve takes
-  its bound and its values from it).
+  exactly.  It is the one evaluation formula: the gamma/C table of the
+  calibration and force_model.gradient_curve both read through it.
   Only separations in [lo, hi] are read; a point outside, or NaN, raises
   ValidityDomainError instead of extrapolating.
 """
@@ -75,10 +74,6 @@ class Interpolant:
         """The rows at the separations a (one row per quantity, then a's shape)."""
         return self._at(self._unit(a))
 
-    def basis(self, a, coarse: bool = False) -> np.ndarray:
-        """Lagrange basis l_i(a) of the nodes (every second with coarse), one row per a."""
-        return _lagrange_basis(self.nodes[::2 if coarse else 1], self._unit(a))
-
     def _set_sums(self):
         """[values w; w] of the second barycentric formula, for all nodes and every second.
 
@@ -127,27 +122,6 @@ class Interpolant:
                 f"interpolant of {self.what}")
         t = np.log(a)
         return ((t - self._ln_lo) - (self._ln_hi - t)) / self._ln_span
-
-
-def _lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """l_i(x) of the Chebyshev-Lobatto nodes, one row per x (barycentric form).
-
-    The weights w_i / (x - x_i) and their row-normalisation are formed in
-    the one (x, nodes) array; a row whose x is a node takes the unit vector
-    of that node.
-    """
-    w = _weights(nodes.size)
-    d = x[:, None] - nodes[None, :]
-    hit = d == 0.0
-    any_hit = bool(hit.any())
-    if any_hit:
-        d[hit] = 1.0
-    np.divide(w, d, out=d)
-    d /= d.sum(axis=1, keepdims=True)
-    if any_hit:
-        at_node = hit.any(axis=1)
-        d[at_node] = hit[at_node]
-    return d
 
 
 def _weights(n: int) -> np.ndarray:

@@ -16,8 +16,9 @@ flip lives entirely in the -2 pi R prefactor.
 The package computes its gradients with gradient_sweeps, which gives the
 sweeps of several models from the arrays of one lifshitz.pressure_sweep
 batch, with _proximity applied over the whole grid, and with gradient_curve,
-which interpolates P(a) a^4, analytic in ln a, with chebyshev.Interpolant,
-the rule the gamma/C table of the calibration follows too.
+which interpolates P(a) a^4, analytic in ln a, with chebyshev.Interpolant
+and reads it through the same barycentric sums as the gamma/C table of the
+calibration; it returns F' only, the one array its callers read.
 pressure_to_gradient_sweep, one force_gradient per grid point, is the
 per-point oracle that gradient_sweeps equals bit for bit; nothing in the
 package calls it.
@@ -139,21 +140,20 @@ def force_gradient(
     """
     geometry.check_separation(a)
     res = casimir_pressure(model, a, geometry.temperature, tol, cache=cache)
-    value, trunc = _proximity(geometry, a, res.pressure, res.truncation_error_estimate)
+    scale = _proximity(geometry, a)
     return ForceGradient(
-        value=float(value),
+        value=float(scale * res.pressure),
         pressure=res.pressure,
-        truncation_error_estimate=trunc,
+        truncation_error_estimate=-scale * res.truncation_error_estimate,
         pressure_truncation=res.truncation_error_estimate,
     )
 
 
-def _proximity(geometry: Geometry, a, pressure, truncation):
-    """(-2 pi R [roughness] P, 2 pi R [roughness] trunc), in plain arithmetic
-    for floats and arrays alike."""
-    rough = geometry.roughness_factor(a)
-    two_pi_r = 2.0 * np.pi * geometry.R
-    return -two_pi_r * rough * pressure, two_pi_r * rough * truncation
+def _proximity(geometry: Geometry, a):
+    """The proximity factor -2 pi R [roughness]: F' is it times P, and the
+    gradient's truncation minus it times P's.  Plain arithmetic for floats
+    and arrays alike."""
+    return -2.0 * np.pi * geometry.R * geometry.roughness_factor(a)
 
 
 @dataclass
@@ -212,12 +212,11 @@ def gradient_sweeps(models, geometry: Geometry, grid, tol: float) -> list[Gradie
     gradients over the whole grid, with no per-point call in between.
     """
     grid = _checked_grid(grid, geometry)
-    sweeps = []
-    for pressures, p_trunc in pressure_sweep(list(models), grid, geometry.temperature, tol):
-        values, trunc = _proximity(geometry, grid, pressures, p_trunc)
-        sweeps.append(GradientSweep(separations=grid, values=values, pressures=pressures,
-                                    truncation_estimates=trunc, pressure_truncations=p_trunc))
-    return sweeps
+    scale = _proximity(geometry, grid)
+    batch = pressure_sweep(list(models), grid, geometry.temperature, tol)
+    return [GradientSweep(separations=grid, values=scale * pressures, pressures=pressures,
+                          truncation_estimates=-scale * p_trunc, pressure_truncations=p_trunc)
+            for pressures, p_trunc in batch]
 
 
 def _checked_grid(grid, geometry: Geometry) -> np.ndarray:
@@ -238,53 +237,21 @@ def gradient_curve(
     geometry: Geometry,
     grid,
     tol: float = 1e-9,
-) -> GradientSweep:
-    """gradient_sweeps of one model interpolated from Chebyshev nodes.
+) -> np.ndarray:
+    """F' of one model on grid (N/m), interpolated from Chebyshev nodes.
 
     P(a) a^4 is a chebyshev.Interpolant over [grid[0], grid[-1]], accepted
-    at tol, with pressure_sweep at its nodes; force_gradient's prefactor
-    (_proximity) is applied per point afterwards.  Each point's pressure
-    truncation is sum_i |l_i(a)| trunc_i a_i^4 / a^4 + |p_n - p_2n| / a^4,
-    with l_i the Lagrange basis of the 2n + 1 nodes: the node truncations
-    carried through the interpolation (at most the Lebesgue constant,
-    < 3.3 for 2n = 32, times the largest) plus the interpolation error
-    estimate, plus a rounding allowance of the interpolation.  The gradient
-    truncation is that times _proximity's 2 pi R [roughness].  The values
-    p_n and p_2n are the node values times the same explicit basis
-    (Interpolant.basis), not the Interpolant's barycentric sums: the curve
-    is the synthetic truth of vexp, and the calibration tests read its last
-    bits.  A one-point grid is that point's gradient_sweeps.
+    at tol, with pressure_sweep at its nodes; its barycentric read at the
+    grid, divided by a^4, times _proximity's -2 pi R [roughness] is F'.  A
+    one-point grid is that point's gradient_sweeps values.
     """
     grid = _checked_grid(grid, geometry)
     if grid.size == 1:
-        return gradient_sweeps([model], geometry, grid, tol)[0]
-    node_truncs = {}
+        return gradient_sweeps([model], geometry, grid, tol)[0].values
 
     def evaluate(a):
-        pressures, truncs = pressure_sweep(model, a, geometry.temperature, tol)
-        node_truncs.update(zip(a, truncs * a**4))
-        return (pressures * a**4)[None]
+        return (pressure_sweep(model, a, geometry.temperature, tol)[0] * a**4)[None]
 
     curve = Interpolant(grid[0], grid[-1], evaluate, tol,
                         f"P a^4 over [{grid[0] * 1e9:.3f}, {grid[-1] * 1e9:.3f}] nm")
-    trunc = np.array([node_truncs[s] for s in curve.separations])
-    basis = curve.basis(grid)
-    (p_fine,) = curve.values @ basis.T
-    (p_coarse,) = curve.values[:, ::2] @ curve.basis(grid, coarse=True).T
-    # node truncations through the basis, the n-against-2n gap, and the
-    # rounding of the barycentric formula, (3 m + 4) u sum_i |l_i f_i|
-    # (N. J. Higham, IMA J. Numer. Anal. 24, 547 (2004))
-    abs_basis = np.abs(basis)
-    rounding = ((3 * (curve.nodes.size - 1) + 4) * np.finfo(float).eps
-                * (abs_basis @ np.abs(curve.values[0])))
-    p_trunc = (abs_basis @ trunc + np.abs(p_coarse - p_fine) + rounding) / grid**4
-    pressures = p_fine / grid**4
-
-    values, g_trunc = _proximity(geometry, grid, pressures, p_trunc)
-    return GradientSweep(
-        separations=grid,
-        values=values,
-        pressures=pressures,
-        truncation_estimates=g_trunc,
-        pressure_truncations=p_trunc,
-    )
+    return _proximity(geometry, grid) * (curve(grid)[0] / grid**4)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import textio
 from .electrostatics import gamma_over_c
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, ValidityDomainError
 # pressure_to_gradient_sweep is not called here; bench/tests/test_bench_tracing.py
 # checks that the layer tracer rebinds it in this module too
 from .force_model import Geometry, gradient_curve, pressure_to_gradient_sweep  # noqa: F401
@@ -178,7 +178,7 @@ def _lattice(spec: CampaignSpec):
 def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
     z_fine = _lattice(spec)[0]
     a_fine = spec.z0_true + z_fine
-    fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, a_fine).values
+    fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, a_fine)
     gamma = spec.c_true * gamma_over_c(a_fine, geometry.R)
     for arr in (gamma, fprime):
         arr.flags.writeable = False
@@ -347,11 +347,12 @@ def save_grid(grid: MeasurementGrid, path) -> None:
 def load_grid(path) -> MeasurementGrid:
     """Read a grid written by save_grid; textio.read's errors are ConfigErrors.
 
-    Every row's a_nm must equal z0_true_m + grid_step_m * j to within
-    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A
-    drift_per_stream_m line, which older files carry, must read 0.0: a
-    grid synthesised with a separation drift cannot be rebuilt as a
-    CampaignSpec, and loading it raises ConfigError.
+    A header value that CampaignSpec or Geometry refuses is a ConfigError
+    naming its key.  Every row's a_nm must equal z0_true_m + grid_step_m * j
+    to within 1e-6 nm (the column is printed to 1e-6 nm); ConfigError
+    otherwise.  A drift_per_stream_m line, which older files carry, must
+    read 0.0: a grid synthesised with a separation drift cannot be rebuilt
+    as a CampaignSpec, and loading it raises ConfigError.
     """
     text = textio.read(path, 2)
     head, *blocks = text.groups
@@ -360,11 +361,15 @@ def load_grid(path) -> MeasurementGrid:
     fields = {"grid": {}, "spec": {}, "v0_law": {}, "geometry": {}}
     for key, (owner, name, convert) in _GRID_HEADER.items():
         fields[owner][name] = text.value(key, convert)
-    spec = CampaignSpec(v0_law=V0Law(**fields["v0_law"]), **fields["spec"])
+    try:
+        spec = CampaignSpec(v0_law=V0Law(**fields["v0_law"]), **fields["spec"])
+        geometry = Geometry(**fields["geometry"])
+    except (ModelError, ValidityDomainError) as exc:  # a well-formed value the model refuses
+        [key] = [k for k, (_, name, _) in _GRID_HEADER.items() if name == exc.field]
+        raise ConfigError(f"{path}: {key} = {text.meta[key]!r}: {exc}") from None
     if "drift_per_stream_m" in text.meta and text.value("drift_per_stream_m") != 0.0:
         raise ConfigError(f"{path}: drift_per_stream_m = {text.meta['drift_per_stream_m']} "
                           "is not supported; only a zero drift can be loaded")
-    geometry = Geometry(**fields["geometry"])
 
     n_v, n_rep = 21, spec.repetitions
     if len(blocks) != n_v * n_rep:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from casimirlab.chebyshev import Interpolant, _lagrange_basis, _lobatto_points
+from casimirlab.chebyshev import Interpolant
 
 
 def barycentric_oracle(nodes, values, x):
@@ -21,7 +21,8 @@ def barycentric_oracle(nodes, values, x):
 
 
 def lagrange_basis_oracle(nodes, x):
-    """The barycentric basis written out with a fresh array per step."""
+    """The explicit Lagrange basis l_i(x) of the nodes, one row per x: the
+    reference that the second barycentric formula is checked against."""
     w = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5
     d = x[:, None] - nodes[None, :]
@@ -31,26 +32,6 @@ def lagrange_basis_oracle(nodes, x):
     at_node = hit.any(axis=1)
     basis[at_node] = hit[at_node]
     return basis
-
-
-class TestLagrangeBasis:
-    @pytest.mark.parametrize("m", [32, 64, 128])
-    def test_bit_identical_to_the_oracle(self, m):
-        nodes = _lobatto_points(m)
-        rng = np.random.default_rng(m)
-        # both ends, an interior node, and points between the nodes
-        x = np.concatenate([[1.0, -1.0, nodes[m // 3]], rng.uniform(-1.0, 1.0, 700)])
-        basis = _lagrange_basis(nodes, x)
-        assert np.array_equal(basis, lagrange_basis_oracle(nodes, x))
-        for row, k in ((0, 0), (1, m), (2, m // 3)):
-            assert np.array_equal(basis[row], np.eye(m + 1)[k])
-
-    def test_no_node_hit(self):
-        nodes = _lobatto_points(32)
-        x = 0.5 * (nodes[1:] + nodes[:-1])
-        basis = _lagrange_basis(nodes, x)
-        assert np.array_equal(basis, lagrange_basis_oracle(nodes, x))
-        assert np.allclose(basis.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 LO, HI = 200e-9, 900e-9
@@ -80,12 +61,13 @@ class TestBarycentricEvaluation:
         curve = curves[m]
         assert curve.nodes.size == m + 1
         rng = np.random.default_rng(m)
-        nodes = curve.separations[::2 if coarse else 1]
+        step = 2 if coarse else 1
+        nodes = curve.separations[::step]
         # both ends, an interior node, and separations between the nodes
         between = np.clip(np.exp(rng.uniform(np.log(LO), np.log(HI), 700)), LO, HI)
         a = np.concatenate([[HI, LO, nodes[nodes.size // 3]], between])
-        values = curve.values[:, ::2 if coarse else 1]
-        expect = values @ curve.basis(a, coarse=coarse).T
+        values = curve.values[:, ::step]
+        expect = values @ lagrange_basis_oracle(curve.nodes[::step], curve._unit(a)).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = read(curve, a, coarse)
@@ -119,13 +101,6 @@ class TestBarycentricEvaluation:
             warnings.simplefilter("error")
             got = curve._at(x, coarse)
         assert np.array_equal(got, barycentric_oracle(nodes, curve.values[:, ::step], x))
-
-    @pytest.mark.parametrize("m", [32, 64, 128])
-    def test_coarse_basis_is_that_of_every_second_node(self, curves, m):
-        curve = curves[m]
-        a = np.linspace(curve.lo, curve.hi, 101)
-        assert np.array_equal(curve.basis(a, coarse=True),
-                              _lagrange_basis(curve.nodes[::2], curve._unit(a)))
 
     def test_scalar_separation_reads_as_a_one_point_array(self, curves):
         curve = curves[32]

@@ -350,6 +350,28 @@ class TestPipeline:
         for name in ("comparison.txt", "manifest.txt", "gradients_combined.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_verdicts_do_not_hinge_on_the_blas_kernel(self, tmp_path):
+        # sets 1-4 at seed 7 in two child processes, the second with OpenBLAS's
+        # AVX2 kernels forced; the truth curves read through BLAS products, so
+        # the grid, calibration and gradient files may move in their last digits
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text("[pipeline]\nsets = 1,2,3,4\nseed = 7\n")
+        src = str(Path(casimirlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        runs = []
+        for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+            out = tmp_path / name
+            argv = ["pipeline", "--config", str(cfg), "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "casimirlab.cli", *argv],
+                                  env={**env, **extra}, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, *((out / f).read_bytes()
+                                        for f in ("manifest.txt", "comparison.txt"))))
+        assert "plasma [573, 600] nm: consistent" in runs[0][0]
+        assert runs[0] == runs[1]
+
 
 class TestImport:
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
@@ -439,7 +461,9 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, bad", [("seed", "eight"), ("repetitions", "1.5"),
-                                          ("R_m", "big"), ("voltages_V", "0.1 x")])
+                                          ("R_m", "big"), ("voltages_V", "0.1 x"),
+                                          # well-formed values the model refuses
+                                          ("R_m", "-1.0"), ("repetitions", "0")])
     def test_malformed_grid_metadata_is_a_config_error(self, tmp_path, capsys, key, bad):
         spec, geometry = reference_campaign(1, "plasma")
         grid = synthesize_campaign(dataclasses.replace(spec, max_z_rel=150e-9), geometry, 8)
@@ -648,8 +672,11 @@ class TestErrors:
          "data row 6 separation 304.0 nm does not exceed row 5's 305.0 nm"),
         (lambda lines: [l.replace("305.000", "304.000") for l in lines],
          "data row 6 separation 304.0 nm does not exceed row 5's 304.0 nm"),
+        # a negated error would shrink the combined band
+        (lambda lines: [l[:-9] + "-1000000.0" if l.startswith("304.000") else l for l in lines],
+         "data row 5 holds a negative error: [304.0, 1000000.0, 1000000.0, 1000000.0, -1000000.0]"),
     ], ids=["n-channels-without-equals", "one-row-of-four", "every-row-of-four", "nan", "inf",
-            "swapped-pair", "repeated-separation"])
+            "swapped-pair", "repeated-separation", "negative-total-error"])
     def test_malformed_gradient_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                        edit, message):
         gradients = series_file(tmp_path / "g.txt", np.arange(300, 401))
