@@ -10,8 +10,9 @@ difference points fall outside the band).
 The fit and the extraction read gamma/C from one electrostatics.GammaTable
 per fit range, built once per process (_gamma_table), so the image series
 runs only at the table's nodes, and not at all for a set whose range an
-earlier set already had.  The 67% budget's Student t quantile is computed
-here from the incomplete beta function, which keeps scipy out of the import.
+earlier set already had.  The compared grid asks the Geometry which
+separations it admits.  The 67% budget's Student t quantile comes from the
+incomplete beta function, which keeps scipy out of the import.
 """
 
 from __future__ import annotations
@@ -123,9 +124,12 @@ def fit_parabolas(grid: MeasurementGrid) -> ParabolaSeries:
         + 2.0 * dv0_dc1 * dv0_dc2 * cov12
     )
 
-    # sigma_gamma = |gamma row of (X^T X)^-1 X^T| max(s, 4 eps max|shift|): the
-    # floor is the fit's rounding scale, so weights never come from rounding
-    floor = 4.0 * np.finfo(float).eps * np.abs(y).max(axis=0)
+    # sigma_gamma = |gamma row of (X^T X)^-1 X^T| max(s, 16 eps max|shift|): the
+    # floor is the fit's rounding scale, so weights never come from rounding.  A
+    # residual is a four-term inner product rounded within 4 eps of its terms,
+    # which add to about 2 max|y|, so a noiseless s < 8 sqrt(n/(n-3)) eps max|y|
+    # in any summation order; a power of two scales the floored weights exactly.
+    floor = 16.0 * np.finfo(float).eps * np.abs(y).max(axis=0)
     return ParabolaSeries(
         z_rel=grid.z_rel.copy(),
         v0=v0,
@@ -669,23 +673,24 @@ class CompareSettings(NamedTuple):
 def _compared_grid(settings: CompareSettings, overlap, geometry):
     """The compared grid, its one definition, and whether the geometry clipped it.
 
-    A grid end not set in [compare] follows overlap, the (lo, hi) in nm
-    over which the series overlap, clipped to the geometry's range (a_min,
-    a_max, a/R < max_aspect); a set end outside that range is an error, and
-    so is a grid of fewer than 2 points (the band's F'' needs two).  A
-    [compare] interval that holds no grid point is a config error.  With
-    both ends set, the grid needs neither the overlap nor the geometry.
+    A [compare] grid end outside the geometry's domain is a config error.  An
+    end not set follows overlap, the (lo, hi) in nm over which the series
+    overlap, and the grid is clipped to the domain (Geometry.contains); a
+    grid of fewer than 2 points is an error (the band's F'' needs two), and a
+    [compare] interval that holds no grid point is a config error.
     """
     start, stop = settings.ends
+    for key, end in (("grid_start_nm", start), ("grid_stop_nm", stop)):
+        if end is not None:
+            try:
+                geometry.check_separation(end * 1e-9)
+            except ValidityDomainError as exc:
+                raise ConfigError(f"[compare] {key} = {end:g}: {exc}") from None
     lo = overlap[0] if start is None else start
     hi = overlap[1] if stop is None else stop
     # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
     common = np.arange(math.ceil(round(lo, 6)), math.floor(round(hi, 6)) + 1) * 1e-9
-    inside = np.ones(common.size, dtype=bool)
-    if start is None:
-        inside &= geometry.a_min <= common
-    if stop is None:
-        inside &= (common <= geometry.a_max) & (common / geometry.R < geometry.max_aspect)
+    inside = geometry.contains(common)
     clipped = not inside.all()
     if clipped:
         if not inside.any():
@@ -737,8 +742,7 @@ def run_pipeline(campaigns, seeds, settings, models, tol) -> PipelineRun:
     # every preset shares the physical geometry (R, roughness, T), so one theory
     # curve serves all the sets; only the validity bounds differ
     geometry = campaigns[-1][1]
-    widest = (geometry.a_min * 1e9, min(geometry.a_max, geometry.max_aspect * geometry.R) * 1e9)
-    _compared_grid(settings, widest, geometry)
+    _compared_grid(settings, [end * 1e9 for end in geometry.span], geometry)
     sets = []
     for (spec, set_geometry), seed in zip(campaigns, seeds):
         grid = synthesize_campaign(spec, set_geometry, seed)

@@ -61,8 +61,7 @@ _SCHEMA = {
     "geometry": {"r_um": (float, 43.466, "R"), "delta_s_nm": (float, 1.13, "delta_s"),
                  "delta_p_nm": (float, 1.08, "delta_p"),
                  "temperature_k": (float, 293.15, "temperature"),
-                 "max_aspect": (float, 0.022, "max_aspect"),
-                 "a_min_nm": (float, 250.0, "a_min"), "a_max_nm": (float, 2000.0, "a_max")},
+                 "max_aspect": (float, 0.022, "max_aspect"), "a_min_nm": (float, 250.0, "a_min")},
     "campaign": {"preset": (int, None, None), "truth": (str, "plasma", "truth_tag"),
                  "seed": (int, 0, None),
                  "voltages_v": (lambda text: tuple(map(float, text.split())), None, "voltages"),
@@ -137,18 +136,12 @@ def _read_config(path) -> configparser.ConfigParser:
 
 
 def _refused(cp, section, exc):
-    """The ConfigError for a well-formed [section] value the model refuses.
-
-    It names the key and the value as written, when the refused field has one;
-    a_min is refused alone or against a_max, so either key may be the one
-    written, and the first written is named.
-    """
-    fields = ("a_min", "a_max") if exc.field == "a_min" else (exc.field,)
-    written = [key for key, (_, _, field) in _SCHEMA[section].items()
-               if field and field in fields and cp.has_option(section, key)]
-    if not written:
-        return ConfigError(f"[{section}] {exc}")
-    return ConfigError(f"[{section}] {written[0]} = {cp.get(section, written[0])}: {exc}")
+    """The ConfigError for a well-formed [section] value the model refuses,
+    naming the key and the value as written when the refused field has one."""
+    key = next((key for key, (_, _, field) in _SCHEMA[section].items()
+                if field and field == exc.field and cp.has_option(section, key)), None)
+    return ConfigError(f"[{section}] {exc}" if key is None else
+                       f"[{section}] {key} = {cp.get(section, key)}: {exc}")
 
 
 def _geometry(cp) -> Geometry:

@@ -2,12 +2,13 @@
 
 The proximity-force approximation, with the second-order rms roughness
 factor, gives F'(a) = -2 pi R [1 + 10 (ds^2 + dp^2) / a^2] P(a).
-Geometry.max_aspect bounds a/R where it is applied: 0.022 by default, 0.0306
-for the large-amplitude set 4.  The curvature correction 1 + beta a/R of the
-derivative expansion (G. Bimonte, T. Emig and M. Kardar, Appl. Phys. Lett.
-100, 074110 (2012); L. P. Teo, Phys. Rev. D 88, 045019 (2013)) is left out:
-it would be a 1-2 % change at a/R <= 0.025, shared by the synthesis and by
-compare, so the compared differences would only scale by it.
+Geometry owns the domain where it is applied, a >= a_min with a/R below
+max_aspect (0.022 by default, 0.0306 for set 4): contains, check_separation
+and span are the one statement of it.  The curvature correction 1 + beta a/R
+of the derivative expansion (G. Bimonte, T. Emig and M. Kardar, Appl. Phys.
+Lett. 100, 074110 (2012); L. P. Teo, Phys. Rev. D 88, 045019 (2013)) is
+left out: it would be a 1-2 % change at a/R <= 0.025, shared by the
+synthesis and by compare, so the compared differences would only scale by it.
 
 Pressure is negative for attraction; the gradient reported here is the
 positive plotted quantity (attractive force gradient > 0), i.e. the sign
@@ -51,10 +52,9 @@ __all__ = [
 class Geometry:
     """Sphere-plate geometry and environment.
 
-    max_aspect bounds a/R for the proximity-force approximation (0.022 by
-    default, 0.0306 for set 4); a_min/a_max bound the separation range it is
-    applied over.  Both are overridable for campaigns probing the edges of
-    that domain.
+    The separations it admits are a >= a_min with a/R < max_aspect, the
+    proximity-force bound (0.022 by default, 0.0306 for set 4); both are
+    overridable for campaigns probing the edges of that domain.
     """
 
     R: float                      # sphere radius, m
@@ -63,7 +63,6 @@ class Geometry:
     temperature: float = 293.15   # K
     max_aspect: float = 0.022
     a_min: float = 250e-9
-    a_max: float = 2e-6
 
     def __post_init__(self):
         if not self.R > 0:
@@ -74,25 +73,27 @@ class Geometry:
         for name in ("temperature", "a_min", "max_aspect"):
             if not getattr(self, name) > 0:
                 raise ValidityDomainError(f"{name} must be positive", field=name)
-        if not self.a_min < self.a_max:
-            raise ValidityDomainError(f"a_min = {self.a_min * 1e9:g} nm must lie below "
-                                      f"a_max = {self.a_max * 1e9:g} nm", field="a_min")
 
     def roughness_factor(self, a: float) -> float:
         """1 + 10 (delta_s^2 + delta_p^2) / a^2."""
         return 1.0 + 10.0 * (self.delta_s**2 + self.delta_p**2) / (a * a)
 
+    @property
+    def span(self) -> tuple[float, float]:
+        """The domain's ends in m: a_min, and max_aspect R, which it excludes."""
+        return self.a_min, self.max_aspect * self.R
+
+    def contains(self, a):
+        """a_min <= a and a/R < max_aspect: plain arithmetic for floats and arrays alike."""
+        return (self.a_min <= a) & (a / self.R < self.max_aspect)
+
     def check_separation(self, a: float) -> None:
-        if not (self.a_min <= a <= self.a_max):
+        """ValidityDomainError naming a and the bound it fails, unless contains(a)."""
+        if not self.contains(a):
             raise ValidityDomainError(
-                f"separation {a * 1e9:.1f} nm outside [{self.a_min * 1e9:.0f}, "
-                f"{self.a_max * 1e9:.0f}] nm"
-            )
-        if a / self.R >= self.max_aspect:
-            raise ValidityDomainError(
-                f"a/R = {a / self.R:.4f} >= {self.max_aspect} invalidates the "
-                "proximity-force approximation"
-            )
+                f"separation {a * 1e9:.1f} nm below a_min = {self.a_min * 1e9:g} nm"
+                if not self.a_min <= a else f"a/R = {a / self.R:.4f} >= {self.max_aspect} "
+                "invalidates the proximity-force approximation")
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,9 @@ def _checked_grid(grid, geometry: Geometry) -> np.ndarray:
         raise ValidityDomainError("empty separation grid")
     if np.any(np.diff(grid) <= 0):
         raise ValidityDomainError("separation grid must be strictly increasing")
-    for a in grid.tolist():
-        geometry.check_separation(a)
+    inside = geometry.contains(grid)
+    if not inside.all():
+        geometry.check_separation(float(grid[inside.argmin()]))
     return grid
 
 

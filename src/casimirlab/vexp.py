@@ -329,7 +329,6 @@ _GRID_HEADER = {
     "temperature_K": ("geometry", "temperature", float),
     "max_aspect": ("geometry", "max_aspect", float),
     "a_min_m": ("geometry", "a_min", float),
-    "a_max_m": ("geometry", "a_max", float),
 }
 
 

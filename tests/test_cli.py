@@ -17,6 +17,7 @@ from casimirlab.analysis import (
     gradient_series_text,
 )
 from casimirlab.cli import main
+from casimirlab.errors import GridAlignmentError
 from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
 from casimirlab.lifshitz import casimir_pressure
 from casimirlab.vexp import model_for_tag, reference_campaign, save_grid, synthesize_campaign
@@ -332,14 +333,18 @@ class TestPipeline:
         assert (out / "gradients_combined.txt").read_text().endswith(
             gradient_series_text(result.combined))
 
-    def test_failed_run_writes_no_file(self, tmp_path, capsys):
-        # set 4's series start near 570 nm, so a compared grid from 100 nm
-        # reaches past them; the run fails once every set is synthesised
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the compare stage fails once every set is synthesised, calibrated
+        # and extracted: the command writes none of their files
+        def failing(*args):
+            raise GridAlignmentError("compare stage failed")
+
+        monkeypatch.setattr(analysis, "compare_series", failing)
         cfg = tmp_path / "pipe.ini"
-        cfg.write_text("[pipeline]\nsets = 4\nseed = 7\n[compare]\ngrid_start_nm = 100\n")
+        cfg.write_text("[pipeline]\nsets = 4\nseed = 7\n")
         assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 1
         captured = capsys.readouterr()
-        assert "error: grid reaches 472.034 nm past series 0" in captured.err
+        assert "error: compare stage failed" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -351,26 +356,45 @@ class TestPipeline:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_verdicts_do_not_hinge_on_the_blas_kernel(self, tmp_path):
-        # sets 1-4 at seed 7 in two child processes, the second with OpenBLAS's
-        # AVX2 kernels forced; the truth curves read through BLAS products, so
-        # the grid, calibration and gradient files may move in their last digits
+        # pipeline sets 1-4 at seed 7, then theory --model both, in one child
+        # process per kernel setting: the default, OpenBLAS's AVX2 kernels
+        # forced, and numpy's AVX-512 dispatch switched off.  The truth curves
+        # read through BLAS products, so the grid, calibration and gradient
+        # files may move in their last digits; stdout, the manifest, the
+        # comparison and both theory files may not
         cfg = tmp_path / "pipe.ini"
         cfg.write_text("[pipeline]\nsets = 1,2,3,4\nseed = 7\n")
+        settings = {"default": {}, "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+                    "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}}
         src = str(Path(casimirlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.pop("OPENBLAS_CORETYPE", None)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        files = ("manifest.txt", "comparison.txt", "theory_gradients.txt", "theory_pressures.txt")
         runs = []
-        for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
-            out = tmp_path / name
-            argv = ["pipeline", "--config", str(cfg), "--out", str(out)]
-            done = subprocess.run([sys.executable, "-m", "casimirlab.cli", *argv],
-                                  env={**env, **extra}, cwd=tmp_path, capture_output=True,
-                                  text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            runs.append((done.stdout, *((out / f).read_bytes()
-                                        for f in ("manifest.txt", "comparison.txt"))))
+        # each child writes to out/ in its own directory, so stdout names the same path
+        commands = [["pipeline", "--config", str(cfg), "--out", "out"],
+                    ["theory", "--model", "both", "--out", "out"]]
+        script = ("import sys; from casimirlab.cli import main; "
+                  f"sys.exit(any(main(argv) for argv in {commands!r}))")
+        children = {}
+        for name, extra in settings.items():  # the three run side by side
+            (tmp_path / name).mkdir()
+            children[name] = subprocess.Popen(
+                [sys.executable, "-c", script], env={**env, **extra}, cwd=tmp_path / name,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            for name, child in children.items():
+                stdout, stderr = child.communicate(timeout=120)
+                assert child.returncode == 0, (name, stderr)
+                runs.append((stdout, *((tmp_path / name / "out" / f).read_bytes()
+                                       for f in files)))
+        finally:
+            for child in children.values():
+                child.kill()
+                child.wait()
         assert "plasma [573, 600] nm: consistent" in runs[0][0]
-        assert runs[0] == runs[1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestImport:
@@ -599,25 +623,13 @@ class TestErrors:
         ("r_um", "sphere radius must be positive"),
         ("delta_s_nm", "rms roughness must be >= 0"),
         ("max_aspect", "max_aspect must be positive"),
-        ("a_min_nm", "a_min = 700 nm must lie below a_max = 300 nm"),
+        ("a_min_nm", "a_min must be positive"),
     ])
     def test_invalid_geometry_value_is_a_config_error(self, tmp_path, capsys, key, message):
-        # a_min_nm = 700 is refused against a_max_nm = 300, the other keys at -1
-        value, other = ("700", "a_max_nm = 300\n") if key == "a_min_nm" else ("-1", "")
         cfg = tmp_path / "geometry.ini"
-        cfg.write_text(f"[geometry]\n{key} = {value}\n{other}")
+        cfg.write_text(f"[geometry]\n{key} = -1\n")
         assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert f"config error: [geometry] {key} = {value}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_refused_bound_names_the_key_written(self, tmp_path, capsys):
-        # a_max_nm = 200 alone falls below the default a_min of 250 nm: the
-        # message names the key the config sets, not the default it meets
-        cfg = tmp_path / "geometry.ini"
-        cfg.write_text("[geometry]\na_max_nm = 200\n")
-        assert run(["theory", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert "config error: [geometry] a_max_nm = 200: a_min = 250 nm must lie below " \
-            "a_max = 200 nm" in capsys.readouterr().err
+        assert f"config error: [geometry] {key} = -1: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, section, ini", [
@@ -709,7 +721,7 @@ class TestConfigSchema:
         ("synth", "[campaign]\npreset = 1\nrepetitions = 0\n",
          "[campaign] repetitions = 0: a preset sets every campaign value but truth and seed"),
         ("theory", "[theory]\na_start_nm = 249\n",
-         "[theory] a_start_nm = 249: separation 249.0 nm outside [250, 2000] nm"),
+         "[theory] a_start_nm = 249: separation 249.0 nm below a_min = 250 nm"),
         ("theory", "[geometry]\nr_um = 1\n", "[theory] a_start_nm = 250.0: a/R = 0.2500 >= "
          "0.022 invalidates the proximity-force approximation"),
         ("theory", "[theory]\na_stop_nm = 1000\n", "[theory] a_stop_nm = 1000: a/R = 0.0230"),
@@ -718,15 +730,15 @@ class TestConfigSchema:
         ("pipeline", "[pipeline]\nsets = 1\n[theory]\na_step_nm = x\n",
          "[theory] a_step_nm: could not convert string to float: 'x'"),
         ("synth", explicit_campaign_ini(z0_nm=220),
-         "[campaign] z0_nm = 220: separation 220.0 nm outside [250, 2000] nm"),
+         "[campaign] z0_nm = 220: separation 220.0 nm below a_min = 250 nm"),
         ("synth", explicit_campaign_ini(z0_nm=260, max_z_rel_nm=702),
          "[campaign] max_z_rel_nm = 702: a/R = 0.0221 >= 0.022"),
-        ("synth", explicit_campaign_ini(z0_nm=260, max_z_rel_nm=1800) + "[geometry]\nr_um = 200\n",
-         "[campaign] max_z_rel_nm = 1800: separation 2060.3 nm outside [250, 2000] nm"),
+        ("theory", "[geometry]\na_max_nm = 2000\n",
+         "unknown [geometry] a_max_nm (did you mean a_min_nm?)"),
     ], ids=["misspelled-key", "misspelled-section", "preset-with-a-field", "start-below-a-min",
             "small-radius", "stop-over-the-aspect-bound", "default-section",
             "key-of-another-section", "malformed-value-of-another-command",
-            "approach-below-a-min", "approach-over-the-aspect-bound", "approach-over-a-max"])
+            "approach-below-a-min", "approach-over-the-aspect-bound", "a-max-is-an-unknown-key"])
     def test_config_error_names_the_section_or_key(self, tmp_path, capsys, monkeypatch,
                                                     command, ini, message):
         def no_work(*args, **kwargs):
@@ -770,13 +782,15 @@ class TestConfigSchema:
     def test_benchmark_theory_configs_run(self, tmp_path, monkeypatch):
         # the two files the theory_sweep workload writes, a keyless [geometry]
         # and one with a_min_nm and max_aspect, run as it runs them: a key
-        # missing from the schema would fail every operation of the workload
+        # missing from the schema, such as the deleted a_max_nm, would fail
+        # every operation of the workload
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
         sweep = workloads.TheorySweep(seed=1, work=tmp_path)
         sweep.setup()
         for g in sweep.grids:
+            assert "a_max" not in g["cfg"].read_text()
             assert run(["theory", "--config", g["cfg"], "--out", g["out"], "--model", "both"]) == 0
 
 
@@ -797,13 +811,42 @@ class TestCompareGrid:
         assert "compare grid clipped to the geometry's range: [250, 956] nm" in out
         assert "drude [250, 300] nm" in out and "[900, 956] nm" in out
 
-    def test_set_grid_end_outside_the_geometry_still_errors(self, tmp_path, capsys):
+    def test_set_grid_end_outside_the_geometry_still_errors(self, tmp_path, capsys, monkeypatch):
+        # a [compare] end the geometry refuses is a config error, before any theory
+        def no_theory(*args):
+            raise AssertionError("theory ran before the grid ends were checked")
+
+        monkeypatch.setattr(analysis, "gradient_curve", no_theory)
         gradients = series_file(tmp_path / "g.txt", 248.06 + np.arange(713))
         cfg = tmp_path / "c.ini"
         cfg.write_text("[compare]\ngrid_start_nm = 249\ngrid_stop_nm = 900\n")
         assert run(["compare", "--gradients", gradients, "--config", cfg,
-                    "--out", tmp_path / "out"]) == 1
-        assert "separation 249.0 nm outside [250, 2000] nm" in capsys.readouterr().err
+                    "--out", tmp_path / "out"]) == 2
+        assert "config error: [compare] grid_start_nm = 249: separation 249.0 nm below " \
+            "a_min = 250 nm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ini, message", [
+        ("sets = 4\n[compare]\ngrid_start_nm = 100\n",
+         "[compare] grid_start_nm = 100: separation 100.0 nm below a_min = 560 nm"),
+        ("sets = 1\n[compare]\ngrid_stop_nm = 1200\n",
+         "[compare] grid_stop_nm = 1200: a/R = 0.0276 >= 0.022 invalidates"),
+    ], ids=["set4-start", "set1-stop"])
+    def test_pipeline_refuses_a_set_grid_end_before_any_set(self, tmp_path, capsys,
+                                                           monkeypatch, ini, message):
+        # the last set's geometry judges the ends: set 4 admits 560 nm up, set 1
+        # a/R < 0.022, so below 956.25 nm
+        def no_synthesis(*args):
+            raise AssertionError("a set was synthesised before the grid ends were checked")
+
+        monkeypatch.setattr(analysis, "synthesize_campaign", no_synthesis)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[pipeline]\nseed = 7\n" + ini)
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_series_outside_the_geometry_errors(self, tmp_path, capsys):
         gradients = series_file(tmp_path / "g.txt", np.arange(100, 201) + 0.5)
@@ -905,7 +948,7 @@ class TestReadme:
         table = {(row[0], row[1]): row[3] for row in rows if row[0] in cli._SCHEMA}
         schema = {(section, key): spec for section, keys in cli._SCHEMA.items()
                   for key, spec in keys.items()}
-        assert list(table) == list(schema) and len(table) == 32
+        assert list(table) == list(schema) and len(table) == 31
         for (section, key), (parse, default, _) in schema.items():
             written = table[section, key]
             got = None if written == "—" else parse(written)

@@ -273,3 +273,16 @@ def test_every_option_is_left_in_place_by_some_caller():
                         if not _private(name) and (m, name, p) not in LEFT_OUTSIDE_THE_PACKAGE)
     assert not always_set, f"defaults no caller leaves in place: {always_set}"
     assert set(LEFT_OUTSIDE_THE_PACKAGE) <= optional - left
+
+
+def test_only_force_model_reads_the_separation_domain():
+    """Geometry decides which separations it admits (contains, check_separation,
+    span): no other module reads the bounds that decision is made of."""
+    reads = []
+    for path in sorted(Path(casimirlab.__file__).parent.glob("*.py")):
+        if path.stem == "force_model":
+            continue
+        reads += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in ("a_min", "max_aspect")]
+    assert not reads, f"the separation domain read outside force_model: {reads}"

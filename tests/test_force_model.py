@@ -208,9 +208,11 @@ class TestGradientCurve:
         for grid in ([], [500e-9, 400e-9], [240e-9, 500e-9], [500e-9, 960e-9]):
             with pytest.raises(ValidityDomainError):
                 gradient_curve(DRUDE, GEOM, grid)
-        # the first point past max_aspect is named, before any thermal sum
+        # the first point outside the domain is named, before any thermal sum
         with pytest.raises(ValidityDomainError, match=r"a/R = 0\.0220 "):
             gradient_curve(DRUDE, GEOM, PAST_ASPECT)
+        with pytest.raises(ValidityDomainError, match=r"separation 240\.0 nm below a_min"):
+            gradient_curve(DRUDE, GEOM, [240e-9, 245e-9, 500e-9])
         assert not batches
 
 
@@ -226,8 +228,8 @@ class TestGeometryValidation:
     @pytest.mark.parametrize("bounds, field", [
         ({"a_min": 0.0}, "a_min"),
         ({"a_min": -250e-9}, "a_min"),
-        ({"a_min": 700e-9, "a_max": 300e-9}, "a_min"),
-        ({"a_min": 300e-9, "a_max": 300e-9}, "a_min"),
+        ({"a_min": float("nan")}, "a_min"),
+        ({"a_min": -math.inf}, "a_min"),
         ({"max_aspect": 0.0}, "max_aspect"),
         ({"max_aspect": -1.0}, "max_aspect"),
     ])
@@ -235,6 +237,20 @@ class TestGeometryValidation:
         with pytest.raises(ValidityDomainError) as info:
             Geometry(R=1e-5, **bounds)
         assert info.value.field == field
+
+    def test_contains_is_the_rule_check_separation_raises_on(self):
+        # a >= a_min and a/R < max_aspect, for floats and arrays alike
+        a = np.array([249.9e-9, 250e-9, 600e-9, 956.2e-9, 956.3e-9])
+        inside = [False, True, True, True, False]
+        assert GEOM.contains(a).tolist() == inside
+        assert [GEOM.contains(x) for x in a.tolist()] == inside
+        assert GEOM.span == (250e-9, 0.022 * 43.466e-6)
+        for x in a[1:4].tolist():
+            GEOM.check_separation(x)
+        with pytest.raises(ValidityDomainError, match=r"^separation 249\.9 nm below a_min = 250 nm$"):
+            GEOM.check_separation(a[0])
+        with pytest.raises(ValidityDomainError, match=r"^a/R = 0\.0220 >= 0\.022 invalidates"):
+            GEOM.check_separation(a[-1])
 
 
 class TestProperties:

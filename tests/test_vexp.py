@@ -365,3 +365,17 @@ class TestSerialization:
         _, path = self._with_drift_line(tmp_path, "5e-11")
         with pytest.raises(ConfigError, match="drift_per_stream_m"):
             load_grid(path)
+
+    def test_a_max_line_of_older_files_still_loads(self, tmp_path):
+        # files written while Geometry had an a_max bound carry its header line
+        spec, geom = short_campaign()
+        grid = synthesize_campaign(spec, geom, seed=9)
+        path = tmp_path / "grid.txt"
+        save_grid(grid, path)
+        text = path.read_text()
+        assert "a_max" not in text
+        anchor = "# a_min_m = "
+        path.write_text(text.replace(anchor, f"# a_max_m = 2e-06\n{anchor}"))
+        back = load_grid(path)
+        assert np.array_equal(back.shifts, grid.shifts)
+        assert (back.spec, back.geometry) == (grid.spec, grid.geometry)
