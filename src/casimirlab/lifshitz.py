@@ -8,20 +8,24 @@ computed here in the dimensionless variable y = 2 a q_l, so that each term
 becomes (1 / 8 a^3) int_{y_l}^inf y^2 sum_pol [r^-2 e^y - 1]^-1 dy with
 y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
-all of them are integrated by vectorised passes over a node template in
-t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), and the
-terms whose error estimate misses tol/2 of their value are redone together on
-the same template with its panels bisected, once more per pass (Bordag,
-Klimchitskaya, Mohideen and Mostepanenko, Advances in the Casimir Effect,
-OUP 2009, on the sum).  The zero-frequency term is dispatched on the model's
-declared extrapolation tag, never inferred numerically.
+all of them are integrated by vectorised passes over node templates in
+t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond): the
+steep template, four panels, for the rows with y_l below 2, and, at a tol
+whose half exceeds its measured error, the two-panel one for the smooth rows
+from y_l = 2 on.  The terms whose error estimate misses tol/2 of their value
+are redone together on the template they started on with its panels
+bisected, once more per pass (Bordag, Klimchitskaya, Mohideen and
+Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the sum).  The
+zero-frequency term is dispatched on the model's declared extrapolation tag,
+never inferred numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
 model's eps once for a list of separations and runs the rows (separation,
-term) of all of them, in order, through the template in fixed blocks of
-_PASS_ELEMENTS rows x nodes that all its models share; a separation may span
-several blocks, and is summed as soon as its last row is integrated, into
-per-model arrays of pressures, tail bounds and term counts (_Batch).
+term) of all of them, in order, through the template each starts on, in
+fixed blocks of _PASS_ELEMENTS rows x nodes that all its models share; a
+separation may span several blocks, and is summed as soon as its last row
+on either template is integrated, into per-model arrays of pressures, tail
+bounds and term counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
 per-point object, and is the one way for models to share a batch.  A
 PressureResult is built only for a caller that asks for one point:
@@ -161,21 +165,38 @@ def _gauss_laguerre(n):
     return x, v[0] ** 2 * np.exp(x)
 
 
-@functools.cache
-def _node_template(depth):
-    """Nodes in t = y - y_l shared by every term, their weights w and d, and
-    the panel count.
+# Panel edges in t = y - y_l of the two templates a row starts on: the steep
+# one resolves rows with small y_l, where the occupancy pole at y = ln r^2 <= 0
+# lies close to the lower limit; the two-panel one takes the smooth rows from
+# y_l = _SMOOTH_FROM on (_smooth_start)
+_STEEP = (0.0, 0.5, 1.5, 3.5, 7.0)
+_SMOOTH = (0.0, 2.0, 7.0)
+_SMOOTH_FROM = 2.0
 
-    15-point Gauss-Kronrod panels on [0, 0.5, 1.5, 3.5, 7], each bisected
-    depth times, resolve the start of a term, where the occupancy pole at
-    y = ln r^2 <= 0 lies within y_l; from t = 7 on, where the integrand is
-    e^-t times a slowly varying factor, a 20-point Gauss-Laguerre rule takes
-    the rest, and a 14-point one checks it.  The nodes run panel by panel,
-    15 each, then GL20 and GL14.  w gives the integral (Kronrod, then GL20,
-    0 on GL14) and d each panel's Kronrod-minus-Gauss difference, then
-    GL20 minus GL14; both are linear in the panel count.
+# the largest error estimate over value of the two-panel template at depth 0
+# on the rows y_l >= _SMOOTH_FROM, drude and plasma, 50 nm - 20 um at 293 K
+# and 10 K (3.87e-10, near 84 nm and y_l = 2; tests/test_lifshitz.py measures
+# it).  Rows start on it only when tol/2 exceeds this, so that at a tighter
+# tol they do not all miss and go through again.
+_SMOOTH_ENVELOPE = 3.9e-10
+
+
+@functools.cache
+def _node_template(edges, depth):
+    """Nodes in t = y - y_l of the template that starts from the panel edges
+    _STEEP or _SMOOTH, each panel bisected depth times, their weights w and d,
+    and the panel count.
+
+    15-point Gauss-Kronrod panels on the edges resolve the start of a term:
+    94 nodes at depth 0 from _STEEP, 64 from _SMOOTH.  From t = 7, the last
+    edge, where the integrand is e^-t times a slowly varying factor, a
+    20-point Gauss-Laguerre rule takes the rest, and a 14-point one checks
+    it.  The nodes run panel by panel, 15 each, then GL20 and GL14.  w gives
+    the integral (Kronrod, then GL20, 0 on GL14) and d each panel's
+    Kronrod-minus-Gauss difference, then GL20 minus GL14; both are linear in
+    the panel count.
     """
-    edges = np.array([0.0, 0.5, 1.5, 3.5, 7.0])
+    edges = np.array(edges)
     for _ in range(depth):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     half = 0.5 * np.diff(edges)[:, None]
@@ -193,8 +214,8 @@ def _shared_planes(y_l, nodes, out):
     + t on the template nodes, y^2, e^-y and expm1(-y), one row per term.
 
     -y is negated from the y plane: (-y_l) - t would round to the same bits
-    without reading it, but a broadcast pass over rows of 94 nodes costs more
-    than a contiguous negation."""
+    without reading it, but a broadcast pass over rows of 64 or 94 nodes
+    costs more than a contiguous negation."""
     y, y2, em, em1 = out
     np.add(y_l[:, None], nodes, out=y)
     np.multiply(y, y, out=y2)
@@ -263,9 +284,9 @@ class _Workspace:
         return self._buf[:size].reshape(8, rows, nodes)
 
 
-def _template_integrate(models, a, y_l, eps, depth, work):
-    """Every row on the node template of that depth, for each model: a list of
-    (integrals, error estimates), one pair per model.
+def _template_integrate(models, a, y_l, eps, edges, depth, work):
+    """Every row on the node template from edges at that depth, for each
+    model: a list of (integrals, error estimates), one pair per model.
 
     Row i has lower limit y_l[i] at separation a, one value for every row or
     one per row, and eps[m][i] is its permittivity for models[m].  The shared
@@ -274,7 +295,7 @@ def _template_integrate(models, a, y_l, eps, depth, work):
     estimate sums the absolute differences d gives; both results reduce each
     row alone, whatever rows are beside it.
     """
-    nodes, w, d, n_panels = _node_template(depth)
+    nodes, w, d, n_panels = _node_template(edges, depth)
     planes = work.planes(y_l.size, nodes.size)
     shared = _shared_planes(y_l, nodes, planes[:4])
     a = np.broadcast_to(a, y_l.shape)
@@ -409,7 +430,8 @@ def _smallest_count(enough, start, most):
     From n = max(start, 1) <= most the search gallops by offsets 1, 2, 4, ...
     in the direction enough(n) points, never past most, and bisects the last
     offset: a count equal to start takes two calls of enough, one a term
-    either side two or three.
+    either side two or three.  enough has been called at the count it
+    returns.
     """
     n = start if start > 1 else 1
     if enough(n):  # offsets from n double: n - 1, n - 2, n - 4, ...
@@ -434,15 +456,59 @@ _MAX_TERMS = 1 << 20
 
 
 def _term_count(y1, target, start):
-    """Smallest L >= 1 with _tail_bound(y1, L) <= target, searched from start (a
-    nearby separation's count), or None above _MAX_TERMS; the bound falls
-    with L, so the count does not depend on where the search starts."""
-    return _smallest_count(lambda n: _tail_bound(y1, n) <= target, start, _MAX_TERMS)
+    """(L, _tail_bound(y1, L)) for the smallest L >= 1 whose bound is at most
+    target, searched from start (a nearby separation's count), or None above
+    _MAX_TERMS; the bound falls with L, so the count does not depend on where
+    the search starts.  The bound is the one the search evaluated at L."""
+    bounds = {}
+    n = _smallest_count(lambda n: bounds.setdefault(n, _tail_bound(y1, n)) <= target,
+                        start, _MAX_TERMS)
+    return None if n is None else (n, bounds[n])
 
 
-# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, in a
-# workspace of about 1.5 MB
+def _smooth_start(y1, last_l, tol):
+    """For each separation, with first Matsubara argument y1 and rows l = 0 ..
+    last_l (arrays), the first l that starts on the two-panel template:
+    ceil(_SMOOTH_FROM / y1), the first with y_l >= _SMOOTH_FROM up to the
+    rounding of the quotient, at most last_l + 1 (none of them); last_l + 1
+    for all when tol/2 does not exceed _SMOOTH_ENVELOPE.  It depends on y1, l
+    and tol alone, so a row starts on the same template in any batch."""
+    if 0.5 * tol <= _SMOOTH_ENVELOPE:
+        return last_l + 1
+    return np.minimum(np.ceil(_SMOOTH_FROM / y1).astype(int), last_l + 1)
+
+
+# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 375 of
+# 64, in a workspace of about 1.5 MB
 _PASS_ELEMENTS = 24_000
+
+
+class _Rows:
+    """The rows of a batch that start on one template, in batch order:
+    rows[j] of separation j, from its batch row starts[j] + first[j] on, run
+    in blocks of _PASS_ELEMENTS elements.  lo is the next of these rows to
+    run, and done counts the separations, in order, whose rows here have all
+    run; it is also the separation of row lo."""
+
+    def __init__(self, edges, starts, first, rows):
+        self.edges = edges
+        self.ends = np.cumsum(rows)
+        self.lift = starts + first - (self.ends - rows)  # from a row here to its batch row
+        self.total = int(self.ends[-1]) if rows.size else 0
+        self.nodes = _node_template(edges, 0)[0].size
+        self.block = _PASS_ELEMENTS // self.nodes
+        self.lo = 0
+        self.done = int(np.searchsorted(self.ends, 0, side="right"))
+
+    def next_block(self):
+        """The separation and the batch row of each row of the next block,
+        which it passes."""
+        hi = min(self.lo + self.block, self.total)
+        row = np.arange(self.lo, hi)
+        sep = np.searchsorted(self.ends, row, side="right")
+        self.lo = hi
+        self.done = int(np.searchsorted(self.ends, hi, side="right"))
+        return sep, row + self.lift[sep]
 
 
 def _pressures(models, temperature, separations, tol, with_breakdown=False):
@@ -451,74 +517,84 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     Each separation keeps the terms l = 0 .. L of its tail-bound count, each
     count searched from the one before, and a count above _MAX_TERMS raises
     NumericsError before any work; each model's eps is evaluated once, at
-    xi_1 .. xi_L of the largest L.  The rows (separation j, term l) of the
-    batch run in order through the node template in blocks of
-    _PASS_ELEMENTS // 94 rows that every model shares, one separation
-    spanning as many blocks as its rows fill.  In a block, a model's rows
-    whose error estimate exceeds tol/2 of their value (or 1e-300, for a row
-    that underflows) go through again together, with the panels bisected
-    once more each time, up to 8 times; a row that still misses is recorded
-    as its separation's first missed l, and its pressure is NaN.  As soon as
-    a separation's last row is integrated, its terms, the l = 0 one at half
-    weight, are summed by math.fsum, so a pressure does not depend on how
-    blocks cut its rows, and its values are dropped; the sums, times each
-    separation's prefactor, and the tail bounds fill the batch's arrays at
-    the end.  Every block computes in one workspace.
+    xi_1 .. xi_L of the largest L.  A row (separation, term l) starts on the
+    two-panel template from _smooth_start on and on the steep one below it.
+    The rows of each template run in order through it in blocks of
+    _PASS_ELEMENTS // 64 or // 94 rows that every model shares, a separation
+    spanning as many blocks as its rows fill; the next block is always one
+    of the template whose rows are furthest behind in separations.  In a
+    block, a model's rows whose error estimate exceeds tol/2 of their value
+    (or 1e-300, for a row that underflows) go through again together, with
+    the panels of their template bisected once more each time, up to 8
+    times; a row that still misses is recorded with its separation's first
+    missed l, and its pressure is NaN.  As soon as both templates have run
+    all of a separation's rows, its terms, the l = 0 one at half weight, are
+    summed by math.fsum, so a pressure does not depend on how blocks cut its
+    rows, and its values are dropped; the sums, times each separation's
+    prefactor, and the tail bounds of the count searches fill the batch's
+    arrays at the end.  Every block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
     y1s = [2.0 * a * xi1 / C_LIGHT for a in seps]
-    counts, n = [], 0
+    counts, bounds, n = [], [], 0
     for a, y1 in zip(seps, y1s):
-        n = _term_count(y1, 0.5 * tol * _ZETA3, n)
-        if n is None:  # before any eps or row is computed
+        found = _term_count(y1, 0.5 * tol * _ZETA3, n)
+        if found is None:  # before any eps or row is computed
             raise NumericsError(f"thermal sum at a={a}, T={temperature} K needs more than "
                                 f"{_MAX_TERMS} Matsubara terms")
+        n, bound = found
         counts.append(n)
+        bounds.append(bound)
     top = np.arange(1, max(counts, default=0) + 1, dtype=float)
     # 1 stands in for the l = 0 rows, whose reflection comes from the tag
     eps = [np.append(1.0, np.ones(top.size) if isinstance(model, IdealMetal) else
                      model.epsilon(xi1 * top)) for model in models]
-    ends = np.cumsum([n + 1 for n in counts], dtype=int)
-    starts, a_j, y1_j = ends - np.asarray(counts, dtype=int) - 1, np.array(seps), np.array(y1s)
+    a_j, y1_j, counts = np.array(seps), np.array(y1s), np.array(counts, dtype=int)
+    ends = np.cumsum(counts + 1)
+    starts = ends - counts - 1
     runs = list(zip(starts.tolist(), ends.tolist()))
-    total = runs[-1][1] if runs else 0
-    nodes = _node_template(0)[0].size
-    block = _PASS_ELEMENTS // nodes
-    work = _Workspace(min(total, block) * nodes)
+    first = _smooth_start(y1_j, counts, tol)
+    streams = [_Rows(_STEEP, starts, 0, first), _Rows(_SMOOTH, starts, first, counts + 1 - first)]
+    work = _Workspace(max(min(s.total, s.block) * s.nodes for s in streams))
     prefactors = np.array([-K_B * temperature / (8.0 * math.pi * a**3) for a in seps])
     failed = np.full((len(models), len(seps)), -1)
     breakdowns = [[None] * len(seps) for _ in models] if with_breakdown else None
-    held = [np.empty(0)] * len(models)  # the values of the rows of separations not yet summed
+    # each model's values of the rows from separation j's first on, in batch order
+    held = [np.empty(0)] * len(models)
     sums = [[] for _ in models]
     j = 0
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        sep = np.searchsorted(ends, np.arange(lo, hi), side="right")
-        ls = np.arange(lo, hi) - starts[sep]
+    while j < len(seps):
+        s = min(streams, key=lambda t: t.done)
+        sep, at = s.next_block()
+        ls = at - starts[sep]
+        at -= runs[j][0]  # each row's place in held
         y_l = y1_j[sep] * ls
-        passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps], 0, work)
-        zero = np.flatnonzero(ls == 0)
+        passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps],
+                                     s.edges, 0, work)
         for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
             rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
             for depth in range(1, 9):
                 if not rows.size:
                     break
                 [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
-                                               [eps_m[ls[rows]]], depth, work)
+                                               [eps_m[ls[rows]]], s.edges, depth, work)
                 vals[rows] = v
                 rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
-            # rows ascend, so a separation's first missed row is its first l
-            for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
-                if failed[m, j_row] < 0:
-                    failed[m, j_row] = l
-            vals[zero] *= 0.5  # the primed sum's l = 0 term
-            held[m] = np.concatenate([held[m], vals])
-        done = int(np.searchsorted(ends, hi, side="right"))  # separations whose rows all ran
+            if rows.size:  # the templates' blocks may meet a separation's misses in any order
+                for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
+                    if failed[m, j_row] < 0 or l < failed[m, j_row]:
+                        failed[m, j_row] = l
+            if held[m].size <= at[-1]:
+                held[m] = np.concatenate([held[m], np.empty(at[-1] + 1 - held[m].size)])
+            held[m][at] = vals
+        done = min(t.done for t in streams)  # separations whose rows all ran
         if done > j:
             base, cut = runs[j][0], runs[done - 1][1]
+            zero = starts[j:done] - base
             for m in range(len(models)):
                 terms, held[m] = held[m][:cut - base], held[m][cut - base:]
+                terms[zero] *= 0.5  # the primed sum's l = 0 terms
                 sums[m] += _fsums(terms, runs[j:done], base)
                 if with_breakdown:
                     for i, (start, end) in enumerate(runs[j:done], start=j):
@@ -526,9 +602,8 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
             j = done
     pressures = prefactors * np.array(sums)
     pressures[failed >= 0] = np.nan
-    bounds = np.abs(prefactors) * [_tail_bound(y1, n) for y1, n in zip(y1s, counts)]
-    return _Batch(seps, pressures, np.tile(bounds, (len(models), 1)), failed, np.array(counts),
-                  breakdowns)
+    bounds = np.abs(prefactors) * bounds
+    return _Batch(seps, pressures, np.tile(bounds, (len(models), 1)), failed, counts, breakdowns)
 
 
 def _fsums(values, runs, base):
@@ -565,12 +640,15 @@ def casimir_pressure(
         at most tol/2 of the sum because every term is non-negative and half
         the l = 0 term alone is at least zeta(3) (r_TM = 1 at xi = 0);
         stopped_by is then "tol".  Every term is
-        integrated to tol/2 of its value on a shared template of 94 nodes in
-        y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond), in
-        blocks of up to 255 terms; the terms of a block whose error estimate
-        misses that are redone together on the template with its panels
-        bisected, up to 8 times, and NumericsError, naming the first such l
-        and a, is raised if any still misses.
+        integrated to tol/2 of its value on a shared template in y - y_l
+        (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond): 94 nodes
+        for the terms with y_l < 2, in blocks of up to 255 terms, and 64 for
+        the others, in blocks of up to 375, when tol exceeds 7.8e-10 (twice
+        the two-panel template's measured error; below it every term takes
+        the 94 nodes).  The terms of a block whose error estimate misses that
+        are redone together on their template with its panels bisected, up
+        to 8 times, and NumericsError, naming the first such l and a, is
+        raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -370,34 +371,63 @@ class TestToleranceMet:
                              ids=["drude", "plasma", "ideal"])
     @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
     def test_template_rows_within_their_estimates(self, model, temperature):
-        # each row of the 94-node template against the same row on the
-        # template bisected deeper and deeper, until that reference converges
-        for a in (50e-9, 250e-9, 1e-6, 20e-6):
-            # the first (up to) 40 rows a tol 1e-12 sum keeps
-            n_terms = casimir_pressure(model, a, temperature, 1e-12).n_terms
-            y_l, eps = _terms(model, a, temperature, min(n_terms, 40))
-            [(vals, errs)] = lifshitz._template_integrate([model], a, y_l, [eps], 0,
-                                                          lifshitz._Workspace(0))
-            for i in range(y_l.size):
-                rows = slice(i, i + 1)
-                for depth in range(1, 9):
-                    [(ref, ref_err)] = lifshitz._template_integrate(
-                        [model], a, y_l[rows], [eps[rows]], depth, lifshitz._Workspace(0))
-                    if ref_err[0] <= 1e-13 * ref[0]:
-                        break
-                assert ref_err[0] <= 1e-13 * ref[0], (a, i)
-                assert abs(vals[i] - ref[0]) <= errs[i], (a, i)
+        # each row on the template it starts on at tol, against the same row on
+        # that template bisected deeper and deeper, until that reference
+        # converges: the first (up to) 40 rows a sum at tol keeps, and the rows
+        # on either side of y_l = 1 and of the two-panel template's start
+        for a, tol in itertools.product((50e-9, 250e-9, 1e-6, 20e-6), (1e-9, 1e-12)):
+            n_terms = casimir_pressure(model, a, temperature, tol).n_terms
+            y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
+            first = lifshitz._smooth_start(np.array([y1]), np.array([n_terms]), tol)[0]
+            near = [math.ceil(y / y1) + k for y in (1.0, lifshitz._SMOOTH_FROM) for k in range(-2, 3)]
+            ls = np.unique(np.clip([*range(40), *near], 0, n_terms))
+            y_l, eps = (v[ls] for v in _terms(model, a, temperature, n_terms))
+            for edges, rows in ((lifshitz._STEEP, ls < first), (lifshitz._SMOOTH, ls >= first)):
+                if not rows.any():
+                    continue
+                [(vals, errs)] = lifshitz._template_integrate(
+                    [model], a, y_l[rows], [eps[rows]], edges, 0, lifshitz._Workspace(0))
+                for i in range(vals.size):
+                    row = slice(i, i + 1)
+                    for depth in range(1, 9):
+                        [(ref, ref_err)] = lifshitz._template_integrate(
+                            [model], a, y_l[rows][row], [eps[rows][row]], edges, depth,
+                            lifshitz._Workspace(0))
+                        if ref_err[0] <= 1e-13 * ref[0]:
+                            break
+                    assert ref_err[0] <= 1e-13 * ref[0], (a, tol, ls[rows][i])
+                    assert abs(vals[i] - ref[0]) <= errs[i], (a, tol, ls[rows][i])
+            # a tight tol keeps every row on the steep template
+            assert (first == n_terms + 1) == (tol < 2.0 * lifshitz._SMOOTH_ENVELOPE)
+
+    def test_two_panel_envelope_is_measured(self):
+        # the tol gate of the two-panel start: the largest estimate over value
+        # at depth 0 on the rows it would take, drude and plasma, across the
+        # separation range at 293 K and 10 K, sits just under _SMOOTH_ENVELOPE
+        worst = 0.0
+        for temperature, seps in ((T_LAB, np.geomspace(50e-9, 20e-6, 80)),
+                                  (10.0, np.geomspace(50e-9, 20e-6, 40))):
+            for a in seps:
+                y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
+                n_terms = lifshitz._term_count(y1, 0.5e-9 * lifshitz._ZETA3, 0)[0]
+                first = lifshitz._smooth_start(np.array([y1]), np.array([n_terms]), 1e-9)[0]
+                for model in (DRUDE, PLASMA):
+                    y_l, eps = (v[first:] for v in _terms(model, a, temperature, n_terms))
+                    [(vals, errs)] = lifshitz._template_integrate(
+                        [model], a, y_l, [eps], lifshitz._SMOOTH, 0, lifshitz._Workspace(0))
+                    worst = max(worst, (errs / vals).max(initial=0.0))
+        assert 0.95 * lifshitz._SMOOTH_ENVELOPE < worst <= lifshitz._SMOOTH_ENVELOPE
 
     def test_fallback_rows_still_meet_tol(self, monkeypatch):
         # at 50 nm and tol 1e-12 the first drude terms miss their share on
-        # the 94-node template and are redone on bisected panels
+        # the steep template and are redone on bisected panels
         refined = []
         integrate = lifshitz._template_integrate
 
-        def spy(models, a, y_l, eps, depth, work):
+        def spy(models, a, y_l, eps, edges, depth, work):
             if depth >= 1:
                 refined.append(y_l.size)
-            return integrate(models, a, y_l, eps, depth, work)
+            return integrate(models, a, y_l, eps, edges, depth, work)
 
         monkeypatch.setattr(lifshitz, "_template_integrate", spy)
         a, tol = 50e-9, 1e-12
@@ -407,15 +437,15 @@ class TestToleranceMet:
         assert abs(p - ref) <= tol * abs(ref)
 
     def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
-        # at 10 K and 50 nm the first 63 drude rows miss on the 94-node
+        # at 10 K and 50 nm the first 63 drude rows miss on the steep
         # template; they lie in the first block and are redone together, one
         # pass per bisection depth
         passes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
                             lambda *args: passes.append(1) or kernel(*args))
-        res = casimir_pressure(DRUDE, 50e-9, 10.0, 1e-9)
-        assert len(passes) <= _blocks([res.n_terms]) + 8
+        casimir_pressure(DRUDE, 50e-9, 10.0, 1e-9)
+        assert len(passes) <= _blocks([50e-9], 10.0, 1e-9) + 8
 
     def test_unresolved_row_raises(self, monkeypatch):
         # a jump in the integrand at a non-dyadic t is missed at every depth
@@ -427,21 +457,24 @@ class TestToleranceMet:
             casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
-        passes = []
+        # computed alone, a pressure runs its steep rows and its two-panel
+        # rows in one depth-0 pass each, and no row goes through again
+        nodes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
-                            lambda *args: passes.append(1) or kernel(*args))
+                            lambda r_tm, r_te, shared, scratch:
+                            nodes.append(shared[0].shape[1]) or kernel(r_tm, r_te, shared, scratch))
         grid = np.concatenate([np.arange(250, 951), np.arange(600, 1301)]) * 1e-9
         for model in (DRUDE, PLASMA):
             cache = MatsubaraCache(model, T_LAB)
             for a in grid:
                 casimir_pressure(model, float(a), T_LAB, 1e-9, cache=cache)
-        assert len(passes) == 2 * grid.size
+        assert nodes == [_nodes(lifshitz._STEEP), _nodes(lifshitz._SMOOTH)] * (2 * grid.size)
 
     def test_short_separation_count_comes_from_the_tail_bound(self, monkeypatch):
         # at short range the count is the smallest L whose tail bound is
         # (tol/2) zeta(3), below ceil(20 / y_1), and all L + 1 rows take one
-        # 94-node pass
+        # pass on the template each starts on
         nodes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -453,7 +486,9 @@ class TestToleranceMet:
         target = 0.5 * tol * zeta(3)
         assert _tail_bound(y1, res.n_terms) <= target < _tail_bound(y1, res.n_terms - 1)
         assert res.n_terms < math.ceil(20.0 / y1)
-        assert nodes == [94 * (res.n_terms + 1)]
+        steep, smooth = _template_rows([a], T_LAB, tol)
+        assert y1 * (steep[0] - 1) < lifshitz._SMOOTH_FROM <= y1 * steep[0]
+        assert nodes == [_nodes(lifshitz._STEEP) * steep[0], _nodes(lifshitz._SMOOTH) * smooth[0]]
         assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
 
 
@@ -471,11 +506,11 @@ class TestTermCount:
             target = 0.5 * tol * zeta(3)
             n = 0
             for y1 in y1s.tolist():
-                cold = lifshitz._term_count(y1, target, 0)
-                assert _tail_bound(y1, cold) <= target
+                cold, bound = lifshitz._term_count(y1, target, 0)
+                assert bound == _tail_bound(y1, cold) <= target
                 assert cold == 1 or _tail_bound(y1, cold - 1) > target
-                n = lifshitz._term_count(y1, target, n)
-                assert n == cold
+                n, warm_bound = lifshitz._term_count(y1, target, n)
+                assert (n, warm_bound) == (cold, bound)
 
 
 class TestSmallestCount:
@@ -503,6 +538,7 @@ class TestSmallestCount:
                 assert lifshitz._smallest_count(enough, start, math.inf) == scan, \
                     (threshold, start)
                 assert min(calls) >= 1
+                assert scan in calls
                 if abs(start - threshold) <= 1 and start >= 1:
                     assert len(calls) <= 3, (threshold, start, calls)
 
@@ -518,11 +554,61 @@ class TestSmallestCount:
 BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600, 1301) * 1e-9}
 
 
-def _blocks(n_terms):
-    """Template blocks of a sweep with these term counts, cut as the batch
-    cuts them: its rows in order, _PASS_ELEMENTS elements of 94 nodes per
-    row to a block, a separation spanning as many blocks as its rows fill."""
-    return math.ceil(sum(n + 1 for n in n_terms) / (lifshitz._PASS_ELEMENTS // 94))
+def _nodes(edges, depth=0):
+    """Nodes per row of the template from edges at that depth."""
+    return lifshitz._node_template(edges, depth)[0].size
+
+
+def _template_rows(seps, temperature, tol):
+    """Each separation's rows on the steep template and on the two-panel one,
+    as a batch at tol splits them."""
+    y1 = 2.0 * np.asarray(seps, dtype=float) * matsubara_frequency(1, temperature) / C_LIGHT
+    counts = np.array([lifshitz._term_count(y, 0.5 * tol * lifshitz._ZETA3, 0)[0]
+                       for y in y1.tolist()])
+    first = lifshitz._smooth_start(y1, counts, tol)
+    return first, counts + 1 - first
+
+
+def _blocks(seps, temperature, tol):
+    """Template blocks of a batch, cut as it cuts them: the rows of each start
+    template in order, _PASS_ELEMENTS elements of its depth-0 nodes to a
+    block, a separation spanning as many blocks as its rows fill."""
+    return sum(math.ceil(rows.sum() / (lifshitz._PASS_ELEMENTS // _nodes(edges)))
+               for edges, rows in zip((lifshitz._STEEP, lifshitz._SMOOTH),
+                                      _template_rows(seps, temperature, tol)))
+
+
+def _jumps(monkeypatch, targets, at=0.3):
+    """Multiply the integrand of the rows whose y_l is a target (a number, a
+    list, or a dict of them by model id), to 1e-12, by 1 + (t > at); at a
+    non-dyadic t the rows miss at every depth.  Returns the (rows, nodes)
+    shape of every integrand pass and the number of such rows in it."""
+    shapes, hits, current = [], [], {}
+    shared_planes, reflections, kernel = (lifshitz._shared_planes, lifshitz._reflections,
+                                          lifshitz._integrand)
+
+    def planes(y_l, nodes, out):
+        current["y_l"] = y_l[:, None]
+        return shared_planes(y_l, nodes, out)
+
+    def tagged(model, *args):
+        current["targets"] = targets[id(model)] if isinstance(targets, dict) else targets
+        return reflections(model, *args)
+
+    def jump(r_tm, r_te, shared, scratch):
+        shapes.append(shared[0].shape)
+        out = kernel(r_tm, r_te, shared, scratch)
+        hits.append(0)
+        for target in np.atleast_1d(current["targets"]):
+            own = np.abs(current["y_l"] - target) <= 1e-12 * target
+            hits[-1] += int(own.sum())
+            out *= 1.0 + (own & (shared[0] > current["y_l"] + at))
+        return out
+
+    monkeypatch.setattr(lifshitz, "_shared_planes", planes)
+    monkeypatch.setattr(lifshitz, "_reflections", tagged)
+    monkeypatch.setattr(lifshitz, "_integrand", jump)
+    return shapes, hits
 
 
 class TestSweepBlocks:
@@ -549,8 +635,7 @@ class TestSweepBlocks:
         alone = [casimir_pressure(IDEAL_METAL, float(a), 10.0, tol) for a in seps]
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
-        n_terms = [r.n_terms for r in alone]
-        assert _blocks(n_terms) < sum(_blocks([n]) for n in n_terms) - 20
+        assert _blocks(seps, 10.0, tol) < sum(_blocks([a], 10.0, tol) for a in seps) - 20
 
     def test_a_sweep_takes_one_integrand_pass_per_block(self, monkeypatch):
         seps = BENCH_GRIDS["250-950"]
@@ -561,8 +646,11 @@ class TestSweepBlocks:
                             lambda r_tm, r_te, shared, scratch:
                             rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        assert len(rows) == _blocks(n_terms) < seps.size / 5
+        assert len(rows) == _blocks(seps, T_LAB, 1e-9) < seps.size / 7
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
+        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        for edges, on in ((lifshitz._STEEP, steep), (lifshitz._SMOOTH, smooth)):
+            assert sum(r for r, nodes in rows if nodes == _nodes(edges)) == on.sum() > 0
         assert max(r * nodes for r, nodes in rows) <= lifshitz._PASS_ELEMENTS
 
     def test_deep_refinement_peak_memory_is_no_higher_than_per_point(self):
@@ -593,14 +681,16 @@ class TestSweepBlocks:
         assert sweep_peak <= per_point_peak + 65536
 
     def test_a_separation_split_by_a_block_boundary_equals_per_point(self, monkeypatch):
-        # the first rows of 250-261 nm fill a 255-row block and run on into
-        # the next; the separation across the cut is summed from both
+        # the two-panel rows of 250-261 nm fill 375-row blocks and run on
+        # into the next; a separation across a cut is summed from both, and
+        # from its steep rows, which all run in one block before them
         seps = BENCH_GRIDS["250-950"][:12]
         alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
                  for m in (DRUDE, PLASMA)}
-        ends = np.cumsum([r.n_terms + 1 for r in alone[DRUDE]])
-        block = lifshitz._PASS_ELEMENTS // 94
-        assert any(end - r.n_terms - 1 < block < end for end, r in zip(ends, alone[DRUDE]))
+        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        ends = np.cumsum(smooth)
+        block = lifshitz._PASS_ELEMENTS // _nodes(lifshitz._SMOOTH)
+        assert any(end - rows < block < end for end, rows in zip(ends, smooth))
         shapes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -608,32 +698,26 @@ class TestSweepBlocks:
                             shapes.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
         assert got == [alone[DRUDE], alone[PLASMA]]
-        assert shapes[::2] == [(block, 94)] * (ends[-1] // block) + [(ends[-1] % block, 94)]
+        assert shapes[::2] == [(steep.sum(), _nodes(lifshitz._STEEP))] + \
+            [(block, _nodes(lifshitz._SMOOTH))] * (ends[-1] // block) + \
+            [(ends[-1] % block, _nodes(lifshitz._SMOOTH))]
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
         # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
-        # block also holds 900-904 nm, which converge
+        # two-panel block also holds 900-904 nm, which converge
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
         y1 = 2.0 * 902e-9 * matsubara_frequency(1, T_LAB) / C_LIGHT
-        target = 10 * y1
-        shapes = []
-        kernel = lifshitz._integrand
-
-        def jump(r_tm, r_te, shared, scratch):
-            y = shared[0]
-            shapes.append(y.shape)
-            own = np.abs(y[:, :1] - target) < 5e-3
-            return kernel(r_tm, r_te, shared, scratch) * (1.0 + (own & (y > target + 0.3)))
-
-        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        shapes, _ = _jumps(monkeypatch, 10 * y1)
         cache = MatsubaraCache(DRUDE, T_LAB, seps)
         got = [casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache).pressure for a in seps[:2]]
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        assert shapes[0] == (sum(r.n_terms + 1 for r in alone), 94)
+        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        assert shapes[:2] == [(steep.sum(), _nodes(lifshitz._STEEP)),
+                              (smooth.sum(), _nodes(lifshitz._SMOOTH))]
         assert got == [r.pressure for r in alone[:2]]
 
 
@@ -643,7 +727,7 @@ class TestRowLocalQuadrature:
     @pytest.mark.parametrize("depth", range(5))
     def test_a_row_has_the_same_bits_in_every_packing(self, model, depth):
         # the rows l = 0 .. 12 of three separations, each alone, all side by
-        # side, reversed, and odd rows before even ones
+        # side, reversed, and odd rows before even ones, on either template
         seps = (50e-9, 250e-9, 1e-6)
         parts = [_terms(model, a, T_LAB, 12) for a in seps]
         y_l = np.concatenate([y for y, _ in parts])
@@ -651,51 +735,45 @@ class TestRowLocalQuadrature:
         a = np.repeat(seps, 13)
         n = y_l.size
         work = lifshitz._Workspace(0)
-        alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
-                                              depth, work)[0]
-                 for i in range(n)]
-        for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
-            [(vals, errs)] = lifshitz._template_integrate([model], a[order], y_l[order],
-                                                          [eps[order]], depth, work)
-            assert vals.tolist() == [alone[i][0][0] for i in order]
-            assert errs.tolist() == [alone[i][1][0] for i in order]
+        for edges in (lifshitz._STEEP, lifshitz._SMOOTH):
+            alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
+                                                  edges, depth, work)[0]
+                     for i in range(n)]
+            for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
+                [(vals, errs)] = lifshitz._template_integrate([model], a[order], y_l[order],
+                                                              [eps[order]], edges, depth, work)
+                assert vals.tolist() == [alone[i][0][0] for i in order]
+                assert errs.tolist() == [alone[i][1][0] for i in order]
 
     def test_rows_missed_in_two_separations_refine_in_one_pass(self, monkeypatch):
-        # row l = 3 of 900 nm and row l = 7 of 903 nm jump at t = 0.25, the
-        # first panel edge of depth 1; both share the block of 900-904 nm
+        # row l = 3 of 900 nm and row l = 7 of 903 nm, both on the two-panel
+        # template, jump at t = 1, the first panel edge of its depth 1; both
+        # share the two-panel block of 900-904 nm
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         xi1 = matsubara_frequency(1, T_LAB)
         targets = [3 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
-        shapes, hits = [], []
-        kernel = lifshitz._integrand
-
-        def jump(r_tm, r_te, shared, scratch):
-            y = shared[0]
-            shapes.append(y.shape)
-            out = kernel(r_tm, r_te, shared, scratch)
-            hits.append(0)
-            for target in targets:
-                own = (y[:, :1] > target) & (y[:, :1] < target + 3e-3)
-                hits[-1] += int(own.sum())
-                out *= 1.0 + (own & (y > target + 0.25))
-            return out
-
-        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        assert min(targets) >= lifshitz._SMOOTH_FROM
+        shapes, hits = _jumps(monkeypatch, targets, at=1.0)
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
-        assert len(shapes) == len(seps) + 2
+        assert len(shapes) == 2 * len(seps) + 2
         shapes.clear()
         hits.clear()
         swept, swept_trunc = pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
-        assert shapes == [(sum(r.n_terms + 1 for r in alone), 94), (2, 154)]
-        assert hits == [2, 2]
+        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
+                          (smooth.sum(), _nodes(lifshitz._SMOOTH)),
+                          (2, _nodes(lifshitz._SMOOTH, 1))]
+        assert hits == [0, 2, 2]
 
     def test_deepest_template_is_linear_in_its_panels(self):
-        nodes, w, d, n_panels = lifshitz._node_template(8)
-        assert n_panels == 1024
-        assert nodes.size == w.size == d.size == 15 * 1024 + 34
-        assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
+        for edges, panels in ((lifshitz._STEEP, 1024), (lifshitz._SMOOTH, 512)):
+            nodes, w, d, n_panels = lifshitz._node_template(edges, 8)
+            assert n_panels == panels
+            assert nodes.size == w.size == d.size == 15 * panels + 34
+            assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
+        assert (_nodes(lifshitz._STEEP), _nodes(lifshitz._SMOOTH)) == (94, 64)
 
 
 class TestSharedPlanes:
@@ -705,14 +783,14 @@ class TestSharedPlanes:
         # with y_l < 1e-3, where t dominates; (-y_l) - t rounds to the same
         # bits, so either form of -y passes
         rng = np.random.default_rng(24)
-        nodes = lifshitz._node_template(0)[0]
         y_ls = [rng.uniform(0.0, 60.0, 200_000), np.zeros(255), rng.uniform(0.0, 1e-3, 5_000),
                 np.geomspace(1e-300, 1e-3, 1_000)]
         work = lifshitz._Workspace(0)
-        for y_l in y_ls:
+        for y_l, edges in itertools.product(y_ls, (lifshitz._STEEP, lifshitz._SMOOTH)):
+            nodes = lifshitz._node_template(edges, 0)[0]
             for rows in np.array_split(y_l, max(1, y_l.size // 5_000)):
-                y, y2, em, em1 = lifshitz._shared_planes(rows, nodes, work.planes(rows.size,
-                                                                                  nodes.size)[:4])
+                y, y2, em, em1 = lifshitz._shared_planes(rows, nodes,
+                                                         work.planes(rows.size, nodes.size)[:4])
                 want = -(rows[:, None] + nodes)
                 assert np.array_equal(np.subtract(-rows[:, None], nodes), want)
                 assert np.array_equal(y, -want) and np.array_equal(y2, want * want)
@@ -730,14 +808,15 @@ class TestSweepMemo:
         cache = MatsubaraCache(PLASMA, T_LAB, seps)
         first = casimir_pressure(PLASMA, float(seps[0]), T_LAB, 1e-9, cache=cache)
         n_first = len(passes)
-        assert n_first == _blocks([r.n_terms for r in alone])
+        assert n_first == _blocks(seps, T_LAB, 1e-9)
         rest = [casimir_pressure(PLASMA, float(a), T_LAB, 1e-9, cache=cache) for a in seps[1:]]
         assert len(passes) == n_first
         assert [first] + rest == alone
-        # a repeated call, or one at another tol, is computed alone
+        # a repeated call, or one at another tol, is computed alone: one pass
+        # on each template
         casimir_pressure(PLASMA, float(seps[1]), T_LAB, 1e-9, cache=cache)
         casimir_pressure(PLASMA, float(seps[2]), T_LAB, 1e-8, cache=cache)
-        assert len(passes) == n_first + 2
+        assert len(passes) == n_first + 4
 
     def test_breakdown_through_a_listed_cache_equals_one_alone(self):
         seps = [300e-9, 301e-9, 302e-9]
@@ -770,7 +849,9 @@ class TestSweepMemo:
                 with pytest.raises(ValidityDomainError):
                     casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
         assert got == alone
-        assert shapes == [(sum(r.n_terms + 1 for r in alone), 94)]
+        steep, smooth = _template_rows(inside, T_LAB, 1e-9)
+        assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
+                          (smooth.sum(), _nodes(lifshitz._SMOOTH))]
 
 
 def _results(batch):
@@ -784,10 +865,10 @@ def _refined_rows(monkeypatch):
     refined = []
     integrate = lifshitz._template_integrate
 
-    def spy(models, a, y_l, eps, depth, work):
+    def spy(models, a, y_l, eps, edges, depth, work):
         if depth >= 1:
             refined.extend((m, depth, y_l.tolist()) for m in models)
-        return integrate(models, a, y_l, eps, depth, work)
+        return integrate(models, a, y_l, eps, edges, depth, work)
 
     monkeypatch.setattr(lifshitz, "_template_integrate", spy)
     return refined
@@ -802,6 +883,24 @@ class TestModelsShareOneBatch:
         assert both == [_results(lifshitz._pressures([m], T_LAB, seps, tol))[0]
                         for m in (DRUDE, PLASMA)]
         assert all(isinstance(r, lifshitz.PressureResult) for results in both for r in results)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_batches_whose_templates_cut_apart_equal_alone_at_293_K(self, tol):
+        # from 50 nm to 2 um a separation keeps 25 rows to 1 on the steep
+        # template, so the blocks of the two templates cut the grid at other
+        # separations, and a separation's rows fill in from both out of order
+        seps = np.geomspace(50e-9, 2e-6, 90)
+        models = (DRUDE, PLASMA, IDEAL_METAL)
+        steep, smooth = _template_rows(seps, T_LAB, tol)
+        for edges, rows in ((lifshitz._STEEP, steep), (lifshitz._SMOOTH, smooth)):
+            assert rows.sum() > 2 * (lifshitz._PASS_ELEMENTS // _nodes(edges))
+        alone = [[casimir_pressure(m, float(a), T_LAB, tol) for a in seps] for m in models]
+        assert _results(lifshitz._pressures(list(models), T_LAB, seps, tol)) == alone
+        for model, results in zip(models, alone):
+            assert _results(lifshitz._pressures([model], T_LAB, seps, tol)) == [results]
+        for (p, trunc), results in zip(pressure_sweep(list(models), seps, T_LAB, tol), alone):
+            assert p.tolist() == [r.pressure for r in results]
+            assert trunc.tolist() == [r.truncation_error_estimate for r in results]
 
     def test_two_model_batch_equals_single_model_batches_at_10_K(self, monkeypatch):
         # near 50 nm at 10 K the low rows of both models refine, drude's and
@@ -827,7 +926,7 @@ class TestModelsShareOneBatch:
         monkeypatch.setattr(lifshitz, "_integrand", count("integrand", integrand))
         got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
         assert got == [alone[DRUDE], alone[PLASMA]]
-        blocks = _blocks([r.n_terms for r in alone[DRUDE]])
+        blocks = _blocks(seps, T_LAB, 1e-9)
         assert calls == {"shared": blocks, "integrand": 2 * blocks}
 
     def test_a_batch_names_its_first_failing_separation_in_order(self, monkeypatch):
@@ -837,22 +936,8 @@ class TestModelsShareOneBatch:
         # although plasma is the second model
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         xi1 = matsubara_frequency(1, T_LAB)
-        jumps = {id(PLASMA): 3 * 2.0 * 901e-9 * xi1 / C_LIGHT,
-                 id(DRUDE): 10 * 2.0 * 902e-9 * xi1 / C_LIGHT}
-        current = []
-        reflections, kernel = lifshitz._reflections, lifshitz._integrand
-
-        def tagged(model, *args):
-            current[:] = [jumps[id(model)]]
-            return reflections(model, *args)
-
-        def jump(r_tm, r_te, shared, scratch):
-            y, [target] = shared[0], current
-            own = (y[:, :1] > target) & (y[:, :1] < target + 3e-3)
-            return kernel(r_tm, r_te, shared, scratch) * (1.0 + (own & (y > target + 0.3)))
-
-        monkeypatch.setattr(lifshitz, "_reflections", tagged)
-        monkeypatch.setattr(lifshitz, "_integrand", jump)
+        _jumps(monkeypatch, {id(PLASMA): 3 * 2.0 * 901e-9 * xi1 / C_LIGHT,
+                             id(DRUDE): 10 * 2.0 * 902e-9 * xi1 / C_LIGHT})
         batch = lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9)
         assert batch.failed.tolist() == [[-1, -1, 10, -1, -1], [-1, 3, -1, -1, -1]]
         assert np.isnan(batch.pressures).tolist() == (batch.failed >= 0).tolist()
@@ -871,6 +956,20 @@ class TestModelsShareOneBatch:
         assert casimir_pressure(DRUDE, seps[1], T_LAB, 1e-9, cache=cache) == batch.result(0, 1)
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
+
+    def test_a_separation_missed_on_both_templates_names_its_first_l(self, monkeypatch):
+        # at 10 K the two-panel block that finishes 50 nm runs on into rows
+        # l >= 722 of 50.5 nm before the steep blocks reach its rows l < 722;
+        # rows 701 (steep) and 803 (two-panel) of 50.5 nm miss at every depth
+        seps = [50e-9, 50.5e-9]
+        y1 = 2.0 * seps[1] * matsubara_frequency(1, 10.0) / C_LIGHT
+        steep, _ = _template_rows(seps, 10.0, 1e-9)
+        assert steep[1] == 722
+        _jumps(monkeypatch, [701 * y1, 803 * y1])
+        batch = lifshitz._pressures([DRUDE], 10.0, seps, 1e-9)
+        assert batch.failed.tolist() == [[-1, 701]]
+        with pytest.raises(NumericsError, match=r"\(l=701, a=5\.05e-08\)"):
+            casimir_pressure(DRUDE, seps[1], 10.0, 1e-9)
 
     def test_a_model_outside_the_cache_is_rejected(self):
         cache = MatsubaraCache(DRUDE, T_LAB, [300e-9])
