@@ -41,12 +41,12 @@ from .vexp import (
     CampaignSpec,
     V0Law,
     _grid_points,
-    _lattice,
     load_grid,
     model_for_tag,
     reference_campaign,
     save_grid,
     synthesize_campaign,
+    truth_range,
 )
 
 _MODEL_CHOICES = ("drude", "plasma", "both")
@@ -172,7 +172,7 @@ def _campaign(cp):
     except ModelError as exc:  # a well-formed value the campaign cannot take
         raise _refused(cp, sec, exc) from None
     geometry = _geometry(cp)
-    near, far = spec.z0_true + _lattice(spec)[0][[0, -1]]  # where the truth curves run
+    near, far = truth_range(spec)
     _check_ends(cp, sec, geometry, (("z0_nm", near), ("max_z_rel_nm", far)))
     return (spec, geometry), 0
 
@@ -295,12 +295,14 @@ def _cmd_calibrate(args, cp):
 
 def _compare_settings(cp):
     """[compare] intervals, window, error model and grid bounds (nm, or None), checked
-    before any work: a value that would give no verdict or a wrong band is a config error."""
+    before any work: a value that would give no verdict or a wrong band is a config error,
+    and so is a window below the compared grid's 1 nm step, which holds at most one point."""
     sec = "compare"
     v = _section(cp, sec)
     width, fraction, delta_z = v["window_nm"], v["optical_fraction"], v["delta_z_nm"]
     start, stop = v["grid_start_nm"], v["grid_stop_nm"]
-    for bad, what in ((not width > 0, f"window_nm = {width} must be positive"),
+    for bad, what in ((not width >= 1, f"window_nm = {width} must be at least the compared "
+                       "grid's 1 nm step"),
                       (not fraction >= 0, f"optical_fraction = {fraction} must be >= 0"),
                       (not delta_z >= 0, f"delta_z_nm = {delta_z} must be >= 0"),
                       (None not in (start, stop) and not stop > start,

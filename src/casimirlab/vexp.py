@@ -2,9 +2,10 @@
 
 Synthesises frequency-shift grids the way the real acquisition works: for
 each applied voltage and repetition the shift is sampled densely along the
-approach (sample_step), carries Gaussian noise at the instrument's quoted
+approach (_SAMPLE_STEP), carries Gaussian noise at the instrument's quoted
 frequency-shift error, and is then linearly interpolated onto the 1 nm
-analysis grid.  The truth curves cover the whole approach lattice (F' is
+analysis grid (_GRID_STEP); every set shares both steps.  The truth curves
+cover the whole approach lattice (truth_range gives its ends; F' is
 interpolated from Chebyshev nodes); each stream is built, and draws its
 noise, only at the samples that interpolation reads, the two bracketing
 each grid point: draw k of a stream is the noise of its k-th read sample
@@ -36,6 +37,7 @@ __all__ = [
     "model_for_tag",
     "synthesize_campaign",
     "truth_curves",
+    "truth_range",
     "reference_campaign",
     "reference_geometry",
     "save_grid",
@@ -75,7 +77,8 @@ class CampaignSpec:
     fixed); z0_true / c_true / v0_law are the hidden truth the calibration
     pipeline must recover; freq_systematic is the instrument's quoted
     frequency-shift error, used both as the synthetic per-sample noise
-    scale and as the systematic error in the analysis budget.
+    scale and as the systematic error in the analysis budget.  The sampling
+    steps are not fields: every set shares _SAMPLE_STEP and _GRID_STEP.
     """
 
     voltages: tuple[float, ...]   # V, exactly 21 entries
@@ -87,25 +90,20 @@ class CampaignSpec:
     freq_systematic: float        # rad/s
     max_z_rel: float              # m, span of relative separations
     repetitions: int = 1
-    sample_step: float = 0.14e-9  # m
-    grid_step: float = 1.0e-9     # m
 
     def __post_init__(self):
         if len(self.voltages) != 21:
             raise ModelError(f"campaign needs exactly 21 voltages, got {len(self.voltages)}",
                              field="voltages")
-        for name in ("sample_step", "grid_step", "max_z_rel"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}",
-                                 field=name)
+        if not 0 < self.max_z_rel < math.inf:
+            raise ModelError(f"max_z_rel must be finite and positive, got {self.max_z_rel}",
+                             field="max_z_rel")
         for name in ("freq_systematic", "amplitude"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}", field=name)
         if self.repetitions < 1:
             raise ModelError("repetitions must be >= 1", field="repetitions")
-        if self.sample_step > self.grid_step:
-            raise ModelError("sample_step must not exceed grid_step", field="sample_step")
         if self.truth_tag not in ("drude", "plasma"):
             raise ModelError(f"unknown truth tag {self.truth_tag!r}", field="truth_tag")
         if not self.z0_true > 0:
@@ -147,6 +145,10 @@ class MeasurementGrid:
         return np.asarray(self.spec.voltages, dtype=float)
 
 
+_SAMPLE_STEP = 0.14e-9   # m
+_GRID_STEP = 1.0e-9      # m
+
+
 def _grid_points(span: float, step: float) -> int:
     """Points of the grid 0, step, 2 step, ... that ends within span: floor(span /
     step) + 1, the ratio raised by 1e-9 of itself first, so that a span of a whole
@@ -154,19 +156,31 @@ def _grid_points(span: float, step: float) -> int:
     return math.floor(span / step * (1.0 + 1e-9)) + 1
 
 
+def _last_sample(spec: CampaignSpec) -> int:
+    """Index of the approach lattice's last sample, one or two past max_z_rel."""
+    return math.ceil(spec.max_z_rel / _SAMPLE_STEP) + 1
+
+
+def truth_range(spec: CampaignSpec) -> tuple[float, float]:
+    """The ends (m) of the absolute separations where spec's truth curves run,
+    z0_true + _lattice's z_fine[[0, -1]] bit for bit, from the sample count
+    alone: a range too long to build costs nothing."""
+    return spec.z0_true, spec.z0_true + _SAMPLE_STEP * _last_sample(spec)
+
+
 @lru_cache(maxsize=32)
 def _lattice(spec: CampaignSpec):
     """The approach lattice, the analysis grid and the lattice samples read.
 
     Returns (z_fine, z_grid, stream_idx), read-only and built once per
-    spec.  The grid ends within max_z_rel (_grid_points), the lattice one
-    or two samples past it.  The linear interpolation onto the grid reads
-    each stream only at the pair bracketing a grid point: a point in
+    spec.  The grid ends within max_z_rel (_grid_points), the lattice at
+    _last_sample.  The linear interpolation onto the grid reads each stream
+    only at the pair bracketing a grid point: a point in
     [z_fine[j], z_fine[j + 1]) reads samples j and j + 1 (stream_idx, sorted).
     """
-    n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
-    z_fine = spec.sample_step * np.arange(n_fine + 1)
-    z_grid = spec.grid_step * np.arange(_grid_points(spec.max_z_rel, spec.grid_step))
+    n_fine = _last_sample(spec)
+    z_fine = _SAMPLE_STEP * np.arange(n_fine + 1)
+    z_grid = _GRID_STEP * np.arange(_grid_points(spec.max_z_rel, _GRID_STEP))
     j = np.searchsorted(z_fine, z_grid, side="right") - 1
     stream_idx = np.unique(np.clip(np.concatenate([j, j + 1]), 0, n_fine))
     for arr in (z_fine, z_grid, stream_idx):
@@ -188,7 +202,7 @@ def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
 def truth_curves(spec: CampaignSpec, geometry: Geometry):
     """Noiseless gamma(a) and F'(a) on the approach lattice.
 
-    Returns (z_rel, gamma, fprime) at every sample_step lattice point.
+    Returns (z_rel, gamma, fprime) at every lattice point (_SAMPLE_STEP).
     F' comes from force_model.gradient_curve.  Cached per campaign so
     repeated seeds reuse the theory evaluation; the arrays are read-only.
     """
@@ -201,7 +215,7 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     For every (voltage, repetition) stream the dense-approach shift is
     delta_omega = -gamma(a) (V - V0(a))^2 - C_true F'(a) + noise with
     V0(a) the linear law and noise ~ N(0, freq_systematic); the stream is
-    then interpolated onto the grid_step separations.  A stream is built
+    then interpolated onto the 1 nm grid (_GRID_STEP).  A stream is built
     only at the lattice samples the interpolation reads, and its noise is
     drawn only there: draw k of the stream's own generator is the noise of
     its k-th read sample.  The streams of a set form one (stream, read
@@ -216,15 +230,15 @@ def synthesize_campaign(spec: CampaignSpec, geometry: Geometry, seed: int) -> Me
     gamma, fprime = gamma_fine[stream_idx], fprime_fine[stream_idx]
     v0_a = spec.v0_law.v0(spec.z0_true + z)
 
-    n_rep = spec.repetitions
-    noise = np.empty((21 * n_rep, z.size))
+    n_v, n_rep = len(spec.voltages), spec.repetitions
+    noise = np.empty((n_v * n_rep, z.size))
     for row, out in enumerate(noise):
         ss = np.random.SeedSequence(seed, spawn_key=divmod(row, n_rep))
         np.random.default_rng(ss).standard_normal(out=out)
     v = np.repeat(np.asarray(spec.voltages), n_rep)[:, None]
     streams = -gamma * (v - v0_a) ** 2 - spec.c_true * fprime + spec.freq_systematic * noise
     shifts = _interp_rows(z_grid, z, streams)
-    return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts.reshape(21, n_rep, z_grid.size),
+    return MeasurementGrid(z_rel=z_grid.copy(), shifts=shifts.reshape(n_v, n_rep, z_grid.size),
                            spec=spec, geometry=geometry, seed=seed)
 
 
@@ -319,8 +333,6 @@ _GRID_HEADER = {
     "amplitude_m": ("spec", "amplitude", float),
     "freq_systematic_rad_s": ("spec", "freq_systematic", float),
     "repetitions": ("spec", "repetitions", int),
-    "sample_step_m": ("spec", "sample_step", float),
-    "grid_step_m": ("spec", "grid_step", float),
     "max_z_rel_m": ("spec", "max_z_rel", float),
     "voltages_V": ("spec", "voltages", lambda v: tuple(map(float, v.split()))),
     "R_m": ("geometry", "R", float),
@@ -347,9 +359,9 @@ def load_grid(path) -> MeasurementGrid:
     """Read a grid written by save_grid; textio.read's errors are ConfigErrors.
 
     A header value that CampaignSpec or Geometry refuses is a ConfigError
-    naming its key.  Every row's a_nm must equal z0_true_m + grid_step_m * j
-    to within 1e-6 nm (the column is printed to 1e-6 nm); ConfigError
-    otherwise.  A drift_per_stream_m line, which older files carry, must
+    naming its key; an undeclared key is ignored.  Row j of a block must
+    hold finite numbers, its a_nm z0_true_m + j nm (_GRID_STEP) to within
+    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A drift_per_stream_m line, which older files carry, must
     read 0.0: a grid synthesised with a separation drift cannot be rebuilt
     as a CampaignSpec, and loading it raises ConfigError.
     """
@@ -370,23 +382,24 @@ def load_grid(path) -> MeasurementGrid:
         raise ConfigError(f"{path}: drift_per_stream_m = {text.meta['drift_per_stream_m']} "
                           "is not supported; only a zero drift can be loaded")
 
-    n_v, n_rep = 21, spec.repetitions
+    n_v, n_rep = len(spec.voltages), spec.repetitions
     if len(blocks) != n_v * n_rep:
         raise ConfigError(f"{path}: expected {n_v * n_rep} blocks, found {len(blocks)}")
     n_sep = len(blocks[0])
     if any(len(b) != n_sep for b in blocks):
         raise ConfigError(f"{path}: ragged blocks")
     data = np.array(blocks).reshape(n_v, n_rep, n_sep, 2)
-    z_rel = spec.grid_step * np.arange(n_sep)
+    z_rel = _GRID_STEP * np.arange(n_sep)
     expected_nm = (spec.z0_true + z_rel) * 1e9
-    bad = np.argwhere(np.abs(data[..., 0] - expected_nm) > 1e-6)
+    finite = np.isfinite(data).all(axis=-1)
+    bad = np.argwhere(~finite | (np.abs(data[..., 0] - expected_nm) > 1e-6))
     if bad.size:
         vi, rep, j = bad[0]
-        raise ConfigError(
-            f"{path}: block voltage_index = {vi} repetition = {rep}, row {j}: "
-            f"a_nm = {data[vi, rep, j, 0]:.6f}, but z0_true_m + grid_step_m * {j} "
-            f"gives {expected_nm[j]:.6f}"
-        )
+        where = f"{path}: block voltage_index = {vi} repetition = {rep}, row {j}"
+        if not finite[vi, rep, j]:
+            raise ConfigError(f"{where} holds a non-finite number: {data[vi, rep, j].tolist()}")
+        raise ConfigError(f"{where}: a_nm = {data[vi, rep, j, 0]:.6f}, but z0_true_m + {j} nm "
+                          f"gives {expected_nm[j]:.6f}")
     shifts = data[..., 1].copy()
     return MeasurementGrid(z_rel=z_rel, shifts=shifts, spec=spec, geometry=geometry,
                            **fields["grid"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import casimirlab
-from casimirlab import analysis, cli, force_model, lifshitz
+from casimirlab import analysis, cli, force_model, lifshitz, vexp
 from casimirlab.analysis import (
     GradientSeries,
     calibration_text,
@@ -558,10 +558,12 @@ class TestErrors:
         ("grid_start_nm = nan\n", "grid_start_nm"),
         ("grid_stop_nm = inf\n", "grid_stop_nm"),
         ("intervals = 300:inf\n", "intervals"),
+        # below the compared grid's 1 nm step: at most one point per window
+        ("window_nm = 0.5\n", "window_nm = 0.5 must be at least the compared grid's 1 nm step"),
     ], ids=["zero-window", "negative-window", "reversed-interval", "negative-optical-fraction",
             "negative-delta-z", "reversed-grid", "infinite-window", "infinite-optical-fraction",
             "infinite-delta-z", "nan-grid-start", "infinite-grid-stop",
-            "infinite-interval"])
+            "infinite-interval", "sub-step-window"])
     def test_compare_value_without_a_verdict_is_a_config_error(self, tmp_path, capsys,
                                                                monkeypatch, command, ini, key):
         def no_work(*args, **kwargs):
@@ -751,6 +753,22 @@ class TestConfigSchema:
         cfg.write_text(ini)
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_approach_range_is_checked_without_building_the_lattice(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # 1e12 nm of 0.14 nm samples would be a 52 TiB lattice; vexp.truth_range
+        # gives its ends from the sample count, and cli reads no lattice itself
+        def no_lattice(spec):
+            raise AssertionError("the approach lattice was built")
+
+        assert not hasattr(cli, "_lattice")
+        monkeypatch.setattr(vexp, "_lattice", no_lattice)
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(explicit_campaign_ini(z0_nm=260, max_z_rel_nm="1e12"))
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "config error: [campaign] max_z_rel_nm = 1e12: a/R = 23006487.8356 >= 0.022 " \
+            "invalidates the proximity-force approximation" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_a_section_another_command_reads_is_allowed(self, tmp_path):

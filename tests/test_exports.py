@@ -1,6 +1,7 @@
 """Every public name the package declares must exist."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import casimirlab
+from casimirlab import cli
+from casimirlab.force_model import Geometry
+from casimirlab.vexp import CampaignSpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(casimirlab.__path__))
 
@@ -273,6 +277,19 @@ def test_every_option_is_left_in_place_by_some_caller():
                         if not _private(name) and (m, name, p) not in LEFT_OUTSIDE_THE_PACKAGE)
     assert not always_set, f"defaults no caller leaves in place: {always_set}"
     assert set(LEFT_OUTSIDE_THE_PACKAGE) <= optional - left
+
+
+def test_every_defaulted_record_field_is_fed_by_a_config_key():
+    """Each field of Geometry and CampaignSpec that has a default is fed by a
+    cli._SCHEMA key of the record's section: a default no config can change
+    is a module constant, not a field.  _option_use cannot tell, as every
+    constructor call of the two records unpacks **."""
+    unfed = []
+    for record, section in ((Geometry, "geometry"), (CampaignSpec, "campaign")):
+        fed = {field for *_, field in cli._SCHEMA[section].values()}
+        unfed += [f"{record.__name__}.{f.name}" for f in dataclasses.fields(record)
+                  if f.default is not dataclasses.MISSING and f.name not in fed]
+    assert not unfed, f"defaulted fields no config key feeds: {unfed}"
 
 
 def test_only_force_model_reads_the_separation_domain():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casimirlab import force_model, lifshitz
+from casimirlab import force_model, lifshitz, vexp
 from casimirlab.errors import NumericsError, ValidityDomainError
 from casimirlab.force_model import (
     BetaTable,
@@ -113,8 +113,7 @@ class TestSweep:
 def preset_lattice(n):
     """Approach lattice of campaign preset n, as the synthesis samples it."""
     spec, geom = reference_campaign(n, "plasma")
-    n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
-    return spec.z0_true + spec.sample_step * np.arange(n_fine + 1), geom
+    return spec.z0_true + vexp._lattice(spec)[0], geom
 
 
 def fake_pressure(shape):

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from casimirlab import vexp
+from casimirlab.analysis import calibrate, calibration_text
 from casimirlab.electrostatics import gamma_over_c
 from casimirlab.errors import ConfigError, ModelError, ValidityDomainError
 from casimirlab.force_model import BetaTable, pressure_to_gradient_sweep
@@ -83,11 +85,6 @@ class TestSpecValidation:
         with pytest.raises(ModelError):
             dataclasses.replace(spec, voltages=spec.voltages[:20])
 
-    def test_sample_step_bound(self):
-        spec, _ = reference_campaign(1, "plasma")
-        with pytest.raises(ModelError):
-            dataclasses.replace(spec, sample_step=2e-9)
-
     @staticmethod
     def _rejects(field, values):
         spec, _ = reference_campaign(1, "plasma")
@@ -100,12 +97,6 @@ class TestSpecValidation:
 
     def test_amplitude_finite_non_negative(self):
         self._rejects("amplitude", [-10e-9, math.nan, math.inf])
-
-    def test_sample_step_finite_positive(self):
-        self._rejects("sample_step", [0.0, -0.14e-9, math.nan])
-
-    def test_grid_step_finite_positive(self):
-        self._rejects("grid_step", [math.nan, math.inf])
 
     def test_max_z_rel_finite_positive(self):
         self._rejects("max_z_rel", [math.inf, 0.0, math.nan])
@@ -139,7 +130,7 @@ class TestSynthesis:
             model_for_tag(spec.truth_tag), geom, BetaTable(), a
         ).values
         d2 = np.gradient(np.gradient(direct, a), a)
-        bound = np.abs(d2).max() * spec.sample_step**2 / 8.0
+        bound = np.abs(d2).max() * vexp._SAMPLE_STEP**2 / 8.0
         err = np.abs(grid.shifts[0, 0] - direct)
         assert err.max() <= bound * 1.05 + 1e-12
         # all 21 channels identical in this degenerate setup
@@ -178,7 +169,7 @@ class TestSynthesis:
 
 
 def dense_lattice_synthesis(spec, seed, z_fine, gamma_fine, fprime_fine):
-    """Synthesis that builds every stream at every sample_step lattice point.
+    """Synthesis that builds every stream at every lattice point (_SAMPLE_STEP).
 
     The reference for synthesize_campaign, which builds each stream only
     where the interpolation onto the grid reads it.  The deterministic
@@ -187,8 +178,8 @@ def dense_lattice_synthesis(spec, seed, z_fine, gamma_fine, fprime_fine):
     stream is interpolated from the dense lattice.
     """
     v0_fine = spec.v0_law.v0(spec.z0_true + z_fine)
-    n_grid = int(math.floor(spec.max_z_rel / spec.grid_step + 0.5)) + 1
-    z_grid = spec.grid_step * np.arange(n_grid)
+    n_grid = int(math.floor(spec.max_z_rel / vexp._GRID_STEP + 0.5)) + 1
+    z_grid = vexp._GRID_STEP * np.arange(n_grid)
     j = np.searchsorted(z_fine, z_grid, side="right") - 1
     read = np.unique(np.concatenate([j, j + 1]))
     assert read[-1] < z_fine.size
@@ -208,8 +199,8 @@ class TestSparseSampling:
     def dense_truth(self):
         spec, geom = short_campaign()
         z_fine, gamma_fine, fprime_fine = truth_curves(spec, geom)
-        n_fine = math.ceil(spec.max_z_rel / spec.sample_step) + 1
-        assert np.array_equal(z_fine, spec.sample_step * np.arange(n_fine + 1))
+        n_fine = math.ceil(spec.max_z_rel / vexp._SAMPLE_STEP) + 1
+        assert np.array_equal(z_fine, vexp._SAMPLE_STEP * np.arange(n_fine + 1))
         return z_fine, gamma_fine, fprime_fine
 
     @pytest.mark.parametrize("repetitions", [1, 2])
@@ -281,6 +272,13 @@ class TestSparseSampling:
         grid = synthesize_campaign(spec, geom, seed=7)
         assert grid.z_rel.size == 601
         assert grid.z_rel[-1] == pytest.approx(600e-9, abs=1e-18)
+
+    def test_truth_range_is_the_lattice_ends(self):
+        # bit for bit, on every preset, without building the lattice
+        for n in (1, 2, 3, 4):
+            spec, _ = reference_campaign(n, "plasma")
+            z_fine = vexp._lattice(spec)[0]
+            assert vexp.truth_range(spec) == tuple(spec.z0_true + z_fine[[0, -1]])
 
     def test_truth_curves_are_read_only(self):
         spec, geom = short_campaign()
@@ -367,15 +365,37 @@ class TestSerialization:
             load_grid(path)
 
     def test_a_max_line_of_older_files_still_loads(self, tmp_path):
-        # files written while Geometry had an a_max bound carry its header line
-        spec, geom = short_campaign()
+        # files written while Geometry had an a_max bound carry its header
+        # line, and files written while CampaignSpec held the sampling and
+        # grid steps carry theirs; 150 nm is enough approach to calibrate
+        spec, geom = short_campaign(max_z_rel=150e-9)
         grid = synthesize_campaign(spec, geom, seed=9)
         path = tmp_path / "grid.txt"
         save_grid(grid, path)
         text = path.read_text()
-        assert "a_max" not in text
-        anchor = "# a_min_m = "
-        path.write_text(text.replace(anchor, f"# a_max_m = 2e-06\n{anchor}"))
+        assert "a_max" not in text and "step" not in text
+        steps = "# sample_step_m = 1.4e-10\n# grid_step_m = 1e-09\n"
+        text = text.replace("# max_z_rel_m = ", f"{steps}# max_z_rel_m = ")
+        path.write_text(text.replace("# a_min_m = ", "# a_max_m = 2e-06\n# a_min_m = "))
         back = load_grid(path)
         assert np.array_equal(back.shifts, grid.shifts)
         assert (back.spec, back.geometry) == (grid.spec, grid.geometry)
+        assert calibration_text(calibrate(back)) == calibration_text(calibrate(grid))
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["a_nm", "shift"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_is_a_config_error(self, tmp_path, column, value):
+        spec, geom = short_campaign()
+        path = tmp_path / "grid.txt"
+        save_grid(synthesize_campaign(spec, geom, seed=9), path)
+        lines = path.read_text().splitlines()
+        # row 3 of the block voltage_index = 2 repetition = 0
+        i = lines.index("# block voltage_index = 2 repetition = 0") + 1 + 3
+        row = lines[i].split()
+        row[column] = value
+        lines[i] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: block voltage_index = 2 repetition = 0, row 3 holds a non-finite "
+                "number: [")):
+            load_grid(path)
