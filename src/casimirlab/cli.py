@@ -69,7 +69,8 @@ _SCHEMA = {
                  "v0_slope_mv_per_nm": (float, None, None), "v0_intercept_mv": (float, None, None),
                  "amplitude_nm": (float, None, "amplitude"),
                  "freq_systematic_rad_s": (float, None, "freq_systematic"),
-                 "max_z_rel_nm": (float, None, "max_z_rel"), "repetitions": (int, 1, "repetitions")},
+                 "max_z_rel_nm": (float, None, "max_z_rel"),
+                 "repetitions": (int, 1, "repetitions")},
     "theory": {"tol": (float, 1e-9, None), "a_start_nm": (float, 250.0, None),
                "a_stop_nm": (float, 950.0, None), "a_step_nm": (float, 1.0, None)},
     "compare": {"window_nm": (float, 100.0, None), "optical_fraction": (float, 0.005, None),

@@ -20,12 +20,12 @@ zero-frequency term is dispatched on the model's declared extrapolation tag,
 never inferred numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
-model's eps once for a list of separations and runs the rows (separation,
-term) of all of them, in order, through the template each starts on, in
-fixed blocks of _PASS_ELEMENTS rows x nodes that all its models share; a
-separation may span several blocks, and is summed as soon as its last row
-on either template is integrated, into per-model arrays of pressures, tail
-bounds and term counts (_Batch).
+model's eps once for a list of separations and runs them in chunks of whole
+separations, in order, each of at most _PASS_ELEMENTS rows (separation,
+term) unless one separation holds more.  A chunk runs its rows through the
+template each starts on, in fixed blocks of _PASS_ELEMENTS rows x nodes
+that all its models share, then sums each of its separations into
+per-model arrays of pressures, tail bounds and term counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
 per-point object, and is the one way for models to share a batch.  A
 PressureResult is built only for a caller that asks for one point:
@@ -479,36 +479,9 @@ def _smooth_start(y1, last_l, tol):
 
 
 # rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 375 of
-# 64, in a workspace of about 1.5 MB
+# 64, in a workspace of about 1.5 MB; also the most rows of a chunk of
+# separations, unless one separation alone holds more
 _PASS_ELEMENTS = 24_000
-
-
-class _Rows:
-    """The rows of a batch that start on one template, in batch order:
-    rows[j] of separation j, from its batch row starts[j] + first[j] on, run
-    in blocks of _PASS_ELEMENTS elements.  lo is the next of these rows to
-    run, and done counts the separations, in order, whose rows here have all
-    run; it is also the separation of row lo."""
-
-    def __init__(self, edges, starts, first, rows):
-        self.edges = edges
-        self.ends = np.cumsum(rows)
-        self.lift = starts + first - (self.ends - rows)  # from a row here to its batch row
-        self.total = int(self.ends[-1]) if rows.size else 0
-        self.nodes = _node_template(edges, 0)[0].size
-        self.block = _PASS_ELEMENTS // self.nodes
-        self.lo = 0
-        self.done = int(np.searchsorted(self.ends, 0, side="right"))
-
-    def next_block(self):
-        """The separation and the batch row of each row of the next block,
-        which it passes."""
-        hi = min(self.lo + self.block, self.total)
-        row = np.arange(self.lo, hi)
-        sep = np.searchsorted(self.ends, row, side="right")
-        self.lo = hi
-        self.done = int(np.searchsorted(self.ends, hi, side="right"))
-        return sep, row + self.lift[sep]
 
 
 def _pressures(models, temperature, separations, tol, with_breakdown=False):
@@ -519,20 +492,22 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     NumericsError before any work; each model's eps is evaluated once, at
     xi_1 .. xi_L of the largest L.  A row (separation, term l) starts on the
     two-panel template from _smooth_start on and on the steep one below it.
-    The rows of each template run in order through it in blocks of
-    _PASS_ELEMENTS // 64 or // 94 rows that every model shares, a separation
-    spanning as many blocks as its rows fill; the next block is always one
-    of the template whose rows are furthest behind in separations.  In a
-    block, a model's rows whose error estimate exceeds tol/2 of their value
-    (or 1e-300, for a row that underflows) go through again together, with
-    the panels of their template bisected once more each time, up to 8
-    times; a row that still misses is recorded with its separation's first
-    missed l, and its pressure is NaN.  As soon as both templates have run
-    all of a separation's rows, its terms, the l = 0 one at half weight, are
-    summed by math.fsum, so a pressure does not depend on how blocks cut its
-    rows, and its values are dropped; the sums, times each separation's
-    prefactor, and the tail bounds of the count searches fill the batch's
-    arrays at the end.  Every block computes in one workspace.
+    The separations run in chunks, in order: from the next one, as many as
+    hold at most _PASS_ELEMENTS rows together, and at least one.  A chunk
+    runs all its steep rows, then all its two-panel rows, in blocks of
+    _PASS_ELEMENTS // 94 or // 64 rows that every model shares, so each
+    separation's rows run in increasing l.  In a block, a model's rows whose
+    error estimate exceeds tol/2 of their value (or 1e-300, for a row that
+    underflows) go through again together, with the panels of their
+    template bisected once more each time, up to 8 times; a row that still
+    misses is recorded with its separation's first missed l, and its
+    pressure is NaN.  Each row's value is written at its place in the
+    chunk's array; once the chunk has run, each separation's terms, the
+    l = 0 one at half weight, are summed by math.fsum, so a pressure does
+    not depend on how blocks cut its rows, and the chunk's values are
+    dropped.  The sums, times each separation's prefactor, and the tail
+    bounds of the count searches fill the batch's arrays at the end.  Every
+    block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
@@ -553,63 +528,59 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     a_j, y1_j, counts = np.array(seps), np.array(y1s), np.array(counts, dtype=int)
     ends = np.cumsum(counts + 1)
     starts = ends - counts - 1
-    runs = list(zip(starts.tolist(), ends.tolist()))
     first = _smooth_start(y1_j, counts, tol)
-    streams = [_Rows(_STEEP, starts, 0, first), _Rows(_SMOOTH, starts, first, counts + 1 - first)]
-    work = _Workspace(max(min(s.total, s.block) * s.nodes for s in streams))
+    # each start template's edges, depth-0 nodes per row, and rows l = lo .. hi - 1
+    templates = [(edges, _node_template(edges, 0)[0].size, lo, hi) for edges, lo, hi in
+                 ((_STEEP, np.zeros_like(first), first), (_SMOOTH, first, counts + 1))]
+    work = _Workspace(max(min(int((hi - lo).sum()), _PASS_ELEMENTS // nodes) * nodes
+                          for _, nodes, lo, hi in templates))
     prefactors = np.array([-K_B * temperature / (8.0 * math.pi * a**3) for a in seps])
     failed = np.full((len(models), len(seps)), -1)
     breakdowns = [[None] * len(seps) for _ in models] if with_breakdown else None
-    # each model's values of the rows from separation j's first on, in batch order
-    held = [np.empty(0)] * len(models)
     sums = [[] for _ in models]
     j = 0
     while j < len(seps):
-        s = min(streams, key=lambda t: t.done)
-        sep, at = s.next_block()
-        ls = at - starts[sep]
-        at -= runs[j][0]  # each row's place in held
-        y_l = y1_j[sep] * ls
-        passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps],
-                                     s.edges, 0, work)
-        for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
-            rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
-            for depth in range(1, 9):
-                if not rows.size:
-                    break
-                [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
-                                               [eps_m[ls[rows]]], s.edges, depth, work)
-                vals[rows] = v
-                rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
-            if rows.size:  # the templates' blocks may meet a separation's misses in any order
-                for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
-                    if failed[m, j_row] < 0 or l < failed[m, j_row]:
-                        failed[m, j_row] = l
-            if held[m].size <= at[-1]:
-                held[m] = np.concatenate([held[m], np.empty(at[-1] + 1 - held[m].size)])
-            held[m][at] = vals
-        done = min(t.done for t in streams)  # separations whose rows all ran
-        if done > j:
-            base, cut = runs[j][0], runs[done - 1][1]
-            zero = starts[j:done] - base
-            for m in range(len(models)):
-                terms, held[m] = held[m][:cut - base], held[m][cut - base:]
-                terms[zero] *= 0.5  # the primed sum's l = 0 terms
-                sums[m] += _fsums(terms, runs[j:done], base)
+        base = starts[j]
+        k = max(j + 1, int(np.searchsorted(ends, base + _PASS_ELEMENTS, side="right")))
+        values = np.empty((len(models), ends[k - 1] - base))  # by batch row - base
+        for edges, nodes, lo, hi in templates:
+            here = np.cumsum(hi[j:k] - lo[j:k])  # the chunk's rows on this template
+            lift = hi[j:k] - here  # from such a row to its l
+            block = _PASS_ELEMENTS // nodes
+            for r in range(0, int(here[-1]), block):
+                row = np.arange(r, min(r + block, here[-1]))
+                sep = j + np.searchsorted(here, row, side="right")
+                ls = row + lift[sep - j]
+                at = starts[sep] - base + ls  # each row's place in values
+                y_l = y1_j[sep] * ls
+                passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps],
+                                             edges, 0, work)
+                for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
+                    rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
+                    for depth in range(1, 9):
+                        if not rows.size:
+                            break
+                        [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
+                                                       [eps_m[ls[rows]]], edges, depth, work)
+                        vals[rows] = v
+                        rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
+                    for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
+                        if failed[m, j_row] < 0:  # rows run in increasing l
+                            failed[m, j_row] = l
+                    values[m, at] = vals
+        values[:, starts[j:k] - base] *= 0.5  # the primed sum's l = 0 terms
+        for m in range(len(models)):
+            for i in range(j, k):
+                run = slice(starts[i] - base, ends[i] - base)
+                sums[m].append(math.fsum(values[m, run].tolist()))
                 if with_breakdown:
-                    for i, (start, end) in enumerate(runs[j:done], start=j):
-                        breakdowns[m][i] = prefactors[i] * terms[start - base:end - base]
-            j = done
+                    breakdowns[m][i] = prefactors[i] * values[m, run]
+        del values  # before the next chunk's are allocated
+        j = k
     pressures = prefactors * np.array(sums)
     pressures[failed >= 0] = np.nan
     bounds = np.abs(prefactors) * bounds
     return _Batch(seps, pressures, np.tile(bounds, (len(models), 1)), failed, counts, breakdowns)
-
-
-def _fsums(values, runs, base):
-    """math.fsum of values[start - base:end - base] for each (start, end) of runs."""
-    values = values.tolist()
-    return [math.fsum(values[start - base:end - base]) for start, end in runs]
 
 
 def casimir_pressure(
@@ -645,9 +616,10 @@ def casimir_pressure(
         for the terms with y_l < 2, in blocks of up to 255 terms, and 64 for
         the others, in blocks of up to 375, when tol exceeds 7.8e-10 (twice
         the two-panel template's measured error; below it every term takes
-        the 94 nodes).  The terms of a block whose error estimate misses that
-        are redone together on their template with its panels bisected, up
-        to 8 times, and NumericsError, naming the first such l and a, is
+        the 94 nodes); a sweep's separations share blocks, in chunks of at
+        most 24,000 terms.  The terms of a block whose error estimate misses
+        that are redone together on their template with its panels bisected,
+        up to 8 times, and NumericsError, naming the first such l and a, is
         raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
@@ -678,7 +650,8 @@ def _check_inputs(separations, tol):
         if not _in_domain(a):
             raise ValidityDomainError(f"separation {a} m outside [50 nm, 20 um]")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValidityDomainError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
+        raise ValidityDomainError(
+            f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
 
 
 def pressure_sweep(models, separations, temperature, tol):

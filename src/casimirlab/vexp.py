@@ -190,6 +190,8 @@ def _lattice(spec: CampaignSpec):
 
 @lru_cache(maxsize=32)
 def _truth_curves_cached(spec: CampaignSpec, geometry: Geometry):
+    for a in truth_range(spec):  # before a lattice too long to build is built
+        geometry.check_separation(a)
     z_fine = _lattice(spec)[0]
     a_fine = spec.z0_true + z_fine
     fprime = gradient_curve(model_for_tag(spec.truth_tag), geometry, a_fine)
@@ -361,9 +363,10 @@ def load_grid(path) -> MeasurementGrid:
     A header value that CampaignSpec or Geometry refuses is a ConfigError
     naming its key; an undeclared key is ignored.  Row j of a block must
     hold finite numbers, its a_nm z0_true_m + j nm (_GRID_STEP) to within
-    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.  A drift_per_stream_m line, which older files carry, must
-    read 0.0: a grid synthesised with a separation drift cannot be rebuilt
-    as a CampaignSpec, and loading it raises ConfigError.
+    1e-6 nm (the column is printed to 1e-6 nm); ConfigError otherwise.
+    A drift_per_stream_m line, which older files carry, must read 0.0: a
+    grid synthesised with a separation drift cannot be rebuilt as a
+    CampaignSpec, and loading it raises ConfigError.
     """
     text = textio.read(path, 2)
     head, *blocks = text.groups

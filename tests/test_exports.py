@@ -50,6 +50,13 @@ def test_only_textio_reads_writes_or_makes_directories():
     assert not calls, f"file access outside textio: {calls}"
 
 
+def test_no_line_is_longer_than_100_characters():
+    long = [f"{path.name}:{n} ({len(line)})"
+            for path in sorted(Path(casimirlab.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1) if len(line) > 100]
+    assert not long, f"lines over 100 characters: {long}"
+
+
 def test_no_module_imports_scipy():
     """The package needs only numpy at run time; scipy is a test dependency."""
     imports = []

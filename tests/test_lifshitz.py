@@ -570,12 +570,20 @@ def _template_rows(seps, temperature, tol):
 
 
 def _blocks(seps, temperature, tol):
-    """Template blocks of a batch, cut as it cuts them: the rows of each start
-    template in order, _PASS_ELEMENTS elements of its depth-0 nodes to a
-    block, a separation spanning as many blocks as its rows fill."""
-    return sum(math.ceil(rows.sum() / (lifshitz._PASS_ELEMENTS // _nodes(edges)))
-               for edges, rows in zip((lifshitz._STEEP, lifshitz._SMOOTH),
-                                      _template_rows(seps, temperature, tol)))
+    """Template blocks of a batch, cut as it cuts them: in each chunk of
+    separations (from the next one, as many as hold at most _PASS_ELEMENTS
+    rows together, and at least one), the rows of each start template in
+    order, _PASS_ELEMENTS elements of its depth-0 nodes to a block."""
+    on = _template_rows(seps, temperature, tol)
+    rows, blocks, j = sum(on), 0, 0
+    while j < rows.size:
+        k = j + 1
+        while k < rows.size and rows[j:k + 1].sum() <= lifshitz._PASS_ELEMENTS:
+            k += 1
+        blocks += sum(math.ceil(n[j:k].sum() / (lifshitz._PASS_ELEMENTS // _nodes(edges)))
+                      for edges, n in zip((lifshitz._STEEP, lifshitz._SMOOTH), on))
+        j = k
+    return blocks
 
 
 def _jumps(monkeypatch, targets, at=0.3):
@@ -646,7 +654,8 @@ class TestSweepBlocks:
                             lambda r_tm, r_te, shared, scratch:
                             rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        assert len(rows) == _blocks(seps, T_LAB, 1e-9) < seps.size / 7
+        # the grid's 24,827 rows run in two chunks
+        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 71 < seps.size / 7
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
         steep, smooth = _template_rows(seps, T_LAB, 1e-9)
         for edges, on in ((lifshitz._STEEP, steep), (lifshitz._SMOOTH, smooth)):
@@ -888,7 +897,7 @@ class TestModelsShareOneBatch:
     def test_batches_whose_templates_cut_apart_equal_alone_at_293_K(self, tol):
         # from 50 nm to 2 um a separation keeps 25 rows to 1 on the steep
         # template, so the blocks of the two templates cut the grid at other
-        # separations, and a separation's rows fill in from both out of order
+        # separations
         seps = np.geomspace(50e-9, 2e-6, 90)
         models = (DRUDE, PLASMA, IDEAL_METAL)
         steep, smooth = _template_rows(seps, T_LAB, tol)
@@ -958,8 +967,8 @@ class TestModelsShareOneBatch:
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
 
     def test_a_separation_missed_on_both_templates_names_its_first_l(self, monkeypatch):
-        # at 10 K the two-panel block that finishes 50 nm runs on into rows
-        # l >= 722 of 50.5 nm before the steep blocks reach its rows l < 722;
+        # at 10 K both separations share a chunk, whose steep blocks run
+        # rows l < 722 of 50.5 nm before its two-panel blocks run the rest;
         # rows 701 (steep) and 803 (two-panel) of 50.5 nm miss at every depth
         seps = [50e-9, 50.5e-9]
         y1 = 2.0 * seps[1] * matsubara_frequency(1, 10.0) / C_LIGHT
@@ -984,9 +993,9 @@ class TestModelsShareOneBatch:
                 casimir_pressure(model, 300e-9, T_LAB, 1e-9, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
-        # at 10 K and 50 nm both models' 12,775 rows run through 51 blocks
-        # of 255 rows, and the rows' values are held until the sum: well
-        # under the 79 MB of one pass over all the rows
+        # at 10 K and 50 nm both models' 12,775 rows run through 36 blocks
+        # (3 steep, 33 two-panel), and the rows' values are held until the
+        # sum: well under the 79 MB of one pass over all the rows
         import tracemalloc
 
         a = 50e-9
@@ -1001,8 +1010,8 @@ class TestModelsShareOneBatch:
         assert peak < 8e6
 
     def test_two_model_peak_memory_is_one_workspace(self):
-        # at 10 K and 50 nm the 12,775 rows run in 51 blocks of 255 rows x
-        # 94 nodes in eight planes (1.5 MB); the second model reuses the
+        # at 10 K and 50 nm the 12,775 rows run in 36 blocks of up to 24,000
+        # rows x nodes in eight planes (1.5 MB); the second model reuses the
         # first model's four planes, and adds only its own row vectors (its
         # permittivities on the terms, and its held integrals, 8 bytes each
         # per row) to the peak
@@ -1023,3 +1032,53 @@ class TestModelsShareOneBatch:
         both_peak, both = peak([DRUDE, PLASMA])
         assert both == drude + plasma
         assert both_peak <= max(drude_peak, plasma_peak) + 65536 + 4 * 8 * rows
+
+
+def _fields(result):
+    """A PressureResult's fields, its term breakdown as a list."""
+    return (result.pressure, result.truncation_error_estimate, result.n_terms,
+            result.stopped_by, result.term_breakdown.tolist())
+
+
+class TestChunks:
+    @staticmethod
+    def _equals_alone(temperature, seps):
+        batch = lifshitz._pressures([DRUDE, PLASMA], temperature, seps, 1e-9,
+                                    with_breakdown=True)
+        for m, model in enumerate((DRUDE, PLASMA)):
+            alone = [casimir_pressure(model, float(a), temperature, 1e-9, with_breakdown=True)
+                     for a in seps]
+            assert [_fields(batch.result(m, j)) for j in range(len(seps))] == \
+                [_fields(r) for r in alone]
+        return batch
+
+    def test_a_batch_over_several_chunks_equals_each_separation_alone(self):
+        # at 10 K, 50-400 nm keep 150,712 rows per model, run in chunks of
+        # at most 24,000; breakdowns are read from each chunk's values
+        batch = self._equals_alone(10.0, np.linspace(50e-9, 400e-9, 40))
+        assert (batch.n_terms + 1).sum() > 6 * lifshitz._PASS_ELEMENTS
+
+    def test_a_separation_longer_than_a_chunk_equals_alone_beside_a_neighbour(self):
+        # at 1 K, 250 nm keeps 26,082 rows, more than a chunk holds, and
+        # 251 nm runs in the chunk after it
+        batch = self._equals_alone(1.0, [250e-9, 251e-9])
+        assert batch.n_terms[0] + 1 > lifshitz._PASS_ELEMENTS
+
+    def test_held_memory_does_not_grow_with_the_separations(self):
+        # at 10 K, 250-950 nm in 5 nm steps keep 160,466 rows per model, the
+        # first 35 points 64,495 of them: both sweeps hold one chunk's
+        # values at a time
+        import tracemalloc
+
+        seps = np.arange(250, 951, 5) * 1e-9
+        casimir_pressure(DRUDE, seps[0], 10.0, 1e-9)  # builds the node templates
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                pressure_sweep([DRUDE, PLASMA], grid, 10.0, 1e-9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(seps) <= peak(seps[:35]) + 65536

@@ -280,6 +280,18 @@ class TestSparseSampling:
             z_fine = vexp._lattice(spec)[0]
             assert vexp.truth_range(spec) == tuple(spec.z0_true + z_fine[[0, -1]])
 
+    def test_a_truth_range_outside_the_geometry_raises_before_the_lattice(self, monkeypatch):
+        # a 1 km approach would need a lattice of 7e12 samples (52 TiB)
+        spec, geom = reference_campaign(1, "plasma")
+        spec = dataclasses.replace(spec, max_z_rel=1e3)
+
+        def unbuilt(spec):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(vexp, "_lattice", unbuilt)
+        with pytest.raises(ValidityDomainError, match="a/R"):
+            synthesize_campaign(spec, geom, 0)
+
     def test_truth_curves_are_read_only(self):
         spec, geom = short_campaign()
         first = synthesize_campaign(spec, geom, seed=3)
