@@ -9,15 +9,16 @@ becomes (1 / 8 a^3) int_{y_l}^inf y^2 sum_pol [r^-2 e^y - 1]^-1 dy with
 y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
 all of them are integrated by vectorised passes over node templates in
-t = y - y_l (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond): the
-steep template, four panels, for the rows with y_l below 2, and, at a tol
-whose half exceeds its measured error, the two-panel one for the smooth rows
-from y_l = 2 on.  The terms whose error estimate misses tol/2 of their value
-are redone together on the template they started on with its panels
-bisected, once more per pass (Bordag, Klimchitskaya, Mohideen and
-Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the sum).  The
-zero-frequency term is dispatched on the model's declared extrapolation tag,
-never inferred numerically.
+t = y - y_l: the steep template (Gauss-Kronrod panels on [0, 7],
+Gauss-Laguerre beyond) for the rows with small y_l, and the Laguerre one
+(Gauss-Laguerre from t = 0, no panels) for the smooth rows, from y_l = 3 on
+at a tol whose half exceeds its measured error there and from y_l = 7 on
+otherwise.  The terms whose error estimate misses tol/2 of their value are
+redone together on the steep template with its panels bisected, once more
+per pass, whichever template they started on (Bordag, Klimchitskaya,
+Mohideen and Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the
+sum).  The zero-frequency term is dispatched on the model's declared
+extrapolation tag, never inferred numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
 model's eps once for a list of separations and runs them in chunks of whole
@@ -165,34 +166,38 @@ def _gauss_laguerre(n):
     return x, v[0] ** 2 * np.exp(x)
 
 
-# Panel edges in t = y - y_l of the two templates a row starts on: the steep
-# one resolves rows with small y_l, where the occupancy pole at y = ln r^2 <= 0
-# lies close to the lower limit; the two-panel one takes the smooth rows from
-# y_l = _SMOOTH_FROM on (_smooth_start)
+# The two node templates a row starts on, as panel edges in t = y - y_l.  The
+# steep one resolves rows with small y_l, where the occupancy pole at
+# y = ln r^2 <= 0 lies close to the lower limit, and every refinement pass
+# bisects its panels.  The Laguerre one has no panels: the smooth rows, where
+# the integrand is e^-t times a slowly varying factor, take the Gauss-Laguerre
+# rules from t = 0 (_laguerre_start).
 _STEEP = (0.0, 0.5, 1.5, 3.5, 7.0)
-_SMOOTH = (0.0, 2.0, 7.0)
-_SMOOTH_FROM = 2.0
+_LAGUERRE = (0.0,)
 
-# the largest error estimate over value of the two-panel template at depth 0
-# on the rows y_l >= _SMOOTH_FROM, drude and plasma, 50 nm - 20 um at 293 K
-# and 10 K (3.87e-10, near 84 nm and y_l = 2; tests/test_lifshitz.py measures
-# it).  Rows start on it only when tol/2 exceeds this, so that at a tighter
-# tol they do not all miss and go through again.
-_SMOOTH_ENVELOPE = 3.9e-10
+# (y_l from which rows start on the Laguerre template, the largest error
+# estimate over value of its rows from there): drude, plasma and the ideal
+# metal, 50 nm - 20 um at 293.15 K, 10 K and 1 K, over the rows of tol 1e-12
+# (7.34e-11 at y_l = 3 near 63 nm, 5.93e-14 at y_l = 7 near 50 nm;
+# tests/test_lifshitz.py measures them).  Rows start from the first y_l whose
+# envelope is below tol/2, so that they do not all miss and go through again;
+# the last envelope is below TOL_RANGE[0] / 2.
+_LAGUERRE_STARTS = ((3.0, 7.4e-11), (7.0, 6.0e-14))
 
 
 @functools.cache
 def _node_template(edges, depth):
-    """Nodes in t = y - y_l of the template that starts from the panel edges
-    _STEEP or _SMOOTH, each panel bisected depth times, their weights w and d,
-    and the panel count.
+    """Nodes in t = y - y_l of the template from the panel edges _STEEP or
+    _LAGUERRE, each panel bisected depth times, their weights w and d, and
+    the panel count.
 
     15-point Gauss-Kronrod panels on the edges resolve the start of a term:
-    94 nodes at depth 0 from _STEEP, 64 from _SMOOTH.  From t = 7, the last
-    edge, where the integrand is e^-t times a slowly varying factor, a
-    20-point Gauss-Laguerre rule takes the rest, and a 14-point one checks
-    it.  The nodes run panel by panel, 15 each, then GL20 and GL14.  w gives
-    the integral (Kronrod, then GL20, 0 on GL14) and d each panel's
+    60 nodes at depth 0 from _STEEP, none from _LAGUERRE, which has no panel
+    to bisect.  From the last edge (t = 7, or 0), where the integrand is e^-t
+    times a slowly varying factor, a 20-point Gauss-Laguerre rule takes the
+    rest, and a 14-point one checks it: 94 nodes from _STEEP, 34 from
+    _LAGUERRE.  The nodes run panel by panel, 15 each, then GL20 and GL14.
+    w gives the integral (Kronrod, then GL20, 0 on GL14) and d each panel's
     Kronrod-minus-Gauss difference, then GL20 minus GL14; both are linear in
     the panel count.
     """
@@ -214,7 +219,7 @@ def _shared_planes(y_l, nodes, out):
     + t on the template nodes, y^2, e^-y and expm1(-y), one row per term.
 
     -y is negated from the y plane: (-y_l) - t would round to the same bits
-    without reading it, but a broadcast pass over rows of 64 or 94 nodes
+    without reading it, but a broadcast pass over rows of 34 or 94 nodes
     costs more than a contiguous negation."""
     y, y2, em, em1 = out
     np.add(y_l[:, None], nodes, out=y)
@@ -466,20 +471,20 @@ def _term_count(y1, target, start):
     return None if n is None else (n, bounds[n])
 
 
-def _smooth_start(y1, last_l, tol):
+def _laguerre_start(y1, last_l, tol):
     """For each separation, with first Matsubara argument y1 and rows l = 0 ..
-    last_l (arrays), the first l that starts on the two-panel template:
-    ceil(_SMOOTH_FROM / y1), the first with y_l >= _SMOOTH_FROM up to the
-    rounding of the quotient, at most last_l + 1 (none of them); last_l + 1
-    for all when tol/2 does not exceed _SMOOTH_ENVELOPE.  It depends on y1, l
-    and tol alone, so a row starts on the same template in any batch."""
-    if 0.5 * tol <= _SMOOTH_ENVELOPE:
-        return last_l + 1
-    return np.minimum(np.ceil(_SMOOTH_FROM / y1).astype(int), last_l + 1)
+    last_l (arrays), the first l that starts on the Laguerre template:
+    ceil(start / y1) for the first (start, envelope) of _LAGUERRE_STARTS
+    whose envelope is below tol/2, the first l with y_l >= start up to the
+    rounding of the quotient, and at most last_l + 1 (none of them).  It
+    depends on y1, l and tol alone, so a row starts on the same template in
+    any batch."""
+    start = next(start for start, envelope in _LAGUERRE_STARTS if envelope < 0.5 * tol)
+    return np.minimum(np.ceil(start / y1).astype(int), last_l + 1)
 
 
-# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 375 of
-# 64, in a workspace of about 1.5 MB; also the most rows of a chunk of
+# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 705 of
+# 34, in a workspace of about 1.5 MB; also the most rows of a chunk of
 # separations, unless one separation alone holds more
 _PASS_ELEMENTS = 24_000
 
@@ -491,23 +496,23 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     count searched from the one before, and a count above _MAX_TERMS raises
     NumericsError before any work; each model's eps is evaluated once, at
     xi_1 .. xi_L of the largest L.  A row (separation, term l) starts on the
-    two-panel template from _smooth_start on and on the steep one below it.
+    Laguerre template from _laguerre_start on and on the steep one below it.
     The separations run in chunks, in order: from the next one, as many as
     hold at most _PASS_ELEMENTS rows together, and at least one.  A chunk
-    runs all its steep rows, then all its two-panel rows, in blocks of
-    _PASS_ELEMENTS // 94 or // 64 rows that every model shares, so each
+    runs all its steep rows, then all its Laguerre rows, in blocks of
+    _PASS_ELEMENTS // 94 or // 34 rows that every model shares, so each
     separation's rows run in increasing l.  In a block, a model's rows whose
     error estimate exceeds tol/2 of their value (or 1e-300, for a row that
-    underflows) go through again together, with the panels of their
-    template bisected once more each time, up to 8 times; a row that still
-    misses is recorded with its separation's first missed l, and its
-    pressure is NaN.  Each row's value is written at its place in the
-    chunk's array; once the chunk has run, each separation's terms, the
-    l = 0 one at half weight, are summed by math.fsum, so a pressure does
-    not depend on how blocks cut its rows, and the chunk's values are
-    dropped.  The sums, times each separation's prefactor, and the tail
-    bounds of the count searches fill the batch's arrays at the end.  Every
-    block computes in one workspace.
+    underflows) go through again together on the steep template, whichever
+    template they started on, with its panels bisected once more each time,
+    up to 8 times; a row that still misses is recorded with its separation's
+    first missed l, and its pressure is NaN.  Each row's value is written at
+    its place in the chunk's array; once the chunk has run, each separation's
+    terms, the l = 0 one at half weight, are summed by math.fsum, so a
+    pressure does not depend on how blocks cut its rows, and the chunk's
+    values are dropped.  The sums, times each separation's prefactor, and
+    the tail bounds of the count searches fill the batch's arrays at the end.
+    Every block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
@@ -528,10 +533,10 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     a_j, y1_j, counts = np.array(seps), np.array(y1s), np.array(counts, dtype=int)
     ends = np.cumsum(counts + 1)
     starts = ends - counts - 1
-    first = _smooth_start(y1_j, counts, tol)
+    first = _laguerre_start(y1_j, counts, tol)
     # each start template's edges, depth-0 nodes per row, and rows l = lo .. hi - 1
     templates = [(edges, _node_template(edges, 0)[0].size, lo, hi) for edges, lo, hi in
-                 ((_STEEP, np.zeros_like(first), first), (_SMOOTH, first, counts + 1))]
+                 ((_STEEP, np.zeros_like(first), first), (_LAGUERRE, first, counts + 1))]
     work = _Workspace(max(min(int((hi - lo).sum()), _PASS_ELEMENTS // nodes) * nodes
                           for _, nodes, lo, hi in templates))
     prefactors = np.array([-K_B * temperature / (8.0 * math.pi * a**3) for a in seps])
@@ -561,7 +566,7 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
                         if not rows.size:
                             break
                         [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
-                                                       [eps_m[ls[rows]]], edges, depth, work)
+                                                       [eps_m[ls[rows]]], _STEEP, depth, work)
                         vals[rows] = v
                         rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
                     for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
@@ -611,16 +616,17 @@ def casimir_pressure(
         at most tol/2 of the sum because every term is non-negative and half
         the l = 0 term alone is at least zeta(3) (r_TM = 1 at xi = 0);
         stopped_by is then "tol".  Every term is
-        integrated to tol/2 of its value on a shared template in y - y_l
-        (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond): 94 nodes
-        for the terms with y_l < 2, in blocks of up to 255 terms, and 64 for
-        the others, in blocks of up to 375, when tol exceeds 7.8e-10 (twice
-        the two-panel template's measured error; below it every term takes
-        the 94 nodes); a sweep's separations share blocks, in chunks of at
-        most 24,000 terms.  The terms of a block whose error estimate misses
-        that are redone together on their template with its panels bisected,
-        up to 8 times, and NumericsError, naming the first such l and a, is
-        raised if any still misses.
+        integrated to tol/2 of its value on a shared template in y - y_l:
+        94 nodes (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond) in
+        blocks of up to 255 terms for the terms with y_l < 3, and 34
+        (Gauss-Laguerre from y_l) in blocks of up to 705 for the others, when
+        tol exceeds 1.48e-10 (twice the Laguerre template's measured error
+        there); at a tighter tol the 34 nodes take the terms with y_l >= 7,
+        where that error is below 6e-14.  A sweep's separations share
+        blocks, in chunks of at most 24,000 terms.  The terms of a block
+        whose error estimate misses that are redone together on the 94-node
+        template with its panels bisected, up to 8 times, and NumericsError,
+        naming the first such l and a, is raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional

@@ -290,7 +290,9 @@ _ORACLE_EDGES = np.concatenate([[0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
                                 np.arange(2.0, 20.0), np.arange(20.0, 82.0, 2.0)])
 
 
-def _long_sum_pressure(model, a, temperature):
+def _long_sum_pressure(model, a, temperature, bend=None):
+    """The oracle's pressure; bend(y_l, t), when given, multiplies every
+    row's integrand, as a stand-in integrand does in the package."""
     y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
     y_l = y1 * np.arange(math.ceil(70.0 / y1) + 1)
     lo, hi = _ORACLE_EDGES[:-1], _ORACLE_EDGES[1:]
@@ -314,6 +316,8 @@ def _long_sum_pressure(model, a, temperature):
             r_te[0] = (y[0] - s) / (y[0] + s)
     with np.errstate(divide="ignore"):
         f = y * y * (1.0 / (np.exp(y) / r_tm**2 - 1.0) + 1.0 / (np.exp(y) / r_te**2 - 1.0))
+    if bend is not None:
+        f *= bend(y_l[:, None], t)
     terms = f @ w
     terms[0] *= 0.5
     return -K_B * temperature / (8.0 * math.pi * a**3) * math.fsum(terms.tolist())
@@ -371,18 +375,20 @@ class TestToleranceMet:
                              ids=["drude", "plasma", "ideal"])
     @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
     def test_template_rows_within_their_estimates(self, model, temperature):
-        # each row on the template it starts on at tol, against the same row on
-        # that template bisected deeper and deeper, until that reference
-        # converges: the first (up to) 40 rows a sum at tol keeps, and the rows
-        # on either side of y_l = 1 and of the two-panel template's start
+        # each row on the template it starts on at tol, against the same row
+        # on the steep template bisected deeper and deeper (the Laguerre one
+        # has no panel to bisect), until that reference converges: the first
+        # (up to) 40 rows a sum at tol keeps, and the rows on either side of
+        # y_l = 1 and of each Laguerre start, y_l = 3 and 7
+        starts = [start for start, _ in lifshitz._LAGUERRE_STARTS]
         for a, tol in itertools.product((50e-9, 250e-9, 1e-6, 20e-6), (1e-9, 1e-12)):
             n_terms = casimir_pressure(model, a, temperature, tol).n_terms
             y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
-            first = lifshitz._smooth_start(np.array([y1]), np.array([n_terms]), tol)[0]
-            near = [math.ceil(y / y1) + k for y in (1.0, lifshitz._SMOOTH_FROM) for k in range(-2, 3)]
+            first = lifshitz._laguerre_start(np.array([y1]), np.array([n_terms]), tol)[0]
+            near = [math.ceil(y / y1) + k for y in (1.0, *starts) for k in range(-2, 3)]
             ls = np.unique(np.clip([*range(40), *near], 0, n_terms))
             y_l, eps = (v[ls] for v in _terms(model, a, temperature, n_terms))
-            for edges, rows in ((lifshitz._STEEP, ls < first), (lifshitz._SMOOTH, ls >= first)):
+            for edges, rows in ((lifshitz._STEEP, ls < first), (lifshitz._LAGUERRE, ls >= first)):
                 if not rows.any():
                     continue
                 [(vals, errs)] = lifshitz._template_integrate(
@@ -391,32 +397,47 @@ class TestToleranceMet:
                     row = slice(i, i + 1)
                     for depth in range(1, 9):
                         [(ref, ref_err)] = lifshitz._template_integrate(
-                            [model], a, y_l[rows][row], [eps[rows][row]], edges, depth,
+                            [model], a, y_l[rows][row], [eps[rows][row]], lifshitz._STEEP, depth,
                             lifshitz._Workspace(0))
                         if ref_err[0] <= 1e-13 * ref[0]:
                             break
                     assert ref_err[0] <= 1e-13 * ref[0], (a, tol, ls[rows][i])
-                    assert abs(vals[i] - ref[0]) <= errs[i], (a, tol, ls[rows][i])
-            # a tight tol keeps every row on the steep template
-            assert (first == n_terms + 1) == (tol < 2.0 * lifshitz._SMOOTH_ENVELOPE)
+                    # the rounding of the node sums, up to about 3.5e-15 of the
+                    # value here, is in no estimate
+                    assert abs(vals[i] - ref[0]) <= errs[i] + 1e-14 * ref[0], \
+                        (a, tol, ls[rows][i])
+            # rows start on the Laguerre template from y_l = 3 at tol 1e-9,
+            # and from y_l = 7 at tol 1e-12
+            assert first == min(math.ceil(starts[tol < 1e-9] / y1), n_terms + 1)
 
-    def test_two_panel_envelope_is_measured(self):
-        # the tol gate of the two-panel start: the largest estimate over value
-        # at depth 0 on the rows it would take, drude and plasma, across the
-        # separation range at 293 K and 10 K, sits just under _SMOOTH_ENVELOPE
-        worst = 0.0
-        for temperature, seps in ((T_LAB, np.geomspace(50e-9, 20e-6, 80)),
-                                  (10.0, np.geomspace(50e-9, 20e-6, 40))):
-            for a in seps:
+    def test_laguerre_envelopes_are_measured(self):
+        # the tol gates of the Laguerre starts: the largest estimate over
+        # value on the rows from each start, drude, plasma and the ideal
+        # metal, across the separation range at 293.15 K, 10 K and 1 K, at the
+        # counts of tol 1e-12 (the most rows); each envelope sits at most 5 %
+        # above its worst row, and the last one below every tol/2
+        (low, low_envelope), (high, high_envelope) = lifshitz._LAGUERRE_STARTS
+        worst = {low: 0.0, high: 0.0}
+        work = lifshitz._Workspace(0)
+        for temperature, points in ((T_LAB, 80), (10.0, 80), (1.0, 20)):
+            for a in np.geomspace(50e-9, 20e-6, points):
                 y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
-                n_terms = lifshitz._term_count(y1, 0.5e-9 * lifshitz._ZETA3, 0)[0]
-                first = lifshitz._smooth_start(np.array([y1]), np.array([n_terms]), 1e-9)[0]
-                for model in (DRUDE, PLASMA):
-                    y_l, eps = (v[first:] for v in _terms(model, a, temperature, n_terms))
-                    [(vals, errs)] = lifshitz._template_integrate(
-                        [model], a, y_l, [eps], lifshitz._SMOOTH, 0, lifshitz._Workspace(0))
-                    worst = max(worst, (errs / vals).max(initial=0.0))
-        assert 0.95 * lifshitz._SMOOTH_ENVELOPE < worst <= lifshitz._SMOOTH_ENVELOPE
+                n_terms = lifshitz._term_count(y1, 0.5e-12 * lifshitz._ZETA3, 0)[0]
+                firsts = {start: lifshitz._laguerre_start(np.array([y1]), np.array([n_terms]),
+                                                          tol)[0]
+                          for start, tol in ((low, 1e-9), (high, 1e-12))}
+                for model in (DRUDE, PLASMA, IDEAL_METAL):
+                    y_l, eps = _terms(model, a, temperature, n_terms)
+                    for lo in range(firsts[low], n_terms + 1, 5_000):
+                        ls = np.arange(lo, min(lo + 5_000, n_terms + 1))
+                        [(vals, errs)] = lifshitz._template_integrate(
+                            [model], a, y_l[ls], [eps[ls]], lifshitz._LAGUERRE, 0, work)
+                        for start, first in firsts.items():
+                            worst[start] = max(worst[start],
+                                               (errs / vals)[ls >= first].max(initial=0.0))
+        assert worst[low] <= low_envelope <= 1.05 * worst[low]
+        assert worst[high] <= high_envelope <= 1.05 * worst[high]
+        assert high_envelope < 0.5 * lifshitz.TOL_RANGE[0]
 
     def test_fallback_rows_still_meet_tol(self, monkeypatch):
         # at 50 nm and tol 1e-12 the first drude terms miss their share on
@@ -435,6 +456,32 @@ class TestToleranceMet:
         assert refined
         ref = _long_sum_pressure(DRUDE, a, T_LAB)
         assert abs(p - ref) <= tol * abs(ref)
+
+    def test_a_laguerre_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # a stand-in integrand: drude's first Laguerre row at 1 um (l = 2,
+        # y_l = 3.29) times 1 + max(t - 0.25, 0), a kink at y = 3.54 that
+        # GL20 from t = 0 misses by far more than tol/2 and that depth 1 of
+        # the steep template has a panel edge at; the row refines there, alone,
+        # and the pressure meets tol against the oracle with the same kink
+        a, tol = 1e-6, 1e-9
+        y1 = 2.0 * a * matsubara_frequency(1, T_LAB) / C_LIGHT
+        steep, laguerre = _template_rows([a], T_LAB, tol)
+        assert steep[0] == 2 and laguerre[0] > 0
+        target = 2 * y1
+        shapes, hits = _jumps(monkeypatch, target, at=0.25, kink=True)
+        p = casimir_pressure(DRUDE, a, T_LAB, tol).pressure
+        assert shapes == [(2, _nodes(lifshitz._STEEP)), (laguerre[0], _nodes(lifshitz._LAGUERRE)),
+                          (1, _nodes(lifshitz._STEEP, 1))]
+        assert hits == [0, 1, 1]
+        ref = _long_sum_pressure(DRUDE, a, T_LAB, lambda y_l, t: 1.0 + np.where(
+            np.abs(y_l - target) <= 1e-12 * target, np.maximum(t - 0.25, 0.0), 0.0))
+        assert abs(p - ref) <= tol * abs(ref)
+        assert abs(ref - _long_sum_pressure(DRUDE, a, T_LAB)) > 1e3 * tol * abs(ref)
+        # a jump at a non-dyadic t misses at every depth: the row is named
+        monkeypatch.undo()
+        _jumps(monkeypatch, target, at=0.3)
+        with pytest.raises(NumericsError, match=r"\(l=2, a=1e-06\)"):
+            casimir_pressure(DRUDE, a, T_LAB, tol)
 
     def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
         # at 10 K and 50 nm the first 63 drude rows miss on the steep
@@ -457,7 +504,7 @@ class TestToleranceMet:
             casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
-        # computed alone, a pressure runs its steep rows and its two-panel
+        # computed alone, a pressure runs its steep rows and its Laguerre
         # rows in one depth-0 pass each, and no row goes through again
         nodes = []
         kernel = lifshitz._integrand
@@ -469,7 +516,7 @@ class TestToleranceMet:
             cache = MatsubaraCache(model, T_LAB)
             for a in grid:
                 casimir_pressure(model, float(a), T_LAB, 1e-9, cache=cache)
-        assert nodes == [_nodes(lifshitz._STEEP), _nodes(lifshitz._SMOOTH)] * (2 * grid.size)
+        assert nodes == [_nodes(lifshitz._STEEP), _nodes(lifshitz._LAGUERRE)] * (2 * grid.size)
 
     def test_short_separation_count_comes_from_the_tail_bound(self, monkeypatch):
         # at short range the count is the smallest L whose tail bound is
@@ -486,9 +533,11 @@ class TestToleranceMet:
         target = 0.5 * tol * zeta(3)
         assert _tail_bound(y1, res.n_terms) <= target < _tail_bound(y1, res.n_terms - 1)
         assert res.n_terms < math.ceil(20.0 / y1)
-        steep, smooth = _template_rows([a], T_LAB, tol)
-        assert y1 * (steep[0] - 1) < lifshitz._SMOOTH_FROM <= y1 * steep[0]
-        assert nodes == [_nodes(lifshitz._STEEP) * steep[0], _nodes(lifshitz._SMOOTH) * smooth[0]]
+        steep, laguerre = _template_rows([a], T_LAB, tol)
+        start = lifshitz._LAGUERRE_STARTS[0][0]
+        assert y1 * (steep[0] - 1) < start <= y1 * steep[0]
+        assert nodes == [_nodes(lifshitz._STEEP) * steep[0],
+                         _nodes(lifshitz._LAGUERRE) * laguerre[0]]
         assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
 
 
@@ -560,12 +609,12 @@ def _nodes(edges, depth=0):
 
 
 def _template_rows(seps, temperature, tol):
-    """Each separation's rows on the steep template and on the two-panel one,
+    """Each separation's rows on the steep template and on the Laguerre one,
     as a batch at tol splits them."""
     y1 = 2.0 * np.asarray(seps, dtype=float) * matsubara_frequency(1, temperature) / C_LIGHT
     counts = np.array([lifshitz._term_count(y, 0.5 * tol * lifshitz._ZETA3, 0)[0]
                        for y in y1.tolist()])
-    first = lifshitz._smooth_start(y1, counts, tol)
+    first = lifshitz._laguerre_start(y1, counts, tol)
     return first, counts + 1 - first
 
 
@@ -581,16 +630,17 @@ def _blocks(seps, temperature, tol):
         while k < rows.size and rows[j:k + 1].sum() <= lifshitz._PASS_ELEMENTS:
             k += 1
         blocks += sum(math.ceil(n[j:k].sum() / (lifshitz._PASS_ELEMENTS // _nodes(edges)))
-                      for edges, n in zip((lifshitz._STEEP, lifshitz._SMOOTH), on))
+                      for edges, n in zip((lifshitz._STEEP, lifshitz._LAGUERRE), on))
         j = k
     return blocks
 
 
-def _jumps(monkeypatch, targets, at=0.3):
+def _jumps(monkeypatch, targets, at=0.3, kink=False):
     """Multiply the integrand of the rows whose y_l is a target (a number, a
-    list, or a dict of them by model id), to 1e-12, by 1 + (t > at); at a
-    non-dyadic t the rows miss at every depth.  Returns the (rows, nodes)
-    shape of every integrand pass and the number of such rows in it."""
+    list, or a dict of them by model id), to 1e-12, by 1 + (t > at), or by
+    1 + max(t - at, 0) with kink; at a non-dyadic t the rows miss at every
+    depth.  Returns the (rows, nodes) shape of every integrand pass and the
+    number of such rows in it."""
     shapes, hits, current = [], [], {}
     shared_planes, reflections, kernel = (lifshitz._shared_planes, lifshitz._reflections,
                                           lifshitz._integrand)
@@ -610,7 +660,10 @@ def _jumps(monkeypatch, targets, at=0.3):
         for target in np.atleast_1d(current["targets"]):
             own = np.abs(current["y_l"] - target) <= 1e-12 * target
             hits[-1] += int(own.sum())
-            out *= 1.0 + (own & (shared[0] > current["y_l"] + at))
+            if kink:
+                out *= 1.0 + own * np.maximum(shared[0] - current["y_l"] - at, 0.0)
+            else:
+                out *= 1.0 + (own & (shared[0] > current["y_l"] + at))
         return out
 
     monkeypatch.setattr(lifshitz, "_shared_planes", planes)
@@ -655,10 +708,10 @@ class TestSweepBlocks:
                             rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         # the grid's 24,827 rows run in two chunks
-        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 71 < seps.size / 7
+        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 45 < seps.size / 15
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
-        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
-        for edges, on in ((lifshitz._STEEP, steep), (lifshitz._SMOOTH, smooth)):
+        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
+        for edges, on in ((lifshitz._STEEP, steep), (lifshitz._LAGUERRE, laguerre)):
             assert sum(r for r, nodes in rows if nodes == _nodes(edges)) == on.sum() > 0
         assert max(r * nodes for r, nodes in rows) <= lifshitz._PASS_ELEMENTS
 
@@ -690,16 +743,16 @@ class TestSweepBlocks:
         assert sweep_peak <= per_point_peak + 65536
 
     def test_a_separation_split_by_a_block_boundary_equals_per_point(self, monkeypatch):
-        # the two-panel rows of 250-261 nm fill 375-row blocks and run on
+        # the Laguerre rows of 250-260 nm fill a 705-row block and run on
         # into the next; a separation across a cut is summed from both, and
         # from its steep rows, which all run in one block before them
         seps = BENCH_GRIDS["250-950"][:12]
         alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
                  for m in (DRUDE, PLASMA)}
-        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
-        ends = np.cumsum(smooth)
-        block = lifshitz._PASS_ELEMENTS // _nodes(lifshitz._SMOOTH)
-        assert any(end - rows < block < end for end, rows in zip(ends, smooth))
+        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
+        ends = np.cumsum(laguerre)
+        block = lifshitz._PASS_ELEMENTS // _nodes(lifshitz._LAGUERRE)
+        assert any(end - rows < block < end for end, rows in zip(ends, laguerre))
         shapes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -708,12 +761,12 @@ class TestSweepBlocks:
         got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
         assert got == [alone[DRUDE], alone[PLASMA]]
         assert shapes[::2] == [(steep.sum(), _nodes(lifshitz._STEEP))] + \
-            [(block, _nodes(lifshitz._SMOOTH))] * (ends[-1] // block) + \
-            [(ends[-1] % block, _nodes(lifshitz._SMOOTH))]
+            [(block, _nodes(lifshitz._LAGUERRE))] * (ends[-1] // block) + \
+            [(ends[-1] % block, _nodes(lifshitz._LAGUERRE))]
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
         # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
-        # two-panel block also holds 900-904 nm, which converge
+        # Laguerre block also holds 900-904 nm, which converge
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
         y1 = 2.0 * 902e-9 * matsubara_frequency(1, T_LAB) / C_LIGHT
@@ -724,9 +777,9 @@ class TestSweepBlocks:
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
         assert shapes[:2] == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                              (smooth.sum(), _nodes(lifshitz._SMOOTH))]
+                              (laguerre.sum(), _nodes(lifshitz._LAGUERRE))]
         assert got == [r.pressure for r in alone[:2]]
 
 
@@ -737,6 +790,7 @@ class TestRowLocalQuadrature:
     def test_a_row_has_the_same_bits_in_every_packing(self, model, depth):
         # the rows l = 0 .. 12 of three separations, each alone, all side by
         # side, reversed, and odd rows before even ones, on either template
+        # (at depth 0 only on the Laguerre one, which has no panel to bisect)
         seps = (50e-9, 250e-9, 1e-6)
         parts = [_terms(model, a, T_LAB, 12) for a in seps]
         y_l = np.concatenate([y for y, _ in parts])
@@ -744,7 +798,7 @@ class TestRowLocalQuadrature:
         a = np.repeat(seps, 13)
         n = y_l.size
         work = lifshitz._Workspace(0)
-        for edges in (lifshitz._STEEP, lifshitz._SMOOTH):
+        for edges in (lifshitz._STEEP, lifshitz._LAGUERRE)[:1 if depth else 2]:
             alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
                                                   edges, depth, work)[0]
                      for i in range(n)]
@@ -755,13 +809,14 @@ class TestRowLocalQuadrature:
                 assert errs.tolist() == [alone[i][1][0] for i in order]
 
     def test_rows_missed_in_two_separations_refine_in_one_pass(self, monkeypatch):
-        # row l = 3 of 900 nm and row l = 7 of 903 nm, both on the two-panel
-        # template, jump at t = 1, the first panel edge of its depth 1; both
-        # share the two-panel block of 900-904 nm
+        # row l = 3 of 900 nm and row l = 7 of 903 nm, both on the Laguerre
+        # template, jump at t = 1, a panel edge of the steep template at
+        # depth 1, where both refine; both share the Laguerre block of
+        # 900-904 nm
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         xi1 = matsubara_frequency(1, T_LAB)
         targets = [3 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
-        assert min(targets) >= lifshitz._SMOOTH_FROM
+        assert min(targets) >= lifshitz._LAGUERRE_STARTS[0][0]
         shapes, hits = _jumps(monkeypatch, targets, at=1.0)
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
         assert len(shapes) == 2 * len(seps) + 2
@@ -770,19 +825,23 @@ class TestRowLocalQuadrature:
         swept, swept_trunc = pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
-        steep, smooth = _template_rows(seps, T_LAB, 1e-9)
+        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
         assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                          (smooth.sum(), _nodes(lifshitz._SMOOTH)),
-                          (2, _nodes(lifshitz._SMOOTH, 1))]
+                          (laguerre.sum(), _nodes(lifshitz._LAGUERRE)),
+                          (2, _nodes(lifshitz._STEEP, 1))]
         assert hits == [0, 2, 2]
 
     def test_deepest_template_is_linear_in_its_panels(self):
-        for edges, panels in ((lifshitz._STEEP, 1024), (lifshitz._SMOOTH, 512)):
-            nodes, w, d, n_panels = lifshitz._node_template(edges, 8)
+        # refinement deepens the steep template alone; the Laguerre one has
+        # no panels, only its two Gauss-Laguerre rules from t = 0
+        for edges, depth, panels in ((lifshitz._STEEP, 8, 1024), (lifshitz._LAGUERRE, 0, 0)):
+            nodes, w, d, n_panels = lifshitz._node_template(edges, depth)
             assert n_panels == panels
             assert nodes.size == w.size == d.size == 15 * panels + 34
             assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
-        assert (_nodes(lifshitz._STEEP), _nodes(lifshitz._SMOOTH)) == (94, 64)
+        assert lifshitz._node_template(lifshitz._LAGUERRE, 0)[0].tolist() == \
+            [*lifshitz._gauss_laguerre(20)[0], *lifshitz._gauss_laguerre(14)[0]]
+        assert (_nodes(lifshitz._STEEP), _nodes(lifshitz._LAGUERRE)) == (94, 34)
 
 
 class TestSharedPlanes:
@@ -795,7 +854,7 @@ class TestSharedPlanes:
         y_ls = [rng.uniform(0.0, 60.0, 200_000), np.zeros(255), rng.uniform(0.0, 1e-3, 5_000),
                 np.geomspace(1e-300, 1e-3, 1_000)]
         work = lifshitz._Workspace(0)
-        for y_l, edges in itertools.product(y_ls, (lifshitz._STEEP, lifshitz._SMOOTH)):
+        for y_l, edges in itertools.product(y_ls, (lifshitz._STEEP, lifshitz._LAGUERRE)):
             nodes = lifshitz._node_template(edges, 0)[0]
             for rows in np.array_split(y_l, max(1, y_l.size // 5_000)):
                 y, y2, em, em1 = lifshitz._shared_planes(rows, nodes,
@@ -858,9 +917,9 @@ class TestSweepMemo:
                 with pytest.raises(ValidityDomainError):
                     casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
         assert got == alone
-        steep, smooth = _template_rows(inside, T_LAB, 1e-9)
+        steep, laguerre = _template_rows(inside, T_LAB, 1e-9)
         assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                          (smooth.sum(), _nodes(lifshitz._SMOOTH))]
+                          (laguerre.sum(), _nodes(lifshitz._LAGUERRE))]
 
 
 def _results(batch):
@@ -895,13 +954,13 @@ class TestModelsShareOneBatch:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_batches_whose_templates_cut_apart_equal_alone_at_293_K(self, tol):
-        # from 50 nm to 2 um a separation keeps 25 rows to 1 on the steep
+        # from 50 nm to 2 um a separation keeps 38 rows to 1 on the steep
         # template, so the blocks of the two templates cut the grid at other
         # separations
         seps = np.geomspace(50e-9, 2e-6, 90)
         models = (DRUDE, PLASMA, IDEAL_METAL)
-        steep, smooth = _template_rows(seps, T_LAB, tol)
-        for edges, rows in ((lifshitz._STEEP, steep), (lifshitz._SMOOTH, smooth)):
+        steep, laguerre = _template_rows(seps, T_LAB, tol)
+        for edges, rows in ((lifshitz._STEEP, steep), (lifshitz._LAGUERRE, laguerre)):
             assert rows.sum() > 2 * (lifshitz._PASS_ELEMENTS // _nodes(edges))
         alone = [[casimir_pressure(m, float(a), T_LAB, tol) for a in seps] for m in models]
         assert _results(lifshitz._pressures(list(models), T_LAB, seps, tol)) == alone
@@ -968,13 +1027,13 @@ class TestModelsShareOneBatch:
 
     def test_a_separation_missed_on_both_templates_names_its_first_l(self, monkeypatch):
         # at 10 K both separations share a chunk, whose steep blocks run
-        # rows l < 722 of 50.5 nm before its two-panel blocks run the rest;
-        # rows 701 (steep) and 803 (two-panel) of 50.5 nm miss at every depth
+        # rows l < 1083 of 50.5 nm before its Laguerre blocks run the rest;
+        # rows 701 (steep) and 1203 (Laguerre) of 50.5 nm miss at every depth
         seps = [50e-9, 50.5e-9]
         y1 = 2.0 * seps[1] * matsubara_frequency(1, 10.0) / C_LIGHT
         steep, _ = _template_rows(seps, 10.0, 1e-9)
-        assert steep[1] == 722
-        _jumps(monkeypatch, [701 * y1, 803 * y1])
+        assert steep[1] == 1083
+        _jumps(monkeypatch, [701 * y1, 1203 * y1])
         batch = lifshitz._pressures([DRUDE], 10.0, seps, 1e-9)
         assert batch.failed.tolist() == [[-1, 701]]
         with pytest.raises(NumericsError, match=r"\(l=701, a=5\.05e-08\)"):
@@ -993,8 +1052,8 @@ class TestModelsShareOneBatch:
                 casimir_pressure(model, 300e-9, T_LAB, 1e-9, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
-        # at 10 K and 50 nm both models' 12,775 rows run through 36 blocks
-        # (3 steep, 33 two-panel), and the rows' values are held until the
+        # at 10 K and 50 nm both models' 12,775 rows run through 22 blocks
+        # (5 steep, 17 Laguerre), and the rows' values are held until the
         # sum: well under the 79 MB of one pass over all the rows
         import tracemalloc
 
@@ -1010,7 +1069,7 @@ class TestModelsShareOneBatch:
         assert peak < 8e6
 
     def test_two_model_peak_memory_is_one_workspace(self):
-        # at 10 K and 50 nm the 12,775 rows run in 36 blocks of up to 24,000
+        # at 10 K and 50 nm the 12,775 rows run in 22 blocks of up to 24,000
         # rows x nodes in eight planes (1.5 MB); the second model reuses the
         # first model's four planes, and adds only its own row vectors (its
         # permittivities on the terms, and its held integrals, 8 bytes each
