@@ -39,7 +39,7 @@ from .errors import (
     ValidityDomainError,
 )
 from .force_model import gradient_curve
-from .vexp import MeasurementGrid, V0Law, synthesize_campaign
+from .vexp import MeasurementGrid, V0Law, grid_range, synthesize_campaign
 
 __all__ = [
     "ParabolaSeries",
@@ -670,22 +670,28 @@ class CompareSettings(NamedTuple):
     ends: tuple                   # grid start and stop in nm, each None where the overlap sets it
 
 
-def _compared_grid(settings: CompareSettings, overlap, geometry):
+def _compared_grid(settings: CompareSettings, ranges, geometry):
     """The compared grid, its one definition, and whether the geometry clipped it.
 
-    A [compare] grid end outside the geometry's domain is a config error.  An
-    end not set follows overlap, the (lo, hi) in nm over which the series
-    overlap, and the grid is clipped to the domain (Geometry.contains); a
-    grid of fewer than 2 points is an error (the band's F'' needs two), and a
-    [compare] interval that holds no grid point is a config error.
+    The grid runs over the overlap of ranges, each series' (first, last) in m.  A
+    [compare] grid end outside the geometry's domain, or over 1 nm (the grid's
+    step) outside the overlap, is a config error; an end not set follows the
+    overlap, clipped to the domain (Geometry.contains).  A grid of fewer than 2
+    points is an error (the band's F'' needs two), and a [compare] interval that
+    holds no grid point is a config error.
     """
+    overlap = max(r[0] for r in ranges) * 1e9, min(r[1] for r in ranges) * 1e9
     start, stop = settings.ends
-    for key, end in (("grid_start_nm", start), ("grid_stop_nm", stop)):
+    for key, end, sign, edge in (("grid_start_nm", start, -1, overlap[0]),
+                                 ("grid_stop_nm", stop, 1, overlap[1])):
         if end is not None:
             try:
                 geometry.check_separation(end * 1e-9)
             except ValidityDomainError as exc:
                 raise ConfigError(f"[compare] {key} = {end:g}: {exc}") from None
+            if round(sign * (end - edge), 6) > 1:
+                raise ConfigError(f"[compare] {key} = {end:g} lies over 1 nm (the grid's step) "
+                                  f"outside the series overlap [{overlap[0]:g}, {overlap[1]:g}] nm")
     lo = overlap[0] if start is None else start
     hi = overlap[1] if stop is None else stop
     # whole nanometres; ends rounded to 1e-6 nm keep 300 from 300e-9 * 1e9 = 300.00000000000006
@@ -713,9 +719,8 @@ def compare_series(series_list, settings: CompareSettings, models, geometry, tol
     overlap (_compared_grid) and compared there with each model's
     gradient_curve at tol.  Returns (clipped, combined, report); the grid is
     report.separations."""
-    overlap = (max(s.separations[0] for s in series_list) * 1e9,
-               min(s.separations[-1] for s in series_list) * 1e9)
-    common, clipped = _compared_grid(settings, overlap, geometry)
+    common, clipped = _compared_grid(
+        settings, [(s.separations[0], s.separations[-1]) for s in series_list], geometry)
     combined = combine_gradient_series(series_list, grid=common)
     theory = {tag: gradient_curve(model, geometry, common, tol)
               for tag, model in models.items()}
@@ -737,12 +742,12 @@ def run_pipeline(campaigns, seeds, settings, models, tol) -> PipelineRun:
     """Synthesise, calibrate and extract each (spec, geometry) of campaigns with
     its seed, then compare_series of all the series with the last set's
     geometry; no file is read or written and nothing is printed.  First, before
-    any set, the compared grid is built over the widest overlap that geometry
-    allows, so a [compare] setting without a grid or a verdict fails there."""
+    any set, _compared_grid runs on the overlap of the sets' own analysis grids
+    (vexp.grid_range), so a [compare] setting those grids cannot meet fails there."""
     # every preset shares the physical geometry (R, roughness, T), so one theory
     # curve serves all the sets; only the validity bounds differ
     geometry = campaigns[-1][1]
-    _compared_grid(settings, [end * 1e9 for end in geometry.span], geometry)
+    _compared_grid(settings, [grid_range(spec) for spec, _ in campaigns], geometry)
     sets = []
     for (spec, set_geometry), seed in zip(campaigns, seeds):
         grid = synthesize_campaign(spec, set_geometry, seed)

@@ -3,8 +3,8 @@
 The proximity-force approximation, with the second-order rms roughness
 factor, gives F'(a) = -2 pi R [1 + 10 (ds^2 + dp^2) / a^2] P(a).
 Geometry owns the domain where it is applied, a >= a_min with a/R below
-max_aspect (0.022 by default, 0.0306 for set 4): contains, check_separation
-and span are the one statement of it.  The curvature correction 1 + beta a/R
+max_aspect (0.022 by default, 0.0306 for set 4): contains and check_separation
+are the one statement of it.  The curvature correction 1 + beta a/R
 of the derivative expansion (G. Bimonte, T. Emig and M. Kardar, Appl. Phys.
 Lett. 100, 074110 (2012); L. P. Teo, Phys. Rev. D 88, 045019 (2013)) is
 left out: it would be a 1-2 % change at a/R <= 0.025, shared by the
@@ -77,11 +77,6 @@ class Geometry:
     def roughness_factor(self, a: float) -> float:
         """1 + 10 (delta_s^2 + delta_p^2) / a^2."""
         return 1.0 + 10.0 * (self.delta_s**2 + self.delta_p**2) / (a * a)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """The domain's ends in m: a_min, and max_aspect R, which it excludes."""
-        return self.a_min, self.max_aspect * self.R
 
     def contains(self, a):
         """a_min <= a and a/R < max_aspect: plain arithmetic for floats and arrays alike."""

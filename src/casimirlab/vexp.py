@@ -4,12 +4,12 @@ Synthesises frequency-shift grids the way the real acquisition works: for
 each applied voltage and repetition the shift is sampled densely along the
 approach (_SAMPLE_STEP), carries Gaussian noise at the instrument's quoted
 frequency-shift error, and is then linearly interpolated onto the 1 nm
-analysis grid (_GRID_STEP); every set shares both steps.  The truth curves
-cover the whole approach lattice (truth_range gives its ends; F' is
-interpolated from Chebyshev nodes); each stream is built, and draws its
-noise, only at the samples that interpolation reads, the two bracketing
-each grid point: draw k of a stream is the noise of its k-th read sample
-in ascending order.  Generation is deterministic for a fixed seed;
+analysis grid (_GRID_STEP; grid_range gives its ends); every set shares both
+steps.  The truth curves cover the whole approach lattice (truth_range gives
+its ends; F' is interpolated from Chebyshev nodes); each stream is built, and
+draws its noise, only at the samples that interpolation reads, the two
+bracketing each grid point: draw k of a stream is the noise of its k-th read
+sample in ascending order.  Generation is deterministic for a fixed seed;
 per-stream randomness is split by the counter rule
 SeedSequence(seed, spawn_key=(voltage_index, repetition)).
 """
@@ -38,6 +38,7 @@ __all__ = [
     "synthesize_campaign",
     "truth_curves",
     "truth_range",
+    "grid_range",
     "reference_campaign",
     "reference_geometry",
     "save_grid",
@@ -166,6 +167,11 @@ def truth_range(spec: CampaignSpec) -> tuple[float, float]:
     z0_true + _lattice's z_fine[[0, -1]] bit for bit, from the sample count
     alone: a range too long to build costs nothing."""
     return spec.z0_true, spec.z0_true + _SAMPLE_STEP * _last_sample(spec)
+
+
+def grid_range(spec: CampaignSpec) -> tuple[float, float]:
+    """The analysis grid's ends (m), z0_true + _lattice's z_grid[[0, -1]] bit for bit."""
+    return spec.z0_true, spec.z0_true + _GRID_STEP * (_grid_points(spec.max_z_rel, _GRID_STEP) - 1)
 
 
 @lru_cache(maxsize=32)

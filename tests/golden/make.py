@@ -65,6 +65,9 @@ CASES = [
      ["compare", "--gradients", "pipeline-1/gradients_set1.txt"], ("comparison.txt",)),
     ("error-pipeline-start", "[pipeline]\nsets = 4\nseed = 7\n[compare]\ngrid_start_nm = 100\n",
      ["pipeline"], PIPELINE_FILES),
+    ("error-pipeline-series-start",
+     "[pipeline]\nsets = 1\nseed = 7\n[compare]\ngrid_start_nm = 235\n", ["pipeline"],
+     PIPELINE_FILES),
 ]
 
 

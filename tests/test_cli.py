@@ -780,6 +780,15 @@ class TestConfigSchema:
                        "[pipeline]\nsets = 9\n")
         assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 0
         assert (tmp_path / "out" / "grid_set1_seed4.txt").exists()
+        # pipeline, like a preset synth, reads no [geometry]: r_um = 1 changes
+        # nothing it writes
+        written = []
+        for geometry in ("", "[geometry]\nr_um = 1\n"):
+            cfg.write_text("[pipeline]\nsets = 1\nseed = 7\n" + geometry)
+            out = tmp_path / f"pipe{len(written)}"
+            assert run(["pipeline", "--config", cfg, "--out", out]) == 0
+            written.append((out / "comparison.txt").read_text())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("content, message", [
         (None, "{path}: Is a directory"),
@@ -849,11 +858,19 @@ class TestCompareGrid:
          "[compare] grid_start_nm = 100: separation 100.0 nm below a_min = 560 nm"),
         ("sets = 1\n[compare]\ngrid_stop_nm = 1200\n",
          "[compare] grid_stop_nm = 1200: a/R = 0.0276 >= 0.022 invalidates"),
-    ], ids=["set4-start", "set1-stop"])
+        ("sets = 1\n[compare]\ngrid_start_nm = 235\n",
+         "[compare] grid_start_nm = 235 lies over 1 nm (the grid's step) outside the series "
+         "overlap [248, 950] nm"),
+        ("sets = 1\n[compare]\ngrid_stop_nm = 952\n",
+         "[compare] grid_stop_nm = 952 lies over 1 nm (the grid's step) outside the series "
+         "overlap [248, 950] nm"),
+    ], ids=["set4-start", "set1-stop", "set1-series-start", "set1-series-stop"])
     def test_pipeline_refuses_a_set_grid_end_before_any_set(self, tmp_path, capsys,
                                                            monkeypatch, ini, message):
         # the last set's geometry judges the ends: set 4 admits 560 nm up, set 1
-        # a/R < 0.022, so below 956.25 nm
+        # a/R < 0.022, so below 956.25 nm; then the sets' own grids do, within
+        # one step: set 1's runs from its z0_true, 248 nm, to 950 nm, though
+        # its geometry admits 230 nm up
         def no_synthesis(*args):
             raise AssertionError("a set was synthesised before the grid ends were checked")
 
@@ -864,6 +881,30 @@ class TestCompareGrid:
         captured = capsys.readouterr()
         assert f"config error: {message}" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ini, n_points, message", [
+        ("[geometry]\na_min_nm = 230\n[compare]\ngrid_start_nm = 235\n", 713,
+         "[compare] grid_start_nm = 235 lies over 1 nm (the grid's step) outside the series "
+         "overlap [248.06, 960.06] nm"),
+        ("[compare]\ngrid_stop_nm = 950\n", 700,
+         "[compare] grid_stop_nm = 950 lies over 1 nm (the grid's step) outside the series "
+         "overlap [248.06, 947.06] nm"),
+    ], ids=["start", "stop"])
+    def test_grid_end_past_the_series_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                        ini, n_points, message):
+        # inside the geometry, but more than one grid step past the series:
+        # refused before any theory, as pipeline refuses it before any set
+        def no_theory(*args):
+            raise AssertionError("theory ran before the grid ends were checked")
+
+        monkeypatch.setattr(analysis, "gradient_curve", no_theory)
+        gradients = series_file(tmp_path / "g.txt", 248.06 + np.arange(n_points))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        assert run(["compare", "--gradients", gradients, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_series_outside_the_geometry_errors(self, tmp_path, capsys):
@@ -927,9 +968,9 @@ class TestCompareGrid:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert "config error: [compare] intervals: 2000:3000 nm holds no point" in err
-        # pipeline checks the intervals against the widest grid its geometry
-        # allows, a/R < 0.022 below 956.25 nm, before any set is synthesised
-        assert ("[301, 399] nm" if command == "compare" else "[230, 956] nm") in err
+        # pipeline checks the intervals, before any set is synthesised, against
+        # set 1's own analysis grid, 248 to 950 nm
+        assert ("[301, 399] nm" if command == "compare" else "[248, 950] nm") in err
         assert not (tmp_path / "out").exists()
 
 

@@ -243,7 +243,6 @@ class TestGeometryValidation:
         inside = [False, True, True, True, False]
         assert GEOM.contains(a).tolist() == inside
         assert [GEOM.contains(x) for x in a.tolist()] == inside
-        assert GEOM.span == (250e-9, 0.022 * 43.466e-6)
         for x in a[1:4].tolist():
             GEOM.check_separation(x)
         with pytest.raises(ValidityDomainError, match=r"^separation 249\.9 nm below a_min = 250 nm$"):

@@ -280,6 +280,20 @@ class TestSparseSampling:
             z_fine = vexp._lattice(spec)[0]
             assert vexp.truth_range(spec) == tuple(spec.z0_true + z_fine[[0, -1]])
 
+    def test_grid_range_is_the_grid_ends(self, monkeypatch):
+        # bit for bit, on every preset; a 1 km approach (7e12 samples) returns
+        # without the lattice
+        for n in (1, 2, 3, 4):
+            spec, _ = reference_campaign(n, "plasma")
+            assert vexp.grid_range(spec) == tuple(spec.z0_true + vexp._lattice(spec)[1][[0, -1]])
+
+        def unbuilt(spec):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(vexp, "_lattice", unbuilt)
+        spec = dataclasses.replace(spec, max_z_rel=1e3)
+        assert vexp.grid_range(spec) == (spec.z0_true, pytest.approx(spec.z0_true + 1e3))
+
     def test_a_truth_range_outside_the_geometry_raises_before_the_lattice(self, monkeypatch):
         # a 1 km approach would need a lattice of 7e12 samples (52 TiB)
         spec, geom = reference_campaign(1, "plasma")
