@@ -10,23 +10,25 @@ y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
 all of them are integrated by vectorised passes over node templates in
 t = y - y_l: the steep template (Gauss-Kronrod panels on [0, 7],
-Gauss-Laguerre beyond) for the rows with small y_l, and the Laguerre one
-(Gauss-Laguerre from t = 0, no panels) for the smooth rows, from y_l = 3 on
-at a tol whose half exceeds its measured error there and from y_l = 7 on
-otherwise.  The terms whose error estimate misses tol/2 of their value are
-redone together on the steep template with its panels bisected, once more
-per pass, whichever template they started on (Bordag, Klimchitskaya,
-Mohideen and Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the
-sum).  The zero-frequency term is dispatched on the model's declared
-extrapolation tag, never inferred numerically.
+Gauss-Laguerre beyond, 94 nodes) for the rows with small y_l, and for the
+smooth rows the cheapest rung, whose start the row has reached, of a ladder
+of panel-free Gauss-Laguerre rules from t = 0 (34, 24 and 17 nodes), each
+starting where its measured error is below tol/2.  The terms whose error
+estimate misses tol/2 of their value are redone together on the steep
+template with its panels bisected, once more per pass, whichever template
+they started on (Bordag, Klimchitskaya, Mohideen and Mostepanenko, Advances
+in the Casimir Effect, OUP 2009, on the sum).  The zero-frequency term is
+dispatched on the model's declared extrapolation tag, never inferred
+numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
 model's eps once for a list of separations and runs them in chunks of whole
 separations, in order, each of at most _PASS_ELEMENTS rows (separation,
 term) unless one separation holds more.  A chunk runs its rows through the
 template each starts on, in fixed blocks of _PASS_ELEMENTS rows x nodes
-that all its models share, then sums each of its separations into
-per-model arrays of pressures, tail bounds and term counts (_Batch).
+(255, 705, 1000 or 1411 rows) that all its models share, then sums each of
+its separations into per-model arrays of pressures, tail bounds and term
+counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
 per-point object, and is the one way for models to share a batch.  A
 PressureResult is built only for a caller that asks for one point:
@@ -166,51 +168,54 @@ def _gauss_laguerre(n):
     return x, v[0] ** 2 * np.exp(x)
 
 
-# The two node templates a row starts on, as panel edges in t = y - y_l.  The
+# A node template is its panel edges in t = y - y_l and the Gauss-Laguerre rule
+# pair (n, m) that takes the rest from the last edge, GLn checked by GLm.  The
 # steep one resolves rows with small y_l, where the occupancy pole at
 # y = ln r^2 <= 0 lies close to the lower limit, and every refinement pass
-# bisects its panels.  The Laguerre one has no panels: the smooth rows, where
-# the integrand is e^-t times a slowly varying factor, take the Gauss-Laguerre
-# rules from t = 0 (_laguerre_start).
-_STEEP = (0.0, 0.5, 1.5, 3.5, 7.0)
-_LAGUERRE = (0.0,)
+# bisects its panels.
+_STEEP = ((0.0, 0.5, 1.5, 3.5, 7.0), (20, 14))
 
-# (y_l from which rows start on the Laguerre template, the largest error
-# estimate over value of its rows from there): drude, plasma and the ideal
-# metal, 50 nm - 20 um at 293.15 K, 10 K and 1 K, over the rows of tol 1e-12
-# (7.34e-11 at y_l = 3 near 63 nm, 5.93e-14 at y_l = 7 near 50 nm;
-# tests/test_lifshitz.py measures them).  Rows start from the first y_l whose
-# envelope is below tol/2, so that they do not all miss and go through again;
-# the last envelope is below TOL_RANGE[0] / 2.
-_LAGUERRE_STARTS = ((3.0, 7.4e-11), (7.0, 6.0e-14))
+# The ladder of Gauss-Laguerre start templates, without panels, for the smooth
+# rows, where the integrand is e^-t times a slowly varying factor: each rung's
+# rule pair from t = 0, and its (y_l from which rows may start on it, the
+# largest error estimate over value of its rows from there) list.  The
+# envelopes are over drude, plasma and the ideal metal, 50 nm - 20 um at
+# 293.15 K, 10 K and 1 K, on the rows of tol 1e-12, and tests/test_lifshitz.py
+# measures them; each rung's last one is below TOL_RANGE[0] / 2.
+_LADDER = (
+    (((0.0,), (20, 14)), ((3.0, 7.4e-11), (7.0, 6.0e-14))),
+    (((0.0,), (14, 10)), ((5.0, 2.2e-10), (11.0, 3.6e-13))),
+    (((0.0,), (10, 7)), ((13.0, 4.0e-11), (22.0, 2.2e-13))),
+)
 
 
 @functools.cache
-def _node_template(edges, depth):
-    """Nodes in t = y - y_l of the template from the panel edges _STEEP or
-    _LAGUERRE, each panel bisected depth times, their weights w and d, and
-    the panel count.
+def _node_template(template, depth):
+    """Nodes in t = y - y_l of a template (edges, (n, m)), its panels each
+    bisected depth times, their weights w and d, and the panel count.
 
     15-point Gauss-Kronrod panels on the edges resolve the start of a term:
-    60 nodes at depth 0 from _STEEP, none from _LAGUERRE, which has no panel
-    to bisect.  From the last edge (t = 7, or 0), where the integrand is e^-t
-    times a slowly varying factor, a 20-point Gauss-Laguerre rule takes the
-    rest, and a 14-point one checks it: 94 nodes from _STEEP, 34 from
-    _LAGUERRE.  The nodes run panel by panel, 15 each, then GL20 and GL14.
-    w gives the integral (Kronrod, then GL20, 0 on GL14) and d each panel's
-    Kronrod-minus-Gauss difference, then GL20 minus GL14; both are linear in
-    the panel count.
+    60 nodes at depth 0 from _STEEP, none from a rung of _LADDER, which has
+    no panel to bisect.  From the last edge (t = 7, or 0), where the
+    integrand is e^-t times a slowly varying factor, the n-point
+    Gauss-Laguerre rule takes the rest and the m-point one checks it: 94
+    nodes from _STEEP (GL20 and GL14), 34, 24 and 17 from the rungs (GL20
+    and GL14, GL14 and GL10, GL10 and GL7).  The nodes run panel by panel,
+    15 each, then GLn and GLm.  w gives the integral (Kronrod, then GLn, 0
+    on GLm) and d each panel's Kronrod-minus-Gauss difference, then GLn
+    minus GLm; both are linear in the panel count.
     """
+    edges, (n, m) = template
     edges = np.array(edges)
     for _ in range(depth):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    x20, w20 = _gauss_laguerre(20)
-    x14, w14 = _gauss_laguerre(14)
-    nodes = np.concatenate([(mid + half * _XGK).ravel(), edges[-1] + x20, edges[-1] + x14])
-    w = np.concatenate([(half * _WGK).ravel(), w20, np.zeros(x14.size)])
-    d = np.concatenate([(half * _WGK - half * _WG).ravel(), w20, -w14])
+    xn, wn = _gauss_laguerre(n)
+    xm, wm = _gauss_laguerre(m)
+    nodes = np.concatenate([(mid + half * _XGK).ravel(), edges[-1] + xn, edges[-1] + xm])
+    w = np.concatenate([(half * _WGK).ravel(), wn, np.zeros(m)])
+    d = np.concatenate([(half * _WGK - half * _WG).ravel(), wn, -wm])
     return nodes, w, d, half.size
 
 
@@ -219,7 +224,7 @@ def _shared_planes(y_l, nodes, out):
     + t on the template nodes, y^2, e^-y and expm1(-y), one row per term.
 
     -y is negated from the y plane: (-y_l) - t would round to the same bits
-    without reading it, but a broadcast pass over rows of 34 or 94 nodes
+    without reading it, but a broadcast pass over rows of 17 to 94 nodes
     costs more than a contiguous negation."""
     y, y2, em, em1 = out
     np.add(y_l[:, None], nodes, out=y)
@@ -289,9 +294,9 @@ class _Workspace:
         return self._buf[:size].reshape(8, rows, nodes)
 
 
-def _template_integrate(models, a, y_l, eps, edges, depth, work):
-    """Every row on the node template from edges at that depth, for each
-    model: a list of (integrals, error estimates), one pair per model.
+def _template_integrate(models, a, y_l, eps, template, depth, work):
+    """Every row on the node template at that depth, for each model: a list
+    of (integrals, error estimates), one pair per model.
 
     Row i has lower limit y_l[i] at separation a, one value for every row or
     one per row, and eps[m][i] is its permittivity for models[m].  The shared
@@ -300,7 +305,7 @@ def _template_integrate(models, a, y_l, eps, edges, depth, work):
     estimate sums the absolute differences d gives; both results reduce each
     row alone, whatever rows are beside it.
     """
-    nodes, w, d, n_panels = _node_template(edges, depth)
+    nodes, w, d, n_panels = _node_template(template, depth)
     planes = work.planes(y_l.size, nodes.size)
     shared = _shared_planes(y_l, nodes, planes[:4])
     a = np.broadcast_to(a, y_l.shape)
@@ -471,21 +476,24 @@ def _term_count(y1, target, start):
     return None if n is None else (n, bounds[n])
 
 
-def _laguerre_start(y1, last_l, tol):
+def _rung_starts(y1, last_l, tol):
     """For each separation, with first Matsubara argument y1 and rows l = 0 ..
-    last_l (arrays), the first l that starts on the Laguerre template:
-    ceil(start / y1) for the first (start, envelope) of _LAGUERRE_STARTS
-    whose envelope is below tol/2, the first l with y_l >= start up to the
-    rounding of the quotient, and at most last_l + 1 (none of them).  It
+    last_l (arrays), the first l of each rung of _LADDER, one array per rung:
+    ceil(start / y1) for the first (start, envelope) of the rung's list whose
+    envelope is below tol/2, the first l with y_l >= start up to the rounding
+    of the quotient, and at most last_l + 1 (none of them).  The starts rise
+    along the ladder at every tol, so a row on rung k, from its first l to
+    the next rung's, is on the cheapest rung whose start it has reached.  It
     depends on y1, l and tol alone, so a row starts on the same template in
     any batch."""
-    start = next(start for start, envelope in _LAGUERRE_STARTS if envelope < 0.5 * tol)
-    return np.minimum(np.ceil(start / y1).astype(int), last_l + 1)
+    ys = [next(start for start, envelope in starts if envelope < 0.5 * tol)
+          for _, starts in _LADDER]
+    return np.minimum(np.ceil(np.divide.outer(ys, y1)).astype(int), last_l + 1)
 
 
 # rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 705 of
-# 34, in a workspace of about 1.5 MB; also the most rows of a chunk of
-# separations, unless one separation alone holds more
+# 34, 1000 of 24 or 1411 of 17, in a workspace of about 1.5 MB; also the most
+# rows of a chunk of separations, unless one separation alone holds more
 _PASS_ELEMENTS = 24_000
 
 
@@ -496,23 +504,24 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     count searched from the one before, and a count above _MAX_TERMS raises
     NumericsError before any work; each model's eps is evaluated once, at
     xi_1 .. xi_L of the largest L.  A row (separation, term l) starts on the
-    Laguerre template from _laguerre_start on and on the steep one below it.
-    The separations run in chunks, in order: from the next one, as many as
-    hold at most _PASS_ELEMENTS rows together, and at least one.  A chunk
-    runs all its steep rows, then all its Laguerre rows, in blocks of
-    _PASS_ELEMENTS // 94 or // 34 rows that every model shares, so each
-    separation's rows run in increasing l.  In a block, a model's rows whose
-    error estimate exceeds tol/2 of their value (or 1e-300, for a row that
-    underflows) go through again together on the steep template, whichever
-    template they started on, with its panels bisected once more each time,
-    up to 8 times; a row that still misses is recorded with its separation's
-    first missed l, and its pressure is NaN.  Each row's value is written at
-    its place in the chunk's array; once the chunk has run, each separation's
-    terms, the l = 0 one at half weight, are summed by math.fsum, so a
-    pressure does not depend on how blocks cut its rows, and the chunk's
-    values are dropped.  The sums, times each separation's prefactor, and
-    the tail bounds of the count searches fill the batch's arrays at the end.
-    Every block computes in one workspace.
+    rung of _LADDER that _rung_starts gives it, the cheapest whose start it
+    has reached, and on the steep template below rung 0's start.  The
+    separations run in chunks, in order: from the next one, as many as hold at
+    most _PASS_ELEMENTS rows together, and at least one.  A chunk runs all its
+    steep rows, then all its rows on each rung in ladder order, in blocks of
+    _PASS_ELEMENTS // 94, 34, 24 or 17 rows (255, 705, 1000 or 1411) that
+    every model shares, so each separation's rows run in increasing l.  In a
+    block, a model's rows whose error estimate exceeds tol/2 of their value
+    (or 1e-300, for a row that underflows) go through again together on the
+    steep template, whichever template they started on, with its panels
+    bisected once more each time, up to 8 times; a row that still misses is
+    recorded with its separation's first missed l, and its pressure is NaN.
+    Each row's value is written at its place in the chunk's array; once the
+    chunk has run, each separation's terms, the l = 0 one at half weight, are
+    summed by math.fsum, so a pressure does not depend on how blocks cut its
+    rows, and the chunk's values are dropped.  The sums, times each
+    separation's prefactor, and the tail bounds of the count searches fill the
+    batch's arrays at the end.  Every block computes in one workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
@@ -533,10 +542,10 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     a_j, y1_j, counts = np.array(seps), np.array(y1s), np.array(counts, dtype=int)
     ends = np.cumsum(counts + 1)
     starts = ends - counts - 1
-    first = _laguerre_start(y1_j, counts, tol)
-    # each start template's edges, depth-0 nodes per row, and rows l = lo .. hi - 1
-    templates = [(edges, _node_template(edges, 0)[0].size, lo, hi) for edges, lo, hi in
-                 ((_STEEP, np.zeros_like(first), first), (_LAGUERRE, first, counts + 1))]
+    # each start template, its depth-0 nodes per row, and its rows l = lo .. hi - 1
+    cuts = [np.zeros_like(counts), *_rung_starts(y1_j, counts, tol), counts + 1]
+    templates = [(template, _node_template(template, 0)[0].size, lo, hi) for template, lo, hi
+                 in zip([_STEEP, *(template for template, _ in _LADDER)], cuts, cuts[1:])]
     work = _Workspace(max(min(int((hi - lo).sum()), _PASS_ELEMENTS // nodes) * nodes
                           for _, nodes, lo, hi in templates))
     prefactors = np.array([-K_B * temperature / (8.0 * math.pi * a**3) for a in seps])
@@ -548,7 +557,7 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
         base = starts[j]
         k = max(j + 1, int(np.searchsorted(ends, base + _PASS_ELEMENTS, side="right")))
         values = np.empty((len(models), ends[k - 1] - base))  # by batch row - base
-        for edges, nodes, lo, hi in templates:
+        for template, nodes, lo, hi in templates:
             here = np.cumsum(hi[j:k] - lo[j:k])  # the chunk's rows on this template
             lift = hi[j:k] - here  # from such a row to its l
             block = _PASS_ELEMENTS // nodes
@@ -559,7 +568,7 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
                 at = starts[sep] - base + ls  # each row's place in values
                 y_l = y1_j[sep] * ls
                 passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps],
-                                             edges, 0, work)
+                                             template, 0, work)
                 for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
                     rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
                     for depth in range(1, 9):
@@ -615,15 +624,16 @@ def casimir_pressure(
         (_smallest_count) up to 2^20 terms (NumericsError above); that is
         at most tol/2 of the sum because every term is non-negative and half
         the l = 0 term alone is at least zeta(3) (r_TM = 1 at xi = 0);
-        stopped_by is then "tol".  Every term is
-        integrated to tol/2 of its value on a shared template in y - y_l:
-        94 nodes (Gauss-Kronrod panels on [0, 7], Gauss-Laguerre beyond) in
-        blocks of up to 255 terms for the terms with y_l < 3, and 34
-        (Gauss-Laguerre from y_l) in blocks of up to 705 for the others, when
-        tol exceeds 1.48e-10 (twice the Laguerre template's measured error
-        there); at a tighter tol the 34 nodes take the terms with y_l >= 7,
-        where that error is below 6e-14.  A sweep's separations share
-        blocks, in chunks of at most 24,000 terms.  The terms of a block
+        stopped_by is then "tol".  Every term is integrated to tol/2 of its
+        value on a shared template in y - y_l: 94 nodes (Gauss-Kronrod
+        panels on [0, 7], Gauss-Laguerre beyond) in blocks of up to 255
+        terms for small y_l, else Gauss-Laguerre rules from y_l, 34, 24 or
+        17 nodes (GL20 and GL14, GL14 and GL10, GL10 and GL7) in blocks of
+        up to 705, 1000 or 1411, each from the first y_l where its measured
+        error envelope is below tol/2 (3, 5 and 13 when tol exceeds
+        1.48e-10, 4.4e-10 and 8e-11, else 7, 11 and 22); a term starts on
+        the cheapest rule whose start it has reached.  A sweep's separations
+        share blocks, in chunks of at most 24,000 terms.  The terms of a block
         whose error estimate misses that are redone together on the 94-node
         template with its panels bisected, up to 8 times, and NumericsError,
         naming the first such l and a, is raised if any still misses.

@@ -376,23 +376,24 @@ class TestToleranceMet:
     @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
     def test_template_rows_within_their_estimates(self, model, temperature):
         # each row on the template it starts on at tol, against the same row
-        # on the steep template bisected deeper and deeper (the Laguerre one
-        # has no panel to bisect), until that reference converges: the first
-        # (up to) 40 rows a sum at tol keeps, and the rows on either side of
-        # y_l = 1 and of each Laguerre start, y_l = 3 and 7
-        starts = [start for start, _ in lifshitz._LAGUERRE_STARTS]
+        # on the steep template bisected deeper and deeper (a rung of the
+        # ladder has no panel to bisect), until that reference converges: the
+        # first (up to) 40 rows a sum at tol keeps, and the rows on either
+        # side of y_l = 1 and of every start of every rung
+        starts = [start for _, rung in lifshitz._LADDER for start, _ in rung]
         for a, tol in itertools.product((50e-9, 250e-9, 1e-6, 20e-6), (1e-9, 1e-12)):
             n_terms = casimir_pressure(model, a, temperature, tol).n_terms
             y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
-            first = lifshitz._laguerre_start(np.array([y1]), np.array([n_terms]), tol)[0]
+            cuts = [0, *lifshitz._rung_starts(y1, n_terms, tol).tolist(), n_terms + 1]
             near = [math.ceil(y / y1) + k for y in (1.0, *starts) for k in range(-2, 3)]
             ls = np.unique(np.clip([*range(40), *near], 0, n_terms))
             y_l, eps = (v[ls] for v in _terms(model, a, temperature, n_terms))
-            for edges, rows in ((lifshitz._STEEP, ls < first), (lifshitz._LAGUERRE, ls >= first)):
+            for template, lo, hi in zip(_STARTS, cuts, cuts[1:]):
+                rows = (ls >= lo) & (ls < hi)
                 if not rows.any():
                     continue
                 [(vals, errs)] = lifshitz._template_integrate(
-                    [model], a, y_l[rows], [eps[rows]], edges, 0, lifshitz._Workspace(0))
+                    [model], a, y_l[rows], [eps[rows]], template, 0, lifshitz._Workspace(0))
                 for i in range(vals.size):
                     row = slice(i, i + 1)
                     for depth in range(1, 9):
@@ -406,38 +407,49 @@ class TestToleranceMet:
                     # value here, is in no estimate
                     assert abs(vals[i] - ref[0]) <= errs[i] + 1e-14 * ref[0], \
                         (a, tol, ls[rows][i])
-            # rows start on the Laguerre template from y_l = 3 at tol 1e-9,
-            # and from y_l = 7 at tol 1e-12
-            assert first == min(math.ceil(starts[tol < 1e-9] / y1), n_terms + 1)
+            # rows start on the rungs from y_l = 3, 5 and 13 at tol 1e-9, and
+            # from y_l = 7, 11 and 22 at tol 1e-12
+            assert cuts[1:-1] == [min(math.ceil(y / y1), n_terms + 1)
+                                  for y in ((3.0, 5.0, 13.0) if tol == 1e-9 else (7.0, 11.0, 22.0))]
 
     def test_laguerre_envelopes_are_measured(self):
-        # the tol gates of the Laguerre starts: the largest estimate over
-        # value on the rows from each start, drude, plasma and the ideal
-        # metal, across the separation range at 293.15 K, 10 K and 1 K, at the
-        # counts of tol 1e-12 (the most rows); each envelope sits at most 5 %
-        # above its worst row, and the last one below every tol/2
-        (low, low_envelope), (high, high_envelope) = lifshitz._LAGUERRE_STARTS
-        worst = {low: 0.0, high: 0.0}
+        # the tol gates of the rungs' starts: the largest estimate over value
+        # on the rows from each start of each rung, drude, plasma and the
+        # ideal metal, across the separation range at 293.15 K, 10 K and 1 K,
+        # at the counts of tol 1e-12 (the most rows), each row integrated once
+        # per rung; each envelope sits at most 5 % above its worst row, a
+        # rung's starts rise as its envelopes fall (so as tol tightens), and
+        # its last envelope is below every tol/2
+        worst = {(k, start): 0.0 for k, (_, rung) in enumerate(lifshitz._LADDER)
+                 for start, _ in rung}
         work = lifshitz._Workspace(0)
         for temperature, points in ((T_LAB, 80), (10.0, 80), (1.0, 20)):
             for a in np.geomspace(50e-9, 20e-6, points):
                 y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
                 n_terms = lifshitz._term_count(y1, 0.5e-12 * lifshitz._ZETA3, 0)[0]
-                firsts = {start: lifshitz._laguerre_start(np.array([y1]), np.array([n_terms]),
-                                                          tol)[0]
-                          for start, tol in ((low, 1e-9), (high, 1e-12))}
                 for model in (DRUDE, PLASMA, IDEAL_METAL):
                     y_l, eps = _terms(model, a, temperature, n_terms)
-                    for lo in range(firsts[low], n_terms + 1, 5_000):
-                        ls = np.arange(lo, min(lo + 5_000, n_terms + 1))
-                        [(vals, errs)] = lifshitz._template_integrate(
-                            [model], a, y_l[ls], [eps[ls]], lifshitz._LAGUERRE, 0, work)
-                        for start, first in firsts.items():
-                            worst[start] = max(worst[start],
-                                               (errs / vals)[ls >= first].max(initial=0.0))
-        assert worst[low] <= low_envelope <= 1.05 * worst[low]
-        assert worst[high] <= high_envelope <= 1.05 * worst[high]
-        assert high_envelope < 0.5 * lifshitz.TOL_RANGE[0]
+                    for k, (template, rung) in enumerate(lifshitz._LADDER):
+                        firsts = {start: math.ceil(start / y1) for start, _ in rung}
+                        for lo in range(min(firsts.values()), n_terms + 1, 5_000):
+                            ls = np.arange(lo, min(lo + 5_000, n_terms + 1))
+                            [(vals, errs)] = lifshitz._template_integrate(
+                                [model], a, y_l[ls], [eps[ls]], template, 0, work)
+                            for start, first in firsts.items():
+                                worst[k, start] = max(worst[k, start],
+                                                      (errs / vals)[ls >= first].max(initial=0.0))
+        for k, (_, rung) in enumerate(lifshitz._LADDER):
+            for start, envelope in rung:
+                assert worst[k, start] <= envelope <= 1.05 * worst[k, start], (k, start)
+            assert all(s0 < s1 and e0 > e1 for (s0, e0), (s1, e1) in zip(rung, rung[1:])), k
+            assert rung[-1][1] < 0.5 * lifshitz.TOL_RANGE[0]
+        # at every tol, each rung starts above the one before, so a row starts
+        # on the cheapest rung whose start it has reached
+        gates = [2.0 * envelope for _, rung in lifshitz._LADDER for _, envelope in rung]
+        for tol in [*lifshitz.TOL_RANGE, *gates, *np.nextafter(gates, 1.0)]:
+            if lifshitz.TOL_RANGE[0] <= tol <= lifshitz.TOL_RANGE[1]:
+                starts = lifshitz._rung_starts(1.0, 100, tol)
+                assert (np.diff(starts) > 0).all(), (tol, starts)
 
     def test_fallback_rows_still_meet_tol(self, monkeypatch):
         # at 50 nm and tol 1e-12 the first drude terms miss their share on
@@ -457,31 +469,43 @@ class TestToleranceMet:
         ref = _long_sum_pressure(DRUDE, a, T_LAB)
         assert abs(p - ref) <= tol * abs(ref)
 
-    def test_a_laguerre_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
-        # a stand-in integrand: drude's first Laguerre row at 1 um (l = 2,
-        # y_l = 3.29) times 1 + max(t - 0.25, 0), a kink at y = 3.54 that
-        # GL20 from t = 0 misses by far more than tol/2 and that depth 1 of
-        # the steep template has a panel edge at; the row refines there, alone,
-        # and the pressure meets tol against the oracle with the same kink
+    @staticmethod
+    def _a_row_that_misses_refines(monkeypatch, k):
+        """A stand-in integrand: drude's first row at 1 um on template k of
+        _STARTS, at tol 1e-9, times 1 + max(t - 0.25, 0), a kink that the
+        rung's Gauss-Laguerre rules from t = 0 miss by far more than tol/2
+        and that depth 1 of the steep template has a panel edge at.  The row
+        refines there, alone, right after its own block, and the pressure
+        meets tol against the oracle with the same kink.  A jump at t = 0.3
+        in that row misses at every depth, and the row is named."""
         a, tol = 1e-6, 1e-9
         y1 = 2.0 * a * matsubara_frequency(1, T_LAB) / C_LIGHT
-        steep, laguerre = _template_rows([a], T_LAB, tol)
-        assert steep[0] == 2 and laguerre[0] > 0
-        target = 2 * y1
+        on = _template_rows([a], T_LAB, tol)
+        assert all(n[0] > 0 for n in on)
+        l = int(sum(n[0] for n in on[:k]))  # the rows before template k's
+        target = l * y1
         shapes, hits = _jumps(monkeypatch, target, at=0.25, kink=True)
         p = casimir_pressure(DRUDE, a, T_LAB, tol).pressure
-        assert shapes == [(2, _nodes(lifshitz._STEEP)), (laguerre[0], _nodes(lifshitz._LAGUERRE)),
-                          (1, _nodes(lifshitz._STEEP, 1))]
-        assert hits == [0, 1, 1]
+        starts = _start_passes(on)
+        assert shapes == [*starts[:k + 1], (1, _nodes(lifshitz._STEEP, 1)), *starts[k + 1:]]
+        assert hits == [0] * k + [1, 1] + [0] * (len(starts) - k - 1)
         ref = _long_sum_pressure(DRUDE, a, T_LAB, lambda y_l, t: 1.0 + np.where(
             np.abs(y_l - target) <= 1e-12 * target, np.maximum(t - 0.25, 0.0), 0.0))
         assert abs(p - ref) <= tol * abs(ref)
         assert abs(ref - _long_sum_pressure(DRUDE, a, T_LAB)) > 1e3 * tol * abs(ref)
-        # a jump at a non-dyadic t misses at every depth: the row is named
         monkeypatch.undo()
         _jumps(monkeypatch, target, at=0.3)
-        with pytest.raises(NumericsError, match=r"\(l=2, a=1e-06\)"):
+        with pytest.raises(NumericsError, match=rf"\(l={l}, a=1e-06\)"):
             casimir_pressure(DRUDE, a, T_LAB, tol)
+        return l
+
+    def test_a_laguerre_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # the first row of the GL20/GL14 rung: l = 2, y_l = 3.22, kinked at y = 3.47
+        assert self._a_row_that_misses_refines(monkeypatch, 1) == 2
+
+    def test_a_gl10_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # the first row of the GL10/GL7 rung: l = 9, y_l = 14.48, kinked at y = 14.73
+        assert self._a_row_that_misses_refines(monkeypatch, 3) == 9
 
     def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
         # at 10 K and 50 nm the first 63 drude rows miss on the steep
@@ -504,8 +528,9 @@ class TestToleranceMet:
             casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
-        # computed alone, a pressure runs its steep rows and its Laguerre
-        # rows in one depth-0 pass each, and no row goes through again
+        # computed alone, a pressure runs its rows on each start template (the
+        # steep one and the three rungs) in one depth-0 pass each, and no row
+        # goes through again
         nodes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -516,7 +541,7 @@ class TestToleranceMet:
             cache = MatsubaraCache(model, T_LAB)
             for a in grid:
                 casimir_pressure(model, float(a), T_LAB, 1e-9, cache=cache)
-        assert nodes == [_nodes(lifshitz._STEEP), _nodes(lifshitz._LAGUERRE)] * (2 * grid.size)
+        assert nodes == [_nodes(template) for template in _STARTS] * (2 * grid.size)
 
     def test_short_separation_count_comes_from_the_tail_bound(self, monkeypatch):
         # at short range the count is the smallest L whose tail bound is
@@ -533,11 +558,10 @@ class TestToleranceMet:
         target = 0.5 * tol * zeta(3)
         assert _tail_bound(y1, res.n_terms) <= target < _tail_bound(y1, res.n_terms - 1)
         assert res.n_terms < math.ceil(20.0 / y1)
-        steep, laguerre = _template_rows([a], T_LAB, tol)
-        start = lifshitz._LAGUERRE_STARTS[0][0]
-        assert y1 * (steep[0] - 1) < start <= y1 * steep[0]
-        assert nodes == [_nodes(lifshitz._STEEP) * steep[0],
-                         _nodes(lifshitz._LAGUERRE) * laguerre[0]]
+        on = _template_rows([a], T_LAB, tol)
+        start = lifshitz._LADDER[0][1][0][0]
+        assert y1 * (on[0][0] - 1) < start <= y1 * on[0][0]
+        assert nodes == [rows * nodes for rows, nodes in _start_passes(on)]
         assert res.truncation_error_estimate <= 0.5 * tol * abs(res.pressure)
 
 
@@ -603,19 +627,24 @@ class TestSmallestCount:
 BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600, 1301) * 1e-9}
 
 
-def _nodes(edges, depth=0):
-    """Nodes per row of the template from edges at that depth."""
-    return lifshitz._node_template(edges, depth)[0].size
+# the templates a row may start on, in the order a chunk runs them: the steep
+# one, then the rungs of the ladder from GL20/GL14 to GL10/GL7
+_STARTS = (lifshitz._STEEP, *(template for template, _ in lifshitz._LADDER))
+
+
+def _nodes(template, depth=0):
+    """Nodes per row of the template at that depth."""
+    return lifshitz._node_template(template, depth)[0].size
 
 
 def _template_rows(seps, temperature, tol):
-    """Each separation's rows on the steep template and on the Laguerre one,
-    as a batch at tol splits them."""
+    """Each separation's rows on each template of _STARTS, as a batch at tol
+    splits them: one array per template."""
     y1 = 2.0 * np.asarray(seps, dtype=float) * matsubara_frequency(1, temperature) / C_LIGHT
     counts = np.array([lifshitz._term_count(y, 0.5 * tol * lifshitz._ZETA3, 0)[0]
                        for y in y1.tolist()])
-    first = lifshitz._laguerre_start(y1, counts, tol)
-    return first, counts + 1 - first
+    cuts = [np.zeros_like(counts), *lifshitz._rung_starts(y1, counts, tol), counts + 1]
+    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _blocks(seps, temperature, tol):
@@ -629,10 +658,16 @@ def _blocks(seps, temperature, tol):
         k = j + 1
         while k < rows.size and rows[j:k + 1].sum() <= lifshitz._PASS_ELEMENTS:
             k += 1
-        blocks += sum(math.ceil(n[j:k].sum() / (lifshitz._PASS_ELEMENTS // _nodes(edges)))
-                      for edges, n in zip((lifshitz._STEEP, lifshitz._LAGUERRE), on))
+        blocks += sum(math.ceil(n[j:k].sum() / (lifshitz._PASS_ELEMENTS // _nodes(template)))
+                      for template, n in zip(_STARTS, on))
         j = k
     return blocks
+
+
+def _start_passes(on):
+    """The (rows, nodes) shape of each depth-0 pass of a batch that holds one
+    block per template, from the rows _template_rows gives."""
+    return [(int(n.sum()), _nodes(template)) for template, n in zip(_STARTS, on)]
 
 
 def _jumps(monkeypatch, targets, at=0.3, kink=False):
@@ -708,11 +743,10 @@ class TestSweepBlocks:
                             rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         # the grid's 24,827 rows run in two chunks
-        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 45 < seps.size / 15
+        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 35 < seps.size / 15
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
-        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
-        for edges, on in ((lifshitz._STEEP, steep), (lifshitz._LAGUERRE, laguerre)):
-            assert sum(r for r, nodes in rows if nodes == _nodes(edges)) == on.sum() > 0
+        for template, on in zip(_STARTS, _template_rows(seps, T_LAB, 1e-9)):
+            assert sum(r for r, nodes in rows if nodes == _nodes(template)) == on.sum() > 0
         assert max(r * nodes for r, nodes in rows) <= lifshitz._PASS_ELEMENTS
 
     def test_deep_refinement_peak_memory_is_no_higher_than_per_point(self):
@@ -743,16 +777,17 @@ class TestSweepBlocks:
         assert sweep_peak <= per_point_peak + 65536
 
     def test_a_separation_split_by_a_block_boundary_equals_per_point(self, monkeypatch):
-        # the Laguerre rows of 250-260 nm fill a 705-row block and run on
+        # the GL10/GL7 rows of 250-289 nm fill a 1411-row block and run on
         # into the next; a separation across a cut is summed from both, and
-        # from its steep rows, which all run in one block before them
-        seps = BENCH_GRIDS["250-950"][:12]
+        # from its rows on the other templates, which run in their own blocks
+        # before them
+        seps = BENCH_GRIDS["250-950"][:40]
         alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
                  for m in (DRUDE, PLASMA)}
-        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
-        ends = np.cumsum(laguerre)
-        block = lifshitz._PASS_ELEMENTS // _nodes(lifshitz._LAGUERRE)
-        assert any(end - rows < block < end for end, rows in zip(ends, laguerre))
+        on = _template_rows(seps, T_LAB, 1e-9)
+        ends = np.cumsum(on[-1])
+        block = lifshitz._PASS_ELEMENTS // _nodes(_STARTS[-1])
+        assert any(end - rows < block < end for end, rows in zip(ends, on[-1]))
         shapes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -760,13 +795,13 @@ class TestSweepBlocks:
                             shapes.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         got = _results(lifshitz._pressures([DRUDE, PLASMA], T_LAB, seps, 1e-9))
         assert got == [alone[DRUDE], alone[PLASMA]]
-        assert shapes[::2] == [(steep.sum(), _nodes(lifshitz._STEEP))] + \
-            [(block, _nodes(lifshitz._LAGUERRE))] * (ends[-1] // block) + \
-            [(ends[-1] % block, _nodes(lifshitz._LAGUERRE))]
+        assert shapes[::2] == [(min(block, rows - r), nodes) for rows, nodes in _start_passes(on)
+                               for block in [lifshitz._PASS_ELEMENTS // nodes]
+                               for r in range(0, rows, block)]
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
         # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
-        # Laguerre block also holds 900-904 nm, which converge
+        # GL10/GL7 block also holds 900-904 nm, which converge
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
         y1 = 2.0 * 902e-9 * matsubara_frequency(1, T_LAB) / C_LIGHT
@@ -777,9 +812,9 @@ class TestSweepBlocks:
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
-        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
-        assert shapes[:2] == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                              (laguerre.sum(), _nodes(lifshitz._LAGUERRE))]
+        on = _template_rows(seps, T_LAB, 1e-9)
+        assert shapes[:len(_STARTS)] == _start_passes(on)
+        assert sum(on[:-1])[2] <= 10  # 902 nm's first row on the GL10/GL7 rung
         assert got == [r.pressure for r in alone[:2]]
 
 
@@ -789,8 +824,8 @@ class TestRowLocalQuadrature:
     @pytest.mark.parametrize("depth", range(5))
     def test_a_row_has_the_same_bits_in_every_packing(self, model, depth):
         # the rows l = 0 .. 12 of three separations, each alone, all side by
-        # side, reversed, and odd rows before even ones, on either template
-        # (at depth 0 only on the Laguerre one, which has no panel to bisect)
+        # side, reversed, and odd rows before even ones, on every start
+        # template (the rungs only at depth 0, as they have no panel to bisect)
         seps = (50e-9, 250e-9, 1e-6)
         parts = [_terms(model, a, T_LAB, 12) for a in seps]
         y_l = np.concatenate([y for y, _ in parts])
@@ -798,50 +833,52 @@ class TestRowLocalQuadrature:
         a = np.repeat(seps, 13)
         n = y_l.size
         work = lifshitz._Workspace(0)
-        for edges in (lifshitz._STEEP, lifshitz._LAGUERRE)[:1 if depth else 2]:
+        for template in _STARTS[:1 if depth else None]:
             alone = [lifshitz._template_integrate([model], a[i], y_l[i:i + 1], [eps[i:i + 1]],
-                                                  edges, depth, work)[0]
+                                                  template, depth, work)[0]
                      for i in range(n)]
             for order in (np.arange(n), np.arange(n)[::-1], np.r_[1:n:2, 0:n:2]):
                 [(vals, errs)] = lifshitz._template_integrate([model], a[order], y_l[order],
-                                                              [eps[order]], edges, depth, work)
+                                                              [eps[order]], template, depth, work)
                 assert vals.tolist() == [alone[i][0][0] for i in order]
                 assert errs.tolist() == [alone[i][1][0] for i in order]
 
     def test_rows_missed_in_two_separations_refine_in_one_pass(self, monkeypatch):
-        # row l = 3 of 900 nm and row l = 7 of 903 nm, both on the Laguerre
-        # template, jump at t = 1, a panel edge of the steep template at
-        # depth 1, where both refine; both share the Laguerre block of
-        # 900-904 nm
+        # row l = 5 of 900 nm and row l = 7 of 903 nm, both on the GL14/GL10
+        # rung (5 <= y_l < 13 at tol 1e-9), jump at t = 1, a panel edge of
+        # the steep template at depth 1, where both refine; both share the
+        # GL14/GL10 block of 900-904 nm
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         xi1 = matsubara_frequency(1, T_LAB)
-        targets = [3 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
-        assert min(targets) >= lifshitz._LAGUERRE_STARTS[0][0]
+        targets = [5 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
+        rungs = [rung[0][0] for _, rung in lifshitz._LADDER]
+        assert rungs[1] <= min(targets) and max(targets) < rungs[2]
         shapes, hits = _jumps(monkeypatch, targets, at=1.0)
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
-        assert len(shapes) == 2 * len(seps) + 2
+        assert len(shapes) == len(_STARTS) * len(seps) + 2
         shapes.clear()
         hits.clear()
         swept, swept_trunc = pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
-        steep, laguerre = _template_rows(seps, T_LAB, 1e-9)
-        assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                          (laguerre.sum(), _nodes(lifshitz._LAGUERRE)),
-                          (2, _nodes(lifshitz._STEEP, 1))]
-        assert hits == [0, 2, 2]
+        starts = _start_passes(_template_rows(seps, T_LAB, 1e-9))
+        assert shapes == [*starts[:3], (2, _nodes(lifshitz._STEEP, 1)), *starts[3:]]
+        assert hits == [0, 0, 2, 2, 0]
 
     def test_deepest_template_is_linear_in_its_panels(self):
-        # refinement deepens the steep template alone; the Laguerre one has
-        # no panels, only its two Gauss-Laguerre rules from t = 0
-        for edges, depth, panels in ((lifshitz._STEEP, 8, 1024), (lifshitz._LAGUERRE, 0, 0)):
-            nodes, w, d, n_panels = lifshitz._node_template(edges, depth)
+        # refinement deepens the steep template alone; a rung of the ladder
+        # has no panels, only its two Gauss-Laguerre rules from t = 0
+        for template, depth, panels in ((lifshitz._STEEP, 8, 1024),
+                                        *((rung, 0, 0) for rung in _STARTS[1:])):
+            nodes, w, d, n_panels = lifshitz._node_template(template, depth)
             assert n_panels == panels
-            assert nodes.size == w.size == d.size == 15 * panels + 34
+            assert nodes.size == w.size == d.size == 15 * panels + sum(template[1])
             assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
-        assert lifshitz._node_template(lifshitz._LAGUERRE, 0)[0].tolist() == \
-            [*lifshitz._gauss_laguerre(20)[0], *lifshitz._gauss_laguerre(14)[0]]
-        assert (_nodes(lifshitz._STEEP), _nodes(lifshitz._LAGUERRE)) == (94, 34)
+        for rung in _STARTS[1:]:
+            n, m = rung[1]
+            assert lifshitz._node_template(rung, 0)[0].tolist() == \
+                [*lifshitz._gauss_laguerre(n)[0], *lifshitz._gauss_laguerre(m)[0]]
+        assert [_nodes(template) for template in _STARTS] == [94, 34, 24, 17]
 
 
 class TestSharedPlanes:
@@ -854,8 +891,8 @@ class TestSharedPlanes:
         y_ls = [rng.uniform(0.0, 60.0, 200_000), np.zeros(255), rng.uniform(0.0, 1e-3, 5_000),
                 np.geomspace(1e-300, 1e-3, 1_000)]
         work = lifshitz._Workspace(0)
-        for y_l, edges in itertools.product(y_ls, (lifshitz._STEEP, lifshitz._LAGUERRE)):
-            nodes = lifshitz._node_template(edges, 0)[0]
+        for y_l, template in itertools.product(y_ls, _STARTS):
+            nodes = lifshitz._node_template(template, 0)[0]
             for rows in np.array_split(y_l, max(1, y_l.size // 5_000)):
                 y, y2, em, em1 = lifshitz._shared_planes(rows, nodes,
                                                          work.planes(rows.size, nodes.size)[:4])
@@ -881,10 +918,10 @@ class TestSweepMemo:
         assert len(passes) == n_first
         assert [first] + rest == alone
         # a repeated call, or one at another tol, is computed alone: one pass
-        # on each template
+        # on each start template
         casimir_pressure(PLASMA, float(seps[1]), T_LAB, 1e-9, cache=cache)
         casimir_pressure(PLASMA, float(seps[2]), T_LAB, 1e-8, cache=cache)
-        assert len(passes) == n_first + 4
+        assert len(passes) == n_first + 2 * len(_STARTS)
 
     def test_breakdown_through_a_listed_cache_equals_one_alone(self):
         seps = [300e-9, 301e-9, 302e-9]
@@ -917,9 +954,7 @@ class TestSweepMemo:
                 with pytest.raises(ValidityDomainError):
                     casimir_pressure(DRUDE, a, T_LAB, 1e-9, cache=cache)
         assert got == alone
-        steep, laguerre = _template_rows(inside, T_LAB, 1e-9)
-        assert shapes == [(steep.sum(), _nodes(lifshitz._STEEP)),
-                          (laguerre.sum(), _nodes(lifshitz._LAGUERRE))]
+        assert shapes == _start_passes(_template_rows(inside, T_LAB, 1e-9))
 
 
 def _results(batch):
@@ -955,13 +990,12 @@ class TestModelsShareOneBatch:
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_batches_whose_templates_cut_apart_equal_alone_at_293_K(self, tol):
         # from 50 nm to 2 um a separation keeps 38 rows to 1 on the steep
-        # template, so the blocks of the two templates cut the grid at other
-        # separations
-        seps = np.geomspace(50e-9, 2e-6, 90)
+        # template and 24 to 1 on the GL20/GL14 rung, so the blocks of the
+        # four start templates cut the grid at other separations
+        seps = np.geomspace(50e-9, 2e-6, 220)
         models = (DRUDE, PLASMA, IDEAL_METAL)
-        steep, laguerre = _template_rows(seps, T_LAB, tol)
-        for edges, rows in ((lifshitz._STEEP, steep), (lifshitz._LAGUERRE, laguerre)):
-            assert rows.sum() > 2 * (lifshitz._PASS_ELEMENTS // _nodes(edges))
+        for template, rows in zip(_STARTS, _template_rows(seps, T_LAB, tol)):
+            assert rows.sum() > 2 * (lifshitz._PASS_ELEMENTS // _nodes(template))
         alone = [[casimir_pressure(m, float(a), T_LAB, tol) for a in seps] for m in models]
         assert _results(lifshitz._pressures(list(models), T_LAB, seps, tol)) == alone
         for model, results in zip(models, alone):
@@ -1027,11 +1061,12 @@ class TestModelsShareOneBatch:
 
     def test_a_separation_missed_on_both_templates_names_its_first_l(self, monkeypatch):
         # at 10 K both separations share a chunk, whose steep blocks run
-        # rows l < 1083 of 50.5 nm before its Laguerre blocks run the rest;
-        # rows 701 (steep) and 1203 (Laguerre) of 50.5 nm miss at every depth
+        # rows l < 1083 of 50.5 nm before the blocks of the rungs run the
+        # rest; rows 701 (steep) and 1203 (GL20/GL14) of 50.5 nm miss at
+        # every depth
         seps = [50e-9, 50.5e-9]
         y1 = 2.0 * seps[1] * matsubara_frequency(1, 10.0) / C_LIGHT
-        steep, _ = _template_rows(seps, 10.0, 1e-9)
+        steep = _template_rows(seps, 10.0, 1e-9)[0]
         assert steep[1] == 1083
         _jumps(monkeypatch, [701 * y1, 1203 * y1])
         batch = lifshitz._pressures([DRUDE], 10.0, seps, 1e-9)
@@ -1052,9 +1087,10 @@ class TestModelsShareOneBatch:
                 casimir_pressure(model, 300e-9, T_LAB, 1e-9, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
-        # at 10 K and 50 nm both models' 12,775 rows run through 22 blocks
-        # (5 steep, 17 Laguerre), and the rows' values are held until the
-        # sum: well under the 79 MB of one pass over all the rows
+        # at 10 K and 50 nm both models' 12,775 rows run through 16 blocks
+        # (5 steep, then 2, 3 and 6 on the rungs), and the rows' values are
+        # held until the sum: well under the 79 MB of one pass over all the
+        # rows
         import tracemalloc
 
         a = 50e-9
@@ -1069,7 +1105,7 @@ class TestModelsShareOneBatch:
         assert peak < 8e6
 
     def test_two_model_peak_memory_is_one_workspace(self):
-        # at 10 K and 50 nm the 12,775 rows run in 22 blocks of up to 24,000
+        # at 10 K and 50 nm the 12,775 rows run in 16 blocks of up to 24,000
         # rows x nodes in eight planes (1.5 MB); the second model reuses the
         # first model's four planes, and adds only its own row vectors (its
         # permittivities on the terms, and its held integrals, 8 bytes each
