@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from pathlib import Path
@@ -394,6 +395,7 @@ def _cmd_pipeline(args, cp):
     return 0
 
 
+@functools.cache  # argparse only reads the parser, so every main call shares one
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="casimirlab",

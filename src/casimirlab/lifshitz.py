@@ -11,9 +11,11 @@ count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
 all of them are integrated by vectorised passes over node templates in
 t = y - y_l: the steep template (Gauss-Kronrod panels on [0, 7],
 Gauss-Laguerre beyond, 94 nodes) for the rows with small y_l, and for the
-smooth rows the cheapest rung, whose start the row has reached, of a ladder
-of panel-free Gauss-Laguerre rules from t = 0 (34, 24 and 17 nodes), each
-starting where its measured error is below tol/2.  The terms whose error
+others the cheapest rung, whose start the row has reached, of a ladder of
+six start rules: Gauss-Kronrod panels on [0, 1, 3] or [0, 2] with
+Gauss-Laguerre beyond (64 and 49 nodes), then panel-free Gauss-Laguerre
+rules from t = 0 (34, 24, 20 and 14 nodes), each starting where its
+measured error is below tol/2.  The terms whose error
 estimate misses tol/2 of their value are redone together on the steep
 template with its panels bisected, once more per pass, whichever template
 they started on (Bordag, Klimchitskaya, Mohideen and Mostepanenko, Advances
@@ -26,9 +28,9 @@ model's eps once for a list of separations and runs them in chunks of whole
 separations, in order, each of at most _PASS_ELEMENTS rows (separation,
 term) unless one separation holds more.  A chunk runs its rows through the
 template each starts on, in fixed blocks of _PASS_ELEMENTS rows x nodes
-(255, 705, 1000 or 1411 rows) that all its models share, then sums each of
-its separations into per-model arrays of pressures, tail bounds and term
-counts (_Batch).
+(255, 375, 489, 705, 1000, 1200 or 1714 rows) that all its models share,
+then sums each of its separations into per-model arrays of pressures, tail
+bounds and term counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
 per-point object, and is the one way for models to share a batch.  A
 PressureResult is built only for a caller that asks for one point:
@@ -175,17 +177,25 @@ def _gauss_laguerre(n):
 # bisects its panels.
 _STEEP = ((0.0, 0.5, 1.5, 3.5, 7.0), (20, 14))
 
-# The ladder of Gauss-Laguerre start templates, without panels, for the smooth
-# rows, where the integrand is e^-t times a slowly varying factor: each rung's
-# rule pair from t = 0, and its (y_l from which rows may start on it, the
-# largest error estimate over value of its rows from there) list.  The
-# envelopes are over drude, plasma and the ideal metal, 50 nm - 20 um at
+# The ladder of start templates for the rows past the steep range, cheapest
+# last: 15-point Gauss-Kronrod panels on [0, 1, 3] and on [0, 2] with GL20/GL14
+# beyond, then panel-free Gauss-Laguerre rules from t = 0, where the integrand
+# is e^-t times a slowly varying factor.  Each rung has its template and its
+# (y_l from which rows may start on it, the largest error estimate over value
+# of the rows it can take from there) list; it can take rows up to the next
+# rung's last start, past which a row starts on a later rung at every tol.
+# The envelopes are over drude, plasma and the ideal metal, 50 nm - 20 um at
 # 293.15 K, 10 K and 1 K, on the rows of tol 1e-12, and tests/test_lifshitz.py
-# measures them; each rung's last one is below TOL_RANGE[0] / 2.
+# measures them; each rung's last one is below TOL_RANGE[0] / 2.  The middle
+# entries keep the starts rising along the ladder at the tols where one rung
+# has moved on to its next start and the others have not.
 _LADDER = (
-    (((0.0,), (20, 14)), ((3.0, 7.4e-11), (7.0, 6.0e-14))),
-    (((0.0,), (14, 10)), ((5.0, 2.2e-10), (11.0, 3.6e-13))),
-    (((0.0,), (10, 7)), ((13.0, 4.0e-11), (22.0, 2.2e-13))),
+    (((0.0, 1.0, 3.0), (20, 14)), ((0.45, 4.5e-10), (1.0, 3.5e-12), (1.75, 4.6e-13))),
+    (((0.0, 2.0), (20, 14)), ((1.15, 4.5e-10), (2.0, 7.4e-12), (3.0, 4.6e-13))),
+    (((0.0,), (20, 14)), ((3.0, 7.4e-11), (4.5, 2.3e-12), (7.0, 6.0e-14))),
+    (((0.0,), (14, 10)), ((5.0, 2.2e-10), (9.0, 2.0e-12), (11.0, 3.6e-13))),
+    (((0.0,), (12, 8)), ((9.25, 1.04e-10), (15.0, 9.0e-13), (16.0, 4.6e-13))),
+    (((0.0,), (8, 6)), ((15.4, 1.08e-10), (30.5, 4.6e-13))),
 )
 
 
@@ -195,12 +205,13 @@ def _node_template(template, depth):
     bisected depth times, their weights w and d, and the panel count.
 
     15-point Gauss-Kronrod panels on the edges resolve the start of a term:
-    60 nodes at depth 0 from _STEEP, none from a rung of _LADDER, which has
-    no panel to bisect.  From the last edge (t = 7, or 0), where the
-    integrand is e^-t times a slowly varying factor, the n-point
-    Gauss-Laguerre rule takes the rest and the m-point one checks it: 94
-    nodes from _STEEP (GL20 and GL14), 34, 24 and 17 from the rungs (GL20
-    and GL14, GL14 and GL10, GL10 and GL7).  The nodes run panel by panel,
+    60 nodes at depth 0 from _STEEP, and 30, 15 or none from a rung of
+    _LADDER, which refinement never bisects.  From the last edge (t = 7, 3,
+    2 or 0), where the integrand is e^-t times a slowly varying factor, the
+    n-point Gauss-Laguerre rule takes the rest and the m-point one checks
+    it: 94 nodes from _STEEP (GL20 and GL14), 64, 49 and 34 from the rungs
+    with GL20 and GL14, then 24, 20 and 14 (GL14 and GL10, GL12 and GL8,
+    GL8 and GL6).  The nodes run panel by panel,
     15 each, then GLn and GLm.  w gives the integral (Kronrod, then GLn, 0
     on GLm) and d each panel's Kronrod-minus-Gauss difference, then GLn
     minus GLm; both are linear in the panel count.
@@ -491,9 +502,10 @@ def _rung_starts(y1, last_l, tol):
     return np.minimum(np.ceil(np.divide.outer(ys, y1)).astype(int), last_l + 1)
 
 
-# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 705 of
-# 34, 1000 of 24 or 1411 of 17, in a workspace of about 1.5 MB; also the most
-# rows of a chunk of separations, unless one separation alone holds more
+# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 375 of
+# 64, 489 of 49, 705 of 34, 1000 of 24, 1200 of 20 or 1714 of 14, in a
+# workspace of about 1.5 MB; also the most rows of a chunk of separations,
+# unless one separation alone holds more
 _PASS_ELEMENTS = 24_000
 
 
@@ -509,8 +521,11 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     separations run in chunks, in order: from the next one, as many as hold at
     most _PASS_ELEMENTS rows together, and at least one.  A chunk runs all its
     steep rows, then all its rows on each rung in ladder order, in blocks of
-    _PASS_ELEMENTS // 94, 34, 24 or 17 rows (255, 705, 1000 or 1411) that
-    every model shares, so each separation's rows run in increasing l.  In a
+    _PASS_ELEMENTS // 94, 64, 49, 34, 24, 20 or 14 rows (255, 375, 489, 705,
+    1000, 1200 or 1714) that every model shares, so each separation's rows
+    run in increasing l.  Each template's rows of the chunk (their
+    separation, l, y_l, place and eps) are gathered once, and its blocks are
+    slices of them.  In a
     block, a model's rows whose error estimate exceeds tol/2 of their value
     (or 1e-300, for a row that underflows) go through again together on the
     steep template, whichever template they started on, with its panels
@@ -558,37 +573,39 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
         k = max(j + 1, int(np.searchsorted(ends, base + _PASS_ELEMENTS, side="right")))
         values = np.empty((len(models), ends[k - 1] - base))  # by batch row - base
         for template, nodes, lo, hi in templates:
-            here = np.cumsum(hi[j:k] - lo[j:k])  # the chunk's rows on this template
-            lift = hi[j:k] - here  # from such a row to its l
+            # the chunk's rows on this template, in order: separation index,
+            # l, y_l, place in values, separation and eps per model
+            on = hi[j:k] - lo[j:k]
+            sep = np.repeat(np.arange(j, k), on)
+            ls = np.arange(sep.size) + (lo[j:k] - np.cumsum(on) + on)[sep - j]
+            y_l, at, a_r = y1_j[sep] * ls, starts[sep] - base + ls, a_j[sep]
+            eps_r = [eps_m[ls] for eps_m in eps]
             block = _PASS_ELEMENTS // nodes
-            for r in range(0, int(here[-1]), block):
-                row = np.arange(r, min(r + block, here[-1]))
-                sep = j + np.searchsorted(here, row, side="right")
-                ls = row + lift[sep - j]
-                at = starts[sep] - base + ls  # each row's place in values
-                y_l = y1_j[sep] * ls
-                passed = _template_integrate(models, a_j[sep], y_l, [eps_m[ls] for eps_m in eps],
-                                             template, 0, work)
-                for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps, passed)):
+            for r in range(0, sep.size, block):
+                cut = slice(r, r + block)
+                passed = _template_integrate(models, a_r[cut], y_l[cut],
+                                             [eps_m[cut] for eps_m in eps_r], template, 0, work)
+                for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps_r, passed)):
                     rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
                     for depth in range(1, 9):
                         if not rows.size:
                             break
-                        [(v, e)] = _template_integrate([model], a_j[sep[rows]], y_l[rows],
-                                                       [eps_m[ls[rows]]], _STEEP, depth, work)
+                        [(v, e)] = _template_integrate([model], a_r[r + rows], y_l[r + rows],
+                                                       [eps_m[r + rows]], _STEEP, depth, work)
                         vals[rows] = v
                         rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
-                    for j_row, l in zip(sep[rows].tolist(), ls[rows].tolist()):
+                    for j_row, l in zip(sep[r + rows].tolist(), ls[r + rows].tolist()):
                         if failed[m, j_row] < 0:  # rows run in increasing l
                             failed[m, j_row] = l
-                    values[m, at] = vals
+                    values[m, at[cut]] = vals
+            del sep, ls, y_l, at, a_r, eps_r  # before the next template's are built
         values[:, starts[j:k] - base] *= 0.5  # the primed sum's l = 0 terms
+        runs = list(zip((starts[j:k] - base).tolist(), (ends[j:k] - base).tolist()))
         for m in range(len(models)):
-            for i in range(j, k):
-                run = slice(starts[i] - base, ends[i] - base)
-                sums[m].append(math.fsum(values[m, run].tolist()))
-                if with_breakdown:
-                    breakdowns[m][i] = prefactors[i] * values[m, run]
+            sums[m].extend(math.fsum(values[m, first:end].tolist()) for first, end in runs)
+            if with_breakdown:
+                for i, (first, end) in enumerate(runs, j):
+                    breakdowns[m][i] = prefactors[i] * values[m, first:end]
         del values  # before the next chunk's are allocated
         j = k
     pressures = prefactors * np.array(sums)
@@ -627,12 +644,16 @@ def casimir_pressure(
         stopped_by is then "tol".  Every term is integrated to tol/2 of its
         value on a shared template in y - y_l: 94 nodes (Gauss-Kronrod
         panels on [0, 7], Gauss-Laguerre beyond) in blocks of up to 255
-        terms for small y_l, else Gauss-Laguerre rules from y_l, 34, 24 or
-        17 nodes (GL20 and GL14, GL14 and GL10, GL10 and GL7) in blocks of
-        up to 705, 1000 or 1411, each from the first y_l where its measured
-        error envelope is below tol/2 (3, 5 and 13 when tol exceeds
-        1.48e-10, 4.4e-10 and 8e-11, else 7, 11 and 22); a term starts on
-        the cheapest rule whose start it has reached.  A sweep's separations
+        terms for small y_l, else one of six start rules: panels on
+        [0, 1, 3] or [0, 2] with GL20 and GL14 beyond (64 and 49 nodes,
+        blocks of up to 375 and 489), then Gauss-Laguerre rules from y_l,
+        34, 24, 20 or 14 nodes (GL20 and GL14, GL14 and GL10, GL12 and GL8,
+        GL8 and GL6) in blocks of up to 705, 1000, 1200 or 1714.  Each
+        starts from the first y_l where its measured error envelope is
+        below tol/2: 0.45, 1.15, 3, 5, 9.25 and 15.4 at tol 1e-9 and
+        above, 1.75, 3, 7, 11, 16 and 30.5 at 1e-12, and the middle entries
+        of _LADDER between; a term starts on the cheapest rule whose start
+        it has reached.  A sweep's separations
         share blocks, in chunks of at most 24,000 terms.  The terms of a block
         whose error estimate misses that are redone together on the 94-node
         template with its panels bisected, up to 8 times, and NumericsError,

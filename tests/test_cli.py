@@ -410,6 +410,29 @@ class TestImport:
 
 
 class TestErrors:
+    def test_calls_on_the_shared_parser_equal_calls_on_fresh_ones(self, tmp_path, capsys):
+        # theory, a config error, then theory again, in one process: each
+        # call's exit code, stdout and stderr on the one cached parser are
+        # those of the same call on a parser built for it alone
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text("[theory]\na_start_nm = 250\na_stop_nm = 300\n")
+        bad.write_text("[theory]\na_stpe_nm = 5\n")
+        argvs = [["theory", "--config", cfg, "--out", tmp_path / "out"] for cfg in (good, bad, good)]
+
+        def calls(fresh):
+            got = []
+            for argv in argvs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                got.append((run(argv), *capsys.readouterr()))
+            return got
+
+        shared = calls(fresh=False)
+        assert [code for code, _, _ in shared] == [0, 2, 0]
+        assert "config error" in shared[1][2]
+        assert calls(fresh=True) == shared
+        assert cli._build_parser() is cli._build_parser()
+
     def test_pipeline_rejects_a_repeated_set(self, tmp_path, capsys):
         cfg = tmp_path / "repeat.ini"
         cfg.write_text("[pipeline]\nsets = 1,1\nseed = 7\n")

@@ -376,8 +376,8 @@ class TestToleranceMet:
     @pytest.mark.parametrize("temperature", [T_LAB, 10.0])
     def test_template_rows_within_their_estimates(self, model, temperature):
         # each row on the template it starts on at tol, against the same row
-        # on the steep template bisected deeper and deeper (a rung of the
-        # ladder has no panel to bisect), until that reference converges: the
+        # on the steep template bisected deeper and deeper (refinement
+        # bisects no rung of the ladder), until that reference converges: the
         # first (up to) 40 rows a sum at tol keeps, and the rows on either
         # side of y_l = 1 and of every start of every rung
         starts = [start for _, rung in lifshitz._LADDER for start, _ in rung]
@@ -407,37 +407,46 @@ class TestToleranceMet:
                     # value here, is in no estimate
                     assert abs(vals[i] - ref[0]) <= errs[i] + 1e-14 * ref[0], \
                         (a, tol, ls[rows][i])
-            # rows start on the rungs from y_l = 3, 5 and 13 at tol 1e-9, and
-            # from y_l = 7, 11 and 22 at tol 1e-12
-            assert cuts[1:-1] == [min(math.ceil(y / y1), n_terms + 1)
-                                  for y in ((3.0, 5.0, 13.0) if tol == 1e-9 else (7.0, 11.0, 22.0))]
+            # rows start on the rungs from y_l = 0.45, 1.15, 3, 5, 9.25 and
+            # 15.4 at tol 1e-9, and from 1.75, 3, 7, 11, 16 and 30.5 at 1e-12
+            firsts = ((0.45, 1.15, 3.0, 5.0, 9.25, 15.4) if tol == 1e-9 else
+                      (1.75, 3.0, 7.0, 11.0, 16.0, 30.5))
+            assert cuts[1:-1] == [min(math.ceil(y / y1), n_terms + 1) for y in firsts]
 
     def test_laguerre_envelopes_are_measured(self):
         # the tol gates of the rungs' starts: the largest estimate over value
         # on the rows from each start of each rung, drude, plasma and the
         # ideal metal, across the separation range at 293.15 K, 10 K and 1 K,
         # at the counts of tol 1e-12 (the most rows), each row integrated once
-        # per rung; each envelope sits at most 5 % above its worst row, a
-        # rung's starts rise as its envelopes fall (so as tol tightens), and
-        # its last envelope is below every tol/2
+        # per rung that can take it, the three models in one pass of at most
+        # _PASS_ELEMENTS rows x nodes.  A rung takes the rows up to the next
+        # rung's last start (the last rung all of them): a row past it starts
+        # on a later rung at every tol.  Each envelope sits at most 5 % above
+        # its worst row, a rung's starts rise as its envelopes fall (so as
+        # tol tightens), and its last envelope is below every tol/2
         worst = {(k, start): 0.0 for k, (_, rung) in enumerate(lifshitz._LADDER)
                  for start, _ in rung}
+        stops = [rung[-1][0] for _, rung in lifshitz._LADDER[1:]] + [None]
         work = lifshitz._Workspace(0)
+        models = (DRUDE, PLASMA, IDEAL_METAL)
         for temperature, points in ((T_LAB, 80), (10.0, 80), (1.0, 20)):
             for a in np.geomspace(50e-9, 20e-6, points):
                 y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
                 n_terms = lifshitz._term_count(y1, 0.5e-12 * lifshitz._ZETA3, 0)[0]
-                for model in (DRUDE, PLASMA, IDEAL_METAL):
-                    y_l, eps = _terms(model, a, temperature, n_terms)
-                    for k, (template, rung) in enumerate(lifshitz._LADDER):
-                        firsts = {start: math.ceil(start / y1) for start, _ in rung}
-                        for lo in range(min(firsts.values()), n_terms + 1, 5_000):
-                            ls = np.arange(lo, min(lo + 5_000, n_terms + 1))
-                            [(vals, errs)] = lifshitz._template_integrate(
-                                [model], a, y_l[ls], [eps[ls]], template, 0, work)
-                            for start, first in firsts.items():
-                                worst[k, start] = max(worst[k, start],
-                                                      (errs / vals)[ls >= first].max(initial=0.0))
+                y_l = _terms(IDEAL_METAL, a, temperature, n_terms)[0]
+                eps = [_terms(model, a, temperature, n_terms)[1] for model in models]
+                for k, ((template, rung), stop) in enumerate(zip(lifshitz._LADDER, stops)):
+                    firsts = {start: math.ceil(start / y1) for start, _ in rung}
+                    stop = n_terms + 1 if stop is None else min(n_terms + 1, math.ceil(stop / y1))
+                    block = lifshitz._PASS_ELEMENTS // _nodes(template)
+                    for lo in range(min(firsts.values()), stop, block):
+                        ls = np.arange(lo, min(lo + block, stop))
+                        passed = lifshitz._template_integrate(
+                            models, a, y_l[ls], [eps_m[ls] for eps_m in eps], template, 0, work)
+                        ratio = np.max([errs / vals for vals, errs in passed], axis=0)
+                        for start, first in firsts.items():
+                            worst[k, start] = max(worst[k, start],
+                                                  ratio[ls >= first].max(initial=0.0))
         for k, (_, rung) in enumerate(lifshitz._LADDER):
             for start, envelope in rung:
                 assert worst[k, start] <= envelope <= 1.05 * worst[k, start], (k, start)
@@ -471,14 +480,15 @@ class TestToleranceMet:
 
     @staticmethod
     def _a_row_that_misses_refines(monkeypatch, k):
-        """A stand-in integrand: drude's first row at 1 um on template k of
+        """A stand-in integrand: drude's first row at 400 nm on template k of
         _STARTS, at tol 1e-9, times 1 + max(t - 0.25, 0), a kink that the
-        rung's Gauss-Laguerre rules from t = 0 miss by far more than tol/2
-        and that depth 1 of the steep template has a panel edge at.  The row
-        refines there, alone, right after its own block, and the pressure
-        meets tol against the oracle with the same kink.  A jump at t = 0.3
-        in that row misses at every depth, and the row is named."""
-        a, tol = 1e-6, 1e-9
+        rung's rules (a first panel on [0, 1] or [0, 2], or Gauss-Laguerre
+        from t = 0) miss by far more than tol/2 and that depth 1 of the steep
+        template has a panel edge at.  The row refines there, alone, right
+        after its own block, and the pressure meets tol against the oracle
+        with the same kink.  A jump at t = 0.3 in that row misses at every
+        depth, and the row is named."""
+        a, tol = 400e-9, 1e-9
         y1 = 2.0 * a * matsubara_frequency(1, T_LAB) / C_LIGHT
         on = _template_rows([a], T_LAB, tol)
         assert all(n[0] > 0 for n in on)
@@ -495,17 +505,21 @@ class TestToleranceMet:
         assert abs(ref - _long_sum_pressure(DRUDE, a, T_LAB)) > 1e3 * tol * abs(ref)
         monkeypatch.undo()
         _jumps(monkeypatch, target, at=0.3)
-        with pytest.raises(NumericsError, match=rf"\(l={l}, a=1e-06\)"):
+        with pytest.raises(NumericsError, match=rf"\(l={l}, a=4e-07\)"):
             casimir_pressure(DRUDE, a, T_LAB, tol)
         return l
 
-    def test_a_laguerre_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
-        # the first row of the GL20/GL14 rung: l = 2, y_l = 3.22, kinked at y = 3.47
-        assert self._a_row_that_misses_refines(monkeypatch, 1) == 2
+    def test_a_panel_rung_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # the first row of the [0, 1, 3] panel rung: l = 1, y_l = 0.64, kinked at y = 0.89
+        assert self._a_row_that_misses_refines(monkeypatch, 1) == 1
 
-    def test_a_gl10_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
-        # the first row of the GL10/GL7 rung: l = 9, y_l = 14.48, kinked at y = 14.73
-        assert self._a_row_that_misses_refines(monkeypatch, 3) == 9
+    def test_a_laguerre_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # the first row of the GL20/GL14 rung: l = 5, y_l = 3.22, kinked at y = 3.47
+        assert self._a_row_that_misses_refines(monkeypatch, 3) == 5
+
+    def test_a_gl8_row_that_misses_refines_on_the_steep_template(self, monkeypatch):
+        # the first row of the GL8/GL6 rung: l = 24, y_l = 15.44, kinked at y = 15.69
+        assert self._a_row_that_misses_refines(monkeypatch, 6) == 24
 
     def test_low_temperature_rows_refine_in_batches(self, monkeypatch):
         # at 10 K and 50 nm the first 63 drude rows miss on the steep
@@ -528,9 +542,10 @@ class TestToleranceMet:
             casimir_pressure(DRUDE, 1e-6, T_LAB, 1e-9)
 
     def test_one_integrand_pass_per_pressure_on_benchmark_grids(self, monkeypatch):
-        # computed alone, a pressure runs its rows on each start template (the
-        # steep one and the three rungs) in one depth-0 pass each, and no row
-        # goes through again
+        # computed alone, a pressure runs its rows on each start template it
+        # has rows on (the steep one and the six rungs; from 715 nm no row
+        # lies in the first rung's 0.45 <= y_l < 1.15) in one depth-0 pass
+        # each, and no row goes through again
         nodes = []
         kernel = lifshitz._integrand
         monkeypatch.setattr(lifshitz, "_integrand",
@@ -541,7 +556,10 @@ class TestToleranceMet:
             cache = MatsubaraCache(model, T_LAB)
             for a in grid:
                 casimir_pressure(model, float(a), T_LAB, 1e-9, cache=cache)
-        assert nodes == [_nodes(template) for template in _STARTS] * (2 * grid.size)
+        on = _template_rows(grid, T_LAB, 1e-9)
+        assert (on[1] == 0).any() and all(n[grid < 700e-9].all() for n in on)
+        assert nodes == [_nodes(template) for j in range(grid.size)
+                         for template, n in zip(_STARTS, on) if n[j]] * 2
 
     def test_short_separation_count_comes_from_the_tail_bound(self, monkeypatch):
         # at short range the count is the smallest L whose tail bound is
@@ -628,7 +646,7 @@ BENCH_GRIDS = {"250-950": np.arange(250, 951) * 1e-9, "600-1300": np.arange(600,
 
 
 # the templates a row may start on, in the order a chunk runs them: the steep
-# one, then the rungs of the ladder from GL20/GL14 to GL10/GL7
+# one, then the rungs of the ladder from the [0, 1, 3] panels to GL8/GL6
 _STARTS = (lifshitz._STEEP, *(template for template, _ in lifshitz._LADDER))
 
 
@@ -666,8 +684,8 @@ def _blocks(seps, temperature, tol):
 
 def _start_passes(on):
     """The (rows, nodes) shape of each depth-0 pass of a batch that holds one
-    block per template, from the rows _template_rows gives."""
-    return [(int(n.sum()), _nodes(template)) for template, n in zip(_STARTS, on)]
+    block per template it has rows on, from the rows _template_rows gives."""
+    return [(int(n.sum()), _nodes(template)) for template, n in zip(_STARTS, on) if n.any()]
 
 
 def _jumps(monkeypatch, targets, at=0.3, kink=False):
@@ -743,7 +761,7 @@ class TestSweepBlocks:
                             rows.append(shared[0].shape) or kernel(r_tm, r_te, shared, scratch))
         pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         # the grid's 24,827 rows run in two chunks
-        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 35 < seps.size / 15
+        assert len(rows) == _blocks(seps, T_LAB, 1e-9) == 34 < seps.size / 20
         assert sum(r for r, _ in rows) == sum(n_terms) + seps.size
         for template, on in zip(_STARTS, _template_rows(seps, T_LAB, 1e-9)):
             assert sum(r for r, nodes in rows if nodes == _nodes(template)) == on.sum() > 0
@@ -777,11 +795,11 @@ class TestSweepBlocks:
         assert sweep_peak <= per_point_peak + 65536
 
     def test_a_separation_split_by_a_block_boundary_equals_per_point(self, monkeypatch):
-        # the GL10/GL7 rows of 250-289 nm fill a 1411-row block and run on
+        # the GL8/GL6 rows of 250-304 nm fill a 1714-row block and run on
         # into the next; a separation across a cut is summed from both, and
         # from its rows on the other templates, which run in their own blocks
         # before them
-        seps = BENCH_GRIDS["250-950"][:40]
+        seps = BENCH_GRIDS["250-950"][:55]
         alone = {m: [casimir_pressure(m, float(a), T_LAB, 1e-9) for a in seps]
                  for m in (DRUDE, PLASMA)}
         on = _template_rows(seps, T_LAB, 1e-9)
@@ -801,7 +819,7 @@ class TestSweepBlocks:
 
     def test_unresolved_row_inside_a_block_is_named(self, monkeypatch):
         # only row l = 10 of 902 nm carries a jump at a non-dyadic t; its
-        # GL10/GL7 block also holds 900-904 nm, which converge
+        # GL12/GL8 block also holds 900-904 nm, which converge
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
         y1 = 2.0 * 902e-9 * matsubara_frequency(1, T_LAB) / C_LIGHT
@@ -813,8 +831,12 @@ class TestSweepBlocks:
         with pytest.raises(NumericsError, match=r"\(l=10, a=9\.02e-07\)"):
             pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         on = _template_rows(seps, T_LAB, 1e-9)
-        assert shapes[:len(_STARTS)] == _start_passes(on)
-        assert sum(on[:-1])[2] <= 10  # 902 nm's first row on the GL10/GL7 rung
+        # the row refines at every depth right after the GL12/GL8 block, the
+        # fifth pass (no row of 900-904 nm lies on the first rung)
+        passes = _start_passes(on)
+        refined = [(1, _nodes(lifshitz._STEEP, depth)) for depth in range(1, 9)]
+        assert shapes[:len(passes) + 8] == [*passes[:5], *refined, *passes[5:]]
+        assert sum(on[:5])[2] <= 10 < sum(on[:6])[2]  # 902 nm's rows on the GL12/GL8 rung
         assert got == [r.pressure for r in alone[:2]]
 
 
@@ -825,7 +847,7 @@ class TestRowLocalQuadrature:
     def test_a_row_has_the_same_bits_in_every_packing(self, model, depth):
         # the rows l = 0 .. 12 of three separations, each alone, all side by
         # side, reversed, and odd rows before even ones, on every start
-        # template (the rungs only at depth 0, as they have no panel to bisect)
+        # template (the rungs only at depth 0, as refinement bisects none of them)
         seps = (50e-9, 250e-9, 1e-6)
         parts = [_terms(model, a, T_LAB, 12) for a in seps]
         y_l = np.concatenate([y for y, _ in parts])
@@ -844,41 +866,42 @@ class TestRowLocalQuadrature:
                 assert errs.tolist() == [alone[i][1][0] for i in order]
 
     def test_rows_missed_in_two_separations_refine_in_one_pass(self, monkeypatch):
-        # row l = 5 of 900 nm and row l = 7 of 903 nm, both on the GL14/GL10
-        # rung (5 <= y_l < 13 at tol 1e-9), jump at t = 1, a panel edge of
+        # row l = 5 of 900 nm and row l = 6 of 903 nm, both on the GL14/GL10
+        # rung (5 <= y_l < 9.25 at tol 1e-9), jump at t = 1, a panel edge of
         # the steep template at depth 1, where both refine; both share the
-        # GL14/GL10 block of 900-904 nm
+        # GL14/GL10 block of 900-904 nm, which have no row on the first rung
         seps = [900e-9, 901e-9, 902e-9, 903e-9, 904e-9]
         xi1 = matsubara_frequency(1, T_LAB)
-        targets = [5 * (2.0 * 900e-9 * xi1 / C_LIGHT), 7 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
+        targets = [5 * (2.0 * 900e-9 * xi1 / C_LIGHT), 6 * (2.0 * 903e-9 * xi1 / C_LIGHT)]
         rungs = [rung[0][0] for _, rung in lifshitz._LADDER]
-        assert rungs[1] <= min(targets) and max(targets) < rungs[2]
+        assert rungs[3] <= min(targets) and max(targets) < rungs[4]
         shapes, hits = _jumps(monkeypatch, targets, at=1.0)
         alone = [casimir_pressure(DRUDE, a, T_LAB, 1e-9) for a in seps]
-        assert len(shapes) == len(_STARTS) * len(seps) + 2
+        assert len(shapes) == (len(_STARTS) - 1) * len(seps) + 2
         shapes.clear()
         hits.clear()
         swept, swept_trunc = pressure_sweep(DRUDE, seps, T_LAB, 1e-9)
         assert swept.tolist() == [r.pressure for r in alone]
         assert swept_trunc.tolist() == [r.truncation_error_estimate for r in alone]
         starts = _start_passes(_template_rows(seps, T_LAB, 1e-9))
-        assert shapes == [*starts[:3], (2, _nodes(lifshitz._STEEP, 1)), *starts[3:]]
-        assert hits == [0, 0, 2, 2, 0]
+        assert shapes == [*starts[:4], (2, _nodes(lifshitz._STEEP, 1)), *starts[4:]]
+        assert hits == [0, 0, 0, 2, 2, 0, 0]
 
     def test_deepest_template_is_linear_in_its_panels(self):
         # refinement deepens the steep template alone; a rung of the ladder
-        # has no panels, only its two Gauss-Laguerre rules from t = 0
+        # is used at depth 0 only: two panels, one, or none, then its two
+        # Gauss-Laguerre rules from the last edge
         for template, depth, panels in ((lifshitz._STEEP, 8, 1024),
-                                        *((rung, 0, 0) for rung in _STARTS[1:])):
+                                        *((rung, 0, len(rung[0]) - 1) for rung in _STARTS[1:])):
             nodes, w, d, n_panels = lifshitz._node_template(template, depth)
             assert n_panels == panels
             assert nodes.size == w.size == d.size == 15 * panels + sum(template[1])
             assert nodes.nbytes + w.nbytes + d.nbytes < 1 << 20
         for rung in _STARTS[1:]:
-            n, m = rung[1]
-            assert lifshitz._node_template(rung, 0)[0].tolist() == \
-                [*lifshitz._gauss_laguerre(n)[0], *lifshitz._gauss_laguerre(m)[0]]
-        assert [_nodes(template) for template in _STARTS] == [94, 34, 24, 17]
+            (*_, last), (n, m) = rung
+            assert lifshitz._node_template(rung, 0)[0][-n - m:].tolist() == \
+                [*(last + lifshitz._gauss_laguerre(n)[0]), *(last + lifshitz._gauss_laguerre(m)[0])]
+        assert [_nodes(template) for template in _STARTS] == [94, 64, 49, 34, 24, 20, 14]
 
 
 class TestSharedPlanes:
@@ -989,10 +1012,10 @@ class TestModelsShareOneBatch:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_batches_whose_templates_cut_apart_equal_alone_at_293_K(self, tol):
-        # from 50 nm to 2 um a separation keeps 38 rows to 1 on the steep
-        # template and 24 to 1 on the GL20/GL14 rung, so the blocks of the
-        # four start templates cut the grid at other separations
-        seps = np.geomspace(50e-9, 2e-6, 220)
+        # from 50 nm to 2 um a separation keeps 6 rows to 1 on the steep
+        # template and 9 to none on the first rung, so the blocks of the
+        # seven start templates cut the grid at other separations
+        seps = np.geomspace(50e-9, 2e-6, 360)
         models = (DRUDE, PLASMA, IDEAL_METAL)
         for template, rows in zip(_STARTS, _template_rows(seps, T_LAB, tol)):
             assert rows.sum() > 2 * (lifshitz._PASS_ELEMENTS // _nodes(template))
@@ -1060,18 +1083,17 @@ class TestModelsShareOneBatch:
             casimir_pressure(DRUDE, seps[2], T_LAB, 1e-9, cache=cache)
 
     def test_a_separation_missed_on_both_templates_names_its_first_l(self, monkeypatch):
-        # at 10 K both separations share a chunk, whose steep blocks run
-        # rows l < 1083 of 50.5 nm before the blocks of the rungs run the
-        # rest; rows 701 (steep) and 1203 (GL20/GL14) of 50.5 nm miss at
-        # every depth
+        # at 10 K 50.5 nm runs in a chunk of its own, whose steep blocks run
+        # rows l < 163 before the blocks of the rungs run the rest; rows 101
+        # (steep) and 1203 (GL20/GL14) of 50.5 nm miss at every depth
         seps = [50e-9, 50.5e-9]
         y1 = 2.0 * seps[1] * matsubara_frequency(1, 10.0) / C_LIGHT
-        steep = _template_rows(seps, 10.0, 1e-9)[0]
-        assert steep[1] == 1083
-        _jumps(monkeypatch, [701 * y1, 1203 * y1])
+        on = _template_rows(seps, 10.0, 1e-9)
+        assert on[0][1] == 163 and sum(on[:3])[1] <= 1203 < sum(on[:4])[1]
+        _jumps(monkeypatch, [101 * y1, 1203 * y1])
         batch = lifshitz._pressures([DRUDE], 10.0, seps, 1e-9)
-        assert batch.failed.tolist() == [[-1, 701]]
-        with pytest.raises(NumericsError, match=r"\(l=701, a=5\.05e-08\)"):
+        assert batch.failed.tolist() == [[-1, 101]]
+        with pytest.raises(NumericsError, match=r"\(l=101, a=5\.05e-08\)"):
             casimir_pressure(DRUDE, seps[1], 10.0, 1e-9)
 
     def test_a_model_outside_the_cache_is_rejected(self):
@@ -1087,10 +1109,10 @@ class TestModelsShareOneBatch:
                 casimir_pressure(model, 300e-9, T_LAB, 1e-9, cache=both)
 
     def test_low_temperature_batch_holds_one_block(self):
-        # at 10 K and 50 nm both models' 12,775 rows run through 16 blocks
-        # (5 steep, then 2, 3 and 6 on the rungs), and the rows' values are
-        # held until the sum: well under the 79 MB of one pass over all the
-        # rows
+        # at 10 K and 50 nm both models' 12,775 rows run through 15 blocks
+        # (1 steep, then 1, 2, 2, 2, 2 and 5 on the rungs), and the rows'
+        # values are held until the sum: well under the 79 MB of one pass
+        # over all the rows
         import tracemalloc
 
         a = 50e-9
@@ -1105,7 +1127,7 @@ class TestModelsShareOneBatch:
         assert peak < 8e6
 
     def test_two_model_peak_memory_is_one_workspace(self):
-        # at 10 K and 50 nm the 12,775 rows run in 16 blocks of up to 24,000
+        # at 10 K and 50 nm the 12,775 rows run in 15 blocks of up to 24,000
         # rows x nodes in eight planes (1.5 MB); the second model reuses the
         # first model's four planes, and adds only its own row vectors (its
         # permittivities on the terms, and its held integrals, 8 bytes each
