@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -148,9 +148,6 @@ class V0LineFit:
     sigma_slope: float
     sigma_intercept: float
 
-    def v0(self, a):
-        return self.law.v0(a)
-
 
 def fit_v0_line(abscissa, v0_values) -> V0LineFit:
     """Ordinary least squares of V0 against separation."""
@@ -182,38 +179,13 @@ class WindowFit:
     z0: float
 
 
-@dataclass
-class CalibrationResult:
-    """Full electrostatic calibration of one measurement set."""
-
-    z_rel: np.ndarray
-    v0: np.ndarray
-    sigma_v0: np.ndarray
-    gamma: np.ndarray
-    sigma_gamma: np.ndarray
-    c_cal: float
-    sigma_c: float
-    z0: float
-    sigma_z0: float
-    line: V0LineFit
-    R: float
-    window_fits: list[WindowFit] = field(default_factory=list)
-    # run statistics of the fit; calibration_text leaves them out
-    chi2_dof: float = math.nan
-    gamma_evals: int = 0
-    scan_fallback: bool = False
-
-    @property
-    def separations(self) -> np.ndarray:
-        return self.z0 + self.z_rel
-
-
 _Z0_RTOL = 1e-10      # Gauss-Newton stops once the z0 step falls below this, relative
 _MAX_STEPS = 50
 
 
-class CalibrationFit(NamedTuple):
-    """fit_calibration result; unpacks like a tuple, in this order."""
+@dataclass
+class CalibrationFit:
+    """fit_calibration result: the (C, z0) fit of the gamma series."""
 
     c_cal: float
     z0: float
@@ -223,6 +195,21 @@ class CalibrationFit(NamedTuple):
     chi2_dof: float           # weighted residual sum of squares per degree of freedom
     gamma_evals: int          # gamma/C table reads; one read serves every running window
     scan_fallback: bool       # the seeded bracket missed and the full-range scan ran
+
+
+@dataclass
+class CalibrationResult(CalibrationFit, ParabolaSeries):
+    """Full electrostatic calibration of one measurement set: its parabola
+    series, then its (C, z0) fit, then the V0 line over the calibrated
+    separations and the sphere radius.  calibration_text leaves out the fit's
+    run statistics (chi2_dof, gamma_evals, scan_fallback)."""
+
+    line: V0LineFit
+    R: float
+
+    @property
+    def separations(self) -> np.ndarray:
+        return self.z0 + self.z_rel
 
 
 def _project(gamma, weights, g):
@@ -377,16 +364,8 @@ def calibrate(grid: MeasurementGrid) -> CalibrationResult:
     """Full calibration chain: parabolas, (C, z0) fit, V0 straight line."""
     par = fit_parabolas(grid)
     fit = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, grid.geometry.R)
-    return CalibrationResult(
-        z_rel=par.z_rel,
-        v0=par.v0,
-        sigma_v0=par.sigma_v0,
-        gamma=par.gamma,
-        sigma_gamma=par.sigma_gamma,
-        line=fit_v0_line(fit.z0 + par.z_rel, par.v0),
-        R=grid.geometry.R,
-        **fit._asdict(),
-    )
+    return CalibrationResult(**vars(par), **vars(fit),
+                             line=fit_v0_line(fit.z0 + par.z_rel, par.v0), R=grid.geometry.R)
 
 
 @dataclass
@@ -415,7 +394,7 @@ def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> Gradie
     """
     a = calib.separations
     gamma_hat = calib.c_cal * _fit_table(calib.z_rel, calib.R)(a)
-    v0_hat = calib.line.v0(a)
+    v0_hat = calib.line.law.v0(a)
     v = grid.voltages[:, None, None]
     f = (-grid.shifts - gamma_hat[None, None, :] * (v - v0_hat[None, None, :]) ** 2) / calib.c_cal
     flat = f.reshape(-1, a.size)

@@ -523,12 +523,12 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     steep rows, then all its rows on each rung in ladder order, in blocks of
     _PASS_ELEMENTS // 94, 64, 49, 34, 24, 20 or 14 rows (255, 375, 489, 705,
     1000, 1200 or 1714) that every model shares, so each separation's rows
-    run in increasing l.  Each template's rows of the chunk (their
-    separation, l, y_l, place and eps) are gathered once, and its blocks are
-    slices of them.  In a
-    block, a model's rows whose error estimate exceeds tol/2 of their value
-    (or 1e-300, for a row that underflows) go through again together on the
-    steep template, whichever template they started on, with its panels
+    run in increasing l.  Each template's rows of the chunk are listed once,
+    as their separation index and l, and a block forms its rows' y_l, place
+    and eps from its slice of them.  In a block, a model's rows whose error
+    estimate exceeds tol/2 of their value (or 1e-300, for a row that
+    underflows) go through again together on the steep template, whichever
+    template they started on, with its panels
     bisected once more each time, up to 8 times; a row that still misses is
     recorded with its separation's first missed l, and its pressure is NaN.
     Each row's value is written at its place in the chunk's array; once the
@@ -573,32 +573,29 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
         k = max(j + 1, int(np.searchsorted(ends, base + _PASS_ELEMENTS, side="right")))
         values = np.empty((len(models), ends[k - 1] - base))  # by batch row - base
         for template, nodes, lo, hi in templates:
-            # the chunk's rows on this template, in order: separation index,
-            # l, y_l, place in values, separation and eps per model
+            # the chunk's rows on this template, in order: separation index and l
             on = hi[j:k] - lo[j:k]
             sep = np.repeat(np.arange(j, k), on)
             ls = np.arange(sep.size) + (lo[j:k] - np.cumsum(on) + on)[sep - j]
-            y_l, at, a_r = y1_j[sep] * ls, starts[sep] - base + ls, a_j[sep]
-            eps_r = [eps_m[ls] for eps_m in eps]
             block = _PASS_ELEMENTS // nodes
             for r in range(0, sep.size, block):
-                cut = slice(r, r + block)
-                passed = _template_integrate(models, a_r[cut], y_l[cut],
-                                             [eps_m[cut] for eps_m in eps_r], template, 0, work)
+                sep_b, l_b = sep[r:r + block], ls[r:r + block]
+                y_l, a_r = y1_j[sep_b] * l_b, a_j[sep_b]
+                eps_r = [eps_m[l_b] for eps_m in eps]
+                passed = _template_integrate(models, a_r, y_l, eps_r, template, 0, work)
                 for m, (model, eps_m, (vals, e)) in enumerate(zip(models, eps_r, passed)):
                     rows = np.flatnonzero(e > np.maximum(0.5 * tol * vals, 1e-300))
                     for depth in range(1, 9):
                         if not rows.size:
                             break
-                        [(v, e)] = _template_integrate([model], a_r[r + rows], y_l[r + rows],
-                                                       [eps_m[r + rows]], _STEEP, depth, work)
+                        [(v, e)] = _template_integrate([model], a_r[rows], y_l[rows],
+                                                       [eps_m[rows]], _STEEP, depth, work)
                         vals[rows] = v
                         rows = rows[e > np.maximum(0.5 * tol * v, 1e-300)]
-                    for j_row, l in zip(sep[r + rows].tolist(), ls[r + rows].tolist()):
+                    for j_row, l in zip(sep_b[rows].tolist(), l_b[rows].tolist()):
                         if failed[m, j_row] < 0:  # rows run in increasing l
                             failed[m, j_row] = l
-                    values[m, at[cut]] = vals
-            del sep, ls, y_l, at, a_r, eps_r  # before the next template's are built
+                    values[m, starts[sep_b] - base + l_b] = vals
         values[:, starts[j:k] - base] *= 0.5  # the primed sum's l = 0 terms
         runs = list(zip((starts[j:k] - base).tolist(), (ends[j:k] - base).tolist()))
         for m in range(len(models)):

@@ -210,8 +210,8 @@ class TestCalibrationFit:
     def test_radius_sensitivity(self, set1_grid):
         spec, geom, grid = set1_grid
         par = fit_parabolas(grid)
-        c0, *_ = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R)
-        c1, *_ = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R * 1.001)
+        c0 = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R).c_cal
+        c1 = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R * 1.001).c_cal
         assert abs(c1 / c0 - 1.0) < 0.002
 
     def test_window_stability_diagnostic(self, set1_grid):
@@ -277,6 +277,23 @@ class TestCalibrationFit:
         text = calibration_text(calib)
         for token in ("chi2", "gamma_evals", "scan_fallback"):
             assert token not in text
+
+    def test_calibration_carries_its_parts_bit_for_bit(self, set1_grid):
+        # the parabola series, then the (C, z0) fit, then the V0 line and R,
+        # each field as its own stage gives it
+        _, geom, grid = set1_grid
+        calib = calibrate(grid)
+        par = fit_parabolas(grid)
+        fit = fit_calibration(par.z_rel, par.gamma, par.sigma_gamma, geom.R)
+        parts = [*vars(par).items(), *vars(fit).items(),
+                 ("line", fit_v0_line(fit.z0 + par.z_rel, par.v0)), ("R", geom.R)]
+        assert [f.name for f in dataclasses.fields(calib)] == [name for name, _ in parts]
+        for name, value in parts:
+            got = getattr(calib, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+            else:
+                assert type(got) is type(value) and got == value, name
 
     @settings(max_examples=6)
     @given(dv=st.floats(-0.05, 0.05), seed=st.integers(0, 2**16))

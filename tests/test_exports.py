@@ -169,10 +169,22 @@ def _parameters(func, method):
     return params[1:] if method else params
 
 
+def _record_fields(record):
+    """[(field, optional, keyword only)] of a dataclass or NamedTuple, in its
+    constructor's order: a dataclass's bases' fields first, as dataclasses
+    orders them."""
+    if dataclasses.is_dataclass(record):
+        return [(f.name, f.default is not dataclasses.MISSING
+                 or f.default_factory is not dataclasses.MISSING, f.kw_only)
+                for f in dataclasses.fields(record)]
+    return [(name, name in record._field_defaults, False) for name in record._fields]
+
+
 def _definitions(trees):
     """(module, name) -> [(parameter, optional, keyword only)] of every
     module-level function, method ('Class.method') and constructor ('Class':
-    its __init__, or the fields of a dataclass or NamedTuple)."""
+    its __init__, or the fields of a dataclass or NamedTuple, inherited ones
+    included)."""
     defs = {}
     for module, tree in trees.items():
         for node in tree.body:
@@ -186,10 +198,8 @@ def _definitions(trees):
                     defs[module, name] = _parameters(item, True)
             marks = {ast.unparse(d).split("(")[0] for d in node.decorator_list + node.bases}
             if marks & {"dataclass", "NamedTuple"}:
-                defs[module, node.name] = [
-                    (item.target.id, item.value is not None, False) for item in node.body
-                    if isinstance(item, ast.AnnAssign)
-                    and "ClassVar" not in ast.unparse(item.annotation)]
+                record = getattr(importlib.import_module(f"casimirlab.{module}"), node.name)
+                defs[module, node.name] = _record_fields(record)
     return defs
 
 

@@ -413,6 +413,36 @@ class TestToleranceMet:
                       (1.75, 3.0, 7.0, 11.0, 16.0, 30.5))
             assert cuts[1:-1] == [min(math.ceil(y / y1), n_terms + 1) for y in firsts]
 
+    @pytest.mark.parametrize("model, temperature, a, l, rung", [
+        (PLASMA, 10.0, 106.7e-9, 527, 2),      # y_l = 3.09 on GL20/GL14
+        (DRUDE, 1.0, 50e-9, 24_625, 3),        # y_l = 6.76 on GL14/GL10
+    ], ids=["plasma-GL20", "drude-GL14"])
+    def test_rows_past_their_estimates_stay_within_tol(self, model, temperature, a, l, rung):
+        # two rows whose Gauss-Laguerre error passes its GLn - GLm estimate
+        # (1.4e-13 against 3.7e-14, and 8.6e-14 against 2.5e-16, of the
+        # value), at the tightest tol that still starts them on their rung: the
+        # row is not refined, so its true error, against the steep template
+        # deepened until its estimate is below 1e-14 of the value, must stay
+        # below tol/2.  It does by about 510x and 2,550x; 400x is asserted.
+        template, starts = lifshitz._LADDER[rung]
+        tol = float(np.nextafter(2.0 * starts[0][1], np.inf))
+        n_terms = casimir_pressure(model, a, temperature, tol).n_terms
+        y1 = 2.0 * a * matsubara_frequency(1, temperature) / C_LIGHT
+        cuts = lifshitz._rung_starts(y1, n_terms, tol)
+        assert cuts[rung] <= l < cuts[rung + 1]
+        assert l < lifshitz._rung_starts(y1, n_terms, 2.0 * starts[0][1])[rung]
+        y_l, eps = (v[l:l + 1] for v in _terms(model, a, temperature, n_terms))
+        work = lifshitz._Workspace(0)
+        [(vals, errs)] = lifshitz._template_integrate([model], a, y_l, [eps], template, 0, work)
+        assert errs[0] <= 0.5 * tol * vals[0]
+        for depth in range(1, 9):
+            [(ref, ref_err)] = lifshitz._template_integrate([model], a, y_l, [eps],
+                                                            lifshitz._STEEP, depth, work)
+            if ref_err[0] <= 1e-14 * ref[0]:
+                break
+        assert ref_err[0] <= 1e-14 * ref[0]
+        assert abs(vals[0] - ref[0]) <= 0.5 * tol * ref[0] / 400
+
     def test_laguerre_envelopes_are_measured(self):
         # the tol gates of the rungs' starts: the largest estimate over value
         # on the rows from each start of each rung, drude, plasma and the
