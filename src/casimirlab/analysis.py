@@ -380,6 +380,16 @@ class GradientSeries:
     n_channels: int
 
 
+# the gradient-series file's columns: each GradientSeries field but n_channels,
+# in field order, with its column name and its scale to and from the file's
+# units; the read scales stay products (x * 1e-6 and x / 1e6 differ in the last bit)
+_SERIES_COLUMNS = (("separations", "a_nm", 1e9, 1e-9),
+                   ("mean", "Fgrad_uN_per_m", 1e6, 1e-6),
+                   ("random_error", "random_uN_per_m", 1e6, 1e-6),
+                   ("systematic_error", "systematic_uN_per_m", 1e6, 1e-6),
+                   ("total_error", "total_uN_per_m", 1e6, 1e-6))
+
+
 def extract_gradients(grid: MeasurementGrid, calib: CalibrationResult) -> GradientSeries:
     """Invert the shift model per channel and average at 67% confidence.
 
@@ -500,8 +510,8 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 def combine_gradient_series(series_list, grid) -> GradientSeries:
     """Cross-set mean on the common grid given (compare_series builds it).
 
-    Per-set series are linearly resampled onto the grid; means average, and
-    the combined total error is the mean of the per-set totals.  A grid
+    Per-set series are linearly resampled onto the grid, each value column
+    averages, and so the combined total error is the mean of the per-set totals.  A grid
     point past either end of a series takes that end's value with a
     UserWarning when it lies within the series' largest step, and raises
     GridAlignmentError further out.
@@ -522,21 +532,9 @@ def combine_gradient_series(series_list, grid) -> GradientSeries:
             warnings.warn(f"series {k} held at its end value {past * 1e9:.3f} nm past "
                           "its data", stacklevel=2)
 
-    def resample(s, values):
-        return np.interp(grid, s.separations, values)
-
-    means = np.array([resample(s, s.mean) for s in series_list])
-    rand = np.array([resample(s, s.random_error) for s in series_list])
-    syst = np.array([resample(s, s.systematic_error) for s in series_list])
-    tot = np.array([resample(s, s.total_error) for s in series_list])
-    return GradientSeries(
-        separations=grid,
-        mean=means.mean(axis=0),
-        random_error=rand.mean(axis=0),
-        systematic_error=syst.mean(axis=0),
-        total_error=tot.mean(axis=0),
-        n_channels=sum(s.n_channels for s in series_list),
-    )
+    columns = [np.array([np.interp(grid, s.separations, getattr(s, name)) for s in series_list])
+               .mean(axis=0) for name, *_ in _SERIES_COLUMNS[1:]]
+    return GradientSeries(grid, *columns, n_channels=sum(s.n_channels for s in series_list))
 
 
 @dataclass(frozen=True)
@@ -602,9 +600,13 @@ def compare(
     The band half-width is the quadrature of the experimental total error
     and the theory error (optical_fraction * |F'| + |F''| * delta_z); an
     interval is excluded when more than 33% of the difference points fall
-    outside the band.
+    outside the band.  A series of fewer than 2 separations raises
+    GridAlignmentError, as _compared_grid does: the band's F'' needs two.
     """
     a = series.separations
+    if a.size < 2:
+        raise GridAlignmentError(f"the series holds {a.size} separation(s); "
+                                 "the band's F'' needs at least 2")
     diffs: dict[str, np.ndarray] = {}
     bands: dict[str, np.ndarray] = {}
     verdicts: dict[str, list[WindowVerdict]] = {}
@@ -756,18 +758,16 @@ def calibration_text(calib: CalibrationResult) -> str:
 
 
 def gradient_series_text(series: GradientSeries) -> str:
-    columns = (series.separations * 1e9, series.mean * 1e6, series.random_error * 1e6,
-               series.systematic_error * 1e6, series.total_error * 1e6)
     return textio.header("extracted force-gradient series", {"n_channels": series.n_channels}) \
-        + textio.table(("a_nm", "Fgrad_uN_per_m", "random_uN_per_m", "systematic_uN_per_m",
-                        "total_uN_per_m"), "%.3f  %r  %r  %r  %r", columns)
+        + textio.table([column for _, column, *_ in _SERIES_COLUMNS], "%.3f  %r  %r  %r  %r",
+                       [getattr(series, name) * scale for name, _, scale, _ in _SERIES_COLUMNS])
 
 
 def load_gradient_series(path) -> GradientSeries:
     """Read a gradient_series_text file; textio.read's errors are ConfigErrors, and so
     are a non-finite number, a negative error and a separation not above the one
     before (rows from 1)."""
-    text = textio.read(path, 5)
+    text = textio.read(path, len(_SERIES_COLUMNS))
     data = np.concatenate(text.groups)
     prev = -math.inf
     for i, row in enumerate(data.tolist(), 1):
@@ -779,14 +779,8 @@ def load_gradient_series(path) -> GradientSeries:
             raise ConfigError(f"{path}: data row {i} separation {row[0]} nm does not exceed "
                               f"row {i - 1}'s {prev} nm; separations must increase")
         prev = row[0]
-    return GradientSeries(
-        separations=data[:, 0] * 1e-9,
-        mean=data[:, 1] * 1e-6,
-        random_error=data[:, 2] * 1e-6,
-        systematic_error=data[:, 3] * 1e-6,
-        total_error=data[:, 4] * 1e-6,
-        n_channels=text.value("n_channels", int),
-    )
+    columns = [column * scale for column, (*_, scale) in zip(data.T, _SERIES_COLUMNS)]
+    return GradientSeries(*columns, n_channels=text.value("n_channels", int))
 
 
 def comparison_text(report: ComparisonReport) -> str:

@@ -27,6 +27,7 @@ package calls it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,8 @@ class Geometry:
 
     The separations it admits are a >= a_min with a/R < max_aspect, the
     proximity-force bound (0.022 by default, 0.0306 for set 4); both are
-    overridable for campaigns probing the edges of that domain.
+    overridable for campaigns probing the edges of that domain.  Every field
+    must be finite; a refused one raises ValidityDomainError naming it.
     """
 
     R: float                      # sphere radius, m
@@ -65,6 +67,9 @@ class Geometry:
     a_min: float = 250e-9
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidityDomainError(f"{name} must be finite, got {value}", field=name)
         if not self.R > 0:
             raise ValidityDomainError(f"sphere radius must be positive, got {self.R}", field="R")
         for name in ("delta_s", "delta_p"):
@@ -180,23 +185,10 @@ def pressure_to_gradient_sweep(
     """
     grid = _checked_grid(grid, geometry)
     cache = MatsubaraCache(model, geometry.temperature, grid)
-    values = np.empty_like(grid)
-    pressures = np.empty_like(grid)
-    trunc = np.empty_like(grid)
-    p_trunc = np.empty_like(grid)
-    for i, a in enumerate(grid):
-        fg = force_gradient(model, geometry, beta, float(a), tol, cache=cache)
-        values[i] = fg.value
-        pressures[i] = fg.pressure
-        trunc[i] = fg.truncation_error_estimate
-        p_trunc[i] = fg.pressure_truncation
-    return GradientSweep(
-        separations=grid,
-        values=values,
-        pressures=pressures,
-        truncation_estimates=trunc,
-        pressure_truncations=p_trunc,
-    )
+    # ForceGradient's fields are GradientSweep's after separations, in order
+    points = [vars(force_gradient(model, geometry, beta, a, tol, cache=cache)).values()
+              for a in grid.tolist()]
+    return GradientSweep(grid, *map(np.array, zip(*points)))
 
 
 def gradient_sweeps(models, geometry: Geometry, grid, tol: float) -> list[GradientSweep]:

@@ -10,27 +10,23 @@ y_l = 2 a xi_l / c.  The sum keeps the terms l = 0 .. L, with L the smallest
 count whose bound on the discarded tail is tol/2 of a lower bound on the sum;
 all of them are integrated by vectorised passes over node templates in
 t = y - y_l: the steep template (Gauss-Kronrod panels on [0, 7],
-Gauss-Laguerre beyond, 94 nodes) for the rows with small y_l, and for the
-others the cheapest rung, whose start the row has reached, of a ladder of
-six start rules: Gauss-Kronrod panels on [0, 1, 3] or [0, 2] with
-Gauss-Laguerre beyond (64 and 49 nodes), then panel-free Gauss-Laguerre
-rules from t = 0 (34, 24, 20 and 14 nodes), each starting where its
-measured error is below tol/2.  The terms whose error
-estimate misses tol/2 of their value are redone together on the steep
-template with its panels bisected, once more per pass, whichever template
-they started on (Bordag, Klimchitskaya, Mohideen and Mostepanenko, Advances
-in the Casimir Effect, OUP 2009, on the sum).  The zero-frequency term is
-dispatched on the model's declared extrapolation tag, never inferred
-numerically.
+Gauss-Laguerre beyond) for the rows with small y_l, and for the others the
+cheapest rung, whose start the row has reached, of the ladder of start
+rules _LADDER, each starting where its measured error is below tol/2.  The
+terms whose error estimate misses tol/2 of their value are redone together
+on the steep template with its panels bisected, once more per pass,
+whichever template they started on (Bordag, Klimchitskaya, Mohideen and
+Mostepanenko, Advances in the Casimir Effect, OUP 2009, on the sum).  The
+zero-frequency term is dispatched on the model's declared extrapolation
+tag, never inferred numerically.
 
 Every pressure comes from one batch function, _pressures: it evaluates each
 model's eps once for a list of separations and runs them in chunks of whole
 separations, in order, each of at most _PASS_ELEMENTS rows (separation,
 term) unless one separation holds more.  A chunk runs its rows through the
 template each starts on, in fixed blocks of _PASS_ELEMENTS rows x nodes
-(255, 375, 489, 705, 1000, 1200 or 1714 rows) that all its models share,
-then sums each of its separations into per-model arrays of pressures, tail
-bounds and term counts (_Batch).
+that all its models share, then sums each of its separations into
+per-model arrays of pressures, tail bounds and term counts (_Batch).
 pressure_sweep hands those arrays on for one model or several, with no
 per-point object, and is the one way for models to share a batch.  A
 PressureResult is built only for a caller that asks for one point:
@@ -75,12 +71,12 @@ def matsubara_frequency(l: int, temperature: float) -> float:
     l : int
         Thermal index, l >= 0.
     temperature : float
-        Temperature in K, > 0.
+        Temperature in K, finite and > 0.
     """
     if l < 0:
         raise ValidityDomainError(f"Matsubara index must be >= 0, got {l}")
-    if not temperature > 0:
-        raise ValidityDomainError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValidityDomainError(f"temperature must be finite and positive, got {temperature}")
     return 2.0 * math.pi * K_B * temperature * l / HBAR
 
 
@@ -188,7 +184,9 @@ _STEEP = ((0.0, 0.5, 1.5, 3.5, 7.0), (20, 14))
 # 293.15 K, 10 K and 1 K, on the rows of tol 1e-12, and tests/test_lifshitz.py
 # measures them; each rung's last one is below TOL_RANGE[0] / 2.  The middle
 # entries keep the starts rising along the ladder at the tols where one rung
-# has moved on to its next start and the others have not.
+# has moved on to its next start and the others have not.  At depth 0 a
+# template has 15 nodes per panel plus n + m: 94 for _STEEP, then 64, 49, 34,
+# 24, 20 and 14 along the ladder.
 _LADDER = (
     (((0.0, 1.0, 3.0), (20, 14)), ((0.45, 4.5e-10), (1.0, 3.5e-12), (1.75, 4.6e-13))),
     (((0.0, 2.0), (20, 14)), ((1.15, 4.5e-10), (2.0, 7.4e-12), (3.0, 4.6e-13))),
@@ -204,17 +202,14 @@ def _node_template(template, depth):
     """Nodes in t = y - y_l of a template (edges, (n, m)), its panels each
     bisected depth times, their weights w and d, and the panel count.
 
-    15-point Gauss-Kronrod panels on the edges resolve the start of a term:
-    60 nodes at depth 0 from _STEEP, and 30, 15 or none from a rung of
-    _LADDER, which refinement never bisects.  From the last edge (t = 7, 3,
-    2 or 0), where the integrand is e^-t times a slowly varying factor, the
-    n-point Gauss-Laguerre rule takes the rest and the m-point one checks
-    it: 94 nodes from _STEEP (GL20 and GL14), 64, 49 and 34 from the rungs
-    with GL20 and GL14, then 24, 20 and 14 (GL14 and GL10, GL12 and GL8,
-    GL8 and GL6).  The nodes run panel by panel,
-    15 each, then GLn and GLm.  w gives the integral (Kronrod, then GLn, 0
-    on GLm) and d each panel's Kronrod-minus-Gauss difference, then GLn
-    minus GLm; both are linear in the panel count.
+    15-point Gauss-Kronrod panels on the edges resolve the start of a term;
+    refinement bisects those of _STEEP, never a rung of _LADDER.  From the
+    last edge, where the integrand is e^-t times a slowly varying factor,
+    the n-point Gauss-Laguerre rule takes the rest and the m-point one
+    checks it (the node counts are listed beside _LADDER).  The nodes run
+    panel by panel, 15 each, then GLn and GLm.  w gives the integral
+    (Kronrod, then GLn, 0 on GLm) and d each panel's Kronrod-minus-Gauss
+    difference, then GLn minus GLm; both are linear in the panel count.
     """
     edges, (n, m) = template
     edges = np.array(edges)
@@ -235,7 +230,7 @@ def _shared_planes(y_l, nodes, out):
     + t on the template nodes, y^2, e^-y and expm1(-y), one row per term.
 
     -y is negated from the y plane: (-y_l) - t would round to the same bits
-    without reading it, but a broadcast pass over rows of 17 to 94 nodes
+    without reading it, but a broadcast pass over a template's rows
     costs more than a contiguous negation."""
     y, y2, em, em1 = out
     np.add(y_l[:, None], nodes, out=y)
@@ -502,9 +497,9 @@ def _rung_starts(y1, last_l, tol):
     return np.minimum(np.ceil(np.divide.outer(ys, y1)).astype(int), last_l + 1)
 
 
-# rows x nodes of a depth-0 template block: 255 rows of 94 nodes, or 375 of
-# 64, 489 of 49, 705 of 34, 1000 of 24, 1200 of 20 or 1714 of 14, in a
-# workspace of about 1.5 MB; also the most rows of a chunk of separations,
+# rows x nodes of a depth-0 template block, whose _PASS_ELEMENTS // nodes rows
+# are 255 on _STEEP, then 375, 489, 705, 1000, 1200 and 1714 along _LADDER, in
+# a workspace of about 1.5 MB; also the most rows of a chunk of separations,
 # unless one separation alone holds more
 _PASS_ELEMENTS = 24_000
 
@@ -521,22 +516,22 @@ def _pressures(models, temperature, separations, tol, with_breakdown=False):
     separations run in chunks, in order: from the next one, as many as hold at
     most _PASS_ELEMENTS rows together, and at least one.  A chunk runs all its
     steep rows, then all its rows on each rung in ladder order, in blocks of
-    _PASS_ELEMENTS // 94, 64, 49, 34, 24, 20 or 14 rows (255, 375, 489, 705,
-    1000, 1200 or 1714) that every model shares, so each separation's rows
-    run in increasing l.  Each template's rows of the chunk are listed once,
-    as their separation index and l, and a block forms its rows' y_l, place
-    and eps from its slice of them.  In a block, a model's rows whose error
-    estimate exceeds tol/2 of their value (or 1e-300, for a row that
-    underflows) go through again together on the steep template, whichever
-    template they started on, with its panels
-    bisected once more each time, up to 8 times; a row that still misses is
-    recorded with its separation's first missed l, and its pressure is NaN.
-    Each row's value is written at its place in the chunk's array; once the
-    chunk has run, each separation's terms, the l = 0 one at half weight, are
-    summed by math.fsum, so a pressure does not depend on how blocks cut its
-    rows, and the chunk's values are dropped.  The sums, times each
-    separation's prefactor, and the tail bounds of the count searches fill the
-    batch's arrays at the end.  Every block computes in one workspace.
+    _PASS_ELEMENTS // nodes rows (listed beside _PASS_ELEMENTS) that every
+    model shares, so each separation's rows run in increasing l.  Each
+    template's rows of the chunk are listed once, as their separation index
+    and l, and a block forms its rows' y_l, place and eps from its slice of
+    them.  In a block, a model's rows whose error estimate exceeds tol/2 of
+    their value (or 1e-300, for a row that underflows) go through again
+    together on the steep template, whichever template they started on, with
+    its panels bisected once more each time, up to 8 times; a row that still
+    misses is recorded with its separation's first missed l, and its pressure
+    is NaN.  Each row's value is written at its place in the chunk's array;
+    once the chunk has run, each separation's terms, the l = 0 one at half
+    weight, are summed by math.fsum, so a pressure does not depend on how
+    blocks cut its rows, and the chunk's values are dropped.  The sums, times
+    each separation's prefactor, and the tail bounds of the count searches
+    fill the batch's arrays at the end.  Every block computes in one
+    workspace.
     """
     seps = [float(a) for a in separations]
     xi1 = matsubara_frequency(1, temperature)
@@ -639,22 +634,16 @@ def casimir_pressure(
         at most tol/2 of the sum because every term is non-negative and half
         the l = 0 term alone is at least zeta(3) (r_TM = 1 at xi = 0);
         stopped_by is then "tol".  Every term is integrated to tol/2 of its
-        value on a shared template in y - y_l: 94 nodes (Gauss-Kronrod
-        panels on [0, 7], Gauss-Laguerre beyond) in blocks of up to 255
-        terms for small y_l, else one of six start rules: panels on
-        [0, 1, 3] or [0, 2] with GL20 and GL14 beyond (64 and 49 nodes,
-        blocks of up to 375 and 489), then Gauss-Laguerre rules from y_l,
-        34, 24, 20 or 14 nodes (GL20 and GL14, GL14 and GL10, GL12 and GL8,
-        GL8 and GL6) in blocks of up to 705, 1000, 1200 or 1714.  Each
-        starts from the first y_l where its measured error envelope is
-        below tol/2: 0.45, 1.15, 3, 5, 9.25 and 15.4 at tol 1e-9 and
-        above, 1.75, 3, 7, 11, 16 and 30.5 at 1e-12, and the middle entries
-        of _LADDER between; a term starts on the cheapest rule whose start
-        it has reached.  A sweep's separations
-        share blocks, in chunks of at most 24,000 terms.  The terms of a block
-        whose error estimate misses that are redone together on the 94-node
-        template with its panels bisected, up to 8 times, and NumericsError,
-        naming the first such l and a, is raised if any still misses.
+        value on a shared node template in y - y_l: the steep one (_STEEP)
+        for small y_l, else the cheapest start rule of the ladder _LADDER
+        whose start it has reached; each rule starts from the first y_l
+        where its measured error envelope is below tol/2 (the starts, node
+        counts and block sizes are listed beside _LADDER and
+        _PASS_ELEMENTS).  A sweep's separations share blocks, in chunks of
+        at most _PASS_ELEMENTS terms.  The terms of a block whose error
+        estimate misses that are redone together on the steep template with
+        its panels bisected, up to 8 times, and NumericsError, naming the
+        first such l and a, is raised if any still misses.
     with_breakdown : bool
         Also return per-term contributions in Pa.
     cache : MatsubaraCache, optional

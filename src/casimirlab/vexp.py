@@ -107,8 +107,10 @@ class CampaignSpec:
             raise ModelError("repetitions must be >= 1", field="repetitions")
         if self.truth_tag not in ("drude", "plasma"):
             raise ModelError(f"unknown truth tag {self.truth_tag!r}", field="truth_tag")
-        if not self.z0_true > 0:
-            raise ModelError("z0_true must be positive", field="z0_true")
+        for name in ("z0_true", "c_true"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}", field=name)
 
 
 def model_for_tag(tag: str) -> PermittivityModel:

@@ -9,6 +9,7 @@ from scipy.special import stdtrit
 
 from casimirlab import analysis, electrostatics, vexp
 from casimirlab.analysis import (
+    GradientSeries,
     TheoryErrorConfig,
     _t_quantile,
     calibrate,
@@ -536,6 +537,13 @@ class TestCombination:
         assert np.allclose(combined.total_error, expect, rtol=1e-12)
         assert combined.n_channels == 42
 
+    def test_one_series_on_its_own_grid_is_itself(self, set1_grid):
+        _, _, grid = set1_grid
+        s = extract_gradients(grid, calibrate(grid))
+        combined = combine_gradient_series([s], grid=s.separations)
+        for name, value in vars(s).items():
+            assert np.array_equal(getattr(combined, name), value), name
+
     def test_point_within_one_step_past_series_warns(self, set1_grid):
         _, _, grid = set1_grid
         s = extract_gradients(grid, calibrate(grid))
@@ -631,6 +639,12 @@ class TestCompare:
         with pytest.raises(GridAlignmentError):
             compare_at_defaults(combined, {"drude": theory["drude"][:-5]})
 
+    def test_fewer_than_two_separations_raise(self, compared):
+        combined, theory = compared
+        one = combine_gradient_series([combined], grid=combined.separations[:1])
+        with pytest.raises(GridAlignmentError, match="F'' needs at least 2"):
+            compare_at_defaults(one, {"drude": theory["drude"][:1]})
+
     def test_default_windows_alignment(self):
         wins = default_windows(248e-9, 951e-9, 100e-9)
         assert wins[0] == (248e-9, pytest.approx(300e-9))
@@ -655,9 +669,16 @@ class TestSerializationHelpers:
         path.write_text(gradient_series_text(series))
         back = load_gradient_series(path)
         assert np.allclose(back.mean, series.mean, rtol=1e-12, atol=0)
+        assert np.allclose(back.random_error, series.random_error, rtol=1e-12, atol=0)
+        assert np.allclose(back.systematic_error, series.systematic_error, rtol=1e-12, atol=0)
         assert np.allclose(back.total_error, series.total_error, rtol=1e-12, atol=0)
         assert np.allclose(back.separations, series.separations, rtol=1e-12)
         assert back.n_channels == series.n_channels
+
+    def test_series_file_columns_are_the_record_fields_in_order(self):
+        # a GradientSeries field added later cannot be left out of the file
+        names = [f.name for f in dataclasses.fields(GradientSeries) if f.name != "n_channels"]
+        assert [name for name, *_ in analysis._SERIES_COLUMNS] == names
 
 
 class TestComparisonText:

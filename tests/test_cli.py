@@ -635,6 +635,7 @@ class TestErrors:
     @pytest.mark.parametrize("key, value, message", [
         ("voltages_v", "0.1 0.2", "campaign needs exactly 21 voltages, got 2"),
         ("max_z_rel_nm", "-5", "max_z_rel must be finite and positive"),
+        ("c_s_per_kg", "-1", "c_true must be finite and positive"),
     ])
     def test_invalid_explicit_campaign_value_is_a_config_error(self, tmp_path, capsys, key,
                                                                value, message):

@@ -231,10 +231,16 @@ class TestGeometryValidation:
         ({"a_min": -math.inf}, "a_min"),
         ({"max_aspect": 0.0}, "max_aspect"),
         ({"max_aspect": -1.0}, "max_aspect"),
+        ({"max_aspect": math.inf}, "max_aspect"),
+        ({"a_min": math.inf}, "a_min"),
+        ({"temperature": math.inf}, "temperature"),
+        ({"R": math.inf}, "R"),
+        ({"delta_s": math.nan}, "delta_s"),
+        ({"delta_p": math.inf}, "delta_p"),
     ])
     def test_bad_bounds_name_their_field(self, bounds, field):
         with pytest.raises(ValidityDomainError) as info:
-            Geometry(R=1e-5, **bounds)
+            Geometry(**{"R": 1e-5, **bounds})
         assert info.value.field == field
 
     def test_contains_is_the_rule_check_separation_raises_on(self):

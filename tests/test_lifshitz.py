@@ -275,6 +275,8 @@ class TestPressureProperties:
             casimir_pressure(DRUDE, 1e-6, T_LAB, tol=1e-2)
         with pytest.raises(ValidityDomainError):
             casimir_pressure(DRUDE, 1e-6, -1.0, 1e-9)
+        with pytest.raises(ValidityDomainError, match="temperature must be finite"):
+            casimir_pressure(DRUDE, 500e-9, math.inf, 1e-9)
 
     def test_sweep_rejects_a_bad_temperature_like_a_single_pressure(self):
         with pytest.raises(ValidityDomainError, match="temperature"):

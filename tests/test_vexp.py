@@ -101,6 +101,12 @@ class TestSpecValidation:
     def test_max_z_rel_finite_positive(self):
         self._rejects("max_z_rel", [math.inf, 0.0, math.nan])
 
+    def test_z0_true_finite_positive(self):
+        self._rejects("z0_true", [math.inf, 0.0, math.nan])
+
+    def test_c_true_finite_positive(self):
+        self._rejects("c_true", [-1.0, 0.0, math.nan, math.inf])
+
     def test_range_escaping_validity_errors_before_generation(self):
         spec, geom = short_campaign(z0_true=100e-9)
         with pytest.raises(ValidityDomainError):
